@@ -185,74 +185,9 @@ let run_repl noopt no_policies domains delta persist_dir persist_fsync serve
                        (Index.column_name ix) (Index.entries ix))
                    ixs)
              (Catalog.table_names cat);
-           let hits, misses = Engine.plan_cache_stats engine in
-           let total = hits + misses in
-           Printf.printf "  plan cache: %d hits / %d misses%s\n" hits misses
-             (if total = 0 then ""
-              else
-                Printf.sprintf " (%.1f%% hit rate)"
-                  (100. *. float_of_int hits /. float_of_int total));
-           Printf.printf "  index probes: %d\n" (Atomic.get Executor.index_probes);
-           let domains, batches, tasks = Engine.parallel_stats engine in
-           Printf.printf "  parallel: %d domain%s, %d batches, %d tasks\n"
-             domains
-             (if domains = 1 then " (serial path)" else "s")
-             batches tasks;
-           let d = Engine.delta_stats engine in
-           Printf.printf "  delta plans: %d eligible, %d fallback\n"
-             d.Engine.eligible_plans d.Engine.fallback_plans;
-           Printf.printf "  delta store: %d bases, %d agg groups, %d rebuilds\n"
-             d.Engine.delta_bases d.Engine.agg_groups d.Engine.agg_rebuilds;
-           Printf.printf "  delta evals: %d delta, %d full\n"
-             d.Engine.delta_evals d.Engine.full_evals;
-           let u = Engine.unify_stats engine in
-           Printf.printf "  unification: %d registered -> %d active (%d groups, %d members)\n"
-             u.Engine.unify_registered u.Engine.unify_active
-             u.Engine.unify_groups u.Engine.unify_members;
-           let r = Engine.relevance_stats engine in
-           Printf.printf "  relevance index: %d policies (%d eligible), %d checks, %d skips%s\n"
-             r.Engine.rel_indexed r.Engine.rel_eligible r.Engine.rel_checks
-             r.Engine.rel_skips
-             (if r.Engine.rel_checks = 0 then ""
-              else
-                Printf.sprintf " (%.1f%% skipped)"
-                  (100. *. float_of_int r.Engine.rel_skips
-                  /. float_of_int r.Engine.rel_checks));
-           let sh, sm = Engine.shared_scan_stats engine in
-           let stot = sh + sm in
-           Printf.printf "  shared scans: %d hits / %d misses%s\n" sh sm
-             (if stot = 0 then ""
-              else
-                Printf.sprintf " (%.1f%% hit rate)"
-                  (100. *. float_of_int sh /. float_of_int stot));
-           let v = Engine.vector_stats engine in
-           Printf.printf
-             "  vectorized: %s, %d batches, %d rows, %d row-path fallbacks\n"
-             (if v.Engine.vec_enabled then "on" else "off")
-             v.Engine.vec_batches v.Engine.vec_rows v.Engine.vec_fallbacks;
-           (if v.Engine.vec_batches > 0 then
-              let labels = [| "<16"; "<256"; "<4k"; "<64k"; ">=64k" |] in
-              Printf.printf "  rows per batch: %s\n"
-                (String.concat ", "
-                   (Array.to_list
-                      (Array.mapi
-                         (fun k n -> Printf.sprintf "%s: %d" labels.(k) n)
-                         v.Engine.vec_hist))));
-           Printf.printf
-             "  column layout: %d typed, %d mixed, %d dictionary entries\n"
-             v.Engine.vec_typed_cols v.Engine.vec_mixed_cols
-             v.Engine.vec_dict_entries;
-           let b = Engine.batch_stats engine in
-           Printf.printf
-             "  admission batches: %d fast, %d retried, %d serial (%d batched \
-              submissions)\n"
-             b.Engine.fast_batches b.Engine.retried_batches
-             b.Engine.serial_batches b.Engine.batched_submissions;
-           match Engine.persist_store engine with
-           | Some store ->
-             Printf.printf "  group-commit fsyncs: %d\n"
-               (Persistence.Store.fsyncs store)
-           | None -> ()
+           List.iter
+             (fun (k, v) -> Printf.printf "  %s: %s\n" k v)
+             (Engine.counters engine)
          end
          else if line = ":checkpoint" then begin
            Engine.persist_checkpoint engine;

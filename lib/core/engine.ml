@@ -6,14 +6,20 @@
     reverting the log — or persists the (compacted) log and executes the
     query.
 
-    All optimizations can be toggled independently through {!config}:
+    Each field of {!config} selects one optimization:
 
-    - [`Union] / [`Serial] / [`Interleaved] policy-evaluation strategies
-      (NoOpt's Algorithm 1 uses [`Union]; Algorithm 3 is [`Interleaved]);
+    - the [Union_all] / [Serial] / [Interleaved] policy-evaluation
+      strategies (NoOpt's Algorithm 1 is [Union_all]; Algorithm 3 is
+      [Interleaved]);
     - time-independent rewriting (§4.1.1);
     - log compaction via absolute witnesses (§4.1.2);
     - policy unification (§4.2.2);
-    - preemptive log compaction and improved partial policies (§4.3). *)
+    - preemptive log compaction and improved partial policies (§4.3);
+    - the evaluating domain count, incremental (delta) evaluation, the
+      relevance index, shared scans and the vectorized executor.
+
+    Every admission stage has one implementation; parallelism is only
+    the choice of map inside [fan_out]. *)
 
 open Relational
 
@@ -34,10 +40,9 @@ type config = {
 }
 
 (* Default evaluation parallelism: the DL_DOMAINS environment variable
-   when set (CI pins the serial and pooled paths with it), otherwise one
-   less than the hardware's recommendation — leaving a core for the rest
-   of the system — and never below 1 ([domains = 1] is the strictly
-   serial path: no pool is spawned and no parallel code runs). *)
+   when set (CI runs the suite at 1 and 4 with it), otherwise one less
+   than the hardware's recommendation — leaving a core for the rest of
+   the system — and never below 1 ([domains = 1] spawns no pool). *)
 let default_domains =
   match Sys.getenv_opt "DL_DOMAINS" with
   | Some s -> (
@@ -461,8 +466,8 @@ let clear_plan_cache t = Prepared.clear t.prepared
 
 (* Parallel runtime -------------------------------------------------------- *)
 
-(* The pool evaluating this engine's parallel batches, or [None] on the
-   strictly serial path. [config.domains] counts evaluating domains: the
+(* The pool evaluating this engine's parallel batches, or [None] when
+   [config.domains = 1]. [config.domains] counts evaluating domains: the
    submitting domain helps drain each batch, so the pool holds
    [domains - 1] workers. Pools come from the process-wide registry
    ({!Parallel.Pool.shared}) — engines with the same width share one
@@ -511,36 +516,60 @@ type submission = {
       (** first tid of the tentative increment, per relation *)
 }
 
+let new_submission (ctx : Usage_log.query_ctx) : submission =
+  {
+    ctx;
+    stats = Stats.create ();
+    generated = Hashtbl.create 4;
+    increment_floor = Hashtbl.create 4;
+  }
+
+(* Revert every tentative increment of [sub] (Eq. 1's rejection, or a
+   failure before commit). Idempotent: a second call, or one after
+   {!commit_logs} resolved the savepoints, does nothing. *)
+let rollback t (sub : submission) =
+  Hashtbl.iter
+    (fun rel sp -> Table.rollback_to (Database.table t.db rel) sp)
+    sub.generated;
+  Hashtbl.reset sub.generated;
+  Hashtbl.reset sub.increment_floor
+
 let generator_for t rel =
   match Hashtbl.find_opt t.gen_index rel with
   | Some g -> g
   | None -> Errors.catalog_error "no log-generating function for %s" rel
 
-(* Fan a batch of independent read-only evaluations out over the pool.
-   Each task accumulates into a private {!Stats.t} (no cross-domain
-   mutation) merged into the submission's record after the join; result
-   order follows input order, so violation lists keep registration-rank
-   order; an exception in any task is re-raised (first in input order)
-   only after the whole batch has joined, so tables are never unfrozen
-   under a still-running task. *)
-let par_map t (sub : submission) (pool : Parallel.Pool.t)
+(* Map [f] over a batch of independent read-only evaluations: the one
+   place an admission stage chooses between serial and parallel. Without
+   a pool, or with a single task, it is a plain [List.map] charging the
+   submission's stats. With a pool, each task accumulates into a private
+   {!Stats.t} (no cross-domain mutation) merged into the submission's
+   record after the join; result order follows input order either way,
+   so violation lists keep registration-rank order; an exception in any
+   task is re-raised (first in input order) only after the whole batch
+   has joined, so tables are never unfrozen under a still-running
+   task. *)
+let fan_out t (sub : submission) (pool : Parallel.Pool.t option)
     (f : Stats.t -> 'a -> 'b) (xs : 'a list) : 'b list =
-  t.par_batches <- t.par_batches + 1;
-  t.par_tasks <- t.par_tasks + List.length xs;
-  with_frozen t (fun () ->
-      let results =
-        Parallel.Pool.map pool
-          (fun x ->
-            let stats = Stats.create () in
-            let r = f stats x in
-            (stats, r))
-          xs
-      in
-      List.map
-        (fun (stats, r) ->
-          Stats.merge_into sub.stats stats;
-          r)
-        results)
+  match (pool, xs) with
+  | Some pool, _ :: _ :: _ ->
+    t.par_batches <- t.par_batches + 1;
+    t.par_tasks <- t.par_tasks + List.length xs;
+    with_frozen t (fun () ->
+        let results =
+          Parallel.Pool.map pool
+            (fun x ->
+              let stats = Stats.create () in
+              let r = f stats x in
+              (stats, r))
+            xs
+        in
+        List.map
+          (fun (stats, r) ->
+            Stats.merge_into sub.stats stats;
+            r)
+          results)
+  | (Some _ | None), _ -> List.map (f sub.stats) xs
 
 (* Run the log-generating function for [rel] under [ctx] and tentatively
    append the increment. The savepoint is opened at the relation's first
@@ -1098,30 +1127,33 @@ let independent_of_increment t ~(stats : Stats.t) (sub : submission)
             row.Executor.src_tids)
         r.Executor.out_rows
 
-(* Full evaluation of a policy batch. The policies of one submission are
+(* The one per-policy route: the relevance index's skip (the increment
+   cannot touch the policy), then the delta plans, then — with [full] —
+   a full evaluation. [Some None]: the policy holds; [Some (Some r)]: it
+   fires with rows [r]; [None]: undecided, which only happens without
+   [full] (the union strategy defers those policies to Algorithm 1's
+   single UNION). *)
+let decide ?(full = true) t ~(stats : Stats.t) (pl : plan) (p : Policy.t) :
+    Executor.result option option =
+  if irrelevant t pl p then Some None
+  else
+    match delta_try t ~stats p with
+    | Some _ as verdict -> verdict
+    | None -> if full then Some (eval_query t ~stats p.Policy.query) else None
+
+(* Full evaluation of a policy batch: the policies of one submission are
    mutually independent read-only queries over the frozen tentative
-   state, so with a pool they fan out one task per policy; results come
-   back in input order, keeping the violation list in registration-rank
-   order exactly as the serial loop produces it. With [domains = 1]
-   ([pool = None]) this is the pre-existing serial loop, unchanged. *)
+   state, one {!fan_out} task each, so the violation list keeps
+   registration-rank order. *)
 let eval_full t (sub : submission) (pool : Parallel.Pool.t option) (pl : plan)
     (ps : Policy.t list) : (Policy.t * string) list =
-  let eval stats p =
-    if irrelevant t pl p then [] (* increment can't touch it: holds *)
-    else
-      match delta_try t ~stats p with
-      | Some None -> [] (* delta plans all empty: policy holds *)
-      | Some (Some r) ->
-        List.map (fun m -> (p, m)) (messages_of_result p r)
-      | None -> (
-        match eval_query t ~stats p.Policy.query with
-        | Some r -> List.map (fun m -> (p, m)) (messages_of_result p r)
-        | None -> [])
-  in
-  match pool with
-  | Some pool when List.length ps > 1 ->
-    List.concat (par_map t sub pool eval ps)
-  | Some _ | None -> List.concat_map (eval sub.stats) ps
+  List.concat
+    (fan_out t sub pool
+       (fun stats p ->
+         match decide t ~stats pl p with
+         | Some (Some r) -> List.map (fun m -> (p, m)) (messages_of_result p r)
+         | Some None | None -> [])
+       ps)
 
 (* Interleaved policy evaluation (Algorithm 3). Returns violations. *)
 let run_interleaved t (sub : submission) (pool : Parallel.Pool.t option)
@@ -1149,9 +1181,8 @@ let run_interleaved t (sub : submission) (pool : Parallel.Pool.t option)
       if !remaining <> [] then begin
         (* One partial-policy check per remaining policy: independent
            read-only queries over the logs generated so far (the
-           increment for [rel] is already appended), so with a pool they
-           run as one parallel batch; the filter keeps input order
-           either way. *)
+           increment for [rel] is already appended), one {!fan_out}
+           task each; the filter keeps input order. *)
         let keep stats p =
           (* The relevance index first: the slots restricted to the
              relations generated so far, whose deltas are final. A
@@ -1193,13 +1224,10 @@ let run_interleaved t (sub : submission) (pool : Parallel.Pool.t option)
           else full stats p
         in
         remaining :=
-          (match pool with
-          | Some pool when List.length !remaining > 1 ->
-            let keeps = par_map t sub pool keep !remaining in
-            List.filter_map
-              (fun (p, k) -> if k then Some p else None)
-              (List.combine !remaining keeps)
-          | Some _ | None -> List.filter (keep sub.stats) !remaining)
+          List.filter_map Fun.id
+            (fan_out t sub pool
+               (fun stats p -> if keep stats p then Some p else None)
+               !remaining)
       end)
     gens;
   (* Policies still standing are evaluated in full: interleavable ones are
@@ -1217,98 +1245,67 @@ let run_union t (sub : submission) (pool : Parallel.Pool.t option) (pl : plan)
     (ps : Policy.t list) : (Policy.t * string) list =
   match ps with
   | [] -> []
-  | first :: others ->
+  | first :: _ ->
     List.iter (fun p -> List.iter (gen_rel t sub) p.Policy.log_rels) ps;
-    (* The violated rows: on the serial path, from the one big UNION of
-       Algorithm 1; with a pool, each branch evaluates as its own task
-       and the rows are concatenated. UNION's row dedup is absorbed by
-       the [sort_uniq] over extracted messages below, so both forms see
-       the same message set and produce identical violation lists. *)
-    let violated_rows : Executor.row_out list option =
-      match pool with
-      | Some pool when others <> [] ->
-        let rs =
-          par_map t sub pool
-            (fun stats p ->
-              if irrelevant t pl p then None
-              else
-                match delta_try t ~stats p with
-                | Some res -> res
-                | None -> eval_query t ~stats p.Policy.query)
-            ps
-        in
-        if List.for_all Option.is_none rs then None
-        else
-          Some
-            (List.concat_map
-               (function Some r -> r.Executor.out_rows | None -> [])
-               rs)
-      | Some _ | None ->
-        (* Delta-decided policies peel off the UNION: each one's verdict
-           comes from its delta plans alone, contributing its violation
-           rows (all-constant projections, so exactly the rows full
-           evaluation would add); the rest evaluate through the original
-           UNION chain. Both row sets feed the same message extraction
-           below, keeping the outcome identical to all-full evaluation. *)
-        let delta_rows = ref [] in
-        let fallback =
-          List.filter
-            (fun p ->
-              if irrelevant t pl p then false
-              else
-                match delta_try t ~stats:sub.stats p with
-                | Some None -> false
-                | Some (Some r) ->
-                  delta_rows := !delta_rows @ r.Executor.out_rows;
-                  false
-                | None -> true)
-            ps
-        in
-        let union_rows =
-          match fallback with
-          | [] -> []
-          | f :: rest ->
-            let union_q =
-              List.fold_left
-                (fun acc p ->
-                  Ast.Union { all = false; left = acc; right = p.Policy.query })
-                f.Policy.query rest
-            in
-            (match eval_query t ~stats:sub.stats union_q with
-            | None -> []
-            | Some r -> r.Executor.out_rows)
-        in
-        (match union_rows @ !delta_rows with [] -> None | rows -> Some rows)
+    (* Policies the relevance index or the delta plans decide peel off
+       the UNION: each delta-decided one contributes its violation rows
+       (all-constant projections, so exactly the rows full evaluation
+       would add). The rest evaluate through Algorithm 1's single UNION.
+       Both row sets feed the same message extraction below, keeping the
+       outcome identical to all-full evaluation. *)
+    let decided =
+      fan_out t sub pool
+        (fun stats p -> (p, decide ~full:false t ~stats pl p))
+        ps
     in
-    (match violated_rows with
-    | None -> []
-    | Some rows ->
-      let messages =
-        List.filter_map
-          (fun (row : Executor.row_out) ->
-            match row.Executor.values with
-            | [| Value.Str m |] -> Some m
-            | _ -> None)
-          rows
-        |> List.sort_uniq String.compare
-      in
-      let hits =
-        List.filter_map
-          (fun p ->
-            if List.mem p.Policy.message messages then
-              Some (p, p.Policy.message)
-            else None)
-          ps
-      in
-      (* Messages no registered message claims — a unified policy's
-         lifted member messages — are attributed to [first] so none are
-         dropped from the rejection, whether or not other policies also
-         fired. *)
-      let claimed = List.map snd hits in
-      let extras =
-        List.filter (fun m -> not (List.mem m claimed)) messages
-      in
-      hits @ List.map (fun m -> (first, m)) extras)
+    let delta_rows =
+      List.concat_map
+        (function
+          | _, Some (Some r) -> r.Executor.out_rows
+          | _, (Some None | None) -> [])
+        decided
+    in
+    let fallback =
+      List.filter_map
+        (function p, None -> Some p | _, Some _ -> None)
+        decided
+    in
+    let union_rows =
+      match fallback with
+      | [] -> []
+      | f :: rest -> (
+        let union_q =
+          List.fold_left
+            (fun acc p ->
+              Ast.Union { all = false; left = acc; right = p.Policy.query })
+            f.Policy.query rest
+        in
+        match eval_query t ~stats:sub.stats union_q with
+        | None -> []
+        | Some r -> r.Executor.out_rows)
+    in
+    let messages =
+      List.filter_map
+        (fun (row : Executor.row_out) ->
+          match row.Executor.values with
+          | [| Value.Str m |] -> Some m
+          | _ -> None)
+        (union_rows @ delta_rows)
+      |> List.sort_uniq String.compare
+    in
+    let hits =
+      List.filter_map
+        (fun p ->
+          if List.mem p.Policy.message messages then Some (p, p.Policy.message)
+          else None)
+        ps
+    in
+    (* Messages no registered message claims — a unified policy's lifted
+       member messages — are attributed to [first] so none are dropped
+       from the rejection, whether or not other policies also fired. *)
+    let claimed = List.map snd hits in
+    let extras = List.filter (fun m -> not (List.mem m claimed)) messages in
+    hits @ List.map (fun m -> (first, m)) extras
 
 (* Log compaction (Algorithm 2 + §4.3 preemptive check) ------------------- *)
 
@@ -1324,11 +1321,6 @@ let witness_tids t (w : Ast.select) : int list =
         (fun (slot, tid) -> if slot = 0 then Some tid else None)
         row.Executor.src_tids)
     r.Executor.out_rows
-
-(* Execute one witness query, adding the retained slot-0 tids to [acc]. *)
-let run_witness t (sub : submission) (w : Ast.select) (acc : (int, unit) Hashtbl.t) =
-  List.iter (fun tid -> Hashtbl.replace acc tid ()) (witness_tids t w);
-  ignore sub
 
 (* §4.3 preemptive log compaction: before generating relation [rel] just
    for storage, test whether its witnesses could possibly retain any tuple
@@ -1441,67 +1433,41 @@ let commit_logs t (sub : submission) (pool : Parallel.Pool.t option) (pl : plan)
     Stats.timed
       (fun d -> stats.Stats.compact_mark <- stats.Stats.compact_mark +. d)
       (fun () ->
-        match pool with
-        | Some pool ->
-          (* Witness structure first (cheap, no queries): a [Keep_all]
-             promotes its relation to [Mark_all] — retaining everything,
-             so that relation's other witness queries are moot exactly
-             as on the serial path — then every witness query of the
-             still-collecting relations fans out as one batch, each task
-             folding into a private tid list merged after the join.
-             Merged per-relation sets are bit-identical to the serially
-             accumulated ones (sets of slot-0 tids; order-free). *)
-          let tasks = ref [] in
-          List.iter
-            (fun p ->
-              List.iter
-                (fun (rel, w) ->
-                  match Hashtbl.find_opt marks rel with
-                  | None | Some Mark_all -> ()
-                  | Some (Mark_tids _) -> (
-                    match w with
-                    | Witness.Keep_all -> Hashtbl.replace marks rel Mark_all
-                    | Witness.Queries qs ->
-                      List.iter (fun q -> tasks := (rel, q) :: !tasks) qs))
-                (Witness.for_policy ~is_log ~now p))
-            td_policies;
-          let tasks =
-            List.filter
-              (fun (rel, _) ->
+        (* Witness structure first (cheap, no queries): a [Keep_all]
+           promotes its relation to [Mark_all] — retaining everything, so
+           that relation's witness queries are moot. Then every witness
+           query of the still-collecting relations runs as one
+           {!fan_out} task, its tid list merged after the join; the
+           merged sets are order-free (sets of slot-0 tids). *)
+        let tasks = ref [] in
+        List.iter
+          (fun p ->
+            List.iter
+              (fun (rel, w) ->
                 match Hashtbl.find_opt marks rel with
-                | Some (Mark_tids _) -> true
-                | Some Mark_all | None -> false)
-              (List.rev !tasks)
-          in
-          let tid_sets =
-            match tasks with
-            | [] -> []
-            | tasks ->
-              par_map t sub pool
-                (fun _stats (rel, q) -> (rel, witness_tids t q))
-                tasks
-          in
-          List.iter
-            (fun (rel, tids) ->
+                | None | Some Mark_all -> () (* skipped, not stored, or kept *)
+                | Some (Mark_tids _) -> (
+                  match w with
+                  | Witness.Keep_all -> Hashtbl.replace marks rel Mark_all
+                  | Witness.Queries qs ->
+                    List.iter (fun q -> tasks := (rel, q) :: !tasks) qs))
+              (Witness.for_policy ~is_log ~now p))
+          td_policies;
+        let tasks =
+          List.filter
+            (fun (rel, _) ->
               match Hashtbl.find_opt marks rel with
-              | Some (Mark_tids acc) ->
-                List.iter (fun tid -> Hashtbl.replace acc tid ()) tids
-              | Some Mark_all | None -> ())
-            tid_sets
-        | None ->
-          List.iter
-            (fun p ->
-              List.iter
-                (fun (rel, w) ->
-                  match Hashtbl.find_opt marks rel with
-                  | None -> () (* skipped or not stored *)
-                  | Some Mark_all -> ()
-                  | Some (Mark_tids acc) -> (
-                    match w with
-                    | Witness.Keep_all -> Hashtbl.replace marks rel Mark_all
-                    | Witness.Queries qs -> List.iter (fun q -> run_witness t sub q acc) qs))
-                (Witness.for_policy ~is_log ~now p))
-            td_policies);
+              | Some (Mark_tids _) -> true
+              | Some Mark_all | None -> false)
+            (List.rev !tasks)
+        in
+        List.iter
+          (fun (rel, tids) ->
+            match Hashtbl.find_opt marks rel with
+            | Some (Mark_tids acc) ->
+              List.iter (fun tid -> Hashtbl.replace acc tid ()) tids
+            | Some Mark_all | None -> ())
+          (fan_out t sub pool (fun _ (rel, q) -> (rel, witness_tids t q)) tasks));
     (* Delete + insert phases per relation. *)
     List.iter
       (fun rel ->
@@ -1583,23 +1549,24 @@ let commit_logs t (sub : submission) (pool : Parallel.Pool.t option) (pl : plan)
 
 (* Submission -------------------------------------------------------------- *)
 
+(* Accept: compact and persist the tentative increment, then record the
+   delta and relevance bases the committed state now satisfies. *)
+let accept t (sub : submission) (pool : Parallel.Pool.t option) (pl : plan)
+    ~(now : int) =
+  commit_logs t sub pool pl ~now;
+  if t.config.delta || t.config.relevance then establish_bases t pl
+
+(* Execute an admitted user query, charging [stats.query_exec]. *)
+let run_query t (stats : Stats.t) (query : Ast.query) : Executor.result =
+  Stats.timed
+    (fun d -> stats.Stats.query_exec <- stats.Stats.query_exec +. d)
+    (fun () -> Prepared.run t.prepared query)
+
 let submit_ast t ~(uid : int) ?(extra = []) (query : Ast.query) : outcome =
   let pl = plan t in
   let now = Usage_log.current_time t.db + 1 in
   Usage_log.set_clock t.db now;
-  let sub =
-    {
-      ctx = { Usage_log.uid; time = now; query; db = t.db; extra };
-      stats = Stats.create ();
-      generated = Hashtbl.create 4;
-      increment_floor = Hashtbl.create 4;
-    }
-  in
-  let rollback_all () =
-    Hashtbl.iter
-      (fun rel sp -> Table.rollback_to (Database.table t.db rel) sp)
-      sub.generated
-  in
+  let sub = new_submission { Usage_log.uid; time = now; query; db = t.db; extra } in
   (* Any failure during checking (e.g. the user query itself is invalid
      and breaks the provenance function) must revert the tentative log,
      or the leaked savepoints would poison later submissions. *)
@@ -1619,23 +1586,17 @@ let submit_ast t ~(uid : int) ?(extra = []) (query : Ast.query) : outcome =
     t.last_violations <- List.map fst violations;
     if violations <> [] then begin
       (* Reject: revert the tentative log (Eq. 1). *)
-      rollback_all ();
+      rollback t sub;
       Rejected (List.map snd violations, sub.stats)
     end
     else begin
-      commit_logs t sub pool pl ~now;
-      if t.config.delta || t.config.relevance then establish_bases t pl;
-      let result =
-        Stats.timed
-          (fun d -> sub.stats.Stats.query_exec <- sub.stats.Stats.query_exec +. d)
-          (fun () -> Prepared.run t.prepared query)
-      in
-      Accepted (result, sub.stats)
+      accept t sub pool pl ~now;
+      Accepted (run_query t sub.stats query, sub.stats)
     end
   with
   | outcome -> outcome
   | exception e ->
-    rollback_all ();
+    rollback t sub;
     raise e
 
 let submit t ~uid ?extra sql = submit_ast t ~uid ?extra (Parser.query sql)
@@ -1662,6 +1623,67 @@ let batch_stats t =
     serial_batches = t.adm_ineligible;
     batched_submissions = t.adm_submissions;
   }
+
+let counters t : (string * string) list =
+  let i = string_of_int in
+  let plan_hits, plan_misses = plan_cache_stats t in
+  let domains, par_batches, par_tasks = parallel_stats t in
+  let b = batch_stats t in
+  let d = delta_stats t in
+  let u = unify_stats t in
+  let r = relevance_stats t in
+  let shared_hits, shared_misses = shared_scan_stats t in
+  let v = vector_stats t in
+  let vhist =
+    (* label:count pairs; bucket upper bounds, "max" for the open tail *)
+    let labels = [| "16"; "256"; "4096"; "65536"; "max" |] in
+    String.concat " "
+      (Array.to_list
+         (Array.mapi (fun k n -> Printf.sprintf "%s:%d" labels.(k) n) v.vec_hist))
+  in
+  let fsyncs, wal =
+    match t.persist with
+    | None -> (0, 0)
+    | Some s -> (Persistence.Store.fsyncs s, Persistence.Store.wal_records s)
+  in
+  [
+    ("plan-cache-hits", i plan_hits);
+    ("plan-cache-misses", i plan_misses);
+    ("index-probes", i (Atomic.get Executor.index_probes));
+    ("parallel-domains", i domains);
+    ("parallel-batches", i par_batches);
+    ("parallel-tasks", i par_tasks);
+    ("batch-fast", i b.fast_batches);
+    ("batch-retried", i b.retried_batches);
+    ("batch-serial", i b.serial_batches);
+    ("delta-eligible", i d.eligible_plans);
+    ("delta-fallback", i d.fallback_plans);
+    ("delta-bases", i d.delta_bases);
+    ("delta-evals", i d.delta_evals);
+    ("full-evals", i d.full_evals);
+    ("delta-agg-groups", i d.agg_groups);
+    ("delta-agg-rebuilds", i d.agg_rebuilds);
+    ("unify-registered", i u.unify_registered);
+    ("unify-active", i u.unify_active);
+    ("unify-groups", i u.unify_groups);
+    ("unify-members", i u.unify_members);
+    ("relevance-indexed", i r.rel_indexed);
+    ("relevance-eligible", i r.rel_eligible);
+    ("relevance-checks", i r.rel_checks);
+    ("relevance-skips", i r.rel_skips);
+    ("shared-scan-hits", i shared_hits);
+    ("shared-scan-misses", i shared_misses);
+    ("vector-enabled", if v.vec_enabled then "1" else "0");
+    ("vector-batches", i v.vec_batches);
+    ("vector-rows", i v.vec_rows);
+    ("vector-fallbacks", i v.vec_fallbacks);
+    ("vector-hist", vhist);
+    ("vector-typed-cols", i v.vec_typed_cols);
+    ("vector-mixed-cols", i v.vec_mixed_cols);
+    ("vector-dict-entries", i v.vec_dict_entries);
+    ("group-commit-fsyncs", i fsyncs);
+    ("wal-records", i wal);
+  ]
 
 (* The one-at-a-time equivalent of a batch: member exceptions are caught
    per member (the engine rolls its tentative state back before the
@@ -1754,26 +1776,17 @@ let submit_batch t (subs : batch_submission list) :
       let now = now0 + n in
       let last = List.nth subs (n - 1) in
       let sub =
-        {
-          ctx =
-            {
-              Usage_log.uid = last.batch_uid;
-              time = now;
-              query = last.batch_query;
-              db = t.db;
-              extra = last.batch_extra;
-            };
-          stats = Stats.create ();
-          generated = Hashtbl.create 4;
-          increment_floor = Hashtbl.create 4;
-        }
+        new_submission
+          {
+            Usage_log.uid = last.batch_uid;
+            time = now;
+            query = last.batch_query;
+            db = t.db;
+            extra = last.batch_extra;
+          }
       in
-      let rollback_all () =
-        Hashtbl.iter
-          (fun rel sp -> Table.rollback_to (Database.table t.db rel) sp)
-          sub.generated;
-        Hashtbl.reset sub.generated;
-        Hashtbl.reset sub.increment_floor;
+      let rollback_batch () =
+        rollback t sub;
         Usage_log.set_clock t.db now0
       in
       (* Generate every relation a policy may read or the commit may
@@ -1806,29 +1819,23 @@ let submit_batch t (subs : batch_submission list) :
         (* A commit failure must resolve the savepoints before escaping,
            exactly as [submit_ast]'s handler does, or they would poison
            later submissions. *)
-        (try commit_logs t sub pool pl ~now
+        (try accept t sub pool pl ~now
          with e ->
-           rollback_all ();
+           rollback_batch ();
            raise e);
-        if t.config.delta || t.config.relevance then establish_bases t pl;
         List.map
           (fun s ->
             let stats = Stats.create () in
-            match
-              Stats.timed
-                (fun d -> stats.Stats.query_exec <- stats.Stats.query_exec +. d)
-                (fun () -> Prepared.run t.prepared s.batch_query)
-            with
+            match run_query t stats s.batch_query with
             | r -> Ok (Accepted (r, stats))
             | exception e -> Error e)
           subs
       | _violations ->
         t.adm_retried <- t.adm_retried + 1;
-        rollback_all ();
+        rollback_batch ();
         submit_serially t subs
-      | exception e ->
-        rollback_all ();
-        ignore (Printexc.to_string e);
+      | exception _ ->
+        rollback_batch ();
         submit_serially t subs
     end
 

@@ -24,11 +24,12 @@ type config = {
   strategy : strategy;
   domains : int;
       (** evaluating domains for the per-submission policy, partial-policy
-          and witness-query batches. [1] (the floor) is the strictly
-          serial pre-existing code path — no pool is spawned; [n > 1]
-          drives the batches through a shared pool of [n - 1] worker
-          domains with the submitting domain helping. Defaults to
-          {!default_domains}. *)
+          and witness-query batches. [1] (the floor) maps each batch
+          on the submitting domain — no pool is spawned; [n > 1] drives
+          the same batches through a shared pool of [n - 1] worker
+          domains with the submitting domain helping. Outcomes, logs
+          and policy-call counts are identical at every value.
+          Defaults to {!default_domains}. *)
   delta : bool;
       (** incremental (delta-driven) policy evaluation: after each
           accepted submission the engine records that every delta-eligible
@@ -169,8 +170,8 @@ val plan_cache_stats : t -> int * int
 val clear_plan_cache : t -> unit
 
 (** (configured domains, parallel batches dispatched, tasks executed
-    across them). Batches and tasks stay 0 on the serial path
-    ([domains = 1]). *)
+    across them). Batches and tasks stay 0 at [domains = 1], and only
+    batches of two or more tasks count. *)
 val parallel_stats : t -> int * int * int
 
 (** Incremental-evaluation counters, under the current configuration. *)
@@ -292,6 +293,17 @@ type batch_stats = {
 }
 
 val batch_stats : t -> batch_stats
+
+(** Every engine counter as [(key, value)] pairs, in a fixed order: the
+    one rendering the console [:stats] and the server [STATS] reply
+    share. Keys: [plan-cache-hits]/[-misses], [index-probes],
+    [parallel-domains]/[-batches]/[-tasks], [batch-fast]/[-retried]/
+    [-serial], the [delta-*] and [full-evals] counters of
+    {!delta_stats}, [unify-*], [relevance-*], [shared-scan-hits]/
+    [-misses], [vector-*] (with [vector-hist] as space-separated
+    [bound:count] pairs), [group-commit-fsyncs] and [wal-records] (0
+    without persistence). Forces the offline plan if stale. *)
+val counters : t -> (string * string) list
 
 (** Violated policies of the most recent rejected submission (for
     {!Advisor} diagnosis); empty after an accepted one. *)

@@ -36,14 +36,13 @@ type key = {
   lineage : bool;
   track_src : bool;
   share : bool;
-  vectorized : bool;
 }
 
 type shard = {
   cache : (key, Executor.compiled) Hashtbl.t;
-  delta : (Ast.query * bool, Executor.delta_compiled option) Hashtbl.t;
-      (** delta-plan derivations keyed by (query, vectorized), [None]
-          caching ineligibility *)
+  delta : (Ast.query, Executor.delta_compiled option) Hashtbl.t;
+      (** delta-plan derivations keyed by query, [None] caching
+          ineligibility *)
   mutable gen : int;
   mutable hits : int;
   mutable misses : int;
@@ -65,8 +64,9 @@ type t = {
           pipeline shares column batches, never transposed row lists, so
           a scale-out admission pays no per-policy conversion *)
   mutable vectorized : bool;
-      (** default route for [prepare]/[prepare_delta]; set once from
-          engine config before any evaluation traffic *)
+      (** route for [prepare]/[prepare_delta]; not part of any cache key,
+          so a change must come with a catalog generation bump (the
+          engine's [set_config] invalidates) *)
 }
 
 (* Witness probes bake the current timestamp into their AST, so a
@@ -123,14 +123,12 @@ let prepare t ?(opts = Executor.default_opts) ?(share = false)
   (* Provenance annotations are slot-specific; such plans never share,
      so don't fragment the cache key space over the flag. *)
   let share = share && (not opts.Executor.lineage) && not opts.Executor.track_src in
-  let vectorized = t.vectorized in
   let k =
     {
       q;
       lineage = opts.Executor.lineage;
       track_src = opts.Executor.track_src;
       share;
-      vectorized;
     }
   in
   match Hashtbl.find_opt s.cache k with
@@ -140,7 +138,10 @@ let prepare t ?(opts = Executor.default_opts) ?(share = false)
   | None ->
     let shared = if share then Some t.shared else None in
     let shared_batch = if share then Some t.shared_batch else None in
-    let c = Executor.prepare ~opts ~vectorized ?shared ?shared_batch t.cat q in
+    let c =
+      Executor.prepare ~opts ~vectorized:t.vectorized ?shared ?shared_batch
+        t.cat q
+    in
     if Hashtbl.length s.cache >= capacity then Hashtbl.reset s.cache;
     Hashtbl.replace s.cache k c;
     s.misses <- s.misses + 1;
@@ -153,14 +154,14 @@ let prepare_delta t ~is_log ~clock_rel (q : Ast.query) :
     Executor.delta_compiled option =
   let s = shard_for t in
   sync t s;
-  let vectorized = t.vectorized in
-  let dk = (q, vectorized) in
-  match Hashtbl.find_opt s.delta dk with
+  match Hashtbl.find_opt s.delta q with
   | Some d -> d
   | None ->
-    let d = Executor.prepare_delta ~vectorized t.cat ~is_log ~clock_rel q in
+    let d =
+      Executor.prepare_delta ~vectorized:t.vectorized t.cat ~is_log ~clock_rel q
+    in
     if Hashtbl.length s.delta >= capacity then Hashtbl.reset s.delta;
-    Hashtbl.replace s.delta dk d;
+    Hashtbl.replace s.delta q d;
     d
 
 let run t ?opts ?share q = Executor.run_compiled (prepare t ?opts ?share q)

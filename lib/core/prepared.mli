@@ -16,11 +16,13 @@ type t
 
 val create : Catalog.t -> t
 
-(** Set the default compilation route: with [true], {!prepare} and
+(** Set the compilation route: with [true], {!prepare} and
     {!prepare_delta} compile through the vectorized executor
     ({!Relational.Compile_batch}), falling back per subtree where
-    routing demands the row path. Part of the cache key, but intended to
-    be set once, from engine config, before evaluation traffic. *)
+    routing demands the row path. Not part of the cache key: plans
+    cached under the old route survive until the catalog generation
+    moves, so bump it ({!Relational.Catalog.touch}) along with any
+    change. *)
 val set_vectorized : t -> bool -> unit
 
 (** Fetch or compile the plan for [q] under [opts]. With [share], the

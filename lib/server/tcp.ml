@@ -65,7 +65,6 @@ let send fd resp = write_all fd (Protocol.encode_frame (Protocol.render_response
 
 let stats t =
   let a = Admission.stats t.admission in
-  let b = Engine.batch_stats t.engine in
   let active, total =
     Mutex.lock t.lock;
     let r = (Hashtbl.length t.conns, t.sessions_total) in
@@ -76,26 +75,6 @@ let stats t =
     match a.Admission.s_hist with
     | [] -> "-"
     | h -> String.concat " " (List.map (fun (l, n) -> Printf.sprintf "%s:%d" l n) h)
-  in
-  let fsyncs, wal =
-    match Engine.persist_store t.engine with
-    | None -> (0, 0)
-    | Some s -> (Persistence.Store.fsyncs s, Persistence.Store.wal_records s)
-  in
-  let d = Engine.delta_stats t.engine in
-  let u = Engine.unify_stats t.engine in
-  let r = Engine.relevance_stats t.engine in
-  let shared_hits, shared_misses = Engine.shared_scan_stats t.engine in
-  let v = Engine.vector_stats t.engine in
-  let vhist =
-    (* same label:count shape as batch-hist; bucket upper bounds, "max"
-       for the open tail *)
-    let labels = [| "16"; "256"; "4096"; "65536"; "max" |] in
-    String.concat " "
-      (Array.to_list
-         (Array.mapi
-            (fun k n -> Printf.sprintf "%s:%d" labels.(k) n)
-            v.Engine.vec_hist))
   in
   let i = string_of_int in
   [
@@ -108,38 +87,9 @@ let stats t =
     ("batches", i a.Admission.s_batches);
     ("batch-max", i a.Admission.s_max_batch);
     ("batch-hist", hist);
-    ("batch-fast", i b.Engine.fast_batches);
-    ("batch-retried", i b.Engine.retried_batches);
-    ("batch-serial", i b.Engine.serial_batches);
     ("snapshot-age", i a.Admission.s_snapshot_age);
-    ("delta-eligible", i d.Engine.eligible_plans);
-    ("delta-fallback", i d.Engine.fallback_plans);
-    ("delta-bases", i d.Engine.delta_bases);
-    ("delta-evals", i d.Engine.delta_evals);
-    ("full-evals", i d.Engine.full_evals);
-    ("delta-agg-groups", i d.Engine.agg_groups);
-    ("delta-agg-rebuilds", i d.Engine.agg_rebuilds);
-    ("unify-registered", i u.Engine.unify_registered);
-    ("unify-active", i u.Engine.unify_active);
-    ("unify-groups", i u.Engine.unify_groups);
-    ("unify-members", i u.Engine.unify_members);
-    ("relevance-indexed", i r.Engine.rel_indexed);
-    ("relevance-eligible", i r.Engine.rel_eligible);
-    ("relevance-checks", i r.Engine.rel_checks);
-    ("relevance-skips", i r.Engine.rel_skips);
-    ("shared-scan-hits", i shared_hits);
-    ("shared-scan-misses", i shared_misses);
-    ("vector-enabled", (if v.Engine.vec_enabled then "1" else "0"));
-    ("vector-batches", i v.Engine.vec_batches);
-    ("vector-rows", i v.Engine.vec_rows);
-    ("vector-fallbacks", i v.Engine.vec_fallbacks);
-    ("vector-hist", vhist);
-    ("vector-typed-cols", i v.Engine.vec_typed_cols);
-    ("vector-mixed-cols", i v.Engine.vec_mixed_cols);
-    ("vector-dict-entries", i v.Engine.vec_dict_entries);
-    ("group-commit-fsyncs", i fsyncs);
-    ("wal-records", i wal);
   ]
+  @ Engine.counters t.engine
 
 (* Connection handling ----------------------------------------------------- *)
 

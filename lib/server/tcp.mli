@@ -28,10 +28,8 @@ val start : ?config:config -> Datalawyer.Engine.t -> t
 val port : t -> int
 
 (** Server counters as the (key, value) pairs of the STATS reply:
-    sessions, admission/batch counters, batch-size histogram, snapshot
-    age, incremental-evaluation counters (eligible/fallback plans,
-    bases, delta vs full evals, carried aggregate groups and rebuilds),
-    group-commit fsyncs, WAL records. *)
+    sessions, admission/batch counters, batch-size histogram and
+    snapshot age, followed by {!Datalawyer.Engine.counters}. *)
 val stats : t -> (string * string) list
 
 (** Stop accepting, close every connection, drain the admission queue

@@ -4,7 +4,8 @@
    serial path, no pool) and [domains = 4] (pooled fan-out of policy,
    partial-policy and witness-mark queries). Compared per step: the
    outcome tag, the violation-message list (in order), the accepted
-   result rows (in order); and at the end: the full contents (tid +
+   result rows (in order), the number of policy queries issued; and at
+   the end: the full contents (tid +
    cells) of every log relation and the clock — so compaction retain
    sets must match tuple for tuple. *)
 
@@ -46,6 +47,7 @@ type script = {
   unification : bool;
   improved_partial : bool;
   preemptive : bool;
+  delta : bool;
   initial : int list;  (** template indices registered before the stream *)
   ops : op list;
 }
@@ -64,13 +66,16 @@ let step_trace engine op =
     ignore (Engine.add_policy engine ~name templates.(ti));
     Printf.sprintf "register %s := template %d" name ti
   | Submit (uid, qi) -> (
-    match Engine.submit engine ~uid queries.(qi) with
+    let outcome = Engine.submit engine ~uid queries.(qi) in
+    let calls = (Engine.stats_of outcome).Stats.policy_calls in
+    match outcome with
     | Engine.Accepted (result, _) ->
-      Printf.sprintf "uid %d q%d accepted [%s]" uid qi
+      Printf.sprintf "uid %d q%d accepted [%s] calls=%d" uid qi
         (String.concat "; " (List.map render_row result.Executor.out_rows))
+        calls
     | Engine.Rejected (messages, _) ->
-      Printf.sprintf "uid %d q%d REJECTED [%s]" uid qi
-        (String.concat "; " messages))
+      Printf.sprintf "uid %d q%d REJECTED [%s] calls=%d" uid qi
+        (String.concat "; " messages) calls)
 
 let dump_logs engine =
   let db = Engine.database engine in
@@ -102,6 +107,7 @@ let run_script ~domains script =
       unification = script.unification;
       improved_partial = script.improved_partial;
       preemptive = script.preemptive;
+      delta = script.delta;
       domains;
     }
   in
@@ -132,19 +138,20 @@ let script_gen : script QCheck.Gen.t =
   let* unification = bool in
   let* improved_partial = bool in
   let* preemptive = bool in
+  let* delta = bool in
   let* initial =
     list_size (int_range 0 3) (int_range 0 (Array.length templates - 1))
   in
   let+ ops = list_size (int_range 1 12) op_gen in
-  { strategy; unification; improved_partial; preemptive; initial; ops }
+  { strategy; unification; improved_partial; preemptive; delta; initial; ops }
 
 let print_script s =
-  Printf.sprintf "strategy=%s unif=%b ip=%b pre=%b initial=[%s] ops=[%s]"
+  Printf.sprintf "strategy=%s unif=%b ip=%b pre=%b delta=%b initial=[%s] ops=[%s]"
     (match s.strategy with
     | Engine.Union_all -> "union"
     | Engine.Serial -> "serial"
     | Engine.Interleaved -> "interleaved")
-    s.unification s.improved_partial s.preemptive
+    s.unification s.improved_partial s.preemptive s.delta
     (String.concat ";" (List.map string_of_int s.initial))
     (String.concat ";"
        (List.map
