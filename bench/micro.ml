@@ -286,7 +286,7 @@ let delta_case () =
         delta;
         relevance = false;
         shared_scans = false;
-        vectorized = Engine.default_vector;
+        vectorized = true;
       }
     in
     let engine = Engine.create ~config db in
@@ -366,7 +366,7 @@ let delta_agg_case () =
         delta;
         relevance = false;
         shared_scans = false;
-        vectorized = Engine.default_vector;
+        vectorized = true;
       }
     in
     let engine = Engine.create ~config db in

@@ -27,8 +27,8 @@ let naive_config =
     shared_scans = false;
   }
 
-(* Pinned on, not inherited: the experiment must measure the scaled
-   stack under DL_UNIFY=0 / DL_DELTA=0 CI legs too. *)
+(* Every scale layer pinned on, whatever the defaults become: the
+   experiment measures the scaled stack. *)
 let scaled_config =
   {
     Engine.default_config with

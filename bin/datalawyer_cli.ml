@@ -348,9 +348,8 @@ let delta =
           "Incremental policy evaluation: re-check delta-eligible policies \
            against only the usage-log rows appended since the last accepted \
            submission, falling back to full re-evaluation where the plan \
-           shape or an invalidation requires it. The default honours \
-           $(b,DL_DELTA) (on unless set to 0). Decisions are identical \
-           either way.")
+           shape or an invalidation requires it. On by default. \
+           Decisions are identical either way.")
 
 let persist_dir =
   Arg.(

@@ -51,28 +51,6 @@ let default_domains =
     | Some _ | None -> 1)
   | None -> max 1 (Domain.recommended_domain_count () - 1)
 
-(* Incremental policy evaluation defaults on; DL_DELTA=0 pins the
-   pre-existing full-re-evaluation path (CI runs the suite both ways). *)
-let default_delta =
-  match Sys.getenv_opt "DL_DELTA" with
-  | Some s -> String.trim s <> "0"
-  | None -> true
-
-(* Policy unification defaults on; DL_UNIFY=0 pins the unrolled
-   evaluation path (CI runs the suite both ways). *)
-let default_unify =
-  match Sys.getenv_opt "DL_UNIFY" with
-  | Some s -> String.trim s <> "0"
-  | None -> true
-
-(* The vectorized (batch-at-a-time) executor defaults on; DL_VECTOR=0
-   pins the row-at-a-time path (CI runs the suite both ways — results
-   are bit-identical, only the operator implementation differs). *)
-let default_vector =
-  match Sys.getenv_opt "DL_VECTOR" with
-  | Some s -> String.trim s <> "0"
-  | None -> true
-
 (* The NoOpt baseline (Algorithm 1): generate the logs the policies
    mention, evaluate the union of all policies, never compact. *)
 let noopt_config =
@@ -84,10 +62,10 @@ let noopt_config =
     improved_partial = false;
     strategy = Union_all;
     domains = default_domains;
-    delta = default_delta;
+    delta = true;
     relevance = false;
     shared_scans = false;
-    vectorized = default_vector;
+    vectorized = true;
   }
 
 (* DataLawyer with every optimization enabled (§4.4). *)
@@ -95,15 +73,15 @@ let default_config =
   {
     time_independent = true;
     log_compaction = true;
-    unification = default_unify;
+    unification = true;
     preemptive = true;
     improved_partial = true;
     strategy = Interleaved;
     domains = default_domains;
-    delta = default_delta;
+    delta = true;
     relevance = true;
     shared_scans = true;
-    vectorized = default_vector;
+    vectorized = true;
   }
 
 type plan = {
@@ -138,6 +116,12 @@ type t = {
       (** the [store_rels] the store's snapshot scope was last computed
           for; recomputed (with a checkpoint) whenever the plan is
           invalidated and yields a different scope *)
+  mutable persist_clock : int;
+      (** the clock recovery would restore: the last journaled commit's
+          or policy registration's. Checkpoints record it, not the live
+          clock, which also counts rejected submissions' unjournaled
+          ticks — so the recovered clock never depends on when
+          checkpoints ran *)
   prepared : Prepared.t;
       (** compiled-plan cache for policy, partial-policy and witness
           queries; invalidated through the same catalog generation
@@ -283,6 +267,7 @@ let create ?(config = default_config) ?(generators = Usage_log.standard)
       last_violations = [];
       persist = None;
       persist_scope = [];
+      persist_clock = 0;
       prepared = Prepared.create (Database.catalog db);
       pool = None;
       par_batches = 0;
@@ -305,6 +290,7 @@ let create ?(config = default_config) ?(generators = Usage_log.standard)
     (match recovered with
     | None -> ()
     | Some r -> t.registered <- apply_recovered db r);
+    t.persist_clock <- Usage_log.current_time db;
     t.persist <- Some store);
   t
 
@@ -352,6 +338,7 @@ let add_policy t ~name sql : Policy.t =
   invalidate t;
   (match t.persist with
   | Some store ->
+    t.persist_clock <- p.Policy.active_from;
     Persistence.Store.log_add_policy store
       {
         Persistence.Record.name;
@@ -410,8 +397,9 @@ let compute_plan t : plan =
         ~clock_rel:Usage_log.clock_relation ~time_col:Usage_log.time_column ps;
   }
 
-(* Full persisted state at this instant, for checkpointing: the clock,
-   the policy set as registered, and every scope relation's contents. *)
+(* Full persisted state at this instant, for checkpointing: the journaled
+   clock, the policy set as registered, and every scope relation's
+   contents. *)
 let persist_state t ~(scope : string list) : Persistence.Snapshot.state =
   let rel_state rel =
     let table = Database.table t.db rel in
@@ -424,7 +412,7 @@ let persist_state t ~(scope : string list) : Persistence.Snapshot.state =
     (rel, { Persistence.Snapshot.schema; rows })
   in
   {
-    Persistence.Snapshot.clock = Usage_log.current_time t.db;
+    Persistence.Snapshot.clock = t.persist_clock;
     policies =
       List.map
         (fun (p : Policy.t) ->
@@ -1537,6 +1525,7 @@ let commit_logs t (sub : submission) (pool : Parallel.Pool.t option) (pl : plan)
     Stats.timed
       (fun d -> stats.Stats.persist <- stats.Stats.persist +. d)
       (fun () ->
+        t.persist_clock <- now;
         if !compacted then checkpoint_to t store ~scope:pl.store_rels
         else begin
           let increments =

@@ -40,7 +40,7 @@ type config = {
           was invalidated by DDL, configuration or policy changes, or
           non-monotone table mutations — transparently fall back to full
           re-evaluation, so decisions, messages and log contents are
-          identical either way. Defaults to {!default_delta}. *)
+          identical either way. *)
   relevance : bool;
       (** the policy relevance index: per active policy, the log slots
           its query binds and the equality filters gating them
@@ -67,26 +67,13 @@ type config = {
           columnar aggregation — with per-subtree fallback to the row
           path where routing demands it. Verdicts, messages, output
           order and committed tids are bit-identical either way; only
-          the operator implementation changes. Defaults to
-          {!default_vector}. *)
+          the operator implementation changes. *)
 }
 
 (** The default for {!config}[.domains]: [DL_DOMAINS] from the
     environment when set (and a valid positive integer), otherwise
     [Domain.recommended_domain_count () - 1], floored at 1. *)
 val default_domains : int
-
-(** The default for {!config}[.delta]: on, unless the environment sets
-    [DL_DELTA=0]. *)
-val default_delta : bool
-
-(** The default for {!config}[.unification]: on, unless the environment
-    sets [DL_UNIFY=0] (CI pins the unrolled path with it). *)
-val default_unify : bool
-
-(** The default for {!config}[.vectorized]: on, unless the environment
-    sets [DL_VECTOR=0] (CI runs the suite both ways). *)
-val default_vector : bool
 
 (** The NoOpt baseline of Algorithm 1: generate only the logs the
     policies mention, evaluate their union, never compact. *)

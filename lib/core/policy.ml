@@ -166,27 +166,38 @@ let create (cat : Catalog.t) ~(is_log : string -> bool) ~(name : string)
   let parsed = Parser.query source in
   let query = Analysis.qualify cat parsed in
   (* Restrict the policy's view of history to its registration time
-     (footnote 7): older log tuples predate the policy. *)
-  let query =
-    if active_from <= 0 then query
-    else
-      match query with
-      | Ast.Select s ->
-        let extra =
-          List.filter_map
-            (fun (alias, rel) ->
-              if is_log rel then
-                Some
-                  (Ast.Binop
-                     ( Ast.Gt,
-                       Ast.Col (Some alias, "ts"),
-                       Ast.Lit (Value.Int active_from) ))
-              else None)
-            (Analysis.table_occurrences s)
-        in
-        Ast.Select { s with where = Ast.conjoin (Ast.conjuncts_opt s.where @ extra) }
-      | q -> q
+     (footnote 7): older log tuples predate the policy. Every log
+     occurrence is guarded — in each UNION arm and inside FROM
+     subqueries too. *)
+  let rec restrict (q : Ast.query) : Ast.query =
+    match q with
+    | Ast.Union u ->
+      Ast.Union { u with left = restrict u.left; right = restrict u.right }
+    | Ast.Select s ->
+      let from =
+        List.map
+          (function
+            | Ast.From_subquery sq ->
+              Ast.From_subquery { sq with query = restrict sq.query }
+            | fi -> fi)
+          s.from
+      in
+      let extra =
+        List.filter_map
+          (fun (alias, rel) ->
+            if is_log rel then
+              Some
+                (Ast.Binop
+                   ( Ast.Gt,
+                     Ast.Col (Some alias, "ts"),
+                     Ast.Lit (Value.Int active_from) ))
+            else None)
+          (Analysis.table_occurrences s)
+      in
+      Ast.Select
+        { s with from; where = Ast.conjoin (Ast.conjuncts_opt s.where @ extra) }
   in
+  let query = if active_from <= 0 then query else restrict query in
   {
     name;
     source;

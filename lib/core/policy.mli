@@ -42,8 +42,9 @@ val empty_input_empty_output : Ast.query -> bool
 val time_independent : is_log:(string -> bool) -> Ast.query -> bool
 
 (** Parse, qualify and classify a policy. When [active_from > 0], adds
-    [ts > active_from] guards so the policy's history starts at its
-    registration (the paper's footnote 7).
+    a [ts > active_from] guard to every log occurrence — in each UNION
+    arm and inside FROM subqueries — so the policy's history starts at
+    its registration (the paper's footnote 7).
     @raise Errors.Sql_error on malformed SQL or unresolvable names. *)
 val create :
   Catalog.t ->

@@ -43,7 +43,12 @@ let replay (state : Snapshot.state) (records : Record.t list) : Snapshot.state =
               Hashtbl.replace rels name
                 ({ Snapshot.schema = []; rows = [] }, ref (List.rev rows)))
           increments
-      | Record.Add_policy p -> policies := !policies @ [ p ]
+      | Record.Add_policy p ->
+        (* registration is journaled at its own clock reading, which a
+           run of rejected submissions may have moved past the last
+           commit's *)
+        clock := max !clock p.Record.active_from;
+        policies := !policies @ [ p ]
       | Record.Remove_policy name ->
         policies := List.filter (fun p -> p.Record.name <> name) !policies)
     records;

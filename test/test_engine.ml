@@ -151,6 +151,37 @@ let test_policy_added_mid_stream () =
        (Engine.submit e ~uid:0
           "SELECT n.name FROM navteq n, inhouse i WHERE n.poi_id = i.poi_id"))
 
+(* Footnote 7 below the top level: a policy registered after uid 2's
+   submission must not see it, whether the uid 2 test sits in a UNION
+   arm or over a FROM subquery of the log. NoOpt (full history, no
+   compaction) and the optimized stack must agree. *)
+let test_footnote7_nested_shapes () =
+  List.iter
+    (fun (config_name, config) ->
+      List.iter
+        (fun shape ->
+          let e = Engine.create ~config (Test_oracle.fresh_db ()) in
+          ignore
+            (Engine.add_policy e ~name:"never"
+               "SELECT DISTINCT 'never' FROM users u WHERE u.uid = 99");
+          let query = "SELECT v FROM data WHERE k = 1" in
+          Alcotest.(check bool) "uid 2 accepted" true
+            (accepted (Engine.submit e ~uid:2 query));
+          ignore (Engine.add_policy e ~name:shape (Test_oracle.template shape));
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s policy ignores uid 2's earlier row" config_name shape)
+            true
+            (accepted (Engine.submit e ~uid:3 query));
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s: %s policy still fires for uid 2" config_name shape)
+            [ "uid 2 seen" ]
+            (messages (Engine.submit e ~uid:2 query)))
+        [ "union"; "subquery" ])
+    [
+      ("noopt", { Engine.noopt_config with Engine.domains = 1 });
+      ("default", { Engine.default_config with Engine.domains = 1 });
+    ]
+
 (* The paper's P5b (Example 3.1): k-anonymity-flavoured output check. *)
 let test_p5b_output_privacy () =
   let db =
@@ -250,6 +281,8 @@ let suite =
     tc "TI policy stores nothing" test_ti_policy_stores_nothing;
     tc "multiple policies report all messages" test_multiple_policies_all_messages;
     tc "policy added mid-stream" test_policy_added_mid_stream;
+    tc "footnote 7 restricts UNION arms and FROM subqueries"
+      test_footnote7_nested_shapes;
     tc "P5b output privacy" test_p5b_output_privacy;
     Alcotest.test_case "noopt equivalence" `Slow test_noopt_equivalence;
   ]

@@ -200,7 +200,7 @@ let test_templates_unify () =
   ignore
     (Database.exec_script db
        "CREATE TABLE members (uid INT, gid TEXT); INSERT INTO members VALUES (1, 'g0')");
-  (* pinned on, not inherited: the case must assert under DL_UNIFY=0 *)
+  (* pinned on: the case tests unification itself *)
   let e =
     Engine.create
       ~config:{ Engine.default_config with Engine.unification = true }

@@ -22,9 +22,9 @@ let () =
       ("index", Test_index.suite);
       ("plan_diff", Test_plan_diff.suite);
       ("parallel", Test_parallel.suite);
-      ("parallel_diff", Test_parallel_diff.suite);
-      ("delta_diff", Test_delta_diff.suite);
+      ("delta", Test_delta.suite);
       ("unify_scale", Test_unify_scale.suite);
       ("server", Test_server.suite);
+      ("oracle", Test_oracle.suite);
       ("properties", Test_props.suite);
     ]

@@ -1,0 +1,571 @@
+(* The differential oracle: one script generator, one runner, checked
+   by two properties.
+
+   A script draws the paper-level settings (strategy, TI rewriting,
+   compaction, preemptive compaction, improved partial policies,
+   persistence, initial policies) and a stream of operations:
+   submissions, admission batches, policy registration and removal,
+   DDL, DML on base and log relations, restarts and checkpoints of the
+   persisted store, and mid-stream flips of one optimization layer.
+
+   - Layer identity (every script): with the paper-level settings
+     fixed, turning the post-paper layers on — unification, delta,
+     relevance, shared scans, the vectorized executor, the domain pool
+     and the batch fast path — changes no outcome, message, result row,
+     DDL/DML outcome or final log row. The layered run also agrees with
+     itself at the other domain count, policy-call counts included.
+   - Eq. 1 (scripts without DML): the layered run decides every
+     submission exactly as the literal reference — NoOpt (Algorithm 1:
+     no TI rewriting, no compaction, one UNION) with every layer off and
+     strictly serial submissions.
+
+   DML is excluded from Eq. 1 because compaction and TI rewriting
+   preserve verdicts only while the rows a logged tuple joined with do
+   not change (docs/ARCHITECTURE.md, "Correctness"). Deterministic pins
+   in the per-feature suites check that each layer actually engages;
+   this harness only checks that none changes a verdict. *)
+
+open Relational
+open Datalawyer
+
+(* Vocabulary ------------------------------------------------------------------ *)
+
+let queries =
+  [|
+    "SELECT v FROM data WHERE k = 1";
+    "SELECT k, v FROM data";
+    "SELECT COUNT(*) FROM data";
+    "SELECT d.v FROM data d, data e WHERE d.k = e.k AND e.v = 'b'";
+  |]
+
+let per_uid uid =
+  Templates.no_access ~relation:"data" ~subject:(Templates.User uid)
+    ~message:(Printf.sprintf "uid %d off data" uid)
+    ()
+
+(* Policy templates, by name. Between them they reach every delta branch
+   kind (SPJ, clock residual, carried aggregate), unification (the
+   per-uid family and the two quotas), the relevance index (plain-table
+   joins it must guard), the batch fast path (the clock-free SPJ ones)
+   and its fallback, and the shapes footnote 7 must restrict below the
+   top level (a UNION and a FROM subquery). *)
+let templates =
+  [|
+    ("blocked", "SELECT DISTINCT 'uid 2 blocked' FROM users u WHERE u.uid = 2");
+    ( "banned",
+      "SELECT DISTINCT 'banned uid' FROM users u, banned b WHERE u.uid = b.uid" );
+    ( "quota1",
+      "SELECT DISTINCT 'quota uid 1' FROM users u, clock c WHERE u.uid = 1 AND \
+       u.ts > c.ts - 4 HAVING COUNT(DISTINCT u.ts) > 2" );
+    ( "quota2",
+      "SELECT DISTINCT 'quota uid 2' FROM users u, clock c WHERE u.uid = 2 AND \
+       u.ts > c.ts - 4 HAVING COUNT(DISTINCT u.ts) > 2" );
+    ( "schema-width",
+      "SELECT DISTINCT 'schema width' FROM schema s, clock c WHERE s.irid = \
+       'data' AND s.ts > c.ts - 5 HAVING COUNT(DISTINCT s.icid) > 1" );
+    ( "provenance-banned",
+      "SELECT DISTINCT 'provenance touch' FROM provenance p, banned b WHERE \
+       p.irid = 'data' AND p.itid = b.uid" );
+    ( "provenance-cap",
+      "SELECT DISTINCT 'provenance cap' FROM provenance p, clock c WHERE \
+       p.irid = 'data' AND p.ts > c.ts - 6 HAVING COUNT(DISTINCT p.itid) > 4" );
+    ( "join-fanout",
+      "SELECT DISTINCT 'join fanout' FROM provenance p, users u, clock c WHERE \
+       p.ts = u.ts AND u.uid = 3 AND p.irid = 'data' AND p.ts > c.ts - 8 \
+       HAVING COUNT(DISTINCT p.itid) > 3" );
+    ( "agg-quota2",
+      "SELECT DISTINCT 'uid 2 over quota' FROM users u WHERE u.uid = 2 GROUP \
+       BY u.uid HAVING COUNT(*) > 2" );
+    ( "banned-pair",
+      "SELECT DISTINCT 'banned pair' FROM users u, banned b WHERE u.uid = \
+       b.uid GROUP BY b.uid HAVING COUNT(*) > 1" );
+    ( "spread3",
+      "SELECT DISTINCT 'uid 3 spread' FROM users u WHERE u.uid = 3 GROUP BY \
+       u.uid HAVING MAX(u.ts) - MIN(u.ts) > 4 AND COUNT(*) > 2" );
+    ( "distinct-ticks",
+      "SELECT DISTINCT 'distinct ticks' FROM users u GROUP BY u.uid HAVING \
+       COUNT(DISTINCT u.ts) > 5" );
+    ("uid1-data", per_uid 1);
+    ("uid2-data", per_uid 2);
+    ("uid3-data", per_uid 3);
+    ( "union",
+      "SELECT DISTINCT 'uid 2 seen' FROM users u WHERE u.uid = 2 UNION SELECT \
+       DISTINCT 'data tid 3 read' FROM provenance p WHERE p.irid = 'data' AND \
+       p.itid = 3" );
+    ( "subquery",
+      "SELECT DISTINCT 'uid 2 seen' FROM (SELECT uid FROM users) x WHERE x.uid \
+       = 2" );
+  |]
+
+let template name = List.assoc name (Array.to_list templates)
+
+(* Index DDL bumps the catalog generation; repeats raise, and the error
+   text goes into the trace. *)
+let ddls =
+  [|
+    "CREATE INDEX o_users_uid ON users USING hash (uid)";
+    "DROP INDEX o_users_uid";
+    "CREATE INDEX o_data_k ON data USING sorted (k)";
+    "DROP INDEX o_data_k";
+  |]
+
+(* Base-table DML bumps version counters: the [banned] flips change the
+   ban-list templates' verdicts, so a stale base, relevance proof or
+   carried aggregate fails the diff. The [users] deletes are log DML. *)
+let dmls =
+  [|
+    "INSERT INTO banned VALUES (2)";
+    "DELETE FROM banned WHERE uid = 2";
+    "UPDATE data SET v = 'z' WHERE k = 2";
+    "INSERT INTO data VALUES (9, 'i')";
+    "DELETE FROM users WHERE uid = 2";
+    "DELETE FROM users WHERE uid = 3";
+  |]
+
+let log_relations = [ "users"; "schema"; "provenance"; "clock" ]
+
+let fresh_db () =
+  let db = Database.create () in
+  ignore
+    (Database.exec_script db
+       "CREATE TABLE data (k INT, v TEXT); INSERT INTO data VALUES (1, 'a'), \
+        (2, 'b'), (3, 'c'); CREATE TABLE banned (uid INT); INSERT INTO banned \
+        VALUES (3)");
+  db
+
+(* Scripts ------------------------------------------------------------------ *)
+
+(* The post-paper layers: each must leave every verdict unchanged. *)
+type layer = Unification | Delta | Relevance | Shared_scans | Vectorized
+
+let all_layers = [ Unification; Delta; Relevance; Shared_scans; Vectorized ]
+
+type op =
+  | Submit of int * int  (** uid, query index *)
+  | Batch of (int * int) list  (** concurrent admission batch *)
+  | Register of int  (** template index *)
+  | Remove of int  (** index into the registered policies, modulo *)
+  | Ddl of int
+  | Dml of int
+  | Restart  (** close and recover from disk (persisted scripts) *)
+  | Checkpoint  (** persisted scripts *)
+  | Flip of layer  (** mid-stream [set_config] toggling one layer *)
+
+type script = {
+  strategy : Engine.strategy;
+  ti : bool;
+  compaction : bool;
+  preemptive : bool;
+  improved_partial : bool;
+  persist : bool;
+  initial : int list;  (** templates registered before the stream *)
+  layers : layer list;  (** on in the layered run *)
+  domains : int;  (** of the layered run; it also runs at the other count *)
+  ops : op list;
+}
+
+let paper_config s =
+  {
+    Engine.noopt_config with
+    Engine.strategy = s.strategy;
+    time_independent = s.ti;
+    log_compaction = s.compaction;
+    preemptive = s.preemptive;
+    improved_partial = s.improved_partial;
+  }
+
+let set_layer layer on (c : Engine.config) =
+  match layer with
+  | Unification -> { c with Engine.unification = on }
+  | Delta -> { c with Engine.delta = on }
+  | Relevance -> { c with Engine.relevance = on }
+  | Shared_scans -> { c with Engine.shared_scans = on }
+  | Vectorized -> { c with Engine.vectorized = on }
+
+let layer_on layer (c : Engine.config) =
+  match layer with
+  | Unification -> c.Engine.unification
+  | Delta -> c.Engine.delta
+  | Relevance -> c.Engine.relevance
+  | Shared_scans -> c.Engine.shared_scans
+  | Vectorized -> c.Engine.vectorized
+
+(* Every layer off, on one domain. *)
+let layers_off (c : Engine.config) =
+  List.fold_left
+    (fun c l -> set_layer l false c)
+    { c with Engine.domains = 1 }
+    all_layers
+
+let layered s ~domains =
+  List.fold_left
+    (fun c l -> set_layer l (List.mem l s.layers) c)
+    { (paper_config s) with Engine.domains }
+    all_layers
+
+(* The run ---------------------------------------------------------------- *)
+
+(* One step's observable result: its rendering, the violation messages
+   (compared in order or as sets) and the policy calls it issued. *)
+type event = { what : string; messages : string list; calls : int }
+
+type run = {
+  events : event list;
+  logs : (string * (int * string) list) list;  (** relation, (tid, cells) rows *)
+}
+
+let render_row cells =
+  String.concat "," (Array.to_list (Array.map Value.to_string cells))
+
+let render_rows (r : Executor.result) =
+  String.concat "; "
+    (List.map (fun (o : Executor.row_out) -> render_row o.Executor.values)
+       r.Executor.out_rows)
+
+let outcome_event label = function
+  | Ok (Engine.Accepted (r, stats)) ->
+    {
+      what = Printf.sprintf "%s accepted [%s]" label (render_rows r);
+      messages = [];
+      calls = stats.Stats.policy_calls;
+    }
+  | Ok (Engine.Rejected (messages, stats)) ->
+    { what = label ^ " REJECTED"; messages; calls = stats.Stats.policy_calls }
+  | Error e ->
+    { what = label ^ " raised " ^ Printexc.to_string e; messages = []; calls = 0 }
+
+let note what = { what; messages = []; calls = 0 }
+
+let dump_logs engine =
+  let db = Engine.database engine in
+  List.map
+    (fun rel ->
+      ( rel,
+        List.rev
+          (Table.fold
+             (fun acc row -> (Row.tid row, render_row (Row.cells row)) :: acc)
+             [] (Database.table db rel)) ))
+    log_relations
+
+(* Persisted runs check recovery, not durability: the WAL never fsyncs,
+   and the stores live on tmpfs where there is one, so the snapshots'
+   unconditional fsyncs cost nothing either. *)
+let tmpfs = if Sys.file_exists "/dev/shm" then Some "/dev/shm" else None
+
+(* Run [s] from [config]. The [optimized] run sends batches through
+   [submit_batch] and applies flips; the others replay each batch one
+   submission at a time and ignore flips. *)
+let run ~optimized config s =
+  let dir =
+    if s.persist then Some (Test_support.temp_dir ?parent:tmpfs "dl_oracle")
+    else None
+  in
+  let config = ref config in
+  let db = ref (fresh_db ()) in
+  let open_engine () =
+    Engine.create ~config:!config ?persist_dir:dir
+      ~persist_fsync:Persistence.Store.Never !db
+  in
+  let engine = ref (open_engine ()) in
+  let registered = ref 0 in
+  let register ti =
+    let name = Printf.sprintf "p%d" !registered in
+    incr registered;
+    ignore (Engine.add_policy !engine ~name (snd templates.(ti)));
+    Printf.sprintf "register %s := %s" name (fst templates.(ti))
+  in
+  List.iter (fun ti -> ignore (register ti)) s.initial;
+  let submit (uid, qi) =
+    outcome_event
+      (Printf.sprintf "uid %d q%d" uid qi)
+      (match Engine.submit !engine ~uid queries.(qi) with
+      | o -> Ok o
+      | exception e -> Error e)
+  in
+  let exec_sql label sql =
+    note
+      (match Dml.exec (Database.catalog !db) (Parser.stmt sql) with
+      | Dml.Created what -> Printf.sprintf "%s created %s" label what
+      | Dml.Dropped what -> Printf.sprintf "%s dropped %s" label what
+      | Dml.Affected n -> Printf.sprintf "%s affected %d" label n
+      | Dml.Rows _ -> label ^ " rows")
+  in
+  let step op =
+    try
+      match op with
+      | Submit (uid, qi) -> [ submit (uid, qi) ]
+      | Batch members when optimized ->
+        Engine.submit_batch !engine
+          (List.map
+             (fun (uid, qi) ->
+               {
+                 Engine.batch_uid = uid;
+                 batch_extra = [];
+                 batch_query = Parser.query queries.(qi);
+               })
+             members)
+        |> List.map2
+             (fun (uid, qi) -> outcome_event (Printf.sprintf "uid %d q%d" uid qi))
+             members
+      | Batch members -> List.map submit members
+      | Register ti -> [ note (register ti) ]
+      | Remove i -> (
+        match Engine.policies !engine with
+        | [] -> [ note "remove: none registered" ]
+        | ps ->
+          let name = (List.nth ps (i mod List.length ps)).Policy.name in
+          Engine.remove_policy !engine name;
+          [ note ("remove " ^ name) ])
+      | Ddl di -> [ exec_sql (Printf.sprintf "ddl %d" di) ddls.(di) ]
+      | Dml mi -> [ exec_sql (Printf.sprintf "dml %d" mi) dmls.(mi) ]
+      | Restart ->
+        Engine.close !engine;
+        db := fresh_db ();
+        engine := open_engine ();
+        [
+          note
+            (Printf.sprintf "restart (%d policies recovered)"
+               (List.length (Engine.policies !engine)));
+        ]
+      | Checkpoint ->
+        Engine.persist_checkpoint !engine;
+        [ note "checkpoint" ]
+      | Flip layer ->
+        if optimized then begin
+          config := set_layer layer (not (layer_on layer !config)) !config;
+          Engine.set_config !engine !config
+        end;
+        [ note "flip" ]
+    with Errors.Sql_error _ as e -> [ note ("error: " ^ Errors.to_string e) ]
+  in
+  let events = List.concat_map step s.ops in
+  let logs = dump_logs !engine in
+  (* [close] flushes the store, and also joins the process-wide domain
+     pool: in-memory runs skip it, so the pool is spawned once for the
+     whole property rather than once per run. *)
+  if s.persist then Engine.close !engine;
+  Option.iter Test_support.remove_dir dir;
+  { events; logs }
+
+(* Views for comparison ----------------------------------------------------- *)
+
+(* What two runs must agree on: [calls] keeps policy-call counts and
+   [sets] compares messages as sets (a unified policy reports its firing
+   members in constants-table order and collapses exact duplicates; one
+   UNION of every policy reports in its own order). *)
+let view ~calls ~sets r =
+  List.map
+    (fun e ->
+      let messages =
+        if sets then List.sort_uniq String.compare e.messages else e.messages
+      in
+      Printf.sprintf "%s [%s]%s" e.what (String.concat "; " messages)
+        (if calls then Printf.sprintf " calls=%d" e.calls else ""))
+    r.events
+
+(* One line per log relation; [tids] keeps the tids (a batch rolled back
+   after a violation burns tids that its serial replay does not). *)
+let render_logs ~tids logs =
+  List.map
+    (fun (rel, rows) ->
+      Printf.sprintf "%s={%s}" rel
+        (String.concat " "
+           (List.map
+              (fun (tid, cells) ->
+                if tids then Printf.sprintf "%d:%s" tid cells else cells)
+              rows)))
+    logs
+
+(* Fail with the first line on which two views differ. *)
+let agree ~expected:(en, e) ~actual:(an, a) =
+  let rec first i = function
+    | x :: xs, y :: ys when x = y -> first (i + 1) (xs, ys)
+    | x :: _, y :: _ ->
+      QCheck.Test.fail_reportf "line %d:\n  %s: %s\n  %s: %s" i en x an y
+    | [], [] -> true
+    | x :: _, [] -> QCheck.Test.fail_reportf "line %d: only %s has %s" i en x
+    | [], y :: _ -> QCheck.Test.fail_reportf "line %d: only %s has %s" i an y
+  in
+  first 0 (e, a)
+
+(* Generator ---------------------------------------------------------------- *)
+
+let script_gen ~dml : script QCheck.Gen.t =
+  let open QCheck.Gen in
+  let member = pair (int_range 1 3) (int_range 0 (Array.length queries - 1)) in
+  let index a = int_range 0 (Array.length a - 1) in
+  let* strategy = oneofl [ Engine.Union_all; Engine.Serial; Engine.Interleaved ] in
+  let* ti = bool in
+  let* compaction = bool in
+  let* preemptive = bool in
+  let* improved_partial = bool in
+  (* persisted runs cost several in-memory ones; keep them a minority *)
+  let* persist = frequency [ (4, return false); (1, return true) ] in
+  let* initial = list_size (int_range 0 4) (index templates) in
+  (* each layer on in three layered runs of four *)
+  let* on =
+    flatten_l
+      (List.map (fun _ -> frequencyl [ (3, true); (1, false) ]) all_layers)
+  in
+  let* domains = oneofl [ 1; 4 ] in
+  let op_gen =
+    frequency
+      ([
+         (7, map (fun (uid, qi) -> Submit (uid, qi)) member);
+         (2, map (fun ms -> Batch ms) (list_size (int_range 2 5) member));
+         (1, map (fun ti -> Register ti) (index templates));
+         (1, map (fun i -> Remove i) nat);
+         (1, map (fun di -> Ddl di) (index ddls));
+         (1, map (fun l -> Flip l) (oneofl all_layers));
+       ]
+      @ (if dml then [ (2, map (fun mi -> Dml mi) (index dmls)) ] else [])
+      @ if persist then [ (1, return Restart); (1, return Checkpoint) ] else [])
+  in
+  let+ ops = list_size (int_range 1 20) op_gen in
+  {
+    strategy;
+    ti;
+    compaction;
+    preemptive;
+    improved_partial;
+    persist;
+    initial;
+    layers = List.filteri (fun i _ -> List.nth on i) all_layers;
+    domains;
+    ops;
+  }
+
+let layer_name = function
+  | Unification -> "unify"
+  | Delta -> "delta"
+  | Relevance -> "relevance"
+  | Shared_scans -> "shared"
+  | Vectorized -> "vector"
+
+let print_script s =
+  Printf.sprintf
+    "strategy=%s ti=%b comp=%b pre=%b ip=%b persist=%b initial=[%s] \
+     layers=[%s] domains=%d ops=[%s]"
+    (match s.strategy with
+    | Engine.Union_all -> "union"
+    | Engine.Serial -> "serial"
+    | Engine.Interleaved -> "interleaved")
+    s.ti s.compaction s.preemptive s.improved_partial s.persist
+    (String.concat ";" (List.map (fun i -> fst templates.(i)) s.initial))
+    (String.concat ";" (List.map layer_name s.layers))
+    s.domains
+    (String.concat ";"
+       (List.map
+          (function
+            | Submit (u, q) -> Printf.sprintf "S%d.%d" u q
+            | Batch ms ->
+              Printf.sprintf "B(%s)"
+                (String.concat ","
+                   (List.map (fun (u, q) -> Printf.sprintf "%d.%d" u q) ms))
+            | Register t -> "R:" ^ fst templates.(t)
+            | Remove i -> Printf.sprintf "U%d" i
+            | Ddl d -> Printf.sprintf "D%d" d
+            | Dml m -> Printf.sprintf "M%d" m
+            | Restart -> "X"
+            | Checkpoint -> "C"
+            | Flip l -> "F:" ^ layer_name l)
+          s.ops))
+
+let script_arb ~dml = QCheck.make ~print:print_script (script_gen ~dml)
+
+(* Properties --------------------------------------------------------------- *)
+
+let prop_layer_identity =
+  QCheck.Test.make ~count:300
+    ~name:"layers on and off: identical outcomes, messages, rows and logs"
+    (script_arb ~dml:true)
+    (fun s ->
+      let l0 = run ~optimized:false (layers_off (paper_config s)) s in
+      let l = run ~optimized:true (layered s ~domains:s.domains) s in
+      let l' = run ~optimized:true (layered s ~domains:(5 - s.domains)) s in
+      let unifies =
+        List.mem Unification s.layers
+        || List.exists (function Flip Unification -> true | _ -> false) s.ops
+      in
+      let tids =
+        not (List.exists (function Batch _ -> true | _ -> false) s.ops)
+      in
+      let v r = view ~calls:false ~sets:unifies r @ render_logs ~tids r.logs in
+      let full r =
+        view ~calls:true ~sets:false r @ render_logs ~tids:true r.logs
+      in
+      agree ~expected:("layers off", v l0) ~actual:("layered", v l)
+      && agree
+           ~expected:(Printf.sprintf "domains=%d" s.domains, full l)
+           ~actual:(Printf.sprintf "domains=%d" (5 - s.domains), full l'))
+
+let prop_eq1 =
+  QCheck.Test.make ~count:200
+    ~name:"layered runs decide as Eq. 1 (NoOpt, every layer off, serial)"
+    (script_arb ~dml:false)
+    (fun s ->
+      let reference =
+        run ~optimized:false (layers_off Engine.noopt_config) s
+      in
+      let l = run ~optimized:true (layered s ~domains:s.domains) s in
+      let v = view ~calls:false ~sets:true in
+      agree ~expected:("Eq. 1", v reference) ~actual:("layered", v l))
+
+(* The domain-count check through the full workload stack (Table 2
+   policies over the synthetic MIMIC instance), fewer cases since each
+   is costlier. *)
+let prop_workload_identical =
+  let stream_gen =
+    QCheck.Gen.list_size (QCheck.Gen.int_range 1 10)
+      (QCheck.Gen.pair (QCheck.Gen.int_range 0 2)
+         (QCheck.Gen.oneofl [ "W1"; "W2"; "W3" ]))
+  in
+  QCheck.Test.make
+    ~name:"workload decisions identical at domains=1 and domains=4" ~count:15
+    (QCheck.make stream_gen)
+    (fun stream ->
+      let run domains =
+        let s =
+          Workload.Runner.make
+            ~mimic:
+              {
+                Mimic.Generate.small_config with
+                n_patients = 30;
+                events_per_patient = 4;
+              }
+            ~params:
+              {
+                Workload.Policies.default_params with
+                p1_window = 4;
+                p1_max_users = 1;
+                p5_window = 6;
+                p5_max_fraction = 0.3;
+              }
+            ~config:{ Engine.default_config with Engine.domains = domains }
+            ()
+        in
+        let decisions =
+          List.map
+            (fun (uid, qn) ->
+              let q = Workload.Runner.query s qn in
+              match
+                Engine.submit s.Workload.Runner.engine ~uid
+                  q.Workload.Queries.sql
+              with
+              | Engine.Accepted (r, _) -> "A:" ^ render_rows r
+              | Engine.Rejected (ms, _) -> "R:" ^ String.concat ";" ms)
+            stream
+        in
+        decisions @ render_logs ~tids:true (dump_logs s.Workload.Runner.engine)
+      in
+      run 1 = run 4)
+
+(* In-memory runs leave the shared domain pool up (see [run]); join it
+   once each property is done. *)
+let suite =
+  List.map
+    (fun t ->
+      let name, speed, f = QCheck_alcotest.to_alcotest t in
+      (name, speed, fun () ->
+        Fun.protect ~finally:Parallel.Pool.shutdown_shared f))
+    [ prop_layer_identity; prop_eq1; prop_workload_identical ]

@@ -14,20 +14,7 @@ module P = Persistence
 
 let tc = Test_support.tc
 
-(* Fresh scratch directory per test. *)
-let temp_dir =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    let dir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "dl_persist_%d_%d" (Unix.getpid ()) !counter)
-    in
-    (if Sys.file_exists dir then
-       Sys.readdir dir |> Array.iter (fun f -> Sys.remove (Filename.concat dir f)));
-    (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    dir
+let temp_dir () = Test_support.temp_dir "dl_persist"
 
 (* Exact (bit-level) value equality: the codec must preserve floats by
    bit pattern, not just up to [Value.equal]'s numeric coercions. *)
@@ -413,6 +400,61 @@ let policy_removal_recovers () =
   Engine.close a;
   Engine.close b
 
+(* Rejected submissions consume clock ticks that no WAL record carries,
+   so recovery restores the clock of the last journaled record. A policy
+   registered after rejections journals its [active_from] past the last
+   commit's clock; recovery must restore at least that, or the recovered
+   policy's [ts > active_from] guard hides the next submissions. *)
+let clock_recovers_past_registration () =
+  let dir = temp_dir () in
+  let open_engine () =
+    Engine.create ~persist_dir:dir ~persist_fsync:P.Store.Always (base_db ())
+  in
+  let a = open_engine () in
+  let block uid =
+    Printf.sprintf
+      "SELECT DISTINCT 'uid %d blocked' FROM users u WHERE u.uid = %d" uid uid
+  in
+  ignore (Engine.add_policy a ~name:"no_uid_2" (block 2));
+  for _ = 1 to 3 do
+    match Engine.submit a ~uid:2 "SELECT 1 FROM person" with
+    | Engine.Rejected _ -> ()
+    | Engine.Accepted _ -> Alcotest.fail "uid 2 must be rejected"
+  done;
+  ignore (Engine.add_policy a ~name:"no_uid_3" (block 3));
+  Engine.close a;
+  let b = open_engine () in
+  (match Engine.submit b ~uid:3 "SELECT 1 FROM person" with
+  | Engine.Rejected (ms, _) ->
+    Alcotest.(check (list string)) "recovered policy fires" [ "uid 3 blocked" ] ms
+  | Engine.Accepted _ -> Alcotest.fail "uid 3 must be rejected after recovery");
+  Engine.close b
+
+(* The recovered clock must not depend on when checkpoints happened to
+   run: a checkpoint records the journaled clock, not the live one that
+   also counts rejected submissions' ticks. *)
+let recovered_clock_ignores_checkpoint_timing () =
+  let recovered_clock ~checkpoint =
+    let dir = temp_dir () in
+    let open_engine () =
+      Engine.create ~persist_dir:dir ~persist_fsync:P.Store.Always (base_db ())
+    in
+    let a = open_engine () in
+    ignore (Engine.add_policy a ~name:"budget" budget_policy);
+    for _ = 1 to 6 do
+      ignore (Engine.submit a ~uid:1 "SELECT 1 FROM person")
+    done;
+    if checkpoint then Engine.persist_checkpoint a;
+    Engine.close a;
+    let b = open_engine () in
+    let clock = Usage_log.current_time (Engine.database b) in
+    Engine.close b;
+    clock
+  in
+  Alcotest.(check int) "same clock with and without a checkpoint"
+    (recovered_clock ~checkpoint:false)
+    (recovered_clock ~checkpoint:true)
+
 let suite =
   [
     tc "crc32 reference vectors" crc_vectors;
@@ -427,5 +469,9 @@ let suite =
     tc "rejects leave the WAL untouched" rejects_leave_wal_untouched;
     tc "set_config recomputes persistence scope" set_config_rescopes_persistence;
     tc "policy removal survives recovery" policy_removal_recovers;
+    tc "recovered clock reaches a registration after rejections"
+      clock_recovers_past_registration;
+    tc "recovered clock ignores checkpoint timing"
+      recovered_clock_ignores_checkpoint_timing;
   ]
   @ List.map QCheck_alcotest.to_alcotest [ prop_row_roundtrip; prop_commit_roundtrip ]

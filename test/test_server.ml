@@ -1,8 +1,7 @@
 (* Policy-server tests: protocol framing and parsing (pure), the
-   session state machine (pure), a differential property for batched
-   admission — any batch schedule of concurrent SUBMITs must produce
-   verdicts and a usage log identical to submitting the same requests
-   one at a time in the same order — and end-to-end socket tests:
+   session state machine (pure), which route an admission batch takes
+   (batched-vs-serial verdict identity is the differential oracle's
+   job, test_oracle.ml), and end-to-end socket tests:
    genuinely concurrent clients against a live server, with the
    server's own admission order replayed serially afterwards, plus
    malformed frames, oversized payloads, AUTH-before-SUBMIT and
@@ -173,30 +172,25 @@ let test_session_auth_binding () =
   | Session.Terminate Protocol.Bye -> ()
   | _ -> Alcotest.fail "QUIT"
 
-(* Batched-admission differential ------------------------------------------- *)
+(* Batched admission --------------------------------------------------------- *)
 
-(* Templates from the delta suite: 0/1/4 are monotone SPJ (batch fast
-   path), 2 carries clock + HAVING (forces the serial fallback). *)
-let templates = Test_delta_diff.templates
-let queries = Test_delta_diff.queries
+(* Verdict identity of batched and one-at-a-time admission is the
+   differential oracle's job (test_oracle.ml); these pins check which
+   route a batch takes. The "blocked" and "banned" templates are
+   clock-free SPJ (fast path); "quota1" reads the clock and forces the
+   serial fallback. *)
+let queries = Test_oracle.queries
 
-let fresh_db () =
-  let db = Database.create () in
-  ignore
-    (Database.exec_script db
-       "CREATE TABLE data (k INT, v TEXT); INSERT INTO data VALUES (1, 'a'), \
-        (2, 'b'), (3, 'c'); CREATE TABLE banned (uid INT); INSERT INTO banned \
-        VALUES (3)");
-  db
-
-let make_engine ?(ti = false) ~policies () =
+let make_engine ~policies () =
   let config =
-    { Engine.default_config with Engine.time_independent = ti; domains = 1 }
+    { Engine.default_config with Engine.time_independent = false; domains = 1 }
   in
-  let engine = Engine.create ~config (fresh_db ()) in
+  let engine = Engine.create ~config (Test_oracle.fresh_db ()) in
   List.iteri
     (fun i t ->
-      ignore (Engine.add_policy engine ~name:(Printf.sprintf "p%d" i) templates.(t)))
+      ignore
+        (Engine.add_policy engine ~name:(Printf.sprintf "p%d" i)
+           (Test_oracle.template t)))
     policies;
   engine
 
@@ -205,109 +199,10 @@ let make_engine ?(ti = false) ~policies () =
    values while agreeing on every row (cells include the ts column) and
    on row order. *)
 let dump_logs engine =
-  let db = Engine.database engine in
-  List.map
-    (fun rel ->
-      let rows =
-        Table.fold
-          (fun acc row ->
-            String.concat ","
-              (Array.to_list (Array.map Value.to_string (Row.cells row)))
-            :: acc)
-          []
-          (Database.table db rel)
-      in
-      Printf.sprintf "%s={%s}" rel (String.concat " " (List.rev rows)))
-    [ "users"; "schema"; "provenance"; "clock" ]
-
-let render_outcome = function
-  | Ok (Engine.Accepted (result, _)) ->
-    "A["
-    ^ String.concat ";"
-        (List.map
-           (fun (r : Executor.row_out) ->
-             String.concat ","
-               (Array.to_list (Array.map Value.to_string r.Executor.values)))
-           result.Executor.out_rows)
-    ^ "]"
-  | Ok (Engine.Rejected (messages, _)) -> "R[" ^ String.concat ";" messages ^ "]"
-  | Error e -> "E[" ^ Errors.to_string e ^ "]"
-
-type schedule = {
-  ti : bool;
-  policies : int list;
-  batches : (int * int) list list;  (** (uid, query index) per member *)
-}
-
-let run_batched s =
-  let engine = make_engine ~ti:s.ti ~policies:s.policies () in
-  let trace =
-    List.concat_map
-      (fun batch ->
-        let subs =
-          List.map
-            (fun (uid, qi) ->
-              {
-                Engine.batch_uid = uid;
-                batch_extra = [];
-                batch_query = Parser.query queries.(qi);
-              })
-            batch
-        in
-        List.map render_outcome (Engine.submit_batch engine subs))
-      s.batches
-  in
-  let out = (trace, dump_logs engine) in
-  Engine.close engine;
-  out
-
-let run_serial s =
-  let engine = make_engine ~ti:s.ti ~policies:s.policies () in
-  let trace =
-    List.concat_map
-      (fun batch ->
-        List.map
-          (fun (uid, qi) ->
-            match Engine.submit_ast engine ~uid (Parser.query queries.(qi)) with
-            | o -> render_outcome (Ok o)
-            | exception e -> render_outcome (Error e))
-          batch)
-      s.batches
-  in
-  let out = (trace, dump_logs engine) in
-  Engine.close engine;
-  out
-
-let schedule_gen : schedule QCheck.Gen.t =
-  let open QCheck.Gen in
-  let member = pair (int_range 1 3) (int_range 0 (Array.length queries - 1)) in
-  let* ti = bool in
-  let* policies =
-    (* lean on the SPJ templates so the fast path is the common case,
-       but mix in the clock/HAVING shape to cover the fallback *)
-    list_size (int_range 0 3) (oneofl [ 0; 1; 2; 4 ])
-  in
-  let+ batches = list_size (int_range 1 5) (list_size (int_range 1 5) member) in
-  { ti; policies; batches }
-
-let print_schedule s =
-  Printf.sprintf "ti=%b policies=[%s] batches=[%s]" s.ti
-    (String.concat ";" (List.map string_of_int s.policies))
-    (String.concat " | "
-       (List.map
-          (fun b ->
-            String.concat ";"
-              (List.map (fun (u, q) -> Printf.sprintf "%d.%d" u q) b))
-          s.batches))
-
-let prop_batch_serial_identical =
-  QCheck.Test.make ~count:120
-    ~name:"batched admission == one-at-a-time admission (verdicts and log)"
-    (QCheck.make ~print:print_schedule schedule_gen)
-    (fun s -> run_batched s = run_serial s)
+  Test_oracle.render_logs ~tids:false (Test_oracle.dump_logs engine)
 
 let test_fast_path_engages () =
-  let engine = make_engine ~policies:[ 1 ] () in
+  let engine = make_engine ~policies:[ "banned" ] () in
   let subs =
     List.map
       (fun uid ->
@@ -331,9 +226,9 @@ let test_fast_path_engages () =
   Engine.close engine
 
 let test_violating_batch_retries_serially () =
-  (* template 0 blocks uid 2: the combined evaluation fires, the batch
+  (* "blocked" rejects uid 2: the combined evaluation fires, the batch
      replays serially, and only uid 2's members are rejected *)
-  let engine = make_engine ~policies:[ 0 ] () in
+  let engine = make_engine ~policies:[ "blocked" ] () in
   let subs =
     List.map
       (fun uid ->
@@ -354,8 +249,8 @@ let test_violating_batch_retries_serially () =
   Engine.close engine
 
 let test_ineligible_policy_goes_serial () =
-  (* template 2 reads the clock: the batch must skip the fast path *)
-  let engine = make_engine ~policies:[ 2 ] () in
+  (* "quota1" reads the clock: the batch must skip the fast path *)
+  let engine = make_engine ~policies:[ "quota1" ] () in
   let subs =
     List.map
       (fun uid ->
@@ -428,11 +323,11 @@ let start_server ?(max_payload = Protocol.default_max_payload) ?(max_batch = 8)
   (engine, Tcp.start ~config engine)
 
 let test_concurrent_equivalence () =
-  (* template 0 blocks uid 2, so the concurrent mix carries both
+  (* "blocked" rejects uid 2, so the concurrent mix carries both
      verdicts; afterwards the server's own admission order (the seq
      numbers it returned) is replayed one-at-a-time on a fresh engine
      and must reproduce every verdict and the usage log. *)
-  let engine, srv = start_server ~policies:[ 0; 1 ] () in
+  let engine, srv = start_server ~policies:[ "blocked"; "banned" ] () in
   let port = Tcp.port srv in
   let n_threads = 6 and per_thread = 5 in
   let results = Array.make (n_threads * per_thread) (0, 0, 0, "") in
@@ -468,7 +363,7 @@ let test_concurrent_equivalence () =
     (n_threads * per_thread)
     (List.length (List.sort_uniq compare (List.map (fun (s, _, _, _) -> s) by_seq)));
   (* replay one-at-a-time, in the admission order the server reported *)
-  let replay = make_engine ~policies:[ 0; 1 ] () in
+  let replay = make_engine ~policies:[ "blocked"; "banned" ] () in
   List.iter
     (fun (seq, uid, qi, verdict) ->
       let got =
@@ -488,7 +383,7 @@ let test_concurrent_equivalence () =
   Engine.close engine
 
 let test_auth_required_over_socket () =
-  let _, srv = start_server ~policies:[ 1 ] () in
+  let _, srv = start_server ~policies:[ "banned" ] () in
   let c = connect (Tcp.port srv) in
   (match rpc c (Protocol.Hello Protocol.version) with
   | Protocol.Hello_ok _ -> ()
@@ -544,7 +439,7 @@ let test_oversized_payload_closes () =
   Tcp.stop ~close_engine:true srv
 
 let test_mid_batch_disconnect () =
-  let _, srv = start_server ~policies:[ 1 ] () in
+  let _, srv = start_server ~policies:[ "banned" ] () in
   let port = Tcp.port srv in
   (* client A fires a SUBMIT and vanishes without reading the verdict *)
   let a = open_session port 1 in
@@ -578,7 +473,7 @@ let test_mid_batch_disconnect () =
         "vector-fallbacks"; "vector-hist";
       ];
     Alcotest.(check (option string)) "vector-enabled mirrors the config"
-      (Some (if Engine.default_vector then "1" else "0"))
+      (Some "1")
       (List.assoc_opt "vector-enabled" kvs);
     (* the histogram has one bucket per bound plus the open tail *)
     (match List.assoc_opt "vector-hist" kvs with
@@ -593,7 +488,7 @@ let test_mid_batch_disconnect () =
 
 let test_shutdown_drains () =
   (* submissions already queued when stop begins still get verdicts *)
-  let _, srv = start_server ~max_batch:4 ~policies:[ 1 ] () in
+  let _, srv = start_server ~max_batch:4 ~policies:[ "banned" ] () in
   let port = Tcp.port srv in
   let oks = Atomic.make 0 in
   let threads =
@@ -638,4 +533,4 @@ let suite =
       test_mid_batch_disconnect;
     tc "shutdown drains queued submissions" test_shutdown_drains;
   ]
-  @ List.map QCheck_alcotest.to_alcotest [ prop_batch_serial_identical ]
+

@@ -42,3 +42,22 @@ let sample_db () =
       (3, 'cyd', 'ops', 80), (4, 'dee', 'ops', 90), (5, 'eli', 'mgmt', 150);
     INSERT INTO dept VALUES ('eng', 1000), ('ops', 500), ('mgmt', 800)
     |}
+
+(* A fresh, empty scratch directory named [<prefix>_<pid>_<n>] under
+   [parent] (default: the system temp dir). *)
+let temp_dir =
+  let counter = ref 0 in
+  fun ?(parent = Filename.get_temp_dir_name ()) prefix ->
+    incr counter;
+    let dir =
+      Filename.concat parent (Printf.sprintf "%s_%d_%d" prefix (Unix.getpid ()) !counter)
+    in
+    (if Sys.file_exists dir then
+       Sys.readdir dir |> Array.iter (fun f -> Sys.remove (Filename.concat dir f)));
+    (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+    dir
+
+(* Remove a flat directory made by [temp_dir]. *)
+let remove_dir dir =
+  Sys.readdir dir |> Array.iter (fun f -> Sys.remove (Filename.concat dir f));
+  Sys.rmdir dir

@@ -1,260 +1,19 @@
-(* Differential property tests for the scale machinery: n-way template
+(* Deterministic pins for the scale machinery: n-way template
    unification (one shape, many lifted constants), the policy relevance
-   index and shared-subplan admission. The same scripted workload —
-   submissions, admission batches, mid-stream policy registration, DDL,
-   plain-table DML — must produce identical verdicts, violation-message
-   SETS, accepted rows and final log contents with the optimizations on
-   (unification + relevance + shared scans, delta on or off) and with
-   the fully unrolled naive configuration (everything off). Messages
-   are compared as sorted sets: a unified policy reports its firing
-   members in constants-table row order, the unrolled set in
-   registration order. Deterministic pins then check the machinery
+   index and shared-subplan admission. Each pin checks the machinery
    actually engages — groups form, skips happen, skipped policies fire
-   again after the exact mutations that invalidate their proofs — since
-   the differential property alone would pass if everything silently
-   fell back. *)
+   again after the exact mutations that invalidate their proofs, shared
+   scans hit — since the differential oracle (test_oracle.ml), which
+   checks these layers change no verdict, would pass if everything
+   silently fell back. *)
 
 open Relational
 open Datalawyer
 
 let tc = Test_support.tc
 
-(* Scripted operations ------------------------------------------------------ *)
-
-type op =
-  | Submit of int * int  (** uid, query index *)
-  | Batch of (int * int) list  (** concurrent admission batch *)
-  | Register of int  (** policy-template index *)
-  | Ddl of int  (** DDL-statement index: bumps the catalog generation *)
-  | Mutate of int  (** plain-table DML index: bumps version counters *)
-
-let queries =
-  [|
-    "SELECT v FROM data WHERE k = 1";
-    "SELECT k, v FROM data";
-    "SELECT COUNT(*) FROM data";
-    "SELECT d.v FROM data d, data e WHERE d.k = e.k AND e.v = 'b'";
-  |]
-
-let per_uid uid =
-  Templates.no_access ~relation:"data" ~subject:(Templates.User uid)
-    ~message:(Printf.sprintf "uid %d off data" uid)
-    ()
-
-(* Three same-shape per-user prohibitions (unification folds them into
-   one policy + constants table, with the message among the lifted
-   literals), a plain-table join (relevance enumerates [banned.uid] and
-   guards it, so the [banned] mutations below must re-fire it) and a
-   clock/HAVING quota (ineligible for both unification's SPJ rewrite
-   paths and the relevance index — the fallback path must agree too). *)
-let templates =
-  [|
-    per_uid 1;
-    per_uid 2;
-    per_uid 3;
-    "SELECT DISTINCT 'banned uid' FROM users u, banned b WHERE u.uid = b.uid";
-    "SELECT DISTINCT 'quota uid 2' FROM users u, clock c WHERE u.uid = 2 AND \
-     u.ts > c.ts - 4 HAVING COUNT(DISTINCT u.ts) > 2";
-  |]
-
-let ddls =
-  [|
-    "CREATE INDEX us_users_uid ON users USING hash (uid)";
-    "DROP INDEX us_users_uid";
-    "CREATE INDEX us_data_k ON data USING sorted (k)";
-    "DROP INDEX us_data_k";
-  |]
-
-(* The [banned] flips change template 3's verdict for uid 2; a stale
-   relevance enumeration or missed version guard keeps skipping the
-   policy and fails the diff. *)
-let mutations =
-  [|
-    "INSERT INTO banned VALUES (2)";
-    "DELETE FROM banned WHERE uid = 2";
-    "UPDATE data SET v = 'z' WHERE k = 2";
-    "INSERT INTO data VALUES (9, 'i')";
-  |]
-
-type script = {
-  strategy : Engine.strategy;
-  ti : bool;
-  delta : bool;  (** same in both legs: crossed with the scaled stack *)
-  compaction : bool;
-  domains : int;
-  initial : int list;
-  ops : op list;
-}
-
-(* Deterministic rendering of one engine run ------------------------------- *)
-
-let render_row (r : Executor.row_out) =
-  String.concat ","
-    (Array.to_list (Array.map Value.to_string r.Executor.values))
-
-(* Message SETS: exact-duplicate policies collapse under unification, so
-   the naive run may repeat a message the unified run reports once. *)
-let render_messages messages =
-  String.concat "; " (List.sort_uniq compare messages)
-
-let dump_logs engine =
-  let db = Engine.database engine in
-  List.map
-    (fun rel ->
-      let rows =
-        Table.fold
-          (fun acc row ->
-            Printf.sprintf "%d:%s" (Row.tid row)
-              (String.concat ","
-                 (Array.to_list (Array.map Value.to_string (Row.cells row))))
-            :: acc)
-          []
-          (Database.table db rel)
-      in
-      Printf.sprintf "%s={%s}" rel (String.concat " " (List.rev rows)))
-    [ "users"; "schema"; "provenance"; "clock" ]
-
-let run_script ~scaled script =
-  let config =
-    {
-      Engine.default_config with
-      Engine.strategy = script.strategy;
-      time_independent = script.ti;
-      log_compaction = script.compaction;
-      preemptive = false;
-      domains = script.domains;
-      delta = script.delta;
-      unification = scaled;
-      relevance = scaled;
-      shared_scans = scaled;
-    }
-  in
-  let db = Database.create () in
-  ignore
-    (Database.exec_script db
-       "CREATE TABLE data (k INT, v TEXT); INSERT INTO data VALUES (1, 'a'), \
-        (2, 'b'), (3, 'c'); CREATE TABLE banned (uid INT); INSERT INTO \
-        banned VALUES (9)");
-  let engine = Engine.create ~config db in
-  List.iteri
-    (fun i ti ->
-      ignore
-        (Engine.add_policy engine ~name:(Printf.sprintf "p%d" i) templates.(ti)))
-    script.initial;
-  let render_outcome = function
-    | Engine.Accepted (result, _) ->
-      Printf.sprintf "accepted [%s]"
-        (String.concat "; " (List.map render_row result.Executor.out_rows))
-    | Engine.Rejected (messages, _) ->
-      Printf.sprintf "REJECTED [%s]" (render_messages messages)
-  in
-  let step op =
-    try
-      match op with
-      | Register ti ->
-        let n = List.length (Engine.policies engine) in
-        let name = Printf.sprintf "p%d" n in
-        ignore (Engine.add_policy engine ~name templates.(ti));
-        Printf.sprintf "register %s := template %d" name ti
-      | Submit (uid, qi) ->
-        Printf.sprintf "uid %d q%d %s" uid qi
-          (render_outcome (Engine.submit engine ~uid queries.(qi)))
-      | Batch members ->
-        let subs =
-          List.map
-            (fun (uid, qi) ->
-              {
-                Engine.batch_uid = uid;
-                batch_extra = [];
-                batch_query = Parser.query queries.(qi);
-              })
-            members
-        in
-        Engine.submit_batch engine subs
-        |> List.map (function
-             | Ok outcome -> render_outcome outcome
-             | Error e -> "exn " ^ Printexc.to_string e)
-        |> String.concat " | "
-        |> Printf.sprintf "batch (%s)"
-      | Ddl di -> (
-        match Dml.exec (Database.catalog db) (Parser.stmt ddls.(di)) with
-        | Dml.Created what -> Printf.sprintf "ddl %d created %s" di what
-        | Dml.Dropped what -> Printf.sprintf "ddl %d dropped %s" di what
-        | Dml.Affected n -> Printf.sprintf "ddl %d affected %d" di n
-        | Dml.Rows _ -> Printf.sprintf "ddl %d rows" di)
-      | Mutate mi -> (
-        match Dml.exec (Database.catalog db) (Parser.stmt mutations.(mi)) with
-        | Dml.Affected n -> Printf.sprintf "mutate %d affected %d" mi n
-        | _ -> Printf.sprintf "mutate %d" mi)
-    with Errors.Sql_error _ as e -> "error: " ^ Errors.to_string e
-  in
-  let trace = List.map step script.ops in
-  let logs = dump_logs engine in
-  Engine.close engine;
-  trace @ logs
-
-(* Generator ----------------------------------------------------------------- *)
-
-let script_gen : script QCheck.Gen.t =
-  let open QCheck.Gen in
-  let member = pair (int_range 1 3) (int_range 0 (Array.length queries - 1)) in
-  let op_gen =
-    frequency
-      [
-        (7, map (fun (uid, qi) -> Submit (uid, qi)) member);
-        (2, map (fun ms -> Batch ms) (list_size (int_range 2 3) member));
-        (1, map (fun ti -> Register ti) (int_range 0 (Array.length templates - 1)));
-        (1, map (fun di -> Ddl di) (int_range 0 (Array.length ddls - 1)));
-        (1, map (fun mi -> Mutate mi) (int_range 0 (Array.length mutations - 1)));
-      ]
-  in
-  let* strategy = oneofl [ Engine.Union_all; Engine.Serial; Engine.Interleaved ] in
-  let* ti = bool in
-  let* delta = bool in
-  let* compaction = bool in
-  (* a sprinkle of pooled runs: the skip/shared machinery must stay
-     deterministic when the policy batch fans out over domains *)
-  let* domains = frequency [ (4, return 1); (1, return 3) ] in
-  let* initial =
-    list_size (int_range 0 4) (int_range 0 (Array.length templates - 1))
-  in
-  let+ ops = list_size (int_range 1 14) op_gen in
-  { strategy; ti; delta; compaction; domains; initial; ops }
-
-let print_script s =
-  Printf.sprintf
-    "strategy=%s ti=%b delta=%b comp=%b domains=%d initial=[%s] ops=[%s]"
-    (match s.strategy with
-    | Engine.Union_all -> "union"
-    | Engine.Serial -> "serial"
-    | Engine.Interleaved -> "interleaved")
-    s.ti s.delta s.compaction s.domains
-    (String.concat ";" (List.map string_of_int s.initial))
-    (String.concat ";"
-       (List.map
-          (function
-            | Submit (u, q) -> Printf.sprintf "S%d.%d" u q
-            | Batch ms ->
-              Printf.sprintf "B(%s)"
-                (String.concat ","
-                   (List.map (fun (u, q) -> Printf.sprintf "%d.%d" u q) ms))
-            | Register t -> Printf.sprintf "R%d" t
-            | Ddl d -> Printf.sprintf "D%d" d
-            | Mutate m -> Printf.sprintf "M%d" m)
-          s.ops))
-
-let script_arb = QCheck.make ~print:print_script script_gen
-
-let prop_scaled_naive_identical =
-  QCheck.Test.make
-    ~name:"unified+relevance+shared and naive unrolled agree" ~count:200
-    script_arb
-    (fun script -> run_script ~scaled:false script = run_script ~scaled:true script)
-
-(* Deterministic pins -------------------------------------------------------- *)
-
-(* Everything pinned explicitly — not inherited from DL_UNIFY / DL_DELTA
-   / DL_DOMAINS — so the cases assert under any environment. TI is off
+(* Everything pinned explicitly — [domains] is not inherited from
+   DL_DOMAINS — so the cases assert under any environment. TI is off
    so the skip pins exercise the based path (valid proved-empty base +
    blocked slots); the TI-pinned baseless path has its own pin below. *)
 let scale_cfg =
@@ -301,7 +60,9 @@ let test_unified_member_message () =
   let _, engine = make_engine () in
   List.iteri
     (fun i uid ->
-      ignore (Engine.add_policy engine ~name:(Printf.sprintf "m%d" i) (per_uid uid)))
+      ignore
+        (Engine.add_policy engine ~name:(Printf.sprintf "m%d" i)
+           (Test_oracle.per_uid uid)))
     [ 1; 2; 3 ];
   match Engine.submit engine ~uid:2 "SELECT v FROM data WHERE k = 1" with
   | Engine.Rejected ([ m ], _) ->
@@ -312,7 +73,9 @@ let test_relevance_skips_unrelated_uid () =
   let _, engine = make_engine () in
   List.iteri
     (fun i uid ->
-      ignore (Engine.add_policy engine ~name:(Printf.sprintf "m%d" i) (per_uid uid)))
+      ignore
+        (Engine.add_policy engine ~name:(Printf.sprintf "m%d" i)
+           (Test_oracle.per_uid uid)))
     [ 2; 3; 4 ];
   (* first accepted submission establishes the base... *)
   (match Engine.submit engine ~uid:1 "SELECT v FROM data WHERE k = 1" with
@@ -343,7 +106,9 @@ let test_relevance_skips_time_independent () =
   in
   List.iteri
     (fun i uid ->
-      ignore (Engine.add_policy engine ~name:(Printf.sprintf "m%d" i) (per_uid uid)))
+      ignore
+        (Engine.add_policy engine ~name:(Printf.sprintf "m%d" i)
+           (Test_oracle.per_uid uid)))
     [ 2; 3; 4 ];
   (match Engine.submit engine ~uid:1 "SELECT v FROM data WHERE k = 1" with
   | Engine.Accepted _ -> ()
@@ -357,7 +122,7 @@ let test_relevance_skips_time_independent () =
 
 let test_relevance_refires_after_mutation () =
   let db, engine = make_engine () in
-  ignore (Engine.add_policy engine ~name:"banned" templates.(3));
+  ignore (Engine.add_policy engine ~name:"banned" (Test_oracle.template "banned"));
   ignore (Engine.submit engine ~uid:2 "SELECT v FROM data WHERE k = 1");
   let before = (Engine.relevance_stats engine).Engine.rel_skips in
   ignore (Engine.submit engine ~uid:2 "SELECT v FROM data WHERE k = 1");
@@ -373,13 +138,13 @@ let test_relevance_refires_after_mutation () =
 
 let test_relevance_refires_after_policy_change () =
   let _, engine = make_engine () in
-  ignore (Engine.add_policy engine ~name:"first" (per_uid 9));
+  ignore (Engine.add_policy engine ~name:"first" (Test_oracle.per_uid 9));
   ignore (Engine.submit engine ~uid:1 "SELECT v FROM data WHERE k = 1");
   ignore (Engine.submit engine ~uid:1 "SELECT v FROM data WHERE k = 1");
   (* registering uid 1's prohibition bumps the plan generation: the old
      proofs are dead and the new policy must catch uid 1's NEXT
      submission (its own registration point is its history start) *)
-  ignore (Engine.add_policy engine ~name:"second" (per_uid 1));
+  ignore (Engine.add_policy engine ~name:"second" (Test_oracle.per_uid 1));
   match Engine.submit engine ~uid:1 "SELECT v FROM data WHERE k = 1" with
   | Engine.Rejected ([ m ], _) ->
     Alcotest.(check string) "message" "uid 1 off data" m
@@ -389,7 +154,7 @@ let test_relevance_off_counts_nothing () =
   let _, engine =
     make_engine ~config:{ scale_cfg with Engine.relevance = false } ()
   in
-  ignore (Engine.add_policy engine ~name:"m" (per_uid 2));
+  ignore (Engine.add_policy engine ~name:"m" (Test_oracle.per_uid 2));
   ignore (Engine.submit engine ~uid:1 "SELECT v FROM data WHERE k = 1");
   ignore (Engine.submit engine ~uid:1 "SELECT v FROM data WHERE k = 1");
   let r = Engine.relevance_stats engine in
@@ -426,7 +191,9 @@ let test_batch_everything_on () =
   in
   List.iteri
     (fun i uid ->
-      ignore (Engine.add_policy engine ~name:(Printf.sprintf "m%d" i) (per_uid uid)))
+      ignore
+        (Engine.add_policy engine ~name:(Printf.sprintf "m%d" i)
+           (Test_oracle.per_uid uid)))
     [ 2; 3 ];
   let subs =
     List.map
@@ -463,4 +230,3 @@ let suite =
     tc "batch fast path composes with the full scale stack"
       test_batch_everything_on;
   ]
-  @ List.map QCheck_alcotest.to_alcotest [ prop_scaled_naive_identical ]
