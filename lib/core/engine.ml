@@ -570,20 +570,8 @@ let gen_rel_for t (sub : submission) (ctx : Usage_log.query_ctx) rel =
   Stats.timed
     (fun d -> sub.stats.Stats.log_track <- sub.stats.Stats.log_track +. d)
     (fun () ->
+      (* Generators return sets (see {!Usage_log.generator}). *)
       let rows = g.Usage_log.generate ctx in
-      (* The log is a set: dedupe the increment. *)
-      let seen = Hashtbl.create 16 in
-      let rows =
-        List.filter
-          (fun r ->
-            let k = Value.canonical_key_of_array r in
-            if Hashtbl.mem seen k then false
-            else begin
-              Hashtbl.add seen k ();
-              true
-            end)
-          rows
-      in
       if not (Hashtbl.mem sub.generated rel) then
         Hashtbl.add sub.generated rel (Table.savepoint table);
       let ts = Value.Int ctx.Usage_log.time in
@@ -793,19 +781,10 @@ let delta_try t ~(stats : Stats.t) (p : Policy.t) :
           match rows with
           | [] -> Some None
           | _ ->
-            let seen = Hashtbl.create 16 in
-            let rows =
-              List.filter
-                (fun (r : Executor.row_out) ->
-                  let k = Value.canonical_key_of_array r.Executor.values in
-                  if Hashtbl.mem seen k then false
-                  else begin
-                    Hashtbl.add seen k ();
-                    true
-                  end)
-                rows
+            let out_rows =
+              Value.Key.dedup (fun (r : Executor.row_out) -> r.Executor.values) rows
             in
-            Some (Some { Executor.columns = !columns; out_rows = rows }))
+            Some (Some { Executor.columns = !columns; out_rows }))
     end
 
 (* After an accepted submission: acceptance proved every active policy

@@ -68,9 +68,11 @@ open Relational
 
 (** One equality gate on a log slot: the slot's column [col] (a cell
     index, timestamp prefix included) must hold one of [allowed] for a
-    row to survive the query's own WHERE conjuncts. [allowed] is keyed
-    by {!Relational.Value.canonical_key}. *)
-type filter = { col : int; allowed : (string, unit) Hashtbl.t }
+    row to survive the query's own WHERE conjuncts. [allowed] is a
+    {!Relational.Value.Tbl}: membership is grouping identity, which
+    admits every value SQL [=] could match (and a NULL cell when NULL is
+    allowed, which only makes the gate more conservative). *)
+type filter = { col : int; allowed : unit Value.Tbl.t }
 
 type info = {
   eligible : bool;
@@ -118,20 +120,19 @@ let deps_of (cat : Catalog.t) ~(is_log : string -> bool) (q : Ast.query) :
            (Analysis.table_occurrences s))
   |> List.sort_uniq compare
 
-(* Distinct values of [col] in [rel], as canonical keys; [None] when the
+(* Distinct values of [col] in [rel]; [None] when the
    table or column is missing. The caller records a version guard. *)
 let enumerate (cat : Catalog.t) (rel : string) (col : string) :
-    (string, unit) Hashtbl.t option =
+    unit Value.Tbl.t option =
   match Catalog.find_opt cat rel with
   | None -> None
   | Some table -> (
     match Schema.find_index (Table.schema table) col with
     | None -> None
     | Some i ->
-      let allowed = Hashtbl.create 64 in
+      let allowed = Value.Tbl.create 64 in
       Table.fold
-        (fun () row ->
-          Hashtbl.replace allowed (Value.canonical_key (Row.cells row).(i)) ())
+        (fun () row -> Value.Tbl.replace allowed (Row.cells row).(i) ())
         () table;
       Some allowed)
 
@@ -180,8 +181,8 @@ let build (cat : Catalog.t) ~(is_log : string -> bool) ~(clock_rel : string)
               Option.bind table (fun tb -> Schema.find_index (Table.schema tb) c)
             in
             let singleton v =
-              let h = Hashtbl.create 1 in
-              Hashtbl.replace h (Value.canonical_key v) ();
+              let h = Value.Tbl.create 1 in
+              Value.Tbl.replace h v ();
               h
             in
             List.filter_map
@@ -251,8 +252,7 @@ let info (t : t) name = Hashtbl.find_opt t name
 let row_passes (filters : filter list) (cells : Value.t array) : bool =
   List.for_all
     (fun f ->
-      f.col < Array.length cells
-      && Hashtbl.mem f.allowed (Value.canonical_key cells.(f.col)))
+      f.col < Array.length cells && Value.Tbl.mem f.allowed cells.(f.col))
     filters
 
 let blocked ?(available : string list option) (cat : Catalog.t) (i : info) :

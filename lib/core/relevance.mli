@@ -11,8 +11,8 @@
 open Relational
 
 (** One equality gate on a log slot: column [col] (cell index, timestamp
-    included) must hold one of [allowed] (canonical value keys). *)
-type filter = { col : int; allowed : (string, unit) Hashtbl.t }
+    included) must hold a value {!Value.equal} to one of [allowed]. *)
+type filter = { col : int; allowed : unit Value.Tbl.t }
 
 type info = {
   eligible : bool;

@@ -109,19 +109,14 @@ let unify_group (cat : Catalog.t) ~(is_log : string -> bool) ~(index : int)
           if Catalog.mem cat table_name then Catalog.drop cat table_name;
           let schema = Schema.make (List.mapi (fun j ty -> (const_col j, ty)) tys) in
           let table = Catalog.create_table cat ~name:table_name ~schema in
-          let seen = Hashtbl.create (2 * n) in
-          Array.iter
-            (fun s ->
-              let row =
-                Array.of_list
-                  (List.map (fun i -> (s.(i) : Ast.lit_site).Ast.value) positions)
-              in
-              let key = Value.canonical_key_of_array row in
-              if not (Hashtbl.mem seen key) then begin
-                Hashtbl.add seen key ();
-                ignore (Table.insert table row)
-              end)
-            sites;
+          List.iter
+            (fun row -> ignore (Table.insert table row))
+            (Value.Key.dedup Fun.id
+               (List.map
+                  (fun s ->
+                    Array.of_list
+                      (List.map (fun i -> (s.(i) : Ast.lit_site).Ast.value) positions))
+                  (Array.to_list sites)));
           (* Rewrite the template query: each differing literal becomes a
              reference to its constants column. Message literals are
              lifted like any other constant, so firing rows project the

@@ -31,7 +31,7 @@ type generator = {
   rank : int;
       (** interleaved-evaluation order (§4.2.1): cheaper generators first *)
   generate : query_ctx -> Value.t array list;
-      (** the feature set [Si = fi(q, D)], without the ts column *)
+      (** the feature set [Si = fi(q, D)], without the ts column; a set *)
 }
 
 let clock_relation = "clock"
@@ -247,16 +247,7 @@ let schema_rows (db : Database.t) (q : Ast.query) : Value.t array list =
     @ List.map (mk None) a.Schema_analysis.aux
   in
   (* The log is a set: dedupe. *)
-  let seen = Hashtbl.create 16 in
-  List.filter
-    (fun row ->
-      let key = Value.canonical_key_of_array row in
-      if Hashtbl.mem seen key then false
-      else begin
-        Hashtbl.add seen key ();
-        true
-      end)
-    rows
+  Value.Key.dedup Fun.id rows
 
 let schema_gen : generator =
   {
@@ -295,4 +286,9 @@ let standard = [ users; schema_gen; provenance ]
 
 (* §6 extensibility: define a new log relation from arbitrary code. *)
 let custom ~relation ~columns ~rank ~generate : generator =
-  { relation; columns; rank; generate }
+  {
+    relation;
+    columns;
+    rank;
+    generate = (fun ctx -> Value.Key.dedup Fun.id (generate ctx));
+  }

@@ -30,7 +30,9 @@ type generator = {
   rank : int;
       (** interleaved-evaluation order (§4.2.1): cheaper generators first *)
   generate : query_ctx -> Value.t array list;
-      (** the feature set [Si = fi(q, D)], without the ts column *)
+      (** the feature set [Si = fi(q, D)], without the ts column; a set —
+          no two rows equal under {!Value.Key} — since the engine appends
+          it to the log as is *)
 }
 
 (** Name of the single-row clock relation (["clock"]). *)
@@ -85,7 +87,8 @@ val provenance_rows : Database.t -> Ast.query -> Value.t array list
 (** [users; schema_gen; provenance]. *)
 val standard : generator list
 
-(** Define a new log relation from arbitrary code (§6). *)
+(** Define a new log relation from arbitrary code (§6); duplicate rows
+    [generate] returns are dropped. *)
 val custom :
   relation:string ->
   columns:(string * Ty.t) list ->

@@ -22,11 +22,11 @@
     Aggregate branches additionally carry per-group accumulator state
     ({!agg_state}), folded forward at each establishment from the rows
     the branch's delta streams emitted, and rebuilt from the full
-    stream when the base was invalid. The accumulators reproduce
-    {!Relational.Aggregate.compute} exactly: COUNT ignores NULL
-    arguments, SUM folds {!Relational.Aggregate.sum_step}, MIN/MAX keep
-    the first value on ties, DISTINCT keeps the sorted set of non-NULL
-    arguments. *)
+    stream when the base was invalid. The accumulators are
+    {!Relational.Aggregate}'s own fold — the one {!Relational.Aggregate.compute}
+    runs — and the group tables key on {!Relational.Value.Key}, the
+    grouping identity GROUP BY uses; this module adds only the carried /
+    scratch discipline. *)
 
 module Value = Relational.Value
 module Ast = Relational.Ast
@@ -34,25 +34,11 @@ module Aggregate = Relational.Aggregate
 
 type base = { gen : int; vers : (string * int) list }
 
-(* Mirrors the set aggregate.ml folds DISTINCT arguments into, so
-   element order (sorted) and dedup (Value.compare) match exactly. *)
-module VSet = Set.Make (struct
-  type t = Value.t
+module KTbl = Value.Key.Tbl
 
-  let compare = Value.compare
-end)
+type group = { key : Value.t array; accs : Aggregate.acc array }
 
-type acc = {
-  mutable rows : int;  (** every folded row (COUNT star) *)
-  mutable n : int;  (** non-NULL arguments (COUNT/AVG divisor) *)
-  mutable sum : Value.t;  (** running {!Aggregate.sum_step} fold *)
-  mutable mm : Value.t option;  (** running MIN/MAX, first-on-tie *)
-  mutable set : VSet.t;  (** DISTINCT: the non-NULL argument set *)
-}
-
-type group = { key : Value.t array; accs : acc array }
-
-type agg_state = { groups : (string, group) Hashtbl.t }
+type agg_state = { groups : group KTbl.t }
 
 type t = {
   bases : (string, base) Hashtbl.t;
@@ -125,120 +111,59 @@ let agg_state (t : t) ~policy ~branch : agg_state =
   match Hashtbl.find_opt t.agg k with
   | Some s -> s
   | None ->
-    let s = { groups = Hashtbl.create 16 } in
+    let s = { groups = KTbl.create 16 } in
     Hashtbl.add t.agg k s;
     s
 
-let agg_clear (s : agg_state) = Hashtbl.reset s.groups
-
-let new_acc () =
-  { rows = 0; n = 0; sum = Value.Null; mm = None; set = VSet.empty }
-
-let clone_acc (a : acc) = { a with rows = a.rows }
+let agg_clear (s : agg_state) = KTbl.reset s.groups
 
 let fold_row (specs : (Ast.agg * bool) array) ~(nkeys : int) (g : group)
     (row : Value.t array) : unit =
-  Array.iteri
-    (fun j (agg, distinct) ->
-      let a = g.accs.(j) in
-      let v = row.(nkeys + j) in
-      a.rows <- a.rows + 1;
-      if not (Value.is_null v) then
-        if distinct then a.set <- VSet.add v a.set
-        else begin
-          a.n <- a.n + 1;
-          match agg with
-          | Ast.Sum | Ast.Avg -> a.sum <- Aggregate.sum_step a.sum v
-          | Ast.Min -> (
-            match a.mm with
-            | None -> a.mm <- Some v
-            | Some m -> if Value.compare v m < 0 then a.mm <- Some v)
-          | Ast.Max -> (
-            match a.mm with
-            | None -> a.mm <- Some v
-            | Some m -> if Value.compare v m > 0 then a.mm <- Some v)
-          | Ast.Count | Ast.Count_star -> ()
-        end)
-    specs
+  Array.iteri (fun j spec -> Aggregate.step spec g.accs.(j) row.(nkeys + j)) specs
 
-let avg_of (s : Value.t) (len : int) : Value.t =
-  if len = 0 then Value.Null
-  else
-    match s with
-    | Value.Int i -> Value.Float (float_of_int i /. float_of_int len)
-    | Value.Float f -> Value.Float (f /. float_of_int len)
-    | _ -> Value.Null
-
-let finish_acc ((agg, distinct) : Ast.agg * bool) (a : acc) : Value.t =
-  if distinct then begin
-    let elems = VSet.elements a.set in
-    match agg with
-    | Ast.Count_star -> Value.Int a.rows
-    | Ast.Count -> Value.Int (List.length elems)
-    | Ast.Sum -> List.fold_left Aggregate.sum_step Value.Null elems
-    | Ast.Avg ->
-      avg_of (List.fold_left Aggregate.sum_step Value.Null elems)
-        (List.length elems)
-    | Ast.Min -> ( match elems with [] -> Value.Null | v :: _ -> v)
-    | Ast.Max -> (
-      match elems with [] -> Value.Null | _ -> VSet.max_elt a.set)
-  end
-  else
-    match agg with
-    | Ast.Count_star -> Value.Int a.rows
-    | Ast.Count -> Value.Int a.n
-    | Ast.Sum -> a.sum
-    | Ast.Avg -> avg_of a.sum a.n
-    | Ast.Min | Ast.Max -> (
-      match a.mm with None -> Value.Null | Some v -> v)
-
-let group_of (s : agg_state) (specs : (Ast.agg * bool) array) ~nkeys row =
-  let key = Array.sub row 0 nkeys in
-  let ck = Value.canonical_key_of_array key in
-  match Hashtbl.find_opt s.groups ck with
-  | Some g -> g
-  | None ->
-    let g =
-      { key; accs = Array.init (Array.length specs) (fun _ -> new_acc ()) }
-    in
-    Hashtbl.add s.groups ck g;
-    g
+let new_group specs key =
+  { key; accs = Array.init (Array.length specs) (fun _ -> Aggregate.create ()) }
 
 let agg_absorb (s : agg_state) ~(specs : (Ast.agg * bool) array)
     ~(nkeys : int) (rows : Value.t array list) : unit =
   List.iter
-    (fun row -> fold_row specs ~nkeys (group_of s specs ~nkeys row) row)
+    (fun row ->
+      let key = Array.sub row 0 nkeys in
+      let g =
+        match KTbl.find_opt s.groups key with
+        | Some g -> g
+        | None ->
+          let g = new_group specs key in
+          KTbl.add s.groups key g;
+          g
+      in
+      fold_row specs ~nkeys g row)
     rows
 
 let agg_scratch (s : agg_state) ~(specs : (Ast.agg * bool) array)
     ~(nkeys : int) (rows : Value.t array list) :
     (Value.t array * Value.t array) list =
-  let touched : (string, group) Hashtbl.t = Hashtbl.create 8 in
+  let touched : group KTbl.t = KTbl.create 8 in
   List.iter
     (fun row ->
       let key = Array.sub row 0 nkeys in
-      let ck = Value.canonical_key_of_array key in
       let g =
-        match Hashtbl.find_opt touched ck with
+        match KTbl.find_opt touched key with
         | Some g -> g
         | None ->
           let g =
-            match Hashtbl.find_opt s.groups ck with
-            | Some g0 -> { key = g0.key; accs = Array.map clone_acc g0.accs }
-            | None ->
-              {
-                key;
-                accs = Array.init (Array.length specs) (fun _ -> new_acc ());
-              }
+            match KTbl.find_opt s.groups key with
+            | Some g0 -> { key = g0.key; accs = Array.map Aggregate.copy g0.accs }
+            | None -> new_group specs key
           in
-          Hashtbl.add touched ck g;
+          KTbl.add touched key g;
           g
       in
       fold_row specs ~nkeys g row)
     rows;
-  Hashtbl.fold
+  KTbl.fold
     (fun _ g out ->
-      (g.key, Array.mapi (fun j a -> finish_acc specs.(j) a) g.accs) :: out)
+      (g.key, Array.mapi (fun j a -> Aggregate.finish specs.(j) a) g.accs) :: out)
     touched []
 
 let note_agg_rebuild (t : t) = Atomic.incr t.agg_rebuilds
@@ -253,6 +178,6 @@ let stats (t : t) : stats =
     delta_evals = Atomic.get t.delta_evals;
     full_evals = Atomic.get t.full_evals;
     agg_groups =
-      Hashtbl.fold (fun _ s acc -> acc + Hashtbl.length s.groups) t.agg 0;
+      Hashtbl.fold (fun _ s acc -> acc + KTbl.length s.groups) t.agg 0;
     agg_rebuilds = Atomic.get t.agg_rebuilds;
   }

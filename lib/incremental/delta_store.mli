@@ -9,8 +9,8 @@
     rescanning the whole log.
 
     Aggregate branches additionally carry per-group accumulator state
-    ({!agg_state}): running COUNT/SUM/AVG/MIN/MAX (and DISTINCT sets)
-    per group key, folded forward at each establishment and consulted
+    ({!agg_state}): one {!Relational.Aggregate.acc} per aggregate call
+    and group key, folded forward at each establishment and consulted
     non-destructively at evaluation time. *)
 
 type t
@@ -79,8 +79,8 @@ val agg_absorb :
 (** Fold stream rows into {e clones} of the touched groups' carried
     accumulators, leaving the carried state untouched (the submission
     may yet be rejected). Returns, per touched group, its key values
-    and finished aggregate values — reproducing
-    {!Relational.Aggregate.compute} exactly. *)
+    and finished aggregate values — the fold
+    {!Relational.Aggregate.compute} runs. *)
 val agg_scratch :
   agg_state ->
   specs:(Relational.Ast.agg * bool) array ->

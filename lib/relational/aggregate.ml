@@ -1,37 +1,33 @@
 (** Aggregate function computation.
 
-    Given the rows of one group and an evaluator for the aggregate's
-    argument, computes COUNT/SUM/AVG/MIN/MAX with optional DISTINCT.
+    One fold (create / step / finish / copy) computes COUNT/SUM/AVG/MIN/
+    MAX with optional DISTINCT; {!compute} runs it over one group's rows
+    and the incremental evaluator carries it across submissions.
     Matches PostgreSQL behaviour for the supported cases: COUNT ignores
-    NULL arguments; SUM/AVG/MIN/MAX of an empty or all-NULL group is NULL;
-    SUM over integers stays an integer. *)
+    NULL arguments; SUM/AVG/MIN/MAX of an empty or all-NULL group is
+    NULL; SUM over integers stays an integer. *)
 
+(* DISTINCT arguments fold into a set ordered by [Value.compare]; the
+   sorted order is observable through fold-sensitive aggregates (float
+   SUM/AVG). *)
 module VSet = Set.Make (struct
   type t = Value.t
 
   let compare = Value.compare
 end)
 
-(* DISTINCT folds straight into the set (no intermediate pre-dedup
-   list); [VSet.elements]' sorted order is observable through
-   fold-sensitive aggregates (float SUM/AVG), so the set must stay. *)
-let arg_values ~distinct eval_arg rows =
-  if distinct then
-    VSet.elements
-      (List.fold_left
-         (fun s r ->
-           let v = eval_arg r in
-           if Value.is_null v then s else VSet.add v s)
-         VSet.empty rows)
-  else
-    List.filter_map
-      (fun r ->
-        let v = eval_arg r in
-        if Value.is_null v then None else Some v)
-      rows
+type acc = {
+  mutable rows : int;  (** every folded row (COUNT star) *)
+  mutable n : int;  (** non-NULL arguments (COUNT/AVG divisor) *)
+  mutable sum : Value.t;  (** running SUM, NULL before the first value *)
+  mutable mm : Value.t option;  (** running MIN/MAX, first-on-tie *)
+  mutable set : VSet.t;  (** DISTINCT: the non-NULL argument set *)
+}
 
-(* One step of the running SUM fold, exposed so incremental accumulators
-   ({!Incremental.Delta_store}) reproduce batch SUM semantics exactly. *)
+let create () = { rows = 0; n = 0; sum = Value.Null; mm = None; set = VSet.empty }
+
+let copy (a : acc) = { a with rows = a.rows }
+
 let sum_step acc v =
   match acc, v with
   | Value.Null, v -> v
@@ -41,31 +37,50 @@ let sum_step acc v =
     | Some a, Some b -> Value.Float (a +. b)
     | _ -> Errors.type_error "SUM over non-numeric value %s" (Value.to_string v))
 
-let sum vals = List.fold_left sum_step Value.Null vals
+let step ((agg, distinct) : Ast.agg * bool) (a : acc) (v : Value.t) : unit =
+  a.rows <- a.rows + 1;
+  if not (Value.is_null v) then
+    if distinct then a.set <- VSet.add v a.set
+    else begin
+      a.n <- a.n + 1;
+      match agg with
+      | Ast.Sum | Ast.Avg -> a.sum <- sum_step a.sum v
+      | Ast.Min -> (
+        match a.mm with
+        | Some m when Value.compare v m >= 0 -> ()
+        | _ -> a.mm <- Some v)
+      | Ast.Max -> (
+        match a.mm with
+        | Some m when Value.compare v m <= 0 -> ()
+        | _ -> a.mm <- Some v)
+      | Ast.Count | Ast.Count_star -> ()
+    end
+
+(* DISTINCT finishes by folding the sorted set through the plain fold. *)
+let rec finish ((agg, distinct) : Ast.agg * bool) (a : acc) : Value.t =
+  match agg with
+  | Ast.Count_star -> Value.Int a.rows
+  | _ when distinct ->
+    let plain = create () in
+    VSet.iter (step (agg, false) plain) a.set;
+    finish (agg, false) plain
+  | Ast.Count -> Value.Int a.n
+  | Ast.Sum -> a.sum
+  | Ast.Avg -> (
+    match a.sum with
+    | Value.Int i -> Value.Float (float_of_int i /. float_of_int a.n)
+    | Value.Float f -> Value.Float (f /. float_of_int a.n)
+    | _ -> Value.Null)
+  | Ast.Min | Ast.Max -> Option.value a.mm ~default:Value.Null
 
 let compute (agg : Ast.agg) ~(distinct : bool) ~(eval_arg : 'row -> Value.t)
     (rows : 'row list) : Value.t =
-  match agg with
-  | Ast.Count_star -> Value.Int (List.length rows)
-  | Ast.Count -> Value.Int (List.length (arg_values ~distinct eval_arg rows))
-  | Ast.Sum -> sum (arg_values ~distinct eval_arg rows)
-  | Ast.Avg -> (
-    let vals = arg_values ~distinct eval_arg rows in
-    match vals with
-    | [] -> Value.Null
-    | _ -> (
-      match sum vals with
-      | Value.Int i -> Value.Float (float_of_int i /. float_of_int (List.length vals))
-      | Value.Float f -> Value.Float (f /. float_of_int (List.length vals))
-      | _ -> Value.Null))
-  | Ast.Min -> (
-    match arg_values ~distinct eval_arg rows with
-    | [] -> Value.Null
-    | v :: vs -> List.fold_left (fun a b -> if Value.compare b a < 0 then b else a) v vs)
-  | Ast.Max -> (
-    match arg_values ~distinct eval_arg rows with
-    | [] -> Value.Null
-    | v :: vs -> List.fold_left (fun a b -> if Value.compare b a > 0 then b else a) v vs)
+  let spec = (agg, distinct) in
+  let a = create () in
+  (match agg with
+  | Ast.Count_star -> List.iter (fun _ -> step spec a Value.Null) rows
+  | _ -> List.iter (step spec a) (List.map eval_arg rows));
+  finish spec a
 
 (* Collect the distinct aggregate call nodes appearing in an expression. *)
 let calls_in_expr (e : Ast.expr) : Ast.expr list =

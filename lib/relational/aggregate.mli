@@ -1,21 +1,36 @@
-(** Aggregate function computation.
+(** Aggregate function computation: the one fold behind every evaluator.
 
     Matches PostgreSQL for the supported cases: COUNT ignores NULL
     arguments; SUM/AVG/MIN/MAX of an empty or all-NULL group is NULL; SUM
-    over integers stays an integer; AVG is a float. *)
+    over integers stays an integer; AVG is a float. SUM folds in arrival
+    order, MIN/MAX keep the first of equal values, and DISTINCT arguments
+    fold as the sorted set of non-NULL values. *)
 
-(** [compute agg ~distinct ~eval_arg rows] computes the aggregate over one
-    group. [eval_arg] evaluates the argument expression against a group
-    row (ignored for [Count_star]). *)
+(** The running state of one aggregate call over one group. The
+    incremental evaluator carries these across submissions, so the
+    batch {!compute} and the carried groups finish identically. *)
+type acc
+
+val create : unit -> acc
+
+(** An independent copy (scratch evaluation over carried state). *)
+val copy : acc -> acc
+
+(** Fold one row's argument value. [Count_star] counts the row whatever
+    the value.
+    @raise Errors.Sql_error on a SUM/AVG over a non-numeric value. *)
+val step : Ast.agg * bool -> acc -> Value.t -> unit
+
+(** The aggregate's value over the folded rows.
+    @raise Errors.Sql_error on a DISTINCT SUM/AVG over a non-numeric
+    value. *)
+val finish : Ast.agg * bool -> acc -> Value.t
+
+(** [compute agg ~distinct ~eval_arg rows] evaluates every row's argument
+    (none for [Count_star]), then folds them: {!create}, {!step} per row,
+    {!finish}. *)
 val compute :
   Ast.agg -> distinct:bool -> eval_arg:('row -> Value.t) -> 'row list -> Value.t
-
-(** One step of the running SUM fold ([sum = fold_left sum_step Null]).
-    Exposed so incremental aggregate accumulators reproduce batch SUM
-    semantics — NULL start, integer sums stay integers, float promotion —
-    without reimplementing them.
-    @raise Errors.Sql_error on a non-numeric operand. *)
-val sum_step : Value.t -> Value.t -> Value.t
 
 (** The distinct aggregate-call nodes appearing in an expression, in
     first-occurrence order. *)

@@ -132,9 +132,9 @@ let rec compile_expr (p : Plan.pexpr) : cexpr =
       in
       pick cbranches
 
-(* Scalar builtins mirror {!Eval.eval_fn}; arity and unknown-name errors
-   stay lazy (raised when the closure runs, not at compile time), as the
-   AST walker raised them per evaluated row. *)
+(* Scalar builtins. Arity and unknown-name errors stay lazy (raised when
+   the closure runs, not at compile time), so an unevaluated branch never
+   fails. *)
 and compile_fn name args : cexpr =
   let cargs = List.map compile_expr args in
   match name, cargs with
@@ -192,10 +192,8 @@ and compile_fn name args : cexpr =
 (* Operators -------------------------------------------------------------- *)
 
 (* Grouping / DISTINCT / UNION / hash-join tables key on value arrays
-   directly ({!Value.Key}: elementwise [Value.equal] with a compatible
-   hash) instead of building a canonical key string per row — same
-   equality, no per-row string allocation. *)
-module KTbl = Hashtbl.Make (Value.Key)
+   directly ({!Value.Key}: elementwise grouping identity). *)
+module KTbl = Value.Key.Tbl
 
 type t = { cols : string array; exec : unit -> arow list }
 
@@ -624,7 +622,9 @@ and compile_select (cat : Catalog.t) (shared : arow list Shared_cache.t option)
              (* Hash join: build on the new slot, probe with the prefix.
                 [KTbl.add] + [find_all] reproduce the walker's
                 reverse-insertion match order, keyed on the value tuples
-                themselves. *)
+                themselves. The join replaces [a = b] conjuncts, so it
+                matches SQL [=]: a key with a NULL component is never
+                built, and a probe key holding NULL then finds nothing. *)
              let build = KTbl.create (max 16 (List.length !rows)) in
              List.iter
                (fun (r : arow) ->
@@ -632,7 +632,7 @@ and compile_select (cat : Catalog.t) (shared : arow list Shared_cache.t option)
                    Array.of_list
                      (List.map (fun (_, cb) -> cb r.vals [||]) keys)
                  in
-                 KTbl.add build kv (proj r))
+                 if not (Value.Key.has_null kv) then KTbl.add build kv (proj r))
                !rows;
              List.iter
                (fun (l : arow) ->

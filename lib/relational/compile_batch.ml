@@ -25,8 +25,8 @@
     predicates translate the literal through the column dictionary once
     per batch (an absent code is an empty selection without touching the
     rows); the hash joins reproduce the reverse-insertion match order of
-    [Hashtbl.add]/[find_all] in probe-major output order, with NULL keys
-    matching NULL keys exactly as the row path's canonical "n" key does;
+    [Hashtbl.add]/[find_all] in probe-major output order, and like the
+    row path never match a NULL key (a join means SQL [=]);
     cross-dictionary joins remap probe codes into the build dictionary's
     code space (memoized per code); multi-column keys use {!Value.Key}
     exactly as the row path does; and scalar evaluation reuses
@@ -715,16 +715,11 @@ let batch_access (table : Table.t) (tname : string) ~track ~slot
 
 (* Joins ------------------------------------------------------------------ *)
 
-module VTbl = Hashtbl.Make (struct
-  type t = Value.t
-
-  let equal = Value.equal
-  let hash = Value.hash
-end)
+module VTbl = Value.Tbl
 
 (* Multi-column keys: value arrays through {!Value.Key}, the same tables
    the row path keys its joins and groups on. *)
-module KTbl = Hashtbl.Make (Value.Key)
+module KTbl = Value.Key.Tbl
 
 (* Int-keyed tables for the unboxed join / group kernels. The hash is a
    single multiply (Fibonacci hashing) instead of [Hashtbl.hash]'s
@@ -796,12 +791,11 @@ let never (_ : int) = false
 (* Unboxed single-key join plan over a view pairing: per-side
    (is_null, int key) accessors in a shared key space, or [None] when
    the pairing needs the boxed Value table ([Value.equal]'s cross-type
-   Int/Float matching, Mixed columns, computed keys). NULL keys match
-   NULL keys, as the row path's canonical "n" key does: BOOL's 2 and
-   TEXT's -1 encode that in-band; INT NULLs go through a dedicated
-   chain. Cross-dictionary string joins translate probe codes into the
-   build dictionary's space, memoized per code; a string absent from
-   the build dictionary maps to -2, which no build key can equal. *)
+   Int/Float matching, Mixed columns, computed keys). NULL keys (the INT
+   null bitmap, BOOL's 2, TEXT's -1) are neither built nor probed.
+   Cross-dictionary string joins translate probe codes into the build
+   dictionary's space, memoized per code; a string absent from the build
+   dictionary maps to -2, which no build key can equal. *)
 let typed_keys (vp : Column.view) (vb : Column.view) :
     ((int -> bool) * (int -> int) * (int -> bool) * (int -> int)) option =
   match vp, vb with
@@ -814,9 +808,14 @@ let typed_keys (vp : Column.view) (vb : Column.view) :
     in
     Some (pnull, (fun q -> pa.(q)), bnull, fun p -> ba.(p))
   | Column.V_bool pa, Column.V_bool ba ->
-    Some (never, (fun q -> pa.(q)), never, fun p -> ba.(p))
+    Some
+      ( (fun q -> pa.(q) = 2),
+        (fun q -> pa.(q)),
+        (fun p -> ba.(p) = 2),
+        fun p -> ba.(p) )
   | Column.V_str (pc, pd), Column.V_str (bc, bd) ->
-    if pd == bd then Some (never, (fun q -> pc.(q)), never, fun p -> bc.(p))
+    let pnull q = pc.(q) < 0 and bnull p = bc.(p) < 0 in
+    if pd == bd then Some (pnull, (fun q -> pc.(q)), bnull, fun p -> bc.(p))
     else begin
       let memo = Array.make (max 1 (Column.dict_size pd)) min_int in
       let remap x =
@@ -835,7 +834,7 @@ let typed_keys (vp : Column.view) (vb : Column.view) :
           end
         end
       in
-      Some (never, (fun q -> remap pc.(q)), never, fun p -> bc.(p))
+      Some (pnull, (fun q -> remap pc.(q)), bnull, fun p -> bc.(p))
     end
   | _ -> None
 
@@ -856,18 +855,18 @@ let join_hash ~(keys : jkey list) (prefix : batch) (build : batch)
     Vec.push build_idx p
   in
   let value_join (cp : bexpr) (cb : bexpr) =
-    (* Single-column boxed key: [Value.equal] / [Value.hash] agree with
-       canonical-key equality on single values (NULL = NULL, integral
-       floats = ints), so grouping matches the row path's string keys
-       without per-row encoding. *)
+    (* Single-column boxed key: SQL [=] is [Value.equal] on non-NULL
+       keys (integral floats = ints), so NULL keys are never built and a
+       NULL probe finds nothing. *)
     let evb = cb build.cols in
     let tbl : int list ref VTbl.t = VTbl.create (max 16 (sel_length build.sel)) in
     sel_iter
       (fun p ->
         let k = evb p in
-        match VTbl.find_opt tbl k with
-        | Some cell -> cell := p :: !cell
-        | None -> VTbl.add tbl k (ref [ p ]))
+        if not (Value.is_null k) then
+          match VTbl.find_opt tbl k with
+          | Some cell -> cell := p :: !cell
+          | None -> VTbl.add tbl k (ref [ p ]))
       build.sel;
     let evp = cp prefix.cols in
     sel_iter
@@ -889,14 +888,12 @@ let join_hash ~(keys : jkey list) (prefix : batch) (build : batch)
        let tbl : int list ref ITbl.t =
          ITbl.create (max 16 (sel_length build.sel))
        in
-       let null_chain = ref [] in
        (* find_opt, not find: probe misses are the common case (the
           violation-free join is empty), and a raise per miss costs more
           than the 2-word [Some] per hit. *)
        sel_iter
          (fun p ->
-           if bnull p then null_chain := p :: !null_chain
-           else
+           if not (bnull p) then
              let k = bkey p in
              match ITbl.find_opt tbl k with
              | Some cell -> cell := p :: !cell
@@ -904,24 +901,25 @@ let join_hash ~(keys : jkey list) (prefix : batch) (build : batch)
          build.sel;
        sel_iter
          (fun q ->
-           if pnull q then List.iter (fun p -> emit q p) !null_chain
-           else
+           if not (pnull q) then
              match ITbl.find_opt tbl (pkey q) with
              | Some cell -> List.iter (fun p -> emit q p) !cell
              | None -> ())
          prefix.sel
      | None -> value_join k.cp k.cb)
    | _ ->
-     (* Multi-column key: value tuples through {!Value.Key}, the
-        equality the row path implements. *)
+     (* Multi-column key: value tuples through {!Value.Key}, as the row
+        path joins — a key with a NULL component is never built, so a
+        probe holding NULL finds nothing. *)
      let evbs = List.map (fun k -> k.cb build.cols) keys in
      let tbl : int list ref KTbl.t = KTbl.create (max 16 (sel_length build.sel)) in
      sel_iter
        (fun p ->
          let kv = Array.of_list (List.map (fun ev -> ev p) evbs) in
-         match KTbl.find_opt tbl kv with
-         | Some cell -> cell := p :: !cell
-         | None -> KTbl.add tbl kv (ref [ p ]))
+         if not (Value.Key.has_null kv) then
+           match KTbl.find_opt tbl kv with
+           | Some cell -> cell := p :: !cell
+           | None -> KTbl.add tbl kv (ref [ p ]))
        build.sel;
      let evps = List.map (fun k -> k.cp prefix.cols) keys in
      sel_iter
@@ -995,10 +993,10 @@ let arows_of_batch (b : batch) : Compile.arow list =
     b.sel;
   List.rev !out
 
-(* Unboxed single-column group key over a view: (is_null, int key) with
-   the same in-band NULL conventions as the join kernels; [None] falls
-   back to the Value-keyed table (floats, whose Int-crossing equality
-   the int space cannot express, and Mixed). *)
+(* Unboxed single-column group key over a view: (is_null, int key), with
+   BOOL's NULL (2) and TEXT's (-1) in-band, so the NULL group is one
+   group; [None] falls back to the Value-keyed table (floats, whose
+   Int-crossing equality the int space cannot express, and Mixed). *)
 let typed_group_key (v : Column.view) :
     ((int -> bool) * (int -> int)) option =
   match v with
@@ -1104,10 +1102,8 @@ let produce_batch (f : Plan.finish) : batch -> (Compile.arow * Value.t array) li
           List.rev_map (fun cell -> List.rev !cell) !order
         | [ gk ], _ ->
           (* Single computed / float / Mixed key: group on the {!Value}
-             directly — [Value.equal]/[Value.hash] agree with
-             canonical-key equality on single values, so the groups and
-             their first-encounter order are identical to the string
-             path without the per-row key encoding. *)
+             directly, under the grouping identity [Value.equal] the row
+             path's {!Value.Key} tables use elementwise. *)
           let ev = gk b.cols in
           let groups : int list ref VTbl.t = VTbl.create 64 in
           let order = ref [] in

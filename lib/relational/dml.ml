@@ -6,10 +6,17 @@ type outcome =
   | Created of string
   | Dropped of string
 
+(* DML expressions bind like a SELECT's WHERE — through {!Plan.lower},
+   so name errors surface before any row is touched — and run through
+   the one evaluator, {!Compile.compile_expr}. *)
+let compile_in scope e = Compile.compile_expr (Plan.lower scope e)
+
 (* Reorder/pad INSERT values according to an explicit column list. *)
 let arrange_cells table columns exprs =
   let schema = Table.schema table in
-  let values = List.map Eval.eval_const exprs in
+  let values =
+    List.map (fun e -> compile_in Plan.empty_scope e [||] [||]) exprs
+  in
   match columns with
   | None ->
     if List.length values <> Schema.arity schema then
@@ -30,21 +37,15 @@ let arrange_cells table columns exprs =
       cols values;
     cells
 
-let row_env table (row : Row.t) : Eval.env =
-  let schema = Table.schema table in
-  {
-    Eval.col =
-      (fun q name ->
-        (match q with
-        | Some q
-          when String.lowercase_ascii q <> String.lowercase_ascii (Table.name table) ->
-          Errors.bind_error "unknown table %S" q
-        | _ -> ());
-        match Schema.find_index schema name with
-        | Some i -> Row.cell row i
-        | None -> Errors.bind_error "no column %S in %s" name (Table.name table));
-    agg = None;
-  }
+(* A DELETE / UPDATE row scope: the table's columns under its name. *)
+let row_scope table =
+  Plan.table_scope (Table.name table) (Schema.column_names (Table.schema table))
+
+let row_pred table = function
+  | None -> fun _ -> true
+  | Some w ->
+    let c = compile_in (row_scope table) w in
+    fun row -> Value.to_bool (c (Row.cells row) [||])
 
 let exec (cat : Catalog.t) (stmt : Ast.stmt) : outcome =
   match stmt with
@@ -73,33 +74,23 @@ let exec (cat : Catalog.t) (stmt : Ast.stmt) : outcome =
     Affected (List.length rows)
   | Ast.Delete { table; where } ->
     let t = Catalog.find cat table in
-    let pred =
-      match where with
-      | None -> fun _ -> true
-      | Some w -> fun row -> Value.to_bool (Eval.eval (row_env t row) w)
-    in
-    Affected (Table.delete_where t pred)
+    Affected (Table.delete_where t (row_pred t where))
   | Ast.Update { table; sets; where } ->
     let t = Catalog.find cat table in
     let schema = Table.schema t in
-    let pred =
-      match where with
-      | None -> fun _ -> true
-      | Some w -> fun row -> Value.to_bool (Eval.eval (row_env t row) w)
-    in
-    let indices =
+    let pred = row_pred t where in
+    let sets =
       List.map
         (fun (col, e) ->
           match Schema.find_index schema col with
-          | Some i -> (i, e)
+          | Some i -> (i, compile_in (row_scope t) e)
           | None -> Errors.bind_error "no column %S in %s" col table)
         sets
     in
     let n =
       Table.update_where t pred (fun cells ->
-          let row = Row.make ~tid:(-1) cells in
-          let cells = Array.copy cells in
-          List.iter (fun (i, e) -> cells.(i) <- Eval.eval (row_env t row) e) indices;
-          cells)
+          let out = Array.copy cells in
+          List.iter (fun (i, c) -> out.(i) <- c cells [||]) sets;
+          out)
     in
     Affected n

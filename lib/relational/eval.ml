@@ -1,17 +1,8 @@
-(** Scalar expression evaluation.
-
-    Expressions are evaluated against an environment that resolves column
-    references (and, inside aggregate queries, whole [Agg_call] nodes) to
-    values. NULL semantics are the simplified ones documented in
-    {!Value}: comparisons involving NULL are false; arithmetic on NULL
-    yields NULL. *)
-
-type env = {
-  col : string option -> string -> Value.t;
-      (** resolve a (qualifier, column) reference *)
-  agg : (Ast.expr -> Value.t option) option;
-      (** resolve a computed aggregate; [None] outside aggregate queries *)
-}
+(** Scalar operator helpers shared by the row and batch expression
+    compilers ({!Compile.compile_expr} is the one evaluator). NULL
+    semantics are the simplified ones documented in {!Value}:
+    comparisons involving NULL are false; arithmetic on NULL yields
+    NULL. *)
 
 let arith op_name fint ffloat a b =
   match a, b with
@@ -25,12 +16,13 @@ let arith op_name fint ffloat a b =
         (Value.to_string a) (Value.to_string b))
 
 let compare_op op a b =
-  if Value.is_null a || Value.is_null b then Value.Bool false
-  else
+  match op with
+  | Ast.Eq -> Value.Bool (Value.sql_equal a b)
+  | _ when Value.is_null a || Value.is_null b -> Value.Bool false
+  | _ ->
     let c = Value.compare a b in
     let r =
       match op with
-      | Ast.Eq -> c = 0
       | Ast.Neq -> c <> 0
       | Ast.Lt -> c < 0
       | Ast.Le -> c <= 0
@@ -40,109 +32,8 @@ let compare_op op a b =
     in
     Value.Bool r
 
-let rec eval env (e : Ast.expr) : Value.t =
-  match env.agg with
-  | Some lookup -> (
-    match lookup e with Some v -> v | None -> eval_node env e)
-  | None -> eval_node env e
-
-and eval_node env (e : Ast.expr) : Value.t =
-  match e with
-  | Ast.Lit v -> v
-  | Ast.Col (q, c) -> env.col q c
-  | Ast.Unop (Ast.Not, a) -> Value.Bool (not (Value.to_bool (eval env a)))
-  | Ast.Unop (Ast.Neg, a) -> (
-    match eval env a with
-    | Value.Null -> Value.Null
-    | Value.Int i -> Value.Int (-i)
-    | Value.Float f -> Value.Float (-.f)
-    | v -> Errors.type_error "cannot negate %s" (Value.to_string v))
-  | Ast.Binop (Ast.And, a, b) ->
-    Value.Bool (Value.to_bool (eval env a) && Value.to_bool (eval env b))
-  | Ast.Binop (Ast.Or, a, b) ->
-    Value.Bool (Value.to_bool (eval env a) || Value.to_bool (eval env b))
-  | Ast.Binop (Ast.Concat, a, b) -> (
-    match eval env a, eval env b with
-    | Value.Null, _ | _, Value.Null -> Value.Null
-    | va, vb -> Value.Str (Value.to_string va ^ Value.to_string vb))
-  | Ast.Binop (((Ast.Eq | Ast.Neq | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge) as op), a, b) ->
-    compare_op op (eval env a) (eval env b)
-  | Ast.Binop (Ast.Add, a, b) -> arith "+" ( + ) ( +. ) (eval env a) (eval env b)
-  | Ast.Binop (Ast.Sub, a, b) -> arith "-" ( - ) ( -. ) (eval env a) (eval env b)
-  | Ast.Binop (Ast.Mul, a, b) -> arith "*" ( * ) ( *. ) (eval env a) (eval env b)
-  | Ast.Binop (Ast.Div, a, b) -> (
-    let va = eval env a and vb = eval env b in
-    match vb with
-    | Value.Int 0 | Value.Float 0. -> Errors.runtime_error "division by zero"
-    | _ -> arith "/" ( / ) ( /. ) va vb)
-  | Ast.Binop (Ast.Mod, a, b) -> (
-    match eval env a, eval env b with
-    | Value.Null, _ | _, Value.Null -> Value.Null
-    | Value.Int _, Value.Int 0 -> Errors.runtime_error "modulo by zero"
-    | Value.Int x, Value.Int y -> Value.Int (x mod y)
-    | va, vb ->
-      Errors.type_error "%% expects integers, got %s and %s" (Value.to_string va)
-        (Value.to_string vb))
-  | Ast.Binop (Ast.Like, a, b) -> (
-    match eval env a, eval env b with
-    | Value.Null, _ | _, Value.Null -> Value.Bool false
-    | v, Value.Str pattern -> Value.Bool (like_match (Value.to_string v) pattern)
-    | _, v -> Errors.type_error "LIKE pattern must be a string, got %s" (Value.to_string v))
-  | Ast.Fn_call (name, args) -> eval_fn env name args
-  | Ast.Case (branches, default) ->
-    let rec pick = function
-      | [] -> ( match default with Some d -> eval env d | None -> Value.Null)
-      | (cond, v) :: rest ->
-        if Value.to_bool (eval env cond) then eval env v else pick rest
-    in
-    pick branches
-  | Ast.Agg_call _ ->
-    Errors.bind_error "aggregate used outside of an aggregate query context"
-
-(* Scalar builtins. COALESCE is lazy: it stops at the first non-NULL. *)
-and eval_fn env name args =
-  match name, args with
-  | "coalesce", args ->
-    let rec first = function
-      | [] -> Value.Null
-      | a :: rest -> (
-        match eval env a with Value.Null -> first rest | v -> v)
-    in
-    first args
-  | "abs", [ a ] -> (
-    match eval env a with
-    | Value.Null -> Value.Null
-    | Value.Int i -> Value.Int (abs i)
-    | Value.Float f -> Value.Float (Float.abs f)
-    | v -> Errors.type_error "ABS expects a number, got %s" (Value.to_string v))
-  | "length", [ a ] -> (
-    match eval env a with
-    | Value.Null -> Value.Null
-    | Value.Str s -> Value.Int (String.length s)
-    | v -> Errors.type_error "LENGTH expects a string, got %s" (Value.to_string v))
-  | "lower", [ a ] -> (
-    match eval env a with
-    | Value.Null -> Value.Null
-    | Value.Str s -> Value.Str (String.lowercase_ascii s)
-    | v -> Errors.type_error "LOWER expects a string, got %s" (Value.to_string v))
-  | "upper", [ a ] -> (
-    match eval env a with
-    | Value.Null -> Value.Null
-    | Value.Str s -> Value.Str (String.uppercase_ascii s)
-    | v -> Errors.type_error "UPPER expects a string, got %s" (Value.to_string v))
-  | "round", [ a ] -> (
-    match eval env a with
-    | Value.Null -> Value.Null
-    | Value.Int i -> Value.Int i
-    | Value.Float f -> Value.Int (int_of_float (Float.round f))
-    | v -> Errors.type_error "ROUND expects a number, got %s" (Value.to_string v))
-  | ("abs" | "length" | "lower" | "upper" | "round"), args ->
-    Errors.bind_error "%s expects 1 argument, got %d" (String.uppercase_ascii name)
-      (List.length args)
-  | name, _ -> Errors.bind_error "unknown function %S" name
-
 (* SQL LIKE: '%' matches any sequence, '_' any single character. *)
-and like_match (s : string) (pattern : string) : bool =
+let like_match (s : string) (pattern : string) : bool =
   let n = String.length s and m = String.length pattern in
   (* memoized recursive match *)
   let memo = Hashtbl.create 16 in
@@ -162,13 +53,3 @@ and like_match (s : string) (pattern : string) : bool =
       r
   in
   go 0 0
-
-(* Evaluate an expression that must be constant (INSERT values, literal
-   defaults). *)
-let const_env =
-  {
-    col = (fun _ c -> Errors.bind_error "column %s not allowed in constant expression" c);
-    agg = None;
-  }
-
-let eval_const e = eval const_env e

@@ -1,37 +1,19 @@
-(** Scalar expression evaluation.
+(** Scalar operator helpers shared by the row ({!Compile}) and batch
+    ({!Compile_batch}) expression compilers.
 
-    Expressions evaluate against an environment that resolves column
-    references and — inside aggregate queries — whole [Agg_call] nodes.
     NULL semantics follow {!Value}: comparisons involving NULL are false;
     arithmetic on NULL yields NULL. *)
-
-type env = {
-  col : string option -> string -> Value.t;
-      (** resolve a (qualifier, column) reference *)
-  agg : (Ast.expr -> Value.t option) option;
-      (** resolve a computed aggregate; [None] outside aggregate queries *)
-}
-
-(** Evaluate an expression.
-    @raise Errors.Sql_error on type errors, division by zero, or
-    aggregates outside an aggregate context. *)
-val eval : env -> Ast.expr -> Value.t
 
 (** SQL [LIKE] matching: ['%'] matches any sequence, ['_'] any single
     character. *)
 val like_match : string -> string -> bool
 
-(** Arithmetic with SQL NULL propagation and int/float promotion, shared
-    with the compiled-expression backend: [arith name fint ffloat a b]. *)
+(** Arithmetic with SQL NULL propagation and int/float promotion:
+    [arith name fint ffloat a b]. *)
 val arith :
   string -> (int -> int -> int) -> (float -> float -> float) -> Value.t ->
   Value.t -> Value.t
 
-(** Comparison operators ([Eq]..[Ge]) with NULL-is-false semantics. *)
+(** Comparison operators ([Eq]..[Ge]) with NULL-is-false semantics: [Eq]
+    is {!Value.sql_equal}, the others order by {!Value.compare}. *)
 val compare_op : Ast.binop -> Value.t -> Value.t -> Value.t
-
-(** An environment that rejects all column references. *)
-val const_env : env
-
-(** Evaluate a constant expression (e.g. INSERT values). *)
-val eval_const : Ast.expr -> Value.t

@@ -3,17 +3,18 @@
     An index maps the value of one column to the tuple ids of the rows
     holding that value. Two physical shapes exist:
 
-    - [Hash] — a hashtable keyed on {!Value.canonical_key}, supporting
-      equality lookups only;
+    - [Hash] — a {!Value.Tbl} hashtable, supporting equality lookups
+      only;
     - [Sorted] — a balanced map ordered by {!Value.compare}, supporting
       equality lookups and range scans.
 
-    Entry semantics follow {!Value.equal}: [Null] keys are stored (under
-    their own key) and integral floats collapse onto the matching int, so
+    Both shapes bucket by grouping identity ({!Value.equal}, which is
+    [Value.compare = 0]): [Null] keys are stored under their own key and
+    integral floats share the matching int's bucket at any magnitude, so
     a lookup returns exactly the rows whose cell is [Value.equal] to the
-    probe. SQL's NULL comparison rules (a predicate involving NULL is
-    false) are the {e caller's} concern: the compiled access path gates
-    NULL probes and range scans skip the [Null] key.
+    probe, whichever shape serves it. SQL [=] ({!Value.sql_equal}) is the
+    {e caller's} concern: the compiled access paths never probe with
+    [Null], and range scans skip the [Null] key.
 
     Indexes store tids, not rows: the owning {!Table} resolves tids back
     to rows (rows are tid-sorted, so sorting the result reproduces heap
@@ -30,7 +31,7 @@ module VMap = Map.Make (struct
 end)
 
 type store =
-  | H of (string, int list ref) Hashtbl.t
+  | H of int list ref Value.Tbl.t
   | S of int list VMap.t ref
 
 type t = {
@@ -45,7 +46,7 @@ type t = {
 let create ~name ~column ~column_name kind =
   let store =
     match kind with
-    | Hash -> H (Hashtbl.create 64)
+    | Hash -> H (Value.Tbl.create 64)
     | Sorted -> S (ref VMap.empty)
   in
   { name; column; column_name; kind; store; entries = 0 }
@@ -69,10 +70,9 @@ let kind_to_string = function Hash -> "hash" | Sorted -> "sorted"
 let add t (v : Value.t) (tid : int) =
   (match t.store with
   | H tbl -> (
-    let k = Value.canonical_key v in
-    match Hashtbl.find_opt tbl k with
+    match Value.Tbl.find_opt tbl v with
     | Some cell -> cell := tid :: !cell
-    | None -> Hashtbl.replace tbl k (ref [ tid ]))
+    | None -> Value.Tbl.replace tbl v (ref [ tid ]))
   | S map -> (
     match VMap.find_opt v !map with
     | Some tids -> map := VMap.add v (tid :: tids) !map
@@ -84,12 +84,11 @@ let drop_tid tid tids = List.filter (fun t -> t <> tid) tids
 let remove t (v : Value.t) (tid : int) =
   (match t.store with
   | H tbl -> (
-    let k = Value.canonical_key v in
-    match Hashtbl.find_opt tbl k with
+    match Value.Tbl.find_opt tbl v with
     | None -> ()
     | Some cell -> (
       match drop_tid tid !cell with
-      | [] -> Hashtbl.remove tbl k
+      | [] -> Value.Tbl.remove tbl v
       | tids -> cell := tids))
   | S map -> (
     match VMap.find_opt v !map with
@@ -102,7 +101,7 @@ let remove t (v : Value.t) (tid : int) =
 
 let clear t =
   (match t.store with
-  | H tbl -> Hashtbl.reset tbl
+  | H tbl -> Value.Tbl.reset tbl
   | S map -> map := VMap.empty);
   t.entries <- 0
 
@@ -112,7 +111,7 @@ let clear t =
 let lookup t (v : Value.t) : int list =
   match t.store with
   | H tbl -> (
-    match Hashtbl.find_opt tbl (Value.canonical_key v) with
+    match Value.Tbl.find_opt tbl v with
     | Some cell -> !cell
     | None -> [])
   | S map -> ( match VMap.find_opt v !map with Some tids -> tids | None -> [])

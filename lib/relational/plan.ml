@@ -166,6 +166,15 @@ type scope = {
 
 let identity n = Array.init n (fun i -> i)
 
+let table_scope name cols =
+  {
+    aliases = [| String.lowercase_ascii name |];
+    slot_cols = [| Array.of_list cols |];
+    offsets = [| 0 |];
+  }
+
+let empty_scope = { aliases = [||]; slot_cols = [||]; offsets = [||] }
+
 (* Resolve a column reference to an absolute index in the final layout,
    with the exact error messages of the AST-walking executor. *)
 let resolve scope q name =

@@ -124,6 +124,22 @@ type route =
 (** Output column names (a UNION's come from its left operand). *)
 val columns : query -> string list
 
+(** The names a per-row expression resolves against: one SELECT's FROM
+    slots laid out side by side. *)
+type scope
+
+(** One slot: the table's columns, under the table's name — the scope
+    of a DELETE or UPDATE. *)
+val table_scope : string -> string list -> scope
+
+(** No slots: every column reference is unknown (INSERT values). *)
+val empty_scope : scope
+
+(** Bind a per-row expression against a scope, as the SELECT binder
+    binds WHERE; [Field i] then indexes the scope's concatenated row.
+    @raise Errors.Sql_error on unknown or ambiguous names. *)
+val lower : scope -> Ast.expr -> pexpr
+
 (** Bind a query against the catalog.
     @raise Errors.Sql_error on resolution failures. *)
 val of_query : Catalog.t -> Ast.query -> query

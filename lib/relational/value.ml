@@ -5,10 +5,12 @@
     arithmetic promotes [Int] to [Float] as needed, mirroring the behaviour
     of the SQL engines the paper targets.
 
-    NULL semantics are simplified with respect to full SQL three-valued
-    logic: any comparison involving [Null] is [false], and [Null] never
-    equals [Null]. The DataLawyer usage logs never contain NULLs, so the
-    simplification does not affect policy semantics. *)
+    Two equalities are defined here, once each. {e Grouping identity}
+    ({!equal}, {!hash}, {!Key}) is [compare = 0]: NULL groups with NULL,
+    NaN with NaN, [-0.0] with [0.0], integral floats with their ints.
+    {e SQL [=]} ({!sql_equal}) is the same relation except that NULL
+    matches nothing — comparisons involving NULL are false, as in a WHERE
+    clause. *)
 
 type t =
   | Null
@@ -25,14 +27,6 @@ let type_of = function
   | Str _ -> Some Ty.Text
 
 let is_null = function Null -> true | Bool _ | Int _ | Float _ | Str _ -> false
-
-(* Structural equality used by DISTINCT, GROUP BY keys and hash joins.
-   Unlike SQL's [=] predicate, it treats Null as equal to Null so that
-   grouping keys behave like PostgreSQL's "NULLs group together" rule. *)
-let equal (a : t) (b : t) =
-  match a, b with
-  | Int x, Float y | Float y, Int x -> float_of_int x = y
-  | _ -> a = b
 
 (* Total order for ORDER BY and sort-based operators: Null < Bool < numbers
    < Str; numbers compare numerically across Int/Float. *)
@@ -53,13 +47,40 @@ let compare (a : t) (b : t) =
   | Str x, Str y -> String.compare x y
   | _ -> Int.compare (rank a) (rank b)
 
+(* Grouping identity: exactly [compare a b = 0], written out because
+   hash tables call it per probe. DISTINCT, GROUP BY, UNION, dedup and
+   hash-index buckets use it. *)
+let equal (a : t) (b : t) =
+  match a, b with
+  | Null, Null -> true
+  | Bool x, Bool y -> Bool.equal x y
+  | Int x, Int y -> Int.equal x y
+  | Float x, Float y -> Float.equal x y
+  | Int x, Float y | Float y, Int x -> Float.equal (float_of_int x) y
+  | Str x, Str y -> String.equal x y
+  | _ -> false
+
+(* SQL [=]: NULL on either side never matches. Predicates, hash-join
+   keys and index probes mean this. *)
+let sql_equal (a : t) (b : t) = (not (is_null a || is_null b)) && equal a b
+
+(* [Hashtbl.hash] maps every NaN to one hash and -0.0 to the hash of
+   0.0; hashing ints through their float image makes [Int 2] and
+   [Float 2.] collide. *)
 let hash (v : t) =
   match v with
   | Null -> 0
   | Bool b -> if b then 1 else 2
-  | Int i -> Hashtbl.hash (float_of_int i) (* so Int 2 and Float 2. collide *)
+  | Int i -> Hashtbl.hash (float_of_int i)
   | Float f -> Hashtbl.hash f
   | Str s -> Hashtbl.hash s
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash = hash
+end)
 
 (* SQL-facing truthiness: only Bool true is true. *)
 let to_bool = function Bool b -> b | _ -> false
@@ -94,30 +115,8 @@ let to_sql = function
 
 let pp ppf v = Format.pp_print_string ppf (to_string v)
 
-(* Canonical key string such that [canonical_key a = canonical_key b] iff
-   [equal a b]; used to key hash tables for DISTINCT / GROUP BY / hash
-   joins. Integral floats collapse onto the integer encoding so that
-   [Int 2] and [Float 2.0] land in the same bucket, consistently with
-   [equal]. *)
-let canonical_key = function
-  | Null -> "n"
-  | Bool true -> "t"
-  | Bool false -> "f"
-  | Int i -> "N" ^ string_of_int i
-  | Float f ->
-    if Float.is_integer f && Float.abs f <= 1e15 then
-      "N" ^ Int64.to_string (Int64.of_float f)
-    else "F" ^ Printf.sprintf "%.17g" f
-  | Str s -> "S" ^ s
-
-let canonical_key_of_array (vs : t array) =
-  String.concat "\x01" (Array.to_list (Array.map canonical_key vs))
-
-(* Hashed-module view of value tuples for DISTINCT / GROUP BY / hash-join
-   tables: elementwise {!equal} (so [Int 2] tuples match [Float 2.] ones
-   and NULLs group together) with a compatible combined hash. Keying
-   tables on the arrays directly replaces the per-row canonical-string
-   building the hot paths used to do. *)
+(* Value tuples under elementwise grouping identity, for DISTINCT /
+   GROUP BY / UNION / hash-join tables keyed on row arrays directly. *)
 module Key = struct
   type nonrec t = t array
 
@@ -129,6 +128,27 @@ module Key = struct
 
   let hash (a : t) =
     Array.fold_left (fun acc v -> (acc * 31) + hash v) 17 a
+
+  let has_null (a : t) = Array.exists is_null a
+
+  module Tbl = Hashtbl.Make (struct
+    type nonrec t = t
+
+    let equal = equal
+    let hash = hash
+  end)
+
+  let dedup (key : 'a -> t) (rows : 'a list) : 'a list =
+    let seen = Tbl.create 16 in
+    List.filter
+      (fun r ->
+        let k = key r in
+        if Tbl.mem seen k then false
+        else begin
+          Tbl.add seen k ();
+          true
+        end)
+      rows
 end
 
 (* Numeric coercions used by the expression evaluator. *)

@@ -1,11 +1,20 @@
 (** Runtime values.
 
-    Cells are dynamically typed at execution time. NULL semantics are
-    simplified with respect to full SQL three-valued logic: any comparison
-    involving [Null] is false (including [NULL = NULL]); grouping and
-    DISTINCT, however, treat [Null] as equal to [Null], as PostgreSQL
-    does. The DataLawyer usage logs never contain NULLs, so policy
-    semantics are unaffected. *)
+    Cells are dynamically typed at execution time. Two equalities are
+    defined here, once each:
+
+    - {e grouping identity} — {!equal}, {!hash}, {!Tbl}, {!Key} — is
+      exactly [compare a b = 0]: [Null] groups with [Null], NaN with NaN,
+      [-0.0] with [0.0], integral floats with the matching ints. DISTINCT,
+      GROUP BY, UNION, dedup and hash-index buckets use it;
+    - {e SQL [=]} — {!sql_equal} — is grouping identity except that
+      [Null] matches nothing (including [NULL = NULL]). Predicates,
+      hash-join keys and index probes use it.
+
+    NULL semantics are otherwise simplified with respect to full SQL
+    three-valued logic: any comparison involving [Null] is false. The
+    DataLawyer usage logs never contain NULLs in the columns policies
+    compare, so policy semantics are unaffected. *)
 
 type t =
   | Null
@@ -19,9 +28,11 @@ val type_of : t -> Ty.t option
 
 val is_null : t -> bool
 
-(** Structural equality used by DISTINCT, GROUP BY keys and hash joins:
-    [Null] equals [Null]; integral floats equal the corresponding ints. *)
+(** Grouping identity: [equal a b] iff [compare a b = 0]. *)
 val equal : t -> t -> bool
+
+(** SQL [=]: [false] when either side is [Null], {!equal} otherwise. *)
+val sql_equal : t -> t -> bool
 
 (** Total order for ORDER BY: Null < Bool < numbers < Str, with numbers
     compared numerically across [Int]/[Float]. *)
@@ -29,6 +40,9 @@ val compare : t -> t -> int
 
 (** Hash consistent with {!equal}. *)
 val hash : t -> int
+
+(** Hash tables keyed on single values under {!equal}. *)
+module Tbl : Hashtbl.S with type key = t
 
 (** SQL-facing truthiness: only [Bool true] is true. *)
 val to_bool : t -> bool
@@ -42,23 +56,24 @@ val to_sql : t -> string
 
 val pp : Format.formatter -> t -> unit
 
-(** Canonical key string such that two values get the same key iff they
-    are {!equal}; used to key hash tables for DISTINCT / GROUP BY / hash
-    joins. *)
-val canonical_key : t -> string
-
-(** {!canonical_key} of a tuple, with an unambiguous separator. *)
-val canonical_key_of_array : t array -> string
-
-(** Value tuples as [Hashtbl.Make]-ready keys: elementwise {!equal} with
-    a compatible hash. The DISTINCT / GROUP BY / hash-join tables key on
-    row arrays directly through this instead of building canonical key
-    strings per row. *)
+(** Value tuples under elementwise {!equal}, with a compatible hash:
+    the DISTINCT / GROUP BY / UNION / hash-join tables key on row arrays
+    through this. *)
 module Key : sig
   type nonrec t = t array
 
   val equal : t -> t -> bool
   val hash : t -> int
+
+  (** Does any component hold [Null]? Such a key matches nothing under
+      SQL [=], so hash joins neither build nor probe it. *)
+  val has_null : t -> bool
+
+  module Tbl : Hashtbl.S with type key = t
+
+  (** [dedup key rows]: [rows] in order, without those whose [key]
+      equals an earlier row's. *)
+  val dedup : ('a -> t) -> 'a list -> 'a list
 end
 
 (** Numeric coercion to float; [None] for non-numeric values. *)

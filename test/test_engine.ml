@@ -270,6 +270,36 @@ let test_noopt_equivalence () =
       ("unification only", { base with Engine.unification = true });
     ]
 
+(* SQL [=] never matches NULL, hash joins included. [SELECT COUNT( * )
+   FROM a, b] logs one schema row per relation, both with a NULL [icid];
+   a self-join on [icid] must not pair them, as the naive reference's
+   [=] does not. *)
+let test_null_join_keys_never_match () =
+  let policy =
+    "SELECT DISTINCT 'two relations share a column' FROM schema s1, schema s2 \
+     WHERE s1.ts = s2.ts AND s1.icid = s2.icid AND s1.irid <> s2.irid"
+  in
+  List.iter
+    (fun (label, config) ->
+      let db =
+        db_of_script
+          "CREATE TABLE a (x INT); CREATE TABLE b (y INT); \
+           INSERT INTO a VALUES (1), (2); INSERT INTO b VALUES (3)"
+      in
+      let e = Engine.create ~config db in
+      ignore (Engine.add_policy e ~name:"shared_column" policy);
+      let accepted sql =
+        match Engine.submit e ~uid:1 sql with
+        | Engine.Accepted _ -> true
+        | Engine.Rejected _ -> false
+      in
+      Alcotest.(check bool) (label ^ ": single relation accepted") true
+        (accepted "SELECT x FROM a");
+      Alcotest.(check bool) (label ^ ": NULL icids do not join") true
+        (accepted "SELECT COUNT(*) FROM a, b");
+      Engine.close e)
+    [ ("default", Engine.default_config); ("noopt", Engine.noopt_config) ]
+
 let suite =
   [
     tc "accept and reject" test_accept_and_reject;
@@ -284,5 +314,6 @@ let suite =
     tc "footnote 7 restricts UNION arms and FROM subqueries"
       test_footnote7_nested_shapes;
     tc "P5b output privacy" test_p5b_output_privacy;
+    tc "NULL join keys never match" test_null_join_keys_never_match;
     Alcotest.test_case "noopt equivalence" `Slow test_noopt_equivalence;
   ]

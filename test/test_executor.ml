@@ -214,6 +214,21 @@ let test_dml () =
   check_rows "delete applied" [ [ i 0 ] ]
     (q db "SELECT COUNT(*) FROM emp WHERE dept = 'eng'")
 
+(* DML binds its expressions before touching a row, as SELECT does: a
+   name error raises even when no row would be evaluated. *)
+let test_dml_binds_before_running () =
+  let db = db_of_script "CREATE TABLE t (a INT)" in
+  Alcotest.check_raises "DELETE WHERE with an unknown column"
+    (Errors.Sql_error (Errors.Bind_error, "unknown column \"nosuch\""))
+    (fun () -> ignore (Database.exec db "DELETE FROM t WHERE nosuch = 1"));
+  Alcotest.check_raises "UPDATE SET with an unknown column"
+    (Errors.Sql_error (Errors.Bind_error, "unknown column \"nosuch\""))
+    (fun () -> ignore (Database.exec db "UPDATE t SET a = nosuch"));
+  ignore (Database.exec db "INSERT INTO t VALUES (1)");
+  ignore (Database.exec db "UPDATE t SET a = t.a + 1 WHERE t.a = 1");
+  check_rows "qualified names resolve against the table" [ [ i 2 ] ]
+    (q db "SELECT a FROM t")
+
 let test_savepoint_rollback () =
   let db = sample_db () in
   let t = Database.table db "emp" in
@@ -249,5 +264,6 @@ let suite =
     tc "bind errors" test_ambiguity_errors;
     tc "division by zero" test_division_by_zero;
     tc "dml" test_dml;
+    tc "dml binds before it runs" test_dml_binds_before_running;
     tc "savepoint rollback" test_savepoint_rollback;
   ]

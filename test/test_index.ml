@@ -259,6 +259,28 @@ let test_sql_ddl_roundtrip () =
     (Table.find_index table "ix_emp_sal" = None);
   ignore (Database.exec_script db "DROP INDEX IF EXISTS ix_emp_sal")
 
+(* Hash buckets follow [Value.equal] at every magnitude: a FLOAT probe
+   finds its Int twin beyond 1e15 exactly as the sorted index and the
+   heap scan do. *)
+let test_big_float_probe_finds_int () =
+  List.iter
+    (fun index_ddl ->
+      let db =
+        db_of_script
+          ("CREATE TABLE t (k INT); INSERT INTO t VALUES (10000000000000000), (2);"
+          ^ index_ddl)
+      in
+      let r = Database.query db "SELECT k FROM t WHERE k = 10000000000000000.0" in
+      Alcotest.(check int)
+        (Printf.sprintf "one row with %S" index_ddl)
+        1
+        (List.length r.Executor.out_rows))
+    [
+      "CREATE INDEX ix ON t USING hash (k)";
+      "CREATE INDEX ix ON t USING sorted (k)";
+      "";
+    ]
+
 let suite =
   List.map QCheck_alcotest.to_alcotest [ prop_indexes_agree_with_heap ]
   @ [
@@ -268,4 +290,5 @@ let suite =
       tc "catalog generation bumps on index DDL" test_catalog_generation_bumps;
       tc "dropping a table frees its index names" test_drop_table_unregisters_indexes;
       tc "CREATE/DROP INDEX via SQL" test_sql_ddl_roundtrip;
+      tc "big FLOAT probe finds its INT twin" test_big_float_probe_finds_int;
     ]

@@ -49,25 +49,24 @@ let db_of_rows rows_r rows_s =
    grouping/HAVING, DISTINCT (ON), ORDER BY, LIMIT, UNION (ALL).
    Order-sensitive forms (LIMIT, DISTINCT ON) stay on single-table
    queries, where both paths scan in the same order. *)
-let query_gen : string QCheck.Gen.t =
+let query_gen_of (k : string QCheck.Gen.t) : string QCheck.Gen.t =
   let open QCheck.Gen in
-  let k = int_range (-2) 7 in
   let cmp = oneofl [ "="; "<"; "<="; ">"; ">="; "<>" ] in
   let pred_r =
     oneof
       [
-        map2 (fun op c -> Printf.sprintf "r.a %s %d" op c) cmp k;
-        map2 (fun op c -> Printf.sprintf "r.b %s %d" op c) cmp k;
+        map2 (fun op c -> Printf.sprintf "r.a %s %s" op c) cmp k;
+        map2 (fun op c -> Printf.sprintf "r.b %s %s" op c) cmp k;
         map (fun op -> Printf.sprintf "r.a %s r.b" op) cmp;
-        map2 (fun op c -> Printf.sprintf "r.a + r.b %s %d" op c) cmp k;
+        map2 (fun op c -> Printf.sprintf "r.a + r.b %s %s" op c) cmp k;
       ]
   in
   let pred_join =
     oneof
       [
         map (fun op -> Printf.sprintf "r.a %s s.a" op) cmp;
-        map2 (fun op c -> Printf.sprintf "s.c %s %d" op c) cmp k;
-        map2 (fun op c -> Printf.sprintf "r.b + s.c %s %d" op c) cmp k;
+        map2 (fun op c -> Printf.sprintf "s.c %s %s" op c) cmp k;
+        map2 (fun op c -> Printf.sprintf "r.b + s.c %s %s" op c) cmp k;
       ]
   in
   let wand preds =
@@ -108,18 +107,18 @@ let query_gen : string QCheck.Gen.t =
       ( map2
           (fun op c ->
             Printf.sprintf
-              "SELECT x.a, y.b FROM r x, r y WHERE x.a = y.a AND x.b %s %d" op c)
+              "SELECT x.a, y.b FROM r x, r y WHERE x.a = y.a AND x.b %s %s" op c)
           cmp k );
       (* subquery source joined to a base table *)
       ( map2
           (fun c1 c2 ->
             Printf.sprintf
-              "SELECT q.a, s.c FROM (SELECT a, b FROM r WHERE a > %d) q, s \
-               WHERE q.a = s.a AND s.c < %d"
+              "SELECT q.a, s.c FROM (SELECT a, b FROM r WHERE a > %s) q, s \
+               WHERE q.a = s.a AND s.c < %s"
               c1 c2)
           k k );
       (* aggregation, single table and over a join *)
-      ( pair (maybe pred_r) k >>= fun (p, thr) ->
+      ( pair (maybe pred_r) (int_range (-2) 7) >>= fun (p, thr) ->
         oneofl
           [
             Printf.sprintf
@@ -141,14 +140,16 @@ let query_gen : string QCheck.Gen.t =
         oneofl
           [
             Printf.sprintf
-              "SELECT a FROM r WHERE a > %d UNION SELECT a FROM s WHERE a < %d"
+              "SELECT a FROM r WHERE a > %s UNION SELECT a FROM s WHERE a < %s"
               c1 c2;
             Printf.sprintf
-              "SELECT a, b FROM r WHERE b <> %d UNION ALL SELECT a, c FROM s \
-               WHERE c <> %d"
+              "SELECT a, b FROM r WHERE b <> %s UNION ALL SELECT a, c FROM s \
+               WHERE c <> %s"
               c1 c2;
           ] );
     ]
+
+let query_gen = query_gen_of (QCheck.Gen.map string_of_int (QCheck.Gen.int_range (-2) 7))
 
 let case_arb =
   QCheck.make
@@ -187,7 +188,7 @@ let prop_diff =
       o.Executor.columns = u.Executor.columns
       && canon o.Executor.out_rows = canon u.Executor.out_rows)
 
-(* Vectorized vs row path ------------------------------------------------- *)
+(* Vectorized vs row path vs reference ------------------------------------ *)
 
 (* The vectorized executor must be {e bit-identical} to the row path —
    same rows in the same order, same source tids — because the engine
@@ -198,6 +199,28 @@ let canon_exact (rows : Executor.row_out list) =
     (fun (r : Executor.row_out) ->
       (Array.to_list r.Executor.values, r.Executor.lineage, r.Executor.src_tids))
     rows
+
+(* Generated cells may hold NaN, which polymorphic [=] never equates;
+   [compare] treats it as equal to itself. *)
+let same a b = compare a b = 0
+
+(* One property per generator: the batch path equals the row path
+   exactly, and the row path equals the naive reference as a multiset,
+   so both optimized executors answer what the binder's [=] means. *)
+let vec_row_ref_prop ~name arb mkdb opts =
+  QCheck.Test.make ~name ~count:500 arb (fun (sql, rows_r, rows_s) ->
+      let db = mkdb rows_r rows_s in
+      let cat = Database.catalog db in
+      let q = Parser.query sql in
+      let run vectorized =
+        Executor.run_compiled (Executor.prepare ~opts ~vectorized cat q)
+      in
+      let vec = run true and row = run false in
+      let reference = Executor.run_unoptimized ~opts cat q in
+      vec.Executor.columns = row.Executor.columns
+      && row.Executor.columns = reference.Executor.columns
+      && same (canon_exact vec.Executor.out_rows) (canon_exact row.Executor.out_rows)
+      && same (canon row.Executor.out_rows) (canon reference.Executor.out_rows))
 
 (* NULL-heavy variant of the table generator: a 0 in either column
    becomes NULL (range 0..5, so roughly a third of rows carry one),
@@ -219,38 +242,17 @@ let db_of_rows_nullable rows_r rows_s =
   List.iter (fun (a, c) -> ignore (Table.insert s [| v a; v c |])) rows_s;
   db
 
-let run_vec_row ~nullable ~opts (sql, rows_r, rows_s) =
-  let db =
-    if nullable then db_of_rows_nullable rows_r rows_s
-    else db_of_rows rows_r rows_s
-  in
-  let cat = Database.catalog db in
-  let q = Parser.query sql in
-  let vec =
-    Executor.run_compiled (Executor.prepare ~opts ~vectorized:true cat q)
-  in
-  let row =
-    Executor.run_compiled (Executor.prepare ~opts ~vectorized:false cat q)
-  in
-  (vec, row)
-
 let vec_props =
-  List.map
-    (fun (name, nullable, opts) ->
-      QCheck.Test.make ~name ~count:500 case_arb (fun case ->
-          let vec, row = run_vec_row ~nullable ~opts case in
-          vec.Executor.columns = row.Executor.columns
-          && canon_exact vec.Executor.out_rows
-             = canon_exact row.Executor.out_rows))
-    [
-      ("vectorized = row path, exact (default opts)", false, Executor.default_opts);
-      ( "vectorized = row path, exact (NULL-heavy)",
-        true,
-        Executor.default_opts );
-      ( "vectorized = row path, exact (track_src, NULL-heavy)",
-        true,
-        { Executor.lineage = false; track_src = true } );
-    ]
+  [
+    vec_row_ref_prop ~name:"vectorized = row path = reference (default opts)"
+      case_arb db_of_rows Executor.default_opts;
+    vec_row_ref_prop ~name:"vectorized = row path = reference (NULL-heavy)"
+      case_arb db_of_rows_nullable Executor.default_opts;
+    vec_row_ref_prop
+      ~name:"vectorized = row path = reference (track_src, NULL-heavy)" case_arb
+      db_of_rows_nullable
+      { Executor.lineage = false; track_src = true };
+  ]
 
 (* Typed-column generators ------------------------------------------------ *)
 
@@ -344,29 +346,78 @@ let db_of_rows_mixed rows_r rows_s =
     rows_s;
   db
 
-let vec_typed_props =
-  let prop ~name arb mkdb opts =
-    QCheck.Test.make ~name ~count:500 arb (fun (sql, rows_r, rows_s) ->
-        let db = mkdb rows_r rows_s in
-        let cat = Database.catalog db in
-        let q = Parser.query sql in
-        let vec =
-          Executor.run_compiled (Executor.prepare ~opts ~vectorized:true cat q)
-        in
-        let row =
-          Executor.run_compiled (Executor.prepare ~opts ~vectorized:false cat q)
-        in
-        vec.Executor.columns = row.Executor.columns
-        && canon_exact vec.Executor.out_rows = canon_exact row.Executor.out_rows)
+(* FLOAT variant: cells drawn from NULL, NaN, signed zeros and integral
+   floats beyond 1e15 beside their Int twins (which demote the typed
+   column to Mixed). Sums of these values are exact in any order, so
+   float SUM over a join cannot differ by summation order alone. Query
+   constants name the same magnitudes, as ints and as floats. *)
+let float_pool =
+  let big = [ 1e16; 1152921504606846976. ] in
+  [ Value.Null; Value.Float ((1e308 *. 10.0) -. (1e308 *. 10.0)) ]
+  @ [ Value.Float (-0.0); Value.Float 0.0; Value.Int 0 ]
+  @ List.concat_map
+      (fun f -> [ Value.Float f; Value.Int (int_of_float f) ])
+      (big @ List.map Float.neg big)
+
+let float_rows_gen =
+  QCheck.Gen.list_size (QCheck.Gen.int_range 0 20)
+    (QCheck.Gen.pair (QCheck.Gen.oneofl float_pool) (QCheck.Gen.oneofl float_pool))
+
+let float_query_gen =
+  query_gen_of
+    (QCheck.Gen.oneofl
+       [
+         "0";
+         "0.0";
+         "-0.0";
+         "10000000000000000";
+         "10000000000000000.0";
+         "-10000000000000000.0";
+         "1152921504606846976";
+         "1152921504606846976.0";
+       ])
+
+let float_case_arb =
+  let rows l =
+    String.concat ";"
+      (List.map
+         (fun (a, b) -> Printf.sprintf "(%s,%s)" (Value.to_sql a) (Value.to_sql b))
+         l)
   in
+  QCheck.make
+    ~print:(fun (sql, r, s) -> Printf.sprintf "%s\n r=%s s=%s" sql (rows r) (rows s))
+    (QCheck.Gen.triple float_query_gen float_rows_gen float_rows_gen)
+
+let db_of_rows_float rows_r rows_s =
+  let db = Database.create () in
+  ignore
+    (Database.exec_script db
+       "CREATE TABLE r (a FLOAT, b FLOAT); CREATE TABLE s (a FLOAT, c FLOAT); \
+        CREATE INDEX ix_r_a ON r USING hash (a); \
+        CREATE INDEX ix_r_b ON r USING sorted (b); \
+        CREATE INDEX ix_s_c ON s USING sorted (c)");
+  let r = Database.table db "r" and s = Database.table db "s" in
+  ignore (Table.enable_columnar r);
+  ignore (Table.enable_columnar s);
+  List.iter (fun (a, b) -> ignore (Table.insert r [| a; b |])) rows_r;
+  List.iter (fun (a, c) -> ignore (Table.insert s [| a; c |])) rows_s;
+  db
+
+let vec_typed_props =
   [
-    prop ~name:"vectorized = row path, exact (low-cardinality dict strings)"
+    vec_row_ref_prop
+      ~name:"vectorized = row path = reference (low-cardinality dict strings)"
       (str_case_arb 4) db_of_rows_str
       { Executor.lineage = false; track_src = true };
-    prop ~name:"vectorized = row path, exact (high-cardinality dict strings)"
+    vec_row_ref_prop
+      ~name:"vectorized = row path = reference (high-cardinality dict strings)"
       (str_case_arb 40) db_of_rows_str Executor.default_opts;
-    prop ~name:"vectorized = row path, exact (Mixed demotion, INT into FLOAT)"
+    vec_row_ref_prop
+      ~name:"vectorized = row path = reference (Mixed demotion, INT into FLOAT)"
       case_arb db_of_rows_mixed Executor.default_opts;
+    vec_row_ref_prop
+      ~name:"vectorized = row path = reference (NULL, NaN, -0.0, big FLOAT)"
+      float_case_arb db_of_rows_float Executor.default_opts;
   ]
 
 (* Adapter pins: deterministic cases for each row<->batch boundary. *)
