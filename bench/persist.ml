@@ -1,7 +1,9 @@
 (** Persistence micro-benchmark (lib/persist): submission throughput
     under each WAL fsync policy, recovery time as a function of WAL
-    length, and the on-disk footprint across compaction checkpoints
-    (§4.1.2 compaction keeps the durable log bounded too). *)
+    length, the on-disk footprint across compaction checkpoints
+    (§4.1.2 compaction keeps the durable log bounded too), and a gate
+    that a snapshot's size does not depend on the registered-policy
+    count. *)
 
 open Relational
 open Datalawyer
@@ -150,6 +152,74 @@ let footprint (scale : Common.scale) =
     [ "commits"; "generation"; "disk bytes" ]
     (List.rev !rows)
 
+(* Phase 4: checkpoint cost vs registered-policy count. The same
+   200-row log is checkpointed twice under 0 and under 1 000 registered
+   policies. Policies live in their own catalog segment, written by the
+   first checkpoint only, so the snapshot files must be byte-for-byte the
+   same size — a deterministic gate (exit 1), unlike the printed times. *)
+let catalog_independence () =
+  let rows = List.init 200 (fun i -> [| Value.Int (i / 3); Value.Int (i mod 7) |]) in
+  let state policies =
+    {
+      P.Snapshot.clock = 200;
+      policies;
+      relations =
+        [ ("users", { P.Snapshot.schema = [ ("ts", Ty.Int); ("uid", Ty.Int) ]; rows }) ];
+    }
+  in
+  let run n =
+    let dir = fresh_dir () in
+    let store, _ = P.Store.open_dir ~fsync:P.Store.Never dir in
+    let policies =
+      List.init n (fun i ->
+          {
+            P.Record.name = Printf.sprintf "no_access_%d" i;
+            source =
+              Printf.sprintf
+                "SELECT DISTINCT 'uid %d may not read secret' FROM users u WHERE u.uid = %d"
+                i i;
+            active_from = 0;
+          })
+    in
+    List.iter (P.Store.log_add_policy store) policies;
+    let timed () =
+      let t0 = Unix.gettimeofday () in
+      P.Store.checkpoint store (state policies);
+      Common.ms (Unix.gettimeofday () -. t0)
+    in
+    let first = timed () in
+    let steady = timed () in
+    let size f = (Unix.stat (Filename.concat dir f)).Unix.st_size in
+    let snapshot = size (P.Recovery.snapshot_file (P.Store.generation store)) in
+    let catalog =
+      Sys.readdir dir |> Array.to_list
+      |> List.filter (fun f -> String.starts_with ~prefix:"catalog-" f)
+      |> List.fold_left (fun acc f -> acc + size f) 0
+    in
+    P.Store.close store;
+    rm_rf dir;
+    (n, first, steady, snapshot, catalog)
+  in
+  let results = List.map run [ 0; 1000 ] in
+  Common.print_table [ 10; 16; 16; 16; 14 ]
+    [ "policies"; "1st ckpt (ms)"; "next ckpt (ms)"; "snapshot bytes"; "catalog bytes" ]
+    (List.map
+       (fun (n, first, steady, snapshot, catalog) ->
+         [
+           string_of_int n;
+           Common.f2 first;
+           Common.f2 steady;
+           string_of_int snapshot;
+           string_of_int catalog;
+         ])
+       results);
+  match results with
+  | [ (_, _, _, s0, _); (_, _, _, s1, _) ] when s0 <> s1 ->
+    Printf.eprintf
+      "persist: snapshot size depends on the policy count (%d vs %d bytes)\n" s0 s1;
+    exit 1
+  | _ -> ()
+
 let run (scale : Common.scale) =
   Common.header "Persistence (WAL / snapshots / recovery)";
   print_endline "\nThroughput by fsync policy:";
@@ -157,4 +227,6 @@ let run (scale : Common.scale) =
   print_endline "\nRecovery time vs WAL length:";
   recovery scale;
   print_endline "\nDisk footprint under compaction checkpoints (window w=5):";
-  footprint scale
+  footprint scale;
+  print_endline "\nCheckpoint cost vs registered policies (same 200-row log):";
+  catalog_independence ()

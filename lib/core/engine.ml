@@ -106,7 +106,10 @@ type t = {
       (** generator lookup by lowercased relation name; rebuilt at
           registration so the per-generation hot path never scans the
           list *)
-  mutable registered : Policy.t list;
+  mutable registered_rev : Policy.t list;
+      (** registered policies, newest first: registration prepends *)
+  registered_names : (string, unit) Hashtbl.t;
+      (** names in [registered_rev], for the duplicate check *)
   mutable plan : plan option;
   mutable last_violations : Policy.t list;
       (** violated policies of the most recent rejected submission, for
@@ -262,7 +265,8 @@ let create ?(config = default_config) ?(generators = Usage_log.standard)
       config;
       generators;
       gen_index;
-      registered = [];
+      registered_rev = [];
+      registered_names = Hashtbl.create 16;
       plan = None;
       last_violations = [];
       persist = None;
@@ -289,7 +293,10 @@ let create ?(config = default_config) ?(generators = Usage_log.standard)
     let store, recovered = Persistence.Store.open_dir ~fsync:persist_fsync dir in
     (match recovered with
     | None -> ()
-    | Some r -> t.registered <- apply_recovered db r);
+    | Some r ->
+      let ps = apply_recovered db r in
+      t.registered_rev <- List.rev ps;
+      List.iter (fun p -> Hashtbl.replace t.registered_names p.Policy.name ()) ps);
     t.persist_clock <- Usage_log.current_time db;
     t.persist <- Some store);
   t
@@ -328,13 +335,14 @@ let register_generator t (g : Usage_log.generator) =
   invalidate t
 
 let add_policy t ~name sql : Policy.t =
-  if List.exists (fun p -> p.Policy.name = name) t.registered then
+  if Hashtbl.mem t.registered_names name then
     Errors.catalog_error "policy %s already registered" name;
   let p =
     Policy.create (Database.catalog t.db) ~is_log:(is_log t) ~name
       ~active_from:(Usage_log.current_time t.db) sql
   in
-  t.registered <- t.registered @ [ p ];
+  t.registered_rev <- p :: t.registered_rev;
+  Hashtbl.replace t.registered_names name ();
   invalidate t;
   (match t.persist with
   | Some store ->
@@ -349,21 +357,24 @@ let add_policy t ~name sql : Policy.t =
   p
 
 let remove_policy t name =
-  let before = List.length t.registered in
-  t.registered <- List.filter (fun p -> p.Policy.name <> name) t.registered;
+  let present = Hashtbl.mem t.registered_names name in
+  if present then begin
+    Hashtbl.remove t.registered_names name;
+    t.registered_rev <-
+      List.filter (fun p -> p.Policy.name <> name) t.registered_rev
+  end;
   invalidate t;
   match t.persist with
-  | Some store when List.length t.registered < before ->
-    Persistence.Store.log_remove_policy store name
+  | Some store when present -> Persistence.Store.log_remove_policy store name
   | Some _ | None -> ()
 
-let policies t = t.registered
+let policies t = List.rev t.registered_rev
 
 (* Offline phase (§4.4) --------------------------------------------------- *)
 
 let compute_plan t : plan =
   let is_log = is_log t in
-  let ps = t.registered in
+  let ps = policies t in
   let ps, unified_groups =
     if t.config.unification then
       let o = Unify.run (Database.catalog t.db) ~is_log ps in
@@ -414,14 +425,14 @@ let persist_state t ~(scope : string list) : Persistence.Snapshot.state =
   {
     Persistence.Snapshot.clock = t.persist_clock;
     policies =
-      List.map
+      List.rev_map
         (fun (p : Policy.t) ->
           {
             Persistence.Record.name = p.Policy.name;
             source = p.Policy.source;
             active_from = p.Policy.active_from;
           })
-        t.registered;
+        t.registered_rev;
     relations = List.map rel_state (List.sort_uniq String.compare scope);
   }
 
@@ -1038,7 +1049,7 @@ type unify_stats = {
 let unify_stats t : unify_stats =
   let pl = plan t in
   {
-    unify_registered = List.length t.registered;
+    unify_registered = List.length t.registered_rev;
     unify_active = List.length pl.active;
     unify_groups = List.length pl.unified_groups;
     unify_members =

@@ -1,7 +1,5 @@
 open Relational
 
-let format_version = 1
-
 exception Corrupt of string
 
 let corrupt fmt = Printf.ksprintf (fun m -> raise (Corrupt m)) fmt

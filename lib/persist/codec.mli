@@ -1,5 +1,5 @@
 (** Binary codec for {!Relational.Value.t} rows and the scalar
-    primitives the WAL and snapshot formats are built from.
+    primitives the WAL, snapshot and catalog formats are built from.
 
     All integers are little-endian and fixed-width; strings and row/row
     lists are length-prefixed. Floats round-trip exactly (IEEE 754 bit
@@ -8,10 +8,6 @@
     {!Corrupt} rather than producing a wrong value. *)
 
 open Relational
-
-(** Version byte stamped into every WAL and snapshot header. Bump when
-    the framing or value encoding changes incompatibly. *)
-val format_version : int
 
 (** Malformed or truncated input. The recovery layer turns this into a
     {!Recovery.Recovery_error} with file context. *)

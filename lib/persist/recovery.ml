@@ -4,6 +4,7 @@ let error fmt = Printf.ksprintf (fun m -> raise (Recovery_error m)) fmt
 
 let snapshot_file g = Printf.sprintf "snapshot-%08d.dls" g
 let wal_file g = Printf.sprintf "wal-%08d.dlw" g
+let catalog_file c = Printf.sprintf "catalog-%08d.dlc" c
 
 let parse_gen ~prefix ~suffix name =
   let pl = String.length prefix and sl = String.length suffix in
@@ -14,14 +15,17 @@ let parse_gen ~prefix ~suffix name =
 
 type recovered = {
   generation : int;
+  catalog : int option;
   state : Snapshot.state;
   wal_records : int;
+  policy_records : int;
   torn_dropped : bool;
 }
 
-(* Replay WAL records on top of a snapshot state. Rows are accumulated in
-   reverse per relation so replay stays linear in the WAL length. *)
-let replay (state : Snapshot.state) (records : Record.t list) : Snapshot.state =
+(* Replay WAL records on top of a snapshot state. Rows (per relation) and
+   policies are accumulated in reverse so replay stays linear in the WAL
+   length. Also returns how many records changed the policy set. *)
+let replay (state : Snapshot.state) (records : Record.t list) : Snapshot.state * int =
   let rels : (string, Snapshot.rel * Relational.Value.t array list ref) Hashtbl.t =
     Hashtbl.create 8
   in
@@ -30,7 +34,8 @@ let replay (state : Snapshot.state) (records : Record.t list) : Snapshot.state =
       Hashtbl.replace rels name (r, ref (List.rev r.Snapshot.rows)))
     state.Snapshot.relations;
   let clock = ref state.Snapshot.clock in
-  let policies = ref state.Snapshot.policies in
+  let policies_rev = ref (List.rev state.Snapshot.policies) in
+  let policy_records = ref 0 in
   List.iter
     (function
       | Record.Commit { clock = c; increments } ->
@@ -48,9 +53,11 @@ let replay (state : Snapshot.state) (records : Record.t list) : Snapshot.state =
            run of rejected submissions may have moved past the last
            commit's *)
         clock := max !clock p.Record.active_from;
-        policies := !policies @ [ p ]
+        incr policy_records;
+        policies_rev := p :: !policies_rev
       | Record.Remove_policy name ->
-        policies := List.filter (fun p -> p.Record.name <> name) !policies)
+        incr policy_records;
+        policies_rev := List.filter (fun p -> p.Record.name <> name) !policies_rev)
     records;
   let relations =
     Hashtbl.fold
@@ -59,49 +66,67 @@ let replay (state : Snapshot.state) (records : Record.t list) : Snapshot.state =
       rels []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
-  { Snapshot.clock = !clock; policies = !policies; relations }
+  ( { Snapshot.clock = !clock; policies = List.rev !policies_rev; relations },
+    !policy_records )
+
+let remove dir f = try Sys.remove (Filename.concat dir f) with Sys_error _ -> ()
+
+(* The snapshot of generation [g] with the policies of the catalog it
+   names. A catalog that is missing or unreadable is an error: reading it
+   as an empty policy set would silently drop enforcement. *)
+let load_snapshot ~dir g =
+  let c, st =
+    try Snapshot.read (Filename.concat dir (snapshot_file g))
+    with Codec.Corrupt m -> error "unreadable snapshot: %s" m
+  in
+  let cat_path = Filename.concat dir (catalog_file c) in
+  if not (Sys.file_exists cat_path) then
+    error "missing %s named by %s" (catalog_file c) (snapshot_file g);
+  let policies =
+    try Catalog_segment.read cat_path
+    with Codec.Corrupt m -> error "unreadable catalog: %s" m
+  in
+  (c, { st with Snapshot.policies })
 
 let run ~dir : recovered option =
   let entries = try Sys.readdir dir with Sys_error _ -> [||] in
   (* Leftover temp files from a crash mid-checkpoint are garbage. *)
-  Array.iter
-    (fun f ->
-      if Filename.check_suffix f ".tmp" then
-        try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-    entries;
+  Array.iter (fun f -> if Filename.check_suffix f ".tmp" then remove dir f) entries;
   let gens_of ~prefix ~suffix =
     Array.to_list entries |> List.filter_map (parse_gen ~prefix ~suffix)
   in
   let snap_gens = gens_of ~prefix:"snapshot-" ~suffix:".dls" in
   let wal_gens = gens_of ~prefix:"wal-" ~suffix:".dlw" in
+  (* Every catalog but the one the live snapshot names is garbage — an
+     orphan written by a checkpoint that crashed before its snapshot's
+     rename included. *)
+  let drop_catalogs_except keep =
+    List.iter
+      (fun c -> if Some c <> keep then remove dir (catalog_file c))
+      (gens_of ~prefix:"catalog-" ~suffix:".dlc")
+  in
   match List.sort compare (snap_gens @ wal_gens) |> List.rev with
-  | [] -> None
+  | [] ->
+    drop_catalogs_except None;
+    None
   | g :: _ ->
     (* Drop stale lower generations (superseded by checkpoint [g]). *)
-    List.iter
-      (fun g' ->
-        if g' < g then
-          try Sys.remove (Filename.concat dir (snapshot_file g')) with Sys_error _ -> ())
-      snap_gens;
-    List.iter
-      (fun g' ->
-        if g' < g then
-          try Sys.remove (Filename.concat dir (wal_file g')) with Sys_error _ -> ())
-      wal_gens;
-    let snap_path = Filename.concat dir (snapshot_file g) in
-    let base =
-      if Sys.file_exists snap_path then (
-        try Snapshot.read snap_path
-        with Codec.Corrupt m -> error "corrupt snapshot: %s" m)
+    List.iter (fun g' -> if g' < g then remove dir (snapshot_file g')) snap_gens;
+    List.iter (fun g' -> if g' < g then remove dir (wal_file g')) wal_gens;
+    let catalog, base =
+      if List.mem g snap_gens then
+        let c, st = load_snapshot ~dir g in
+        (Some c, st)
       else if g > 0 then
         (* A generation > 0 WAL without its snapshot: the snapshot this
            WAL's records build on is gone — replaying would silently
            resurrect a partial state. *)
         error "missing %s for generation %d WAL" (snapshot_file g) g
-      else Snapshot.empty
+      else (None, Snapshot.empty)
     in
+    drop_catalogs_except catalog;
     let wal_path = Filename.concat dir (wal_file g) in
-    let records, wal_records, torn =
+    let records, torn =
       if Sys.file_exists wal_path then begin
         let r = try Wal.read wal_path with Codec.Corrupt m -> error "corrupt WAL: %s" m in
         if r.Wal.torn then Wal.truncate wal_path r.Wal.valid_bytes;
@@ -112,14 +137,17 @@ let run ~dir : recovered option =
               with Codec.Corrupt m -> error "corrupt WAL record: %s" m)
             r.Wal.payloads
         in
-        (records, List.length records, r.Wal.torn)
+        (records, r.Wal.torn)
       end
-      else ([], 0, false)
+      else ([], false)
     in
+    let state, policy_records = replay base records in
     Some
       {
         generation = g;
-        state = replay base records;
-        wal_records;
+        catalog;
+        state;
+        wal_records = List.length records;
+        policy_records;
         torn_dropped = torn;
       }

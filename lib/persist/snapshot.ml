@@ -14,16 +14,13 @@ let empty = { clock = 0; policies = []; relations = [] }
 
 let magic = "DLSNAP"
 
-let encode state =
+(* Version 1 also carried the policy set; version 2 names a catalog. *)
+let version = 2
+
+let encode ~catalog state =
   let b = Buffer.create 4096 in
   Codec.w_i64 b state.clock;
-  Codec.w_u32 b (List.length state.policies);
-  List.iter
-    (fun (p : Record.policy_rec) ->
-      Codec.w_string b p.name;
-      Codec.w_string b p.source;
-      Codec.w_i64 b p.active_from)
-    state.policies;
+  Codec.w_i64 b catalog;
   Codec.w_u32 b (List.length state.relations);
   List.iter
     (fun (name, r) ->
@@ -41,15 +38,7 @@ let encode state =
 let decode payload =
   let c = Codec.cursor payload in
   let clock = Codec.r_i64 c in
-  let np = Codec.r_u32 c in
-  if np > Codec.remaining c then Codec.corrupt "policy count %d too large" np;
-  let policies =
-    List.init np (fun _ ->
-        let name = Codec.r_string c in
-        let source = Codec.r_string c in
-        let active_from = Codec.r_i64 c in
-        { Record.name; source; active_from })
-  in
+  let catalog = Codec.r_i64 c in
   let nr = Codec.r_u32 c in
   if nr > Codec.remaining c then Codec.corrupt "relation count %d too large" nr;
   let relations =
@@ -67,56 +56,9 @@ let decode payload =
         (name, { schema; rows }))
   in
   Codec.expect_end c;
-  { clock; policies; relations }
+  (catalog, { clock; policies = []; relations })
 
-let write path state =
-  let payload = encode state in
-  let b = Buffer.create (String.length payload + 16) in
-  Buffer.add_string b magic;
-  Codec.w_u8 b Codec.format_version;
-  Codec.w_u8 b 0;
-  Codec.w_u32 b (String.length payload);
-  Codec.w_u32 b (Crc32.string payload);
-  Buffer.add_string b payload;
-  let tmp = path ^ ".tmp" in
-  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  Fun.protect
-    ~finally:(fun () -> Unix.close fd)
-    (fun () ->
-      let s = Buffer.contents b in
-      let rec go off =
-        if off < String.length s then
-          go (off + Unix.write_substring fd s off (String.length s - off))
-      in
-      go 0;
-      Unix.fsync fd);
-  Unix.rename tmp path;
-  (* Make the rename itself durable. *)
-  match Unix.openfile (Filename.dirname path) [ Unix.O_RDONLY ] 0 with
-  | dirfd ->
-    Fun.protect ~finally:(fun () -> Unix.close dirfd) (fun () ->
-        try Unix.fsync dirfd with Unix.Unix_error _ -> ())
-  | exception Unix.Unix_error _ -> ()
+let write path ~catalog state =
+  Framed.write path ~magic ~version (encode ~catalog state)
 
-let header_len = String.length magic + 2 + 8
-
-let read path =
-  let data = In_channel.with_open_bin path In_channel.input_all in
-  if String.length data < header_len then
-    Codec.corrupt "%s: snapshot shorter than its header" path;
-  if String.sub data 0 (String.length magic) <> magic then
-    Codec.corrupt "%s: bad snapshot magic" path;
-  let version = Char.code data.[String.length magic] in
-  if version <> Codec.format_version then
-    Codec.corrupt "%s: unsupported snapshot format version %d" path version;
-  let c = Codec.cursor (String.sub data (String.length magic + 2) 8) in
-  let plen = Codec.r_u32 c in
-  let crc = Codec.r_u32 c in
-  if String.length data <> header_len + plen then
-    Codec.corrupt "%s: snapshot payload length mismatch (%d vs %d)" path
-      (String.length data - header_len)
-      plen;
-  let payload = String.sub data header_len plen in
-  if Crc32.string payload <> crc then
-    Codec.corrupt "%s: snapshot checksum mismatch" path;
-  decode payload
+let read path = decode (Framed.read path ~what:"snapshot" ~magic ~version)

@@ -1,12 +1,12 @@
-(** Snapshot files: the full persisted engine state at a checkpoint.
+(** Snapshot files: the persisted log state at a checkpoint.
 
-    A snapshot holds the clock, the registered-policy set and the
+    A snapshot (format version 2) holds the clock, the generation of the
+    {!Catalog_segment} that carries the registered-policy set, and the
     complete contents of every relation in the persistence scope (the
     plan's [store_rels] — log relations some time-dependent policy still
-    needs). The payload is one CRC-framed block behind a [DLSNAP] +
-    version header; writes go to a temporary file that is fsynced and
-    atomically renamed, so a crash can never leave a half-written
-    snapshot under the real name. *)
+    needs). The payload is one {!Framed} block behind a [DLSNAP] +
+    version header. The policies themselves are not in the snapshot, so
+    a checkpoint costs what the (compacted) log costs. *)
 
 open Relational
 
@@ -15,16 +15,22 @@ open Relational
     the WAL, whose rows are type-checked on reload instead). *)
 type rel = { schema : (string * Ty.t) list; rows : Value.t array list }
 
+(** The full persisted state: what a checkpoint persists (snapshot plus
+    catalog) and what recovery returns. *)
 type state = {
   clock : int;
-  policies : Record.policy_rec list;
+  policies : Record.policy_rec list;  (** in registration order *)
   relations : (string * rel) list;  (** in deterministic name order *)
 }
 
 val empty : state
 
-(** Atomically write [state] to [path] ([path ^ ".tmp"] + rename). *)
-val write : string -> state -> unit
+(** Atomically write [state]'s clock and relations to [path], naming
+    catalog generation [catalog]; [state.policies] is not written. *)
+val write : string -> catalog:int -> state -> unit
 
-(** @raise Codec.Corrupt on checksum or format errors. *)
-val read : string -> state
+(** The catalog generation the snapshot names, and its state with
+    [policies = []] (they live in that catalog).
+    @raise Codec.Corrupt on checksum or format errors, a version-1
+    snapshot included. *)
+val read : string -> int * state

@@ -4,6 +4,8 @@ type t = {
   dir : string;
   fsync : fsync_policy;
   mutable generation : int;
+  mutable catalog : int option;  (** catalog the live snapshot names *)
+  mutable catalog_stale : bool;  (** policy records journaled since [catalog] *)
   mutable wal : Wal.t;
   mutable wal_base : int;  (** records already in the WAL file at open *)
   mutable fsync_base : int;  (** fsyncs of WAL handles already rotated out *)
@@ -16,21 +18,28 @@ let rec mkdir_p dir =
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-let wal_path t = Filename.concat t.dir (Recovery.wal_file t.generation)
-let snap_path t = Filename.concat t.dir (Recovery.snapshot_file t.generation)
+let path t file = Filename.concat t.dir file
+let wal_path t = path t (Recovery.wal_file t.generation)
+let snap_path t = path t (Recovery.snapshot_file t.generation)
 
 let open_dir ?(fsync = Interval 32) dir =
   mkdir_p dir;
   let recovered = Recovery.run ~dir in
-  let generation, wal_base =
+  let generation, catalog, catalog_stale, wal_base =
     match recovered with
-    | None -> (0, 0)
-    | Some r -> (r.Recovery.generation, r.Recovery.wal_records)
+    | None -> (0, None, false, 0)
+    | Some r ->
+      ( r.Recovery.generation,
+        r.Recovery.catalog,
+        r.Recovery.policy_records > 0,
+        r.Recovery.wal_records )
   in
   let wal =
     Wal.open_append ~path:(Filename.concat dir (Recovery.wal_file generation)) ~fsync
   in
-  ({ dir; fsync; generation; wal; wal_base; fsync_base = 0; closed = false }, recovered)
+  ( { dir; fsync; generation; catalog; catalog_stale; wal; wal_base; fsync_base = 0;
+      closed = false },
+    recovered )
 
 let dir t = t.dir
 let fsync_policy t = t.fsync
@@ -48,32 +57,57 @@ let log_record t r =
 let log_commit t ~clock ~increments =
   log_record t (Record.Commit { clock; increments })
 
-let log_add_policy t p = log_record t (Record.Add_policy p)
-let log_remove_policy t name = log_record t (Record.Remove_policy name)
+let log_add_policy t p =
+  log_record t (Record.Add_policy p);
+  t.catalog_stale <- true
+
+let log_remove_policy t name =
+  log_record t (Record.Remove_policy name);
+  t.catalog_stale <- true
 
 let flush ?(sync = false) t =
   check_open t;
   Wal.flush ~sync t.wal
 
-let checkpoint t state =
+let checkpoint t (state : Snapshot.state) =
   check_open t;
-  let old_wal = wal_path t and old_snap = snap_path t in
+  let old_wal = wal_path t and old_snap = snap_path t and old_catalog = t.catalog in
   let g' = t.generation + 1 in
-  Snapshot.write (Filename.concat t.dir (Recovery.snapshot_file g')) state;
+  (* The catalog goes first, so a durable snapshot never names a
+     catalog that is not on disk; a crash in between leaves an orphan
+     catalog that recovery deletes. *)
+  let catalog =
+    match t.catalog with
+    | Some c when not t.catalog_stale -> c
+    | Some _ | None ->
+      Catalog_segment.write (path t (Recovery.catalog_file g')) state.Snapshot.policies;
+      g'
+  in
+  Snapshot.write (path t (Recovery.snapshot_file g')) ~catalog state;
+  t.catalog <- Some catalog;
+  t.catalog_stale <- false;
   (* Buffered (and even already-written) WAL records are subsumed by the
-     snapshot: close the old WAL without caring about its tail. *)
-  t.fsync_base <- t.fsync_base + Wal.fsyncs t.wal + 1 (* close fsyncs once *);
-  Wal.close t.wal;
+     durable snapshot: drop the old WAL without writing or syncing it. *)
+  t.fsync_base <- t.fsync_base + Wal.fsyncs t.wal;
+  Wal.discard t.wal;
   t.generation <- g';
   t.wal_base <- 0;
   t.wal <- Wal.open_append ~path:(wal_path t) ~fsync:t.fsync;
-  (* Only now is the old generation garbage. *)
+  (* Only now — the new snapshot's rename is durable — is the old
+     generation garbage. *)
   (try Sys.remove old_wal with Sys_error _ -> ());
-  if Sys.file_exists old_snap then (try Sys.remove old_snap with Sys_error _ -> ())
+  if Sys.file_exists old_snap then (try Sys.remove old_snap with Sys_error _ -> ());
+  match old_catalog with
+  | Some c when c <> catalog ->
+    (try Sys.remove (path t (Recovery.catalog_file c)) with Sys_error _ -> ())
+  | Some _ | None -> ()
 
 let disk_bytes t =
   let size p = try (Unix.stat p).Unix.st_size with Unix.Unix_error _ -> 0 in
-  size (wal_path t) + size (snap_path t)
+  let catalog =
+    match t.catalog with Some c -> size (path t (Recovery.catalog_file c)) | None -> 0
+  in
+  size (wal_path t) + size (snap_path t) + catalog
 
 let close t =
   if not t.closed then begin

@@ -1,13 +1,18 @@
 (** A durable usage-log store: one directory, one live generation.
 
     The store pairs the current {!Wal} with the snapshot it extends and
-    handles checkpoint rotation: {!checkpoint} atomically writes
+    the policy {!Catalog_segment} that snapshot names, and handles
+    checkpoint rotation: {!checkpoint} atomically writes
     [snapshot-<g+1>], starts an empty [wal-<g+1>] and deletes the
     generation-[g] files — truncating exactly the WAL prefix the new
-    snapshot supersedes. The engine triggers checkpoints when witness
-    compaction shrinks a log relation (so on-disk size tracks the
-    compacted log), when the persistence scope changes, and when the WAL
-    grows past a length bound. *)
+    snapshot supersedes. The catalog is rewritten (as [catalog-<g+1>],
+    before the snapshot that names it) only when a policy record was
+    journaled since the last catalog write, or when none exists yet;
+    otherwise the new snapshot names the old catalog, so a checkpoint
+    costs what the log costs, not what the policy set costs. The engine
+    triggers checkpoints when witness compaction shrinks a log relation
+    (so on-disk size tracks the compacted log), when the persistence
+    scope changes, and when the WAL grows past a length bound. *)
 
 type fsync_policy = Wal.fsync_policy = Always | Interval of int | Never
 
@@ -21,7 +26,7 @@ val open_dir : ?fsync:fsync_policy -> string -> t * Recovery.recovered option
 val dir : t -> string
 val fsync_policy : t -> fsync_policy
 
-(** Current checkpoint generation. *)
+(** Current checkpoint generation: bumps exactly once per {!checkpoint}. *)
 val generation : t -> int
 
 (** Records in the current WAL (replayed at open + appended since). *)
@@ -39,8 +44,10 @@ val log_commit : t -> clock:int -> increments:(string * Relational.Value.t array
 val log_add_policy : t -> Record.policy_rec -> unit
 val log_remove_policy : t -> string -> unit
 
-(** Write a new snapshot and rotate generations. Buffered WAL records
-    are subsumed by the snapshot and discarded. *)
+(** Write a new snapshot (and, if the policy set changed since the
+    last one, a new catalog from [state.policies]) and rotate
+    generations. Buffered WAL records are subsumed by the snapshot and
+    discarded. *)
 val checkpoint : t -> Snapshot.state -> unit
 
 (** Drain the group-commit buffer to disk. Fsyncs unless the policy is
@@ -49,7 +56,8 @@ val checkpoint : t -> Snapshot.state -> unit
     sync per admission batch. *)
 val flush : ?sync:bool -> t -> unit
 
-(** Bytes currently on disk (snapshot + WAL of the live generation). *)
+(** Bytes currently on disk: the live generation's snapshot and WAL plus
+    the catalog the snapshot names. *)
 val disk_bytes : t -> int
 
 (** Flush, fsync and release the WAL descriptor. The store must not be

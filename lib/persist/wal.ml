@@ -7,13 +7,16 @@ let pp_fsync_policy ppf = function
 
 let magic = "DLWAL"
 
+(* Bump when the framing or value encoding changes incompatibly. *)
+let version = 1
+
 (* 5 magic bytes + version + 2 reserved. *)
 let header_len = 8
 
 let header () =
   let b = Buffer.create header_len in
   Buffer.add_string b magic;
-  Codec.w_u8 b Codec.format_version;
+  Codec.w_u8 b version;
   Codec.w_u8 b 0;
   Codec.w_u8 b 0;
   Buffer.contents b
@@ -83,6 +86,8 @@ let close t =
   flush ~sync:true t;
   Unix.close t.fd
 
+let discard t = Unix.close t.fd
+
 (* Reading ----------------------------------------------------------------- *)
 
 type read_result = { payloads : string list; valid_bytes : int; torn : bool }
@@ -96,9 +101,9 @@ let read file =
   else if String.sub data 0 (String.length magic) <> magic then
     Codec.corrupt "%s: bad WAL magic" file
   else begin
-    let version = Char.code data.[String.length magic] in
-    if version <> Codec.format_version then
-      Codec.corrupt "%s: unsupported WAL format version %d" file version;
+    let found = Char.code data.[String.length magic] in
+    if found <> version then
+      Codec.corrupt "%s: unsupported WAL format version %d" file found;
     let payloads = ref [] in
     let pos = ref header_len in
     let torn = ref false in

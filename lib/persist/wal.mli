@@ -44,6 +44,11 @@ val flush : ?sync:bool -> t -> unit
 (** Flush, fsync (regardless of policy) and close the descriptor. *)
 val close : t -> unit
 
+(** Close the descriptor, dropping buffered records unwritten and
+    syncing nothing: for a WAL that a durable snapshot has superseded
+    and that is about to be deleted. *)
+val discard : t -> unit
+
 (** {1 Reading (recovery path)} *)
 
 type read_result = {

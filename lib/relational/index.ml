@@ -79,7 +79,12 @@ let add t (v : Value.t) (tid : int) =
     | None -> map := VMap.add v [ tid ] !map));
   t.entries <- t.entries + 1
 
-let drop_tid tid tids = List.filter (fun t -> t <> tid) tids
+(* O(1) when [tid] heads its bucket — rollback removes newest-first, so
+   every removal of one submission's rows (which share their uid and ts
+   buckets) hits the head; other removals filter the bucket. *)
+let drop_tid tid = function
+  | t :: rest when t = tid -> rest
+  | tids -> List.filter (fun t -> t <> tid) tids
 
 let remove t (v : Value.t) (tid : int) =
   (match t.store with

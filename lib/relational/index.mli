@@ -32,7 +32,8 @@ val kind_to_string : kind -> string
     savepoint rollback removes from the head. *)
 val add : t -> Value.t -> int -> unit
 
-(** Remove one occurrence of [tid] from [v]'s bucket; no-op if absent. *)
+(** Remove one occurrence of [tid] from [v]'s bucket; no-op if absent.
+    O(1) when [tid] is the bucket head (the rollback case). *)
 val remove : t -> Value.t -> int -> unit
 
 (** Drop every entry (the definition survives; used by [Table.clear]). *)

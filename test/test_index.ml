@@ -281,6 +281,35 @@ let test_big_float_probe_finds_int () =
       "";
     ]
 
+(* One submission's increment shares its indexed keys (uid, ts), and
+   rollback removes newest-first: each removal must take the bucket head
+   in O(1), or rolling back n rows costs O(n^2). *)
+let test_rollback_shared_key_is_linear () =
+  List.iter
+    (fun kind ->
+      let name = Index.kind_to_string kind in
+      let table = fresh_table () in
+      let ix = Table.create_index table ~name:"ix_a" ~column:"a" ~kind in
+      let before =
+        List.init 3 (fun b -> Table.insert table [| Value.Int 7; Value.Int b |])
+      in
+      let sp = Table.savepoint table in
+      for b = 1 to 100_000 do
+        ignore (Table.insert table [| Value.Int 7; Value.Int b |])
+      done;
+      let t0 = Unix.gettimeofday () in
+      Table.rollback_to table sp;
+      let dt = Unix.gettimeofday () -. t0 in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: 1e5-row rollback under 2 s (took %.3f s)" name dt)
+        true (dt < 2.0);
+      Alcotest.(check (list int))
+        (name ^ ": lookup returns the pre-savepoint tids")
+        (List.sort compare before)
+        (List.sort compare (Index.lookup ix (Value.Int 7)));
+      Alcotest.(check int) (name ^ ": entries") 3 (Index.entries ix))
+    [ Index.Hash; Index.Sorted ]
+
 let suite =
   List.map QCheck_alcotest.to_alcotest [ prop_indexes_agree_with_heap ]
   @ [
@@ -291,4 +320,5 @@ let suite =
       tc "dropping a table frees its index names" test_drop_table_unregisters_indexes;
       tc "CREATE/DROP INDEX via SQL" test_sql_ddl_roundtrip;
       tc "big FLOAT probe finds its INT twin" test_big_float_probe_finds_int;
+      tc "rollback of a shared-key increment is linear" test_rollback_shared_key_is_linear;
     ]

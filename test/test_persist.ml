@@ -1,8 +1,11 @@
 (** The durable usage-log store (lib/persist).
 
     Codec round-trips on random rows, the CRC reference vector, crash
-    simulation (torn WAL tails, corrupted records), snapshot round-trips,
-    and end-to-end kill-and-restart: a recovered engine must hold
+    simulation (torn WAL tails, corrupted records), snapshot and catalog
+    round-trips, catalog segments (crash between catalog and snapshot,
+    missing or corrupt catalogs, the v1 snapshot refusal, the catalog
+    kept across checkpoints, disk accounting), and end-to-end
+    kill-and-restart: a recovered engine must hold
     byte-identical log relations, the same clock, and give identical
     verdicts to an engine that never died — including across witness
     compaction (which checkpoints) and config changes (which re-scope
@@ -116,12 +119,19 @@ let snapshot_roundtrip () =
         ];
     }
   in
-  P.Snapshot.write path state;
-  let state' = P.Snapshot.read path in
+  P.Snapshot.write path ~catalog:5 state;
+  let catalog, state' = P.Snapshot.read path in
+  Alcotest.(check int) "catalog generation" 5 catalog;
   Alcotest.(check int) "clock" 42 state'.P.Snapshot.clock;
-  (match state'.P.Snapshot.policies with
+  Alcotest.(check int) "policies live in the catalog" 0
+    (List.length state'.P.Snapshot.policies);
+  let cat_path = Filename.concat dir (P.Recovery.catalog_file 5) in
+  P.Catalog_segment.write cat_path state.P.Snapshot.policies;
+  (match P.Catalog_segment.read cat_path with
   | [ p ] ->
     Alcotest.(check string) "policy name" "P1" p.P.Record.name;
+    Alcotest.(check string) "policy source" "SELECT DISTINCT 'x' FROM users"
+      p.P.Record.source;
     Alcotest.(check int) "active_from" 3 p.P.Record.active_from
   | _ -> Alcotest.fail "one policy expected");
   match state'.P.Snapshot.relations with
@@ -455,6 +465,198 @@ let recovered_clock_ignores_checkpoint_timing () =
     (recovered_clock ~checkpoint:false)
     (recovered_clock ~checkpoint:true)
 
+(* Catalog segments ----------------------------------------------------------- *)
+
+let files_with ~prefix dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> String.starts_with ~prefix f)
+  |> List.sort compare
+
+let policy_rec name active_from =
+  { P.Record.name; source = "SELECT DISTINCT 'x' FROM users"; active_from }
+
+(* A store at generation 1: one policy, one commit, one checkpoint. *)
+let store_with_checkpoint dir =
+  let store, _ = P.Store.open_dir ~fsync:P.Store.Always dir in
+  let policies = [ policy_rec "p1" 0 ] in
+  P.Store.log_add_policy store (List.hd policies);
+  P.Store.log_commit store ~clock:1 ~increments:[ ("users", [ [| Value.Int 1; Value.Int 1 |] ]) ];
+  P.Store.checkpoint store
+    {
+      P.Snapshot.clock = 1;
+      policies;
+      relations =
+        [ ("users", { P.Snapshot.schema = []; rows = [ [| Value.Int 1; Value.Int 1 |] ] }) ];
+    };
+  store
+
+let recovery_error_matching ~dir ~needle what =
+  match P.Recovery.run ~dir with
+  | exception P.Recovery.Recovery_error m ->
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: message %S names %S" what m needle)
+      true
+      (Test_policy.contains_substring m needle)
+  | _ -> Alcotest.fail (what ^ " must raise Recovery_error")
+
+(* A crash after catalog-(g+1) is renamed but before snapshot-(g+1) is:
+   generation g is live and the orphan catalog is garbage. *)
+let orphan_catalog_is_dropped () =
+  let dir = temp_dir () in
+  let store = store_with_checkpoint dir in
+  P.Store.log_add_policy store (policy_rec "p2" 1);
+  P.Store.close store;
+  P.Catalog_segment.write
+    (Filename.concat dir (P.Recovery.catalog_file 2))
+    [ policy_rec "p1" 0; policy_rec "p2" 1 ];
+  match P.Recovery.run ~dir with
+  | None -> Alcotest.fail "expected recovered state"
+  | Some r ->
+    Alcotest.(check int) "generation" 1 r.P.Recovery.generation;
+    Alcotest.(check (option int)) "named catalog" (Some 1) r.P.Recovery.catalog;
+    Alcotest.(check (list string)) "policies: catalog + WAL" [ "p1"; "p2" ]
+      (List.map (fun p -> p.P.Record.name) r.P.Recovery.state.P.Snapshot.policies);
+    Alcotest.(check (list string)) "orphan deleted" [ P.Recovery.catalog_file 1 ]
+      (files_with ~prefix:"catalog-" dir)
+
+let missing_catalog_is_an_error () =
+  let dir = temp_dir () in
+  P.Store.close (store_with_checkpoint dir);
+  Sys.remove (Filename.concat dir (P.Recovery.catalog_file 1));
+  recovery_error_matching ~dir ~needle:(P.Recovery.catalog_file 1) "missing catalog"
+
+let corrupt_catalog_is_an_error () =
+  let dir = temp_dir () in
+  P.Store.close (store_with_checkpoint dir);
+  let path = Filename.concat dir (P.Recovery.catalog_file 1) in
+  let size = (Unix.stat path).Unix.st_size in
+  let fd = Unix.openfile path [ Unix.O_RDWR ] 0 in
+  let byte = Bytes.create 1 in
+  ignore (Unix.lseek fd (size - 2) Unix.SEEK_SET);
+  ignore (Unix.read fd byte 0 1);
+  Bytes.set byte 0 (Char.chr (Char.code (Bytes.get byte 0) lxor 0xff));
+  ignore (Unix.lseek fd (size - 2) Unix.SEEK_SET);
+  ignore (Unix.write fd byte 0 1);
+  Unix.close fd;
+  recovery_error_matching ~dir ~needle:"checksum" "flipped catalog byte"
+
+(* A version-1 snapshot (policies inline), framed by hand: refused with
+   the version named, never decoded as version 2. *)
+let v1_snapshot_is_refused () =
+  let dir = temp_dir () in
+  let payload =
+    let b = Buffer.create 32 in
+    P.Codec.w_i64 b 7 (* clock *);
+    P.Codec.w_u32 b 0 (* policies *);
+    P.Codec.w_u32 b 0 (* relations *);
+    Buffer.contents b
+  in
+  let b = Buffer.create 64 in
+  Buffer.add_string b "DLSNAP";
+  P.Codec.w_u8 b 1;
+  P.Codec.w_u8 b 0;
+  P.Codec.w_u32 b (String.length payload);
+  P.Codec.w_u32 b (P.Crc32.string payload);
+  Buffer.add_string b payload;
+  Out_channel.with_open_bin (Filename.concat dir (P.Recovery.snapshot_file 1)) (fun oc ->
+      Out_channel.output_string oc (Buffer.contents b));
+  recovery_error_matching ~dir ~needle:"version 1" "v1 snapshot"
+
+(* Register, checkpoint, remove and register again, with or without a
+   second checkpoint before the restart: the set and its order survive,
+   whether the removal is replayed from the WAL or read from a catalog. *)
+let policy_changes_survive_checkpoints () =
+  List.iter
+    (fun checkpoint_again ->
+      let dir = temp_dir () in
+      let open_engine () =
+        Engine.create ~persist_dir:dir ~persist_fsync:P.Store.Always (base_db ())
+      in
+      let a = open_engine () in
+      List.iter
+        (fun (name, uid) ->
+          ignore
+            (Engine.add_policy a ~name
+               (Printf.sprintf "SELECT DISTINCT '%s' FROM users u WHERE u.uid = %d" name uid)))
+        [ ("a", 7); ("b", 8); ("c", 9) ];
+      Engine.persist_checkpoint a;
+      Engine.remove_policy a "b";
+      ignore (Engine.add_policy a ~name:"d" budget_policy);
+      if checkpoint_again then Engine.persist_checkpoint a;
+      Engine.close a;
+      let b = open_engine () in
+      Alcotest.(check (list string))
+        (Printf.sprintf "policies after restart (second checkpoint: %b)" checkpoint_again)
+        [ "a"; "c"; "d" ]
+        (List.map (fun p -> p.Policy.name) (Engine.policies b));
+      Alcotest.(check int) "one catalog on disk" 1
+        (List.length (files_with ~prefix:"catalog-" dir));
+      Engine.close b)
+    [ false; true ]
+
+(* A checkpoint with no policy change since the last one names the same
+   catalog instead of rewriting it. *)
+let unchanged_policies_keep_their_catalog () =
+  let dir = temp_dir () in
+  let a = Engine.create ~persist_dir:dir ~persist_fsync:P.Store.Always (base_db ()) in
+  ignore (Engine.add_policy a ~name:"budget" budget_policy);
+  let store = Option.get (Engine.persist_store a) in
+  Engine.persist_checkpoint a;
+  let g = P.Store.generation store in
+  let catalogs = files_with ~prefix:"catalog-" dir in
+  Alcotest.(check int) "one catalog" 1 (List.length catalogs);
+  submit_ok a ~uid:1 "SELECT 1 FROM person";
+  Engine.persist_checkpoint a;
+  Alcotest.(check int) "generation bumps once per checkpoint" (g + 1) (P.Store.generation store);
+  Alcotest.(check (list string)) "same catalog" catalogs (files_with ~prefix:"catalog-" dir);
+  Alcotest.(check (list string)) "snapshot advanced"
+    [ P.Recovery.snapshot_file (g + 1) ]
+    (files_with ~prefix:"snapshot-" dir);
+  Engine.close a
+
+let disk_bytes_counts_all_three_files () =
+  let dir = temp_dir () in
+  let a = Engine.create ~persist_dir:dir ~persist_fsync:P.Store.Always (base_db ()) in
+  ignore (Engine.add_policy a ~name:"budget" budget_policy);
+  Engine.persist_checkpoint a;
+  submit_ok a ~uid:1 "SELECT 1 FROM person";
+  let store = Option.get (Engine.persist_store a) in
+  let files = Sys.readdir dir |> Array.to_list |> List.sort compare in
+  Alcotest.(check (list string)) "snapshot, WAL and catalog"
+    (List.sort compare
+       (List.map
+          (fun f -> f (P.Store.generation store))
+          [ P.Recovery.snapshot_file; P.Recovery.wal_file ]
+       @ files_with ~prefix:"catalog-" dir))
+    files;
+  Alcotest.(check int) "catalog present" 1 (List.length (files_with ~prefix:"catalog-" dir));
+  Alcotest.(check int) "disk_bytes = sum of file sizes"
+    (List.fold_left (fun acc f -> acc + (Unix.stat (Filename.concat dir f)).Unix.st_size) 0 files)
+    (P.Store.disk_bytes store);
+  Engine.close a
+
+(* Registration and replay are linear in the policy count; 10^4 policies
+   come back in registration order. *)
+let many_policies_recover_in_order () =
+  let dir = temp_dir () in
+  let n = 10_000 in
+  let name i = Printf.sprintf "p%05d" i in
+  let a = Engine.create ~persist_dir:dir ~persist_fsync:P.Store.Never (base_db ()) in
+  for i = 1 to n do
+    ignore
+      (Engine.add_policy a ~name:(name i)
+         (Printf.sprintf "SELECT DISTINCT 'no %d' FROM users u WHERE u.uid = %d" i i))
+  done;
+  (match Engine.add_policy a ~name:(name 1) budget_policy with
+  | exception Errors.Sql_error (_, m) ->
+    Alcotest.(check string) "duplicate rejected" "policy p00001 already registered" m
+  | _ -> Alcotest.fail "duplicate name must be rejected");
+  Engine.close a;
+  let b = Engine.create ~persist_dir:dir ~persist_fsync:P.Store.Never (base_db ()) in
+  Alcotest.(check bool) "registration order" true
+    (List.map (fun p -> p.Policy.name) (Engine.policies b) = List.init n (fun i -> name (i + 1)));
+  Engine.close b
+
 let suite =
   [
     tc "crc32 reference vectors" crc_vectors;
@@ -473,5 +675,13 @@ let suite =
       clock_recovers_past_registration;
     tc "recovered clock ignores checkpoint timing"
       recovered_clock_ignores_checkpoint_timing;
+    tc "orphan catalog from a crashed checkpoint is dropped" orphan_catalog_is_dropped;
+    tc "missing catalog raises Recovery_error" missing_catalog_is_an_error;
+    tc "corrupt catalog raises Recovery_error" corrupt_catalog_is_an_error;
+    tc "version-1 snapshot is refused by version" v1_snapshot_is_refused;
+    tc "policy changes survive checkpoints in order" policy_changes_survive_checkpoints;
+    tc "unchanged policies keep their catalog" unchanged_policies_keep_their_catalog;
+    tc "disk_bytes counts snapshot, WAL and catalog" disk_bytes_counts_all_three_files;
+    tc "10^4 policies recover in registration order" many_policies_recover_in_order;
   ]
   @ List.map QCheck_alcotest.to_alcotest [ prop_row_roundtrip; prop_commit_roundtrip ]
