@@ -1359,55 +1359,35 @@ let commit_logs t (sub : submission) (pool : Parallel.Pool.t option) (pl : plan)
   let persisted : (string * Value.t array list) list ref = ref [] in
   let note_increment rel rows = if rows <> [] then persisted := (rel, rows) :: !persisted in
   let compacted = ref false in
-  if not t.config.log_compaction then begin
-    (* Persist increments of time-dependent relations; discard the rest. *)
-    Stats.timed
-      (fun d -> stats.Stats.compact_insert <- stats.Stats.compact_insert +. d)
-      (fun () ->
-        Hashtbl.iter
-          (fun rel sp ->
-            let table = Database.table t.db rel in
-            if List.mem rel pl.store_rels then begin
-              (* Fold straight to the cells list: no intermediate
-                 [Row.t list] on the per-commit hot path. *)
-              let n = ref 0 in
-              let cells =
-                Table.fold_since
-                  (fun acc row ->
-                    incr n;
-                    Row.cells row :: acc)
-                  [] table sp
-              in
-              stats.Stats.rows_logged <- stats.Stats.rows_logged + !n;
-              note_increment rel (List.rev cells);
-              Table.release table sp
-            end
-            else Table.rollback_to table sp)
-          sub.generated)
-  end
-  else begin
-    (* Time-dependent policies that still need the log. *)
-    let td_policies =
-      List.filter
-        (fun p -> (not p.Policy.ti_rewritten) && p.Policy.log_rels <> [])
-        pl.active
-    in
-    (* Preemptive check for relations not generated during evaluation. *)
-    let skipped = Hashtbl.create 4 in
-    List.iter
-      (fun rel ->
-        if not (Hashtbl.mem sub.generated rel) then
-          if t.config.preemptive && preemptively_empty t sub ~now rel td_policies
-          then Hashtbl.replace skipped rel ()
-          else gen_rel t sub rel)
-      pl.store_rels;
-    (* Mark phase: run every witness query, collecting retained tids. *)
-    let marks : (string, mark) Hashtbl.t = Hashtbl.create 4 in
-    List.iter
-      (fun rel ->
-        if not (Hashtbl.mem skipped rel) then
-          Hashtbl.replace marks rel (Mark_tids (Hashtbl.create 64)))
-      pl.store_rels;
+  (* Time-dependent policies that still need the log. *)
+  let td_policies =
+    List.filter
+      (fun p -> (not p.Policy.ti_rewritten) && p.Policy.log_rels <> [])
+      pl.active
+  in
+  (* Preemptive check for relations not generated during evaluation. *)
+  let skipped = Hashtbl.create 4 in
+  List.iter
+    (fun rel ->
+      if not (Hashtbl.mem sub.generated rel) then
+        if
+          t.config.log_compaction && t.config.preemptive
+          && preemptively_empty t sub ~now rel td_policies
+        then Hashtbl.replace skipped rel ()
+        else gen_rel t sub rel)
+    pl.store_rels;
+  (* Without compaction every stored relation keeps its whole increment:
+     [Mark_all] throughout, and no witness query runs. *)
+  let marks : (string, mark) Hashtbl.t = Hashtbl.create 4 in
+  List.iter
+    (fun rel ->
+      if not (Hashtbl.mem skipped rel) then
+        Hashtbl.replace marks rel
+          (if t.config.log_compaction then Mark_tids (Hashtbl.create 64)
+           else Mark_all))
+    pl.store_rels;
+  (* Mark phase: run every witness query, collecting retained tids. *)
+  if t.config.log_compaction then
     Stats.timed
       (fun d -> stats.Stats.compact_mark <- stats.Stats.compact_mark +. d)
       (fun () ->
@@ -1446,42 +1426,43 @@ let commit_logs t (sub : submission) (pool : Parallel.Pool.t option) (pl : plan)
               List.iter (fun tid -> Hashtbl.replace acc tid ()) tids
             | Some Mark_all | None -> ())
           (fan_out t sub pool (fun _ (rel, q) -> (rel, witness_tids t q)) tasks));
-    (* Delete + insert phases per relation. *)
-    List.iter
-      (fun rel ->
-        let table = Database.table t.db rel in
-        let sp = Hashtbl.find_opt sub.generated rel in
-        let mark = Hashtbl.find_opt marks rel in
-        (* Materialize only the retained part of the increment (the marks
-           are final at this point), before rollback truncates it. *)
-        let kept =
-          match sp with
-          | None -> []
-          | Some sp ->
-            List.rev
-              (Table.fold_since
-                 (fun acc row ->
-                   let keep =
-                     match mark with
-                     | None -> false
-                     | Some Mark_all -> true
-                     | Some (Mark_tids keep) -> Hashtbl.mem keep (Row.tid row)
-                   in
-                   if keep then Row.cells row :: acc else acc)
-                 [] table sp)
-        in
-        Option.iter (fun sp -> Table.rollback_to table sp) sp;
-        (match mark with
-        | None ->
-          (* Relation skipped preemptively: nothing retained, nothing
-             stored; committed rows keep their previous marks. *)
-          ()
-        | Some Mark_all -> ()
-        | Some (Mark_tids keep) ->
-          Stats.timed
-            (fun d -> stats.Stats.compact_delete <- stats.Stats.compact_delete +. d)
-            (fun () ->
-              if Table.retain_tids table keep > 0 then compacted := true));
+  (* Delete + insert phases per relation. *)
+  List.iter
+    (fun rel ->
+      let table = Database.table t.db rel in
+      let sp = Hashtbl.find_opt sub.generated rel in
+      (* The retained part of the increment as WAL rows (the marks are
+         final at this point), folded straight to cells. *)
+      let retained keep =
+        match sp with
+        | None -> []
+        | Some sp ->
+          List.rev
+            (Table.fold_since
+               (fun acc row -> if keep row then Row.cells row :: acc else acc)
+               [] table sp)
+      in
+      match Hashtbl.find_opt marks rel with
+      | None ->
+        (* Relation skipped preemptively: nothing generated, nothing
+           stored; committed rows keep their previous marks. *)
+        ()
+      | Some Mark_all ->
+        (* Everything retained: release the increment in place, so its
+           tids, index entries and version counters stand as generated. *)
+        Stats.timed
+          (fun d -> stats.Stats.compact_insert <- stats.Stats.compact_insert +. d)
+          (fun () ->
+            let kept = retained (fun _ -> true) in
+            Option.iter (Table.release table) sp;
+            stats.Stats.rows_logged <- stats.Stats.rows_logged + List.length kept;
+            note_increment rel kept)
+      | Some (Mark_tids keep) ->
+        let kept = retained (fun row -> Hashtbl.mem keep (Row.tid row)) in
+        Option.iter (Table.rollback_to table) sp;
+        Stats.timed
+          (fun d -> stats.Stats.compact_delete <- stats.Stats.compact_delete +. d)
+          (fun () -> if Table.retain_tids table keep > 0 then compacted := true);
         (* Insert the retained part of the increment. *)
         Stats.timed
           (fun d -> stats.Stats.compact_insert <- stats.Stats.compact_insert +. d)
@@ -1492,14 +1473,13 @@ let commit_logs t (sub : submission) (pool : Parallel.Pool.t option) (pl : plan)
                 stats.Stats.rows_logged <- stats.Stats.rows_logged + 1)
               kept;
             note_increment rel kept))
-      pl.store_rels;
-    (* Roll back increments of relations generated for evaluation only. *)
-    Hashtbl.iter
-      (fun rel sp ->
-        if not (List.mem rel pl.store_rels) then
-          Table.rollback_to (Database.table t.db rel) sp)
-      sub.generated
-  end;
+    pl.store_rels;
+  (* Roll back increments of relations generated for evaluation only. *)
+  Hashtbl.iter
+    (fun rel sp ->
+      if not (List.mem rel pl.store_rels) then
+        Table.rollback_to (Database.table t.db rel) sp)
+    sub.generated;
   (* All savepoints are resolved now: a later failure (e.g. in the user
      query) must not attempt to roll them back again. *)
   Hashtbl.reset sub.generated;

@@ -52,13 +52,14 @@ type config = {
           the per-submission work shrinks to the handful of policies the
           touched schema elements select. *)
   shared_scans : bool;
-      (** multi-query shared subplans: policy plans rewrite their
-          base-table scan-plus-filter prefixes into shared
-          materialization points ({!Relational.Plan.Shared}) served by a
-          per-engine cache, so the policies of one admission scan each
-          log table once instead of once per policy. Entries
-          self-validate against table versions; results are identical
-          either way. *)
+      (** multi-query shared scans: while a batch-routed policy plan
+          compiles, each base-table scan slot may materialize its scan
+          plus pushed-down filter through a per-engine cache
+          ({!Relational.Compile_batch.compile} says which slots do), so
+          the policies of one admission scan each log table once instead
+          of once per policy. Entries self-validate against table
+          versions; results are identical either way. Needs [vectorized]:
+          with [vectorized = false] this flag has no effect. *)
   vectorized : bool;
       (** the vectorized (batch-at-a-time) executor: batch-eligible
           policy, partial-policy and witness plans compile through

@@ -52,17 +52,13 @@ type t = {
   cat : Catalog.t;
   lock : Mutex.t;  (** guards [shards]; per-shard state is domain-private *)
   shards : (int, shard) Hashtbl.t;  (** domain id -> private shard *)
-  shared : Compile.arow list Shared_cache.t;
-      (** cross-domain materialization cache behind {!Plan.Shared} slots:
-          compiled plans stay domain-private, but the immutable row lists
+  shared : Compile_batch.batch Shared_cache.t;
+      (** cross-domain materialization cache behind shared scan slots:
+          compiled plans stay domain-private, but the immutable batches
           their shared scan prefixes produce are served from here, so one
           domain's materialization feeds every policy of the admission.
           Self-validating against (generation, table version) — no [sync]
           discipline needed *)
-  shared_batch : Compile_batch.batch Shared_cache.t;
-      (** batch-typed twin of [shared] for vectorized plans: the batch
-          pipeline shares column batches, never transposed row lists, so
-          a scale-out admission pays no per-policy conversion *)
   mutable vectorized : bool;
       (** route for [prepare]/[prepare_delta]; not part of any cache key,
           so a change must come with a catalog generation bump (the
@@ -80,7 +76,6 @@ let create (cat : Catalog.t) : t =
     lock = Mutex.create ();
     shards = Hashtbl.create 4;
     shared = Shared_cache.create ();
-    shared_batch = Shared_cache.create ();
     vectorized = false;
   }
 
@@ -137,11 +132,7 @@ let prepare t ?(opts = Executor.default_opts) ?(share = false)
     c
   | None ->
     let shared = if share then Some t.shared else None in
-    let shared_batch = if share then Some t.shared_batch else None in
-    let c =
-      Executor.prepare ~opts ~vectorized:t.vectorized ?shared ?shared_batch
-        t.cat q
-    in
+    let c = Executor.prepare ~opts ~vectorized:t.vectorized ?shared t.cat q in
     if Hashtbl.length s.cache >= capacity then Hashtbl.reset s.cache;
     Hashtbl.replace s.cache k c;
     s.misses <- s.misses + 1;
@@ -180,12 +171,7 @@ let stats t =
   Mutex.unlock t.lock;
   (hits, misses)
 
-(* Row and batch caches are one materialization facility with two value
-   types; report them as one. *)
-let shared_stats t =
-  let h, m = Shared_cache.stats t.shared in
-  let hb, mb = Shared_cache.stats t.shared_batch in
-  (h + hb, m + mb)
+let shared_stats t = Shared_cache.stats t.shared
 
 let clear t =
   Mutex.lock t.lock;
@@ -195,5 +181,4 @@ let clear t =
       Hashtbl.reset s.delta)
     t.shards;
   Mutex.unlock t.lock;
-  Shared_cache.clear t.shared;
-  Shared_cache.clear t.shared_batch
+  Shared_cache.clear t.shared

@@ -25,12 +25,12 @@ val create : Catalog.t -> t
     change. *)
 val set_vectorized : t -> bool -> unit
 
-(** Fetch or compile the plan for [q] under [opts]. With [share], the
-    plan's base-table scan prefixes materialize through a single
-    cross-domain {!Relational.Shared_cache}, so identical prefixes
-    across the policies of one admission scan the table once (ignored
-    under lineage or source-tid options — those annotations are
-    slot-specific).
+(** Fetch or compile the plan for [q] under [opts]. With [share] on the
+    vectorized route, the plan's base-table scan prefixes materialize
+    through a single cross-domain {!Relational.Shared_cache}, so
+    identical prefixes across the policies of one admission scan the
+    table once (ignored on the row route and under lineage or
+    source-tid options — those annotations are slot-specific).
     @raise Errors.Sql_error on binding failures (never cached). *)
 val prepare :
   t -> ?opts:Executor.opts -> ?share:bool -> Ast.query -> Executor.compiled

@@ -433,9 +433,7 @@ let union_rows ~(all : bool) (lrows : arow list) (rrows : arow list) :
   end
 
 (* One scan closure per access path. Key/bound expressions compile once,
-   here; probes and bound evaluation happen per execution. Shared between
-   the [Plan.Scan] and [Plan.Shared] slot arms so the two sources read
-   tables identically. *)
+   here; probes and bound evaluation happen per execution. *)
 let access_scan (table : Table.t) (tname : string) (annotate : Row.t -> arow)
     (access : Plan.access) : unit -> arow list =
   match access with
@@ -493,18 +491,16 @@ let access_scan (table : Table.t) (tname : string) (annotate : Row.t -> arow)
       if null_bound then []
       else List.map annotate (Table.index_range table ix ?lo ?hi ())
 
-let rec compile_q (cat : Catalog.t) (shared : arow list Shared_cache.t option)
-    (opts : opts) (q : Plan.query) : t =
+let rec compile (cat : Catalog.t) (opts : opts) (q : Plan.query) : t =
   match q with
-  | Plan.Select sp -> compile_select cat shared opts sp
+  | Plan.Select sp -> compile_select cat opts sp
   | Plan.Union { all; left; right } ->
-    let l = compile_q cat shared opts left in
-    let r = compile_q cat shared opts right in
+    let l = compile cat opts left in
+    let r = compile cat opts right in
     let exec () = union_rows ~all (l.exec ()) (r.exec ()) in
     { cols = l.cols; exec }
 
-and compile_select (cat : Catalog.t) (shared : arow list Shared_cache.t option)
-    (opts : opts) (sp : Plan.select_plan) : t =
+and compile_select (cat : Catalog.t) (opts : opts) (sp : Plan.select_plan) : t =
   let nslots = Array.length sp.Plan.slots in
   (* Scan closures capture table handles and provenance configuration.
      All access paths annotate identically: index probes return rows in
@@ -527,34 +523,10 @@ and compile_select (cat : Catalog.t) (shared : arow list Shared_cache.t option)
           let table = Catalog.find cat name in
           let tname = Table.name table in
           access_scan table tname (annotate_for idx tname) access
-        | Plan.Shared { tag; table = name; access; preds } -> (
-          let table = Catalog.find cat name in
-          let tname = Table.name table in
-          let raw = access_scan table tname (annotate_for idx tname) access in
-          let cpreds = List.map compile_expr preds in
-          (* The absorbed conjuncts filter in one pass per conjunct, the
-             order [scan_preds] would have used. *)
-          let materialize () =
-            List.fold_left
-              (fun rows c ->
-                List.filter (fun (r : arow) -> Value.to_bool (c r.vals [||])) rows)
-              (raw ()) cpreds
-          in
-          match shared with
-          | Some cache when (not opts.lineage) && not opts.track_src ->
-            (* Provenance annotations are slot-index-specific, so only
-               bare rows may be shared across plans. Generation and
-               table version are read per execution: any mutation since
-               materialization forces a fresh scan. *)
-            fun () ->
-              Shared_cache.find_or_compute cache
-                ~gen:(Catalog.generation cat)
-                ~ver:(Table.ver_mut table) ~tag materialize
-          | _ -> materialize)
         | Plan.Sub q ->
           (* Lineage flows through subqueries; source tids do not
              (witness queries are always built over flat FROM lists). *)
-          (compile_q cat shared { opts with track_src = false } q).exec)
+          (compile cat { opts with track_src = false } q).exec)
       sp.Plan.slots
   in
   let scan_preds = Array.map (List.map compile_expr) sp.Plan.scan_preds in
@@ -671,6 +643,3 @@ and compile_select (cat : Catalog.t) (shared : arow list Shared_cache.t option)
     end
   in
   { cols; exec }
-
-let compile (cat : Catalog.t) ?shared (opts : opts) (q : Plan.query) : t =
-  compile_q cat shared opts q

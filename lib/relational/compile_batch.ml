@@ -326,10 +326,10 @@ let bind_cmp_const (op : Ast.binop) (v : Column.view) (k : Value.t) : pred =
     wrap_null nulls (int_cmp_const op a ki)
   | Column.V_int (a, nulls), Value.Float kf ->
     let t = op_test op in
-    wrap_null nulls (fun ri -> t (fcmp (float_of_int a.(ri)) kf))
+    wrap_null nulls (fun ri -> t (Value.compare_int_float a.(ri) kf))
   | Column.V_float (a, nulls), Value.Int ki ->
-    let t = op_test op and kf = float_of_int ki in
-    wrap_null nulls (fun ri -> t (fcmp a.(ri) kf))
+    let t = op_test op in
+    wrap_null nulls (fun ri -> t (- Value.compare_int_float ki a.(ri)))
   | Column.V_float (a, nulls), Value.Float kf ->
     let t = op_test op in
     wrap_null nulls (fun ri -> t (fcmp a.(ri) kf))
@@ -370,12 +370,12 @@ let bind_cmp_ff (op : Ast.binop) (va : Column.view) (vb : Column.view) : pred =
     let t = op_test op in
     pred_and
       (pred_and (nonnull_pred va) (nonnull_pred vb))
-      (P_fun (fun ri -> t (fcmp (float_of_int a.(ri)) b.(ri))))
+      (P_fun (fun ri -> t (Value.compare_int_float a.(ri) b.(ri))))
   | Column.V_float (a, _), Column.V_int (b, _) ->
     let t = op_test op in
     pred_and
       (pred_and (nonnull_pred va) (nonnull_pred vb))
-      (P_fun (fun ri -> t (fcmp a.(ri) (float_of_int b.(ri)))))
+      (P_fun (fun ri -> t (- Value.compare_int_float b.(ri) a.(ri))))
   | Column.V_float (a, _), Column.V_float (b, _) ->
     let t = op_test op in
     pred_and
@@ -1184,17 +1184,30 @@ let produce_batch (f : Plan.finish) : batch -> (Compile.arow * Value.t array) li
 
 (* Pipeline --------------------------------------------------------------- *)
 
-let rec compile_route (cat : Catalog.t)
-    (shared : Compile.arow list Shared_cache.t option)
-    (shared_batch : batch Shared_cache.t option) (opts : Compile.opts)
-    (route : Plan.route) (q : Plan.query) : Compile.t =
+(* Whether a scan slot may materialize through the shared cache. [Delta]
+   and [Below] read the watermark at execution time (and are tiny);
+   source-tid columns are slot-index-specific; an [Exec] leaf reads the
+   clock, which the cache's (generation, [ver_mut]) validation does not
+   cover — and a closure cannot be digested into a tag anyway. *)
+let shareable ~track (access : Plan.access) (preds : Plan.pexpr list) : bool =
+  let no_exec = function None -> true | Some (p, _) -> not (Optimizer.has_exec p) in
+  let access_ok =
+    match access with
+    | Plan.Heap -> true
+    | Plan.Delta | Plan.Below -> false
+    | Plan.Index_eq { key; _ } -> not (Optimizer.has_exec key)
+    | Plan.Index_range { lo; hi; _ } -> no_exec lo && no_exec hi
+  in
+  (not track) && access_ok && not (List.exists Optimizer.has_exec preds)
+
+let rec compile_route (cat : Catalog.t) (shared : batch Shared_cache.t option)
+    (opts : Compile.opts) (route : Plan.route) (q : Plan.query) : Compile.t =
   match route, q with
-  | Plan.Route_batch, Plan.Select sp ->
-    compile_select_batch cat shared shared_batch opts sp
+  | Plan.Route_batch, Plan.Select sp -> compile_select_batch cat shared opts sp
   | Plan.Route_union { left = rl; right = rr }, Plan.Union { all; left; right }
     ->
-    let l = compile_route cat shared shared_batch opts rl left in
-    let r = compile_route cat shared shared_batch opts rr right in
+    let l = compile_route cat shared opts rl left in
+    let r = compile_route cat shared opts rr right in
     {
       Compile.cols = l.Compile.cols;
       exec = (fun () -> Compile.union_rows ~all (l.Compile.exec ()) (r.Compile.exec ()));
@@ -1203,48 +1216,54 @@ let rec compile_route (cat : Catalog.t)
     (* Routed to rows (or a route/shape mismatch, impossible when the
        route came from [Optimizer.batch_route] on this query). *)
     Atomic.incr row_fallbacks;
-    Compile.compile cat ?shared opts q
+    Compile.compile cat opts q
 
-and compile_select_batch (cat : Catalog.t)
-    (shared : Compile.arow list Shared_cache.t option)
-    (shared_batch : batch Shared_cache.t option) (opts : Compile.opts)
-    (sp : Plan.select_plan) : Compile.t =
+and compile_select_batch (cat : Catalog.t) (shared : batch Shared_cache.t option)
+    (opts : Compile.opts) (sp : Plan.select_plan) : Compile.t =
   let track = opts.Compile.track_src in
   let nslots = Array.length sp.Plan.slots in
+  (* A shared slot's cached batch already carries its pushed-down
+     conjuncts, so the slot's own filter pass is emptied. *)
+  let scan_preds = Array.copy sp.Plan.scan_preds in
   let scan =
     Array.mapi
       (fun idx (slot : Plan.slot) ->
         let raw =
           match slot.Plan.source with
-          | Plan.Scan (name, access) ->
-            let table = Catalog.find cat name in
-            batch_access table (Table.name table) ~track ~slot:idx access
-          | Plan.Shared { tag; table = name; access; preds } -> (
+          | Plan.Scan (name, access) -> (
             let table = Catalog.find cat name in
             let raw =
               batch_access table (Table.name table) ~track ~slot:idx access
             in
-            let cpreds = List.map compile_bpred preds in
-            let materialize () = filter_conjuncts (raw ()) cpreds in
-            match shared_batch with
-            | Some cache when not track ->
-              (* Lineage is off on this route; source-tid columns are
-                 slot-index-specific, so only untracked batches are
-                 shared. Generation / table version are read per
-                 execution, as for the row cache. *)
+            let preds = scan_preds.(idx) in
+            match shared with
+            | Some cache when shareable ~track access preds ->
+              scan_preds.(idx) <- [];
+              (* Structural identity of the prefix: slots of any plan
+                 reading the same table by the same access path under
+                 the same conjuncts collide on purpose. The batch is
+                 full-width (pruning applies at join time), so [keep]
+                 does not participate. *)
+              let tag =
+                Digest.to_hex
+                  (Digest.string (Marshal.to_string (name, access, preds) []))
+              in
+              let cpreds = List.map compile_bpred preds in
+              (* Generation / table version are read per execution: any
+                 mutation since materialization forces a fresh scan. *)
               fun () ->
                 Shared_cache.find_or_compute cache
                   ~gen:(Catalog.generation cat)
-                  ~ver:(Table.ver_mut table) ~tag materialize
-            | _ -> materialize)
+                  ~ver:(Table.ver_mut table) ~tag
+                  (fun () -> filter_conjuncts (raw ()) cpreds)
+            | _ -> raw)
           | Plan.Sub q ->
-            (* Subqueries compile on the row path (they may be routed
-               there themselves) and adapt at the slot boundary; source
-               tids do not flow out of subqueries, as in the row path. *)
+            (* Subqueries compile unshared on the row path (they may be
+               routed there themselves) and adapt at the slot boundary;
+               source tids do not flow out of subqueries, as in the row
+               path. *)
             let c =
-              Compile.compile cat ?shared
-                { opts with Compile.track_src = false }
-                q
+              Compile.compile cat { opts with Compile.track_src = false } q
             in
             let width = Array.length c.Compile.cols in
             fun () ->
@@ -1269,7 +1288,7 @@ and compile_select_batch (cat : Catalog.t)
           b)
       sp.Plan.slots
   in
-  let scan_preds = Array.map (List.map compile_bpred) sp.Plan.scan_preds in
+  let scan_preds = Array.map (List.map compile_bpred) scan_preds in
   let project =
     Array.map
       (fun (slot : Plan.slot) ->
@@ -1335,10 +1354,10 @@ and compile_select_batch (cat : Catalog.t)
 
 (* Entry point: route per subtree, lower batch subtrees, fall back to the
    row compiler elsewhere. *)
-let compile (cat : Catalog.t) ?shared ?shared_batch (opts : Compile.opts)
-    (q : Plan.query) : Compile.t =
+let compile (cat : Catalog.t) ?shared (opts : Compile.opts) (q : Plan.query) :
+    Compile.t =
   let route =
     Optimizer.batch_route ~lineage:opts.Compile.lineage
       ~track_src:opts.Compile.track_src q
   in
-  compile_route cat shared shared_batch opts route q
+  compile_route cat shared opts route q

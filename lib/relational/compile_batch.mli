@@ -8,26 +8,24 @@
     bit-identical to {!Compile.compile}. Subtrees the router keeps on
     the row path (lineage, aggregated source-tracking, group-context
     expressions in batch clauses) fall back to the row compiler
-    wholesale. *)
+    wholesale. Shared scans are decided here, per scan slot, while a
+    plan compiles (see {!compile}). *)
 
 (** A column batch: backing column arrays plus a selection vector.
-    Exposed abstractly so callers can hold a batch-typed
-    {!Shared_cache} for shared-scan prefixes. *)
+    Exposed abstractly so callers can hold the batch-typed
+    {!Shared_cache} behind shared scans. *)
 type batch
 
-(** Compile a bound plan against the catalog. [shared] serves row-path
-    fallback subtrees exactly as in {!Compile.compile}; [shared_batch]
-    is the batch-typed equivalent for {!Plan.Shared} slots on the batch
-    path (same tags, independent store — a mixed workload may fill
-    both).
+(** Compile a bound plan against the catalog. With [shared], a
+    batch-routed base-table scan slot materializes its scan plus
+    pushed-down conjuncts through the cache, keyed by a digest of
+    (table, access path, conjuncts) and valid per (catalog generation,
+    {!Table.ver_mut}) — unless the access path is [Delta]/[Below], the
+    plan tracks source tids, or a {!Plan.Exec} leaf (the clock) sits in
+    its key or conjuncts. Row-routed subtrees and subqueries never share.
     @raise Errors.Sql_error if a scanned table has been dropped. *)
 val compile :
-  Catalog.t ->
-  ?shared:Compile.arow list Shared_cache.t ->
-  ?shared_batch:batch Shared_cache.t ->
-  Compile.opts ->
-  Plan.query ->
-  Compile.t
+  Catalog.t -> ?shared:batch Shared_cache.t -> Compile.opts -> Plan.query -> Compile.t
 
 (** {1 Batch statistics}
 

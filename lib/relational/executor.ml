@@ -24,17 +24,11 @@ type result = { columns : string list; out_rows : row_out list }
 
 type compiled = Compile.t
 
-let prepare ?(opts = default_opts) ?(vectorized = false) ?shared ?shared_batch
+let prepare ?(opts = default_opts) ?(vectorized = false) ?shared
     (cat : Catalog.t) (q : Ast.query) : compiled =
   let plan = Optimizer.optimize cat (Plan.of_query cat q) in
-  (* Sharing rides on a cache being supplied: the rewrite is pointless
-     without one (a Shared slot then compiles to a plain scan), and
-     leaving the plan untouched keeps the default path byte-identical. *)
-  let plan =
-    match shared with None -> plan | Some _ -> Optimizer.share_scans plan
-  in
-  if vectorized then Compile_batch.compile cat ?shared ?shared_batch opts plan
-  else Compile.compile cat ?shared opts plan
+  if vectorized then Compile_batch.compile cat ?shared opts plan
+  else Compile.compile cat opts plan
 
 let prepare_unoptimized ?(opts = default_opts) (cat : Catalog.t) (q : Ast.query)
     : compiled =

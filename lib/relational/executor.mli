@@ -30,21 +30,18 @@ type result = { columns : string list; out_rows : row_out list }
     catalog's shape changes (see {!Catalog.generation}). *)
 type compiled = Compile.t
 
-(** Bind, optimize and compile a query. With [shared], base-table scans
-    (plus their pushed-down filters) become {!Plan.Shared}
-    materialization points served through the given cache, so identical
-    scan prefixes across the prepared plans of different queries
-    materialize once per table version (see {!Optimizer.share_scans};
-    provenance-annotated runs bypass the cache). With
-    [vectorized:true], batch-eligible subtrees compile through
-    {!Compile_batch} (bit-identical results; [shared_batch] then serves
-    shared scans on the batch path).
+(** Bind, optimize and compile a query. With [vectorized:true],
+    batch-eligible subtrees compile through {!Compile_batch}
+    (bit-identical results), and [shared] then serves their base-table
+    scans plus pushed-down filters, so identical scan prefixes across
+    the prepared plans of different queries materialize once per table
+    version (see {!Compile_batch.compile} for which slots share).
+    Without [vectorized], [shared] is ignored.
     @raise Errors.Sql_error on binding failures. *)
 val prepare :
   ?opts:opts ->
   ?vectorized:bool ->
-  ?shared:Compile.arow list Shared_cache.t ->
-  ?shared_batch:Compile_batch.batch Shared_cache.t ->
+  ?shared:Compile_batch.batch Shared_cache.t ->
   Catalog.t ->
   Ast.query ->
   compiled

@@ -79,6 +79,22 @@ let add t (v : Value.t) (tid : int) =
     | None -> map := VMap.add v [ tid ] !map));
   t.entries <- t.entries + 1
 
+(* Rewrite [v]'s bucket with [f], dropping the key once it empties. *)
+let update_bucket t (v : Value.t) (f : int list -> int list) =
+  match t.store with
+  | H tbl -> (
+    match Value.Tbl.find_opt tbl v with
+    | None -> ()
+    | Some cell -> (
+      match f !cell with [] -> Value.Tbl.remove tbl v | tids -> cell := tids))
+  | S map -> (
+    match VMap.find_opt v !map with
+    | None -> ()
+    | Some tids -> (
+      match f tids with
+      | [] -> map := VMap.remove v !map
+      | tids -> map := VMap.add v tids !map))
+
 (* O(1) when [tid] heads its bucket — rollback removes newest-first, so
    every removal of one submission's rows (which share their uid and ts
    buckets) hits the head; other removals filter the bucket. *)
@@ -87,22 +103,24 @@ let drop_tid tid = function
   | tids -> List.filter (fun t -> t <> tid) tids
 
 let remove t (v : Value.t) (tid : int) =
-  (match t.store with
-  | H tbl -> (
-    match Value.Tbl.find_opt tbl v with
-    | None -> ()
-    | Some cell -> (
-      match drop_tid tid !cell with
-      | [] -> Value.Tbl.remove tbl v
-      | tids -> cell := tids))
-  | S map -> (
-    match VMap.find_opt v !map with
-    | None -> ()
-    | Some tids -> (
-      match drop_tid tid tids with
-      | [] -> map := VMap.remove v !map
-      | tids -> map := VMap.add v tids !map)));
+  update_bucket t v (drop_tid tid);
   t.entries <- max 0 (t.entries - 1)
+
+(* Bulk removal filters each touched bucket once, however many of its
+   tids die: compaction drops rows from the middle of buckets, where
+   per-tid [remove] would rescan the bucket for every dropped row. *)
+let remove_all t (keys : Value.t list) (dead : int -> bool) =
+  let touched = Value.Tbl.create 16 in
+  List.iter
+    (fun v ->
+      if not (Value.Tbl.mem touched v) then begin
+        Value.Tbl.replace touched v ();
+        update_bucket t v (fun tids ->
+            let kept = List.filter (fun tid -> not (dead tid)) tids in
+            t.entries <- t.entries - (List.length tids - List.length kept);
+            kept)
+      end)
+    keys
 
 let clear t =
   (match t.store with

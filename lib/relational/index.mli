@@ -36,6 +36,12 @@ val add : t -> Value.t -> int -> unit
     O(1) when [tid] is the bucket head (the rollback case). *)
 val remove : t -> Value.t -> int -> unit
 
+(** [remove_all t keys dead] drops every tid satisfying [dead] from the
+    buckets of [keys] (duplicates allowed), filtering each touched bucket
+    once — linear in the touched buckets' sizes, however many tids die
+    (the compaction case). *)
+val remove_all : t -> Value.t list -> (int -> bool) -> unit
+
 (** Drop every entry (the definition survives; used by [Table.clear]). *)
 val clear : t -> unit
 

@@ -433,54 +433,6 @@ type delta_plans = {
   branches : delta_branch list;
 }
 
-(* Shared-scan factoring ----------------------------------------------------- *)
-
-(* Structural identity of a scan-plus-filter prefix. Two slots — in the
-   same plan or across the plans of different policies — that read the
-   same table by the same access path under the same pushed-down
-   conjuncts get the same tag, which is exactly the collision that lets
-   one materialization serve all of them. The materialization is
-   full-width (projection pruning applies at join time), so [keep] does
-   not participate. *)
-let share_tag (table : string) (access : Plan.access) (preds : Plan.pexpr list)
-    : string =
-  Digest.to_hex (Digest.string (Marshal.to_string (table, access, preds) []))
-
-(* Turn every base-table scan slot into a {!Plan.Shared} materialization
-   point, absorbing the slot's pushed-down conjuncts into the node.
-   Delta scans are excluded: they read the watermark at execution time
-   and are already tiny. Subquery slots keep their own plans untouched —
-   their scans stay private (their layouts are plan-specific anyway).
-   Run after {!optimize}, which is what fills [scan_preds] and picks the
-   access path being tagged. *)
-let share_scans (q : Plan.query) : Plan.query =
-  let share_select (sp : Plan.select_plan) : Plan.select_plan =
-    let scan_preds = Array.copy sp.Plan.scan_preds in
-    let slots =
-      Array.mapi
-        (fun si (sl : Plan.slot) ->
-          match sl.Plan.source with
-          | Plan.Scan (_, (Plan.Delta | Plan.Below)) | Plan.Sub _ -> sl
-          | Plan.Scan (table, access) ->
-            let preds = scan_preds.(si) in
-            scan_preds.(si) <- [];
-            {
-              sl with
-              Plan.source =
-                Plan.Shared { tag = share_tag table access preds; table; access; preds };
-            }
-          | Plan.Shared _ -> sl)
-        sp.Plan.slots
-    in
-    { sp with Plan.slots; scan_preds }
-  in
-  let rec walk = function
-    | Plan.Select sp -> Plan.Select (share_select sp)
-    | Plan.Union { all; left; right } ->
-      Plan.Union { all; left = walk left; right = walk right }
-  in
-  walk q
-
 let rec optimize (cat : Catalog.t) (q : Plan.query) : Plan.query =
   match q with
   | Plan.Union { all; left; right } ->
@@ -492,7 +444,7 @@ and optimize_select (cat : Catalog.t) (sp : Plan.select_plan) : Plan.select_plan
     Array.map
       (fun (sl : Plan.slot) ->
         match sl.Plan.source with
-        | Plan.Scan _ | Plan.Shared _ -> sl
+        | Plan.Scan _ -> sl
         | Plan.Sub q -> { sl with Plan.source = Plan.Sub (optimize cat q) })
       sp.Plan.slots
   in
@@ -1026,7 +978,7 @@ let classify_select (cat : Catalog.t) ~(is_log : string -> bool)
     Array.map
       (fun (sl : Plan.slot) ->
         match sl.Plan.source with
-        | Plan.Scan (name, _) | Plan.Shared { table = name; _ } -> (
+        | Plan.Scan (name, _) -> (
           match Catalog.find_opt cat name with
           | Some tb -> Table.name tb
           | None -> raise Ineligible)
@@ -1131,12 +1083,6 @@ let batch_route ~(lineage : bool) ~(track_src : bool) (q : Plan.query) :
              j.Plan.keys
            && List.for_all batchable_pexpr j.Plan.residual)
          sp.Plan.joins
-    && Array.for_all
-         (fun (slot : Plan.slot) ->
-           match slot.Plan.source with
-           | Plan.Shared { preds; _ } -> List.for_all batchable_pexpr preds
-           | Plan.Scan _ | Plan.Sub _ -> true)
-         sp.Plan.slots
     && (not sp.Plan.finish.Plan.aggregated
        || List.for_all batchable_pexpr sp.Plan.finish.Plan.group_by
           && Array.for_all

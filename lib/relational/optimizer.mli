@@ -10,15 +10,9 @@
 
 val optimize : Catalog.t -> Plan.query -> Plan.query
 
-(** Rewrite every base-table scan slot into a {!Plan.Shared}
-    materialization point, absorbing the slot's pushed-down conjuncts
-    into the node and tagging it with a digest of (table, access,
-    conjuncts) — so identical scan-plus-filter prefixes across the plans
-    of different policies share one materialization when compiled
-    against a {!Shared_cache}. Delta scans and subquery slots are left
-    alone. Apply after {!optimize}; without a cache the rewritten plan
-    compiles to exactly the same behaviour. *)
-val share_scans : Plan.query -> Plan.query
+(** Whether an expression carries an {!Plan.Exec} leaf, i.e. reads
+    execution-time state (the clock) that no table version covers. *)
+val has_exec : Plan.pexpr -> bool
 
 (** How sensitive a policy's carried delta state is to mutations of one
     dependency table: which of the table's version counters the

@@ -35,9 +35,10 @@ type pexpr =
       (** read a value at execution time — the clock-elimination rewrite
           substitutes the clock relation's single cell with one of these,
           so a compiled residual plan stays valid as the clock advances.
-          The closure must never raise and reads no row fields. Plans
-          carrying [Exec] are never marshalled (no {!Optimizer.share_scans})
-          and never constant-folded. *)
+          The closure must never raise and reads no row fields. [Exec]
+          never constant-folds, and a scan slot carrying one never
+          materializes through the shared-scan cache ({!Compile_batch}),
+          whose validation covers table versions, not the clock. *)
   | Binop of Ast.binop * pexpr * pexpr
   | Unop of Ast.unop * pexpr
   | Fn of string * pexpr list
@@ -70,22 +71,6 @@ type access =
 type source =
   | Scan of string * access  (** base table, by catalog name *)
   | Sub of query
-  | Shared of {
-      tag : string;
-          (** digest of (table, access, preds): identical shared prefixes
-              across plans collide on purpose, which is what lets one
-              materialization fan out to every policy of an admission *)
-      table : string;
-      access : access;
-      preds : pexpr list;
-          (** the slot-local pushed-down conjuncts, absorbed into the
-              materialization point (the slot's [scan_preds] are emptied
-              when the optimizer introduces the node) *)
-    }
-      (** compile-time materialization point for a scan-plus-filter prefix
-          shared by several plans ({!Optimizer.share_scans}); compiled
-          without a cache it behaves exactly like [Scan] with the preds as
-          scan predicates *)
 
 and slot = {
   alias : string;  (** lowercased effective alias *)

@@ -1,9 +1,10 @@
 (** Cross-plan cache of materialized shared subplans.
 
     Several policy plans of one admission frequently begin with the same
-    log-scan-plus-filter prefix ({!Plan.Shared}). This cache lets the
-    first executing plan materialize the prefix once and every other plan
-    reuse the row list, instead of each re-scanning the table.
+    log-scan-plus-filter prefix; {!Compile_batch} decides, per scan slot
+    while a plan compiles, which prefixes go through this cache. The
+    first executing plan materializes the prefix once and every other
+    plan reuses the batch, instead of each re-scanning the table.
 
     Entries are self-validating: each records the catalog generation and
     the source table's {!Table.ver_mut} at materialization time, and a

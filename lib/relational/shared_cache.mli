@@ -1,6 +1,8 @@
-(** Cross-plan cache of materialized shared subplans ({!Plan.Shared}).
+(** Cross-plan cache of materialized shared scan prefixes: a base-table
+    scan plus its pushed-down conjuncts, as {!Compile_batch} decides to
+    share them while compiling a scan slot.
 
-    Entries are keyed by the node's structural tag and self-validate
+    Entries are keyed by the prefix's structural tag and self-validate
     against the catalog generation and the source table's
     {!Table.ver_mut} recorded at materialization time, so any table
     mutation retires them without explicit invalidation. Safe to share

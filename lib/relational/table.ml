@@ -272,14 +272,27 @@ let bulk_load t rows =
   List.iter (fun cells -> ignore (insert t cells)) rows
 
 (* Keep rows satisfying [keep_row], unhooking the dropped ones from every
-   index; returns the number removed. *)
+   index in one pass per touched bucket; returns the number removed.
+   [keep_row] runs once per row, before anything is mutated. *)
 let filter_rows t keep_row =
   t.ver_mut <- t.ver_mut + 1;
-  if t.indexes <> [] then
-    Vec.iter (fun r -> if not (keep_row r) then index_remove t r) t.rows;
-  let removed = Vec.filter_in_place keep_row t.rows in
-  if removed > 0 then columnar_rebuild t;
-  removed
+  let dropped = ref [] in
+  Vec.iter (fun r -> if not (keep_row r) then dropped := r :: !dropped) t.rows;
+  match !dropped with
+  | [] -> 0
+  | rows ->
+    let dead = Hashtbl.create 64 in
+    List.iter (fun r -> Hashtbl.replace dead (Row.tid r) ()) rows;
+    let is_dead tid = Hashtbl.mem dead tid in
+    List.iter
+      (fun ix ->
+        Index.remove_all ix
+          (List.map (fun r -> Row.cell r (Index.column ix)) rows)
+          is_dead)
+      t.indexes;
+    let removed = Vec.filter_in_place (fun r -> not (is_dead (Row.tid r))) t.rows in
+    columnar_rebuild t;
+    removed
 
 (* Delete all rows whose tid is NOT in [keep]; returns number removed. *)
 let retain_tids t keep =

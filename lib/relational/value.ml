@@ -28,8 +28,22 @@ let type_of = function
 
 let is_null = function Null -> true | Bool _ | Int _ | Float _ | Str _ -> false
 
+(* Exact [Int]-versus-[Float] order, NaN placed as [Float.compare] does
+   (below every number). Rounding the int through [float_of_int] would
+   make [Int (2^53 + 1)] equal [Float 2^53], and equality intransitive. *)
+let compare_int_float (i : int) (f : float) : int =
+  if Float.is_nan f then 1
+  else if f >= 0x1p62 then -1
+  else if f < -0x1p62 then 1
+  else
+    (* [f] is within int range: compare integral parts exactly, then
+       let the fraction break the tie. *)
+    let t = Float.trunc f in
+    let c = Int.compare i (int_of_float t) in
+    if c <> 0 then c else Float.compare 0. (f -. t)
+
 (* Total order for ORDER BY and sort-based operators: Null < Bool < numbers
-   < Str; numbers compare numerically across Int/Float. *)
+   < Str; numbers compare numerically (and exactly) across Int/Float. *)
 let compare (a : t) (b : t) =
   let rank = function
     | Null -> 0
@@ -42,8 +56,8 @@ let compare (a : t) (b : t) =
   | Bool x, Bool y -> Bool.compare x y
   | Int x, Int y -> Int.compare x y
   | Float x, Float y -> Float.compare x y
-  | Int x, Float y -> Float.compare (float_of_int x) y
-  | Float x, Int y -> Float.compare x (float_of_int y)
+  | Int x, Float y -> compare_int_float x y
+  | Float x, Int y -> - compare_int_float y x
   | Str x, Str y -> String.compare x y
   | _ -> Int.compare (rank a) (rank b)
 
@@ -56,7 +70,7 @@ let equal (a : t) (b : t) =
   | Bool x, Bool y -> Bool.equal x y
   | Int x, Int y -> Int.equal x y
   | Float x, Float y -> Float.equal x y
-  | Int x, Float y | Float y, Int x -> Float.equal (float_of_int x) y
+  | Int x, Float y | Float y, Int x -> compare_int_float x y = 0
   | Str x, Str y -> String.equal x y
   | _ -> false
 
@@ -66,7 +80,8 @@ let sql_equal (a : t) (b : t) = (not (is_null a || is_null b)) && equal a b
 
 (* [Hashtbl.hash] maps every NaN to one hash and -0.0 to the hash of
    0.0; hashing ints through their float image makes [Int 2] and
-   [Float 2.] collide. *)
+   [Float 2.] collide. (Past 2^53 unequal neighbours collide too, which
+   a hash may do.) *)
 let hash (v : t) =
   match v with
   | Null -> 0

@@ -38,6 +38,12 @@ val sql_equal : t -> t -> bool
     compared numerically across [Int]/[Float]. *)
 val compare : t -> t -> int
 
+(** Exact order of an [Int] against a [Float] — no rounding of the int,
+    so [Int (2^53 + 1)] sorts above [Float 2^53] — with NaN below every
+    number as in [Float.compare]. {!compare} uses it across the two
+    types. *)
+val compare_int_float : int -> float -> int
+
 (** Hash consistent with {!equal}. *)
 val hash : t -> int
 

@@ -310,6 +310,35 @@ let test_rollback_shared_key_is_linear () =
       Alcotest.(check int) (name ^ ": entries") 3 (Index.entries ix))
     [ Index.Hash; Index.Sorted ]
 
+(* Compaction drops rows from the middle of a bucket: on the log
+   relations every row of one user shares its uid bucket, so unhooking
+   the dropped tids one at a time would cost O(k * b). *)
+let test_retain_shared_key_is_linear () =
+  List.iter
+    (fun kind ->
+      let name = Index.kind_to_string kind in
+      let table = fresh_table () in
+      let ix = Table.create_index table ~name:"ix_a" ~column:"a" ~kind in
+      let tids =
+        List.init 100_000 (fun b -> Table.insert table [| Value.Int 7; Value.Int b |])
+      in
+      let survivors = List.filteri (fun i _ -> i mod 2 = 0) tids in
+      let keep = Hashtbl.create 50_000 in
+      List.iter (fun tid -> Hashtbl.replace keep tid ()) survivors;
+      let t0 = Unix.gettimeofday () in
+      let removed = Table.retain_tids table keep in
+      let dt = Unix.gettimeofday () -. t0 in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: 1e5-row retain under 2 s (took %.3f s)" name dt)
+        true (dt < 2.0);
+      Alcotest.(check int) (name ^ ": removed") 50_000 removed;
+      Alcotest.(check (list int))
+        (name ^ ": lookup returns exactly the retained tids")
+        (List.sort compare survivors)
+        (List.sort compare (Index.lookup ix (Value.Int 7)));
+      Alcotest.(check int) (name ^ ": entries") 50_000 (Index.entries ix))
+    [ Index.Hash; Index.Sorted ]
+
 let suite =
   List.map QCheck_alcotest.to_alcotest [ prop_indexes_agree_with_heap ]
   @ [
@@ -321,4 +350,5 @@ let suite =
       tc "CREATE/DROP INDEX via SQL" test_sql_ddl_roundtrip;
       tc "big FLOAT probe finds its INT twin" test_big_float_probe_finds_int;
       tc "rollback of a shared-key increment is linear" test_rollback_shared_key_is_linear;
+      tc "compaction of a shared-key bucket is linear" test_retain_shared_key_is_linear;
     ]

@@ -657,6 +657,129 @@ let many_policies_recover_in_order () =
     (List.map (fun p -> p.Policy.name) (Engine.policies b) = List.init n (fun i -> name (i + 1)));
   Engine.close b
 
+(* With compaction off every stored relation keeps its whole increment
+   and the commit releases it in place: on this mixed script of accepts
+   and rejects, the WAL's commit records hold every generated row of
+   the accepted submissions, and the final log holds the same rows
+   under consecutive tids. *)
+let compaction_off_keeps_raw_increments () =
+  let dir = temp_dir () in
+  let config =
+    {
+      Engine.default_config with
+      Engine.log_compaction = false;
+      time_independent = false;
+      domains = 1;
+    }
+  in
+  let a =
+    Engine.create ~config ~persist_dir:dir ~persist_fsync:P.Store.Always
+      (base_db ())
+  in
+  List.iter
+    (fun (name, sql) -> ignore (Engine.add_policy a ~name sql))
+    [
+      ("budget", budget_policy);
+      ("window", window_policy ~w:4 ~max:2);
+      ( "wide",
+        "SELECT DISTINCT 'too many person rows' FROM provenance p WHERE \
+         p.irid = 'person' GROUP BY p.ts HAVING COUNT(*) > 2" );
+      ( "ids",
+        "SELECT DISTINCT 'uid 2 read ids' FROM schema s, users u WHERE \
+         s.ts = u.ts AND u.uid = 2 AND s.icid = 'id' GROUP BY u.uid \
+         HAVING COUNT(DISTINCT u.ts) > 2" );
+    ];
+  let outcomes =
+    List.init 12 (fun i ->
+        let sql =
+          if i mod 4 = 3 then "SELECT id FROM person"
+          else Printf.sprintf "SELECT name FROM person WHERE id = %d" (1 + (i mod 3))
+        in
+        match Engine.submit a ~uid:(1 + (i mod 2)) sql with
+        | Engine.Accepted _ -> 'A'
+        | Engine.Rejected _ -> 'R')
+  in
+  let cells r = String.concat "," (Array.to_list (Array.map Value.to_string r)) in
+  let b = Buffer.create 4096 in
+  let line fmt = Printf.ksprintf (fun l -> Buffer.add_string b (l ^ "\n")) fmt in
+  let store = Option.get (Engine.persist_store a) in
+  let wal =
+    P.Wal.read (Filename.concat dir (P.Recovery.wal_file (P.Store.generation store)))
+  in
+  List.iter
+    (fun payload ->
+      match P.Record.decode payload with
+      | P.Record.Commit { clock; increments } ->
+        List.iter
+          (fun (rel, rows) ->
+            List.iter (fun r -> line "wal@%d %s %s" clock rel (cells r)) rows)
+          increments
+      | P.Record.Add_policy _ | P.Record.Remove_policy _ -> ())
+    wal.P.Wal.payloads;
+  List.iter
+    (fun rel ->
+      Table.iter
+        (fun row -> line "%s %d %s" rel (Row.tid row) (cells (Row.cells row)))
+        (Database.table (Engine.database a) rel))
+    [ "users"; "schema"; "provenance" ];
+  Alcotest.(check string) "verdicts" "AAARAARRRRRR"
+    (String.of_seq (List.to_seq outcomes));
+  Alcotest.(check int) "commit records" 5 (P.Store.wal_records store);
+  Alcotest.(check string) "WAL increments, then log rows with tids"
+    {|wal@1 provenance 1,0,person,0
+wal@1 schema 1,name,person,name,false
+wal@1 schema 1,NULL,person,id,false
+wal@1 users 1,1
+wal@2 provenance 2,0,person,1
+wal@2 schema 2,name,person,name,false
+wal@2 schema 2,NULL,person,id,false
+wal@2 users 2,2
+wal@3 provenance 3,0,person,2
+wal@3 schema 3,name,person,name,false
+wal@3 schema 3,NULL,person,id,false
+wal@3 users 3,1
+wal@5 provenance 5,0,person,1
+wal@5 schema 5,name,person,name,false
+wal@5 schema 5,NULL,person,id,false
+wal@5 users 5,1
+wal@6 provenance 6,0,person,2
+wal@6 schema 6,name,person,name,false
+wal@6 schema 6,NULL,person,id,false
+wal@6 users 6,2
+users 0 1,1
+users 1 2,2
+users 2 3,1
+users 3 5,1
+users 4 6,2
+schema 0 1,name,person,name,false
+schema 1 1,NULL,person,id,false
+schema 2 2,name,person,name,false
+schema 3 2,NULL,person,id,false
+schema 4 3,name,person,name,false
+schema 5 3,NULL,person,id,false
+schema 6 5,name,person,name,false
+schema 7 5,NULL,person,id,false
+schema 8 6,name,person,name,false
+schema 9 6,NULL,person,id,false
+provenance 0 1,0,person,0
+provenance 1 2,0,person,1
+provenance 2 3,0,person,2
+provenance 3 5,0,person,1
+provenance 4 6,0,person,2
+|}
+    (Buffer.contents b);
+  (* Recovery replays the same log (the clock differs: rejections
+     advance the live clock without a commit record). *)
+  let c = Engine.create ~persist_dir:dir ~persist_fsync:P.Store.Always (base_db ()) in
+  List.iter
+    (fun rel ->
+      Alcotest.(check string) (rel ^ " recovered")
+        (encode_cells (table_cells a rel))
+        (encode_cells (table_cells c rel)))
+    [ "users"; "schema"; "provenance" ];
+  Engine.close a;
+  Engine.close c
+
 let suite =
   [
     tc "crc32 reference vectors" crc_vectors;
@@ -669,6 +792,7 @@ let suite =
     tc "kill-and-restart after 120 submissions" kill_and_restart_100;
     tc "compaction checkpoints bound disk size" compaction_checkpoint_bounds_disk;
     tc "rejects leave the WAL untouched" rejects_leave_wal_untouched;
+    tc "compaction off keeps raw increments" compaction_off_keeps_raw_increments;
     tc "set_config recomputes persistence scope" set_config_rescopes_persistence;
     tc "policy removal survives recovery" policy_removal_recovers;
     tc "recovered clock reaches a registration after rejections"

@@ -468,17 +468,15 @@ let test_vec_index_adapter () =
 let test_vec_shared_batch_cache () =
   let db = sample_db () in
   let cat = Database.catalog db in
-  let shared_batch = Shared_cache.create () in
   let shared = Shared_cache.create () in
   let opts = Executor.default_opts in
   let prep sql =
-    Executor.prepare ~opts ~vectorized:true ~shared ~shared_batch cat
-      (Parser.query sql)
+    Executor.prepare ~opts ~vectorized:true ~shared cat (Parser.query sql)
   in
   let q1 = prep "SELECT e.name FROM emp e, dept d WHERE e.dept = d.dname" in
   let q2 = prep "SELECT e.salary FROM emp e, dept d WHERE e.dept = d.dname" in
   let r1 = Executor.run_compiled q1 and r2 = Executor.run_compiled q2 in
-  let hits, misses = Shared_cache.stats shared_batch in
+  let hits, misses = Shared_cache.stats shared in
   Alcotest.(check bool) "batch cache materialized" true (misses > 0);
   Alcotest.(check bool) "batch cache reused" true (hits > 0);
   let row1 =
@@ -489,6 +487,151 @@ let test_vec_shared_batch_cache () =
     (canon_exact r1.Executor.out_rows = canon_exact row1.Executor.out_rows);
   Alcotest.(check bool) "second plan returned rows" true
     (r2.Executor.out_rows <> [])
+
+(* Which scan slots share is decided while the batch plan compiles:
+   the same pushed-down filter shares one materialization, a different
+   constant does not, and delta-watermark scans, source-tracking plans
+   and clock-reading ([Exec]) filters never touch the cache. *)
+let test_vec_shared_scan_rule () =
+  let db =
+    db_of_script
+      "CREATE TABLE users (uid INT, q TEXT); INSERT INTO users VALUES \
+       (1, 'a'), (2, 'b'), (1, 'c'), (3, 'd')"
+  in
+  let cat = Database.catalog db in
+  let shared = Shared_cache.create () in
+  let run ?(opts = Executor.default_opts) sql =
+    Executor.run_compiled
+      (Executor.prepare ~opts ~vectorized:true ~shared cat (Parser.query sql))
+  in
+  let stats () = Shared_cache.stats shared in
+  let n r = List.length r.Executor.out_rows in
+  let r1 = run "SELECT u.q FROM users u WHERE u.uid = 1" in
+  let r2 = run "SELECT DISTINCT u.uid FROM users u WHERE u.uid = 1" in
+  Alcotest.(check (pair int int)) "same filter: one materialization" (1, 1)
+    (stats ());
+  Alcotest.(check (pair int int)) "shared rows" (2, 1) (n r1, n r2);
+  let r3 = run "SELECT u.q FROM users u WHERE u.uid = 2" in
+  Alcotest.(check (pair int int)) "other constant: own materialization" (1, 2)
+    (stats ());
+  Alcotest.(check int) "its own rows" 1 (n r3);
+  let tracked =
+    run ~opts:{ Executor.default_opts with Executor.track_src = true }
+      "SELECT u.q FROM users u WHERE u.uid = 1"
+  in
+  Alcotest.(check int) "tracked rows" 2 (n tracked);
+  Alcotest.(check (pair int int)) "track_src bypasses the cache" (1, 2)
+    (stats ());
+  (* Hand-built plans: one slot's access path or filter swapped. *)
+  let plan sql f =
+    match Optimizer.optimize cat (Plan.of_query cat (Parser.query sql)) with
+    | Plan.Select sp -> Plan.Select (f sp)
+    | Plan.Union _ -> Alcotest.fail "select expected"
+  in
+  let run_plan p =
+    n (Executor.run_compiled (Compile_batch.compile cat ~shared Executor.default_opts p))
+  in
+  List.iter
+    (fun access ->
+      let p =
+        plan "SELECT u.q FROM users u" (fun sp ->
+            let slots = Array.copy sp.Plan.slots in
+            slots.(0) <- { slots.(0) with Plan.source = Plan.Scan ("users", access) };
+            { sp with Plan.slots })
+      in
+      ignore (run_plan p);
+      ignore (run_plan p))
+    [ Plan.Delta; Plan.Below ];
+  Alcotest.(check (pair int int)) "Delta/Below bypass the cache" (1, 2) (stats ());
+  let bound = ref (Value.Int 1) in
+  let p =
+    plan "SELECT u.q FROM users u" (fun sp ->
+        let scan_preds = Array.copy sp.Plan.scan_preds in
+        scan_preds.(0) <-
+          [ Plan.Binop (Ast.Gt, Plan.Field 0, Plan.Exec (fun () -> !bound)) ];
+        { sp with Plan.scan_preds })
+  in
+  Alcotest.(check int) "uid > 1" 2 (run_plan p);
+  bound := Value.Int 2;
+  Alcotest.(check int) "uid > 2 follows the Exec value" 1 (run_plan p);
+  Alcotest.(check (pair int int)) "Exec filter bypasses the cache" (1, 2)
+    (stats ());
+  (* The row route has no shared cache: [shared_scans] only acts through
+     the vectorized executor. *)
+  let engine_stats vectorized =
+    let db = sample_db () in
+    let e =
+      Engine.create
+        ~config:{ Engine.default_config with Engine.vectorized; domains = 1 }
+        db
+    in
+    List.iter
+      (fun (name, sql) -> ignore (Engine.add_policy e ~name sql))
+      [
+        ("a", "SELECT DISTINCT 'a' FROM users u, schema s WHERE u.ts = s.ts AND s.irid = 'never'");
+        ("b", "SELECT DISTINCT 'b' FROM users u, provenance p WHERE u.ts = p.ts AND p.irid = 'never'");
+      ];
+    for _ = 1 to 2 do
+      ignore (Engine.submit e ~uid:1 "SELECT e.name FROM emp e WHERE e.id = 1")
+    done;
+    let s = Engine.shared_scan_stats e in
+    Engine.close e;
+    s
+  in
+  Alcotest.(check (pair int int)) "row route: no shared traffic" (0, 0)
+    (engine_stats false);
+  Alcotest.(check bool) "vectorized route shares" true
+    (fst (engine_stats true) > 0)
+
+(* Past 2^53 adjacent ints share one float image. Grouping identity is
+   exact, so [Float 2^53] groups with [Int 2^53] only, whichever value
+   arrives first, and the typed batch kernels compare exactly too. *)
+let test_int_float_beyond_2_53 () =
+  List.iter
+    (fun (order, expected) ->
+      let db =
+        db_of_script
+          ("CREATE TABLE g (x FLOAT); INSERT INTO g VALUES "
+          ^ String.concat ", " (List.map (Printf.sprintf "(%s)") order))
+      in
+      let r =
+        check_vec_exact db "SELECT x, COUNT(*) FROM g GROUP BY x ORDER BY x"
+      in
+      (* A group's first arrival represents it. *)
+      let show = function
+        | Value.Float f -> Printf.sprintf "%.1f" f
+        | v -> Value.to_string v
+      in
+      Alcotest.(check (list string))
+        (String.concat " " order)
+        expected
+        (List.map
+           (fun (row : Executor.row_out) ->
+             String.concat " " (Array.to_list (Array.map show row.Executor.values)))
+           r.Executor.out_rows))
+    [
+      ( [ "9007199254740992"; "9007199254740992.0"; "9007199254740993" ],
+        [ "9007199254740992 2"; "9007199254740993 1" ] );
+      ( [ "9007199254740993"; "9007199254740992.0"; "9007199254740992" ],
+        [ "9007199254740992.0 2"; "9007199254740993 1" ] );
+    ];
+  let db =
+    db_of_script
+      "CREATE TABLE h (i INT, f FLOAT); INSERT INTO h VALUES \
+       (9007199254740993, 9007199254740992.0), (9007199254740992, 9007199254740992.0)"
+  in
+  ignore (Table.enable_columnar (Database.table db "h"));
+  List.iter
+    (fun (sql, n) ->
+      let r = check_vec_exact db sql in
+      Alcotest.(check int) sql n (List.length r.Executor.out_rows))
+    [
+      ("SELECT i FROM h WHERE i > 9007199254740992.0", 1);
+      ("SELECT i FROM h WHERE i = 9007199254740992.0", 1);
+      ("SELECT i FROM h WHERE f < 9007199254740993", 2);
+      ("SELECT i FROM h WHERE i > f", 1);
+      ("SELECT i FROM h WHERE f = i", 1);
+    ]
 
 (* Columnar mirror stays in sync through savepoint rollback — the
    engine's tentative-increment pattern — so a vectorized re-run after a
@@ -862,6 +1005,8 @@ let suite =
       tc "vectorized: sub-slot adapter" test_vec_sub_slot_adapter;
       tc "vectorized: index probe adapter" test_vec_index_adapter;
       tc "vectorized: shared batch cache" test_vec_shared_batch_cache;
+      tc "vectorized: which scan slots share" test_vec_shared_scan_rule;
+      tc "Int/Float identity beyond 2^53" test_int_float_beyond_2_53;
       tc "vectorized: columnar rollback sync" test_vec_columnar_rollback_sync;
       tc "vectorized: cross-dict join remap" test_vec_cross_dict_join;
       tc "vectorized: dictionary rollback keeps codes" test_vec_dict_rollback;

@@ -103,9 +103,21 @@ let prop_value_order =
       (* transitivity *)
       && ((not (a <= b && b <= c)) || a <= c))
 
+(* The 2^53 neighbourhood, where adjacent ints share one float image,
+   with the 63-bit int range's edges and a fraction just below 2^52. *)
+let near53 : Value.t list =
+  let p53 = 1 lsl 53 in
+  List.concat_map
+    (fun k -> [ Value.Int k; Value.Int (-k) ])
+    [ (1 lsl 52) - 1; 1 lsl 52; p53 - 1; p53; p53 + 1; p53 + 2; p53 + 3; max_int ]
+  @ List.concat_map
+      (fun f -> [ Value.Float f; Value.Float (-.f) ])
+      [ 0x1p52 -. 0.5; 0x1p53; 0x1p53 +. 2.; 0x1p53 +. 4.; 0x1p62; Float.infinity ]
+  @ [ Value.Int min_int; Value.Float Float.nan ]
+
 (* Values where the two equalities have historically drifted: NULL, NaNs
-   of several bit patterns, signed zeros, and integral floats beyond
-   1e15 beside their Int twins. *)
+   of several bit patterns, signed zeros, integral floats beyond 1e15
+   beside their Int twins, and {!near53}. *)
 let identity_value_gen : Value.t QCheck.Gen.t =
   let big = [ 1e15; 1e16; 9007199254740992.; 1152921504606846976.; 1e18 ] in
   QCheck.Gen.frequency
@@ -128,6 +140,7 @@ let identity_value_gen : Value.t QCheck.Gen.t =
             if as_int then Value.Int (int_of_float f) else Value.Float f)
           (QCheck.Gen.oneofl (big @ List.map Float.neg big))
           QCheck.Gen.bool );
+      (3, QCheck.Gen.oneofl near53);
     ]
 
 let identity_pair_arb =
@@ -139,6 +152,30 @@ let prop_equal_is_compare =
   QCheck.Test.make ~name:"Value.equal a b iff Value.compare a b = 0" ~count:1000
     identity_pair_arb
     (fun (a, b) -> Value.equal a b = (Value.compare a b = 0))
+
+(* Rounding an int through its float image made [Int (2^53 + 1)] equal
+   [Float 2^53] equal [Int 2^53] while the two ints differ: checked on
+   every triple of the neighbourhood, since random triples rarely line
+   up that way. *)
+let test_near53_total_order () =
+  let sign x y = Int.compare (Value.compare x y) 0 in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          let show = String.concat ", " (List.map Value.to_sql [ a; b ]) in
+          if sign a b <> - sign b a then Alcotest.failf "antisymmetry: %s" show;
+          if Value.equal a b <> (sign a b = 0) then
+            Alcotest.failf "equal vs compare: %s" show;
+          if Value.equal a b && Value.hash a <> Value.hash b then
+            Alcotest.failf "hash: %s" show;
+          List.iter
+            (fun c ->
+              if sign a b <= 0 && sign b c <= 0 && sign a c > 0 then
+                Alcotest.failf "transitivity: %s, %s" show (Value.to_sql c))
+            near53)
+        near53)
+    near53
 
 let prop_equal_hash =
   QCheck.Test.make ~name:"Value.equal a b implies equal hashes" ~count:1000
@@ -450,5 +487,6 @@ let suite =
       prop_witness_absolute;
       prop_partial_implication;
     ]
+  @ [ Test_support.tc "Value order is total around 2^53" test_near53_total_order ]
 
 let _ = ( let+ )
