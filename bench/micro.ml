@@ -38,7 +38,7 @@ let tests () =
       (Staged.stage (fun () ->
            ignore (Engine.submit engine ~uid:1 w1.Workload.Queries.sql)));
     Test.make ~name:"witness construction (P5)"
-      (Staged.stage (fun () -> ignore (Witness.for_policy ~is_log ~now:1000 p5)));
+      (Staged.stage (fun () -> ignore (Witness.for_policy ~is_log p5)));
     Test.make ~name:"partial policy construction (P5, S={users})"
       (Staged.stage (fun () ->
            ignore (Partial.of_query ~is_log ~available:[ "users" ] p5.Policy.query)));

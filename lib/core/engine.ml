@@ -96,7 +96,15 @@ type plan = {
   relevance : Relevance.t;
       (** per-active-policy slot/filter metadata for the relevance index,
           built over the same post-unification policy set *)
+  witnesses : (string * Witness.t) list;
+      (** per [store_rels] relation, the union of the time-dependent
+          policies' witnesses (derived once per plan: they do not depend
+          on the compaction time) *)
+  witness_bases : string list;  (** base relations the witnesses join *)
 }
+
+(* Committed log tuples by the tick at which no witness keeps them. *)
+module Ticks = Map.Make (Int)
 
 type t = {
   db : Database.t;
@@ -153,6 +161,16 @@ type t = {
       (** the relevance index's own emptiness bases, kept apart from the
           delta bases because the two proofs snapshot different
           dependency lists and are counted separately *)
+  deadlines : (string, int list Ticks.t) Hashtbl.t;
+      (** per compacted relation whose committed tuples all carry a
+          deadline: those tuples by deadline, finite ones only (see
+          {!commit_logs}); a relation without an entry is marked in
+          full *)
+  mutable mark_basis : int list option;
+      (** what [deadlines] were derived against ({!mark_basis}), as of
+          the end of the last commit; [None] until a commit compacts *)
+  mutable delta_marks : int;  (** relations marked from their increment *)
+  mutable full_marks : int;  (** relations marked over the whole log *)
 }
 
 type outcome =
@@ -284,6 +302,10 @@ let create ?(config = default_config) ?(generators = Usage_log.standard)
       rel_skips = Atomic.make 0;
       delta_store = Incremental.Delta_store.create ();
       relevance_store = Incremental.Delta_store.create ();
+      deadlines = Hashtbl.create 4;
+      mark_basis = None;
+      delta_marks = 0;
+      full_marks = 0;
     }
   in
   Prepared.set_vectorized t.prepared config.vectorized;
@@ -317,7 +339,10 @@ let invalidate t =
      dead; dropping them keeps the stores from accreting entries for
      renamed or retired policies. *)
   Incremental.Delta_store.reset t.delta_store;
-  Incremental.Delta_store.reset t.relevance_store
+  Incremental.Delta_store.reset t.relevance_store;
+  (* The witnesses change with the plan: re-derive every deadline. *)
+  Hashtbl.reset t.deadlines;
+  t.mark_basis <- None
 
 let set_config t config =
   t.config <- config;
@@ -396,16 +421,51 @@ let compute_plan t : plan =
   let union_rels pols =
     List.sort_uniq String.compare (List.concat_map (fun p -> p.Policy.log_rels) pols)
   in
+  let time_dependent = List.filter (fun p -> not p.Policy.ti_rewritten) ps in
+  let store_rels = union_rels time_dependent in
+  let witnesses =
+    let per_policy = List.map (Witness.for_policy ~is_log) time_dependent in
+    List.map
+      (fun rel ->
+        ( rel,
+          List.fold_left
+            (fun acc ws ->
+              match List.assoc_opt rel ws with
+              | Some w -> Witness.merge acc w
+              | None -> acc)
+            (Witness.Queries []) per_policy ))
+      store_rels
+  in
+  let witness_bases =
+    List.sort_uniq String.compare
+      (List.concat_map
+         (fun (_, w) ->
+           match w with
+           | Witness.Keep_all -> []
+           | Witness.Queries qs ->
+             List.concat_map
+               (fun (q : Witness.query) ->
+                 List.filter_map
+                   (function
+                     | Ast.From_table { name; _ } when not (is_log name) ->
+                       Some (lc name)
+                     | Ast.From_table _ | Ast.From_subquery _ -> None)
+                   q.Witness.select.Ast.from)
+               qs)
+         witnesses)
+  in
   {
     active = ps;
     inter;
     rest;
     required = union_rels ps;
-    store_rels = union_rels (List.filter (fun p -> not p.Policy.ti_rewritten) ps);
+    store_rels;
     unified_groups;
     relevance =
       Relevance.build (Database.catalog t.db) ~is_log
         ~clock_rel:Usage_log.clock_relation ~time_col:Usage_log.time_column ps;
+    witnesses;
+    witness_bases;
   }
 
 (* Full persisted state at this instant, for checkpointing: the journaled
@@ -527,9 +587,12 @@ let new_submission (ctx : Usage_log.query_ctx) : submission =
    failure before commit). Idempotent: a second call, or one after
    {!commit_logs} resolved the savepoints, does nothing. *)
 let rollback t (sub : submission) =
-  Hashtbl.iter
-    (fun rel sp -> Table.rollback_to (Database.table t.db rel) sp)
-    sub.generated;
+  Stats.timed
+    (fun d -> sub.stats.Stats.rollback <- sub.stats.Stats.rollback +. d)
+    (fun () ->
+      Hashtbl.iter
+        (fun rel sp -> Table.rollback_to (Database.table t.db rel) sp)
+        sub.generated);
   Hashtbl.reset sub.generated;
   Hashtbl.reset sub.increment_floor
 
@@ -1287,71 +1350,99 @@ let run_union t (sub : submission) (pool : Parallel.Pool.t option) (pl : plan)
 
 (* Log compaction (Algorithm 2 + §4.3 preemptive check) ------------------- *)
 
-type mark = Mark_all | Mark_tids of (int, unit) Hashtbl.t
-
-(* Execute one witness query, returning the retained slot-0 tids. *)
-let witness_tids t (w : Ast.select) : int list =
-  let opts = { Executor.lineage = false; track_src = true } in
-  let r = Prepared.run t.prepared ~opts (Ast.Select w) in
-  List.concat_map
-    (fun (row : Executor.row_out) ->
-      List.filter_map
-        (fun (slot, tid) -> if slot = 0 then Some tid else None)
-        row.Executor.src_tids)
-    r.Executor.out_rows
+(* Run a query that joins the clock relation once through its
+   clock-eliminated plan: the clock's tick is read at execution time, so
+   a [ts] pinned to it probes the log's [ts] index, and one compiled plan
+   serves every commit. Without such a plan, or when the clock does not
+   hold exactly one row (which the rewrite assumes), the query runs as
+   written. *)
+let run_clocked t ?opts (q : Ast.query) : Executor.result =
+  let plan =
+    if Table.row_count (Database.table t.db Usage_log.clock_relation) = 1 then
+      Prepared.prepare_clocked t.prepared ?opts
+        ~clock_rel:Usage_log.clock_relation q
+    else None
+  in
+  match plan with
+  | Some c -> Executor.run_compiled c
+  | None -> Prepared.run t.prepared ?opts q
 
 (* §4.3 preemptive log compaction: before generating relation [rel] just
    for storage, test whether its witnesses could possibly retain any tuple
-   of the would-be increment, using only the already-generated logs. The
-   witness's neighborhood relations all ts-equijoin the target, and the
-   increment lives at the current timestamp, so the probe pins every
-   surviving log relation to [ts = now]. Witness queries are monotone, so
-   an empty probe implies an empty increment witness. *)
-let preemptively_empty t (sub : submission) ~(now : int) (rel : string)
-    (policies : Policy.t list) : bool =
-  let is_log = is_log t in
+   of the would-be increment, using only the already-generated logs
+   ({!Witness.probe}). Witness queries are monotone, so an empty probe
+   implies an empty increment witness. *)
+let preemptively_empty t (sub : submission) (pl : plan) (rel : string) : bool =
   let available = Hashtbl.fold (fun r _ acc -> r :: acc) sub.generated [] in
-  List.for_all
-    (fun p ->
-      match List.assoc_opt rel (Witness.for_policy ~is_log ~now p) with
-      | None -> true
-      | Some Witness.Keep_all -> false
-      | Some (Witness.Queries qs) ->
-        List.for_all
-          (fun (w : Ast.select) ->
-            (* Boolean probe of the witness restricted to generated logs. *)
-            let probe =
-              { w with Ast.items = [ Ast.Sel_expr (Ast.Lit (Value.Int 1), None) ];
-                       distinct = Ast.All }
-            in
-            let pq = Partial.of_select ~is_log ~available probe in
-            if pq.Ast.from = [] then false (* nothing left to test: generate *)
-            else begin
-              let pins =
-                List.filter_map
-                  (fun (alias, r) ->
-                    if is_log r then
-                      Some
-                        (Ast.Binop
-                           ( Ast.Eq,
-                             Ast.Col (Some alias, "ts"),
-                             Ast.Lit (Value.Int now) ))
-                    else None)
-                  (Analysis.table_occurrences pq)
-              in
-              let pq =
-                { pq with Ast.where = Ast.conjoin (Ast.conjuncts_opt pq.Ast.where @ pins) }
-              in
-              Prepared.is_empty t.prepared (Ast.Select pq)
-            end)
-          qs)
-    (List.filter (fun p -> List.mem rel p.Policy.log_rels) policies)
+  match List.assoc_opt rel pl.witnesses with
+  | None -> true
+  | Some Witness.Keep_all -> false
+  | Some (Witness.Queries qs) ->
+    List.for_all
+      (fun q ->
+        match Witness.probe ~is_log:(is_log t) ~available q with
+        | None -> false (* nothing left to test: generate *)
+        | Some pq -> (run_clocked t (Ast.Select pq)).Executor.out_rows = [])
+      qs
 
-(* The commit path: compaction + persistence of the log increments. *)
+(* How one stored relation is marked at a commit: [Keep] retains
+   everything (compaction off, or a [Keep_all] witness); [Mark] runs the
+   witness queries over the whole log ([full]) or over the increment
+   only, expiring committed tuples by their recorded deadlines. *)
+type mark = Keep | Mark of { full : bool; queries : Witness.query list }
+
+let add_due d tid due =
+  Ticks.update d (fun tids -> Some (tid :: Option.value tids ~default:[])) due
+
+(* What the recorded deadlines were derived against: the catalog
+   generation, every stored relation's committed row count and
+   non-append version counters, and the version of every base relation a
+   witness joins. [pending rel] is the size of [rel]'s tentative
+   increment. If the basis after one commit equals the basis before the
+   next, the committed log changed only by compaction and the base
+   relations not at all, so the deadlines still hold. *)
+let mark_basis t (pl : plan) ~(pending : string -> int) : int list =
+  let cat = Database.catalog t.db in
+  let logs =
+    List.concat_map
+      (fun rel ->
+        let tb = Database.table t.db rel in
+        [
+          Table.row_count tb - pending rel;
+          Table.ver_del tb;
+          Table.ver_unsafe tb;
+          Table.ver_compact tb;
+        ])
+      pl.store_rels
+  in
+  (Catalog.generation cat :: logs)
+  @ List.map
+      (fun rel ->
+        match Catalog.find_opt cat rel with
+        | Some tb -> Table.ver_mut tb
+        | None -> -1)
+      pl.witness_bases
+
+let track_src = { Executor.lineage = false; track_src = true }
+
+(* The commit path: compaction + persistence of the log increments.
+
+   A stored relation's tuples leave the log at their deadline, the first
+   tick at which no witness keeps them ({!Witness.scan}). For a Lemma 4.1
+   witness that tick is fixed when the tuple is committed: its joined
+   rows are its ts-equijoin neighbours, stamped at its own tick and so
+   never joined by later increments, and base rows, which do not move
+   while the basis holds. So the deadlines seeded by a full mark stay
+   exact, and a later commit only marks its increment
+   ({!Witness.at_clock_tick}) and deletes the committed tuples whose
+   deadline has come. The full mark runs instead for a relation without recorded deadlines (new or
+   recovered engine, new plan, a relation skipped at the last full mark),
+   after the basis moved (base DML, DDL, log DML), for a relation with a
+   Lemma 4.2 witness (its representatives can change), and for a batch
+   ([single_tick = false]), whose increment spans several ticks. *)
 let commit_logs t (sub : submission) (pool : Parallel.Pool.t option) (pl : plan)
-    ~(now : int) =
+    ~(now : int) ~(single_tick : bool) =
   let stats = sub.stats in
-  let is_log = is_log t in
   (* Per-relation rows actually retained this commit (the WAL record),
      and whether compaction deleted rows of the committed prefix — in
      which case the WAL's append-only story no longer describes the
@@ -1359,11 +1450,8 @@ let commit_logs t (sub : submission) (pool : Parallel.Pool.t option) (pl : plan)
   let persisted : (string * Value.t array list) list ref = ref [] in
   let note_increment rel rows = if rows <> [] then persisted := (rel, rows) :: !persisted in
   let compacted = ref false in
-  (* Time-dependent policies that still need the log. *)
-  let td_policies =
-    List.filter
-      (fun p -> (not p.Policy.ti_rewritten) && p.Policy.log_rels <> [])
-      pl.active
+  let charge_rollback f =
+    Stats.timed (fun d -> stats.Stats.rollback <- stats.Stats.rollback +. d) f
   in
   (* Preemptive check for relations not generated during evaluation. *)
   let skipped = Hashtbl.create 4 in
@@ -1372,63 +1460,80 @@ let commit_logs t (sub : submission) (pool : Parallel.Pool.t option) (pl : plan)
       if not (Hashtbl.mem sub.generated rel) then
         if
           t.config.log_compaction && t.config.preemptive
-          && preemptively_empty t sub ~now rel td_policies
+          && preemptively_empty t sub pl rel
         then Hashtbl.replace skipped rel ()
         else gen_rel t sub rel)
     pl.store_rels;
-  (* Without compaction every stored relation keeps its whole increment:
-     [Mark_all] throughout, and no witness query runs. *)
-  let marks : (string, mark) Hashtbl.t = Hashtbl.create 4 in
-  List.iter
-    (fun rel ->
-      if not (Hashtbl.mem skipped rel) then
-        Hashtbl.replace marks rel
-          (if t.config.log_compaction then Mark_tids (Hashtbl.create 64)
-           else Mark_all))
-    pl.store_rels;
-  (* Mark phase: run every witness query, collecting retained tids. *)
-  if t.config.log_compaction then
+  let pending rel =
+    match Hashtbl.find_opt sub.generated rel with
+    | Some sp -> Table.fold_since (fun n _ -> n + 1) 0 (Database.table t.db rel) sp
+    | None -> 0
+  in
+  (* Mark phase: choose each relation's route, run its witness queries
+     and fold every witnessed tuple's deadline (the max over its joined
+     rows). *)
+  let witnessed : (string, (int, int) Hashtbl.t) Hashtbl.t = Hashtbl.create 4 in
+  let marks =
     Stats.timed
       (fun d -> stats.Stats.compact_mark <- stats.Stats.compact_mark +. d)
       (fun () ->
-        (* Witness structure first (cheap, no queries): a [Keep_all]
-           promotes its relation to [Mark_all] — retaining everything, so
-           that relation's witness queries are moot. Then every witness
-           query of the still-collecting relations runs as one
-           {!fan_out} task, its tid list merged after the join; the
-           merged sets are order-free (sets of slot-0 tids). *)
-        let tasks = ref [] in
-        List.iter
-          (fun p ->
-            List.iter
-              (fun (rel, w) ->
-                match Hashtbl.find_opt marks rel with
-                | None | Some Mark_all -> () (* skipped, not stored, or kept *)
-                | Some (Mark_tids _) -> (
-                  match w with
-                  | Witness.Keep_all -> Hashtbl.replace marks rel Mark_all
-                  | Witness.Queries qs ->
-                    List.iter (fun q -> tasks := (rel, q) :: !tasks) qs))
-              (Witness.for_policy ~is_log ~now p))
-          td_policies;
-        let tasks =
-          List.filter
-            (fun (rel, _) ->
-              match Hashtbl.find_opt marks rel with
-              | Some (Mark_tids _) -> true
-              | Some Mark_all | None -> false)
-            (List.rev !tasks)
+        let incremental =
+          t.config.log_compaction && single_tick
+          && t.mark_basis = Some (mark_basis t pl ~pending)
         in
+        if not incremental then Hashtbl.reset t.deadlines;
+        let marks =
+          List.filter_map
+            (fun rel ->
+              if Hashtbl.mem skipped rel then None
+              else if not t.config.log_compaction then Some (rel, Keep)
+              else
+                match List.assoc rel pl.witnesses with
+                | Witness.Keep_all -> Some (rel, Keep)
+                | Witness.Queries queries ->
+                  let full = not (Hashtbl.mem t.deadlines rel) in
+                  if full then t.full_marks <- t.full_marks + 1
+                  else t.delta_marks <- t.delta_marks + 1;
+                  Some (rel, Mark { full; queries }))
+            pl.store_rels
+        in
+        (* Every witness query is one {!fan_out} task; results fold in
+           input order after the join. *)
+        let tasks =
+          List.concat_map
+            (fun (rel, m) ->
+              match m with
+              | Keep -> []
+              | Mark { full; queries } ->
+                if (not full) && pending rel = 0 then []
+                else List.map (fun q -> (rel, q, full)) queries)
+            marks
+        in
+        let results =
+          fan_out t sub pool
+            (fun _ (rel, (q : Witness.query), full) ->
+              let r =
+                if full then
+                  Prepared.run t.prepared ~opts:track_src (Ast.Select q.Witness.select)
+                else run_clocked t ~opts:track_src (Ast.Select (Witness.at_clock_tick q))
+              in
+              (rel, q, r))
+            tasks
+        in
+        List.iter (fun (rel, _) -> Hashtbl.replace witnessed rel (Hashtbl.create 64)) marks;
         List.iter
-          (fun (rel, tids) ->
-            match Hashtbl.find_opt marks rel with
-            | Some (Mark_tids acc) ->
-              List.iter (fun tid -> Hashtbl.replace acc tid ()) tids
-            | Some Mark_all | None -> ())
-          (fan_out t sub pool (fun _ (rel, q) -> (rel, witness_tids t q)) tasks));
+          (fun (rel, q, r) ->
+            let dl = Hashtbl.find witnessed rel in
+            Witness.scan q ~now r (fun tid d ->
+                match Hashtbl.find_opt dl tid with
+                | Some d0 when d0 >= d -> ()
+                | Some _ | None -> Hashtbl.replace dl tid d))
+          results;
+        marks)
+  in
   (* Delete + insert phases per relation. *)
   List.iter
-    (fun rel ->
+    (fun (rel, m) ->
       let table = Database.table t.db rel in
       let sp = Hashtbl.find_opt sub.generated rel in
       (* The retained part of the increment as WAL rows (the marks are
@@ -1439,50 +1544,91 @@ let commit_logs t (sub : submission) (pool : Parallel.Pool.t option) (pl : plan)
         | Some sp ->
           List.rev
             (Table.fold_since
-               (fun acc row -> if keep row then Row.cells row :: acc else acc)
+               (fun acc row ->
+                 match keep row with Some d -> (Row.cells row, d) :: acc | None -> acc)
                [] table sp)
       in
-      match Hashtbl.find_opt marks rel with
-      | None ->
-        (* Relation skipped preemptively: nothing generated, nothing
-           stored; committed rows keep their previous marks. *)
-        ()
-      | Some Mark_all ->
+      match m with
+      | Keep ->
         (* Everything retained: release the increment in place, so its
            tids, index entries and version counters stand as generated. *)
         Stats.timed
           (fun d -> stats.Stats.compact_insert <- stats.Stats.compact_insert +. d)
           (fun () ->
-            let kept = retained (fun _ -> true) in
+            let kept = List.map fst (retained (fun _ -> Some 0)) in
             Option.iter (Table.release table) sp;
             stats.Stats.rows_logged <- stats.Stats.rows_logged + List.length kept;
             note_increment rel kept)
-      | Some (Mark_tids keep) ->
-        let kept = retained (fun row -> Hashtbl.mem keep (Row.tid row)) in
-        Option.iter (Table.rollback_to table) sp;
+      | Mark { full; queries } ->
+        let dl = Hashtbl.find witnessed rel in
+        let kept =
+          retained (fun row ->
+              match Hashtbl.find_opt dl (Row.tid row) with
+              | Some d when d > now -> Some d
+              | Some _ | None -> None)
+        in
+        charge_rollback (fun () -> Option.iter (Table.rollback_to table) sp);
         Stats.timed
           (fun d -> stats.Stats.compact_delete <- stats.Stats.compact_delete +. d)
-          (fun () -> if Table.retain_tids table keep > 0 then compacted := true);
-        (* Insert the retained part of the increment. *)
+          (fun () ->
+            if full then begin
+              let keep = Hashtbl.create 64 in
+              Hashtbl.iter (fun tid d -> if d > now then Hashtbl.replace keep tid ()) dl;
+              if Table.retain_tids table keep > 0 then compacted := true;
+              (* Seed the committed survivors' deadlines, unless a Lemma
+                 4.2 witness keeps this relation on the full mark. *)
+              if List.for_all (fun (q : Witness.query) -> q.Witness.keys = None) queries
+              then begin
+                let floor =
+                  Option.value (Hashtbl.find_opt sub.increment_floor rel) ~default:max_int
+                in
+                Hashtbl.replace t.deadlines rel
+                  (Hashtbl.fold
+                     (fun tid d due ->
+                       if tid < floor && d > now && d < max_int then add_due d tid due
+                       else due)
+                     dl Ticks.empty)
+              end
+            end
+            else begin
+              let expired, at_now, later = Ticks.split now (Hashtbl.find t.deadlines rel) in
+              let dead = Hashtbl.create 64 in
+              let kill = List.iter (fun tid -> Hashtbl.replace dead tid ()) in
+              Ticks.iter (fun _ tids -> kill tids) expired;
+              Option.iter kill at_now;
+              if Hashtbl.length dead > 0 && Table.drop_tids table dead > 0 then
+                compacted := true;
+              Hashtbl.replace t.deadlines rel later
+            end);
+        (* Insert the retained part of the increment, carrying each row's
+           deadline over to its new tid. *)
         Stats.timed
           (fun d -> stats.Stats.compact_insert <- stats.Stats.compact_insert +. d)
           (fun () ->
-            List.iter
-              (fun cells ->
-                ignore (Table.insert table cells);
-                stats.Stats.rows_logged <- stats.Stats.rows_logged + 1)
-              kept;
-            note_increment rel kept))
-    pl.store_rels;
+            let due = Hashtbl.find_opt t.deadlines rel in
+            let due =
+              List.fold_left
+                (fun due (cells, d) ->
+                  let tid = Table.insert table cells in
+                  stats.Stats.rows_logged <- stats.Stats.rows_logged + 1;
+                  if d < max_int then Option.map (add_due d tid) due else due)
+                due kept
+            in
+            Option.iter (Hashtbl.replace t.deadlines rel) due;
+            note_increment rel (List.map fst kept)))
+    marks;
   (* Roll back increments of relations generated for evaluation only. *)
-  Hashtbl.iter
-    (fun rel sp ->
-      if not (List.mem rel pl.store_rels) then
-        Table.rollback_to (Database.table t.db rel) sp)
-    sub.generated;
+  charge_rollback (fun () ->
+      Hashtbl.iter
+        (fun rel sp ->
+          if not (List.mem rel pl.store_rels) then
+            Table.rollback_to (Database.table t.db rel) sp)
+        sub.generated);
   (* All savepoints are resolved now: a later failure (e.g. in the user
      query) must not attempt to roll them back again. *)
   Hashtbl.reset sub.generated;
+  if t.config.log_compaction then
+    t.mark_basis <- Some (mark_basis t pl ~pending:(fun _ -> 0));
   (* Durability. An accepted submission is one atomic WAL record: the
      clock advance plus every relation's retained increment. When witness
      compaction shrank a relation, an append-only record can no longer
@@ -1511,8 +1657,8 @@ let commit_logs t (sub : submission) (pool : Parallel.Pool.t option) (pl : plan)
 (* Accept: compact and persist the tentative increment, then record the
    delta and relevance bases the committed state now satisfies. *)
 let accept t (sub : submission) (pool : Parallel.Pool.t option) (pl : plan)
-    ~(now : int) =
-  commit_logs t sub pool pl ~now;
+    ~(now : int) ~(single_tick : bool) =
+  commit_logs t sub pool pl ~now ~single_tick;
   if t.config.delta || t.config.relevance then establish_bases t pl
 
 (* Execute an admitted user query, charging [stats.query_exec]. *)
@@ -1549,7 +1695,7 @@ let submit_ast t ~(uid : int) ?(extra = []) (query : Ast.query) : outcome =
       Rejected (List.map snd violations, sub.stats)
     end
     else begin
-      accept t sub pool pl ~now;
+      accept t sub pool pl ~now ~single_tick:true;
       Accepted (run_query t sub.stats query, sub.stats)
     end
   with
@@ -1640,6 +1786,8 @@ let counters t : (string * string) list =
     ("vector-typed-cols", i v.vec_typed_cols);
     ("vector-mixed-cols", i v.vec_mixed_cols);
     ("vector-dict-entries", i v.vec_dict_entries);
+    ("witness-delta-marks", i t.delta_marks);
+    ("witness-full-marks", i t.full_marks);
     ("group-commit-fsyncs", i fsyncs);
     ("wal-records", i wal);
   ]
@@ -1778,7 +1926,7 @@ let submit_batch t (subs : batch_submission list) :
         (* A commit failure must resolve the savepoints before escaping,
            exactly as [submit_ast]'s handler does, or they would poison
            later submissions. *)
-        (try accept t sub pool pl ~now
+        (try accept t sub pool pl ~now ~single_tick:false
          with e ->
            rollback_batch ();
            raise e);

@@ -94,6 +94,10 @@ type plan = {
           ever need persisting *)
   unified_groups : Unify.group list;
   relevance : Relevance.t;  (** the relevance index over [active] *)
+  witnesses : (string * Witness.t) list;
+      (** per [store_rels] relation, the union of the time-dependent
+          policies' witnesses (§4.1.2), derived once per plan *)
+  witness_bases : string list;  (** base relations the witnesses join *)
 }
 
 type t
@@ -289,8 +293,11 @@ val batch_stats : t -> batch_stats
     [-serial], the [delta-*] and [full-evals] counters of
     {!delta_stats}, [unify-*], [relevance-*], [shared-scan-hits]/
     [-misses], [vector-*] (with [vector-hist] as space-separated
-    [bound:count] pairs), [group-commit-fsyncs] and [wal-records] (0
-    without persistence). Forces the offline plan if stale. *)
+    [bound:count] pairs), [witness-delta-marks]/[-full-marks] (stored
+    relations compacted from their increment / over the whole log, one
+    count per relation per commit), [group-commit-fsyncs] and
+    [wal-records] (0 without persistence). Forces the offline plan if
+    stale. *)
 val counters : t -> (string * string) list
 
 (** Violated policies of the most recent rejected submission (for

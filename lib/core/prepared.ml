@@ -43,6 +43,8 @@ type shard = {
   delta : (Ast.query, Executor.delta_compiled option) Hashtbl.t;
       (** delta-plan derivations keyed by query, [None] caching
           ineligibility *)
+  clocked : (key, Executor.compiled option) Hashtbl.t;
+      (** clock-eliminated plans, [None] caching ineligibility *)
   mutable gen : int;
   mutable hits : int;
   mutable misses : int;
@@ -65,9 +67,10 @@ type t = {
           engine's [set_config] invalidates) *)
 }
 
-(* Witness probes bake the current timestamp into their AST, so a
-   long-running engine accretes one-shot entries; a full reset at
-   capacity bounds memory without bookkeeping on the hot path. *)
+(* Policy, witness and probe queries are fixed per evaluation plan, but
+   admitted user queries run through the cache too, and a long-running
+   engine can see any number of distinct ones; a full reset at capacity
+   bounds memory without bookkeeping on the hot path. *)
 let capacity = 1024
 
 let create (cat : Catalog.t) : t =
@@ -92,6 +95,7 @@ let shard_for t : shard =
         {
           cache = Hashtbl.create 64;
           delta = Hashtbl.create 16;
+          clocked = Hashtbl.create 16;
           gen = Catalog.generation t.cat;
           hits = 0;
           misses = 0;
@@ -108,6 +112,7 @@ let sync t (s : shard) =
   if g <> s.gen then begin
     Hashtbl.reset s.cache;
     Hashtbl.reset s.delta;
+    Hashtbl.reset s.clocked;
     s.gen <- g
   end
 
@@ -155,6 +160,41 @@ let prepare_delta t ~is_log ~clock_rel (q : Ast.query) :
     Hashtbl.replace s.delta q d;
     d
 
+(* Clock-eliminated plans are looked up and counted like [prepare]'s:
+   they serve the same witness and probe queries, compiled for reading
+   the clock at execution time. *)
+let prepare_clocked t ?(opts = Executor.default_opts) ~clock_rel
+    (q : Ast.query) : Executor.compiled option =
+  let s = shard_for t in
+  sync t s;
+  let k =
+    {
+      q;
+      lineage = opts.Executor.lineage;
+      track_src = opts.Executor.track_src;
+      share = false;
+    }
+  in
+  match Hashtbl.find_opt s.clocked k with
+  | Some c ->
+    s.hits <- s.hits + 1;
+    c
+  | None ->
+    let c =
+      match
+        Executor.prepare_delta ~opts ~vectorized:t.vectorized t.cat
+          ~is_log:(fun _ -> false) ~clock_rel q
+      with
+      | Some { Executor.delta_branches = [ Executor.C_residual { c_plan; _ } ]; _ }
+        ->
+        Some c_plan
+      | Some _ | None -> None
+    in
+    if Hashtbl.length s.clocked >= capacity then Hashtbl.reset s.clocked;
+    Hashtbl.replace s.clocked k c;
+    s.misses <- s.misses + 1;
+    c
+
 let run t ?opts ?share q = Executor.run_compiled (prepare t ?opts ?share q)
 
 let is_empty t ?opts ?share q = (run t ?opts ?share q).Executor.out_rows = []
@@ -178,7 +218,8 @@ let clear t =
   Hashtbl.iter
     (fun _ s ->
       Hashtbl.reset s.cache;
-      Hashtbl.reset s.delta)
+      Hashtbl.reset s.delta;
+      Hashtbl.reset s.clocked)
     t.shards;
   Mutex.unlock t.lock;
   Shared_cache.clear t.shared

@@ -45,6 +45,19 @@ val prepare_delta :
   Ast.query ->
   Executor.delta_compiled option
 
+(** The plan of a query joining the clock relation [clock_rel] once,
+    with the clock slot eliminated and its cells read at execution time
+    (the residual branch of {!Executor.prepare_delta}), so predicates
+    pinned to the clock probe indexes. The result equals the query's
+    while the clock holds exactly one row. [None] (cached too) when the
+    query does not derive one. Lookups count in {!stats}. *)
+val prepare_clocked :
+  t ->
+  ?opts:Executor.opts ->
+  clock_rel:string ->
+  Ast.query ->
+  Executor.compiled option
+
 (** [prepare] + execute. *)
 val run :
   t -> ?opts:Executor.opts -> ?share:bool -> Ast.query -> Executor.result

@@ -1,6 +1,7 @@
 (** Per-query timing breakdown, matching the phases the paper reports:
     usage tracking (log generation), policy evaluation, the three log
-    compaction phases (mark / delete / insert) and the user query itself.
+    compaction phases (mark / delete / insert) and the user query itself,
+    plus persistence and the rollback of tentative log increments.
     Times are wall-clock seconds. *)
 
 type t = {
@@ -11,6 +12,7 @@ type t = {
   mutable compact_insert : float;
   mutable query_exec : float;
   mutable persist : float;  (** WAL append / checkpoint time *)
+  mutable rollback : float;  (** truncating tentative log increments *)
   mutable policy_calls : int;  (** number of policy (sub)queries issued *)
   mutable rows_logged : int;  (** log tuples persisted for this query *)
 }
@@ -24,13 +26,15 @@ let create () =
     compact_insert = 0.;
     query_exec = 0.;
     persist = 0.;
+    rollback = 0.;
     policy_calls = 0;
     rows_logged = 0;
   }
 
 let compaction_total s = s.compact_mark +. s.compact_delete +. s.compact_insert
 
-let overhead s = s.log_track +. s.policy_eval +. compaction_total s +. s.persist
+let overhead s =
+  s.log_track +. s.policy_eval +. compaction_total s +. s.persist +. s.rollback
 
 let total s = overhead s +. s.query_exec
 
@@ -43,6 +47,7 @@ let add a b =
     compact_insert = a.compact_insert +. b.compact_insert;
     query_exec = a.query_exec +. b.query_exec;
     persist = a.persist +. b.persist;
+    rollback = a.rollback +. b.rollback;
     policy_calls = a.policy_calls + b.policy_calls;
     rows_logged = a.rows_logged + b.rows_logged;
   }
@@ -60,6 +65,7 @@ let merge_into (dst : t) (src : t) =
   dst.compact_insert <- s.compact_insert;
   dst.query_exec <- s.query_exec;
   dst.persist <- s.persist;
+  dst.rollback <- s.rollback;
   dst.policy_calls <- s.policy_calls;
   dst.rows_logged <- s.rows_logged
 
@@ -76,6 +82,7 @@ let scale k s =
     compact_insert = s.compact_insert *. k;
     query_exec = s.query_exec *. k;
     persist = s.persist *. k;
+    rollback = s.rollback *. k;
     policy_calls = int_of_float (float_of_int s.policy_calls *. k);
     rows_logged = int_of_float (float_of_int s.rows_logged *. k);
   }
@@ -100,6 +107,7 @@ let ms x = x *. 1000.
 let pp ppf s =
   Format.fprintf ppf
     "track %.3fms | eval %.3fms (%d calls) | compact %.3f/%.3f/%.3fms | persist \
-     %.3fms | query %.3fms"
+     %.3fms | rollback %.3fms | query %.3fms"
     (ms s.log_track) (ms s.policy_eval) s.policy_calls (ms s.compact_mark)
-    (ms s.compact_delete) (ms s.compact_insert) (ms s.persist) (ms s.query_exec)
+    (ms s.compact_delete) (ms s.compact_insert) (ms s.persist) (ms s.rollback)
+    (ms s.query_exec)

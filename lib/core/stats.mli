@@ -1,7 +1,8 @@
 (** Per-query timing breakdown, matching the phases the paper reports:
     usage tracking (log generation), policy evaluation, the three log
-    compaction phases (mark / delete / insert), and the user query.
-    Times are wall-clock seconds. *)
+    compaction phases (mark / delete / insert), and the user query, plus
+    persistence and the rollback of tentative log increments. Times are
+    wall-clock seconds. *)
 
 type t = {
   mutable log_track : float;
@@ -11,6 +12,10 @@ type t = {
   mutable compact_insert : float;
   mutable query_exec : float;
   mutable persist : float;  (** WAL append / checkpoint time *)
+  mutable rollback : float;
+      (** truncating tentative log increments: a rejection's, and at
+          commit those of relations compacted or generated for
+          evaluation only *)
   mutable policy_calls : int;  (** number of policy (sub)queries issued *)
   mutable rows_logged : int;  (** log tuples persisted for this query *)
 }

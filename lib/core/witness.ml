@@ -9,11 +9,21 @@
       [Ri] against its ts-equijoin neighborhood and the policy's database
       relations, keeping the applicable predicates.
     - Lemma 4.2 (Boolean policies): additionally keep only one tuple per
-      combination of [Ri]'s join attributes, via [DISTINCT ON].
+      combination of [Ri]'s join attributes (the paper's [DISTINCT ON],
+      applied by {!scan}).
     - Lemma 4.3 (clock): normalize clock predicates to [c.ts op expr],
       drop lower bounds on the clock, and freeze upper bounds at
       [currenttime + 1]. Policies with an unsupported clock predicate
       (e.g. [!=]) are not compacted at all.
+
+    The frozen frontier is the only part of a witness that depends on the
+    compaction time, so it is not written into the query: each frozen
+    bound [now + 1 op e] becomes an output column [e] plus its
+    strictness, and {!deadline} turns a value of [e] into the first tick
+    at which the bound fails. The query text is then the same at every
+    commit, and a retained tuple's {e deadline} — the max over its joined
+    rows of the min over their bounds — says when it stops being a
+    witness.
 
     Algorithm 2's recursion handles FROM subqueries: each subquery is
     compacted separately as a full query, and the witnesses are unioned.
@@ -24,10 +34,16 @@
 
 open Relational
 
-type t =
-  | Keep_all  (** no compaction possible: retain the whole relation *)
-  | Queries of Ast.select list
-      (** union of witness queries; slot 0 is the target occurrence *)
+type bound = { expr : Ast.expr; strict : bool }
+
+type query = {
+  select : Ast.select;
+  keys : int option;
+  bounds : bound list;
+  clock : string;
+}
+
+type t = Keep_all | Queries of query list
 
 let lc = Analysis.lc
 
@@ -78,23 +94,51 @@ let isolate_clock ~(clock_aliases : string list) (conj : Ast.expr) :
       match attempt with Some (op, e) -> `Clock (op, e) | None -> `Unsupported)
     | _ -> `Unsupported
 
-(* Apply Lemma 4.3's transformation at compaction time [now]. Returns the
-   rewritten conjuncts (possibly none, when the predicate is dropped). *)
-let freeze_clock_predicate ~now (op : Ast.binop) (e : Ast.expr) : Ast.expr list =
-  let frontier = Ast.Lit (Value.Int (now + 1)) in
+(* Lemma 4.3 at compaction time [now] keeps [now + 1 < e] for a strict
+   upper clock bound and [now + 1 <= e] for a non-strict one (an equality
+   freezes like [<=]); lower bounds drop. [e] reads the joined row only,
+   so the frontier is left out of the query and applied by [deadline]. *)
+let bound_of (op : Ast.binop) (e : Ast.expr) : bound option =
   match op with
-  | Ast.Gt | Ast.Ge -> []
-  | Ast.Lt -> [ Ast.Binop (Ast.Lt, frontier, e) ]
-  | Ast.Le -> [ Ast.Binop (Ast.Le, frontier, e) ]
-  | Ast.Eq -> [ Ast.Binop (Ast.Le, frontier, e) ]
+  | Ast.Gt | Ast.Ge -> None
+  | Ast.Lt -> Some { expr = e; strict = true }
+  | Ast.Le | Ast.Eq -> Some { expr = e; strict = false }
   | _ -> assert false
+
+let never = min_int
+
+let forever = max_int
+
+(* The first tick [now] at which [now + 1 op v] is false, under the
+   executor's comparison ({!Relational.Eval.compare_op}: NULL compares
+   false, numbers order above BOOL and below TEXT, INT against FLOAT
+   exactly). *)
+let deadline (b : bound) (v : Value.t) : int =
+  match v with
+  | Value.Int n ->
+    if b.strict then if n = min_int then never else n - 1 else n
+  | Value.Float f ->
+    if Float.is_nan f || f < -0x1p62 then never
+    else if f >= 0x1p62 then forever
+    else if b.strict then int_of_float (Float.ceil f) - 1
+    else int_of_float (Float.floor f)
+  | Value.Str _ -> forever
+  | Value.Null | Value.Bool _ -> never
 
 (* Witnesses for one SELECT ------------------------------------------------ *)
 
+(* A FROM alias for the clock relation that no item of [s] uses. *)
+let fresh_clock_alias (s : Ast.select) =
+  let taken = List.map (fun fi -> lc (Ast.from_item_alias fi)) s.Ast.from in
+  let rec pick k =
+    let a = if k = 0 then "dl_clock" else Printf.sprintf "dl_clock%d" k in
+    if List.mem a taken then pick (k + 1) else a
+  in
+  pick 0
+
 (* Compute, for every log relation occurring in [s], its witness queries.
    Returns an association list keyed by (lowercased) log relation name. *)
-let for_select ~(is_log : string -> bool) ~(now : int) (s : Ast.select) :
-    (string * t) list =
+let for_select ~(is_log : string -> bool) (s : Ast.select) : (string * t) list =
   let occs = Analysis.table_occurrences s in
   let clock_aliases =
     List.filter_map
@@ -137,14 +181,17 @@ let for_select ~(is_log : string -> bool) ~(now : int) (s : Ast.select) :
       let plain =
         List.filter_map (function `Plain c -> Some c | _ -> None) normalized
       in
-      let clock_derived =
-        List.concat_map
-          (function
-            | `Clock (op, e) -> List.map (fun c -> (c, true)) (freeze_clock_predicate ~now op e)
-            | _ -> [])
+      let bounds =
+        List.filter_map
+          (function `Clock (op, e) -> bound_of op e | _ -> None)
           normalized
       in
-      let tagged = List.map (fun c -> (c, false)) plain @ clock_derived in
+      (* Each predicate with the expression whose qualifiers decide where
+         it applies: a plain conjunct itself, a bound its [e]. *)
+      let tagged =
+        List.map (fun c -> (`Plain c, c)) plain
+        @ List.map (fun b -> (`Bound b, b.expr)) bounds
+      in
       (* 2. ts-equijoin neighborhood over log occurrences. *)
       let log_aliases = List.map fst log_occs in
       let ts_edges =
@@ -175,7 +222,8 @@ let for_select ~(is_log : string -> bool) ~(now : int) (s : Ast.select) :
           s.from
       in
       let boolean = s.having = None && s.group_by = [] in
-      let witness_for (target_alias, _rel) : Ast.select =
+      let clock = fresh_clock_alias s in
+      let witness_for (target_alias, _rel) : query =
         let kept_aliases =
           target_alias
           :: List.map fst (neighborhood target_alias)
@@ -183,34 +231,44 @@ let for_select ~(is_log : string -> bool) ~(now : int) (s : Ast.select) :
         in
         let applicable =
           List.filter
-            (fun (c, _) ->
+            (fun (_, e) ->
               List.for_all
                 (fun q ->
                   match q with
                   | Some q -> List.mem (lc q) kept_aliases
                   | None -> true)
-                (Ast.expr_qualifiers c))
+                (Ast.expr_qualifiers e))
             tagged
         in
-        let where = Ast.conjoin (List.map fst applicable) in
+        let where =
+          Ast.conjoin
+            (List.filter_map
+               (function `Plain c, _ -> Some c | `Bound _, _ -> None)
+               applicable)
+        in
+        let bounds =
+          List.filter_map
+            (function `Bound b, _ -> Some b | `Plain _, _ -> None)
+            applicable
+        in
         let from =
           from_item_of target_alias
           :: List.map (fun (a, _) -> from_item_of a) (neighborhood target_alias)
           @ db_items
         in
-        let distinct =
-          if not boolean then Ast.All
+        let keys =
+          if not boolean then None
           else begin
             (* Lemma 4.2's X: attributes of the target occurring in join
-               predicates; clock-derived predicates count as joins. *)
+               predicates; clock bounds count as joins. *)
             let x = ref [] in
             List.iter
-              (fun (c, from_clock) ->
+              (fun (p, e) ->
                 let quals =
-                  List.filter_map (Option.map lc) (Ast.expr_qualifiers c)
+                  List.filter_map (Option.map lc) (Ast.expr_qualifiers e)
                 in
                 let joins_elsewhere =
-                  from_clock
+                  (match p with `Bound _ -> true | `Plain _ -> false)
                   || List.exists (fun q -> q <> target_alias) quals
                 in
                 if joins_elsewhere && List.mem target_alias quals then
@@ -220,19 +278,26 @@ let for_select ~(is_log : string -> bool) ~(now : int) (s : Ast.select) :
                         let e = Ast.Col (Some target_alias, col) in
                         if not (List.mem e !x) then x := e :: !x
                       | _ -> ())
-                    c)
+                    e)
               applicable;
-            match List.rev !x with
-            | [] -> Ast.Distinct_on [ Ast.Lit (Value.Int 1) ]
-            | xs -> Ast.Distinct_on xs
+            Some (List.rev !x)
           end
         in
+        (* Lemma 4.2's one tuple per key is picked by {!scan}, not by a
+           DISTINCT ON: a representative must satisfy its bounds at the
+           compaction tick, which the query does not read. *)
+        let items =
+          match
+            Option.value keys ~default:[] @ List.map (fun b -> b.expr) bounds
+          with
+          | [] -> [ Ast.Sel_expr (Ast.Lit (Value.Int 1), None) ]
+          | es -> List.map (fun e -> Ast.Sel_expr (e, None)) es
+        in
         {
-          Ast.empty_select with
-          distinct;
-          items = [ Ast.Table_star target_alias ];
-          from;
-          where;
+          select = { Ast.empty_select with items; from; where };
+          keys = Option.map List.length keys;
+          bounds;
+          clock;
         }
       in
       (* One witness query per occurrence; self-joins union per relation. *)
@@ -249,7 +314,7 @@ let for_select ~(is_log : string -> bool) ~(now : int) (s : Ast.select) :
 
 (* Witnesses for a policy query, with Algorithm 2's recursion into union
    branches and FROM subqueries. *)
-let rec for_query ~is_log ~now (q : Ast.query) : (string * t) list =
+let rec for_query ~is_log (q : Ast.query) : (string * t) list =
   let combine lists =
     List.fold_left
       (fun acc (rel, w) ->
@@ -259,16 +324,97 @@ let rec for_query ~is_log ~now (q : Ast.query) : (string * t) list =
   in
   match q with
   | Ast.Union { left; right; _ } ->
-    combine [ for_query ~is_log ~now left; for_query ~is_log ~now right ]
+    combine [ for_query ~is_log left; for_query ~is_log right ]
   | Ast.Select s ->
     let sub =
       List.concat_map
         (function
-          | Ast.From_subquery { query; _ } -> [ for_query ~is_log ~now query ]
+          | Ast.From_subquery { query; _ } -> [ for_query ~is_log query ]
           | Ast.From_table _ -> [])
         s.from
     in
-    combine (for_select ~is_log ~now s :: sub)
+    combine (for_select ~is_log s :: sub)
 
-let for_policy ~is_log ~now (p : Policy.t) : (string * t) list =
-  for_query ~is_log ~now p.Policy.query
+let for_policy ~is_log (p : Policy.t) : (string * t) list =
+  for_query ~is_log p.Policy.query
+
+(* Query forms reading the clock ------------------------------------------- *)
+
+let clock_ts q = Ast.Col (Some q.clock, Usage_log.time_column)
+
+let with_clock q (extra : Ast.expr list) : Ast.select =
+  let s = q.select in
+  {
+    s with
+    Ast.from =
+      s.Ast.from
+      @ [ Ast.From_table { name = Usage_log.clock_relation; alias = Some q.clock } ];
+    where = Ast.conjoin (Ast.conjuncts_opt s.Ast.where @ extra);
+  }
+
+let at_clock_tick q =
+  let target = lc (Ast.from_item_alias (List.hd q.select.Ast.from)) in
+  with_clock q
+    [ Ast.Binop (Ast.Eq, Ast.Col (Some target, Usage_log.time_column), clock_ts q) ]
+
+let frozen q =
+  let frontier = Ast.Binop (Ast.Add, clock_ts q, Ast.Lit (Value.Int 1)) in
+  with_clock q
+    (List.map
+       (fun b -> Ast.Binop ((if b.strict then Ast.Lt else Ast.Le), frontier, b.expr))
+       q.bounds)
+
+(* The frozen witness restricted to the [available] logs. The target's
+   neighbourhood all ts-equijoins it and a would-be increment lives at
+   the clock's tick, so every surviving log relation's [ts] is pinned to
+   the clock's. *)
+let probe ~is_log ~available q =
+  let s = frozen q in
+  let s = { s with Ast.items = [ Ast.Sel_expr (Ast.Lit (Value.Int 1), None) ] } in
+  let pq = Partial.of_select ~is_log ~available s in
+  match pq.Ast.from with
+  | [ _clock ] -> None
+  | _ ->
+    let pins =
+      List.filter_map
+        (fun (alias, r) ->
+          if is_log r then
+            Some
+              (Ast.Binop
+                 (Ast.Eq, Ast.Col (Some alias, Usage_log.time_column), clock_ts q))
+          else None)
+        (Analysis.table_occurrences pq)
+    in
+    Some { pq with Ast.where = Ast.conjoin (Ast.conjuncts_opt pq.Ast.where @ pins) }
+
+(* Reading results ------------------------------------------------------------ *)
+
+let row_deadline q (values : Value.t array) =
+  let base = Option.value q.keys ~default:0 in
+  let d = ref forever in
+  List.iteri (fun i b -> d := min !d (deadline b values.(base + i))) q.bounds;
+  !d
+
+let target_tid (row : Executor.row_out) =
+  List.assoc 0 row.Executor.src_tids
+
+let scan q ~now (r : Executor.result) (f : int -> int -> unit) =
+  match q.keys with
+  | None ->
+    List.iter
+      (fun (row : Executor.row_out) ->
+        f (target_tid row) (row_deadline q row.Executor.values))
+      r.Executor.out_rows
+  | Some k ->
+    let seen = Value.Key.Tbl.create 16 in
+    List.iter
+      (fun (row : Executor.row_out) ->
+        let d = row_deadline q row.Executor.values in
+        if d > now then begin
+          let key = Array.sub row.Executor.values 0 k in
+          if not (Value.Key.Tbl.mem seen key) then begin
+            Value.Key.Tbl.add seen key ();
+            f (target_tid row) d
+          end
+        end)
+      r.Executor.out_rows

@@ -59,6 +59,27 @@ let truncate t n =
 
 let clear t = truncate t 0
 
+(* Keep the bits at the indices [keep] accepts, in order. Writes never
+   overtake reads (the write index trails the read index), so one pass
+   compacts in place; the tail is then cleared by [truncate]. *)
+let filter_in_place keep t =
+  let j = ref 0 in
+  for i = 0 to t.len - 1 do
+    if keep i then begin
+      let b = get t i in
+      let byte = Char.code (Bytes.unsafe_get t.bits (!j lsr 3)) in
+      let mask = 1 lsl (!j land 7) in
+      let was = byte land mask <> 0 in
+      if b <> was then begin
+        Bytes.unsafe_set t.bits (!j lsr 3)
+          (Char.chr (if b then byte lor mask else byte land lnot mask));
+        t.ones <- (t.ones + if b then 1 else -1)
+      end;
+      incr j
+    end
+  done;
+  truncate t !j
+
 (* A shared all-false bitmap ([get] is false everywhere past the length,
    and the length is 0). Read-only by convention: never push into it. *)
 let empty = create ()

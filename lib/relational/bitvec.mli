@@ -23,6 +23,10 @@ val truncate : t -> int -> unit
 
 val clear : t -> unit
 
+(** [filter_in_place keep t] keeps the bits whose index (before
+    filtering) satisfies [keep], in order. *)
+val filter_in_place : (int -> bool) -> t -> unit
+
 (** A shared all-false bitmap (length 0, so every [get] is [false]).
     Treat as read-only: never push into it. *)
 val empty : t

@@ -16,16 +16,20 @@
 
     {!Table} keeps the store synchronized across every mutation path
     exactly as it keeps secondary indexes — appends append, savepoint
-    rollback truncates, and the destructive paths (deletion, update,
-    clear) rebuild — so batch scans can hand the backing arrays to
-    compiled operators without copying or boxing.
+    rollback truncates, deletion drops the dead positions in place, and
+    the remaining destructive paths (update, clear) rebuild — so batch
+    scans can hand the backing arrays to compiled operators without
+    copying or boxing.
 
     Dictionaries are append-only between rebuilds: a savepoint rollback
     truncates the code vector but keeps interned strings (their codes
-    stay valid; at worst the dictionary briefly holds strings no live row
-    references). The destructive paths recreate each column from its
-    declared type — fresh dictionaries, so codes are dense again after a
-    compaction, and a demoted Mixed column gets a chance to re-promote.
+    stay valid; at worst the dictionary holds strings no live row
+    references). Deletion keeps it too, until dead strings outnumber the
+    live rows, and then re-interns the survivors; it also re-promotes a
+    demoted Mixed column whose survivors fit the declared type. Update
+    and clear recreate each column from its declared type — fresh
+    dictionaries, so codes are dense again, and a demoted Mixed column
+    gets a chance to re-promote.
 
     The store also answers the delta-watermark question
     ({!Table.fold_delta}'s binary lower bound) positionally: since rows
@@ -119,7 +123,8 @@ let data_length = function
 
 (* A value arrived that the typed layout cannot hold exactly (an INT into
    a FLOAT column: [Value.Int 2] must not come back as [Float 2.]). Box
-   the column wholesale; [rebuild] re-promotes it later if it can. *)
+   the column wholesale; deletion or [rebuild] re-promotes it later if
+   it can. *)
 let demote (c : col) =
   let n = data_length c.data in
   let mv = Vec.create ~dummy:Value.Null () in
@@ -169,14 +174,70 @@ let clear t =
     Array.map (fun (c : Schema.column) -> fresh_col c.Schema.ty) t.schema;
   Vec.truncate t.tids 0
 
-(* Destructive mutations (deletion, in-place update) refill the store
-   from the heap in one pass. Those paths are already O(rows) on the
-   table side and are never on the policy-evaluation hot path, so a
-   rebuild keeps the synchronization story obviously correct. *)
+(* In-place update refills the store from the heap in one pass: it is
+   O(rows) on the table side already and never on the policy-evaluation
+   hot path, so a rebuild keeps the synchronization story obviously
+   correct. *)
 let rebuild t ~row_count iter_rows =
   clear t;
   ignore row_count;
   iter_rows (fun ~tid cells -> append t ~tid cells)
+
+(* Whether the typed layout of [ty] holds [v] exactly. *)
+let fits (ty : Ty.t) (v : Value.t) =
+  match ty, v with
+  | _, Value.Null
+  | Ty.Int, Value.Int _
+  | Ty.Float, Value.Float _
+  | Ty.Bool, Value.Bool _
+  | Ty.Text, Value.Str _ -> true
+  | _ -> false
+
+(* Deletion (log compaction on every commit, DML) drops the dead
+   positions column by column in one pass each. A typed layout stays as
+   it is; a Mixed column whose survivors all fit its declared type is
+   re-promoted, as a rebuild would. A dictionary keeps the strings of
+   deleted rows until it holds more than twice as many strings as the
+   column has rows (plus slack); then it is re-interned from the
+   surviving codes, which bounds its size by the live rows at constant
+   amortized cost per deleted row. *)
+let filter_in_place t keep =
+  let keepi i _ = keep i in
+  Array.iteri
+    (fun ci c ->
+      (match c.data with
+      | D_int v -> ignore (Vec.filteri_in_place keepi v)
+      | D_float v -> ignore (Vec.filteri_in_place keepi v)
+      | D_bool v -> ignore (Vec.filteri_in_place keepi v)
+      | D_str (v, d) ->
+        ignore (Vec.filteri_in_place keepi v);
+        if dict_size d > (2 * Vec.length v) + 64 then begin
+          let d' = new_dict () in
+          let v' = Vec.create ~dummy:(-1) () in
+          Vec.iter
+            (fun code ->
+              Vec.push v' (if code < 0 then -1 else intern d' (dict_string d code)))
+            v;
+          c.data <- D_str (v', d')
+        end
+      | D_mixed v ->
+        let ty = t.schema.(ci).Schema.ty in
+        let typed = ref (not !force_mixed) in
+        ignore
+          (Vec.filteri_in_place
+             (fun i x ->
+               let k = keep i in
+               if k && not (fits ty x) then typed := false;
+               k)
+             v);
+        if !typed then begin
+          let c' = fresh_col ty in
+          Vec.iter (append_cell c') v;
+          c.data <- c'.data
+        end);
+      Bitvec.filter_in_place keep c.nulls)
+    t.cols;
+  ignore (Vec.filteri_in_place keepi t.tids)
 
 (* Zero-copy views -------------------------------------------------------- *)
 

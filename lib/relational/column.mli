@@ -13,10 +13,11 @@
     arrays without copying; positions double as heap row numbers, and
     the delta watermark becomes a contiguous suffix slice.
 
-    Dictionaries are append-only between rebuilds (rollback truncates
-    codes but keeps interned strings); the destructive paths rebuild the
-    columns from the schema, which restores dense codes and re-promotes
-    demoted columns. *)
+    Dictionaries are append-only between rebuilds (rollback and deletion
+    drop codes but keep interned strings, until deletion leaves a
+    dictionary mostly dead); update and clear rebuild the columns from
+    the schema, which restores dense codes and re-promotes demoted
+    columns, and deletion re-promotes them too. *)
 
 type t
 
@@ -42,7 +43,15 @@ val truncate : t -> int -> unit
     dictionaries, typed layouts restored). *)
 val clear : t -> unit
 
-(** Refill from the heap in one pass (deletion / in-place update).
+(** Keep the positions [keep] accepts, in order, dropping the rest from
+    every column and the tid vector in one pass (deletion). Typed layouts
+    are kept; a Mixed column whose surviving cells all fit its declared
+    type re-promotes. Dictionaries and their codes are kept too, unless a
+    dictionary holds more than twice as many strings as its column has
+    rows: it is then re-interned from the surviving codes. *)
+val filter_in_place : t -> (int -> bool) -> unit
+
+(** Refill from the heap in one pass (in-place update).
     Columns are recreated first, so dictionary codes come out dense and
     demoted columns re-promote. *)
 val rebuild :

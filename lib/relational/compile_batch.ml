@@ -525,12 +525,32 @@ let batch_of_rows ~track ~slot ~width (rows : Row.t list) : batch =
     srcs = (if track then [ { slot; tids } ] else []);
   }
 
+(* The first position at or after [p] whose tid is [>= tid], in the
+   ascending tid vector [mt] of length [n]: a galloping search, so a
+   probe that lands [d] positions ahead costs O(log d), not O(d). *)
+let seek mt n p tid =
+  if p >= n || mt.(p) >= tid then p
+  else begin
+    (* invariant: mt.(lo) < tid, and tid <= mt.(hi) or hi = n *)
+    let lo = ref p and step = ref 1 in
+    while !lo + !step < n && mt.(!lo + !step) < tid do
+      lo := !lo + !step;
+      step := 2 * !step
+    done;
+    let hi = ref (min n (!lo + !step)) in
+    while !hi - !lo > 1 do
+      let mid = (!lo + !hi) / 2 in
+      if mt.(mid) < tid then lo := mid else hi := mid
+    done;
+    !hi
+  end
+
 (* Index probe results as a batch, without materializing rows: the
    probe's tids (ascending, same order contract as [Table.index_lookup])
-   become a selection vector over the mirror's zero-copy views via a
-   single merge walk of the two ascending tid sequences. A tid absent
-   from the mirror is skipped, matching the row path's stale-tid
-   filtering. *)
+   become a selection vector over the mirror's zero-copy views, each
+   found by a {!seek} forward from the previous one — a probe of [k] tids
+   costs O(k log n), not a walk of the mirror. A tid absent from the
+   mirror is skipped, matching the row path's stale-tid filtering. *)
 let batch_of_sorted_tids store ~track ~slot (tids : int array) : batch =
   let mt = Column.tids store in
   let n = Column.length store in
@@ -538,9 +558,7 @@ let batch_of_sorted_tids store ~track ~slot (tids : int array) : batch =
   let k = ref 0 and p = ref 0 in
   Array.iter
     (fun tid ->
-      while !p < n && mt.(!p) < tid do
-        incr p
-      done;
+      p := seek mt n !p tid;
       if !p < n && mt.(!p) = tid then begin
         buf.(!k) <- !p;
         incr k

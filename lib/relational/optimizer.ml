@@ -200,20 +200,23 @@ let dyn_key (p : Plan.pexpr) : bool = has_exec p && never_raises p
    (slot-local, i.e. [Field i] is table column [i]), pick an index probe
    and return it with the conjuncts left over as ordinary filters.
 
-   The first [col = const] conjunct over an indexed column wins (hash
-   preferred, sorted serves equality too); failing that, every range
-   conjunct ([</<=/>/>=] against a constant) over the first sorted-indexed
-   column is folded into one [Index_range] whose bounds are the tightest
+   A [col = dyn] equality over an indexed column wins, where [dyn] is a
+   {!dyn_key} (the clock-elimination rewrite plants those: it pins a
+   column to the clock's tick, which on a log relation is one
+   submission's increment, narrower than a constant equality such as a
+   uid that holds across the whole history). Next, the first
+   [col = const] conjunct over an indexed column (hash preferred, sorted
+   serves equality too); failing that, every range conjunct
+   ([</<=/>/>=] against a constant) over the first sorted-indexed column
+   is folded into one [Index_range] whose bounds are the tightest
    combination. NULL constants are ineligible: the comparison is false
    for every row, and leaving the conjunct as a filter preserves that.
 
-   Only when no constant probe exists, a {!dyn_key} conjunct may probe
-   instead (the clock-elimination rewrite plants those): first a
-   [col = dyn] equality, then dynamic bounds over the first
-   sorted-indexed column with one — at most one lower and one upper
-   bound, untightened (dynamic bounds cannot be compared at plan time),
-   the rest staying filters. A dynamic key evaluating to NULL at probe
-   time yields no rows, matching the filter it replaced. *)
+   Only when no constant probe exists, dynamic bounds over the first
+   sorted-indexed column with one may probe — at most one lower and one
+   upper bound, untightened (dynamic bounds cannot be compared at plan
+   time), the rest staying filters. A dynamic key evaluating to NULL at
+   probe time yields no rows, matching the filter it replaced. *)
 let select_access (table : Table.t) (preds : Plan.pexpr list) :
     (Plan.access * Plan.pexpr list) option =
   let index_for col ~range =
@@ -272,45 +275,45 @@ let select_access (table : Table.t) (preds : Plan.pexpr list) :
       | _ -> None)
     | _ -> None
   in
-  let dyn_probe () =
-    let rec split_dyn_eq before = function
-      | [] -> None
-      | p :: rest -> (
-        match dyn_eq_probe p with
-        | Some access -> Some (access, List.rev_append before rest)
-        | None -> split_dyn_eq (p :: before) rest)
+  let rec split_dyn_eq before = function
+    | [] -> None
+    | p :: rest -> (
+      match dyn_eq_probe p with
+      | Some access -> Some (access, List.rev_append before rest)
+      | None -> split_dyn_eq (p :: before) rest)
+  in
+  let dyn_range () =
+    let target =
+      List.find_map
+        (fun p ->
+          match dyn_bound_of p with
+          | Some (i, _) when index_for i ~range:true <> None -> Some i
+          | _ -> None)
+        preds
     in
-    match split_dyn_eq [] preds with
-    | Some r -> Some r
-    | None -> (
-      let target =
-        List.find_map
+    match target with
+    | None -> None
+    | Some col ->
+      let ix = Option.get (index_for col ~range:true) in
+      let lo = ref None and hi = ref None in
+      let remaining =
+        List.filter
           (fun p ->
             match dyn_bound_of p with
-            | Some (i, _) when index_for i ~range:true <> None -> Some i
-            | _ -> None)
+            | Some (i, `Lo b) when i = col && Option.is_none !lo ->
+              lo := Some b;
+              false
+            | Some (i, `Hi b) when i = col && Option.is_none !hi ->
+              hi := Some b;
+              false
+            | _ -> true)
           preds
       in
-      match target with
-      | None -> None
-      | Some col ->
-        let ix = Option.get (index_for col ~range:true) in
-        let lo = ref None and hi = ref None in
-        let remaining =
-          List.filter
-            (fun p ->
-              match dyn_bound_of p with
-              | Some (i, `Lo b) when i = col && Option.is_none !lo ->
-                lo := Some b;
-                false
-              | Some (i, `Hi b) when i = col && Option.is_none !hi ->
-                hi := Some b;
-                false
-              | _ -> true)
-            preds
-        in
-        Some (Plan.Index_range { index = Index.name ix; lo = !lo; hi = !hi }, remaining))
+      Some (Plan.Index_range { index = Index.name ix; lo = !lo; hi = !hi }, remaining)
   in
+  match split_dyn_eq [] preds with
+  | Some r -> Some r
+  | None ->
   match split_eq [] preds with
   | Some r -> Some r
   | None ->
@@ -340,7 +343,7 @@ let select_access (table : Table.t) (preds : Plan.pexpr list) :
         preds
     in
     (match target with
-    | None -> dyn_probe ()
+    | None -> dyn_range ()
     | Some col ->
       let ix = Option.get (index_for col ~range:true) in
       let lo = ref None and hi = ref None in

@@ -39,11 +39,11 @@ type t = {
          removals, which break carried aggregate state even though they
          cannot grow a monotone result *)
   mutable ver_compact : int;
-      (* bumped only by tid-set deletion (retain_tids): witness-driven
-         log compaction, which retains every tuple contributing to an
-         active policy — running SUM/COUNT state survives it, while
-         MIN/MAX state (which any removal can break) treats it like a
-         delete *)
+      (* bumped only by tid-set deletion (retain_tids, drop_tids):
+         witness-driven log compaction, which retains every tuple
+         contributing to an active policy — running SUM/COUNT state
+         survives it, while MIN/MAX state (which any removal can break)
+         treats it like a delete *)
   mutable columnar : Column.t option;
       (* opt-in columnar mirror for batch scans, kept consistent with
          the heap by the same mutation hooks that maintain indexes *)
@@ -130,8 +130,8 @@ let index_remove t (row : Row.t) =
 
 let columnar t = t.columnar
 
-(* Refill the mirror from the heap (deletion and in-place update paths,
-   both cold relative to policy evaluation). *)
+(* Refill the mirror from the heap (the in-place update path, cold
+   relative to policy evaluation). *)
 let columnar_rebuild t =
   match t.columnar with
   | None -> ()
@@ -276,8 +276,15 @@ let bulk_load t rows =
    [keep_row] runs once per row, before anything is mutated. *)
 let filter_rows t keep_row =
   t.ver_mut <- t.ver_mut + 1;
+  let live = Array.make (Vec.length t.rows) true in
   let dropped = ref [] in
-  Vec.iter (fun r -> if not (keep_row r) then dropped := r :: !dropped) t.rows;
+  Vec.iteri
+    (fun i r ->
+      if not (keep_row r) then begin
+        live.(i) <- false;
+        dropped := r :: !dropped
+      end)
+    t.rows;
   match !dropped with
   | [] -> 0
   | rows ->
@@ -290,8 +297,10 @@ let filter_rows t keep_row =
           (List.map (fun r -> Row.cell r (Index.column ix)) rows)
           is_dead)
       t.indexes;
-    let removed = Vec.filter_in_place (fun r -> not (is_dead (Row.tid r))) t.rows in
-    columnar_rebuild t;
+    let removed = Vec.filteri_in_place (fun i _ -> live.(i)) t.rows in
+    (match t.columnar with
+    | None -> ()
+    | Some store -> Column.filter_in_place store (fun i -> live.(i)));
     removed
 
 (* Delete all rows whose tid is NOT in [keep]; returns number removed. *)
@@ -299,6 +308,13 @@ let retain_tids t keep =
   guard_no_txn t "retain_tids";
   t.ver_compact <- t.ver_compact + 1;
   filter_rows t (fun r -> Hashtbl.mem keep (Row.tid r))
+
+(* Delete the rows whose tid IS in [dead]: compaction's expiry path,
+   counted like [retain_tids]. *)
+let drop_tids t dead =
+  guard_no_txn t "drop_tids";
+  t.ver_compact <- t.ver_compact + 1;
+  filter_rows t (fun r -> not (Hashtbl.mem dead (Row.tid r)))
 
 let delete_where t pred =
   guard_no_txn t "delete_where";

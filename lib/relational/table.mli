@@ -20,9 +20,9 @@
 
     Columns may carry declared secondary indexes ({!Index}): hash for
     equality, sorted for ranges. Every mutation path — [insert],
-    [bulk_load], [delete_where], [retain_tids], [update_where],
-    [rollback_to], [clear] — keeps them exactly consistent with the
-    heap. *)
+    [bulk_load], [delete_where], [retain_tids], [drop_tids],
+    [update_where], [rollback_to], [clear] — keeps them exactly
+    consistent with the heap. *)
 
 type t
 
@@ -33,10 +33,10 @@ val debug_checks : bool ref
 
 (** Mark the table as frozen: while set (and {!debug_checks} is on),
     every mutating operation — [insert], [bulk_load], [delete_where],
-    [retain_tids], [update_where], [rollback_to], [clear] — raises. The
-    engine freezes tables for the span of a parallel evaluation batch,
-    turning a would-be cross-domain data race into a deterministic
-    failure under the test suite. *)
+    [retain_tids], [drop_tids], [update_where], [rollback_to], [clear] —
+    raises. The engine freezes tables for the span of a parallel
+    evaluation batch, turning a would-be cross-domain data race into a
+    deterministic failure under the test suite. *)
 val freeze : t -> unit
 
 (** Clear the {!freeze} mark. *)
@@ -123,6 +123,12 @@ val columnar : t -> Column.t option
     @raise Errors.Sql_error inside a savepoint. *)
 val retain_tids : t -> (int, unit) Hashtbl.t -> int
 
+(** Delete the rows whose tid is in the given set; returns the number
+    removed. The complement of {!retain_tids}, with the same version
+    accounting ({!ver_compact}): log compaction expires tuples with it.
+    @raise Errors.Sql_error inside a savepoint. *)
+val drop_tids : t -> (int, unit) Hashtbl.t -> int
+
 (** Delete rows matching the predicate; returns the number removed.
     @raise Errors.Sql_error inside a savepoint. *)
 val delete_where : t -> (Row.t -> bool) -> int
@@ -176,13 +182,13 @@ val delta_base : t -> int
 val mark_delta_base : t -> unit
 
 (** Bumped by every mutation ([insert], [bulk_load], [delete_where],
-    [retain_tids], [update_where], [rollback_to], [clear]). *)
+    [retain_tids], [drop_tids], [update_where], [rollback_to], [clear]). *)
 val ver_mut : t -> int
 
 (** Bumped only by mutations that can grow a monotone query's result
     without appending fresh tids: [update_where], [clear] and
     [bulk_load]. Pure removals ([delete_where], [retain_tids],
-    [rollback_to]) and appends (watermarked by tid) leave it alone. *)
+    [drop_tids], [rollback_to]) and appends (watermarked by tid) leave it alone. *)
 val ver_unsafe : t -> int
 
 (** Bumped only by predicate deletion ([delete_where]): arbitrary DML
@@ -191,8 +197,8 @@ val ver_unsafe : t -> int
     rows. *)
 val ver_del : t -> int
 
-(** Bumped only by tid-set deletion ([retain_tids]): witness-driven log
-    compaction. Witnesses retain every tuple contributing to an active
+(** Bumped only by tid-set deletion ([retain_tids], [drop_tids]):
+    witness-driven log compaction. Witnesses retain every tuple contributing to an active
     policy, so running SUM/COUNT/AVG state survives compaction;
     MIN/MAX state, which any removal can break, treats it like a
     delete. [rollback_to] bumps neither removal counter — discarded

@@ -112,11 +112,11 @@ let append dst src =
 
 (* Keep only elements satisfying [p], preserving order; returns the number
    of elements removed. *)
-let filter_in_place p t =
+let filteri_in_place p t =
   let j = ref 0 in
   for i = 0 to t.len - 1 do
     let x = t.data.(i) in
-    if p x then begin
+    if p i x then begin
       t.data.(!j) <- x;
       incr j
     end
@@ -124,3 +124,5 @@ let filter_in_place p t =
   let removed = t.len - !j in
   truncate t !j;
   removed
+
+let filter_in_place p t = filteri_in_place (fun _ x -> p x) t

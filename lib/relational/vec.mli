@@ -48,6 +48,10 @@ val of_list : dummy:'a -> 'a list -> 'a t
     order; returns the number of elements removed. *)
 val filter_in_place : ('a -> bool) -> 'a t -> int
 
+(** [filteri_in_place p t] is {!filter_in_place} with the element's
+    index (before filtering) passed to [p]. *)
+val filteri_in_place : (int -> 'a -> bool) -> 'a t -> int
+
 (** {1 Bulk operations} *)
 
 (** [blit ~src ~src_pos ~dst ~dst_pos ~len] copies [len] elements from

@@ -86,8 +86,9 @@ let test_witness_filters_by_db_relation () =
     [ i 1; i 2 ] uids
 
 let test_example_4_3_shape () =
-  (* The users witness of Example 4.3: membership join kept, time
-     predicate frozen, schema in the neighborhood. *)
+  (* The users witness of Example 4.3: membership join kept, schema in
+     the neighborhood, clock relation dropped, and the time predicate
+     frozen as a deadline instead of a literal frontier. *)
   let db = mk_db () in
   let e = Engine.create db in
   let p =
@@ -97,16 +98,26 @@ let test_example_4_3_shape () =
        'student' AND u.ts > c.ts - 14 HAVING COUNT(DISTINCT u.uid) > 10"
   in
   let is_log rel = Catalog.is_log (Database.catalog db) rel in
-  match List.assoc_opt "users" (Witness.for_policy ~is_log ~now:100 p) with
-  | Some (Witness.Queries [ w ]) ->
-    let sql = Sql_print.select w in
+  match List.assoc_opt "users" (Witness.for_policy ~is_log p) with
+  | Some (Witness.Queries [ w ]) -> (
+    let sql = Sql_print.select w.Witness.select in
     List.iter
       (fun needle ->
         Alcotest.(check bool) ("witness contains " ^ needle) true
           (Test_policy.contains_substring sql needle))
-      [ "u.*"; "schema"; "memberships"; "101" ];
+      [ "schema"; "memberships" ];
     Alcotest.(check bool) "clock dropped" false
-      (Test_policy.contains_substring sql "clock")
+      (Test_policy.contains_substring sql "clock");
+    Alcotest.(check (option int)) "full-query witness (Lemma 4.1)" None w.Witness.keys;
+    (* c.ts < u.ts + 14, frozen at now = 100 as 101 < u.ts + 14: a row
+       with u.ts + 14 = 102 is kept through tick 100 and no further. *)
+    match w.Witness.bounds with
+    | [ b ] ->
+      Alcotest.(check string) "bound expression" "u.ts + 14" (Sql_print.expr b.Witness.expr);
+      Alcotest.(check bool) "strict" true b.Witness.strict;
+      Alcotest.(check int) "last kept at 100" 101 (Witness.deadline b (i 102));
+      Alcotest.(check int) "gone at 100" 100 (Witness.deadline b (i 101))
+    | bs -> Alcotest.failf "expected one bound, got %d" (List.length bs))
   | _ -> Alcotest.fail "expected a single users witness"
 
 let test_ti_only_relations_never_generated () =
@@ -138,7 +149,7 @@ let test_self_join_witness_union () =
        s2.ts AND s1.irid = 'items' AND s2.irid != 'items' AND s1.ts > c.ts - 9"
   in
   let is_log rel = Catalog.is_log (Database.catalog db) rel in
-  (match List.assoc_opt "schema" (Witness.for_policy ~is_log ~now:50 p) with
+  (match List.assoc_opt "schema" (Witness.for_policy ~is_log p) with
   | Some (Witness.Queries qs) ->
     Alcotest.(check int) "two witness queries" 2 (List.length qs)
   | _ -> Alcotest.fail "expected queries");
@@ -152,26 +163,383 @@ let test_self_join_witness_union () =
   add 45 "other";
   add 30 "items";
   (* out of window *)
-  Usage_log.set_clock db 50;
-  let retained = Hashtbl.create 8 in
-  (match List.assoc "schema" (Witness.for_policy ~is_log ~now:50 p) with
-  | Witness.Queries qs ->
-    List.iter
-      (fun q ->
-        let r =
-          Executor.run
-            ~opts:{ Executor.lineage = false; track_src = true }
-            (Database.catalog db) (Ast.Select q)
-        in
-        List.iter
-          (fun (row : Executor.row_out) ->
-            List.iter
-              (fun (slot, tid) -> if slot = 0 then Hashtbl.replace retained tid ())
-              row.Executor.src_tids)
-          r.Executor.out_rows)
-      qs
-  | Witness.Keep_all -> Alcotest.fail "unexpected Keep_all");
+  let retained =
+    Test_support.witness_retained db ~now:50
+      (List.assoc "schema" (Witness.for_policy ~is_log p))
+  in
   Alcotest.(check int) "both in-window rows retained" 2 (Hashtbl.length retained)
+
+(* A fixed Table 2 script with policy changes and base DML between
+   commits: after every step, each log relation's row count and a digest
+   of its tids. *)
+let tab2_trace () =
+  let s =
+    Workload.Runner.make
+      ~mimic:
+        { Mimic.Generate.small_config with n_patients = 30; events_per_patient = 4 }
+      ~params:
+        {
+          Workload.Policies.default_params with
+          p1_window = 8;
+          p1_max_users = 3;
+          p5_window = 12;
+          p5_max_fraction = 0.9;
+          p6_window = 10;
+          p6_max_uses = 1000;
+        }
+      ()
+  in
+  let e = s.Workload.Runner.engine in
+  let db = s.Workload.Runner.db in
+  let sub uid w = `Sub (uid, w) in
+  let ops =
+    [ sub 1 "W1"; sub 1 "W2"; sub 1 "W1"; sub 1 "W3"; sub 1 "W1"; sub 1 "W2";
+      sub 1 "W1"; sub 1 "W1"; sub 2 "W1"; sub 1 "W2"; sub 1 "W1"; sub 1 "W3";
+      sub 0 "W1"; sub 1 "W1";
+      `Dml "INSERT INTO user_groups VALUES (2, 'X')";
+      sub 2 "W1"; sub 1 "W1"; sub 2 "W2"; sub 1 "W1"; sub 1 "W2";
+      `Add
+        ( "lte",
+          "SELECT DISTINCT 'lte' FROM users u, clock c WHERE u.uid = 2 AND \
+           c.ts <= u.ts + 3 HAVING COUNT(DISTINCT u.ts) > 100" );
+      `Add
+        ( "flt",
+          "SELECT DISTINCT 'flt' FROM users u, clock c WHERE u.ts > c.ts - \
+           2.5 HAVING COUNT(*) > 100" );
+      `Add
+        ( "eq",
+          "SELECT DISTINCT 'eq' FROM provenance p, clock c WHERE c.ts = p.ts \
+           + 2 AND p.irid = 'd_patients' HAVING COUNT(*) > 100" );
+      `Add
+        ( "bool",
+          "SELECT DISTINCT 'bool' FROM users u, schema s, clock c WHERE u.ts \
+           = s.ts AND s.irid = 'd_patients' AND u.uid = 2 AND c.ts > u.ts + 6 \
+           AND c.ts <= u.ts + 7" );
+      sub 1 "W1"; sub 2 "W1"; sub 1 "W2"; sub 2 "W2"; sub 1 "W1"; sub 1 "W3";
+      sub 2 "W1"; sub 1 "W1";
+      `Remove "P1";
+      sub 1 "W1"; sub 2 "W1"; sub 1 "W2"; sub 1 "W1"; sub 2 "W1";
+      `Dml "DELETE FROM user_groups WHERE uid = 2";
+      `Remove "bool";
+      sub 2 "W1"; sub 1 "W1"; sub 2 "W2"; sub 1 "W1" ]
+  in
+  let digest rel =
+    let tids =
+      List.rev
+        (Table.fold
+           (fun acc row -> string_of_int (Row.tid row) :: acc)
+           [] (Database.table db rel))
+    in
+    Printf.sprintf "%s=%d:%s" rel (List.length tids)
+      (String.sub (Digest.to_hex (Digest.string (String.concat "," tids))) 0 8)
+  in
+  List.map
+    (fun op ->
+      let label =
+        match op with
+        | `Sub (uid, w) -> (
+          match
+            Engine.submit e ~uid (Workload.Runner.query s w).Workload.Queries.sql
+          with
+          | Engine.Accepted _ -> Printf.sprintf "%d %s A" uid w
+          | Engine.Rejected _ -> Printf.sprintf "%d %s R" uid w)
+        | `Dml sql ->
+          ignore (Database.exec db sql);
+          "dml"
+        | `Add (name, sql) ->
+          ignore (Engine.add_policy e ~name sql);
+          "add " ^ name
+        | `Remove name ->
+          Engine.remove_policy e name;
+          "remove " ^ name
+      in
+      String.concat " "
+        (label :: List.map digest [ "users"; "schema"; "provenance" ]))
+    ops
+
+(* [tab2_trace]'s output under a full mark at every commit: each witness
+   run over the whole log, with Lemma 4.3's frontier as a literal. *)
+let full_mark_trace =
+  [
+    "1 W1 A users=1:cfcd2084 schema=0:d41d8cd9 provenance=1:cfcd2084";
+    "1 W2 R users=1:cfcd2084 schema=0:d41d8cd9 provenance=1:cfcd2084";
+    "1 W1 A users=2:d192e0c4 schema=0:d41d8cd9 provenance=2:d192e0c4";
+    "1 W3 A users=3:432bbe43 schema=0:d41d8cd9 provenance=2:d192e0c4";
+    "1 W1 A users=4:37770ad1 schema=0:d41d8cd9 provenance=3:432bbe43";
+    "1 W2 R users=4:37770ad1 schema=0:d41d8cd9 provenance=3:432bbe43";
+    "1 W1 A users=5:b1959cea schema=0:d41d8cd9 provenance=4:37770ad1";
+    "1 W1 A users=6:8333cdba schema=0:d41d8cd9 provenance=5:b1959cea";
+    "2 W1 A users=7:94281be5 schema=0:d41d8cd9 provenance=5:b1959cea";
+    "1 W2 R users=7:94281be5 schema=0:d41d8cd9 provenance=5:b1959cea";
+    "1 W1 A users=7:9f5a9eee schema=0:d41d8cd9 provenance=6:8333cdba";
+    "1 W3 A users=7:62df3443 schema=0:d41d8cd9 provenance=5:afe805e5";
+    "0 W1 A users=7:62df3443 schema=0:d41d8cd9 provenance=5:afe805e5";
+    "1 W1 A users=7:fc5f0996 schema=0:d41d8cd9 provenance=5:c436b71e";
+    "dml users=7:fc5f0996 schema=0:d41d8cd9 provenance=5:c436b71e";
+    "2 W1 A users=8:d4ff302b schema=0:d41d8cd9 provenance=5:c436b71e";
+    "1 W1 A users=7:532c4969 schema=0:d41d8cd9 provenance=5:07fcadf5";
+    "2 W2 A users=8:3357a8ae schema=0:d41d8cd9 provenance=5:07fcadf5";
+    "1 W1 A users=8:b406690b schema=0:d41d8cd9 provenance=5:6dd21ded";
+    "1 W2 R users=8:b406690b schema=0:d41d8cd9 provenance=5:6dd21ded";
+    "add lte users=8:b406690b schema=0:d41d8cd9 provenance=5:6dd21ded";
+    "add flt users=8:b406690b schema=0:d41d8cd9 provenance=5:6dd21ded";
+    "add eq users=8:b406690b schema=0:d41d8cd9 provenance=5:6dd21ded";
+    "add bool users=8:b406690b schema=0:d41d8cd9 provenance=5:6dd21ded";
+    "1 W1 A users=7:439dc792 schema=0:d41d8cd9 provenance=5:713b8af7";
+    "2 W1 A users=8:170c1dc4 schema=1:cfcd2084 provenance=6:9e6d1bf8";
+    "1 W2 R users=8:170c1dc4 schema=1:cfcd2084 provenance=6:9e6d1bf8";
+    "2 W2 A users=7:76d73caa schema=2:d192e0c4 provenance=5:90fb879a";
+    "1 W1 A users=7:9cb93755 schema=2:d192e0c4 provenance=6:fcd84d46";
+    "1 W3 A users=7:a1be3815 schema=2:d192e0c4 provenance=4:27cf237f";
+    "2 W1 A users=8:a79674b4 schema=3:432bbe43 provenance=5:fdb6834e";
+    "1 W1 A users=8:e34e228d schema=3:432bbe43 provenance=5:a28503b3";
+    "remove P1 users=8:e34e228d schema=3:432bbe43 provenance=5:a28503b3";
+    "1 W1 A users=7:920b3eac schema=2:05cf281c provenance=5:a05522ed";
+    "2 W1 A users=7:954647bd schema=3:55b84a9d provenance=5:5a8ae1bb";
+    "1 W2 R users=7:954647bd schema=3:55b84a9d provenance=5:5a8ae1bb";
+    "1 W1 A users=6:e97a8123 schema=2:624d8292 provenance=4:f9210080";
+    "2 W1 A users=7:3c7e7dd3 schema=3:9113fc71 provenance=5:527f456a";
+    "dml users=7:3c7e7dd3 schema=3:9113fc71 provenance=5:527f456a";
+    "remove bool users=7:3c7e7dd3 schema=3:9113fc71 provenance=5:527f456a";
+    "2 W1 A users=6:3546115a schema=3:9113fc71 provenance=6:c91f9f28";
+    "1 W1 A users=7:3f0faee9 schema=3:9113fc71 provenance=6:1722c28a";
+    "2 W2 A users=6:39d2494e schema=3:9113fc71 provenance=5:ced81cd8";
+    "1 W1 A users=6:214f85d4 schema=3:9113fc71 provenance=6:25d3c36e";
+  ]
+
+let test_trace_pinned () =
+  List.iter2
+    (fun expected actual -> Alcotest.(check string) "after step" expected actual)
+    full_mark_trace (tab2_trace ())
+
+(* Fallback pins ------------------------------------------------------------ *)
+
+let counter e key = int_of_string (List.assoc key (Engine.counters e))
+
+let dump db rel =
+  List.rev
+    (Table.fold
+       (fun acc row ->
+         Printf.sprintf "%d:%s" (Row.tid row)
+           (String.concat "," (Array.to_list (Array.map Value.to_string (Row.cells row))))
+         :: acc)
+       [] (Database.table db rel))
+
+(* Run [steps] on two engines over identical databases: one as is, the
+   other re-planned before every step, which drops its deadlines so every
+   commit marks in full. After every step the logs must agree tid for
+   tid. Returns the first engine. *)
+let agree_with_full_mark ~policies steps =
+  let make () =
+    let db =
+      db_of_script
+        {|
+        CREATE TABLE grants (uid INT, grace INT);
+        INSERT INTO grants VALUES (1, 3), (2, 5)
+        |}
+    in
+    let e = Engine.create db in
+    List.iter (fun (name, sql) -> ignore (Engine.add_policy e ~name sql)) policies;
+    (db, e)
+  in
+  let db_a, a = make () in
+  let db_b, b = make () in
+  List.iteri
+    (fun k step ->
+      Engine.set_config b Engine.default_config;
+      step db_a a;
+      step db_b b;
+      List.iter
+        (fun rel ->
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s after step %d" rel k)
+            (dump db_b rel) (dump db_a rel))
+        [ "users"; "schema"; "provenance" ])
+    steps;
+  Alcotest.(check int) "the twin never marks incrementally" 0
+    (counter b "witness-delta-marks");
+  a
+
+let query uid _db e =
+  ignore (Engine.submit e ~uid "SELECT uid FROM grants WHERE uid = 1")
+
+let window_policy clause =
+  ( "w",
+    Printf.sprintf
+      "SELECT DISTINCT 'w' FROM users u, clock c WHERE u.uid = 1 AND %s \
+       HAVING COUNT(*) > 1000"
+      clause )
+
+(* Each clock bound kind, as an off-by-one pin: after a commit at tick
+   [now], the rows still kept are those whose deadline is above [now]. *)
+let test_bound_kinds () =
+  List.iter
+    (fun (clause, kept) ->
+      let e =
+        agree_with_full_mark ~policies:[ window_policy clause ]
+          (List.init 12 (fun _ -> query 1))
+      in
+      Alcotest.(check int) (clause ^ ": rows kept") kept (Engine.log_size e "users");
+      Alcotest.(check int) (clause ^ ": one full mark") 1
+        (counter e "witness-full-marks");
+      Alcotest.(check int) (clause ^ ": then increments") 11
+        (counter e "witness-delta-marks"))
+    [
+      ("u.ts > c.ts - 3", 2);
+      ("c.ts <= u.ts + 3", 3);
+      ("c.ts = u.ts + 3", 3);
+      ("u.ts > c.ts - 2.5", 2);
+      ("u.ts + 3.5 > c.ts", 3);
+    ]
+
+(* Base DML between commits moves a witnessed join: extending a grace
+   period must keep rows the recorded deadlines would expire, and
+   deleting the grant must drop them. Each DML forces one full mark. *)
+let test_base_dml_falls_back () =
+  let dml sql db _e = ignore (Database.exec db sql) in
+  let e =
+    agree_with_full_mark
+      ~policies:
+        [
+          ( "grace",
+            "SELECT DISTINCT 'g' FROM users u, grants g, clock c WHERE u.uid = \
+             g.uid AND u.ts > c.ts - g.grace HAVING COUNT(*) > 1000" );
+        ]
+      ([ query 1; query 2; query 1; query 1 ]
+      @ [ dml "UPDATE grants SET grace = 8 WHERE uid = 1" ]
+      @ List.init 6 (fun _ -> query 1)
+      @ [ dml "DELETE FROM grants WHERE uid = 1"; query 2; query 1 ])
+  in
+  Alcotest.(check int) "full marks: first commit and after each DML" 3
+    (counter e "witness-full-marks");
+  Alcotest.(check int) "incremental otherwise" 9 (counter e "witness-delta-marks")
+
+(* A Boolean policy's witness keeps one representative per key (Lemma
+   4.2), which can change from commit to commit: its relations always
+   mark in full. *)
+let test_distinct_on_marks_in_full () =
+  let e =
+    agree_with_full_mark
+      ~policies:
+        [
+          ( "b",
+            "SELECT DISTINCT 'b' FROM users u, schema s, clock c WHERE u.ts = \
+             s.ts AND s.irid = 'grants' AND u.uid = 1 AND c.ts > u.ts + 100 \
+             AND c.ts <= u.ts + 104" );
+        ]
+      (List.init 8 (fun k -> query (1 + (k mod 2))))
+  in
+  Alcotest.(check bool) "schema kept" true (Engine.log_size e "schema" > 0);
+  Alcotest.(check int) "both relations marked in full at every commit" 16
+    (counter e "witness-full-marks")
+
+(* A Boolean policy without an upper clock bound keys its witness on a
+   column of the target. The preemptive probe for a target that has not
+   been generated drops the target's alias, so nothing it keeps may name
+   that alias: the probe must lower and run. Both policies are
+   time-dependent: users is not ts-joined to provenance, and the second
+   has only a lower clock bound. *)
+let test_keyed_probe_without_target () =
+  let db = db_of_script "CREATE TABLE grants (uid INT, grace INT)" in
+  let e = Engine.create db in
+  let is_log rel = Catalog.is_log (Database.catalog db) rel in
+  let probes name sql rel ~available =
+    let p = Engine.add_policy e ~name sql in
+    match List.assoc_opt rel (Witness.for_policy ~is_log p) with
+    | Some (Witness.Queries qs) ->
+      List.iter
+        (fun (q : Witness.query) ->
+          Alcotest.(check bool) (name ^ ": keyed") true (q.Witness.keys <> None);
+          match Witness.probe ~is_log ~available q with
+          | Some pq ->
+            Usage_log.set_clock db 7;
+            let r = Executor.run (Database.catalog db) (Ast.Select pq) in
+            Alcotest.(check int) (name ^ ": empty logs, empty probe") 0
+              (List.length r.Executor.out_rows)
+          | None -> Alcotest.fail (name ^ ": expected a probe"))
+        qs
+    | _ -> Alcotest.fail (name ^ ": expected witness queries")
+  in
+  probes "keyed"
+    "SELECT DISTINCT 'x' FROM users u, provenance p, grants g WHERE u.uid = \
+     g.uid AND p.itid = g.uid"
+    "provenance" ~available:[ "users" ];
+  probes "lower"
+    "SELECT DISTINCT 'y' FROM users u, schema s, clock c WHERE u.ts = s.ts \
+     AND s.irid = 'grants' AND c.ts > u.ts + 5"
+    "users" ~available:[ "schema" ]
+
+(* Registering or removing a policy re-plans: the next commit marks in
+   full against the new witnesses. *)
+let test_policy_change_falls_back () =
+  let add (name, sql) _db e = ignore (Engine.add_policy e ~name sql) in
+  let remove name _db e = Engine.remove_policy e name in
+  let e =
+    agree_with_full_mark ~policies:[ window_policy "u.ts > c.ts - 2" ]
+      ([ query 1; query 1; query 1 ]
+      @ [ add (rate_policy ~name:"wide" ~window:6) ]
+      @ [ query 1; query 1; query 1; query 1 ]
+      @ [ remove "wide"; query 1; query 1 ])
+  in
+  Alcotest.(check int) "full marks: first commit and after each change" 3
+    (counter e "witness-full-marks");
+  Alcotest.(check int) "rows kept" 1 (Engine.log_size e "users")
+
+(* An increment mark reaches the increment through the log's [ts]
+   index: the clock-pinned equality wins over the policy's constant
+   [uid] equality, which would fetch the user's whole history. *)
+let test_increment_mark_probes_ts () =
+  let db = mk_db () in
+  let e = Engine.create db in
+  let p = Engine.add_policy e ~name:"w" (snd (window_policy "u.ts > c.ts - 5")) in
+  let is_log rel = Catalog.is_log (Database.catalog db) rel in
+  match List.assoc "users" (Witness.for_policy ~is_log p) with
+  | Witness.Queries [ q ] -> (
+    match
+      Optimizer.derive_delta (Database.catalog db) ~is_log
+        ~clock_rel:Usage_log.clock_relation
+        (Ast.Select (Witness.at_clock_tick q))
+    with
+    | Some { Optimizer.branches = [ Optimizer.B_residual { plan = Plan.Select sp; _ } ]; _ }
+      -> (
+      match sp.Plan.slots.(0).Plan.source with
+      | Plan.Scan (_, Plan.Index_eq { index; _ }) ->
+        Alcotest.(check string) "probed index" "dl_ix_users_ts" index
+      | _ -> Alcotest.fail "slot 0 is not an index probe")
+    | _ -> Alcotest.fail "expected one clock-eliminated branch")
+  | _ -> Alcotest.fail "expected one users witness"
+
+(* Once a fixed Table 2 script has committed twice (a full mark, then
+   the first mark from an increment), every policy, witness and probe
+   plan is a cache hit. One domain: pool workers keep shards of their
+   own, each compiling on first use. *)
+let test_plans_cached_across_commits () =
+  let s =
+    Workload.Runner.make
+      ~mimic:
+        { Mimic.Generate.small_config with n_patients = 30; events_per_patient = 4 }
+      ~params:{ Workload.Policies.default_params with p5_window = 6; p6_window = 5 }
+      ~config:{ Engine.default_config with Engine.domains = 1 }
+      ()
+  in
+  let e = s.Workload.Runner.engine in
+  let w1 = (Workload.Runner.query s "W1").Workload.Queries.sql in
+  let commit () =
+    match Engine.submit e ~uid:1 w1 with
+    | Engine.Accepted _ -> ()
+    | Engine.Rejected (ms, _) -> Alcotest.failf "rejected: %s" (String.concat "; " ms)
+  in
+  commit ();
+  commit ();
+  let _, misses = Engine.plan_cache_stats e in
+  for _ = 1 to 50 do
+    commit ()
+  done;
+  let hits, misses' = Engine.plan_cache_stats e in
+  Alcotest.(check int) "no miss after the second commit" misses misses';
+  Alcotest.(check bool) "hits" true (hits > 0);
+  Alcotest.(check bool) "marked from increments" true
+    (counter e "witness-delta-marks" >= 100)
 
 let suite =
   [
@@ -181,4 +549,12 @@ let suite =
     tc "Example 4.3 witness shape" test_example_4_3_shape;
     tc "TI-only relations never stored" test_ti_only_relations_never_generated;
     tc "self-join witness union" test_self_join_witness_union;
+    tc "per-commit retained tids pinned" test_trace_pinned;
+    tc "clock bound kinds agree with the full mark" test_bound_kinds;
+    tc "base DML falls back to the full mark" test_base_dml_falls_back;
+    tc "DISTINCT ON witnesses mark in full" test_distinct_on_marks_in_full;
+    tc "policy changes fall back to the full mark" test_policy_change_falls_back;
+    tc "keyed witness probed without its target" test_keyed_probe_without_target;
+    tc "increment marks probe the ts index" test_increment_mark_probes_ts;
+    tc "plans stay cached across commits" test_plans_cached_across_commits;
   ]

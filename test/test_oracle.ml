@@ -560,6 +560,144 @@ let prop_workload_identical =
       in
       run 1 = run 4)
 
+(* Incremental compaction against the full mark: with compaction on, an
+   engine and a twin that checkpoints, closes and recovers before every
+   submission — so every twin commit marks in full — hold the same logs,
+   as row multisets over the persisted relations, after every step.
+   Recovery restores the journaled clock, which does not count rejected
+   submissions' ticks, so the twin's clock is set to the engine's after
+   each restart; its fresh database replays the base DML so far. Log DML
+   and DDL are not drawn: neither is journaled. *)
+let prop_full_mark_twin =
+  let base_dmls = [ 0; 1; 2; 3 ] in
+  QCheck.Test.make ~count:100
+    ~name:"compaction: incremental marks keep the logs of a full-marking twin"
+    (script_arb ~dml:true)
+    (fun s ->
+      let config = ref { (layered s ~domains:1) with Engine.log_compaction = true } in
+      let dir = Test_support.temp_dir ?parent:tmpfs "dl_twin" in
+      let replayed = ref [] in
+      let exec db sql =
+        match Dml.exec (Database.catalog db) (Parser.stmt sql) with
+        | _ -> ()
+        | exception Errors.Sql_error _ -> ()
+      in
+      let twin_db () =
+        let db = fresh_db () in
+        List.iter (exec db) (List.rev !replayed);
+        db
+      in
+      let db_a = fresh_db () in
+      let a = Engine.create ~config:!config db_a in
+      let open_b () =
+        Engine.create ~config:!config ~persist_dir:dir
+          ~persist_fsync:Persistence.Store.Never (twin_db ())
+      in
+      let b = ref (open_b ()) in
+      let restart () =
+        Engine.persist_checkpoint !b;
+        Engine.close !b;
+        b := open_b ();
+        Usage_log.set_clock (Engine.database !b) (Usage_log.current_time db_a)
+      in
+      let registered = ref 0 in
+      let register e name ti = ignore (Engine.add_policy e ~name (snd templates.(ti))) in
+      List.iter
+        (fun ti ->
+          let name = Printf.sprintf "p%d" !registered in
+          incr registered;
+          register a name ti;
+          register !b name ti)
+        s.initial;
+      let verdict = function
+        | Ok (Engine.Accepted _) -> "A"
+        | Ok (Engine.Rejected (ms, _)) -> "R " ^ String.concat ";" (List.sort compare ms)
+        | Error e -> "E " ^ Printexc.to_string e
+      in
+      let both f = (f a, f !b) in
+      let step op =
+        match op with
+        | Submit (uid, qi) ->
+          restart ();
+          both (fun e ->
+              [ verdict (try Ok (Engine.submit e ~uid queries.(qi)) with x -> Error x) ])
+        | Batch members ->
+          restart ();
+          let subs =
+            List.map
+              (fun (uid, qi) ->
+                {
+                  Engine.batch_uid = uid;
+                  batch_extra = [];
+                  batch_query = Parser.query queries.(qi);
+                })
+              members
+          in
+          both (fun e -> List.map verdict (Engine.submit_batch e subs))
+        | Register ti ->
+          let name = Printf.sprintf "p%d" !registered in
+          incr registered;
+          both (fun e ->
+              register e name ti;
+              [])
+        | Remove i ->
+          both (fun e ->
+              (match Engine.policies e with
+              | [] -> ()
+              | ps -> Engine.remove_policy e (List.nth ps (i mod List.length ps)).Policy.name);
+              [])
+        | Dml mi when List.mem mi base_dmls ->
+          replayed := dmls.(mi) :: !replayed;
+          exec db_a dmls.(mi);
+          exec (Engine.database !b) dmls.(mi);
+          ([], [])
+        | Flip layer ->
+          config := set_layer layer (not (layer_on layer !config)) !config;
+          both (fun e ->
+              Engine.set_config e !config;
+              [])
+        | Dml _ | Ddl _ | Restart | Checkpoint -> ([], [])
+      in
+      (* A relation that leaves the persisted scope keeps its rows in
+         memory but not on disk, so the twin loses them on restart: such
+         relations are left out from then on. *)
+      let scope = ref [] and left = ref [] in
+      let logs e =
+        let db = Engine.database e in
+        List.filter_map
+          (fun rel ->
+            if List.mem rel !left then None
+            else
+              Some
+                ( rel,
+                  List.sort compare
+                    (Table.fold
+                       (fun acc row -> render_row (Row.cells row) :: acc)
+                       [] (Database.table db rel)) ))
+          !scope
+      in
+      let ok =
+        List.for_all
+          (fun (k, op) ->
+            let va, vb = step op in
+            let scope' = (Engine.plan a).Engine.store_rels in
+            left := List.filter (fun r -> not (List.mem r scope')) !scope @ !left;
+            scope := scope';
+            if va <> vb then
+              QCheck.Test.fail_reportf "step %d verdicts: %s vs twin %s" k
+                (String.concat " | " va) (String.concat " | " vb);
+            let la = logs a and lb = logs !b in
+            if la <> lb then
+              QCheck.Test.fail_reportf "step %d logs: %s\n  twin: %s" k
+                (String.concat " " (List.map (fun (r, rows) -> r ^ "={" ^ String.concat " " rows ^ "}") la))
+                (String.concat " " (List.map (fun (r, rows) -> r ^ "={" ^ String.concat " " rows ^ "}") lb));
+            true)
+          (List.mapi (fun k op -> (k, op)) s.ops)
+      in
+      Engine.close !b;
+      Test_support.remove_dir dir;
+      ok)
+
 (* In-memory runs leave the shared domain pool up (see [run]); join it
    once each property is done. *)
 let suite =
@@ -568,4 +706,4 @@ let suite =
       let name, speed, f = QCheck_alcotest.to_alcotest t in
       (name, speed, fun () ->
         Fun.protect ~finally:Parallel.Pool.shutdown_shared f))
-    [ prop_layer_identity; prop_eq1; prop_workload_identical ]
+    [ prop_layer_identity; prop_eq1; prop_workload_identical; prop_full_mark_twin ]

@@ -732,9 +732,11 @@ let test_vec_dict_rollback () =
   let _, _, entries' = Column.layout_stats store in
   Alcotest.(check int) "re-insert interns nothing new" 3 entries'
 
-(* Destructive deletion rebuilds the mirror from the heap: dictionaries
-   come out dense (entries only for surviving strings) and the batch
-   path agrees with the row path over the compacted store. *)
+(* Deletion drops dead positions from the mirror in place: codes stay
+   valid (the dictionary keeps the dead string) and the batch path agrees
+   with the row path over the compacted store. An in-place update
+   rebuilds the mirror from the heap, and the dictionaries come out
+   dense (entries only for surviving strings). *)
 let test_vec_compaction_dense_codes () =
   let db = Database.create () in
   ignore (Database.exec_script db "CREATE TABLE t (a TEXT, b INT)");
@@ -747,16 +749,35 @@ let test_vec_compaction_dense_codes () =
   Alcotest.(check int) "three strings interned" 3 entries0;
   ignore (Table.delete_where t (fun row -> Row.cell row 0 = Value.Str "stale"));
   let _, _, entries1 = Column.layout_stats store in
-  Alcotest.(check int) "rebuild drops dead dictionary entries" 2 entries1;
+  Alcotest.(check int) "deletion keeps the dictionary" 3 entries1;
+  let vec = check_vec_exact db "SELECT a, b FROM t WHERE a >= 'keep' ORDER BY b" in
+  Alcotest.(check int) "ordering over filtered codes" 2
+    (List.length vec.Executor.out_rows);
+  ignore
+    (Table.update_where t
+       (fun row -> Row.cell row 1 = Value.Int 4)
+       (fun cells -> [| cells.(0); Value.Int 6 |]));
+  let _, _, entries2 = Column.layout_stats store in
+  Alcotest.(check int) "rebuild drops dead dictionary entries" 2 entries2;
   let vec = check_vec_exact db "SELECT a, b FROM t WHERE a >= 'keep' ORDER BY b" in
   Alcotest.(check int) "ordering over rebuilt codes" 2
-    (List.length vec.Executor.out_rows)
+    (List.length vec.Executor.out_rows);
+  (* Deletions that leave the dictionary mostly dead re-intern it. *)
+  for k = 1 to 200 do
+    ignore (Table.insert t [| Value.Str (Printf.sprintf "s%03d" k); Value.Int k |])
+  done;
+  ignore
+    (Table.delete_where t (fun row ->
+         match Row.cell row 1 with Value.Int k -> k > 10 | _ -> false));
+  let _, _, entries3 = Column.layout_stats store in
+  Alcotest.(check int) "mostly dead dictionary re-interned" 12 entries3;
+  ignore (check_vec_exact db "SELECT a, b FROM t WHERE a >= 'keep' ORDER BY b")
 
 (* An INT value stored into a FLOAT column demotes that column to the
    boxed Mixed layout, and the stored value must round-trip as
-   [Value.Int] through the batch path (not coerced to Float). The
-   heap-refill rebuild re-promotes the column once the stray Int is
-   deleted. *)
+   [Value.Int] through the batch path (not coerced to Float). Deleting
+   the stray Int re-promotes the column in place; demoted again, it is
+   also re-promoted by the heap-refill rebuild of an update. *)
 let test_vec_mixed_demotion () =
   let db = Database.create () in
   ignore (Database.exec_script db "CREATE TABLE t (a INT, f FLOAT)");
@@ -778,8 +799,24 @@ let test_vec_mixed_demotion () =
   | _ -> Alcotest.fail "two rows expected");
   ignore (Table.delete_where t (fun row -> Row.cell row 1 = Value.Int 7));
   let typed2, mixed2, _ = Column.layout_stats store in
+  Alcotest.(check (pair int int)) "deletion re-promotes the demoted column"
+    (2, 0) (typed2, mixed2);
+  ignore (check_vec_exact db "SELECT f FROM t WHERE f > 1 ORDER BY f");
+  (* A deletion that keeps the stray Int keeps the Mixed layout. *)
+  ignore (Table.insert t [| Value.Int 3; Value.Int 8 |]);
+  ignore (Table.insert t [| Value.Int 4; Value.Float 9.5 |]);
+  ignore (Table.delete_where t (fun row -> Row.cell row 0 = Value.Int 4));
+  let typed4, mixed4, _ = Column.layout_stats store in
+  Alcotest.(check (pair int int)) "deletion keeps a needed Mixed layout" (1, 1)
+    (typed4, mixed4);
+  ignore (check_vec_exact db "SELECT f FROM t WHERE f > 1 ORDER BY f");
+  ignore
+    (Table.update_where t
+       (fun row -> Row.cell row 0 = Value.Int 3)
+       (fun cells -> [| cells.(0); Value.Float 2.5 |]));
+  let typed3, mixed3, _ = Column.layout_stats store in
   Alcotest.(check (pair int int)) "rebuild re-promotes the demoted column"
-    (2, 0) (typed2, mixed2)
+    (2, 0) (typed3, mixed3)
 
 (* Engine-level differential: with the vectorized executor on and off,
    the same policy workload must produce identical verdicts, violation

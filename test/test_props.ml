@@ -393,26 +393,11 @@ let prop_witness_absolute =
         (List.sort compare log_rows);
       let now = 20 in
       let is_log rel = Catalog.is_log (Database.catalog db) rel in
-      let retained = Hashtbl.create 16 in
-      (match List.assoc_opt "users" (Witness.for_policy ~is_log ~now p) with
-      | Some (Witness.Queries qs) ->
-        Usage_log.set_clock db now;
-        List.iter
-          (fun q ->
-            let r =
-              Executor.run
-                ~opts:{ Executor.lineage = false; track_src = true }
-                (Database.catalog db) (Ast.Select q)
-            in
-            List.iter
-              (fun (row : Executor.row_out) ->
-                List.iter
-                  (fun (slot, tid) ->
-                    if slot = 0 then Hashtbl.replace retained tid ())
-                  row.Executor.src_tids)
-              r.Executor.out_rows)
-          qs
-      | _ -> ());
+      let retained =
+        match List.assoc_opt "users" (Witness.for_policy ~is_log p) with
+        | Some w -> Test_support.witness_retained db ~now w
+        | None -> Hashtbl.create 1
+      in
       let eval_at t =
         Usage_log.set_clock db t;
         Executor.is_empty (Database.catalog db) p.Policy.query
@@ -467,6 +452,90 @@ let prop_partial_implication =
              holds (Partial.of_query ~is_log ~available p.Policy.query))
            [ []; [ "users" ]; [ "schema" ] ])
 
+(* The columnar mirror under deletion: after random appends, savepoint
+   rollbacks and tid-set / predicate deletions (which drop dead positions
+   in place), the mirror holds exactly the cells and tids a mirror freshly
+   built from the heap would. *)
+type mirror_op =
+  | M_insert of int * Value.t * string option
+  | M_rollback of (int * Value.t * string option) list
+  | M_retain of int * int  (** keep tids not congruent to [r] mod [m] *)
+  | M_drop of int * int  (** drop tids congruent to [r] mod [m] *)
+  | M_delete of int  (** delete rows with [a = v] *)
+
+let prop_mirror_filter =
+  let open QCheck.Gen in
+  let cells =
+    triple (int_range 0 4)
+      (oneofl [ Value.Null; Value.Float 1.5; Value.Float (-2.); Value.Int 3 ])
+      (opt (oneofl [ "x"; "y"; "z" ]))
+  in
+  let op =
+    frequency
+      [
+        (6, map (fun (a, f, s) -> M_insert (a, f, s)) cells);
+        (1, map (fun l -> M_rollback l) (list_size (int_range 0 4) cells));
+        (1, map2 (fun m r -> M_retain (m, r mod m)) (int_range 2 4) nat);
+        (1, map2 (fun m r -> M_drop (m, r mod m)) (int_range 2 4) nat);
+        (1, map (fun v -> M_delete v) (int_range 0 4));
+      ]
+  in
+  QCheck.Test.make ~name:"columnar mirror after deletions = mirror built from the heap"
+    ~count:200
+    (QCheck.make (list_size (int_range 0 40) op))
+    (fun ops ->
+      let t =
+        Table.create ~name:"m"
+          ~schema:(Schema.make [ ("a", Ty.Int); ("f", Ty.Float); ("s", Ty.Text) ])
+      in
+      ignore (Table.create_index t ~name:"m_a" ~column:"a" ~kind:Index.Hash);
+      let store = Table.enable_columnar t in
+      let insert (a, f, s) =
+        ignore
+          (Table.insert t
+             [| Value.Int a; f; (match s with Some s -> Value.Str s | None -> Value.Null) |])
+      in
+      let tids_where p =
+        let h = Hashtbl.create 16 in
+        Table.iter (fun r -> if p (Row.tid r) then Hashtbl.replace h (Row.tid r) ()) t;
+        h
+      in
+      List.iter
+        (function
+          | M_insert (a, f, s) -> insert (a, f, s)
+          | M_rollback rows ->
+            let sp = Table.savepoint t in
+            List.iter insert rows;
+            Table.rollback_to t sp
+          | M_retain (m, r) -> ignore (Table.retain_tids t (tids_where (fun tid -> tid mod m <> r)))
+          | M_drop (m, r) -> ignore (Table.drop_tids t (tids_where (fun tid -> tid mod m = r)))
+          | M_delete v -> ignore (Table.delete_where t (fun row -> Row.cell row 0 = Value.Int v)))
+        ops;
+      let fresh = Column.create ~schema:(Table.schema t) in
+      Table.iter (fun r -> Column.append fresh ~tid:(Row.tid r) (Row.cells r)) t;
+      let n = Column.length fresh in
+      let cells c =
+        List.init (Column.width c) (fun j ->
+            List.init n (fun k -> Column.view_value (Column.view c j) k))
+      in
+      (* Layouts may differ (deletion keeps a demoted column Mixed), but
+         a typed column's null count is what kernels branch on. *)
+      let null_count c j =
+        match Column.view c j with
+        | Column.V_int (_, nulls) | Column.V_float (_, nulls) -> Some (Bitvec.count nulls)
+        | Column.V_bool _ | Column.V_str _ | Column.V_mixed _ -> None
+      in
+      Column.length store = n
+      && List.for_all
+           (fun j ->
+             match null_count store j, null_count fresh j with
+             | Some x, Some y -> x = y
+             | _ -> true)
+           (List.init (Column.width store) Fun.id)
+      && List.init n (Column.tid_at store) = List.init n (Column.tid_at fresh)
+      && List.for_all2 (List.for_all2 Value.equal) (cells store) (cells fresh)
+      && Column.length store = Table.row_count t)
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -486,6 +555,7 @@ let suite =
       prop_engine_deterministic;
       prop_witness_absolute;
       prop_partial_implication;
+      prop_mirror_filter;
     ]
   @ [ Test_support.tc "Value order is total around 2^53" test_near53_total_order ]
 

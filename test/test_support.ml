@@ -61,3 +61,23 @@ let temp_dir =
 let remove_dir dir =
   Sys.readdir dir |> Array.iter (fun f -> Sys.remove (Filename.concat dir f));
   Sys.rmdir dir
+
+(* The tuples a witness keeps at tick [now]: run each query with
+   source-tid tracking and keep the slot-0 tids with a deadline above
+   [now] (the engine's full mark, outside the engine). *)
+let witness_retained db ~now (w : Datalawyer.Witness.t) : (int, unit) Hashtbl.t =
+  let retained = Hashtbl.create 16 in
+  (match w with
+  | Datalawyer.Witness.Keep_all -> Alcotest.fail "expected witness queries"
+  | Datalawyer.Witness.Queries qs ->
+    List.iter
+      (fun (q : Datalawyer.Witness.query) ->
+        let r =
+          Executor.run
+            ~opts:{ Executor.lineage = false; track_src = true }
+            (Database.catalog db) (Ast.Select q.Datalawyer.Witness.select)
+        in
+        Datalawyer.Witness.scan q ~now r (fun tid d ->
+            if d > now then Hashtbl.replace retained tid ()))
+      qs);
+  retained
