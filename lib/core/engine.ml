@@ -153,6 +153,12 @@ type t = {
       (** relevance-index consultations (atomic: incremented inside pool
           tasks) *)
   rel_skips : int Atomic.t;  (** policies skipped as provably unaffected *)
+  empty_prunes : int Atomic.t;
+      (** interleaved prunes of a policy whose partial policy (or core)
+          was empty *)
+  probe_prunes : int Atomic.t;
+      (** interleaved prunes of a policy whose increment probes were all
+          empty (§4.3 improved partial policies) *)
   delta_store : Incremental.Delta_store.t;
       (** per-policy emptiness bases for incremental evaluation; written
           only between submissions, read (with atomic counters) by pool
@@ -300,6 +306,8 @@ let create ?(config = default_config) ?(generators = Usage_log.standard)
       adm_submissions = 0;
       rel_checks = Atomic.make 0;
       rel_skips = Atomic.make 0;
+      empty_prunes = Atomic.make 0;
+      probe_prunes = Atomic.make 0;
       delta_store = Incremental.Delta_store.create ();
       relevance_store = Incremental.Delta_store.create ();
       deadlines = Hashtbl.create 4;
@@ -669,16 +677,13 @@ let gen_rel t (sub : submission) rel =
 (* Evaluate a policy query; returns the violation message if non-empty.
    [stats] is the record to charge — the submission's on the serial
    path, a task-private one inside a parallel batch. *)
-let eval_query t ~(stats : Stats.t) ?(track_src = false) (q : Ast.query) :
+let eval_query t ~(stats : Stats.t) (q : Ast.query) :
     Executor.result option =
   Stats.timed
     (fun d -> stats.Stats.policy_eval <- stats.Stats.policy_eval +. d)
     (fun () ->
       stats.Stats.policy_calls <- stats.Stats.policy_calls + 1;
-      let opts = { Executor.lineage = false; track_src } in
-      let r =
-        Prepared.run t.prepared ~opts ~share:t.config.shared_scans q
-      in
+      let r = Prepared.run t.prepared ~share:t.config.shared_scans q in
       match r.Executor.out_rows with [] -> None | _ -> Some r)
 
 (* Every distinct string a violation result projects. A plain policy
@@ -1121,53 +1126,6 @@ let unify_stats t : unify_stats =
         0 pl.unified_groups;
   }
 
-(* §4.3 improved partial policies: a non-empty partial result whose rows
-   draw only on committed (pre-increment) log tuples proves the policy
-   still holds, provided the policy's log relations are all ts-joined and
-   the partial query retains at least one log relation. *)
-let independent_of_increment t ~(stats : Stats.t) (sub : submission)
-    (p : Policy.t) (partial_q : Ast.query) : bool =
-  let is_log = is_log t in
-  let ts_joined =
-    match p.Policy.query with
-    | Ast.Select s -> (
-      let log_aliases =
-        List.filter (fun (_, rel) -> is_log rel) (Analysis.table_occurrences s)
-      in
-      match log_aliases with
-      | [] -> false
-      | (a0, _) :: rest ->
-        let classes =
-          Analysis.Eq_classes.of_conjuncts (Ast.conjuncts_opt s.Ast.where)
-        in
-        List.for_all
-          (fun (a, _) -> Analysis.Eq_classes.same classes (a0, "ts") (a, "ts"))
-          rest)
-    | Ast.Union _ -> false
-  in
-  let slot_rels = Partial.from_slot_relations partial_q in
-  let has_log_slot =
-    List.exists (function Some r -> is_log r | None -> false) slot_rels
-  in
-  if not (ts_joined && has_log_slot) then false
-  else
-    match eval_query t ~stats ~track_src:true partial_q with
-    | None -> true (* raced to empty: certainly independent *)
-    | Some r ->
-      let slot_rel = Array.of_list slot_rels in
-      List.for_all
-        (fun (row : Executor.row_out) ->
-          List.for_all
-            (fun (slot, tid) ->
-              match slot_rel.(slot) with
-              | Some rel when is_log rel -> (
-                match Hashtbl.find_opt sub.increment_floor rel with
-                | Some floor -> tid < floor
-                | None -> true)
-              | _ -> true)
-            row.Executor.src_tids)
-        r.Executor.out_rows
-
 (* The one per-policy route: the relevance index's skip (the increment
    cannot touch the policy), then the delta plans, then — with [full] —
    a full evaluation. [Some None]: the policy holds; [Some (Some r)]: it
@@ -1196,6 +1154,57 @@ let eval_full t (sub : submission) (pool : Parallel.Pool.t option) (pl : plan)
          | Some None | None -> [])
        ps)
 
+(* Run a query that joins the clock relation once through its
+   clock-eliminated plan: the clock's tick is read at execution time, so
+   a [ts] pinned to it probes the log's [ts] index, and one compiled plan
+   serves every commit. Without such a plan, or when the clock does not
+   hold exactly one row (which the rewrite assumes), the query runs as
+   written. *)
+let run_clocked t ?opts (q : Ast.query) : Executor.result =
+  let plan =
+    if Table.row_count (Database.table t.db Usage_log.clock_relation) = 1 then
+      Prepared.prepare_clocked t.prepared ?opts
+        ~clock_rel:Usage_log.clock_relation q
+    else None
+  in
+  match plan with
+  | Some c -> Executor.run_compiled c
+  | None -> Prepared.run t.prepared ?opts q
+
+(* §4.3's gate for improved partial policies: the policy is one SELECT
+   whose log aliases share one [ts] equivalence class. A result row of π
+   that draws on any increment then has every log slot at the clock's
+   tick, so its image in πS draws on the increments generated so far. *)
+let ts_joined ~is_log (p : Policy.t) : bool =
+  match p.Policy.query with
+  | Ast.Union _ -> false
+  | Ast.Select s -> (
+    match List.filter (fun (_, rel) -> is_log rel) (Analysis.table_occurrences s) with
+    | [] -> false
+    | (a0, _) :: rest ->
+      let classes = Analysis.Eq_classes.of_conjuncts (Ast.conjuncts_opt s.Ast.where) in
+      List.for_all
+        (fun (a, _) -> Analysis.Eq_classes.same classes (a0, "ts") (a, "ts"))
+        rest)
+
+(* Observer of each increment-probe decision, for the differential test
+   against the source-tid check (see the mli). *)
+let probe_observer :
+    (Database.t -> Ast.query -> floors:(string * int) list -> kept:bool -> unit)
+    option
+    ref =
+  ref None
+
+(* Whether one increment probe ({!Partial.increment_probes}) returns a
+   row, charged as a policy evaluation. Through the clock-eliminated
+   plan the pin is a [ts]-index probe, whatever the log's size. *)
+let probe_hits t ~(stats : Stats.t) (q : Ast.select) : bool =
+  Stats.timed
+    (fun d -> stats.Stats.policy_eval <- stats.Stats.policy_eval +. d)
+    (fun () ->
+      stats.Stats.policy_calls <- stats.Stats.policy_calls + 1;
+      (run_clocked t (Ast.Select q)).Executor.out_rows <> [])
+
 (* Interleaved policy evaluation (Algorithm 3). Returns violations. *)
 let run_interleaved t (sub : submission) (pool : Parallel.Pool.t option)
     (pl : plan) : (Policy.t * string) list =
@@ -1207,6 +1216,10 @@ let run_interleaved t (sub : submission) (pool : Parallel.Pool.t option)
   let gens = List.filter (fun g -> List.mem (lc g.Usage_log.relation) needed) t.generators in
   let remaining = ref pl.inter in
   let available = ref [] in
+  let prune counter =
+    Atomic.incr counter;
+    false
+  in
   List.iter
     (fun g ->
       let rel = lc g.Usage_log.relation in
@@ -1225,44 +1238,56 @@ let run_interleaved t (sub : submission) (pool : Parallel.Pool.t option)
            increment for [rel] is already appended), one {!fan_out}
            task each; the filter keeps input order. *)
         let keep stats p =
+          let partial () =
+            Partial.of_query ~is_log ~available:!available p.Policy.query
+          in
           (* The relevance index first: the slots restricted to the
              relations generated so far, whose deltas are final. A
              skipped policy is proved to hold outright — no partial
              check now, no full evaluation later. *)
           if irrelevant ~available:!available t pl p then false
+          else if not p.Policy.interleavable then
+            (* Admitted via core-prunability: the monotone HAVING-stripped
+               core instead of πS (empty core ⇒ π empty). *)
+            eval_query t ~stats (Partial.strip_having (partial ())) <> None
+            || prune t.empty_prunes
           else
-          (* Interleavable policies evaluate the genuine πS; policies
-             admitted via core-prunability evaluate the monotone
-             HAVING-stripped core instead (empty core ⇒ π empty). *)
-          let full stats p =
-            let pq =
-              Partial.of_query ~is_log ~available:!available p.Policy.query
+            (* Once every log relation is available, πS is the policy
+               itself, and a delta verdict decides its emptiness. *)
+            let covered =
+              List.for_all (fun r -> List.mem r !available) p.Policy.log_rels
             in
-            let pq =
-              if p.Policy.interleavable then pq else Partial.strip_having pq
-            in
-            match eval_query t ~stats pq with
-            | None -> false (* partial policy empty: π satisfied *)
-            | Some _ when
-                p.Policy.interleavable && t.config.improved_partial
-                && independent_of_increment t ~stats sub p pq ->
-              false
-            | Some _ -> true
-          in
-          (* Once every log relation of an interleavable policy is
-             available, πS is the policy itself, so a delta-proved-empty
-             verdict prunes it exactly as an empty πS would. Only the
-             empty verdict short-circuits: a non-empty delta result must
-             still flow through the original evaluation, where the
-             improved-partial independence check may yet dismiss it. *)
-          let covered =
-            List.for_all (fun r -> List.mem r !available) p.Policy.log_rels
-          in
-          if covered && p.Policy.interleavable then
-            match delta_try t ~stats p with
-            | Some None -> false
-            | Some (Some _) | None -> full stats p
-          else full stats p
+            match if covered then delta_try t ~stats p else None with
+            | Some None -> prune t.empty_prunes
+            | verdict ->
+              let pq = partial () in
+              let nonempty () =
+                Option.is_some verdict || eval_query t ~stats pq <> None
+              in
+              (* §4.3: a non-empty πS still prunes π unless it draws on
+                 the increment. A probe hit implies an SPJ πS is
+                 non-empty, so only a grouped πS runs unpinned too. *)
+              let probes, grouped =
+                match pq with
+                | Ast.Select s when t.config.improved_partial && ts_joined ~is_log p ->
+                  (Partial.increment_probes ~is_log s, s.Ast.having <> None)
+                | Ast.Select _ | Ast.Union _ -> ([], false)
+              in
+              if probes = [] then nonempty () || prune t.empty_prunes
+              else begin
+                let kept =
+                  if grouped && not (nonempty ()) then prune t.empty_prunes
+                  else
+                    List.exists (probe_hits t ~stats) probes || prune t.probe_prunes
+                in
+                Option.iter
+                  (fun observe ->
+                    observe t.db pq
+                      ~floors:(List.of_seq (Hashtbl.to_seq sub.increment_floor))
+                      ~kept)
+                  !probe_observer;
+                kept
+              end
         in
         remaining :=
           List.filter_map Fun.id
@@ -1349,23 +1374,6 @@ let run_union t (sub : submission) (pool : Parallel.Pool.t option) (pl : plan)
     hits @ List.map (fun m -> (first, m)) extras
 
 (* Log compaction (Algorithm 2 + §4.3 preemptive check) ------------------- *)
-
-(* Run a query that joins the clock relation once through its
-   clock-eliminated plan: the clock's tick is read at execution time, so
-   a [ts] pinned to it probes the log's [ts] index, and one compiled plan
-   serves every commit. Without such a plan, or when the clock does not
-   hold exactly one row (which the rewrite assumes), the query runs as
-   written. *)
-let run_clocked t ?opts (q : Ast.query) : Executor.result =
-  let plan =
-    if Table.row_count (Database.table t.db Usage_log.clock_relation) = 1 then
-      Prepared.prepare_clocked t.prepared ?opts
-        ~clock_rel:Usage_log.clock_relation q
-    else None
-  in
-  match plan with
-  | Some c -> Executor.run_compiled c
-  | None -> Prepared.run t.prepared ?opts q
 
 (* §4.3 preemptive log compaction: before generating relation [rel] just
    for storage, test whether its witnesses could possibly retain any tuple
@@ -1776,6 +1784,8 @@ let counters t : (string * string) list =
     ("relevance-eligible", i r.rel_eligible);
     ("relevance-checks", i r.rel_checks);
     ("relevance-skips", i r.rel_skips);
+    ("partial-empty-prunes", i (Atomic.get t.empty_prunes));
+    ("partial-probe-prunes", i (Atomic.get t.probe_prunes));
     ("shared-scan-hits", i shared_hits);
     ("shared-scan-misses", i shared_misses);
     ("vector-enabled", if v.vec_enabled then "1" else "0");

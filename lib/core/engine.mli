@@ -292,13 +292,25 @@ val batch_stats : t -> batch_stats
     [parallel-domains]/[-batches]/[-tasks], [batch-fast]/[-retried]/
     [-serial], the [delta-*] and [full-evals] counters of
     {!delta_stats}, [unify-*], [relevance-*], [shared-scan-hits]/
-    [-misses], [vector-*] (with [vector-hist] as space-separated
+    [-misses], [partial-empty-prunes]/[-probe-prunes] (interleaved prunes
+    by an empty partial policy or core, and by increment probes that all
+    came back empty), [vector-*] (with [vector-hist] as space-separated
     [bound:count] pairs), [witness-delta-marks]/[-full-marks] (stored
     relations compacted from their increment / over the whole log, one
     count per relation per commit), [group-commit-fsyncs] and
     [wal-records] (0 without persistence). Forces the offline plan if
     stale. *)
 val counters : t -> (string * string) list
+
+(** Test hook: when set, called after each interleaved decision made by
+    increment probes (§4.3 improved partial policies) with the engine's
+    database, the partial policy πS, the submission's increment floors
+    (relation, first tentative tid) and whether the policy was kept.
+    Runs inside pool tasks, over frozen tables. *)
+val probe_observer :
+  (Database.t -> Ast.query -> floors:(string * int) list -> kept:bool -> unit)
+  option
+  ref
 
 (** Violated policies of the most recent rejected submission (for
     {!Advisor} diagnosis); empty after an accepted one. *)

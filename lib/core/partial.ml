@@ -137,14 +137,41 @@ let strip_having (q : Ast.query) : Ast.query =
   in
   go q
 
-(* Relation names (lowercased) of the top-level FROM table items, in slot
-   order — used to interpret source-tid tracking results. *)
-let from_slot_relations (q : Ast.query) : string option list =
-  match q with
-  | Ast.Select s ->
-    List.map
-      (function
-        | Ast.From_table { name; _ } -> Some (lc name)
-        | Ast.From_subquery _ -> None)
-      s.from
-  | Ast.Union _ -> []
+(* §4.3 improved partial policies ask whether πS's result draws on the
+   tentative increment at all. Every increment row is stamped with the
+   clock's tick and every committed row is older, so a binding touches
+   the increment iff some log slot's [ts] equals the clock's: one probe
+   per top-level log slot, each πS with HAVING dropped (a probe tests
+   for a binding, not a group) plus that pin. πS's own clock alias is
+   reused, or one is added. *)
+let increment_probes ~(is_log : string -> bool) (s : Ast.select) :
+    Ast.select list =
+  let occs = Analysis.table_occurrences s in
+  let clock_rel = Usage_log.clock_relation in
+  let clock, from =
+    match List.find_opt (fun (_, rel) -> rel = clock_rel) occs with
+    | Some (alias, _) -> (alias, s.from)
+    | None ->
+      let taken = List.map (fun fi -> lc (Ast.from_item_alias fi)) s.from in
+      let rec fresh k =
+        let a = Printf.sprintf "dl_clock%d" k in
+        if List.mem a taken then fresh (k + 1) else a
+      in
+      let alias = fresh 0 in
+      (alias, s.from @ [ Ast.From_table { name = clock_rel; alias = Some alias } ])
+  in
+  let ts a = Ast.Col (Some a, Usage_log.time_column) in
+  List.filter_map
+    (fun (alias, rel) ->
+      if not (is_log rel) then None
+      else
+        Some
+          {
+            s with
+            Ast.from;
+            where =
+              Ast.conjoin
+                (Ast.conjuncts_opt s.where @ [ Ast.Binop (Ast.Eq, ts alias, ts clock) ]);
+            having = None;
+          })
+    occs

@@ -23,6 +23,10 @@ val of_query :
     non-monotone (but grouped) policies. *)
 val strip_having : Ast.query -> Ast.query
 
-(** Relation names (lowercased) of the top-level FROM table items in slot
-    order ([None] for subqueries); interprets source-tid tracking. *)
-val from_slot_relations : Ast.query -> string option list
+(** The increment probes of a partial policy πS (§4.3): one per
+    top-level log slot, each πS without HAVING plus the conjunct pinning
+    that slot's [ts] to the clock's (πS's clock alias, or an added one).
+    Increment rows carry the clock's tick and committed rows are older,
+    so some probe is non-empty iff a binding of πS's FROM list and WHERE
+    draws on the increment. [[]] when πS has no log slot. *)
+val increment_probes : is_log:(string -> bool) -> Ast.select -> Ast.select list

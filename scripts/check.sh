@@ -1,6 +1,7 @@
 #!/bin/sh
-# Repo health check: build, test suite, formatting (when ocamlformat is
-# available), and a persistence-bench smoke run.
+# Repo health check: build, the test suite on the serial and the pooled
+# engine, formatting (when ocamlformat is available), and a
+# persistence-bench smoke run.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -10,6 +11,10 @@ dune build
 
 echo "== dune runtest"
 dune runtest
+
+# The pooled leg CI runs too: the same suite on a four-domain engine.
+echo "== DL_DOMAINS=4 dune runtest --force"
+DL_DOMAINS=4 dune runtest --force
 
 if command -v ocamlformat >/dev/null 2>&1; then
   echo "== dune build @fmt"

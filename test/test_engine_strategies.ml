@@ -89,6 +89,123 @@ let test_improved_partial_prunes_committed_window () =
       (st.Stats.policy_calls >= 2)
   | Engine.Rejected _ -> Alcotest.fail "uid 2 must still pass"
 
+(* Increment probes against the source-tid reference on fixed scripts:
+   per submission, each probe decision as (πS's FROM length, probe
+   kept, reference kept). Relevance is off so every check reaches the
+   probes, TI rewriting is off so the policy keeps its shape, and
+   compaction is off so the committed log keeps every row. *)
+let probe_config =
+  {
+    Engine.default_config with
+    Engine.unification = false;
+    log_compaction = false;
+    preemptive = false;
+    relevance = false;
+    time_independent = false;
+    domains = 1;
+  }
+
+let probe_db () =
+  db_of_script
+    {|
+    CREATE TABLE data (k INT, v TEXT);
+    INSERT INTO data VALUES (1, 'a'), (2, 'b'), (3, 'c');
+    CREATE TABLE other (w TEXT);
+    INSERT INTO other VALUES ('x')
+    |}
+
+let decisions_of e (uid, sql) =
+  Test_support.probe_decisions (fun () ->
+      match Engine.submit e ~uid sql with
+      | Engine.Accepted _ -> ()
+      | Engine.Rejected _ -> Alcotest.fail "the policy never fires")
+  |> List.map (fun (pq, kept, reference) ->
+         let width =
+           match pq with
+           | Relational.Ast.Select s -> List.length s.Relational.Ast.from
+           | Relational.Ast.Union _ -> 0
+         in
+         (width, kept, reference))
+
+let decisions = Alcotest.(list (list (triple int bool bool)))
+
+let test_probe_two_log_slots () =
+  (* At the schema stage πS joins users and schema, provenance not yet
+     generated. The second submission reads [other], so πS's only
+     binding (s.irid = 'data') is committed: pruned, as the reference
+     does. The third reads [data] again: its binding is in the
+     increment, and the policy is kept. *)
+  let e = Engine.create ~config:probe_config (probe_db ()) in
+  ignore
+    (Engine.add_policy e ~name:"pair"
+       "SELECT DISTINCT 'pair' FROM users u, schema s, provenance p WHERE \
+        u.ts = s.ts AND s.ts = p.ts AND s.irid = 'data' AND p.itid = 99");
+  let got =
+    List.map (decisions_of e)
+      [ (1, "SELECT v FROM data"); (1, "SELECT w FROM other"); (1, "SELECT v FROM data") ]
+  in
+  Alcotest.check decisions "users stage kept; schema stage by its binding"
+    [
+      [ (1, true, true); (2, true, true); (3, false, false) ];
+      [ (1, true, true); (2, false, false) ];
+      [ (1, true, true); (2, true, true) ];
+    ]
+    got;
+  Alcotest.(check (option string)) "one probe prune per committed-only check"
+    (Some "2") (List.assoc_opt "partial-probe-prunes" (Engine.counters e))
+
+let test_probe_grouped () =
+  (* A grouped πS whose HAVING holds for committed groups only: uid 1's
+     two committed ticks pass COUNT(DISTINCT u.ts) > 1, uid 2's single
+     increment tick does not. The reference prunes (no passing group
+     draws on the increment); the probe, which tests the HAVING-stripped
+     core, keeps — the permitted direction. A third uid-1 submission
+     passes with an increment tick, and both keep. *)
+  let e = Engine.create ~config:probe_config (probe_db ()) in
+  ignore
+    (Engine.add_policy e ~name:"ticks"
+       "SELECT DISTINCT 'ticks' FROM users u, schema s, provenance p WHERE \
+        u.ts = s.ts AND s.ts = p.ts AND p.itid = 99 GROUP BY u.uid HAVING \
+        COUNT(DISTINCT u.ts) > 1");
+  let q = "SELECT v FROM data" in
+  (* uid 1's first tick alone fails the HAVING: πS is empty. *)
+  let got = List.map (decisions_of e) [ (1, q); (1, q); (2, q); (1, q) ] in
+  Alcotest.check decisions "probe keeps every policy the reference keeps"
+    [
+      [ (1, false, false) ];
+      [ (1, true, true); (2, true, true) ];
+      [ (1, true, false); (2, true, false) ];
+      [ (1, true, true); (2, true, true) ];
+    ]
+    got
+
+let test_prune_counters_table2 () =
+  (* Table 2's P1–P6, uid 1 with other users interleaved: which
+     interleaved route pruned, per submission, by exact count. uid 1's
+     own increment lies in P5's and P6's windows, so its probes keep
+     them; another user's users-stage πS of P5 and P6 holds only uid 1's
+     committed rows, so both are pruned by probe. *)
+  let s = Workload.Runner.make () in
+  let e = s.Workload.Runner.engine in
+  let counter k = int_of_string (List.assoc k (Engine.counters e)) in
+  let prunes () = (counter "partial-empty-prunes", counter "partial-probe-prunes") in
+  let got =
+    List.map
+      (fun (uid, qn) ->
+        let empty0, probe0 = prunes () in
+        let q = Workload.Runner.query s qn in
+        (match Engine.submit e ~uid q.Workload.Queries.sql with
+        | Engine.Accepted _ -> ()
+        | Engine.Rejected _ -> Alcotest.fail "the script stays within every policy");
+        let empty1, probe1 = prunes () in
+        (empty1 - empty0, probe1 - probe0))
+      [ (1, "W1"); (1, "W2"); (1, "W1"); (1, "W3"); (2, "W1"); (0, "W1"); (1, "W1"); (2, "W2") ]
+  in
+  Alcotest.(check (list (pair int int)))
+    "(empty, probe) prunes per submission"
+    [ (5, 0); (4, 0); (5, 0); (4, 0); (2, 2); (2, 2); (5, 0); (2, 2) ]
+    got
+
 let test_preemptive_skips_generation () =
   let db = base_db () in
   let on = { Engine.default_config with Engine.unification = false } in
@@ -172,6 +289,9 @@ let suite =
     tc "union reports every violation" test_union_reports_every_violation;
     tc "serial counts calls" test_serial_counts_calls;
     tc "improved partial prunes committed window" test_improved_partial_prunes_committed_window;
+    tc "increment probe: two log slots" test_probe_two_log_slots;
+    tc "increment probe: grouped partial" test_probe_grouped;
+    tc "prune counters on Table 2, uid 1" test_prune_counters_table2;
     tc "preemptive skips generation" test_preemptive_skips_generation;
     tc "invalid query leaves engine usable" test_invalid_query_leaves_engine_usable;
     Alcotest.test_case "long-horizon equivalence (200 queries)" `Slow

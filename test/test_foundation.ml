@@ -149,6 +149,9 @@ let test_workload_runtimes_ordered () =
      run pays parse/compile noise that can dwarf W2's sub-millisecond
      runtime). *)
   let s = Workload.Runner.make ~policy_names:[] () in
+  (* Settle the set-up's major-GC debt now, or the slices it owes land
+     in the first samples timed (W1's and W2's). *)
+  Gc.full_major ();
   let time name =
     let q = Workload.Runner.query s name in
     ignore (Workload.Runner.plain_query_time s ~n:1 q);

@@ -698,6 +698,33 @@ let prop_full_mark_twin =
       Test_support.remove_dir dir;
       ok)
 
+(* Improved partial policies (§4.3): every increment-probe decision of a
+   layered interleaved run, against the source-tid reference. An SPJ πS
+   gets the reference's verdict. A grouped πS probes its HAVING-stripped
+   core, so it may keep a policy the reference prunes, never the
+   reverse. *)
+let prop_probe_reference =
+  QCheck.Test.make ~count:150
+    ~name:"increment probes prune as the source-tid check"
+    (script_arb ~dml:true)
+    (fun s ->
+      let s = { s with strategy = Engine.Interleaved; improved_partial = true } in
+      let decisions =
+        Test_support.probe_decisions (fun () ->
+            ignore (run ~optimized:true (layered s ~domains:s.domains) s))
+      in
+      List.for_all
+        (fun (pq, kept, reference) ->
+          let grouped =
+            match pq with Ast.Select s -> s.Ast.having <> None | Ast.Union _ -> false
+          in
+          if (if grouped then kept || not reference else kept = reference) then true
+          else
+            QCheck.Test.fail_reportf "%s πS %s: probe kept=%b, reference kept=%b"
+              (if grouped then "grouped" else "SPJ")
+              (Sql_print.query pq) kept reference)
+        decisions)
+
 (* In-memory runs leave the shared domain pool up (see [run]); join it
    once each property is done. *)
 let suite =
@@ -706,4 +733,10 @@ let suite =
       let name, speed, f = QCheck_alcotest.to_alcotest t in
       (name, speed, fun () ->
         Fun.protect ~finally:Parallel.Pool.shutdown_shared f))
-    [ prop_layer_identity; prop_eq1; prop_workload_identical; prop_full_mark_twin ]
+    [
+      prop_layer_identity;
+      prop_eq1;
+      prop_workload_identical;
+      prop_full_mark_twin;
+      prop_probe_reference;
+    ]

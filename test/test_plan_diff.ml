@@ -562,7 +562,14 @@ let test_vec_shared_scan_rule () =
     let db = sample_db () in
     let e =
       Engine.create
-        ~config:{ Engine.default_config with Engine.vectorized; domains = 1 }
+        ~config:
+          {
+            Engine.default_config with
+            Engine.vectorized;
+            domains = 1;
+            (* increment probes never share; unpinned partials do *)
+            improved_partial = false;
+          }
         db
     in
     List.iter

@@ -81,3 +81,50 @@ let witness_retained db ~now (w : Datalawyer.Witness.t) : (int, unit) Hashtbl.t 
             if d > now then Hashtbl.replace retained tid ()))
       qs);
   retained
+
+(* The source-tid form of §4.3's improved partial check, the reference
+   for the engine's increment probes: run πS with source-tid tracking
+   and keep the policy iff some result row draws on a tentative
+   increment, i.e. holds a tid at or above its relation's floor. An
+   empty πS prunes. *)
+let improved_partial_reference db ~(floors : (string * int) list)
+    (pq : Ast.query) : bool =
+  let slot_rels =
+    match pq with
+    | Ast.Select s ->
+      Array.of_list
+        (List.map
+           (function
+             | Ast.From_table { name; _ } -> Some (String.lowercase_ascii name)
+             | Ast.From_subquery _ -> None)
+           s.Ast.from)
+    | Ast.Union _ -> [||]
+  in
+  let r =
+    Executor.run
+      ~opts:{ Executor.lineage = false; track_src = true }
+      (Database.catalog db) pq
+  in
+  List.exists
+    (fun (row : Executor.row_out) ->
+      List.exists
+        (fun (slot, tid) ->
+          match Option.bind slot_rels.(slot) (fun rel -> List.assoc_opt rel floors) with
+          | Some floor -> tid >= floor
+          | None -> false)
+        row.Executor.src_tids)
+    r.Executor.out_rows
+
+(* Every increment-probe decision of [f ()], each with the reference's
+   verdict: (πS, probe kept, reference kept). Safe under a domain
+   pool. *)
+let probe_decisions (f : unit -> unit) : (Ast.query * bool * bool) list =
+  let lock = Mutex.create () in
+  let seen = ref [] in
+  Datalawyer.Engine.probe_observer :=
+    Some
+      (fun db pq ~floors ~kept ->
+        let reference = improved_partial_reference db ~floors pq in
+        Mutex.protect lock (fun () -> seen := (pq, kept, reference) :: !seen));
+  Fun.protect ~finally:(fun () -> Datalawyer.Engine.probe_observer := None) f;
+  List.rev !seen

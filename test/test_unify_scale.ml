@@ -165,24 +165,38 @@ let test_shared_scans_hit () =
   (* two different-shape policies (no unification) both scan [users]
      with no pushed-down predicates: within one admission the second
      plan must reuse the first's materialization *)
-  let _, engine =
-    make_engine ~config:{ scale_cfg with Engine.delta = false } ()
+  let shared ~improved_partial =
+    let _, engine =
+      make_engine
+        ~config:{ scale_cfg with Engine.delta = false; improved_partial }
+        ()
+    in
+    ignore
+      (Engine.add_policy engine ~name:"a"
+         "SELECT DISTINCT 'a' FROM users u, schema s WHERE u.ts = s.ts AND \
+          s.irid = 'never'");
+    ignore
+      (Engine.add_policy engine ~name:"b"
+         "SELECT DISTINCT 'b' FROM users u, provenance p WHERE u.ts = p.ts AND \
+          p.irid = 'never'");
+    ignore (Engine.submit engine ~uid:1 "SELECT v FROM data WHERE k = 1");
+    ignore (Engine.submit engine ~uid:1 "SELECT v FROM data WHERE k = 1");
+    Engine.shared_scan_stats engine
   in
-  ignore
-    (Engine.add_policy engine ~name:"a"
-       "SELECT DISTINCT 'a' FROM users u, schema s WHERE u.ts = s.ts AND \
-        s.irid = 'never'");
-  ignore
-    (Engine.add_policy engine ~name:"b"
-       "SELECT DISTINCT 'b' FROM users u, provenance p WHERE u.ts = p.ts AND \
-        p.irid = 'never'");
-  ignore (Engine.submit engine ~uid:1 "SELECT v FROM data WHERE k = 1");
-  ignore (Engine.submit engine ~uid:1 "SELECT v FROM data WHERE k = 1");
-  (* Exact counts on this fixed script pin which slots share: each
-     admission materializes each shared prefix once, and every other
-     plan reading it hits. *)
-  let hits, misses = Engine.shared_scan_stats engine in
-  Alcotest.(check (pair int int)) "hits, misses" (6, 4) (hits, misses)
+  (* Exact counts on this fixed script pin which plans share. With
+     improved partial policies every check here is decided by increment
+     probes, which run through clock-eliminated plans: their [ts] pin
+     reads the clock at execution time, so they never share. *)
+  Alcotest.(check (pair int int)) "improved partial: hits, misses" (0, 0)
+    (shared ~improved_partial:true);
+  (* Without them each check runs its partial policy unpinned. The first
+     admission reads users for both users-only partials (miss, hit), for
+     a over users + schema (hit, miss), for b's users-only partial again
+     (hit) and for b over users + provenance (hit, miss). The second,
+     with relevance bases in place, runs three users-only partials
+     (miss, hit, hit). *)
+  Alcotest.(check (pair int int)) "plain partial: hits, misses" (6, 4)
+    (shared ~improved_partial:false)
 
 let test_batch_everything_on () =
   (* the server's fast path (submit_batch), the domain pool, delta,
