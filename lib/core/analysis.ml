@@ -171,3 +171,11 @@ module Eq_classes = struct
 
   let same t a b = find t a = find t b
 end
+
+let one_class ~(col : string) (conjuncts : Ast.expr list) (aliases : string list)
+    : bool =
+  match aliases with
+  | [] | [ _ ] -> true
+  | a0 :: rest ->
+    let classes = Eq_classes.of_conjuncts conjuncts in
+    List.for_all (fun a -> Eq_classes.same classes (a0, col) (a, col)) rest

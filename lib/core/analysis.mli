@@ -45,3 +45,11 @@ module Eq_classes : sig
   val union : t -> string * string -> string * string -> unit
   val same : t -> string * string -> string * string -> bool
 end
+
+(** Are the [col] columns of all [aliases] in one equivalence class of
+    the equality [conjuncts]? Chains through any alias count: equality
+    propagates the value whatever relation carries it. Vacuously true
+    for fewer than two aliases. Decides whether a policy's log aliases
+    share one [ts] (the relevance index's [ts_linked], the engine's
+    improved-partial gate). *)
+val one_class : col:string -> Ast.expr list -> string list -> bool

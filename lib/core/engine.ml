@@ -686,6 +686,14 @@ let eval_query t ~(stats : Stats.t) (q : Ast.query) :
       let r = Prepared.run t.prepared ~share:t.config.shared_scans q in
       match r.Executor.out_rows with [] -> None | _ -> Some r)
 
+(* Every distinct string the rows project as their single cell. *)
+let string_messages (rows : Executor.row_out list) : string list =
+  List.filter_map
+    (fun (row : Executor.row_out) ->
+      match row.Executor.values with [| Value.Str m |] -> Some m | _ -> None)
+    rows
+  |> List.sort_uniq String.compare
+
 (* Every distinct string a violation result projects. A plain policy
    projects its one literal message; a unified policy projects exactly
    the messages of its firing members (the lifted message column), so a
@@ -693,16 +701,9 @@ let eval_query t ~(stats : Stats.t) (q : Ast.query) :
    carry a single string (a policy someone wrote to project data) fall
    back to the registered message. *)
 let messages_of_result (p : Policy.t) (r : Executor.result) : string list =
-  match
-    List.filter_map
-      (fun (row : Executor.row_out) ->
-        match row.Executor.values with
-        | [| Value.Str m |] -> Some m
-        | _ -> None)
-      r.Executor.out_rows
-  with
+  match string_messages r.Executor.out_rows with
   | [] -> [ p.Policy.message ]
-  | ms -> List.sort_uniq String.compare ms
+  | ms -> ms
 
 (* Incremental evaluation --------------------------------------------------- *)
 
@@ -723,9 +724,9 @@ let delta_entry t (p : Policy.t) : Executor.delta_compiled option =
    the same set either way. (All branches must run: a unified policy's
    firing members can be split across branches, and stopping at the
    first non-empty one would truncate the message set.) [None] means no
-   shortcut — delta off, plan ineligible, the base invalidated, or a
-   residual branch's clock guard failed — and the caller must evaluate
-   in full.
+   shortcut — delta off, plan ineligible (a clock join included: its
+   full evaluation runs the clock-eliminated plan), or the base
+   invalidated — and the caller must evaluate in full.
 
    Soundness, per branch kind:
    - SPJ: a valid base says the query was empty over the state below the
@@ -735,9 +736,6 @@ let delta_entry t (p : Policy.t) : Executor.delta_compiled option =
      rows above the watermark or lost rows (both monotone-safe). Any
      result row must then bind at least one log slot to a delta tuple,
      and the per-slot variants enumerate exactly those bindings.
-   - Residual: an exact recompute of the clock-eliminated plan; needs no
-     base at all, only the guard that the clock relation holds exactly
-     one row (dropping the clock slot assumed a 1-row cross join).
    - Aggregate: the telescoped streams emit precisely the joined tuples
      binding at least one delta row; folding them into scratch clones of
      the carried accumulators yields each touched group's exact state
@@ -757,29 +755,9 @@ let delta_try t ~(stats : Stats.t) (p : Policy.t) :
     let cat = Database.catalog t.db in
     let gen = Catalog.generation cat in
     let vers = Incremental.Delta_store.snapshot cat entry.Executor.delta_deps in
-    let clock_ok =
-      List.for_all
-        (function
-          | Executor.C_residual { c_clock; _ } -> (
-            match Catalog.find_opt cat c_clock with
-            | Some tb -> Table.row_count tb = 1
-            | None -> false)
-          | Executor.C_spj _ | Executor.C_agg _ -> true)
-        entry.Executor.delta_branches
-    in
-    let base_needed =
-      List.exists
-        (function
-          | Executor.C_residual _ -> false
-          | Executor.C_spj _ | Executor.C_agg _ -> true)
-        entry.Executor.delta_branches
-    in
     if
-      (not clock_ok)
-      || base_needed
-         && not
-              (Incremental.Delta_store.valid t.delta_store p.Policy.name ~gen
-                 ~vers)
+      not
+        (Incremental.Delta_store.valid t.delta_store p.Policy.name ~gen ~vers)
     then begin
       Incremental.Delta_store.note_full_eval t.delta_store;
       None
@@ -801,10 +779,6 @@ let delta_try t ~(stats : Stats.t) (p : Policy.t) :
                   if !columns = [] then columns := r.Executor.columns;
                   r.Executor.out_rows)
                 variants
-            | Executor.C_residual { c_plan; _ } ->
-              let r = Executor.run_compiled c_plan in
-              if !columns = [] then columns := r.Executor.columns;
-              r.Executor.out_rows
             | Executor.C_agg a ->
               if !columns = [] then columns := a.Executor.c_columns;
               let srows =
@@ -917,7 +891,7 @@ let establish_bases t (pl : plan) =
             List.iteri
               (fun bi b ->
                 match b with
-                | Executor.C_spj _ | Executor.C_residual _ -> ()
+                | Executor.C_spj _ -> ()
                 | Executor.C_agg a ->
                   let state =
                     Incremental.Delta_store.agg_state t.delta_store
@@ -948,7 +922,7 @@ let establish_bases t (pl : plan) =
                   Incremental.Delta_store.agg_clear
                     (Incremental.Delta_store.agg_state t.delta_store
                        ~policy:p.Policy.name ~branch:bi)
-                | Executor.C_spj _ | Executor.C_residual _ -> ())
+                | Executor.C_spj _ -> ())
               entry.Executor.delta_branches;
             Hashtbl.replace failed p.Policy.name ())
         | Some _ -> ())
@@ -1154,23 +1128,6 @@ let eval_full t (sub : submission) (pool : Parallel.Pool.t option) (pl : plan)
          | Some None | None -> [])
        ps)
 
-(* Run a query that joins the clock relation once through its
-   clock-eliminated plan: the clock's tick is read at execution time, so
-   a [ts] pinned to it probes the log's [ts] index, and one compiled plan
-   serves every commit. Without such a plan, or when the clock does not
-   hold exactly one row (which the rewrite assumes), the query runs as
-   written. *)
-let run_clocked t ?opts (q : Ast.query) : Executor.result =
-  let plan =
-    if Table.row_count (Database.table t.db Usage_log.clock_relation) = 1 then
-      Prepared.prepare_clocked t.prepared ?opts
-        ~clock_rel:Usage_log.clock_relation q
-    else None
-  in
-  match plan with
-  | Some c -> Executor.run_compiled c
-  | None -> Prepared.run t.prepared ?opts q
-
 (* §4.3's gate for improved partial policies: the policy is one SELECT
    whose log aliases share one [ts] equivalence class. A result row of π
    that draws on any increment then has every log slot at the clock's
@@ -1179,13 +1136,15 @@ let ts_joined ~is_log (p : Policy.t) : bool =
   match p.Policy.query with
   | Ast.Union _ -> false
   | Ast.Select s -> (
-    match List.filter (fun (_, rel) -> is_log rel) (Analysis.table_occurrences s) with
+    match
+      List.filter_map
+        (fun (a, rel) -> if is_log rel then Some a else None)
+        (Analysis.table_occurrences s)
+    with
     | [] -> false
-    | (a0, _) :: rest ->
-      let classes = Analysis.Eq_classes.of_conjuncts (Ast.conjuncts_opt s.Ast.where) in
-      List.for_all
-        (fun (a, _) -> Analysis.Eq_classes.same classes (a0, "ts") (a, "ts"))
-        rest)
+    | aliases ->
+      Analysis.one_class ~col:Usage_log.time_column
+        (Ast.conjuncts_opt s.Ast.where) aliases)
 
 (* Observer of each increment-probe decision, for the differential test
    against the source-tid check (see the mli). *)
@@ -1203,7 +1162,7 @@ let probe_hits t ~(stats : Stats.t) (q : Ast.select) : bool =
     (fun d -> stats.Stats.policy_eval <- stats.Stats.policy_eval +. d)
     (fun () ->
       stats.Stats.policy_calls <- stats.Stats.policy_calls + 1;
-      (run_clocked t (Ast.Select q)).Executor.out_rows <> [])
+      not (Prepared.is_empty t.prepared (Ast.Select q)))
 
 (* Interleaved policy evaluation (Algorithm 3). Returns violations. *)
 let run_interleaved t (sub : submission) (pool : Parallel.Pool.t option)
@@ -1350,15 +1309,7 @@ let run_union t (sub : submission) (pool : Parallel.Pool.t option) (pl : plan)
         | None -> []
         | Some r -> r.Executor.out_rows)
     in
-    let messages =
-      List.filter_map
-        (fun (row : Executor.row_out) ->
-          match row.Executor.values with
-          | [| Value.Str m |] -> Some m
-          | _ -> None)
-        (union_rows @ delta_rows)
-      |> List.sort_uniq String.compare
-    in
+    let messages = string_messages (union_rows @ delta_rows) in
     let hits =
       List.filter_map
         (fun p ->
@@ -1390,7 +1341,7 @@ let preemptively_empty t (sub : submission) (pl : plan) (rel : string) : bool =
       (fun q ->
         match Witness.probe ~is_log:(is_log t) ~available q with
         | None -> false (* nothing left to test: generate *)
-        | Some pq -> (run_clocked t (Ast.Select pq)).Executor.out_rows = [])
+        | Some pq -> Prepared.is_empty t.prepared (Ast.Select pq))
       qs
 
 (* How one stored relation is marked at a commit: [Keep] retains
@@ -1520,12 +1471,8 @@ let commit_logs t (sub : submission) (pool : Parallel.Pool.t option) (pl : plan)
         let results =
           fan_out t sub pool
             (fun _ (rel, (q : Witness.query), full) ->
-              let r =
-                if full then
-                  Prepared.run t.prepared ~opts:track_src (Ast.Select q.Witness.select)
-                else run_clocked t ~opts:track_src (Ast.Select (Witness.at_clock_tick q))
-              in
-              (rel, q, r))
+              let s = if full then q.Witness.select else Witness.at_clock_tick q in
+              (rel, q, Prepared.run t.prepared ~opts:track_src (Ast.Select s)))
             tasks
         in
         List.iter (fun (rel, _) -> Hashtbl.replace witnessed rel (Hashtbl.create 64)) marks;
@@ -1820,11 +1767,11 @@ let submit_serially t subs =
    (through the prepared cache, so the analysis amortizes across
    batches) — and on no member query reading a log relation or the
    clock (a member's own result must not depend on whether its
-   batch-mates' increments are still tentative). Residual and aggregate
-   branches are excluded even though they are delta-eligible: a residual
-   plan reads the clock, which each member sees at a different tick, and
-   an aggregate policy is non-monotone, so emptiness over the combined
-   state says nothing about the arrival-order prefixes. *)
+   batch-mates' increments are still tentative). Aggregate branches are
+   excluded even though they are delta-eligible: an aggregate policy is
+   non-monotone, so emptiness over the combined state says nothing about
+   the arrival-order prefixes. A clock-reading policy, which each member
+   would see at a different tick, is not delta-eligible at all. *)
 let batch_eligible t (pl : plan) subs =
   let is_log = is_log t in
   let is_clock rel = lc rel = Usage_log.clock_relation in
@@ -1842,7 +1789,7 @@ let batch_eligible t (pl : plan) subs =
         List.for_all
           (function
             | Executor.C_spj _ -> true
-            | Executor.C_residual _ | Executor.C_agg _ -> false)
+            | Executor.C_agg _ -> false)
           entry.Executor.delta_branches
       | None -> false)
     pl.active

@@ -40,7 +40,10 @@ type config = {
           was invalidated by DDL, configuration or policy changes, or
           non-monotone table mutations — transparently fall back to full
           re-evaluation, so decisions, messages and log contents are
-          identical either way. *)
+          identical either way. A policy joining the clock is never
+          delta-eligible: with or without this flag, it evaluates in
+          full through its clock-eliminated plan ({!Prepared.prepare}),
+          whose window and tick pins are index probes. *)
   relevance : bool;
       (** the policy relevance index: per active policy, the log slots
           its query binds and the equality filters gating them
@@ -176,8 +179,7 @@ type delta_stats = {
   delta_evals : int;  (** policy evaluations served by delta plans *)
   full_evals : int;
       (** evaluations of a delta-eligible policy that fell back to a full
-          re-run (no base yet, the base was invalidated, or a residual
-          branch's one-row clock guard failed) *)
+          re-run (no base yet, or the base was invalidated) *)
   agg_groups : int;
       (** carried aggregate groups, summed over every policy's aggregate
           branches *)

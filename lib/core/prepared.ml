@@ -43,8 +43,6 @@ type shard = {
   delta : (Ast.query, Executor.delta_compiled option) Hashtbl.t;
       (** delta-plan derivations keyed by query, [None] caching
           ineligibility *)
-  clocked : (key, Executor.compiled option) Hashtbl.t;
-      (** clock-eliminated plans, [None] caching ineligibility *)
   mutable gen : int;
   mutable hits : int;
   mutable misses : int;
@@ -95,7 +93,6 @@ let shard_for t : shard =
         {
           cache = Hashtbl.create 64;
           delta = Hashtbl.create 16;
-          clocked = Hashtbl.create 16;
           gen = Catalog.generation t.cat;
           hits = 0;
           misses = 0;
@@ -112,9 +109,40 @@ let sync t (s : shard) =
   if g <> s.gen then begin
     Hashtbl.reset s.cache;
     Hashtbl.reset s.delta;
-    Hashtbl.reset s.clocked;
     s.gen <- g
   end
+
+(* Clock elimination is how every query joining the clock compiles
+   ({!Optimizer.eliminate_clock}): the clock's tick is read at execution
+   time, so a [ts] pinned to it probes the log's [ts] index, and one
+   compiled plan serves every tick. The rewrite assumes the clock holds
+   exactly one row; this guard is the one place that checks, running
+   the as-written plan — compiled on first need — otherwise. Lineage
+   runs as written: the eliminated plan would drop the clock's lineage. *)
+let compile t ~opts ~shared (q : Ast.query) : Executor.compiled =
+  let compile plan =
+    Executor.compile ~opts ~vectorized:t.vectorized ?shared t.cat
+      (Optimizer.optimize t.cat plan)
+  in
+  let written = Plan.of_query t.cat q in
+  match
+    if opts.Executor.lineage then None
+    else
+      Optimizer.eliminate_clock t.cat ~clock_rel:Usage_log.clock_relation
+        written
+  with
+  | None -> compile written
+  | Some eliminated ->
+    let clock = Catalog.find t.cat Usage_log.clock_relation in
+    let fast = compile eliminated in
+    let slow = lazy (compile written) in
+    {
+      fast with
+      Compile.exec =
+        (fun () ->
+          if Table.row_count clock = 1 then fast.Compile.exec ()
+          else (Lazy.force slow).Compile.exec ());
+    }
 
 let prepare t ?(opts = Executor.default_opts) ?(share = false)
     (q : Ast.query) : Executor.compiled =
@@ -137,7 +165,7 @@ let prepare t ?(opts = Executor.default_opts) ?(share = false)
     c
   | None ->
     let shared = if share then Some t.shared else None in
-    let c = Executor.prepare ~opts ~vectorized:t.vectorized ?shared t.cat q in
+    let c = compile t ~opts ~shared q in
     if Hashtbl.length s.cache >= capacity then Hashtbl.reset s.cache;
     Hashtbl.replace s.cache k c;
     s.misses <- s.misses + 1;
@@ -159,41 +187,6 @@ let prepare_delta t ~is_log ~clock_rel (q : Ast.query) :
     if Hashtbl.length s.delta >= capacity then Hashtbl.reset s.delta;
     Hashtbl.replace s.delta q d;
     d
-
-(* Clock-eliminated plans are looked up and counted like [prepare]'s:
-   they serve the same witness and probe queries, compiled for reading
-   the clock at execution time. *)
-let prepare_clocked t ?(opts = Executor.default_opts) ~clock_rel
-    (q : Ast.query) : Executor.compiled option =
-  let s = shard_for t in
-  sync t s;
-  let k =
-    {
-      q;
-      lineage = opts.Executor.lineage;
-      track_src = opts.Executor.track_src;
-      share = false;
-    }
-  in
-  match Hashtbl.find_opt s.clocked k with
-  | Some c ->
-    s.hits <- s.hits + 1;
-    c
-  | None ->
-    let c =
-      match
-        Executor.prepare_delta ~opts ~vectorized:t.vectorized t.cat
-          ~is_log:(fun _ -> false) ~clock_rel q
-      with
-      | Some { Executor.delta_branches = [ Executor.C_residual { c_plan; _ } ]; _ }
-        ->
-        Some c_plan
-      | Some _ | None -> None
-    in
-    if Hashtbl.length s.clocked >= capacity then Hashtbl.reset s.clocked;
-    Hashtbl.replace s.clocked k c;
-    s.misses <- s.misses + 1;
-    c
 
 let run t ?opts ?share q = Executor.run_compiled (prepare t ?opts ?share q)
 
@@ -218,8 +211,7 @@ let clear t =
   Hashtbl.iter
     (fun _ s ->
       Hashtbl.reset s.cache;
-      Hashtbl.reset s.delta;
-      Hashtbl.reset s.clocked)
+      Hashtbl.reset s.delta)
     t.shards;
   Mutex.unlock t.lock;
   Shared_cache.clear t.shared

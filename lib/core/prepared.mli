@@ -25,12 +25,19 @@ val create : Catalog.t -> t
     change. *)
 val set_vectorized : t -> bool -> unit
 
-(** Fetch or compile the plan for [q] under [opts]. With [share] on the
-    vectorized route, the plan's base-table scan prefixes materialize
-    through a single cross-domain {!Relational.Shared_cache}, so
-    identical prefixes across the policies of one admission scan the
-    table once (ignored on the row route and under lineage or
-    source-tid options — those annotations are slot-specific).
+(** Fetch or compile the plan for [q] under [opts]. A query joining the
+    clock relation compiles from its clock-eliminated plan
+    ({!Relational.Optimizer.eliminate_clock}) unless [opts] asks for
+    lineage; each execution checks that the clock holds exactly one row
+    and runs the as-written plan (compiled on first need) otherwise, so
+    results are the as-written plan's either way (under [track_src],
+    numbered over the eliminated layout while the clock holds one row).
+    With [share] on the vectorized route, the plan's base-table scan
+    prefixes materialize through a single cross-domain
+    {!Relational.Shared_cache}, so identical prefixes across the
+    policies of one admission scan the table once (ignored on the row
+    route and under lineage or source-tid options — those annotations
+    are slot-specific).
     @raise Errors.Sql_error on binding failures (never cached). *)
 val prepare :
   t -> ?opts:Executor.opts -> ?share:bool -> Ast.query -> Executor.compiled
@@ -44,19 +51,6 @@ val prepare_delta :
   clock_rel:string ->
   Ast.query ->
   Executor.delta_compiled option
-
-(** The plan of a query joining the clock relation [clock_rel] once,
-    with the clock slot eliminated and its cells read at execution time
-    (the residual branch of {!Executor.prepare_delta}), so predicates
-    pinned to the clock probe indexes. The result equals the query's
-    while the clock holds exactly one row. [None] (cached too) when the
-    query does not derive one. Lookups count in {!stats}. *)
-val prepare_clocked :
-  t ->
-  ?opts:Executor.opts ->
-  clock_rel:string ->
-  Ast.query ->
-  Executor.compiled option
 
 (** [prepare] + execute. *)
 val run :

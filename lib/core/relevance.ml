@@ -136,20 +136,6 @@ let enumerate (cat : Catalog.t) (rel : string) (col : string) :
         () table;
       Some allowed)
 
-(* Are all [log_aliases]' timestamp columns in one equivalence class of
-   the query's equality conjuncts? Chains through non-log aliases count
-   too: equality propagates the timestamp value regardless of what kind
-   of relation carries it. *)
-let ts_connected ~(time_col : string) (conjuncts : Ast.expr list)
-    (log_aliases : string list) : bool =
-  match log_aliases with
-  | [] | [ _ ] -> true
-  | a0 :: rest ->
-    let classes = Analysis.Eq_classes.of_conjuncts conjuncts in
-    List.for_all
-      (fun a -> Analysis.Eq_classes.same classes (a0, time_col) (a, time_col))
-      rest
-
 let build (cat : Catalog.t) ~(is_log : string -> bool) ~(clock_rel : string)
     ~(time_col : string) (ps : Policy.t list) : t =
   let clock = lc clock_rel in
@@ -232,7 +218,7 @@ let build (cat : Catalog.t) ~(is_log : string -> bool) ~(clock_rel : string)
               (fun (alias, rel) -> if is_log rel then Some alias else None)
               occs
           in
-          (true, slots, ts_connected ~time_col conjuncts log_aliases)
+          (true, slots, Analysis.one_class ~col:time_col conjuncts log_aliases)
       in
       Hashtbl.replace t p.Policy.name
         {

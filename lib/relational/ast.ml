@@ -159,13 +159,7 @@ let from_item_alias = function
   | From_table { name; alias } -> Option.value alias ~default:name
   | From_subquery { alias; _ } -> alias
 
-let from_item_table_name = function
-  | From_table { name; _ } -> Some name
-  | From_subquery _ -> None
-
 (* Structural equality, used by policy unification to compare shapes. *)
-let equal_expr (a : expr) (b : expr) = a = b
-
 let equal_query (a : query) (b : query) = a = b
 
 (* Collect every literal in a query together with a mutation function that
@@ -184,11 +178,6 @@ type lit_clause =
   | Clause_union  (** inside a UNION branch *)
 
 type lit_site = { path : string; clause : lit_clause; value : Value.t }
-
-(* A literal that is (part of) a select item of the top-level SELECT: the
-   position policy messages are projected from. *)
-let is_message_site (s : lit_site) =
-  match s.clause with Clause_item _ -> true | _ -> false
 
 let query_literals (q : query) : lit_site list =
   let out = ref [] in

@@ -100,11 +100,7 @@ val expr_has_agg : expr -> bool
 (** The alias under which a FROM item is visible. *)
 val from_item_alias : from_item -> string
 
-val from_item_table_name : from_item -> string option
-
 (** Structural equality. *)
-val equal_expr : expr -> expr -> bool
-
 val equal_query : query -> query -> bool
 
 (** Clause of the top-level query a literal syntactically falls under.
@@ -122,10 +118,6 @@ type lit_clause =
 (** A literal occurrence: its stable syntactic position, enclosing
     clause, and value. *)
 type lit_site = { path : string; clause : lit_clause; value : Value.t }
-
-(** Whether the literal sits in a select item of the top-level SELECT —
-    the position policy messages are projected from. *)
-val is_message_site : lit_site -> bool
 
 (** Every literal in the query, in a deterministic order. Drives policy
     unification's shape comparison. *)

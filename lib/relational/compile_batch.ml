@@ -58,12 +58,6 @@ let note_batch n =
 
 let hist_snapshot () = Array.map Atomic.get hist
 
-let reset_stats () =
-  Atomic.set batches_built 0;
-  Atomic.set batch_rows 0;
-  Atomic.set row_fallbacks 0;
-  Array.iter (fun c -> Atomic.set c 0) hist
-
 (* Batches ---------------------------------------------------------------- *)
 
 (* Which positions of the backing columns are live, in output order.

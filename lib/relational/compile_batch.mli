@@ -30,7 +30,7 @@ val compile :
 (** {1 Batch statistics}
 
     Cumulative counters for engine stats, [:stats] and the server's
-    [STATS] verb. Atomic; reset with {!reset_stats}. *)
+    [STATS] verb. Atomic. *)
 
 (** Batches materialized at runtime (scans and join outputs). *)
 val batches_built : int Atomic.t
@@ -45,5 +45,3 @@ val row_fallbacks : int Atomic.t
 (** Rows-per-batch histogram buckets: [< 16], [< 256], [< 4096],
     [< 65536], [>= 65536]. *)
 val hist_snapshot : unit -> int array
-
-val reset_stats : unit -> unit

@@ -24,11 +24,15 @@ type result = { columns : string list; out_rows : row_out list }
 
 type compiled = Compile.t
 
-let prepare ?(opts = default_opts) ?(vectorized = false) ?shared
-    (cat : Catalog.t) (q : Ast.query) : compiled =
-  let plan = Optimizer.optimize cat (Plan.of_query cat q) in
+let compile ?(opts = default_opts) ?(vectorized = false) ?shared
+    (cat : Catalog.t) (plan : Plan.query) : compiled =
   if vectorized then Compile_batch.compile cat ?shared opts plan
   else Compile.compile cat opts plan
+
+let prepare ?opts ?vectorized ?shared (cat : Catalog.t) (q : Ast.query) :
+    compiled =
+  compile ?opts ?vectorized ?shared cat
+    (Optimizer.optimize cat (Plan.of_query cat q))
 
 let prepare_unoptimized ?(opts = default_opts) (cat : Catalog.t) (q : Ast.query)
     : compiled =
@@ -48,7 +52,6 @@ type agg_compiled = {
 
 type compiled_branch =
   | C_spj of compiled list
-  | C_residual of { c_plan : compiled; c_clock : string }
   | C_agg of agg_compiled
 
 type delta_compiled = {
@@ -56,17 +59,12 @@ type delta_compiled = {
   delta_branches : compiled_branch list;
 }
 
-let prepare_delta ?(opts = default_opts) ?(vectorized = false) (cat : Catalog.t)
-    ~is_log ~clock_rel (q : Ast.query) : delta_compiled option =
-  let compile =
-    if vectorized then fun plan -> Compile_batch.compile cat opts plan
-    else fun plan -> Compile.compile cat opts plan
-  in
+let prepare_delta ?vectorized (cat : Catalog.t) ~is_log ~clock_rel
+    (q : Ast.query) : delta_compiled option =
+  let compile = compile ?vectorized cat in
   let compile_branch (b : Optimizer.delta_branch) : compiled_branch =
     match b with
     | Optimizer.B_spj variants -> C_spj (List.map compile variants)
-    | Optimizer.B_residual { plan; clock_table } ->
-      C_residual { c_plan = compile plan; c_clock = clock_table }
     | Optimizer.B_agg a ->
       let f = a.Optimizer.ad_finish in
       C_agg
@@ -109,8 +107,6 @@ let run ?(opts = default_opts) cat q = run_compiled (prepare ~opts cat q)
 
 let run_unoptimized ?(opts = default_opts) cat q =
   run_compiled (prepare_unoptimized ~opts cat q)
-
-let run_sql ?opts cat sql = run ?opts cat (Parser.query sql)
 
 let is_empty ?opts cat q = (run ?opts cat q).out_rows = []
 

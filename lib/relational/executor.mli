@@ -46,6 +46,16 @@ val prepare :
   Ast.query ->
   compiled
 
+(** The last step of {!prepare}: compile an already optimized plan,
+    under the same [vectorized] and [shared] rules. *)
+val compile :
+  ?opts:opts ->
+  ?vectorized:bool ->
+  ?shared:Compile_batch.batch Shared_cache.t ->
+  Catalog.t ->
+  Plan.query ->
+  compiled
+
 (** Like {!prepare} but skipping the optimizer: the naive reference path
     used by differential tests. *)
 val prepare_unoptimized : ?opts:opts -> Catalog.t -> Ast.query -> compiled
@@ -68,13 +78,8 @@ type agg_compiled = {
   c_columns : string list;
 }
 
-(** Compiled per-select delta strategy (see {!Optimizer.delta_branch}).
-    [C_residual] is sound only while the named clock table holds exactly
-    one row; the engine checks per evaluation. *)
-type compiled_branch =
-  | C_spj of compiled list
-  | C_residual of { c_plan : compiled; c_clock : string }
-  | C_agg of agg_compiled
+(** Compiled per-select delta strategy (see {!Optimizer.delta_branch}). *)
+type compiled_branch = C_spj of compiled list | C_agg of agg_compiled
 
 (** Compiled delta evaluation of a delta-eligible query (see
     {!Optimizer.derive_delta}): [delta_deps] are the base tables — each
@@ -89,7 +94,6 @@ type delta_compiled = {
 (** Derive and compile the delta variants of a query; [None] if the
     query is not delta-eligible. *)
 val prepare_delta :
-  ?opts:opts ->
   ?vectorized:bool ->
   Catalog.t ->
   is_log:(string -> bool) ->
@@ -107,9 +111,6 @@ val run : ?opts:opts -> Catalog.t -> Ast.query -> result
 
 (** Execute through the un-optimized reference path. *)
 val run_unoptimized : ?opts:opts -> Catalog.t -> Ast.query -> result
-
-(** Parse and execute. *)
-val run_sql : ?opts:opts -> Catalog.t -> string -> result
 
 (** Does the query return no rows? (Policies are satisfied iff so.) *)
 val is_empty : ?opts:opts -> Catalog.t -> Ast.query -> bool

@@ -426,9 +426,6 @@ type agg_delta = {
 type delta_branch =
   | B_spj of Plan.query list
       (** monotone select-project-join: per-log-slot [Delta] variants *)
-  | B_residual of { plan : Plan.query; clock_table : string }
-      (** clock-eliminated exact recompute; sound only while the clock
-          relation holds exactly one row (engine-checked per eval) *)
   | B_agg of agg_delta
 
 type delta_plans = {
@@ -571,52 +568,15 @@ and optimize_select (cat : Catalog.t) (sp : Plan.select_plan) : Plan.select_plan
     { Plan.slots; const_preds; scan_preds; joins; finish }
   end
 
-(* Delta derivation --------------------------------------------------------- *)
+(* Clock elimination ----------------------------------------------------------- *)
 
-(* Every select of a policy classifies into exactly one delta branch, or
-   the whole policy is ineligible:
-
-   - {b SPJ} (clock-free, non-aggregated): for disjoint states S (proved
-     empty) and Δ (appended rows), monotonicity gives
-
-       Q(S ∪ Δ) = ⋃ over log slots i of Q with slot i restricted to Δ
-
-     — any result row must bind at least one slot to a Δ tuple, and the
-     per-slot variants cover every such binding, so the union equals the
-     full result as a set. (Only multiplicities can differ, which is why
-     DISTINCT ON — whose representative choice is order-sensitive — is
-     excluded; the engine reads results as sets.)
-
-   - {b Residual} (exactly one clock slot): the clock relation's single
-     row is rewritten in place each submission, outside the append-only
-     delta discipline, so no watermark argument applies — instead the
-     clock is eliminated from the plan entirely and read at execution
-     time, giving an exact recompute whose dynamic window/pin predicates
-     become index probes. Aggregation, ordering and windows all ride
-     along because nothing is approximated.
-
-   - {b Aggregate} (clock-free, aggregated): per-slot Δ variants are
-     unsound for non-monotone finishes, so the variants are telescoped
-     ([Delta]/[Heap]/[Below] — each Δ-bound joined tuple appears in
-     exactly one) and emit the raw stream [group keys @ agg arguments];
-     the engine folds that stream into carried per-group accumulators
-     and re-checks HAVING only for Δ-touched groups. Untouched groups
-     are pinned by the base: their state is unchanged, so HAVING — a
-     function of that state alone — still evaluates false. The carried
-     state survives witness-driven compaction for SUM/COUNT/AVG
-     (witnesses retain every contributing row) and demotes to a rebuild
-     for MIN/MAX ({!dep_kind}).
-
-   A UNION policy classifies per branch; its dependencies merge at each
-   table's most sensitive kind. Each variant is optimized independently,
-   so non-delta slots still get index probes. *)
-
-exception Ineligible
+(* Raised when a select keeps its clock join (see {!eliminate_clock}). *)
+exception Keep_clock
 
 (* Substitute the clock slot's cells with execution-time reads and close
    the gap it leaves in the row layout. [co]/[cw] are the clock slot's
    offset and width; [read c] yields the clock's cell [c] at execution
-   time. A [Rep_field] over the clock is ineligible: for the empty
+   time. A [Rep_field] over the clock keeps the join: for the empty
    group it yields Null where the substitute would yield the live
    cell. *)
 let rec subst_clock ~co ~cw ~read (p : Plan.pexpr) : Plan.pexpr =
@@ -628,7 +588,7 @@ let rec subst_clock ~co ~cw ~read (p : Plan.pexpr) : Plan.pexpr =
     else if i >= co + cw then Plan.Field (i - cw)
     else p
   | Plan.Rep_field i ->
-    if i >= co && i < co + cw then raise Ineligible
+    if i >= co && i < co + cw then raise Keep_clock
     else if i >= co + cw then Plan.Rep_field (i - cw)
     else p
   | Plan.Binop (op, a, b) -> Plan.Binop (op, s a, s b)
@@ -638,42 +598,65 @@ let rec subst_clock ~co ~cw ~read (p : Plan.pexpr) : Plan.pexpr =
     Plan.Case
       (List.map (fun (c, v) -> (s c, s v)) branches, Option.map s default)
 
-(* Clock elimination. Dropping the clock slot is sound only when the
-   clock holds exactly one row — the cross join is then a no-op; the
-   engine guards per evaluation and falls back to full evaluation
-   otherwise. Dynamic pins are propagated across [Field = Field]
-   equivalence classes so a window predicate written against one side
-   of a join reaches every indexed column. Because the optimizer
-   preserves row order (the plan-differential suite checks optimized
-   output against the binder's, in order), the residual's output is
-   bit-identical to the full plan's — float fold order and MIN/MAX tie
-   representatives included. LIMIT and DISTINCT ON stay ineligible:
-   the rewritten plan's key choices may differ from the original's, and
-   those two finishes are the only order-sensitive ones. *)
-let classify_residual (cat : Catalog.t) (sp : Plan.select_plan) ~(ci : int)
-    ~(clock_tb : Table.t) : delta_branch =
+(* Dropping the clock slot is sound only while the clock holds exactly
+   one row — the cross join is then a no-op; the prepared-plan cache
+   guards each execution and runs the as-written plan otherwise.
+   Dynamic pins are propagated across [Field = Field] equivalence
+   classes so a window predicate written against one side of a join
+   reaches every indexed column. A one-row cross join neither adds,
+   drops nor reorders rows, so the eliminated plan's output is
+   bit-identical to the as-written plan's — float fold order and
+   MIN/MAX tie representatives included (the plan-differential suite
+   checks rows in order, under both executors). LIMIT and DISTINCT ON
+   keep the join: the rewritten plan's key choices may differ from the
+   original's, and those two finishes are the only order-sensitive
+   ones. *)
+let eliminate_select (cat : Catalog.t) ~(clock : string)
+    (sp : Plan.select_plan) : Plan.select_plan =
   let f = sp.Plan.finish in
-  if f.Plan.limit <> None then raise Ineligible;
-  (match f.Plan.distinct with Plan.D_on _ -> raise Ineligible | _ -> ());
+  if f.Plan.limit <> None then raise Keep_clock;
+  (match f.Plan.distinct with Plan.D_on _ -> raise Keep_clock | _ -> ());
   let slots = sp.Plan.slots in
   let n = Array.length slots in
   (* A clock-only select has nothing left to scan once rewritten. *)
-  if n < 2 then raise Ineligible;
-  (* Derivation runs on the binder's naive output: no extracted keys,
+  if n < 2 then raise Keep_clock;
+  (* The rewrite runs on the binder's naive output: no extracted keys,
      no pushed-down scan predicates. *)
   Array.iter
-    (fun (j : Plan.jstep) -> if j.Plan.keys <> [] then raise Ineligible)
+    (fun (j : Plan.jstep) -> if j.Plan.keys <> [] then raise Keep_clock)
     sp.Plan.joins;
-  Array.iter (fun ps -> if ps <> [] then raise Ineligible) sp.Plan.scan_preds;
+  Array.iter (fun ps -> if ps <> [] then raise Keep_clock) sp.Plan.scan_preds;
+  (* Exactly one slot, a base-table scan, reads the clock; subquery
+     slots keep it too. *)
+  let tables =
+    Array.map
+      (fun (sl : Plan.slot) ->
+        match sl.Plan.source with
+        | Plan.Scan (name, _) -> (
+          match Catalog.find_opt cat name with
+          | Some tb -> tb
+          | None -> raise Keep_clock)
+        | Plan.Sub _ -> raise Keep_clock)
+      slots
+  in
+  let ci, clock_tb =
+    match
+      List.filter
+        (fun (_, tb) -> String.lowercase_ascii (Table.name tb) = clock)
+        (List.mapi (fun i tb -> (i, tb)) (Array.to_list tables))
+    with
+    | [ c ] -> c
+    | _ -> raise Keep_clock
+  in
   let offsets = Plan.full_offsets slots in
   let widths =
     Array.map (fun (sl : Plan.slot) -> Array.length sl.Plan.cols) slots
   in
   let co = offsets.(ci) and cw = widths.(ci) in
   let read c () =
-    match Table.rows clock_tb with
-    | [ row ] -> Row.cell row c
-    | _ -> Value.Null
+    match Table.to_seq clock_tb () with
+    | Seq.Cons (row, _) -> Row.cell row c
+    | Seq.Nil -> Value.Null
   in
   let subst = subst_clock ~co ~cw ~read in
   let conjuncts =
@@ -775,17 +758,74 @@ let classify_residual (cat : Catalog.t) (sp : Plan.select_plan) ~(ci : int)
   let joins' =
     Array.init n' (fun i -> { Plan.keys = []; residual = List.rev residuals.(i) })
   in
-  let sp' =
-    {
-      Plan.slots = slots';
-      const_preds = List.rev !consts;
-      scan_preds = Array.make n' [];
-      joins = joins';
-      finish = finish';
-    }
+  {
+    Plan.slots = slots';
+    const_preds = List.rev !consts;
+    scan_preds = Array.make n' [];
+    joins = joins';
+    finish = finish';
+  }
+
+let eliminate_clock (cat : Catalog.t) ~(clock_rel : string) (q : Plan.query) :
+    Plan.query option =
+  let clock = String.lowercase_ascii clock_rel in
+  let rec walk = function
+    | Plan.Select sp -> (
+      match eliminate_select cat ~clock sp with
+      | sp' -> Some (Plan.Select sp')
+      | exception Keep_clock -> None)
+    | Plan.Union ({ left; right; _ } as u) -> (
+      match (walk left, walk right) with
+      | None, None -> None
+      | l, r ->
+        Some
+          (Plan.Union
+             {
+               u with
+               left = Option.value l ~default:left;
+               right = Option.value r ~default:right;
+             }))
   in
-  B_residual
-    { plan = optimize cat (Plan.Select sp'); clock_table = Table.name clock_tb }
+  walk q
+
+(* Delta derivation --------------------------------------------------------- *)
+
+(* Every select of a policy classifies into exactly one delta branch, or
+   the whole policy is ineligible. Delta evaluation runs against a
+   watermark and a proved-empty base, so a select joining the clock —
+   whose one row is rewritten in place each submission, outside the
+   append-only discipline — is ineligible: its full evaluation already
+   runs the clock-eliminated plan ({!eliminate_clock}). The two branch
+   kinds:
+
+   - {b SPJ} (clock-free, non-aggregated): for disjoint states S (proved
+     empty) and Δ (appended rows), monotonicity gives
+
+       Q(S ∪ Δ) = ⋃ over log slots i of Q with slot i restricted to Δ
+
+     — any result row must bind at least one slot to a Δ tuple, and the
+     per-slot variants cover every such binding, so the union equals the
+     full result as a set. (Only multiplicities can differ, which is why
+     DISTINCT ON — whose representative choice is order-sensitive — is
+     excluded; the engine reads results as sets.)
+
+   - {b Aggregate} (clock-free, aggregated): per-slot Δ variants are
+     unsound for non-monotone finishes, so the variants are telescoped
+     ([Delta]/[Heap]/[Below] — each Δ-bound joined tuple appears in
+     exactly one) and emit the raw stream [group keys @ agg arguments];
+     the engine folds that stream into carried per-group accumulators
+     and re-checks HAVING only for Δ-touched groups. Untouched groups
+     are pinned by the base: their state is unchanged, so HAVING — a
+     function of that state alone — still evaluates false. The carried
+     state survives witness-driven compaction for SUM/COUNT/AVG
+     (witnesses retain every contributing row) and demotes to a rebuild
+     for MIN/MAX ({!dep_kind}).
+
+   A UNION policy classifies per branch; its dependencies merge at each
+   table's most sensitive kind. Each variant is optimized independently,
+   so non-delta slots still get index probes. *)
+
+exception Ineligible
 
 (* Aggregated, clock-free selects: carried per-group state. Beyond the
    SPJ shape requirements, group keys and aggregate arguments must be
@@ -988,23 +1028,10 @@ let classify_select (cat : Catalog.t) ~(is_log : string -> bool)
         | Plan.Sub _ -> raise Ineligible)
       sp.Plan.slots
   in
-  let clock_slots = ref [] in
-  Array.iteri
-    (fun i n ->
-      if String.lowercase_ascii n = clock then clock_slots := i :: !clock_slots)
-    names;
-  match List.rev !clock_slots with
-  | [ ci ] ->
-    let clock_tb =
-      match Catalog.find_opt cat names.(ci) with
-      | Some tb -> tb
-      | None -> raise Ineligible
-    in
-    ([], classify_residual cat sp ~ci ~clock_tb)
-  | _ :: _ -> raise Ineligible
-  | [] ->
-    if sp.Plan.finish.Plan.aggregated then classify_agg cat ~is_log sp names
-    else classify_spj cat ~is_log sp names
+  if Array.exists (fun n -> String.lowercase_ascii n = clock) names then
+    raise Ineligible;
+  if sp.Plan.finish.Plan.aggregated then classify_agg cat ~is_log sp names
+  else classify_spj cat ~is_log sp names
 
 let kind_rank = function
   | Dep_plain -> 0

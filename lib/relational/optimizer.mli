@@ -53,16 +53,10 @@ type agg_delta = {
           touched group over (representative row, aggregate values) *)
 }
 
-(** One delta-evaluation strategy per select of a policy. [B_spj] is the
-    monotone per-log-slot variant union; [B_residual] is an exact
-    recompute with the clock relation eliminated and read at execution
-    time (sound only while the clock holds exactly one row — the engine
-    guards per evaluation); [B_agg] carries per-group aggregate
-    state. *)
-type delta_branch =
-  | B_spj of Plan.query list
-  | B_residual of { plan : Plan.query; clock_table : string }
-  | B_agg of agg_delta
+(** One delta-evaluation strategy per select of a policy: [B_spj] is
+    the monotone per-log-slot variant union, [B_agg] carries per-group
+    aggregate state. *)
+type delta_branch = B_spj of Plan.query list | B_agg of agg_delta
 
 (** Result of {!derive_delta}: the base tables the query reads, each with
     the {!dep_kind} the engine snapshots to validate carried state, and
@@ -76,10 +70,9 @@ type delta_plans = {
 
 (** Delta-plan derivation for incremental policy evaluation. Returns
     [None] unless every select of the query classifies: base-table scans
-    only (no subqueries), no LIMIT / DISTINCT ON anywhere, at most one
-    clock slot per select (whose presence routes it to [B_residual],
-    where aggregation, ORDER BY and window predicates are all
-    supported), and clock-free selects split into [B_spj]
+    only (no subqueries), no LIMIT / DISTINCT ON anywhere, no clock slot
+    (a select joining [clock_rel] runs in full through its
+    clock-eliminated plan, {!eliminate_clock}), and a split into [B_spj]
     (non-aggregated, no ORDER BY) and [B_agg] (aggregated, with shape
     restrictions documented in the implementation). Projections may be
     arbitrary (a unified policy projects member messages from its
@@ -91,6 +84,23 @@ val derive_delta :
   clock_rel:string ->
   Ast.query ->
   delta_plans option
+
+(** Clock elimination over a bound (un-optimized) plan: every select
+    that joins the relation [clock_rel] exactly once, each arm of a
+    UNION included, drops that slot and reads the clock's cells at
+    execution time ({!Plan.Exec} leaves), so predicates pinned to the
+    clock become index probes once {!optimize} runs. Pins propagate
+    across [Field = Field] equalities. A select keeps its clock join
+    under LIMIT or DISTINCT ON, with a subquery slot, or when HAVING or
+    a projection reads a clock column as a group representative. [None]
+    when no select was rewritten.
+
+    The result equals the input plan's, rows and order, while the clock
+    holds exactly one row; callers guard each execution. Source tids
+    are numbered over the eliminated layout: slots after the clock's
+    shift down by one and the clock contributes none. *)
+val eliminate_clock :
+  Catalog.t -> clock_rel:string -> Plan.query -> Plan.query option
 
 (** Batch-eligibility analysis for the vectorized executor: route each
     subtree of an optimized plan to the batch pipeline or back to the

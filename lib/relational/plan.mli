@@ -27,7 +27,7 @@ type pexpr =
   | Exec of (unit -> Value.t)
       (** read a value at execution time — the clock-elimination rewrite
           substitutes the clock relation's single cell with one of these,
-          so a compiled residual plan stays valid as the clock advances.
+          so a clock-eliminated plan stays valid as the clock advances.
           The closure must never raise and reads no row fields. [Exec]
           never constant-folds, and a scan slot carrying one never
           materializes through the shared-scan cache ({!Compile_batch}),

@@ -17,14 +17,6 @@ let arity r = Array.length r.cells
 
 let make ~tid cells = { tid; cells }
 
-let equal_cells a b =
-  Array.length a.cells = Array.length b.cells
-  && (let rec go i =
-        i >= Array.length a.cells
-        || (Value.equal a.cells.(i) b.cells.(i) && go (i + 1))
-      in
-      go 0)
-
 let pp ppf r =
   Format.fprintf ppf "(%a)"
     (Format.pp_print_list

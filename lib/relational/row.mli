@@ -19,7 +19,4 @@ val cell : t -> int -> Value.t
 
 val arity : t -> int
 
-(** Cell-wise equality (ignores tids), using {!Value.equal}. *)
-val equal_cells : t -> t -> bool
-
 val pp : Format.formatter -> t -> unit

@@ -380,11 +380,6 @@ let rollback_to t (sp : savepoint) =
 
 let release t (_sp : savepoint) = t.in_txn <- false
 
-let iter_since f t (sp : savepoint) =
-  for i = sp.sp_pos to Vec.length t.rows - 1 do
-    f (Vec.get t.rows i)
-  done
-
 let fold_since f init t (sp : savepoint) =
   let acc = ref init in
   for i = sp.sp_pos to Vec.length t.rows - 1 do

@@ -156,10 +156,6 @@ val rollback_to : t -> savepoint -> unit
 (** Keep the rows appended since the savepoint and close it. *)
 val release : t -> savepoint -> unit
 
-(** Iterate the rows appended since the savepoint without building a
-    list. *)
-val iter_since : (Row.t -> unit) -> t -> savepoint -> unit
-
 (** Fold over the rows appended since the savepoint without building a
     list. *)
 val fold_since : ('acc -> Row.t -> 'acc) -> 'acc -> t -> savepoint -> 'acc

@@ -495,18 +495,20 @@ let test_increment_mark_probes_ts () =
   let is_log rel = Catalog.is_log (Database.catalog db) rel in
   match List.assoc "users" (Witness.for_policy ~is_log p) with
   | Witness.Queries [ q ] -> (
+    let cat = Database.catalog db in
     match
-      Optimizer.derive_delta (Database.catalog db) ~is_log
-        ~clock_rel:Usage_log.clock_relation
-        (Ast.Select (Witness.at_clock_tick q))
+      Optimizer.eliminate_clock cat ~clock_rel:Usage_log.clock_relation
+        (Plan.of_query cat (Ast.Select (Witness.at_clock_tick q)))
     with
-    | Some { Optimizer.branches = [ Optimizer.B_residual { plan = Plan.Select sp; _ } ]; _ }
-      -> (
-      match sp.Plan.slots.(0).Plan.source with
-      | Plan.Scan (_, Plan.Index_eq { index; _ }) ->
-        Alcotest.(check string) "probed index" "dl_ix_users_ts" index
-      | _ -> Alcotest.fail "slot 0 is not an index probe")
-    | _ -> Alcotest.fail "expected one clock-eliminated branch")
+    | Some eliminated -> (
+      match Optimizer.optimize cat eliminated with
+      | Plan.Select sp -> (
+        match sp.Plan.slots.(0).Plan.source with
+        | Plan.Scan (_, Plan.Index_eq { index; _ }) ->
+          Alcotest.(check string) "probed index" "dl_ix_users_ts" index
+        | _ -> Alcotest.fail "slot 0 is not an index probe")
+      | Plan.Union _ -> Alcotest.fail "expected one select")
+    | None -> Alcotest.fail "expected the clock to be eliminated")
   | _ -> Alcotest.fail "expected one users witness"
 
 (* Once a fixed Table 2 script has committed twice (a full mark, then

@@ -1,8 +1,8 @@
 (* Deterministic pins for incremental (delta-driven) policy
-   evaluation: each delta branch kind (SPJ, clock residual, carried
-   aggregate) actually runs on the shapes it claims, catches the
-   violating increment from the delta alone, and falls back after the
-   invalidations it must honour. Verdict identity with delta off, and
+   evaluation: each delta branch kind (SPJ, carried aggregate) actually
+   runs on the shapes it claims, catches the violating increment from
+   the delta alone, and falls back after the invalidations it must
+   honour; clock-reading policies run their clock-eliminated plans. Verdict identity with delta off, and
    with Eq. 1, is the differential oracle's job (test_oracle.ml); these
    pins check the machinery engages, which that property alone would
    not notice if everything silently fell back. *)
@@ -14,8 +14,8 @@ let tc = Test_support.tc
 
 (* TI rewriting is the offline optimization for time-independent
    policies (it already restricts them to the increment, via a clock
-   atom that moves them onto the residual branch); these pins turn it
-   off so each template exercises the branch kind named in the pin —
+   atom that takes them off the delta path); these pins turn it off so
+   each template exercises the branch kind named in the pin —
    SPJ for the plain templates, carried-state aggregate for the GROUP
    BY/HAVING ones. *)
 (* [delta] is pinned on: these cases test the delta machinery itself.
@@ -74,25 +74,49 @@ let submit_ok engine ~uid what =
   | Engine.Rejected (ms, _) ->
     Alcotest.failf "%s must pass, got [%s]" what (String.concat "; " ms)
 
-let test_clock_policy_rides_residual () =
-  let _, engine = make_engine () in
-  ignore (Engine.add_policy engine ~name:"quota" (Test_oracle.template "quota1"));
-  submit_ok engine ~uid:1 "first";
-  submit_ok engine ~uid:1 "second";
-  let d = Engine.delta_stats engine in
-  Alcotest.(check int) "one eligible plan" 1 d.Engine.eligible_plans;
-  Alcotest.(check int) "no fallback plans" 0 d.Engine.fallback_plans;
-  (* Residual branches recompute exactly and need no base, so even the
-     very first evaluation rides the delta path. *)
-  Alcotest.(check int) "zero full evals" 0 d.Engine.full_evals;
-  Alcotest.(check bool) "delta evals happened" true (d.Engine.delta_evals >= 2);
-  (* Third distinct tick inside the 4-tick window trips the quota, and
-     the verdict must come from the residual plan (no full eval). *)
-  (match Engine.submit engine ~uid:1 "SELECT v FROM data WHERE k = 1" with
-  | Engine.Rejected ([ m ], _) -> Alcotest.(check string) "message" "quota uid 1" m
-  | _ -> Alcotest.fail "third submission must be rejected");
-  let d = Engine.delta_stats engine in
-  Alcotest.(check int) "still zero full evals" 0 d.Engine.full_evals
+(* A policy joining the clock is not delta-eligible: its evaluations
+   (here the interleaved partial policy over [users], empty until a
+   third user arrives) run the clock-eliminated plan, whose window is a
+   [ts]-index probe, whether [delta] is on or off. As written, the
+   clock join would examine every log row. Compaction is off so the log
+   outgrows the window, and the window has no constant pin for an
+   index to take instead. *)
+let test_clock_policy_runs_eliminated_plan () =
+  List.iter
+    (fun delta ->
+      let what s = Printf.sprintf "%s (delta=%b)" s delta in
+      let _, engine =
+        make_engine ~config:{ ti_off with Engine.delta; log_compaction = false } ()
+      in
+      ignore
+        (Engine.add_policy engine ~name:"busy"
+           "SELECT DISTINCT 'busy window' FROM users u, clock c WHERE u.ts > \
+            c.ts - 4 HAVING COUNT(DISTINCT u.uid) > 2");
+      for i = 1 to 40 do
+        submit_ok engine ~uid:(1 + (i mod 2)) (Printf.sprintf "submission %d" i)
+      done;
+      let d = Engine.delta_stats engine in
+      Alcotest.(check int) (what "no eligible plan") 0 d.Engine.eligible_plans;
+      Alcotest.(check int) (what "no delta evals") 0 d.Engine.delta_evals;
+      let probes = Atomic.get Executor.index_probes in
+      let examined = Atomic.get Executor.rows_examined in
+      submit_ok engine ~uid:1 "inside the log";
+      Alcotest.(check bool) (what "the window probes the ts index") true
+        (Atomic.get Executor.index_probes > probes);
+      Alcotest.(check bool)
+        (what "rows examined bounded by the window, not the log")
+        true
+        (Atomic.get Executor.rows_examined - examined < 20
+        && Engine.log_size engine "users" > 40);
+      (* A third user inside the window trips the policy. *)
+      let probes = Atomic.get Executor.index_probes in
+      (match Engine.submit engine ~uid:3 "SELECT v FROM data WHERE k = 1" with
+      | Engine.Rejected ([ m ], _) ->
+        Alcotest.(check string) (what "message") "busy window" m
+      | _ -> Alcotest.fail (what "the third user must be rejected"));
+      Alcotest.(check bool) (what "the verdict probed the ts index") true
+        (Atomic.get Executor.index_probes > probes))
+    [ true; false ]
 
 let test_agg_policy_carries_state () =
   let _, engine = make_engine () in
@@ -144,46 +168,61 @@ let test_min_max_aggregate_on_delta_path () =
   let d = Engine.delta_stats engine in
   Alcotest.(check int) "steady state adds no full evals" warm d.Engine.full_evals
 
-(* The Table-2 workload policies (P1–P6): every one must classify onto
-   some delta branch under the default configuration, and a steady
-   accepted stream must add no full evaluations after the first
-   (base-establishing) submission — the ISSUE's 100%-coverage check.
+(* The Table-2 workload policies (P1–P6) under the default
+   configuration: P1, P5 and P6 join the clock, and TI rewriting pins
+   P2–P4 to it, so none is delta-eligible — every one runs its
+   clock-eliminated plan, and each submission probes an index per
+   policy. Without TI rewriting, P2 (SPJ) and P3/P4 (aggregates)
+   classify onto delta branches, and a steady accepted stream adds no
+   full evaluations after the first (base-establishing) submission.
    Relevance is pinned off and the strategy serial so every policy
-   actually reaches [delta_try] on every submission (a relevance skip or
-   an interleaved partial-prune bumps neither counter and would
-   vacuously pass the zero-full pin). *)
-let test_table2_policies_all_on_delta_path () =
-  let config =
-    {
-      Engine.default_config with
-      Engine.domains = 1;
-      Engine.strategy = Engine.Serial;
-      delta = true;
-      relevance = false;
-    }
-  in
-  let s = Workload.Runner.make ~config () in
-  let engine = s.Workload.Runner.engine in
+   reaches [delta_try] on every submission (a relevance skip or an
+   interleaved partial-prune bumps neither counter and would vacuously
+   pass the zero-full pin). *)
+let test_table2_policies_on_delta_or_eliminated () =
   let sql = "SELECT subject_id FROM d_patients WHERE subject_id = 1" in
-  (match Engine.submit engine ~uid:2 sql with
-  | Engine.Accepted _ -> ()
-  | Engine.Rejected (ms, _) ->
-    Alcotest.failf "warm-up must pass, got [%s]" (String.concat "; " ms));
-  let d0 = Engine.delta_stats engine in
-  Alcotest.(check int) "all six policies eligible" 6 d0.Engine.eligible_plans;
-  Alcotest.(check int) "no fallback plans" 0 d0.Engine.fallback_plans;
-  for i = 1 to 5 do
+  let submit engine what =
     match Engine.submit engine ~uid:2 sql with
     | Engine.Accepted _ -> ()
     | Engine.Rejected (ms, _) ->
-      Alcotest.failf "steady submission %d must pass, got [%s]" i
-        (String.concat "; " ms)
+      Alcotest.failf "%s must pass, got [%s]" what (String.concat "; " ms)
+  in
+  let engine time_independent =
+    let config =
+      {
+        Engine.default_config with
+        Engine.domains = 1;
+        Engine.strategy = Engine.Serial;
+        time_independent;
+        delta = true;
+        relevance = false;
+      }
+    in
+    (Workload.Runner.make ~config ()).Workload.Runner.engine
+  in
+  let ti = engine true in
+  submit ti "warm-up";
+  let d = Engine.delta_stats ti in
+  Alcotest.(check int) "TI: no eligible plan" 0 d.Engine.eligible_plans;
+  Alcotest.(check int) "TI: six clock-reading plans" 6 d.Engine.fallback_plans;
+  let probes = Atomic.get Executor.index_probes in
+  submit ti "steady submission";
+  Alcotest.(check bool) "TI: an index probe per policy" true
+    (Atomic.get Executor.index_probes - probes >= 6);
+  let plain = engine false in
+  submit plain "warm-up";
+  let d0 = Engine.delta_stats plain in
+  Alcotest.(check int) "no TI: P2-P4 eligible" 3 d0.Engine.eligible_plans;
+  Alcotest.(check int) "no TI: P1, P5, P6 read the clock" 3
+    d0.Engine.fallback_plans;
+  for i = 1 to 5 do
+    submit plain (Printf.sprintf "steady submission %d" i)
   done;
-  let d = Engine.delta_stats engine in
+  let d = Engine.delta_stats plain in
   Alcotest.(check int) "zero full evals on the steady stream"
     d0.Engine.full_evals d.Engine.full_evals;
   Alcotest.(check bool) "delta evals cover the stream" true
-    (d.Engine.delta_evals >= d0.Engine.delta_evals + 30)
+    (d.Engine.delta_evals >= d0.Engine.delta_evals + 15)
 
 let test_plain_mutation_invalidates () =
   let db, engine = make_engine () in
@@ -323,14 +362,14 @@ let suite =
     tc "delta path actually runs on an eligible policy" test_delta_path_runs;
     tc "delta evaluation catches the violating increment"
       test_delta_detects_violation;
-    tc "clock/HAVING policies ride the residual branch"
-      test_clock_policy_rides_residual;
+    tc "clock/HAVING policies run the clock-eliminated plan"
+      test_clock_policy_runs_eliminated_plan;
     tc "aggregate policies carry group state across submissions"
       test_agg_policy_carries_state;
     tc "MIN/MAX aggregates stay on the delta path"
       test_min_max_aggregate_on_delta_path;
-    tc "Table-2 workload policies all classify onto delta branches"
-      test_table2_policies_all_on_delta_path;
+    tc "Table-2 workload policies run on delta branches or eliminated plans"
+      test_table2_policies_on_delta_or_eliminated;
     tc "plain-table mutation invalidates the base" test_plain_mutation_invalidates;
     tc "time-dependent join is eligible under the default config"
       test_time_dependent_join_eligible_under_defaults;

@@ -43,12 +43,14 @@ let per_uid uid =
     ~message:(Printf.sprintf "uid %d off data" uid)
     ()
 
-(* Policy templates, by name. Between them they reach every delta branch
-   kind (SPJ, clock residual, carried aggregate), unification (the
-   per-uid family and the two quotas), the relevance index (plain-table
-   joins it must guard), the batch fast path (the clock-free SPJ ones)
-   and its fallback, and the shapes footnote 7 must restrict below the
-   top level (a UNION and a FROM subquery). *)
+(* Policy templates, by name. Between them they reach both delta branch
+   kinds (SPJ, carried aggregate), the clock-eliminated plans of the
+   window templates (they join the clock, so never take a delta
+   branch), unification (the per-uid family and the two quotas), the
+   relevance index (plain-table joins it must guard), the batch fast
+   path (the clock-free SPJ ones) and its fallback, and the shapes
+   footnote 7 must restrict below the top level (a UNION and a FROM
+   subquery). *)
 let templates =
   [|
     ("blocked", "SELECT DISTINCT 'uid 2 blocked' FROM users u WHERE u.uid = 2");

@@ -567,8 +567,11 @@ let test_vec_shared_scan_rule () =
             Engine.default_config with
             Engine.vectorized;
             domains = 1;
-            (* increment probes never share; unpinned partials do *)
+            (* Increment probes never share, nor does a TI-rewritten
+               partial: its clock-eliminated plan pins every log slot
+               to the clock. Unpinned partials do. *)
             improved_partial = false;
+            time_independent = false;
           }
         db
     in
@@ -1043,6 +1046,147 @@ let test_cache_steady_state () =
   Alcotest.(check int) "steady state compiles only new queries" (misses + 1)
     misses'
 
+(* Clock elimination ------------------------------------------------------- *)
+
+(* The clock-eliminated plan ({!Optimizer.eliminate_clock}) must return
+   the as-written plan's rows in the same order while the clock holds one
+   row: over every oracle template that reads the clock, each one's
+   HAVING-free core projecting every column, and UNIONs with clock-free
+   and clock-reading arms, under both executors and at several clock
+   values (one compiled plan follows the live clock). Then DML leaves
+   the clock with two rows and with none; the prepared cache's guard
+   must run the as-written plan, where the eliminated plan alone would
+   answer differently. *)
+let test_clock_elimination_differential () =
+  let db = Test_oracle.fresh_db () in
+  let e =
+    Engine.create
+      ~config:
+        {
+          Engine.default_config with
+          Engine.domains = 1;
+          time_independent = false;
+          log_compaction = false;
+        }
+      db
+  in
+  (* A policy that never fires keeps all three logs, uncompacted. *)
+  ignore
+    (Engine.add_policy e ~name:"logs"
+       "SELECT DISTINCT 'never' FROM users u, schema s, provenance p WHERE \
+        u.uid < 0 AND s.ts = u.ts AND p.ts = u.ts");
+  for i = 0 to 23 do
+    ignore
+      (Engine.submit e ~uid:(1 + (i mod 3))
+         Test_oracle.queries.(i mod Array.length Test_oracle.queries))
+  done;
+  let cat = Database.catalog db in
+  let clock_templates =
+    List.filter_map
+      (fun (_, sql) ->
+        match Parser.query sql with
+        | Ast.Select s as q
+          when List.exists
+                 (fun (_, rel) -> rel = Usage_log.clock_relation)
+                 (Analysis.table_occurrences s) ->
+          Some q
+        | Ast.Select _ | Ast.Union _ -> None)
+      (Array.to_list Test_oracle.templates)
+  in
+  Alcotest.(check int) "oracle templates reading the clock" 5
+    (List.length clock_templates);
+  let core = function
+    | Ast.Select s ->
+      Ast.Select { s with Ast.distinct = Ast.All; items = [ Ast.Star ]; having = None }
+    | q -> q
+  in
+  let union all left right = Ast.Union { all; left; right } in
+  let blocked = Parser.query (Test_oracle.template "blocked") in
+  let queries =
+    clock_templates
+    @ List.map core clock_templates
+    @ List.map2 (union false) clock_templates
+        (List.tl clock_templates @ [ List.hd clock_templates ])
+    @ List.map (fun q -> union true (core q) (core q)) clock_templates
+    @ List.map (fun q -> union false blocked q) clock_templates
+    (* A cross join with no pin: at zero clock rows the as-written count
+       is 0, the eliminated one the log's size. *)
+    @ [ Parser.query "SELECT COUNT(*) FROM users u, clock c" ]
+  in
+  let compile vectorized plan =
+    Executor.compile ~vectorized cat (Optimizer.optimize cat plan)
+  in
+  let rows c = canon_exact (Executor.run_compiled c).Executor.out_rows in
+  let cases =
+    List.concat_map
+      (fun vectorized ->
+        let prepared = Prepared.create cat in
+        Prepared.set_vectorized prepared vectorized;
+        List.map
+          (fun q ->
+            let written = Plan.of_query cat q in
+            let eliminated =
+              match
+                Optimizer.eliminate_clock cat
+                  ~clock_rel:Usage_log.clock_relation written
+              with
+              | Some p -> compile vectorized p
+              | None ->
+                Alcotest.failf "clock kept: %s" (Sql_print.query q)
+            in
+            (q, compile vectorized written, eliminated, prepared))
+          queries)
+      [ false; true ]
+  in
+  let set_clock sql = ignore (Database.exec_script db sql) in
+  let nonempty = ref 0 in
+  List.iter
+    (fun tick ->
+      set_clock (Printf.sprintf "UPDATE clock SET ts = %d" tick);
+      List.iter
+        (fun (q, written, eliminated, prepared) ->
+          let expected = rows written in
+          if expected <> [] then incr nonempty;
+          let what = Printf.sprintf "at ts %d: %s" tick (Sql_print.query q) in
+          Alcotest.(check bool) ("eliminated " ^ what) true
+            (same expected (rows eliminated));
+          Alcotest.(check bool) ("prepared " ^ what) true
+            (same expected
+               (canon_exact (Prepared.run prepared q).Executor.out_rows)))
+        cases)
+    [ 3; 8; 14; 25 ];
+  Alcotest.(check bool) "most cases return rows" true
+    (!nonempty > List.length cases * 2);
+  (* The guard: two clock rows, then none. *)
+  let guarded state =
+    set_clock state;
+    let differs = ref 0 in
+    List.iter
+      (fun (q, written, eliminated, prepared) ->
+        let expected = rows written in
+        if not (same expected (rows eliminated)) then incr differs;
+        Alcotest.(check bool)
+          (Printf.sprintf "guard after %s: %s" state (Sql_print.query q))
+          true
+          (same expected (canon_exact (Prepared.run prepared q).Executor.out_rows)))
+      cases;
+    Alcotest.(check bool) ("the guard matters after " ^ state) true (!differs > 0)
+  in
+  guarded "INSERT INTO clock VALUES (10)";
+  guarded "DELETE FROM clock";
+  (* Back to one row: the cached plans probe indexes again. *)
+  set_clock "INSERT INTO clock VALUES (10)";
+  let probes = Atomic.get Executor.index_probes in
+  List.iter
+    (fun (q, written, _, prepared) ->
+      Alcotest.(check bool) "one row again" true
+        (same (rows written)
+           (canon_exact (Prepared.run prepared q).Executor.out_rows)))
+    cases;
+  Alcotest.(check bool) "eliminated plans probe" true
+    (Atomic.get Executor.index_probes > probes);
+  Engine.close e
+
 let suite =
   List.map QCheck_alcotest.to_alcotest (prop_diff :: (vec_props @ vec_typed_props))
   @ [
@@ -1065,4 +1209,6 @@ let suite =
       tc "prepared cache: set_config invalidates" test_set_config_invalidates_cache;
       tc "prepared cache: unify constants rebuild" test_unify_constants_rebuild_invalidates;
       tc "prepared cache: steady state" test_cache_steady_state;
+      tc "clock-eliminated plan = as-written plan, guard included"
+        test_clock_elimination_differential;
     ]
