@@ -331,94 +331,6 @@ let delta_case () =
     exit 1
   end
 
-(* Incremental aggregates: per-submission policy-evaluation latency of a
-   carried-state aggregate policy (GROUP BY over the log, HAVING
-   threshold — the Table-2 P3/P4 shape) over a growing preloaded usage
-   log, delta on vs off — the ISSUE 9 acceptance measurement. Full
-   evaluation re-groups the whole log per submission; the delta path
-   folds only the increment into clones of the carried per-group
-   accumulators, so its cost is bounded by the increment and the gap
-   grows linearly with the log. The >= 10x floor at the largest size
-   gates regressions in both smoke and full modes. *)
-let delta_agg_case () =
-  Common.header "Incremental aggregates: carried group state vs full re-group";
-  let open Relational in
-  let smoke = !Common.smoke in
-  let sizes = if smoke then [ 2_000; 8_000 ] else [ 5_000; 20_000; 80_000 ] in
-  let iters = if smoke then 20 else 50 in
-  let run_with ~delta ~n =
-    let db = Database.create () in
-    ignore
-      (Database.exec_script db
-         "CREATE TABLE data (k INT, v TEXT); INSERT INTO data VALUES (1, \
-          'a'), (2, 'b')");
-    (* same isolation as the SPJ delta case: everything that shortcuts
-       re-evaluation on its own is off *)
-    let config =
-      {
-        Engine.strategy = Engine.Serial;
-        time_independent = false;
-        log_compaction = false;
-        preemptive = false;
-        improved_partial = false;
-        unification = false;
-        domains = 1;
-        delta;
-        relevance = false;
-        shared_scans = false;
-        vectorized = true;
-      }
-    in
-    let engine = Engine.create ~config db in
-    register_then_preload engine ~n_rows:n
-      ~policies:
-        [
-          ( "no_flood",
-            "SELECT DISTINCT 'flood' FROM users u GROUP BY u.uid HAVING \
-             COUNT(*) > 1000000" );
-        ];
-    (* warm: compiles the plans and, with delta on, builds the carried
-       group state and establishes the first base *)
-    warm_submit engine;
-    let total = ref 0. in
-    let m =
-      Common.measure ~iters (fun () ->
-          let st =
-            Engine.stats_of
-              (Engine.submit engine ~uid:1 "SELECT v FROM data WHERE k = 1")
-          in
-          total := !total +. st.Stats.policy_eval)
-    in
-    (if delta then
-       let d = Engine.delta_stats engine in
-       if d.Engine.full_evals > 1 then begin
-         Printf.printf
-           "FAIL: aggregate policy fell off the delta path (%d full evals)\n"
-           d.Engine.full_evals;
-         exit 1
-       end);
-    (!total /. float_of_int iters *. 1e6, m.Common.minor_words)
-  in
-  let speedup_at_largest = ref 0. in
-  List.iter
-    (fun n ->
-      let full, full_mw = run_with ~delta:false ~n in
-      let delta, delta_mw = run_with ~delta:true ~n in
-      let sp = full /. delta in
-      speedup_at_largest := sp;
-      Printf.printf
-        "%6d log rows: full %.1f us (%s), delta %.1f us (%s) per submission \
-         (%.1fx)\n"
-        n full (Common.words full_mw) delta (Common.words delta_mw) sp)
-    sizes;
-  if !speedup_at_largest < 10.0 then begin
-    Printf.printf
-      "FAIL: aggregate delta speedup %.2fx at the largest log is below the \
-       10x floor\n"
-      !speedup_at_largest;
-    exit 1
-  end
-
 (* Vectorized executor: full policy evaluation (delta off, so every
    submission rescans the whole log) of scan/join/aggregate policies
    over a preloaded usage log, batch operators vs row-at-a-time — the
@@ -630,7 +542,6 @@ let run () =
   index_case ();
   parallel_case ();
   delta_case ();
-  delta_agg_case ();
   vectorized_case ();
   typed_columns_case ();
   (* Smoke mode stops at the regression gates: the Bechamel sweep and

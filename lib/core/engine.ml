@@ -719,34 +719,22 @@ let delta_entry t (p : Policy.t) : Executor.delta_compiled option =
 (* Try to decide a policy from its delta plans alone. [Some res] is a
    verdict: the policy's result over the full tentative state is empty
    iff [res = None], and a non-empty [res] carries the union of every
-   branch's rows, deduplicated by value — equal, as a set, to the rows
+   variant's rows, deduplicated by value — equal, as a set, to the rows
    full evaluation would produce, so message extraction downstream sees
-   the same set either way. (All branches must run: a unified policy's
-   firing members can be split across branches, and stopping at the
-   first non-empty one would truncate the message set.) [None] means no
-   shortcut — delta off, plan ineligible (a clock join included: its
-   full evaluation runs the clock-eliminated plan), or the base
-   invalidated — and the caller must evaluate in full.
+   the same set either way. (All variants must run: a unified policy's
+   firing members can be split across them, and stopping at the first
+   non-empty one would truncate the message set.) [None] means no
+   shortcut — delta off, plan ineligible (a clock join or an aggregate
+   included: it evaluates in full), or the base invalidated — and the
+   caller must evaluate in full.
 
-   Soundness, per branch kind:
-   - SPJ: a valid base says the query was empty over the state below the
-     log relations' delta watermarks, the catalog generation is
-     unchanged, and every dependency's version snapshot matches — so
-     plain relations are untouched and log relations have only gained
-     rows above the watermark or lost rows (both monotone-safe). Any
-     result row must then bind at least one log slot to a delta tuple,
-     and the per-slot variants enumerate exactly those bindings.
-   - Aggregate: the telescoped streams emit precisely the joined tuples
-     binding at least one delta row; folding them into scratch clones of
-     the carried accumulators yields each touched group's exact state
-     (carried = rows below the watermarks, by establishment). Untouched
-     groups' state is unchanged from the proved-empty base, so HAVING —
-     a function of group state alone — still rejects them.
-
-   Inside parallel batches this runs on worker domains over frozen
-   tables: carried aggregate state is only read (scratch clones are
-   task-local), and the per-branch states were created on the serial
-   establishment path, so the store's tables are not mutated here. *)
+   Soundness: a valid base says the query was empty over the state below
+   the log relations' delta watermarks, the catalog generation is
+   unchanged, and every dependency's version snapshot matches — so plain
+   relations are untouched and log relations have only gained rows above
+   the watermark or lost rows (both monotone-safe). Any result row must
+   then bind at least one log slot to a delta tuple, and the per-slot
+   variants enumerate exactly those bindings. *)
 let delta_try t ~(stats : Stats.t) (p : Policy.t) :
     Executor.result option option =
   match delta_entry t p with
@@ -768,165 +756,30 @@ let delta_try t ~(stats : Stats.t) (p : Policy.t) :
         (fun d -> stats.Stats.policy_eval <- stats.Stats.policy_eval +. d)
         (fun () ->
           stats.Stats.policy_calls <- stats.Stats.policy_calls + 1;
-          let columns = ref [] in
-          let run_branch bi (b : Executor.compiled_branch) :
-              Executor.row_out list =
-            match b with
-            | Executor.C_spj variants ->
-              List.concat_map
-                (fun c ->
-                  let r = Executor.run_compiled c in
-                  if !columns = [] then columns := r.Executor.columns;
-                  r.Executor.out_rows)
-                variants
-            | Executor.C_agg a ->
-              if !columns = [] then columns := a.Executor.c_columns;
-              let srows =
-                List.concat_map
-                  (fun c ->
-                    List.map
-                      (fun (r : Executor.row_out) -> r.Executor.values)
-                      (Executor.run_compiled c).Executor.out_rows)
-                  a.Executor.c_variants
-              in
-              let state =
-                Incremental.Delta_store.agg_state t.delta_store
-                  ~policy:p.Policy.name ~branch:bi
-              in
-              let touched =
-                Incremental.Delta_store.agg_scratch state
-                  ~specs:a.Executor.c_specs ~nkeys:a.Executor.c_nkeys srows
-              in
-              List.filter_map
-                (fun (key, aggvals) ->
-                  (* Representative row: group-key cells recovered from
-                     the key values; positions no bare-field key covers
-                     stay Null and are never read (classification
-                     restricted HAVING/projections to covered cells). *)
-                  let rep = Array.make a.Executor.c_width Value.Null in
-                  List.iteri
-                    (fun ki slot ->
-                      match slot with
-                      | Some fi -> rep.(fi) <- key.(ki)
-                      | None -> ())
-                    a.Executor.c_rep_slots;
-                  let keep =
-                    match a.Executor.c_having with
-                    | None -> true
-                    | Some h -> Value.to_bool (h rep aggvals)
-                  in
-                  if keep then
-                    Some
-                      {
-                        Executor.values =
-                          Array.of_list
-                            (List.map (fun cp -> cp rep aggvals)
-                               a.Executor.c_projs);
-                        lineage = [];
-                        src_tids = [];
-                      }
-                  else None)
-                touched
+          let results =
+            List.map Executor.run_compiled entry.Executor.delta_variants
           in
-          let rows =
-            List.concat (List.mapi run_branch entry.Executor.delta_branches)
-          in
-          match rows with
+          match List.concat_map (fun r -> r.Executor.out_rows) results with
           | [] -> Some None
-          | _ ->
+          | rows ->
             let out_rows =
               Value.Key.dedup (fun (r : Executor.row_out) -> r.Executor.values) rows
             in
-            Some (Some { Executor.columns = !columns; out_rows }))
+            let columns = (List.hd results).Executor.columns in
+            Some (Some { Executor.columns; out_rows }))
     end
 
 (* After an accepted submission: acceptance proved every active policy
    empty over the tentative state, of which the just-committed state is a
    subset (monotonicity), so every policy is empty over the committed
-   state. Fold carried aggregate state forward, advance all log
-   watermarks to the committed frontier, and record a base for each
-   delta-eligible policy — and a relevance base for each index-eligible
-   one — in the same breath: the alignment of watermark and snapshot is
-   what {!delta_try}'s and {!irrelevant}'s soundness arguments rest on.
-
-   The aggregate fold must run BEFORE the watermarks move: the telescoped
-   delta streams read [Plan.Delta] at execution time, so only now — with
-   the increment committed but the watermarks still at the previous
-   frontier — do they denote exactly the rows this submission added.
-   (This also covers policies the relevance index or batching skipped at
-   evaluation time: the fold depends only on the committed rows, not on
-   which evaluation path decided the policy.) When a policy's base is no
-   longer valid — a plain dependency mutated, arbitrary DML deleted log
-   rows, or compaction invalidated a MIN/MAX-bearing branch — the carried
-   groups are rebuilt from the branch's full all-below stream instead. *)
+   state. Advance all log watermarks to the committed frontier and record
+   a base for each delta-eligible policy — and a relevance base for each
+   index-eligible one — in the same breath: the alignment of watermark
+   and snapshot is what {!delta_try}'s and {!irrelevant}'s soundness
+   arguments rest on. *)
 let establish_bases t (pl : plan) =
   let cat = Database.catalog t.db in
   let gen = Catalog.generation cat in
-  let failed = Hashtbl.create 4 in
-  if t.config.delta then
-    List.iter
-      (fun (p : Policy.t) ->
-        match delta_entry t p with
-        | None -> ()
-        | Some entry
-          when List.exists
-                 (function Executor.C_agg _ -> true | _ -> false)
-                 entry.Executor.delta_branches -> (
-          let vers =
-            Incremental.Delta_store.snapshot cat entry.Executor.delta_deps
-          in
-          let base_ok =
-            Incremental.Delta_store.valid t.delta_store p.Policy.name ~gen
-              ~vers
-          in
-          let stream cs =
-            List.concat_map
-              (fun c ->
-                List.map
-                  (fun (r : Executor.row_out) -> r.Executor.values)
-                  (Executor.run_compiled c).Executor.out_rows)
-              cs
-          in
-          try
-            List.iteri
-              (fun bi b ->
-                match b with
-                | Executor.C_spj _ -> ()
-                | Executor.C_agg a ->
-                  let state =
-                    Incremental.Delta_store.agg_state t.delta_store
-                      ~policy:p.Policy.name ~branch:bi
-                  in
-                  if base_ok then
-                    Incremental.Delta_store.agg_absorb state
-                      ~specs:a.Executor.c_specs ~nkeys:a.Executor.c_nkeys
-                      (stream a.Executor.c_variants)
-                  else begin
-                    Incremental.Delta_store.agg_clear state;
-                    Incremental.Delta_store.note_agg_rebuild t.delta_store;
-                    Incremental.Delta_store.agg_absorb state
-                      ~specs:a.Executor.c_specs ~nkeys:a.Executor.c_nkeys
-                      (stream [ a.Executor.c_full ])
-                  end)
-              entry.Executor.delta_branches
-          with Errors.Sql_error _ ->
-            (* The fold died mid-branch (e.g. SUM over a value a later
-               mutation made non-numeric); the carried state is no longer
-               trustworthy. Drop it and withhold this policy's base so
-               evaluation falls back to full runs until a clean rebuild
-               succeeds at a later establishment. *)
-            List.iteri
-              (fun bi b ->
-                match b with
-                | Executor.C_agg _ ->
-                  Incremental.Delta_store.agg_clear
-                    (Incremental.Delta_store.agg_state t.delta_store
-                       ~policy:p.Policy.name ~branch:bi)
-                | Executor.C_spj _ -> ())
-              entry.Executor.delta_branches;
-            Hashtbl.replace failed p.Policy.name ())
-        | Some _ -> ())
-      pl.active;
   List.iter
     (fun (g : Usage_log.generator) ->
       match Catalog.find_opt cat g.Usage_log.relation with
@@ -936,15 +789,14 @@ let establish_bases t (pl : plan) =
   if t.config.delta then
     List.iter
       (fun (p : Policy.t) ->
-        if not (Hashtbl.mem failed p.Policy.name) then
-          match delta_entry t p with
-          | None -> ()
-          | Some entry ->
-            let vers =
-              Incremental.Delta_store.snapshot cat entry.Executor.delta_deps
-            in
-            Incremental.Delta_store.establish t.delta_store p.Policy.name ~gen
-              ~vers)
+        match delta_entry t p with
+        | None -> ()
+        | Some entry ->
+          let vers =
+            Incremental.Delta_store.snapshot cat entry.Executor.delta_deps
+          in
+          Incremental.Delta_store.establish t.delta_store p.Policy.name ~gen
+            ~vers)
       pl.active;
   if t.config.relevance then
     List.iter
@@ -1001,8 +853,6 @@ type delta_stats = {
   delta_bases : int;
   delta_evals : int;
   full_evals : int;
-  agg_groups : int;
-  agg_rebuilds : int;
 }
 
 let delta_stats t : delta_stats =
@@ -1020,8 +870,6 @@ let delta_stats t : delta_stats =
     delta_bases = s.Incremental.Delta_store.bases;
     delta_evals = s.Incremental.Delta_store.delta_evals;
     full_evals = s.Incremental.Delta_store.full_evals;
-    agg_groups = s.Incremental.Delta_store.agg_groups;
-    agg_rebuilds = s.Incremental.Delta_store.agg_rebuilds;
   }
 
 type relevance_stats = {
@@ -1721,8 +1569,6 @@ let counters t : (string * string) list =
     ("delta-bases", i d.delta_bases);
     ("delta-evals", i d.delta_evals);
     ("full-evals", i d.full_evals);
-    ("delta-agg-groups", i d.agg_groups);
-    ("delta-agg-rebuilds", i d.agg_rebuilds);
     ("unify-registered", i u.unify_registered);
     ("unify-active", i u.unify_active);
     ("unify-groups", i u.unify_groups);
@@ -1763,15 +1609,14 @@ let submit_serially t subs =
 
 (* Batch fast-path eligibility. The combined-state argument below rests
    on every active policy being a monotone SPJ query that never reads
-   the clock — checked as every delta branch classifying [C_spj]
-   (through the prepared cache, so the analysis amortizes across
-   batches) — and on no member query reading a log relation or the
-   clock (a member's own result must not depend on whether its
-   batch-mates' increments are still tentative). Aggregate branches are
-   excluded even though they are delta-eligible: an aggregate policy is
-   non-monotone, so emptiness over the combined state says nothing about
-   the arrival-order prefixes. A clock-reading policy, which each member
-   would see at a different tick, is not delta-eligible at all. *)
+   the clock — checked as every policy deriving delta plans (through the
+   prepared cache, so the analysis amortizes across batches) — and on no
+   member query reading a log relation or the clock (a member's own
+   result must not depend on whether its batch-mates' increments are
+   still tentative). An aggregate policy is non-monotone, so emptiness
+   over the combined state says nothing about the arrival-order
+   prefixes; a clock-reading policy each member would see at a different
+   tick. Neither derives delta plans. *)
 let batch_eligible t (pl : plan) subs =
   let is_log = is_log t in
   let is_clock rel = lc rel = Usage_log.clock_relation in
@@ -1781,17 +1626,9 @@ let batch_eligible t (pl : plan) subs =
   in
   List.for_all
     (fun (p : Policy.t) ->
-      match
-        Prepared.prepare_delta t.prepared ~is_log
-          ~clock_rel:Usage_log.clock_relation p.Policy.query
-      with
-      | Some entry ->
-        List.for_all
-          (function
-            | Executor.C_spj _ -> true
-            | Executor.C_agg _ -> false)
-          entry.Executor.delta_branches
-      | None -> false)
+      Option.is_some
+        (Prepared.prepare_delta t.prepared ~is_log
+           ~clock_rel:Usage_log.clock_relation p.Policy.query))
     pl.active
   && List.for_all
        (fun s -> not (refs is_log s.batch_query || refs is_clock s.batch_query))

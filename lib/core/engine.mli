@@ -40,10 +40,11 @@ type config = {
           was invalidated by DDL, configuration or policy changes, or
           non-monotone table mutations — transparently fall back to full
           re-evaluation, so decisions, messages and log contents are
-          identical either way. A policy joining the clock is never
-          delta-eligible: with or without this flag, it evaluates in
-          full through its clock-eliminated plan ({!Prepared.prepare}),
-          whose window and tick pins are index probes. *)
+          identical either way. A policy joining the clock or
+          aggregating (GROUP BY/HAVING) is never delta-eligible: with or
+          without this flag, it evaluates in full — a clock join through
+          its clock-eliminated plan ({!Prepared.prepare}), whose window
+          and tick pins are index probes. *)
   relevance : bool;
       (** the policy relevance index: per active policy, the log slots
           its query binds and the equality filters gating them
@@ -172,20 +173,18 @@ val parallel_stats : t -> int * int * int
 (** Incremental-evaluation counters, under the current configuration. *)
 type delta_stats = {
   eligible_plans : int;
-      (** active policies whose queries derive delta plans; 0 when
-          {!config}[.delta] is off (everything evaluates in full) *)
-  fallback_plans : int;  (** active policies that always evaluate in full *)
+      (** active policies whose queries derive delta plans (monotone
+          clock-free SPJ); 0 when {!config}[.delta] is off (everything
+          evaluates in full) *)
+  fallback_plans : int;
+      (** active policies that always evaluate in full: clock-reading,
+          aggregated, or otherwise not delta-eligible *)
   delta_bases : int;  (** policies with a currently recorded base *)
   delta_evals : int;  (** policy evaluations served by delta plans *)
   full_evals : int;
-      (** evaluations of a delta-eligible policy that fell back to a full
-          re-run (no base yet, or the base was invalidated) *)
-  agg_groups : int;
-      (** carried aggregate groups, summed over every policy's aggregate
-          branches *)
-  agg_rebuilds : int;
-      (** full-stream rebuilds of carried aggregate state (base invalid
-          at establishment) *)
+      (** evaluations of a delta-eligible (SPJ) policy that fell back to
+          a full re-run (no base yet, or the base was invalidated);
+          policies counted in [fallback_plans] never bump it *)
 }
 
 (** Snapshot of the incremental-evaluation state: plan eligibility over

@@ -76,9 +76,8 @@ type filter = { col : int; allowed : unit Value.Tbl.t }
 
 type info = {
   eligible : bool;
-  deps : (string * Optimizer.dep_kind) list;
-      (** every relation the query references (canonical name, log
-          relations as [Dep_log], the rest [Dep_plain]), across
+  deps : string list;
+      (** every relation the query references (canonical name), across
           subqueries too — snapshot input for the base check *)
   slots : (string * filter list) list;
       (** top-level FROM occurrences of log relations, with the equality
@@ -100,23 +99,13 @@ type t = (string, info) Hashtbl.t
 
 let lc = Analysis.lc
 
-(* All (canonical relation, dep kind) pairs a query references,
-   including union branches and FROM subqueries. The relevance base
-   needs only the emptiness-proof kinds: appends to log relations are
-   watermark-covered ([Dep_log]), anything else invalidates on any
-   mutation ([Dep_plain]). *)
-let deps_of (cat : Catalog.t) ~(is_log : string -> bool) (q : Ast.query) :
-    (string * Optimizer.dep_kind) list =
+(* All canonical relations a query references, including union branches
+   and FROM subqueries. *)
+let deps_of (cat : Catalog.t) (q : Ast.query) : string list =
   Policy.selects_of q
   |> List.concat_map (fun s ->
          List.filter_map
-           (fun (_, rel) ->
-             Option.map
-               (fun tb ->
-                 ( Table.name tb,
-                   if is_log rel then Optimizer.Dep_log else Optimizer.Dep_plain
-                 ))
-               (Catalog.find_opt cat rel))
+           (fun (_, rel) -> Option.map Table.name (Catalog.find_opt cat rel))
            (Analysis.table_occurrences s))
   |> List.sort_uniq compare
 
@@ -142,7 +131,7 @@ let build (cat : Catalog.t) ~(is_log : string -> bool) ~(clock_rel : string)
   let t = Hashtbl.create (max 16 (List.length ps)) in
   List.iter
     (fun (p : Policy.t) ->
-      let deps = deps_of cat ~is_log p.Policy.query in
+      let deps = deps_of cat p.Policy.query in
       let guards = ref [] in
       let eligible, slots, ts_linked =
         match p.Policy.query with

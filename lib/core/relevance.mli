@@ -16,9 +16,8 @@ type filter = { col : int; allowed : unit Value.Tbl.t }
 
 type info = {
   eligible : bool;
-  deps : (string * Optimizer.dep_kind) list;
-      (** referenced relations (canonical name; log relations as
-          [Dep_log], others [Dep_plain]), for the base's version
+  deps : string list;
+      (** referenced relations (canonical names), for the base's version
           snapshot *)
   slots : (string * filter list) list;
       (** top-level log-relation occurrences with their filters *)

@@ -1,8 +1,7 @@
 (** Aggregate function computation.
 
-    One fold (create / step / finish / copy) computes COUNT/SUM/AVG/MIN/
-    MAX with optional DISTINCT; {!compute} runs it over one group's rows
-    and the incremental evaluator carries it across submissions.
+    One fold (create / step / finish) computes COUNT/SUM/AVG/MIN/MAX
+    with optional DISTINCT; {!compute} runs it over one group's rows.
     Matches PostgreSQL behaviour for the supported cases: COUNT ignores
     NULL arguments; SUM/AVG/MIN/MAX of an empty or all-NULL group is
     NULL; SUM over integers stays an integer. *)
@@ -25,8 +24,6 @@ type acc = {
 }
 
 let create () = { rows = 0; n = 0; sum = Value.Null; mm = None; set = VSet.empty }
-
-let copy (a : acc) = { a with rows = a.rows }
 
 let sum_step acc v =
   match acc, v with

@@ -450,12 +450,6 @@ let access_scan (table : Table.t) (tname : string) (annotate : Row.t -> arow)
         Table.fold_delta (fun acc row -> annotate row :: acc) [] table
       in
       List.rev rows
-  | Plan.Below ->
-    fun () ->
-      let rows =
-        Table.fold_below (fun acc row -> annotate row :: acc) [] table
-      in
-      List.rev rows
   | Plan.Index_eq { index; key } ->
     let ix =
       match Table.find_index table index with

@@ -608,24 +608,6 @@ let batch_access (table : Table.t) (tname : string) ~track ~slot
           List.rev (Table.fold_delta (fun acc r -> r :: acc) [] table)
         in
         batch_of_rows ~track ~slot ~width rows)
-  | Plan.Below -> (
-    (* Complement of [Delta]: the prefix strictly below the watermark. *)
-    fun () ->
-      match Table.columnar table with
-      | Some store ->
-        let n = Column.length store in
-        let lo = Column.delta_start store ~base:(Table.delta_base table) in
-        {
-          cols = Column.views store;
-          sel = (if lo = n then All n else Chosen (Array.init lo (fun k -> k)));
-          srcs =
-            (if track then [ { slot; tids = Column.tids store } ] else []);
-        }
-      | None ->
-        let rows =
-          List.rev (Table.fold_below (fun acc r -> r :: acc) [] table)
-        in
-        batch_of_rows ~track ~slot ~width rows)
   | Plan.Index_eq { index; key } ->
     let ix =
       match Table.find_index table index with
@@ -1197,7 +1179,7 @@ let produce_batch (f : Plan.finish) : batch -> (Compile.arow * Value.t array) li
 (* Pipeline --------------------------------------------------------------- *)
 
 (* Whether a scan slot may materialize through the shared cache. [Delta]
-   and [Below] read the watermark at execution time (and are tiny);
+   reads the watermark at execution time (and is tiny);
    source-tid columns are slot-index-specific; an [Exec] leaf reads the
    clock, which the cache's (generation, [ver_mut]) validation does not
    cover — and a closure cannot be digested into a tag anyway. *)
@@ -1206,7 +1188,7 @@ let shareable ~track (access : Plan.access) (preds : Plan.pexpr list) : bool =
   let access_ok =
     match access with
     | Plan.Heap -> true
-    | Plan.Delta | Plan.Below -> false
+    | Plan.Delta -> false
     | Plan.Index_eq { key; _ } -> not (Optimizer.has_exec key)
     | Plan.Index_range { lo; hi; _ } -> no_exec lo && no_exec hi
   in

@@ -20,7 +20,7 @@ type batch
     batch-routed base-table scan slot materializes its scan plus
     pushed-down conjuncts through the cache, keyed by a digest of
     (table, access path, conjuncts) and valid per (catalog generation,
-    {!Table.ver_mut}) — unless the access path is [Delta]/[Below], the
+    {!Table.ver_mut}) — unless the access path is [Delta], the
     plan tracks source tids, or a {!Plan.Exec} leaf (the clock) sits in
     its key or conjuncts. Row-routed subtrees and subqueries never share.
     @raise Errors.Sql_error if a scanned table has been dropped. *)

@@ -38,53 +38,15 @@ let prepare_unoptimized ?(opts = default_opts) (cat : Catalog.t) (q : Ast.query)
     : compiled =
   Compile.compile cat opts (Plan.of_query cat q)
 
-type agg_compiled = {
-  c_variants : compiled list;
-  c_full : compiled;
-  c_nkeys : int;
-  c_specs : (Ast.agg * bool) array;
-  c_width : int;
-  c_rep_slots : int option list;
-  c_having : Compile.cexpr option;
-  c_projs : Compile.cexpr list;
-  c_columns : string list;
-}
-
-type compiled_branch =
-  | C_spj of compiled list
-  | C_agg of agg_compiled
-
-type delta_compiled = {
-  delta_deps : (string * Optimizer.dep_kind) list;
-  delta_branches : compiled_branch list;
-}
+type delta_compiled = { delta_deps : string list; delta_variants : compiled list }
 
 let prepare_delta ?vectorized (cat : Catalog.t) ~is_log ~clock_rel
     (q : Ast.query) : delta_compiled option =
-  let compile = compile ?vectorized cat in
-  let compile_branch (b : Optimizer.delta_branch) : compiled_branch =
-    match b with
-    | Optimizer.B_spj variants -> C_spj (List.map compile variants)
-    | Optimizer.B_agg a ->
-      let f = a.Optimizer.ad_finish in
-      C_agg
-        {
-          c_variants = List.map compile a.Optimizer.ad_variants;
-          c_full = compile a.Optimizer.ad_full;
-          c_nkeys = a.Optimizer.ad_nkeys;
-          c_specs = a.Optimizer.ad_specs;
-          c_width = a.Optimizer.ad_width;
-          c_rep_slots = a.Optimizer.ad_rep_slots;
-          c_having = Option.map Compile.compile_expr f.Plan.having;
-          c_projs = List.map Compile.compile_expr f.Plan.projs;
-          c_columns = f.Plan.columns;
-        }
-  in
   Option.map
     (fun (d : Optimizer.delta_plans) ->
       {
         delta_deps = d.Optimizer.deps;
-        delta_branches = List.map compile_branch d.Optimizer.branches;
+        delta_variants = List.map (compile ?vectorized cat) d.Optimizer.variants;
       })
     (Optimizer.derive_delta cat ~is_log ~clock_rel q)
 

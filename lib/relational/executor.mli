@@ -60,36 +60,11 @@ val compile :
     used by differential tests. *)
 val prepare_unoptimized : ?opts:opts -> Catalog.t -> Ast.query -> compiled
 
-(** Compiled form of an aggregate delta branch
-    ({!Optimizer.agg_delta}): the telescoped stream variants, the
-    full-state rebuild stream, the stream-row layout ([c_nkeys] group
-    keys then one column per [c_specs] entry), and the policy's own
-    HAVING/projections compiled over (representative row of width
-    [c_width], computed aggregate values). *)
-type agg_compiled = {
-  c_variants : compiled list;
-  c_full : compiled;
-  c_nkeys : int;
-  c_specs : (Ast.agg * bool) array;
-  c_width : int;
-  c_rep_slots : int option list;
-  c_having : Compile.cexpr option;
-  c_projs : Compile.cexpr list;
-  c_columns : string list;
-}
-
-(** Compiled per-select delta strategy (see {!Optimizer.delta_branch}). *)
-type compiled_branch = C_spj of compiled list | C_agg of agg_compiled
-
 (** Compiled delta evaluation of a delta-eligible query (see
-    {!Optimizer.derive_delta}): [delta_deps] are the base tables — each
-    with the version counters to snapshot ({!Optimizer.dep_kind}) —
-    that validate the engine's emptiness proof and carried state, and
-    [delta_branches] the compiled strategy per select. *)
-type delta_compiled = {
-  delta_deps : (string * Optimizer.dep_kind) list;
-  delta_branches : compiled_branch list;
-}
+    {!Optimizer.derive_delta}): [delta_deps] are the base tables whose
+    version counters validate the engine's emptiness proof, and
+    [delta_variants] the compiled per-log-slot variants of every select. *)
+type delta_compiled = { delta_deps : string list; delta_variants : compiled list }
 
 (** Derive and compile the delta variants of a query; [None] if the
     query is not delta-eligible. *)

@@ -378,61 +378,6 @@ let select_access (table : Table.t) (preds : Plan.pexpr list) :
         ( Plan.Index_range { index = Index.name ix; lo = wrap !lo; hi = wrap !hi },
           remaining ))
 
-(* How sensitive a policy's carried delta state is to mutations of one
-   dependency table. Each kind names the set of version counters whose
-   movement invalidates the state; the kinds are totally ordered by
-   sensitivity and a policy whose branches disagree takes the maximum. *)
-type dep_kind =
-  | Dep_plain  (** any mutation invalidates ({!Table.ver_mut}) *)
-  | Dep_log
-      (** non-append mutations that can grow a monotone result invalidate
-          ({!Table.ver_unsafe}); appends are covered by the watermark *)
-  | Dep_log_exact
-      (** [Dep_log] plus predicate deletion ({!Table.ver_del}): carried
-          SUM/COUNT/AVG accumulators cannot subtract removed rows, but
-          witness-driven compaction retains every contributing row, so
-          [retain_tids] leaves them exact *)
-  | Dep_log_frozen
-      (** [Dep_log_exact] plus compaction ({!Table.ver_compact}):
-          MIN/MAX state treats any removal as invalidating *)
-
-(* Compiled-later description of an aggregate policy's delta evaluation:
-   telescoped variant streams emit one row [group_by values @ agg args]
-   per joined tuple containing at least one delta-bound log slot; the
-   engine folds those rows into scratch clones of the carried per-group
-   accumulators and re-checks HAVING/projections only for touched
-   groups. *)
-type agg_delta = {
-  ad_variants : Plan.query list;
-      (** one per log slot: that slot [Delta], earlier log slots [Heap],
-          later log slots [Below] — each delta-bound joined tuple
-          appears in exactly one variant *)
-  ad_full : Plan.query;
-      (** the same stream over the full state (all-[Heap]); establishes
-          rebuild carried accumulators from it when the base is invalid *)
-  ad_nkeys : int;  (** leading group-key values per stream row *)
-  ad_specs : (Ast.agg * bool) array;
-      (** aggregate function and DISTINCT flag per trailing stream
-          column, in {!Plan.finish.aggs} order *)
-  ad_width : int;  (** full row-layout width, for representative rows *)
-  ad_rep_slots : int option list;
-      (** per group-by position: [Some i] when the key expression is
-          the bare [Field i], recovering the representative cell *)
-  ad_finish : Plan.finish;
-      (** the policy's own finish: HAVING and projections are
-          re-evaluated per touched group over (rep, agg values) *)
-}
-
-type delta_branch =
-  | B_spj of Plan.query list
-      (** monotone select-project-join: per-log-slot [Delta] variants *)
-  | B_agg of agg_delta
-
-type delta_plans = {
-  deps : (string * dep_kind) list;
-  branches : delta_branch list;
-}
-
 let rec optimize (cat : Catalog.t) (q : Plan.query) : Plan.query =
   match q with
   | Plan.Union { all; left; right } ->
@@ -790,229 +735,40 @@ let eliminate_clock (cat : Catalog.t) ~(clock_rel : string) (q : Plan.query) :
 
 (* Delta derivation --------------------------------------------------------- *)
 
-(* Every select of a policy classifies into exactly one delta branch, or
-   the whole policy is ineligible. Delta evaluation runs against a
-   watermark and a proved-empty base, so a select joining the clock —
-   whose one row is rewritten in place each submission, outside the
-   append-only discipline — is ineligible: its full evaluation already
-   runs the clock-eliminated plan ({!eliminate_clock}). The two branch
-   kinds:
+(* Every select of a policy must be monotone select-project-join, or the
+   whole policy is ineligible. Delta evaluation runs against a watermark
+   and a proved-empty base, so a select joining the clock — whose one row
+   is rewritten in place each submission, outside the append-only
+   discipline — is ineligible: its full evaluation already runs the
+   clock-eliminated plan ({!eliminate_clock}). So is an aggregated
+   select: a HAVING over the whole log is not monotone, and it evaluates
+   in full. For disjoint states S (proved empty) and Δ (appended rows),
+   monotonicity gives
 
-   - {b SPJ} (clock-free, non-aggregated): for disjoint states S (proved
-     empty) and Δ (appended rows), monotonicity gives
+     Q(S ∪ Δ) = ⋃ over log slots i of Q with slot i restricted to Δ
 
-       Q(S ∪ Δ) = ⋃ over log slots i of Q with slot i restricted to Δ
+   — any result row must bind at least one slot to a Δ tuple, and the
+   per-slot variants cover every such binding, so the union equals the
+   full result as a set. (Only multiplicities can differ, which is why
+   DISTINCT ON — whose representative choice is order-sensitive — is
+   excluded; the engine reads results as sets.) A UNION policy
+   contributes every arm's variants. Each variant is optimized
+   independently, so non-delta slots still get index probes. *)
 
-     — any result row must bind at least one slot to a Δ tuple, and the
-     per-slot variants cover every such binding, so the union equals the
-     full result as a set. (Only multiplicities can differ, which is why
-     DISTINCT ON — whose representative choice is order-sensitive — is
-     excluded; the engine reads results as sets.)
-
-   - {b Aggregate} (clock-free, aggregated): per-slot Δ variants are
-     unsound for non-monotone finishes, so the variants are telescoped
-     ([Delta]/[Heap]/[Below] — each Δ-bound joined tuple appears in
-     exactly one) and emit the raw stream [group keys @ agg arguments];
-     the engine folds that stream into carried per-group accumulators
-     and re-checks HAVING only for Δ-touched groups. Untouched groups
-     are pinned by the base: their state is unchanged, so HAVING — a
-     function of that state alone — still evaluates false. The carried
-     state survives witness-driven compaction for SUM/COUNT/AVG
-     (witnesses retain every contributing row) and demotes to a rebuild
-     for MIN/MAX ({!dep_kind}).
-
-   A UNION policy classifies per branch; its dependencies merge at each
-   table's most sensitive kind. Each variant is optimized independently,
-   so non-delta slots still get index probes. *)
+type delta_plans = { deps : string list; variants : Plan.query list }
 
 exception Ineligible
 
-(* Aggregated, clock-free selects: carried per-group state. Beyond the
-   SPJ shape requirements, group keys and aggregate arguments must be
-   pure row expressions, and HAVING and the projections may read only
-   computed aggregates, constants and representative cells recoverable
-   from a bare-field group key. *)
-let classify_agg (cat : Catalog.t) ~(is_log : string -> bool)
-    (sp : Plan.select_plan) (names : string array) :
-    (string * dep_kind) list * delta_branch =
-  let f = sp.Plan.finish in
-  if f.Plan.order_by <> [] || f.Plan.limit <> None || f.Plan.projs = [] then
-    raise Ineligible;
-  (match f.Plan.distinct with Plan.D_on _ -> raise Ineligible | _ -> ());
-  let covered =
-    List.filter_map
-      (function Plan.Field i -> Some i | _ -> None)
-      f.Plan.group_by
-  in
-  let rec check_group p =
-    match p with
-    | Plan.Const _ | Plan.Agg_ref _ -> ()
-    | Plan.Rep_field i -> if not (List.mem i covered) then raise Ineligible
-    | Plan.Field _ | Plan.Agg_outside | Plan.Exec _ -> raise Ineligible
-    | Plan.Binop (_, a, b) ->
-      check_group a;
-      check_group b
-    | Plan.Unop (_, a) -> check_group a
-    | Plan.Fn (_, args) -> List.iter check_group args
-    | Plan.Case (branches, default) ->
-      List.iter
-        (fun (c, v) ->
-          check_group c;
-          check_group v)
-        branches;
-      Option.iter check_group default
-  in
-  List.iter check_group f.Plan.projs;
-  Option.iter check_group f.Plan.having;
-  let rec check_row p =
-    match p with
-    | Plan.Field _ | Plan.Const _ -> ()
-    | Plan.Rep_field _ | Plan.Agg_ref _ | Plan.Agg_outside | Plan.Exec _ ->
-      raise Ineligible
-    | Plan.Binop (_, a, b) ->
-      check_row a;
-      check_row b
-    | Plan.Unop (_, a) -> check_row a
-    | Plan.Fn (_, args) -> List.iter check_row args
-    | Plan.Case (branches, default) ->
-      List.iter
-        (fun (c, v) ->
-          check_row c;
-          check_row v)
-        branches;
-      Option.iter check_row default
-  in
-  List.iter check_row f.Plan.group_by;
-  Array.iter
-    (fun (a : Plan.agg_spec) -> Option.iter check_row a.Plan.arg)
-    f.Plan.aggs;
-  let arg_exprs =
-    Array.to_list
-      (Array.map
-         (fun (a : Plan.agg_spec) ->
-           match a.Plan.arg with
-           | Some p -> p
-           | None -> Plan.Const Value.Null (* COUNT star: row presence *))
-         f.Plan.aggs)
-  in
-  let stream_projs =
-    match f.Plan.group_by @ arg_exprs with
-    | [] -> [ Plan.Const Value.Null ] (* bare HAVING: row presence only *)
-    | ps -> ps
-  in
-  let vfinish =
-    {
-      Plan.columns = List.mapi (fun i _ -> Printf.sprintf "d%d" i) stream_projs;
-      projs = stream_projs;
-      aggregated = false;
-      group_by = [];
-      aggs = [||];
-      having = None;
-      order_by = [];
-      distinct = Plan.D_all;
-      limit = None;
-    }
-  in
-  let log_slots = ref [] in
-  Array.iteri (fun i n -> if is_log n then log_slots := i :: !log_slots) names;
-  let log_slots = List.rev !log_slots in
-  (* Telescoped accesses: each joined tuple with a non-empty set D of
-     delta-bound log slots appears in exactly the variant of max(D). *)
-  let retag i =
-    Array.mapi
-      (fun j (sl : Plan.slot) ->
-        match sl.Plan.source with
-        | Plan.Scan (tname, _) when List.mem j log_slots ->
-          let access =
-            if j = i then Plan.Delta
-            else if j < i then Plan.Heap
-            else Plan.Below
-          in
-          { sl with Plan.source = Plan.Scan (tname, access) }
-        | _ -> sl)
-      sp.Plan.slots
-  in
-  let variants =
-    List.map
-      (fun i ->
-        optimize cat
-          (Plan.Select { sp with Plan.slots = retag i; Plan.finish = vfinish }))
-      log_slots
-  in
-  let ad_full = optimize cat (Plan.Select { sp with Plan.finish = vfinish }) in
-  let ad_width =
-    Array.fold_left
-      (fun acc (sl : Plan.slot) -> acc + Array.length sl.Plan.cols)
-      0 sp.Plan.slots
-  in
-  let has_frozen =
-    Array.exists
-      (fun (a : Plan.agg_spec) ->
-        match a.Plan.agg with Ast.Min | Ast.Max -> true | _ -> false)
-      f.Plan.aggs
-  in
-  let log_kind = if has_frozen then Dep_log_frozen else Dep_log_exact in
-  let deps =
-    List.sort_uniq compare
-      (Array.to_list
-         (Array.map
-            (fun n -> (n, if is_log n then log_kind else Dep_plain))
-            names))
-  in
-  ( deps,
-    B_agg
-      {
-        ad_variants = variants;
-        ad_full;
-        ad_nkeys = List.length f.Plan.group_by;
-        ad_specs =
-          Array.map
-            (fun (a : Plan.agg_spec) -> (a.Plan.agg, a.Plan.distinct_agg))
-            f.Plan.aggs;
-        ad_width;
-        ad_rep_slots =
-          List.map (function Plan.Field i -> Some i | _ -> None) f.Plan.group_by;
-        ad_finish = f;
-      } )
-
-let classify_spj (cat : Catalog.t) ~(is_log : string -> bool)
-    (sp : Plan.select_plan) (names : string array) :
-    (string * dep_kind) list * delta_branch =
+let classify_select (cat : Catalog.t) ~(is_log : string -> bool)
+    ~(clock : string) (sp : Plan.select_plan) : string list * Plan.query list =
   let f = sp.Plan.finish in
   if
-    Array.length f.Plan.aggs > 0
+    f.Plan.aggregated
     || f.Plan.order_by <> []
     || f.Plan.limit <> None
     || f.Plan.projs = []
   then raise Ineligible;
   (match f.Plan.distinct with Plan.D_on _ -> raise Ineligible | _ -> ());
-  let deps =
-    List.sort_uniq compare
-      (Array.to_list
-         (Array.map (fun n -> (n, if is_log n then Dep_log else Dep_plain)) names))
-  in
-  let variants = ref [] in
-  Array.iteri
-    (fun i n ->
-      if is_log n then begin
-        let slots =
-          Array.mapi
-            (fun j (sl : Plan.slot) ->
-              match sl.Plan.source with
-              | Plan.Scan (tname, _) when j = i ->
-                { sl with Plan.source = Plan.Scan (tname, Plan.Delta) }
-              | _ -> sl)
-            sp.Plan.slots
-        in
-        variants :=
-          optimize cat (Plan.Select { sp with Plan.slots = slots }) :: !variants
-      end)
-    names;
-  (deps, B_spj (List.rev !variants))
-
-let classify_select (cat : Catalog.t) ~(is_log : string -> bool)
-    ~(clock : string) (sp : Plan.select_plan) :
-    (string * dep_kind) list * delta_branch =
   (* Canonical table name per slot. Explicit resolution: a slot naming a
      table that vanished from the catalog between bind and derivation
      surfaces as ineligible, not as an [Option.get] crash; subquery
@@ -1030,26 +786,24 @@ let classify_select (cat : Catalog.t) ~(is_log : string -> bool)
   in
   if Array.exists (fun n -> String.lowercase_ascii n = clock) names then
     raise Ineligible;
-  if sp.Plan.finish.Plan.aggregated then classify_agg cat ~is_log sp names
-  else classify_spj cat ~is_log sp names
-
-let kind_rank = function
-  | Dep_plain -> 0
-  | Dep_log -> 1
-  | Dep_log_exact -> 2
-  | Dep_log_frozen -> 3
-
-let merge_deps (a : (string * dep_kind) list) (b : (string * dep_kind) list) :
-    (string * dep_kind) list =
-  List.sort_uniq compare
-    (List.fold_left
-       (fun acc (n, k) ->
-         match List.assoc_opt n acc with
-         | None -> (n, k) :: acc
-         | Some k0 ->
-           if kind_rank k > kind_rank k0 then (n, k) :: List.remove_assoc n acc
-           else acc)
-       a b)
+  let variants = ref [] in
+  Array.iteri
+    (fun i n ->
+      if is_log n then begin
+        let slots =
+          Array.mapi
+            (fun j (sl : Plan.slot) ->
+              match sl.Plan.source with
+              | Plan.Scan (tname, _) when j = i ->
+                { sl with Plan.source = Plan.Scan (tname, Plan.Delta) }
+              | _ -> sl)
+            sp.Plan.slots
+        in
+        variants :=
+          optimize cat (Plan.Select { sp with Plan.slots = slots }) :: !variants
+      end)
+    names;
+  (Array.to_list names, List.rev !variants)
 
 let derive_delta (cat : Catalog.t) ~(is_log : string -> bool)
     ~(clock_rel : string) (q : Ast.query) : delta_plans option =
@@ -1058,17 +812,15 @@ let derive_delta (cat : Catalog.t) ~(is_log : string -> bool)
   | plan -> (
     let clock = String.lowercase_ascii clock_rel in
     let rec walk = function
-      | Plan.Select sp ->
-        let deps, branch = classify_select cat ~is_log ~clock sp in
-        (deps, [ branch ])
+      | Plan.Select sp -> classify_select cat ~is_log ~clock sp
       | Plan.Union { left; right; _ } ->
-        let dl, bl = walk left in
-        let dr, br = walk right in
-        (merge_deps dl dr, bl @ br)
+        let dl, vl = walk left in
+        let dr, vr = walk right in
+        (dl @ dr, vl @ vr)
     in
     match walk plan with
     | exception Ineligible -> None
-    | deps, branches -> Some { deps; branches })
+    | deps, variants -> Some { deps = List.sort_uniq compare deps; variants })
 
 (* Batch-eligibility analysis ---------------------------------------------- *)
 

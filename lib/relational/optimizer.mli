@@ -14,70 +14,21 @@ val optimize : Catalog.t -> Plan.query -> Plan.query
     execution-time state (the clock) that no table version covers. *)
 val has_exec : Plan.pexpr -> bool
 
-(** How sensitive a policy's carried delta state is to mutations of one
-    dependency table: which of the table's version counters the
-    incremental engine must fold into its snapshot. Totally ordered by
-    sensitivity — [Dep_plain] (any mutation, {!Table.ver_mut}),
-    [Dep_log] (result-growing non-appends, {!Table.ver_unsafe}),
-    [Dep_log_exact] (adds predicate deletion, {!Table.ver_del} — carried
-    SUM/COUNT/AVG accumulators survive witness-driven compaction, which
-    retains every contributing row, but not arbitrary DML),
-    [Dep_log_frozen] (adds compaction, {!Table.ver_compact} — MIN/MAX
-    state treats any removal as invalidating). *)
-type dep_kind = Dep_plain | Dep_log | Dep_log_exact | Dep_log_frozen
-
-(** Delta evaluation of an aggregated select: telescoped variant streams
-    emit one raw row [group-key values @ aggregate arguments] per joined
-    tuple binding at least one delta row; the engine folds that stream
-    into carried per-group accumulators ({!Delta_store} in the
-    incremental library) and re-checks HAVING and the projections only
-    for the touched groups. *)
-type agg_delta = {
-  ad_variants : Plan.query list;
-      (** one per log slot: that slot {!Plan.Delta}, earlier log slots
-          [Heap], later log slots {!Plan.Below} — each delta-bound
-          joined tuple appears in exactly one variant *)
-  ad_full : Plan.query;
-      (** the same stream over the full state (all-[Heap]), for
-          rebuilding carried accumulators when the base is invalid *)
-  ad_nkeys : int;  (** leading group-key values per stream row *)
-  ad_specs : (Ast.agg * bool) array;
-      (** (aggregate function, DISTINCT?) per trailing stream column,
-          in {!Plan.finish} aggregate order *)
-  ad_width : int;  (** full row-layout width, for representative rows *)
-  ad_rep_slots : int option list;
-      (** per group-by position: [Some i] when the key expression is the
-          bare field [i], recovering the representative cell *)
-  ad_finish : Plan.finish;
-      (** the policy's own finish: HAVING/projections re-evaluate per
-          touched group over (representative row, aggregate values) *)
-}
-
-(** One delta-evaluation strategy per select of a policy: [B_spj] is
-    the monotone per-log-slot variant union, [B_agg] carries per-group
-    aggregate state. *)
-type delta_branch = B_spj of Plan.query list | B_agg of agg_delta
-
-(** Result of {!derive_delta}: the base tables the query reads, each with
-    the {!dep_kind} the engine snapshots to validate carried state, and
-    one classified branch per select (a UNION policy yields one branch
-    per side, with dependencies merged at each table's most sensitive
-    kind). *)
-type delta_plans = {
-  deps : (string * dep_kind) list;
-  branches : delta_branch list;
-}
+(** Result of {!derive_delta}: the base tables the query reads
+    (canonical names, sorted), and every select's per-log-slot variants
+    — that slot restricted to {!Plan.Delta}, the others as written — a
+    UNION policy contributing each arm's. *)
+type delta_plans = { deps : string list; variants : Plan.query list }
 
 (** Delta-plan derivation for incremental policy evaluation. Returns
-    [None] unless every select of the query classifies: base-table scans
-    only (no subqueries), no LIMIT / DISTINCT ON anywhere, no clock slot
-    (a select joining [clock_rel] runs in full through its
-    clock-eliminated plan, {!eliminate_clock}), and a split into [B_spj]
-    (non-aggregated, no ORDER BY) and [B_agg] (aggregated, with shape
-    restrictions documented in the implementation). Projections may be
-    arbitrary (a unified policy projects member messages from its
-    constants table); branch results union as sets, so callers must
-    read them with set semantics. *)
+    [None] unless every select of the query is monotone
+    select-project-join: base-table scans only (no subqueries), no
+    aggregation, ORDER BY, LIMIT or DISTINCT ON, and no clock slot (a
+    select joining [clock_rel] runs in full through its clock-eliminated
+    plan, {!eliminate_clock}). Projections may be arbitrary (a unified
+    policy projects member messages from its constants table); variant
+    results union as sets, so callers must read them with set
+    semantics. *)
 val derive_delta :
   Catalog.t ->
   is_log:(string -> bool) ->

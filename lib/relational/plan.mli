@@ -47,11 +47,6 @@ type access =
       (** walk only the rows at or above the table's delta watermark
           ({!Table.delta_base}), read at execution time so one compiled
           plan stays valid as the watermark advances *)
-  | Below
-      (** walk only the rows strictly below the watermark — the
-          complement of [Delta]. Telescoped delta variants of aggregate
-          policies use it to count each joined increment row exactly
-          once across variants. *)
   | Index_eq of { index : string; key : pexpr }
   | Index_range of {
       index : string;

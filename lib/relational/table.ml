@@ -36,14 +36,10 @@ type t = {
          bulk_load (recovery reload) *)
   mutable ver_del : int;
       (* bumped only by predicate deletion (delete_where): arbitrary DML
-         removals, which break carried aggregate state even though they
-         cannot grow a monotone result *)
+         removals *)
   mutable ver_compact : int;
       (* bumped only by tid-set deletion (retain_tids, drop_tids):
-         witness-driven log compaction, which retains every tuple
-         contributing to an active policy — running SUM/COUNT state
-         survives it, while MIN/MAX state (which any removal can break)
-         treats it like a delete *)
+         witness-driven log compaction *)
   mutable columnar : Column.t option;
       (* opt-in columnar mirror for batch scans, kept consistent with
          the heap by the same mutation hooks that maintain indexes *)
@@ -414,23 +410,6 @@ let fold_delta f init t =
   in
   let acc = ref init in
   for i = lb 0 n to n - 1 do
-    acc := f !acc (Vec.get t.rows i)
-  done;
-  !acc
-
-(* Fold over the complement of the delta: rows with tid < delta_base.
-   Same binary lower bound as [fold_delta], iterating the prefix. *)
-let fold_below f init t =
-  let n = Vec.length t.rows in
-  let base = t.delta_base in
-  let rec lb lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if Row.tid (Vec.get t.rows mid) < base then lb (mid + 1) hi else lb lo mid
-  in
-  let acc = ref init in
-  for i = 0 to lb 0 n - 1 do
     acc := f !acc (Vec.get t.rows i)
   done;
   !acc

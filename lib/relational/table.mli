@@ -188,28 +188,17 @@ val ver_mut : t -> int
 val ver_unsafe : t -> int
 
 (** Bumped only by predicate deletion ([delete_where]): arbitrary DML
-    removals cannot grow a monotone result but do break carried
-    aggregate accumulators, which have no way to subtract the removed
-    rows. *)
+    removals. *)
 val ver_del : t -> int
 
 (** Bumped only by tid-set deletion ([retain_tids], [drop_tids]):
-    witness-driven log compaction. Witnesses retain every tuple contributing to an active
-    policy, so running SUM/COUNT/AVG state survives compaction;
-    MIN/MAX state, which any removal can break, treats it like a
-    delete. [rollback_to] bumps neither removal counter — discarded
-    tentative rows are never folded into carried state. *)
+    witness-driven log compaction. [rollback_to] bumps neither removal
+    counter — discarded tentative rows were never committed. *)
 val ver_compact : t -> int
 
 (** Fold over the delta — the rows with tid >= {!delta_base}, in tid
     order — without touching the rest of the heap (binary lower bound,
     then a tail walk). *)
 val fold_delta : ('acc -> Row.t -> 'acc) -> 'acc -> t -> 'acc
-
-(** Fold over the complement of the delta — the rows with
-    tid < {!delta_base}, in tid order. Telescoped delta variants of
-    aggregate policies use this to enumerate each joined increment row
-    exactly once across variants. *)
-val fold_below : ('acc -> Row.t -> 'acc) -> 'acc -> t -> 'acc
 
 val pp : Format.formatter -> t -> unit

@@ -160,7 +160,10 @@ let test_probe_grouped () =
      increment tick does not. The reference prunes (no passing group
      draws on the increment); the probe, which tests the HAVING-stripped
      core, keeps — the permitted direction. A third uid-1 submission
-     passes with an increment tick, and both keep. *)
+     passes with an increment tick, and both keep. At the provenance
+     stage πS is the policy itself, which (aggregated) has no delta
+     verdict: its probe runs there and, like the reference, prunes, since
+     no provenance row has itid 99. *)
   let e = Engine.create ~config:probe_config (probe_db ()) in
   ignore
     (Engine.add_policy e ~name:"ticks"
@@ -173,9 +176,9 @@ let test_probe_grouped () =
   Alcotest.check decisions "probe keeps every policy the reference keeps"
     [
       [ (1, false, false) ];
-      [ (1, true, true); (2, true, true) ];
-      [ (1, true, false); (2, true, false) ];
-      [ (1, true, true); (2, true, true) ];
+      [ (1, true, true); (2, true, true); (3, false, false) ];
+      [ (1, true, false); (2, true, false); (3, false, false) ];
+      [ (1, true, true); (2, true, true); (3, false, false) ];
     ]
     got
 

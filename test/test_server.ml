@@ -177,8 +177,8 @@ let test_session_auth_binding () =
 (* Verdict identity of batched and one-at-a-time admission is the
    differential oracle's job (test_oracle.ml); these pins check which
    route a batch takes. The "blocked" and "banned" templates are
-   clock-free SPJ (fast path); "quota1" reads the clock and forces the
-   serial fallback. *)
+   clock-free SPJ (fast path); "quota1" reads the clock and
+   "agg-quota2" aggregates, and either forces the serial fallback. *)
 let queries = Test_oracle.queries
 
 let make_engine ~policies () =
@@ -248,24 +248,49 @@ let test_violating_batch_retries_serially () =
   Alcotest.(check int) "retried" 1 b.Engine.retried_batches;
   Engine.close engine
 
+let verdict = function
+  | Ok (Engine.Accepted (r, _)) ->
+    Printf.sprintf "accepted [%s]" (Test_oracle.render_rows r)
+  | Ok (Engine.Rejected (ms, _)) ->
+    Printf.sprintf "rejected [%s]" (String.concat "; " ms)
+  | Error e -> "raised " ^ Printexc.to_string e
+
+(* Neither a clock-reading policy ("quota1") nor a clock-free aggregate
+   ("agg-quota2", refused by delta classification) is monotone SPJ: the
+   batch must skip the fast path, and its verdicts — a third submission
+   inside each quota is rejected — equal one-at-a-time admission's. *)
 let test_ineligible_policy_goes_serial () =
-  (* "quota1" reads the clock: the batch must skip the fast path *)
-  let engine = make_engine ~policies:[ "quota1" ] () in
-  let subs =
-    List.map
-      (fun uid ->
-        {
-          Engine.batch_uid = uid;
-          batch_extra = [];
-          batch_query = Parser.query queries.(0);
-        })
-      [ 1; 3 ]
-  in
-  ignore (Engine.submit_batch engine subs);
-  let b = Engine.batch_stats engine in
-  Alcotest.(check int) "fast" 0 b.Engine.fast_batches;
-  Alcotest.(check int) "serial" 1 b.Engine.serial_batches;
-  Engine.close engine
+  let uids = [ 1; 1; 1; 2; 2; 2; 3 ] in
+  List.iter
+    (fun policy ->
+      let subs =
+        List.map
+          (fun uid ->
+            {
+              Engine.batch_uid = uid;
+              batch_extra = [];
+              batch_query = Parser.query queries.(0);
+            })
+          uids
+      in
+      let engine = make_engine ~policies:[ policy ] () in
+      let batched = List.map verdict (Engine.submit_batch engine subs) in
+      let b = Engine.batch_stats engine in
+      Alcotest.(check int) (policy ^ ": fast") 0 b.Engine.fast_batches;
+      Alcotest.(check int) (policy ^ ": serial") 1 b.Engine.serial_batches;
+      Engine.close engine;
+      let engine = make_engine ~policies:[ policy ] () in
+      let serial =
+        List.map
+          (fun (s : Engine.batch_submission) ->
+            verdict (Ok (Engine.submit_ast engine ~uid:s.batch_uid s.batch_query)))
+          subs
+      in
+      Engine.close engine;
+      Alcotest.(check (list string)) (policy ^ ": verdicts") serial batched;
+      Alcotest.(check bool) (policy ^ ": a quota fires") true
+        (List.exists (fun v -> String.starts_with ~prefix:"rejected" v) batched))
+    [ "quota1"; "agg-quota2" ]
 
 (* End-to-end over sockets -------------------------------------------------- *)
 
@@ -521,7 +546,7 @@ let suite =
     tc "batch fast path engages on eligible work" test_fast_path_engages;
     tc "violating batch replays serially with per-member verdicts"
       test_violating_batch_retries_serially;
-    tc "clock-reading policy forces the serial batch path"
+    tc "clock-reading or aggregate policy forces the serial batch path"
       test_ineligible_policy_goes_serial;
     tc "concurrent clients == the server's serial order (sockets)"
       test_concurrent_equivalence;
