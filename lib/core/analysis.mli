@@ -18,9 +18,8 @@ val output_columns : Catalog.t -> Ast.query -> string list
     @raise Errors.Sql_error on unknown or ambiguous columns. *)
 val qualify : Catalog.t -> Ast.query -> Ast.query
 
-(** Does the expression reference the given (lowercased) alias? *)
-val expr_refs_alias : Ast.expr -> string -> bool
-
+(** Does the expression reference any of the given (lowercased)
+    aliases? *)
 val expr_refs_any_alias : Ast.expr -> string list -> bool
 
 (** FROM-table occurrences of a select: (lowercased alias, lowercased

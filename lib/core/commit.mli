@@ -1,0 +1,57 @@
+(** The commit of an accepted submission: log compaction (Algorithm 2,
+    Lemmas 4.1–4.3, §4.1.2) over its tentative increments, and the
+    durability decision that follows. A full mark runs the witnesses
+    over the whole log and records the survivors' deadlines; while the
+    mark basis holds, a single-tick commit marks only its increment and
+    expires the committed tuples whose deadline came. *)
+
+open Relational
+
+(** Deadlines, the basis they hold against, and the mark counters. *)
+type t
+
+val create : Database.t -> Prepared.t -> t
+
+(** Forget the deadlines and their basis (the plan changed). *)
+val reset : t -> unit
+
+(** (relations marked from their increment, over the whole log), one
+    count per relation per commit. *)
+val marks : t -> int * int
+
+(** §4.3 preemptive compaction: no witness of stored relation [rel] can
+    keep a tuple of its would-be increment, as monotone probes over the
+    relations already in [generated] show. *)
+val preemptively_empty :
+  t -> Offline.t -> generated:(string, Table.savepoint) Hashtbl.t -> string -> bool
+
+type durability =
+  | Journal  (** append one WAL record of the retained increments *)
+  | Checkpoint  (** committed rows expired: a snapshot supersedes the WAL *)
+
+type outcome = {
+  retained : (string * Value.t array list) list;
+      (** the increment rows each relation keeps, by relation name *)
+  durability : durability;
+}
+
+(** A map over independent read-only tasks (the engine's pool fan-out). *)
+type map = { map : 'a 'b. (Stats.t -> 'a -> 'b) -> 'a list -> 'b list }
+
+(** Commit the increments whose savepoints [generated] holds ([floors]:
+    first tentative tids). A stored relation absent from [generated] was
+    skipped preemptively; the others keep their retained increment (all
+    of it without [compaction] or under [Keep_all]); every other
+    relation in [generated] is rolled back, and [generated] is emptied.
+    A batch ([single_tick = false]) marks in full. *)
+val run :
+  t ->
+  Offline.t ->
+  compaction:bool ->
+  generated:(string, Table.savepoint) Hashtbl.t ->
+  floors:(string, int) Hashtbl.t ->
+  now:int ->
+  single_tick:bool ->
+  stats:Stats.t ->
+  map:map ->
+  outcome

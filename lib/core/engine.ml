@@ -1,22 +1,13 @@
-(** The DataLawyer engine (§4).
+(** The DataLawyer engine (§4): the online phase over the offline plan
+    ({!Offline}).
 
-    The engine wraps a {!Relational.Database}: users submit queries
-    through {!submit}, which (per Eq. 1) tentatively appends the usage-log
-    increments, checks every policy, and either rejects the query —
-    reverting the log — or persists the (compacted) log and executes the
-    query.
-
-    Each field of {!config} selects one optimization:
-
-    - the [Union_all] / [Serial] / [Interleaved] policy-evaluation
-      strategies (NoOpt's Algorithm 1 is [Union_all]; Algorithm 3 is
-      [Interleaved]);
-    - time-independent rewriting (§4.1.1);
-    - log compaction via absolute witnesses (§4.1.2);
-    - policy unification (§4.2.2);
-    - preemptive log compaction and improved partial policies (§4.3);
-    - the evaluating domain count, incremental (delta) evaluation, the
-      relevance index, shared scans and the vectorized executor.
+    {!submit} (per Eq. 1) tentatively appends the usage-log increments
+    and checks every active policy under the configured strategy
+    ([Union_all] is NoOpt's Algorithm 1, [Interleaved] Algorithm 3). A
+    violation rejects the query and reverts the log; otherwise the
+    commit compacts the increments ({!Commit}), journals or checkpoints
+    them as it decides, and the query executes. Each {!config} field
+    selects one optimization (engine.mli documents them all).
 
     Every admission stage has one implementation; parallelism is only
     the choice of map inside [fan_out]. *)
@@ -84,44 +75,24 @@ let default_config =
     vectorized = true;
   }
 
-type plan = {
-  active : Policy.t list;  (** offline-phase output: post unification / TI *)
-  inter : Policy.t list;  (** interleavable subset (Πmon of §4.4) *)
-  rest : Policy.t list;  (** evaluated fully, one by one *)
-  required : string list;  (** log relations any active policy references *)
-  store_rels : string list;
-      (** log relations referenced by a time-dependent policy: only these
-          ever need persisting *)
-  unified_groups : Unify.group list;
-  relevance : Relevance.t;
-      (** per-active-policy slot/filter metadata for the relevance index,
-          built over the same post-unification policy set *)
-  witnesses : (string * Witness.t) list;
-      (** per [store_rels] relation, the union of the time-dependent
-          policies' witnesses (derived once per plan: they do not depend
-          on the compaction time) *)
-  witness_bases : string list;  (** base relations the witnesses join *)
+type plan = Offline.t = {
+  active : Policy.t list; inter : Policy.t list; rest : Policy.t list;
+  required : string list; store_rels : string list; unified_groups : Unify.group list;
+  relevance : Relevance.t; witnesses : (string * Witness.t) list; witness_bases : string list;
 }
-
-(* Committed log tuples by the tick at which no witness keeps them. *)
-module Ticks = Map.Make (Int)
 
 type t = {
   db : Database.t;
   mutable config : config;
-  mutable generators : Usage_log.generator list;  (** sorted by rank *)
+  generators : Usage_log.generator list;  (** sorted by rank *)
   gen_index : (string, Usage_log.generator) Hashtbl.t;
-      (** generator lookup by lowercased relation name; rebuilt at
-          registration so the per-generation hot path never scans the
-          list *)
+      (** generator lookup by lowercased relation name, so the
+          per-generation hot path never scans the list *)
   mutable registered_rev : Policy.t list;
       (** registered policies, newest first: registration prepends *)
   registered_names : (string, unit) Hashtbl.t;
       (** names in [registered_rev], for the duplicate check *)
   mutable plan : plan option;
-  mutable last_violations : Policy.t list;
-      (** violated policies of the most recent rejected submission, for
-          {!Advisor}-style diagnosis *)
   mutable persist : Persistence.Store.t option;
   mutable persist_scope : string list;
       (** the [store_rels] the store's snapshot scope was last computed
@@ -167,16 +138,7 @@ type t = {
       (** the relevance index's own emptiness bases, kept apart from the
           delta bases because the two proofs snapshot different
           dependency lists and are counted separately *)
-  deadlines : (string, int list Ticks.t) Hashtbl.t;
-      (** per compacted relation whose committed tuples all carry a
-          deadline: those tuples by deadline, finite ones only (see
-          {!commit_logs}); a relation without an entry is marked in
-          full *)
-  mutable mark_basis : int list option;
-      (** what [deadlines] were derived against ({!mark_basis}), as of
-          the end of the last commit; [None] until a commit compacts *)
-  mutable delta_marks : int;  (** relations marked from their increment *)
-  mutable full_marks : int;  (** relations marked over the whole log *)
+  commit : Commit.t;  (** log compaction's state across commits *)
 }
 
 type outcome =
@@ -283,6 +245,7 @@ let create ?(config = default_config) ?(generators = Usage_log.standard)
     generators;
   let gen_index = Hashtbl.create 8 in
   List.iter (fun g -> Hashtbl.replace gen_index (lc g.Usage_log.relation) g) generators;
+  let prepared = Prepared.create (Database.catalog db) in
   let t =
     {
       db;
@@ -292,11 +255,10 @@ let create ?(config = default_config) ?(generators = Usage_log.standard)
       registered_rev = [];
       registered_names = Hashtbl.create 16;
       plan = None;
-      last_violations = [];
       persist = None;
       persist_scope = [];
       persist_clock = 0;
-      prepared = Prepared.create (Database.catalog db);
+      prepared;
       pool = None;
       par_batches = 0;
       par_tasks = 0;
@@ -310,10 +272,7 @@ let create ?(config = default_config) ?(generators = Usage_log.standard)
       probe_prunes = Atomic.make 0;
       delta_store = Incremental.Delta_store.create ();
       relevance_store = Incremental.Delta_store.create ();
-      deadlines = Hashtbl.create 4;
-      mark_basis = None;
-      delta_marks = 0;
-      full_marks = 0;
+      commit = Commit.create db prepared;
     }
   in
   Prepared.set_vectorized t.prepared config.vectorized;
@@ -349,22 +308,11 @@ let invalidate t =
   Incremental.Delta_store.reset t.delta_store;
   Incremental.Delta_store.reset t.relevance_store;
   (* The witnesses change with the plan: re-derive every deadline. *)
-  Hashtbl.reset t.deadlines;
-  t.mark_basis <- None
+  Commit.reset t.commit
 
 let set_config t config =
   t.config <- config;
   Prepared.set_vectorized t.prepared config.vectorized;
-  invalidate t
-
-let register_generator t (g : Usage_log.generator) =
-  if not (Catalog.mem (Database.catalog t.db) g.Usage_log.relation) then
-    Usage_log.install_relation t.db g;
-  auto_index_log_relation t.db g;
-  t.generators <-
-    List.sort (fun a b -> compare a.Usage_log.rank b.Usage_log.rank)
-      (g :: t.generators);
-  Hashtbl.replace t.gen_index (lc g.Usage_log.relation) g;
   invalidate t
 
 let add_policy t ~name sql : Policy.t =
@@ -405,77 +353,6 @@ let policies t = List.rev t.registered_rev
 
 (* Offline phase (§4.4) --------------------------------------------------- *)
 
-let compute_plan t : plan =
-  let is_log = is_log t in
-  let ps = policies t in
-  let ps, unified_groups =
-    if t.config.unification then
-      let o = Unify.run (Database.catalog t.db) ~is_log ps in
-      (o.Unify.policies, o.Unify.groups)
-    else (ps, [])
-  in
-  let ps =
-    if t.config.time_independent then List.map (Time_independent.apply ~is_log) ps
-    else ps
-  in
-  let inter, rest =
-    match t.config.strategy with
-    | Interleaved ->
-      List.partition
-        (fun p -> p.Policy.interleavable || p.Policy.core_prunable)
-        ps
-    | Union_all | Serial -> ([], ps)
-  in
-  let union_rels pols =
-    List.sort_uniq String.compare (List.concat_map (fun p -> p.Policy.log_rels) pols)
-  in
-  let time_dependent = List.filter (fun p -> not p.Policy.ti_rewritten) ps in
-  let store_rels = union_rels time_dependent in
-  let witnesses =
-    let per_policy = List.map (Witness.for_policy ~is_log) time_dependent in
-    List.map
-      (fun rel ->
-        ( rel,
-          List.fold_left
-            (fun acc ws ->
-              match List.assoc_opt rel ws with
-              | Some w -> Witness.merge acc w
-              | None -> acc)
-            (Witness.Queries []) per_policy ))
-      store_rels
-  in
-  let witness_bases =
-    List.sort_uniq String.compare
-      (List.concat_map
-         (fun (_, w) ->
-           match w with
-           | Witness.Keep_all -> []
-           | Witness.Queries qs ->
-             List.concat_map
-               (fun (q : Witness.query) ->
-                 List.filter_map
-                   (function
-                     | Ast.From_table { name; _ } when not (is_log name) ->
-                       Some (lc name)
-                     | Ast.From_table _ | Ast.From_subquery _ -> None)
-                   q.Witness.select.Ast.from)
-               qs)
-         witnesses)
-  in
-  {
-    active = ps;
-    inter;
-    rest;
-    required = union_rels ps;
-    store_rels;
-    unified_groups;
-    relevance =
-      Relevance.build (Database.catalog t.db) ~is_log
-        ~clock_rel:Usage_log.clock_relation ~time_col:Usage_log.time_column ps;
-    witnesses;
-    witness_bases;
-  }
-
 (* Full persisted state at this instant, for checkpointing: the journaled
    clock, the policy set as registered, and every scope relation's
    contents. *)
@@ -512,7 +389,11 @@ let plan t =
   match t.plan with
   | Some p -> p
   | None ->
-    let p = compute_plan t in
+    let p =
+      Offline.compute (Database.catalog t.db) ~unification:t.config.unification
+        ~time_independent:t.config.time_independent
+        ~interleaved:(t.config.strategy = Interleaved) (policies t)
+    in
     t.plan <- Some p;
     (* Recompute the persistence scope on every plan invalidation: a
        config or policy change can move a log relation in or out of
@@ -593,7 +474,7 @@ let new_submission (ctx : Usage_log.query_ctx) : submission =
 
 (* Revert every tentative increment of [sub] (Eq. 1's rejection, or a
    failure before commit). Idempotent: a second call, or one after
-   {!commit_logs} resolved the savepoints, does nothing. *)
+   {!accept} resolved the savepoints, does nothing. *)
 let rollback t (sub : submission) =
   Stats.timed
     (fun d -> sub.stats.Stats.rollback <- sub.stats.Stats.rollback +. d)
@@ -1172,296 +1053,44 @@ let run_union t (sub : submission) (pool : Parallel.Pool.t option) (pl : plan)
     let extras = List.filter (fun m -> not (List.mem m claimed)) messages in
     hits @ List.map (fun m -> (first, m)) extras
 
-(* Log compaction (Algorithm 2 + §4.3 preemptive check) ------------------- *)
+(* Submission -------------------------------------------------------------- *)
 
-(* §4.3 preemptive log compaction: before generating relation [rel] just
-   for storage, test whether its witnesses could possibly retain any tuple
-   of the would-be increment, using only the already-generated logs
-   ({!Witness.probe}). Witness queries are monotone, so an empty probe
-   implies an empty increment witness. *)
-let preemptively_empty t (sub : submission) (pl : plan) (rel : string) : bool =
-  let available = Hashtbl.fold (fun r _ acc -> r :: acc) sub.generated [] in
-  match List.assoc_opt rel pl.witnesses with
-  | None -> true
-  | Some Witness.Keep_all -> false
-  | Some (Witness.Queries qs) ->
-    List.for_all
-      (fun q ->
-        match Witness.probe ~is_log:(is_log t) ~available q with
-        | None -> false (* nothing left to test: generate *)
-        | Some pq -> Prepared.is_empty t.prepared (Ast.Select pq))
-      qs
-
-(* How one stored relation is marked at a commit: [Keep] retains
-   everything (compaction off, or a [Keep_all] witness); [Mark] runs the
-   witness queries over the whole log ([full]) or over the increment
-   only, expiring committed tuples by their recorded deadlines. *)
-type mark = Keep | Mark of { full : bool; queries : Witness.query list }
-
-let add_due d tid due =
-  Ticks.update d (fun tids -> Some (tid :: Option.value tids ~default:[])) due
-
-(* What the recorded deadlines were derived against: the catalog
-   generation, every stored relation's committed row count and
-   non-append version counters, and the version of every base relation a
-   witness joins. [pending rel] is the size of [rel]'s tentative
-   increment. If the basis after one commit equals the basis before the
-   next, the committed log changed only by compaction and the base
-   relations not at all, so the deadlines still hold. *)
-let mark_basis t (pl : plan) ~(pending : string -> int) : int list =
-  let cat = Database.catalog t.db in
-  let logs =
-    List.concat_map
-      (fun rel ->
-        let tb = Database.table t.db rel in
-        [
-          Table.row_count tb - pending rel;
-          Table.ver_del tb;
-          Table.ver_unsafe tb;
-          Table.ver_compact tb;
-        ])
-      pl.store_rels
-  in
-  (Catalog.generation cat :: logs)
-  @ List.map
-      (fun rel ->
-        match Catalog.find_opt cat rel with
-        | Some tb -> Table.ver_mut tb
-        | None -> -1)
-      pl.witness_bases
-
-let track_src = { Executor.lineage = false; track_src = true }
-
-(* The commit path: compaction + persistence of the log increments.
-
-   A stored relation's tuples leave the log at their deadline, the first
-   tick at which no witness keeps them ({!Witness.scan}). For a Lemma 4.1
-   witness that tick is fixed when the tuple is committed: its joined
-   rows are its ts-equijoin neighbours, stamped at its own tick and so
-   never joined by later increments, and base rows, which do not move
-   while the basis holds. So the deadlines seeded by a full mark stay
-   exact, and a later commit only marks its increment
-   ({!Witness.at_clock_tick}) and deletes the committed tuples whose
-   deadline has come. The full mark runs instead for a relation without recorded deadlines (new or
-   recovered engine, new plan, a relation skipped at the last full mark),
-   after the basis moved (base DML, DDL, log DML), for a relation with a
-   Lemma 4.2 witness (its representatives can change), and for a batch
-   ([single_tick = false]), whose increment spans several ticks. *)
-let commit_logs t (sub : submission) (pool : Parallel.Pool.t option) (pl : plan)
+(* Accept: the commit — the preemptive generate-or-skip of the stored
+   relations not generated during evaluation, then compaction
+   ({!Commit.run}) — and durability as the commit decides it: one atomic
+   WAL record of the clock advance plus every retained increment, or a
+   checkpoint once committed rows expired; then record the delta and
+   relevance bases the committed state now satisfies. *)
+let accept t (sub : submission) (pool : Parallel.Pool.t option) (pl : plan)
     ~(now : int) ~(single_tick : bool) =
-  let stats = sub.stats in
-  (* Per-relation rows actually retained this commit (the WAL record),
-     and whether compaction deleted rows of the committed prefix — in
-     which case the WAL's append-only story no longer describes the
-     relation and a checkpoint must supersede it. *)
-  let persisted : (string * Value.t array list) list ref = ref [] in
-  let note_increment rel rows = if rows <> [] then persisted := (rel, rows) :: !persisted in
-  let compacted = ref false in
-  let charge_rollback f =
-    Stats.timed (fun d -> stats.Stats.rollback <- stats.Stats.rollback +. d) f
-  in
-  (* Preemptive check for relations not generated during evaluation. *)
-  let skipped = Hashtbl.create 4 in
   List.iter
     (fun rel ->
-      if not (Hashtbl.mem sub.generated rel) then
-        if
-          t.config.log_compaction && t.config.preemptive
-          && preemptively_empty t sub pl rel
-        then Hashtbl.replace skipped rel ()
-        else gen_rel t sub rel)
+      if
+        (not (Hashtbl.mem sub.generated rel))
+        && not
+             (t.config.log_compaction && t.config.preemptive
+             && Commit.preemptively_empty t.commit pl ~generated:sub.generated rel)
+      then gen_rel t sub rel)
     pl.store_rels;
-  let pending rel =
-    match Hashtbl.find_opt sub.generated rel with
-    | Some sp -> Table.fold_since (fun n _ -> n + 1) 0 (Database.table t.db rel) sp
-    | None -> 0
+  let c =
+    Commit.run t.commit pl ~compaction:t.config.log_compaction
+      ~generated:sub.generated ~floors:sub.increment_floor ~now ~single_tick
+      ~stats:sub.stats
+      ~map:{ Commit.map = (fun f xs -> fan_out t sub pool f xs) }
   in
-  (* Mark phase: choose each relation's route, run its witness queries
-     and fold every witnessed tuple's deadline (the max over its joined
-     rows). *)
-  let witnessed : (string, (int, int) Hashtbl.t) Hashtbl.t = Hashtbl.create 4 in
-  let marks =
-    Stats.timed
-      (fun d -> stats.Stats.compact_mark <- stats.Stats.compact_mark +. d)
-      (fun () ->
-        let incremental =
-          t.config.log_compaction && single_tick
-          && t.mark_basis = Some (mark_basis t pl ~pending)
-        in
-        if not incremental then Hashtbl.reset t.deadlines;
-        let marks =
-          List.filter_map
-            (fun rel ->
-              if Hashtbl.mem skipped rel then None
-              else if not t.config.log_compaction then Some (rel, Keep)
-              else
-                match List.assoc rel pl.witnesses with
-                | Witness.Keep_all -> Some (rel, Keep)
-                | Witness.Queries queries ->
-                  let full = not (Hashtbl.mem t.deadlines rel) in
-                  if full then t.full_marks <- t.full_marks + 1
-                  else t.delta_marks <- t.delta_marks + 1;
-                  Some (rel, Mark { full; queries }))
-            pl.store_rels
-        in
-        (* Every witness query is one {!fan_out} task; results fold in
-           input order after the join. *)
-        let tasks =
-          List.concat_map
-            (fun (rel, m) ->
-              match m with
-              | Keep -> []
-              | Mark { full; queries } ->
-                if (not full) && pending rel = 0 then []
-                else List.map (fun q -> (rel, q, full)) queries)
-            marks
-        in
-        let results =
-          fan_out t sub pool
-            (fun _ (rel, (q : Witness.query), full) ->
-              let s = if full then q.Witness.select else Witness.at_clock_tick q in
-              (rel, q, Prepared.run t.prepared ~opts:track_src (Ast.Select s)))
-            tasks
-        in
-        List.iter (fun (rel, _) -> Hashtbl.replace witnessed rel (Hashtbl.create 64)) marks;
-        List.iter
-          (fun (rel, q, r) ->
-            let dl = Hashtbl.find witnessed rel in
-            Witness.scan q ~now r (fun tid d ->
-                match Hashtbl.find_opt dl tid with
-                | Some d0 when d0 >= d -> ()
-                | Some _ | None -> Hashtbl.replace dl tid d))
-          results;
-        marks)
-  in
-  (* Delete + insert phases per relation. *)
-  List.iter
-    (fun (rel, m) ->
-      let table = Database.table t.db rel in
-      let sp = Hashtbl.find_opt sub.generated rel in
-      (* The retained part of the increment as WAL rows (the marks are
-         final at this point), folded straight to cells. *)
-      let retained keep =
-        match sp with
-        | None -> []
-        | Some sp ->
-          List.rev
-            (Table.fold_since
-               (fun acc row ->
-                 match keep row with Some d -> (Row.cells row, d) :: acc | None -> acc)
-               [] table sp)
-      in
-      match m with
-      | Keep ->
-        (* Everything retained: release the increment in place, so its
-           tids, index entries and version counters stand as generated. *)
-        Stats.timed
-          (fun d -> stats.Stats.compact_insert <- stats.Stats.compact_insert +. d)
-          (fun () ->
-            let kept = List.map fst (retained (fun _ -> Some 0)) in
-            Option.iter (Table.release table) sp;
-            stats.Stats.rows_logged <- stats.Stats.rows_logged + List.length kept;
-            note_increment rel kept)
-      | Mark { full; queries } ->
-        let dl = Hashtbl.find witnessed rel in
-        let kept =
-          retained (fun row ->
-              match Hashtbl.find_opt dl (Row.tid row) with
-              | Some d when d > now -> Some d
-              | Some _ | None -> None)
-        in
-        charge_rollback (fun () -> Option.iter (Table.rollback_to table) sp);
-        Stats.timed
-          (fun d -> stats.Stats.compact_delete <- stats.Stats.compact_delete +. d)
-          (fun () ->
-            if full then begin
-              let keep = Hashtbl.create 64 in
-              Hashtbl.iter (fun tid d -> if d > now then Hashtbl.replace keep tid ()) dl;
-              if Table.retain_tids table keep > 0 then compacted := true;
-              (* Seed the committed survivors' deadlines, unless a Lemma
-                 4.2 witness keeps this relation on the full mark. *)
-              if List.for_all (fun (q : Witness.query) -> q.Witness.keys = None) queries
-              then begin
-                let floor =
-                  Option.value (Hashtbl.find_opt sub.increment_floor rel) ~default:max_int
-                in
-                Hashtbl.replace t.deadlines rel
-                  (Hashtbl.fold
-                     (fun tid d due ->
-                       if tid < floor && d > now && d < max_int then add_due d tid due
-                       else due)
-                     dl Ticks.empty)
-              end
-            end
-            else begin
-              let expired, at_now, later = Ticks.split now (Hashtbl.find t.deadlines rel) in
-              let dead = Hashtbl.create 64 in
-              let kill = List.iter (fun tid -> Hashtbl.replace dead tid ()) in
-              Ticks.iter (fun _ tids -> kill tids) expired;
-              Option.iter kill at_now;
-              if Hashtbl.length dead > 0 && Table.drop_tids table dead > 0 then
-                compacted := true;
-              Hashtbl.replace t.deadlines rel later
-            end);
-        (* Insert the retained part of the increment, carrying each row's
-           deadline over to its new tid. *)
-        Stats.timed
-          (fun d -> stats.Stats.compact_insert <- stats.Stats.compact_insert +. d)
-          (fun () ->
-            let due = Hashtbl.find_opt t.deadlines rel in
-            let due =
-              List.fold_left
-                (fun due (cells, d) ->
-                  let tid = Table.insert table cells in
-                  stats.Stats.rows_logged <- stats.Stats.rows_logged + 1;
-                  if d < max_int then Option.map (add_due d tid) due else due)
-                due kept
-            in
-            Option.iter (Hashtbl.replace t.deadlines rel) due;
-            note_increment rel (List.map fst kept)))
-    marks;
-  (* Roll back increments of relations generated for evaluation only. *)
-  charge_rollback (fun () ->
-      Hashtbl.iter
-        (fun rel sp ->
-          if not (List.mem rel pl.store_rels) then
-            Table.rollback_to (Database.table t.db rel) sp)
-        sub.generated);
-  (* All savepoints are resolved now: a later failure (e.g. in the user
-     query) must not attempt to roll them back again. *)
-  Hashtbl.reset sub.generated;
-  if t.config.log_compaction then
-    t.mark_basis <- Some (mark_basis t pl ~pending:(fun _ -> 0));
-  (* Durability. An accepted submission is one atomic WAL record: the
-     clock advance plus every relation's retained increment. When witness
-     compaction shrank a relation, an append-only record can no longer
-     describe the transition, so the commit degrades to a checkpoint —
-     which also truncates the WAL prefix the new snapshot supersedes, so
-     the on-disk footprint tracks the compacted log (§4.1.2/§4.3). *)
-  match t.persist with
+  (match t.persist with
   | None -> ()
   | Some store ->
     Stats.timed
-      (fun d -> stats.Stats.persist <- stats.Stats.persist +. d)
+      (fun d -> sub.stats.Stats.persist <- sub.stats.Stats.persist +. d)
       (fun () ->
         t.persist_clock <- now;
-        if !compacted then checkpoint_to t store ~scope:pl.store_rels
-        else begin
-          let increments =
-            List.sort (fun (a, _) (b, _) -> String.compare a b) !persisted
-          in
-          Persistence.Store.log_commit store ~clock:now ~increments;
+        match c.Commit.durability with
+        | Commit.Checkpoint -> checkpoint_to t store ~scope:pl.store_rels
+        | Commit.Journal ->
+          Persistence.Store.log_commit store ~clock:now ~increments:c.Commit.retained;
           if Persistence.Store.wal_records store >= wal_checkpoint_limit then
-            checkpoint_to t store ~scope:pl.store_rels
-        end)
-
-(* Submission -------------------------------------------------------------- *)
-
-(* Accept: compact and persist the tentative increment, then record the
-   delta and relevance bases the committed state now satisfies. *)
-let accept t (sub : submission) (pool : Parallel.Pool.t option) (pl : plan)
-    ~(now : int) ~(single_tick : bool) =
-  commit_logs t sub pool pl ~now ~single_tick;
+            checkpoint_to t store ~scope:pl.store_rels));
   if t.config.delta || t.config.relevance then establish_bases t pl
 
 (* Execute an admitted user query, charging [stats.query_exec]. *)
@@ -1491,7 +1120,6 @@ let submit_ast t ~(uid : int) ?(extra = []) (query : Ast.query) : outcome =
         let v2 = run_serial t sub pool pl pl.rest in
         v1 @ v2
     in
-    t.last_violations <- List.map fst violations;
     if violations <> [] then begin
       (* Reject: revert the tentative log (Eq. 1). *)
       rollback t sub;
@@ -1542,6 +1170,7 @@ let counters t : (string * string) list =
   let r = relevance_stats t in
   let shared_hits, shared_misses = shared_scan_stats t in
   let v = vector_stats t in
+  let delta_marks, full_marks = Commit.marks t.commit in
   let vhist =
     (* label:count pairs; bucket upper bounds, "max" for the open tail *)
     let labels = [| "16"; "256"; "4096"; "65536"; "max" |] in
@@ -1589,8 +1218,8 @@ let counters t : (string * string) list =
     ("vector-typed-cols", i v.vec_typed_cols);
     ("vector-mixed-cols", i v.vec_mixed_cols);
     ("vector-dict-entries", i v.vec_dict_entries);
-    ("witness-delta-marks", i t.delta_marks);
-    ("witness-full-marks", i t.full_marks);
+    ("witness-delta-marks", i delta_marks);
+    ("witness-full-marks", i full_marks);
     ("group-commit-fsyncs", i fsyncs);
     ("wal-records", i wal);
   ]
@@ -1716,7 +1345,6 @@ let submit_batch t (subs : batch_submission list) :
       with
       | [] ->
         t.adm_fast <- t.adm_fast + 1;
-        t.last_violations <- [];
         (* A commit failure must resolve the savepoints before escaping,
            exactly as [submit_ast]'s handler does, or they would poison
            later submissions. *)
@@ -1739,9 +1367,6 @@ let submit_batch t (subs : batch_submission list) :
         rollback_batch ();
         submit_serially t subs
     end
-
-(* Violated policies of the most recent rejected submission. *)
-let last_violations t = t.last_violations
 
 (* Persistence ------------------------------------------------------------- *)
 

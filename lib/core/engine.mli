@@ -87,21 +87,17 @@ val noopt_config : config
 (** Every optimization enabled (§4.4). *)
 val default_config : config
 
-(** The offline phase's output. *)
-type plan = {
-  active : Policy.t list;  (** post unification / TI rewriting *)
-  inter : Policy.t list;  (** policies in the interleaved loop *)
-  rest : Policy.t list;  (** evaluated fully, one by one *)
-  required : string list;  (** log relations any active policy references *)
+(** The offline phase's output (fields documented in {!Offline.t}). *)
+type plan = Offline.t = {
+  active : Policy.t list;
+  inter : Policy.t list;
+  rest : Policy.t list;
+  required : string list;
   store_rels : string list;
-      (** log relations referenced by a time-dependent policy: only these
-          ever need persisting *)
   unified_groups : Unify.group list;
-  relevance : Relevance.t;  (** the relevance index over [active] *)
+  relevance : Relevance.t;
   witnesses : (string * Witness.t) list;
-      (** per [store_rels] relation, the union of the time-dependent
-          policies' witnesses (§4.1.2), derived once per plan *)
-  witness_bases : string list;  (** base relations the witnesses join *)
+  witness_bases : string list;
 }
 
 type t
@@ -138,9 +134,6 @@ val database : t -> Database.t
 
 (** Replace the configuration; invalidates the offline plan. *)
 val set_config : t -> config -> unit
-
-(** Register an additional log-generating function (§6 extensibility). *)
-val register_generator : t -> Usage_log.generator -> unit
 
 (** Register a policy from SQL text; its history starts now.
     @raise Errors.Sql_error on malformed SQL or duplicate names. *)
@@ -312,10 +305,6 @@ val probe_observer :
   (Database.t -> Ast.query -> floors:(string * int) list -> kept:bool -> unit)
   option
   ref
-
-(** Violated policies of the most recent rejected submission (for
-    {!Advisor} diagnosis); empty after an accepted one. *)
-val last_violations : t -> Policy.t list
 
 (** The persistence store, when the engine was created with
     [persist_dir] (introspection: generation, WAL length, disk size). *)

@@ -38,7 +38,6 @@ val selects_of : Ast.query -> Ast.select list
 
 val monotone : Ast.query -> bool
 val interleavable : is_log:(string -> bool) -> Ast.query -> bool
-val empty_input_empty_output : Ast.query -> bool
 val time_independent : is_log:(string -> bool) -> Ast.query -> bool
 
 (** Parse, qualify and classify a policy. When [active_from > 0], adds

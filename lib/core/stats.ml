@@ -101,13 +101,3 @@ let timed (record : float -> unit) (f : unit -> 'a) : 'a =
   let d = Unix.gettimeofday () -. t0 in
   record (if d > 0. then d else 0.);
   r
-
-let ms x = x *. 1000.
-
-let pp ppf s =
-  Format.fprintf ppf
-    "track %.3fms | eval %.3fms (%d calls) | compact %.3f/%.3f/%.3fms | persist \
-     %.3fms | rollback %.3fms | query %.3fms"
-    (ms s.log_track) (ms s.policy_eval) s.policy_calls (ms s.compact_mark)
-    (ms s.compact_delete) (ms s.compact_insert) (ms s.persist) (ms s.rollback)
-    (ms s.query_exec)

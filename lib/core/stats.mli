@@ -42,8 +42,3 @@ val mean : t list -> t
 
 (** [timed record f] runs [f], passing the elapsed seconds to [record]. *)
 val timed : (float -> unit) -> (unit -> 'a) -> 'a
-
-(** Seconds to milliseconds. *)
-val ms : float -> float
-
-val pp : Format.formatter -> t -> unit

@@ -188,11 +188,11 @@ let reuse_cap ~(relation : string) ~(max_uses : int) ~(window : int)
 
 (* Families ---------------------------------------------------------------- *)
 
-(* Instantiating one constructor across many subjects or relations yields
-   policies that differ only in literal constants — a single shape, which
+(* Instantiating one constructor across many subjects yields policies
+   that differ only in literal constants — a single shape, which
    registration stamps on each policy ({!Policy.t.shape}) and unification
-   collapses into one template + constants-table policy. These helpers
-   produce [(name, sql)] pairs ready for {!Engine.add_policy}; they are
+   collapses into one template + constants-table policy. [per_user]
+   produces [(name, sql)] pairs ready for {!Engine.add_policy}; it is
    what the scale bench uses to instantiate 10k+ policy sets. *)
 
 let per_user ~(name_prefix : string) ~(uids : int list)
@@ -200,9 +200,3 @@ let per_user ~(name_prefix : string) ~(uids : int list)
   List.map
     (fun uid -> (Printf.sprintf "%s_u%d" name_prefix uid, make ~subject:(User uid)))
     uids
-
-let per_relation ~(name_prefix : string) ~(relations : string list)
-    (make : relation:string -> string) : (string * string) list =
-  List.map
-    (fun r -> (Printf.sprintf "%s_%s" name_prefix r, make ~relation:r))
-    relations

@@ -83,8 +83,3 @@ val reuse_cap :
 val per_user :
   name_prefix:string -> uids:int list -> (subject:subject -> string) ->
   (string * string) list
-
-(** One instance per relation, named ["<prefix>_<relation>"]. *)
-val per_relation :
-  name_prefix:string -> relations:string list -> (relation:string -> string) ->
-  (string * string) list

@@ -44,11 +44,6 @@ val clock_relation : string
     fact the relevance index's timestamp-join analysis rests on. *)
 val time_column : string
 
-(** The generator's on-disk schema {e including} the leading [ts]
-    column — what {!install_relation} creates and what the persistence
-    layer validates recovered snapshots against. *)
-val full_schema : generator -> (string * Ty.t) list
-
 (** Create the generator's (empty) log relation in the catalog. *)
 val install_relation : Database.t -> generator -> unit
 
@@ -78,7 +73,7 @@ val schema_gen : generator
     Perm-style [f_Provenance]). Rank 2 (most expensive). *)
 val provenance : generator
 
-(** The raw analysis behind {!schema_gen}, exposed for the advisor. *)
+(** The raw analysis behind {!schema_gen}. *)
 val schema_rows : Database.t -> Ast.query -> Value.t array list
 
 (** The raw computation behind {!provenance}. *)

@@ -1,0 +1,163 @@
+(* The commit seam on its own: a Table 2 script with base DML and policy
+   additions, where each submission's stored increments are generated
+   here and committed through [Commit.run] directly, with no policy
+   evaluation (every submission of the script is accepted by the
+   engine). Per commit, the committed tids that expired, the retained
+   increment and the durability decision are pinned to what the engine
+   does on the same script: its retained rows, its expired tids, and a
+   checkpoint exactly where its persistence store took one. *)
+
+open Relational
+open Datalawyer
+
+let mimic = { Mimic.Generate.small_config with n_patients = 30; events_per_patient = 4 }
+
+let params =
+  {
+    Workload.Policies.default_params with
+    p1_window = 8;
+    p1_max_users = 3;
+    p5_window = 12;
+    p5_max_fraction = 0.9;
+    p6_window = 10;
+    p6_max_uses = 1000;
+  }
+
+let ops =
+  let sub uid w = `Sub (uid, w) in
+  [ sub 1 "W1"; sub 1 "W3"; sub 1 "W1"; sub 2 "W1"; sub 1 "W1"; sub 1 "W3";
+    sub 1 "W1"; sub 1 "W1"; sub 2 "W1"; sub 1 "W1";
+    `Dml "INSERT INTO user_groups VALUES (2, 'X')";
+    sub 2 "W1"; sub 1 "W1"; sub 2 "W2";
+    `Add
+      ( "lte",
+        "SELECT DISTINCT 'lte' FROM users u, clock c WHERE u.uid = 2 AND \
+         c.ts <= u.ts + 3 HAVING COUNT(DISTINCT u.ts) > 100" );
+    `Add
+      ( "bool",
+        "SELECT DISTINCT 'bool' FROM users u, schema s, clock c WHERE u.ts \
+         = s.ts AND s.irid = 'd_patients' AND u.uid = 2 AND c.ts > u.ts + 6 \
+         AND c.ts <= u.ts + 7" );
+    sub 1 "W1"; sub 2 "W1"; sub 1 "W3"; sub 2 "W2"; sub 1 "W1"; sub 2 "W1";
+    sub 1 "W1"; sub 1 "W1"; sub 2 "W1"; sub 1 "W1" ]
+
+(* Per commit: [rel -[expired tids] +[retained rows]] for each log
+   relation, then the durability decision. *)
+let expected =
+  [
+    "1 W1 users -[] +[1,1] schema -[] +[] provenance -[] +[1,0,d_patients,5] journal";
+    "1 W3 users -[] +[2,1] schema -[] +[] provenance -[] +[] journal";
+    "1 W1 users -[] +[3,1] schema -[] +[] provenance -[] +[3,0,d_patients,5] journal";
+    "2 W1 users -[] +[4,2] schema -[] +[] provenance -[] +[] journal";
+    "1 W1 users -[] +[5,1] schema -[] +[] provenance -[] +[5,0,d_patients,5] journal";
+    "1 W3 users -[] +[6,1] schema -[] +[] provenance -[] +[] journal";
+    "1 W1 users -[] +[7,1] schema -[] +[] provenance -[] +[7,0,d_patients,5] journal";
+    "1 W1 users -[] +[8,1] schema -[] +[] provenance -[] +[8,0,d_patients,5] journal";
+    "2 W1 users -[1] +[9,2] schema -[] +[] provenance -[] +[] checkpoint";
+    "1 W1 users -[] +[10,1] schema -[] +[] provenance -[] +[10,0,d_patients,5] journal";
+    "dml";
+    "2 W1 users -[3] +[11,2] schema -[] +[] provenance -[] +[] checkpoint";
+    "1 W1 users -[0] +[12,1] schema -[] +[] provenance -[0] +[12,0,d_patients,5] checkpoint";
+    "2 W2 users -[5] +[13,2] schema -[] +[] provenance -[] +[] checkpoint";
+    "add lte";
+    "add bool";
+    "1 W1 users -[2] +[14,1] schema -[] +[] provenance -[1] +[14,0,d_patients,5] checkpoint";
+    "2 W1 users -[] +[15,2] schema -[] +[15,subject_id,d_patients,subject_id,false] \
+     provenance -[] +[] journal";
+    "1 W3 users -[4,8] +[16,1] schema -[] +[] provenance -[2] +[] checkpoint";
+    "2 W2 users -[] +[17,2] schema -[] +[17,sex,d_patients,sex,false] provenance -[] +[] \
+     journal";
+    "1 W1 users -[6,10] +[18,1] schema -[] +[] provenance -[3] +[18,0,d_patients,5] \
+     checkpoint";
+    "2 W1 users -[7] +[19,2] schema -[] +[19,subject_id,d_patients,subject_id,false] \
+     provenance -[4] +[] checkpoint";
+    "1 W1 users -[12] +[20,1] schema -[] +[] provenance -[] +[20,0,d_patients,5] checkpoint";
+    "1 W1 users -[9] +[21,1] schema -[] +[] provenance -[5] +[21,0,d_patients,5] checkpoint";
+    "2 W1 users -[14] +[22,2] schema -[0] +[22,subject_id,d_patients,subject_id,false] \
+     provenance -[] +[] checkpoint";
+    "1 W1 users -[11,15] +[23,1] schema -[] +[] provenance -[6] +[23,0,d_patients,5] \
+     checkpoint";
+  ]
+
+let expected_final =
+  [
+    ("users", [ 13; 16; 17; 18; 19; 20; 21; 22 ]);
+    ("schema", [ 1; 2; 3 ]);
+    ("provenance", [ 7; 8; 9; 10; 11 ]);
+  ]
+
+let rels = [ "users"; "schema"; "provenance" ]
+
+let tids db rel =
+  List.rev (Table.fold (fun acc r -> Row.tid r :: acc) [] (Database.table db rel))
+
+let render_row cells = String.concat "," (Array.to_list (Array.map Value.to_string cells))
+
+(* One submission's commit: append each stored relation's increment at
+   the next tick under a savepoint, as the engine's generation does, then
+   hand the savepoints to [Commit.run]. *)
+let commit c db (pl : Engine.plan) ~uid sql =
+  let now = Usage_log.current_time db + 1 in
+  Usage_log.set_clock db now;
+  let ctx = { Usage_log.uid; time = now; query = Parser.query sql; db; extra = [] } in
+  let generated = Hashtbl.create 4 and floors = Hashtbl.create 4 in
+  List.iter
+    (fun (g : Usage_log.generator) ->
+      let rel = g.Usage_log.relation in
+      if List.mem rel pl.Engine.store_rels then begin
+        let table = Database.table db rel in
+        Hashtbl.replace generated rel (Table.savepoint table);
+        List.iter
+          (fun cells ->
+            let tid = Table.insert table (Array.append [| Value.Int now |] cells) in
+            if not (Hashtbl.mem floors rel) then Hashtbl.add floors rel tid)
+          (g.Usage_log.generate ctx)
+      end)
+    Usage_log.standard;
+  Commit.run c pl ~compaction:true ~generated ~floors ~now ~single_tick:true
+    ~stats:(Stats.create ())
+    ~map:{ Commit.map = (fun f xs -> List.map (f (Stats.create ())) xs) }
+
+let test_commit_contract () =
+  let s = Workload.Runner.make ~mimic ~params () in
+  let e = s.Workload.Runner.engine and db = s.Workload.Runner.db in
+  let c = Commit.create db (Prepared.create (Database.catalog db)) in
+  let got =
+    List.map
+      (function
+        | `Dml sql ->
+          ignore (Database.exec db sql);
+          "dml"
+        | `Add (name, sql) ->
+          ignore (Engine.add_policy e ~name sql);
+          Commit.reset c;
+          "add " ^ name
+        | `Sub (uid, w) ->
+          let before = List.map (fun rel -> (rel, tids db rel)) rels in
+          let o =
+            commit c db (Engine.plan e) ~uid
+              (Workload.Runner.query s w).Workload.Queries.sql
+          in
+          let part rel =
+            let after = tids db rel in
+            let expired = List.filter (fun t -> not (List.mem t after)) (List.assoc rel before) in
+            let retained =
+              Option.value (List.assoc_opt rel o.Commit.retained) ~default:[]
+            in
+            Printf.sprintf "%s -[%s] +[%s]" rel
+              (String.concat "," (List.map string_of_int expired))
+              (String.concat ";" (List.map render_row retained))
+          in
+          Printf.sprintf "%d %s %s %s" uid w
+            (String.concat " " (List.map part rels))
+            (match o.Commit.durability with
+            | Commit.Journal -> "journal"
+            | Commit.Checkpoint -> "checkpoint"))
+      ops
+  in
+  List.iter2 (Alcotest.(check string) "commit") expected got;
+  List.iter
+    (fun (rel, ts) -> Alcotest.(check (list int)) ("final " ^ rel) ts (tids db rel))
+    expected_final
+
+let suite = [ Test_support.tc "contract pinned on a Table 2 script" test_commit_contract ]

@@ -1,5 +1,5 @@
 (* The §6 extensibility scenarios: new log-generating functions (device
-   log, system-load log), policy templates, and the violation advisor. *)
+   log, system-load log), policy templates, and usage-based pricing. *)
 
 open Relational
 open Datalawyer
@@ -218,42 +218,6 @@ let test_templates_unify () =
   Alcotest.(check int) "ten policies collapse to one" 1
     (List.length pl.Engine.active)
 
-(* The advisor produces an actionable diagnosis for each violation kind. *)
-let test_advisor () =
-  let db = sample_db () in
-  let e = Engine.create db in
-  ignore
-    (Engine.add_policy e ~name:"overlay" (Templates.no_overlay ~relation:"emp" ()));
-  ignore
-    (Engine.add_policy e ~name:"ratelim"
-       (Templates.rate_limit ~max_calls:1 ~window:8 ~subject:(Templates.User 5) ()));
-  let diagnose uid sql =
-    let q = Parser.query sql in
-    match Engine.submit_ast e ~uid q with
-    | Engine.Rejected _ -> Advisor.advise db ~query:q (Engine.last_violations e)
-    | Engine.Accepted _ -> []
-  in
-  (* join violation: diagnosis names the offending combination *)
-  let s1 =
-    diagnose 1 "SELECT e.name FROM emp e, dept d WHERE e.dept = d.dname"
-  in
-  (match s1 with
-  | [ s ] ->
-    Alcotest.(check string) "policy named" "overlay" s.Advisor.policy;
-    Alcotest.(check bool) "reason mentions combination" true
-      (Test_policy.contains_substring s.Advisor.reason "combines");
-    Alcotest.(check bool) "has actions" true (s.Advisor.actions <> [])
-  | _ -> Alcotest.fail "expected one suggestion");
-  (* rate-limit violation: diagnosis mentions the window *)
-  ignore (Engine.submit e ~uid:5 "SELECT 1");
-  let s2 = diagnose 5 "SELECT 1" in
-  match s2 with
-  | [ s ] ->
-    Alcotest.(check string) "policy named" "ratelim" s.Advisor.policy;
-    Alcotest.(check bool) "reason mentions window" true
-      (Test_policy.contains_substring s.Advisor.reason "window")
-  | _ -> Alcotest.fail "expected one suggestion"
-
 let test_pricing_bill () =
   let db = sample_db () in
   let e = Engine.create db in
@@ -293,6 +257,5 @@ let suite =
     tc "template: reuse_cap" test_template_reuse_cap;
     tc "template: no_overlay_except" test_template_no_overlay_except;
     tc "templates unify" test_templates_unify;
-    tc "advisor diagnoses violations" test_advisor;
     tc "pricing bills from the log" test_pricing_bill;
   ]

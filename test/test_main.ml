@@ -13,6 +13,7 @@ let () =
       ("policy", Test_policy.suite);
       ("witness", Test_witness.suite);
       ("compaction", Test_compaction.suite);
+      ("commit", Test_commit.suite);
       ("partial", Test_partial.suite);
       ("unify", Test_unify.suite);
       ("engine", Test_engine.suite);
