@@ -1,9 +1,9 @@
 (** Persistence micro-benchmark (lib/persist): submission throughput
     under each WAL fsync policy, recovery time as a function of WAL
-    length, the on-disk footprint across compaction checkpoints
-    (§4.1.2 compaction keeps the durable log bounded too), and a gate
-    that a snapshot's size does not depend on the registered-policy
-    count. *)
+    length, and two gates (exit 1): the on-disk log stays within 33/32
+    of its checkpointed size under journaled compaction (§4.1.2
+    compaction keeps the durable log bounded too), and a snapshot's size
+    does not depend on the registered-policy count. *)
 
 open Relational
 open Datalawyer
@@ -126,31 +126,66 @@ let recovery (scale : Common.scale) =
          [ string_of_int n; string_of_int records; Common.f2 (Common.ms dt) ])
        lengths)
 
-(* Phase 3: on-disk footprint with compaction checkpoints. A tight
-   window expires witnesses quickly; each compacting commit becomes a
-   checkpoint, so disk size must stay bounded instead of growing
-   linearly like the in-memory-log-free WAL of phase 2. *)
-let footprint (scale : Common.scale) =
-  let step = scale.Common.batch_size in
+(* Phase 3: on-disk footprint under journaled compaction, a gate. A
+   uid-1 stream under a [w]-tick window appends one row per commit and,
+   once the window is full, expires one: each such commit journals the
+   expired position and checkpoints only when the reclaimable bytes pass
+   1/32 of the live log. After each step the store's snapshot and WAL,
+   catalog and headers excluded, must hold at most 33/32 of what an
+   immediate checkpoint leaves (exit 1 otherwise); steps that end before
+   the window fills journal appends only and are reported, not gated. *)
+let footprint_gate ~w ~step =
   let dir = fresh_dir () in
-  let engine = make_engine ~persist_dir:dir ~persist_fsync:P.Store.Never ~w:5 ~max:5 () in
+  let engine = make_engine ~persist_dir:dir ~persist_fsync:P.Store.Never ~w ~max:w () in
   let store = Option.get (Engine.persist_store engine) in
-  let rows = ref [] in
-  for i = 1 to 4 do
-    submit_stream engine ~n:step;
-    rows :=
-      [
-        string_of_int (i * step);
-        string_of_int (P.Store.generation store);
-        string_of_int (P.Store.disk_bytes store);
-      ]
-      :: !rows
-  done;
+  let log_bytes () =
+    P.Store.flush store;
+    let size f h =
+      match (Unix.stat (Filename.concat dir f)).Unix.st_size with
+      | n -> n - h
+      | exception Unix.Unix_error _ -> 0
+    in
+    let g = P.Store.generation store in
+    size (P.Recovery.snapshot_file g) P.Snapshot.header_len
+    + size (P.Recovery.wal_file g) P.Wal.header_len
+  in
+  let failed = ref false in
+  let rows =
+    List.init 4 (fun i ->
+        let g0 = P.Store.generation store in
+        for _ = 1 to step do
+          match Engine.submit engine ~uid:1 query with
+          | Engine.Accepted _ -> ()
+          | Engine.Rejected _ -> failwith "persist: window stream rejected"
+        done;
+        let checkpoints = P.Store.generation store - g0 in
+        let disk = log_bytes () in
+        Engine.persist_checkpoint engine;
+        let compact = log_bytes () in
+        let gated = (i + 1) * step > w in
+        let ok = disk * 32 <= compact * 33 in
+        if gated && not ok then begin
+          Printf.eprintf
+            "persist: w=%d after %d commits the log takes %d bytes on disk, over 33/32 of \
+             the %d a checkpoint leaves\n"
+            w ((i + 1) * step) disk compact;
+          failed := true
+        end;
+        [
+          string_of_int ((i + 1) * step);
+          string_of_int disk;
+          string_of_int compact;
+          Common.f3 (float_of_int disk /. float_of_int (max 1 compact));
+          (if gated then if ok then "ok" else "FAIL" else "filling");
+          Common.f3 (float_of_int checkpoints /. float_of_int step);
+        ])
+  in
   Engine.close engine;
   rm_rf dir;
-  Common.print_table [ 12; 12; 12 ]
-    [ "commits"; "generation"; "disk bytes" ]
-    (List.rev !rows)
+  Common.print_table [ 10; 12; 14; 8; 9; 14 ]
+    [ "commits"; "disk bytes"; "checkpointed"; "ratio"; "gate"; "ckpt/commit" ]
+    rows;
+  not !failed
 
 (* Phase 4: checkpoint cost vs registered-policy count. The same
    200-row log is checkpointed twice under 0 and under 1 000 registered
@@ -226,7 +261,13 @@ let run (scale : Common.scale) =
   throughput scale;
   print_endline "\nRecovery time vs WAL length:";
   recovery scale;
-  print_endline "\nDisk footprint under compaction checkpoints (window w=5):";
-  footprint scale;
+  let gates =
+    List.map
+      (fun (w, step) ->
+        Printf.printf "\nDisk footprint under journaled compaction (window w=%d):\n" w;
+        footprint_gate ~w ~step)
+      [ (5, scale.Common.batch_size); (500, 299) ]
+  in
   print_endline "\nCheckpoint cost vs registered policies (same 200-row log):";
-  catalog_independence ()
+  catalog_independence ();
+  if List.mem false gates then exit 1

@@ -18,11 +18,40 @@ type t = {
           the end of the last commit; [None] until a commit compacts *)
   mutable delta_marks : int;  (** relations marked from their increment *)
   mutable full_marks : int;  (** relations marked over the whole log *)
+  durable : (string, int list) Hashtbl.t;
+      (** per log relation, its {!log_basis} at the last durable point:
+          the end of the last commit, or the last checkpoint or recovery *)
 }
 
+(* A log relation's committed shape: its row count less the tentative
+   increment of [pending] rows, and the counters that only DML and
+   reloads move (compaction moves [ver_compact] instead). *)
+let log_basis tb ~pending = [ Table.row_count tb - pending; Table.ver_del tb; Table.ver_unsafe tb ]
+
+let log_rels t = Catalog.log_table_names (Database.catalog t.db)
+
+let mark_durable t =
+  Hashtbl.reset t.durable;
+  List.iter
+    (fun rel -> Hashtbl.replace t.durable rel (log_basis (Database.table t.db rel) ~pending:0))
+    (log_rels t)
+
+let moved t ~pending rels =
+  List.exists
+    (fun rel ->
+      Hashtbl.find_opt t.durable rel
+      <> Some (log_basis (Database.table t.db rel) ~pending:(pending rel)))
+    rels
+
+let durable_moved t = moved t ~pending:(fun _ -> 0) (log_rels t)
+
 let create db prepared =
-  { db; prepared; deadlines = Hashtbl.create 4; mark_basis = None;
-    delta_marks = 0; full_marks = 0 }
+  let t =
+    { db; prepared; deadlines = Hashtbl.create 4; mark_basis = None;
+      delta_marks = 0; full_marks = 0; durable = Hashtbl.create 4 }
+  in
+  mark_durable t;
+  t
 
 let reset t =
   Hashtbl.reset t.deadlines;
@@ -53,6 +82,7 @@ type durability = Journal | Checkpoint
 
 type outcome = {
   retained : (string * Value.t array list) list;
+  expired : (string * (int * Value.t array) list) list;
   durability : durability;
 }
 
@@ -80,12 +110,7 @@ let mark_basis t (pl : Offline.t) ~(pending : string -> int) : int list =
     List.concat_map
       (fun rel ->
         let tb = Database.table t.db rel in
-        [
-          Table.row_count tb - pending rel;
-          Table.ver_del tb;
-          Table.ver_unsafe tb;
-          Table.ver_compact tb;
-        ])
+        log_basis tb ~pending:(pending rel) @ [ Table.ver_compact tb ])
       pl.Offline.store_rels
   in
   (Catalog.generation cat :: logs)
@@ -113,13 +138,15 @@ let track_src = { Executor.lineage = false; track_src = true }
    ([single_tick = false]), whose increment spans several ticks. *)
 let run t (pl : Offline.t) ~compaction ~generated ~floors ~(now : int)
     ~(single_tick : bool) ~(stats : Stats.t) ~map : outcome =
-  (* Per-relation rows actually retained this commit (the WAL record),
-     and whether compaction deleted rows of the committed prefix — in
-     which case the WAL's append-only story no longer describes the
-     relation and a checkpoint must supersede it. *)
+  (* Per-relation rows retained and committed rows expired this commit:
+     the WAL record. *)
   let persisted : (string * Value.t array list) list ref = ref [] in
   let note_increment rel rows = if rows <> [] then persisted := (rel, rows) :: !persisted in
-  let compacted = ref false in
+  let expired = ref [] in
+  let note_expired rel = function
+    | [] -> ()
+    | rows -> expired := (rel, List.map (fun (p, r) -> (p, Row.cells r)) rows) :: !expired
+  in
   let charge_rollback f =
     Stats.timed (fun d -> stats.Stats.rollback <- stats.Stats.rollback +. d) f
   in
@@ -128,6 +155,8 @@ let run t (pl : Offline.t) ~compaction ~generated ~floors ~(now : int)
     | Some sp -> Table.fold_since (fun n _ -> n + 1) 0 (Database.table t.db rel) sp
     | None -> 0
   in
+  (* Rows no record journals: the engine must checkpoint. *)
+  let moved = moved t ~pending pl.Offline.store_rels in
   (* Mark phase: choose each relation's route, run its witness queries
      and fold every witnessed tuple's deadline (the max over its joined
      rows). *)
@@ -229,7 +258,7 @@ let run t (pl : Offline.t) ~compaction ~generated ~floors ~(now : int)
             if full then begin
               let keep = Hashtbl.create 64 in
               Hashtbl.iter (fun tid d -> if d > now then Hashtbl.replace keep tid ()) dl;
-              if Table.retain_tids table keep > 0 then compacted := true;
+              note_expired rel (Table.retain_tids table keep);
               (* Seed the committed survivors' deadlines, unless a Lemma
                  4.2 witness keeps this relation on the full mark. *)
               if List.for_all (fun (q : Witness.query) -> q.Witness.keys = None) queries
@@ -251,8 +280,7 @@ let run t (pl : Offline.t) ~compaction ~generated ~floors ~(now : int)
               let kill = List.iter (fun tid -> Hashtbl.replace dead tid ()) in
               Ticks.iter (fun _ tids -> kill tids) expired;
               Option.iter kill at_now;
-              if Hashtbl.length dead > 0 && Table.drop_tids table dead > 0 then
-                compacted := true;
+              if Hashtbl.length dead > 0 then note_expired rel (Table.drop_tids table dead);
               Hashtbl.replace t.deadlines rel later
             end);
         (* Insert the retained part of the increment, carrying each row's
@@ -283,13 +311,14 @@ let run t (pl : Offline.t) ~compaction ~generated ~floors ~(now : int)
      query) must not attempt to roll them back again. *)
   Hashtbl.reset generated;
   if compaction then t.mark_basis <- Some (mark_basis t pl ~pending:(fun _ -> 0));
-  (* An accepted submission is one atomic WAL record: the clock advance
-     plus every relation's retained increment. When witness compaction
-     shrank a relation, an append-only record can no longer describe the
-     transition, so the commit degrades to a checkpoint — which also
-     truncates the WAL prefix the new snapshot supersedes, so the on-disk
-     footprint tracks the compacted log (§4.1.2/§4.3). *)
+  mark_durable t;
+  (* An accepted submission is one atomic WAL record: the clock advance,
+     the positions compaction expired and every relation's retained
+     increment — unless a stored relation changed outside a commit (log
+     DML) since the last durable point, which no record describes. *)
+  let by_rel l = List.sort (fun (a, _) (b, _) -> String.compare a b) l in
   {
-    retained = List.sort (fun (a, _) (b, _) -> String.compare a b) !persisted;
-    durability = (if !compacted then Checkpoint else Journal);
+    retained = by_rel !persisted;
+    expired = by_rel !expired;
+    durability = (if moved then Checkpoint else Journal);
   }

@@ -3,7 +3,10 @@
     durability decision that follows. A full mark runs the witnesses
     over the whole log and records the survivors' deadlines; while the
     mark basis holds, a single-tick commit marks only its increment and
-    expires the committed tuples whose deadline came. *)
+    expires the committed tuples whose deadline came. The expired rows
+    are returned by position, so one WAL record describes the commit;
+    only a log relation changed outside any commit (log DML) since the
+    last durable point calls for a checkpoint instead. *)
 
 open Relational
 
@@ -14,6 +17,15 @@ val create : Database.t -> Prepared.t -> t
 
 (** Forget the deadlines and their basis (the plan changed). *)
 val reset : t -> unit
+
+(** Record every log relation's committed row count, [ver_del] and
+    [ver_unsafe] as durable: after recovery and after every checkpoint.
+    {!create} and {!run} record it too. *)
+val mark_durable : t -> unit
+
+(** Has a log relation changed outside a commit since the last durable
+    point? *)
+val durable_moved : t -> bool
 
 (** (relations marked from their increment, over the whole log), one
     count per relation per commit. *)
@@ -26,12 +38,19 @@ val preemptively_empty :
   t -> Offline.t -> generated:(string, Table.savepoint) Hashtbl.t -> string -> bool
 
 type durability =
-  | Journal  (** append one WAL record of the retained increments *)
-  | Checkpoint  (** committed rows expired: a snapshot supersedes the WAL *)
+  | Journal  (** append one WAL record of [expired] and [retained] *)
+  | Checkpoint
+      (** a stored relation changed outside a commit since the last
+          durable point, which no record describes: a snapshot must
+          supersede the WAL *)
 
 type outcome = {
   retained : (string * Value.t array list) list;
       (** the increment rows each relation keeps, by relation name *)
+  expired : (string * (int * Value.t array) list) list;
+      (** the committed rows compaction deleted, by relation name, each
+          with its position in the relation before the deletion,
+          ascending; relations that expired nothing are absent *)
   durability : durability;
 }
 

@@ -153,6 +153,13 @@ let lc = Analysis.lc
    on recovery even for workloads that never trigger compaction. *)
 let wal_checkpoint_limit = 10_000
 
+(* After a commit that expired rows, checkpoint once the bytes a
+   checkpoint would reclaim pass 1/[reclaim_ratio] of the live log: the
+   snapshot and WAL then hold at most 1 + 1/[reclaim_ratio] times what a
+   snapshot of the log would, and a checkpoint's cost amortizes over
+   commits that journaled a proportional share of the log. *)
+let reclaim_ratio = 32
+
 let is_log' db rel = Catalog.is_log (Database.catalog db) rel
 
 (* Every policy/witness evaluation probes the log relations by [uid]
@@ -285,7 +292,11 @@ let create ?(config = default_config) ?(generators = Usage_log.standard)
     | Some r ->
       let ps = apply_recovered db r in
       t.registered_rev <- List.rev ps;
-      List.iter (fun p -> Hashtbl.replace t.registered_names p.Policy.name ()) ps);
+      List.iter (fun p -> Hashtbl.replace t.registered_names p.Policy.name ()) ps;
+      (* The recovered relations are the scope the snapshot was written
+         for, so a plan with the same scope needs no checkpoint. *)
+      t.persist_scope <- List.map fst r.Persistence.Recovery.state.Persistence.Snapshot.relations;
+      Commit.mark_durable t.commit);
     t.persist_clock <- Usage_log.current_time db;
     t.persist <- Some store);
   t
@@ -383,7 +394,8 @@ let persist_state t ~(scope : string list) : Persistence.Snapshot.state =
 
 let checkpoint_to t store ~scope =
   Persistence.Store.checkpoint store (persist_state t ~scope);
-  t.persist_scope <- scope
+  t.persist_scope <- scope;
+  Commit.mark_durable t.commit
 
 let plan t =
   match t.plan with
@@ -1058,9 +1070,11 @@ let run_union t (sub : submission) (pool : Parallel.Pool.t option) (pl : plan)
 (* Accept: the commit — the preemptive generate-or-skip of the stored
    relations not generated during evaluation, then compaction
    ({!Commit.run}) — and durability as the commit decides it: one atomic
-   WAL record of the clock advance plus every retained increment, or a
-   checkpoint once committed rows expired; then record the delta and
-   relevance bases the committed state now satisfies. *)
+   WAL record of the clock advance, the expired positions and every
+   retained increment, then a checkpoint if the WAL reached its record
+   limit or an expiring commit left too much to reclaim; or a checkpoint
+   outright after log DML. Then record the delta and relevance bases the
+   committed state now satisfies. *)
 let accept t (sub : submission) (pool : Parallel.Pool.t option) (pl : plan)
     ~(now : int) ~(single_tick : bool) =
   List.iter
@@ -1088,9 +1102,14 @@ let accept t (sub : submission) (pool : Parallel.Pool.t option) (pl : plan)
         match c.Commit.durability with
         | Commit.Checkpoint -> checkpoint_to t store ~scope:pl.store_rels
         | Commit.Journal ->
-          Persistence.Store.log_commit store ~clock:now ~increments:c.Commit.retained;
-          if Persistence.Store.wal_records store >= wal_checkpoint_limit then
-            checkpoint_to t store ~scope:pl.store_rels));
+          Persistence.Store.log_commit store ~clock:now ~expired:c.Commit.expired
+            ~increments:c.Commit.retained;
+          if
+            Persistence.Store.wal_records store >= wal_checkpoint_limit
+            || c.Commit.expired <> []
+               && Persistence.Store.reclaimable_bytes store * reclaim_ratio
+                  > Persistence.Store.live_bytes store
+          then checkpoint_to t store ~scope:pl.store_rels));
   if t.config.delta || t.config.relevance then establish_bases t pl
 
 (* Execute an admitted user query, charging [stats.query_exec]. *)
@@ -1381,6 +1400,18 @@ let close t =
   (match t.persist with
   | None -> ()
   | Some store ->
+    (* Leave the live state durable: log DML no record describes takes a
+       checkpoint, and ticks no record carries (rejected submissions')
+       a clock-only record. *)
+    let now = Usage_log.current_time t.db in
+    if Commit.durable_moved t.commit then begin
+      t.persist_clock <- now;
+      checkpoint_to t store ~scope:t.persist_scope
+    end
+    else if now > t.persist_clock then begin
+      t.persist_clock <- now;
+      Persistence.Store.log_commit store ~clock:now ~expired:[] ~increments:[]
+    end;
     Persistence.Store.close store;
     t.persist <- None);
   (* Join the shared evaluation domains so a long-running process (the

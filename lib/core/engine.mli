@@ -112,10 +112,12 @@ val stats_of : outcome -> Stats.t
     (default: {!Usage_log.standard}) if absent.
 
     When [persist_dir] is given, the engine opens (or creates) a durable
-    usage-log store there: every accepted submission's log increments and
-    clock advance are journaled as one atomic WAL commit record (a
-    rejected submission leaves the WAL untouched), witness compaction
-    triggers checkpoints, and on open the latest valid snapshot plus the
+    usage-log store there: every accepted submission's log increments,
+    the rows its witness compaction expired (by position) and its clock
+    advance are journaled as one atomic WAL commit record (a rejected
+    submission leaves the WAL untouched); a checkpoint follows once an
+    expiring commit leaves more than 1/32 of the live log to reclaim,
+    or after log DML; and on open the latest valid snapshot plus the
     WAL tail are recovered — restoring the [store_rels] relations, the
     clock and the registered-policy set. The same [generators] must be
     registered as when the state was written.
@@ -314,7 +316,10 @@ val persist_store : t -> Persistence.Store.t option
     persistence. *)
 val persist_checkpoint : t -> unit
 
-(** Flush and close the persistence store, if any, and shut down the
+(** Make the live state durable — a checkpoint if a log relation changed
+    outside a commit (log DML), else a clock-only commit record if
+    rejected submissions moved the clock past the last record — then
+    flush and close the persistence store, if any, and shut down the
     process-wide shared evaluation pools ({!Parallel.Pool.shutdown_shared})
     so no worker domain outlives the engine. The engine remains usable
     in memory afterwards — its next parallel batch simply fetches a

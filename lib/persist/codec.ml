@@ -40,6 +40,13 @@ let w_rows b rows =
   w_u32 b (List.length rows);
   List.iter (w_row b) rows
 
+let value_size = function
+  | Value.Null | Value.Bool _ -> 1
+  | Value.Int _ | Value.Float _ -> 9
+  | Value.Str s -> 5 + String.length s
+
+let row_size cells = Array.fold_left (fun n v -> n + value_size v) 4 cells
+
 (* Decoding ---------------------------------------------------------------- *)
 
 type cursor = { buf : string; mutable pos : int }

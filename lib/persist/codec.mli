@@ -29,6 +29,9 @@ val w_value : Buffer.t -> Value.t -> unit
 val w_row : Buffer.t -> Value.t array -> unit
 val w_rows : Buffer.t -> Value.t array list -> unit
 
+(** The bytes {!w_row} writes for a row, without writing them. *)
+val row_size : Value.t array -> int
+
 (** {1 Decoding} — a cursor over an immutable string. *)
 
 type cursor

@@ -1,5 +1,7 @@
 let header_len ~magic = String.length magic + 2 + 8
 
+let write_fsyncs = 2
+
 let write path ~magic ~version payload =
   let b = Buffer.create (String.length payload + header_len ~magic) in
   Buffer.add_string b magic;

@@ -7,8 +7,14 @@
     directory fsync, so a crash never leaves a half-written file under
     the real name. *)
 
+(** The header's length: a framed file is this plus its payload. *)
+val header_len : magic:string -> int
+
 (** [write path ~magic ~version payload] atomically replaces [path]. *)
 val write : string -> magic:string -> version:int -> string -> unit
+
+(** fsyncs each {!write} issues: the file's and its directory's. *)
+val write_fsyncs : int
 
 (** The payload of [path], checked against [magic], [version], the
     length and the CRC. [what] names the file kind in error messages.

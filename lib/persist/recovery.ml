@@ -19,34 +19,128 @@ type recovered = {
   state : Snapshot.state;
   wal_records : int;
   policy_records : int;
+  row_bytes : int;
   torn_dropped : bool;
 }
 
-(* Replay WAL records on top of a snapshot state. Rows (per relation) and
-   policies are accumulated in reverse so replay stays linear in the WAL
-   length. Also returns how many records changed the policy set. *)
-let replay (state : Snapshot.state) (records : Record.t list) : Snapshot.state * int =
-  let rels : (string, Snapshot.rel * Relational.Value.t array list ref) Hashtbl.t =
-    Hashtbl.create 8
+(* One relation during replay: every row it holds at any point, in
+   arrival order, with a Fenwick tree over which are still live, so a
+   deletion by rank costs O(log n) and replay stays O(WAL log n) however
+   many records delete. *)
+type slots = {
+  rows : Relational.Value.t array array;
+  dead : Bytes.t;
+  tree : int array;  (** 1-based Fenwick tree of the live flags *)
+  mutable len : int;  (** rows placed so far *)
+  mutable live : int;
+}
+
+let slots cap =
+  { rows = Array.make cap [||]; dead = Bytes.make cap '\000'; tree = Array.make (cap + 1) 0;
+    len = 0; live = 0 }
+
+let fenwick_add s i d =
+  let i = ref (i + 1) in
+  while !i < Array.length s.tree do
+    s.tree.(!i) <- s.tree.(!i) + d;
+    i := !i + (!i land - !i)
+  done
+
+let push s row =
+  s.rows.(s.len) <- row;
+  fenwick_add s s.len 1;
+  s.len <- s.len + 1;
+  s.live <- s.live + 1
+
+(* Delete the live row of rank [k] (0-based) and return it. *)
+let delete s k =
+  let n = Array.length s.tree - 1 in
+  let step = ref 1 in
+  while !step * 2 <= n do step := !step * 2 done;
+  (* Descend to the last index whose prefix holds at most [k] live rows:
+     the next one is the row of rank [k]. *)
+  let i = ref 0 and rem = ref k in
+  while !step > 0 do
+    let j = !i + !step in
+    if j <= n && s.tree.(j) <= !rem then begin
+      i := j;
+      rem := !rem - s.tree.(j)
+    end;
+    step := !step / 2
+  done;
+  fenwick_add s !i (-1);
+  Bytes.set s.dead !i '\001';
+  s.live <- s.live - 1;
+  s.rows.(!i)
+
+let live_rows s =
+  let acc = ref [] in
+  for i = s.len - 1 downto 0 do
+    if Bytes.get s.dead i = '\000' then acc := s.rows.(i) :: !acc
+  done;
+  !acc
+
+(* Replay WAL records on top of a snapshot state: per commit and
+   relation, delete the expired positions, then append the increment.
+   Also returns how many records changed the policy set, and the Codec
+   bytes of the rows appended minus those deleted. *)
+let replay (state : Snapshot.state) (records : Record.t list) : Snapshot.state * int * int =
+  let cap : (string, int) Hashtbl.t = Hashtbl.create 8 in
+  let reserve name n =
+    Hashtbl.replace cap name (n + Option.value (Hashtbl.find_opt cap name) ~default:0)
   in
   List.iter
-    (fun (name, (r : Snapshot.rel)) ->
-      Hashtbl.replace rels name (r, ref (List.rev r.Snapshot.rows)))
+    (fun (name, (r : Snapshot.rel)) -> reserve name (List.length r.Snapshot.rows))
+    state.Snapshot.relations;
+  List.iter
+    (function
+      | Record.Commit { increments; _ } ->
+        List.iter (fun (name, rows) -> reserve name (List.length rows)) increments
+      | Record.Add_policy _ | Record.Remove_policy _ -> ())
+    records;
+  let rels : (string, Snapshot.rel * slots) Hashtbl.t = Hashtbl.create 8 in
+  let rel name schema =
+    match Hashtbl.find_opt rels name with
+    | Some (_, s) -> s
+    | None ->
+      let s = slots (Option.value (Hashtbl.find_opt cap name) ~default:0) in
+      Hashtbl.replace rels name ({ Snapshot.schema; rows = [] }, s);
+      s
+  in
+  List.iter
+    (fun (name, (r : Snapshot.rel)) -> List.iter (push (rel name r.Snapshot.schema)) r.Snapshot.rows)
     state.Snapshot.relations;
   let clock = ref state.Snapshot.clock in
   let policies_rev = ref (List.rev state.Snapshot.policies) in
   let policy_records = ref 0 in
+  let row_bytes = ref 0 in
   List.iter
     (function
-      | Record.Commit { clock = c; increments } ->
+      | Record.Commit { clock = c; expired; increments } ->
         clock := c;
         List.iter
+          (fun (name, positions) ->
+            let s =
+              match Hashtbl.find_opt rels name with
+              | Some (_, s) -> s
+              | None -> error "WAL expires rows of unknown relation %s" name
+            in
+            (* Descending, so each rank still counts the rows before it. *)
+            List.iter
+              (fun p ->
+                if p >= s.live then
+                  error "WAL expires position %d of %s, which holds %d rows" p name s.live;
+                row_bytes := !row_bytes - Codec.row_size (delete s p))
+              (List.rev positions))
+          expired;
+        List.iter
           (fun (name, rows) ->
-            match Hashtbl.find_opt rels name with
-            | Some (_, acc) -> List.iter (fun row -> acc := row :: !acc) rows
-            | None ->
-              Hashtbl.replace rels name
-                ({ Snapshot.schema = []; rows = [] }, ref (List.rev rows)))
+            let s = rel name [] in
+            List.iter
+              (fun row ->
+                row_bytes := !row_bytes + Codec.row_size row;
+                push s row)
+              rows)
           increments
       | Record.Add_policy p ->
         (* registration is journaled at its own clock reading, which a
@@ -61,13 +155,13 @@ let replay (state : Snapshot.state) (records : Record.t list) : Snapshot.state *
     records;
   let relations =
     Hashtbl.fold
-      (fun name (r, acc) out ->
-        (name, { r with Snapshot.rows = List.rev !acc }) :: out)
+      (fun name (r, s) out -> (name, { r with Snapshot.rows = live_rows s }) :: out)
       rels []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
   ( { Snapshot.clock = !clock; policies = List.rev !policies_rev; relations },
-    !policy_records )
+    !policy_records,
+    !row_bytes )
 
 let remove dir f = try Sys.remove (Filename.concat dir f) with Sys_error _ -> ()
 
@@ -141,7 +235,7 @@ let run ~dir : recovered option =
       end
       else ([], false)
     in
-    let state, policy_records = replay base records in
+    let state, policy_records, row_bytes = replay base records in
     Some
       {
         generation = g;
@@ -149,5 +243,6 @@ let run ~dir : recovered option =
         state;
         wal_records = List.length records;
         policy_records;
+        row_bytes;
         torn_dropped = torn;
       }

@@ -5,7 +5,8 @@
     checkpoint), the [catalog-<c>.dlc] it names ([c <= g]; the
     registered policies) and [wal-<g>.dlw] with the records since that
     snapshot. Recovery loads the snapshot, then the catalog it names,
-    replays every whole WAL record on top, truncates a torn final record
+    replays every whole WAL record on top (a commit deletes its expired
+    positions from each relation, then appends its increment), truncates a torn final record
     (dropping exactly that commit), and surfaces any checksum or format
     violation — a missing or corrupt catalog and an old snapshot version
     included — as {!Recovery_error}, never as silently missing state.
@@ -27,6 +28,9 @@ type recovered = {
   state : Snapshot.state;  (** snapshot + catalog with the WAL tail applied *)
   wal_records : int;  (** whole records replayed from the WAL *)
   policy_records : int;  (** of which add or remove a policy *)
+  row_bytes : int;
+      (** {!Codec.row_size} bytes of the rows the replayed records
+          appended, minus those of the rows they deleted *)
   torn_dropped : bool;  (** a torn final record was truncated away *)
 }
 

@@ -58,6 +58,8 @@ let decode payload =
   Codec.expect_end c;
   (catalog, { clock; policies = []; relations })
 
+let header_len = Framed.header_len ~magic
+
 let write path ~catalog state =
   Framed.write path ~magic ~version (encode ~catalog state)
 

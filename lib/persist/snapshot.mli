@@ -25,6 +25,9 @@ type state = {
 
 val empty : state
 
+(** The length of a snapshot file's header, before its payload. *)
+val header_len : int
+
 (** Atomically write [state]'s clock and relations to [path], naming
     catalog generation [catalog]; [state.policies] is not written. *)
 val write : string -> catalog:int -> state -> unit

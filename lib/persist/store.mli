@@ -9,10 +9,16 @@
     before the snapshot that names it) only when a policy record was
     journaled since the last catalog write, or when none exists yet;
     otherwise the new snapshot names the old catalog, so a checkpoint
-    costs what the log costs, not what the policy set costs. The engine
-    triggers checkpoints when witness compaction shrinks a log relation
-    (so on-disk size tracks the compacted log), when the persistence
-    scope changes, and when the WAL grows past a length bound. *)
+    costs what the log costs, not what the policy set costs.
+
+    Compaction is journaled, not checkpointed: a commit's record names
+    the positions of the rows it expired. The store keeps the sizes the
+    checkpoint rule needs — the snapshot's, the WAL's (buffered records
+    included) and {!live_bytes}, what a snapshot written now would take —
+    so the engine checkpoints once {!reclaimable_bytes} pass a fraction
+    of the live log, when the persistence scope changes, when a log
+    relation changed outside a commit, and when the WAL grows past a
+    length bound. *)
 
 type fsync_policy = Wal.fsync_policy = Always | Interval of int | Never
 
@@ -34,12 +40,30 @@ val wal_records : t -> int
 
 (** fsync calls issued over the store's lifetime (across WAL
     rotations) — the group-commit currency: one fsync may make many
-    commit records durable at once. *)
+    commit records durable at once. Checkpoints count too: two per
+    file they write (the file's and its directory's). *)
 val fsyncs : t -> int
 
-(** Journal one accepted submission: its clock and every log relation's
-    retained increment, as one atomic record. *)
-val log_commit : t -> clock:int -> increments:(string * Relational.Value.t array list) list -> unit
+(** Journal one accepted submission, as one atomic record: its clock,
+    per relation the committed rows it expired (each with its position
+    before the deletion, ascending) and every log relation's retained
+    increment. *)
+val log_commit :
+  t ->
+  clock:int ->
+  expired:(string * (int * Relational.Value.t array) list) list ->
+  increments:(string * Relational.Value.t array list) list ->
+  unit
+
+(** Bytes a snapshot of the journaled state would take now: the live
+    snapshot's size plus the {!Codec.row_size} of every row journaled
+    since, minus that of every row journaled as expired. Exact while
+    the persistence scope stands (a scope change checkpoints). *)
+val live_bytes : t -> int
+
+(** Bytes a checkpoint would reclaim: the snapshot and the WAL
+    (buffered records included) less {!live_bytes}. *)
+val reclaimable_bytes : t -> int
 
 val log_add_policy : t -> Record.policy_rec -> unit
 val log_remove_policy : t -> string -> unit

@@ -32,6 +32,7 @@ type t = {
   pending : Buffer.t;
   mutable pending_records : int;
   mutable appended : int;
+  mutable bytes : int;
   mutable fsyncs : int;
 }
 
@@ -57,17 +58,23 @@ let flush ?(sync = false) t =
 let open_append ~path ~fsync =
   let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ] 0o644 in
   let size = (Unix.fstat fd).Unix.st_size in
-  if size < header_len then begin
-    (* Fresh file, or a crash tore even the header: restart it. *)
-    Unix.ftruncate fd 0;
-    write_all fd (header ())
-  end;
+  let size =
+    if size >= header_len then size
+    else begin
+      (* Fresh file, or a crash tore even the header: restart it. *)
+      Unix.ftruncate fd 0;
+      write_all fd (header ());
+      header_len
+    end
+  in
   { path; fd; policy = fsync; pending = Buffer.create 4096; pending_records = 0;
-    appended = 0; fsyncs = 0 }
+    appended = 0; bytes = size; fsyncs = 0 }
 
 let path t = t.path
 
 let records_appended t = t.appended
+
+let bytes t = t.bytes
 
 let fsyncs t = t.fsyncs
 
@@ -77,6 +84,7 @@ let append t payload =
   Buffer.add_string t.pending payload;
   t.pending_records <- t.pending_records + 1;
   t.appended <- t.appended + 1;
+  t.bytes <- t.bytes + 8 + String.length payload;
   match t.policy with
   | Always -> flush t
   | Interval n -> if t.pending_records >= max 1 n then flush t

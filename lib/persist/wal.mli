@@ -30,6 +30,13 @@ val path : t -> string
 (** Records appended through this handle since it was opened. *)
 val records_appended : t -> int
 
+(** The file's length once buffered records are written: header, the
+    records it held at open and every record appended since. *)
+val bytes : t -> int
+
+(** The length of the file header, the size of a WAL without records. *)
+val header_len : int
+
 (** fsync calls issued through this handle — the group-commit currency:
     one fsync may cover many appended records. *)
 val fsyncs : t -> int

@@ -268,8 +268,9 @@ let bulk_load t rows =
   List.iter (fun cells -> ignore (insert t cells)) rows
 
 (* Keep rows satisfying [keep_row], unhooking the dropped ones from every
-   index in one pass per touched bucket; returns the number removed.
-   [keep_row] runs once per row, before anything is mutated. *)
+   index in one pass per touched bucket; returns the dropped rows with
+   their heap positions before the deletion, ascending. [keep_row] runs
+   once per row, before anything is mutated. *)
 let filter_rows t keep_row =
   t.ver_mut <- t.ver_mut + 1;
   let live = Array.make (Vec.length t.rows) true in
@@ -278,12 +279,13 @@ let filter_rows t keep_row =
     (fun i r ->
       if not (keep_row r) then begin
         live.(i) <- false;
-        dropped := r :: !dropped
+        dropped := (i, r) :: !dropped
       end)
     t.rows;
   match !dropped with
-  | [] -> 0
-  | rows ->
+  | [] -> []
+  | dropped ->
+    let rows = List.rev_map snd dropped in
     let dead = Hashtbl.create 64 in
     List.iter (fun r -> Hashtbl.replace dead (Row.tid r) ()) rows;
     let is_dead tid = Hashtbl.mem dead tid in
@@ -293,13 +295,14 @@ let filter_rows t keep_row =
           (List.map (fun r -> Row.cell r (Index.column ix)) rows)
           is_dead)
       t.indexes;
-    let removed = Vec.filteri_in_place (fun i _ -> live.(i)) t.rows in
+    ignore (Vec.filteri_in_place (fun i _ -> live.(i)) t.rows);
     (match t.columnar with
     | None -> ()
     | Some store -> Column.filter_in_place store (fun i -> live.(i)));
-    removed
+    List.rev dropped
 
-(* Delete all rows whose tid is NOT in [keep]; returns number removed. *)
+(* Delete all rows whose tid is NOT in [keep]; returns the dropped rows
+   by position. *)
 let retain_tids t keep =
   guard_no_txn t "retain_tids";
   t.ver_compact <- t.ver_compact + 1;
@@ -315,7 +318,7 @@ let drop_tids t dead =
 let delete_where t pred =
   guard_no_txn t "delete_where";
   t.ver_del <- t.ver_del + 1;
-  filter_rows t (fun r -> not (pred r))
+  List.length (filter_rows t (fun r -> not (pred r)))
 
 let clear t =
   guard_no_txn t "clear";

@@ -119,15 +119,18 @@ val columnar : t -> Column.t option
 (** {1 Deletion and update} *)
 
 (** Delete all rows whose tid is {e not} in the given set; returns the
-    number removed. Used by log compaction's delete phase.
+    removed rows, each with its position in the heap before the deletion
+    (its rank in scan order), by ascending position. Used by log
+    compaction's delete phase, whose WAL record names the positions.
     @raise Errors.Sql_error inside a savepoint. *)
-val retain_tids : t -> (int, unit) Hashtbl.t -> int
+val retain_tids : t -> (int, unit) Hashtbl.t -> (int * Row.t) list
 
-(** Delete the rows whose tid is in the given set; returns the number
-    removed. The complement of {!retain_tids}, with the same version
-    accounting ({!ver_compact}): log compaction expires tuples with it.
+(** Delete the rows whose tid is in the given set; returns the removed
+    rows by position, as {!retain_tids} does. The complement of
+    {!retain_tids}, with the same version accounting ({!ver_compact}):
+    log compaction expires tuples with it.
     @raise Errors.Sql_error inside a savepoint. *)
-val drop_tids : t -> (int, unit) Hashtbl.t -> int
+val drop_tids : t -> (int, unit) Hashtbl.t -> (int * Row.t) list
 
 (** Delete rows matching the predicate; returns the number removed.
     @raise Errors.Sql_error inside a savepoint. *)

@@ -2,10 +2,15 @@
    additions, where each submission's stored increments are generated
    here and committed through [Commit.run] directly, with no policy
    evaluation (every submission of the script is accepted by the
-   engine). Per commit, the committed tids that expired, the retained
-   increment and the durability decision are pinned to what the engine
-   does on the same script: its retained rows, its expired tids, and a
-   checkpoint exactly where its persistence store took one. *)
+   engine). Per commit, the committed tids that expired, their positions,
+   the retained increment and the durability decision are pinned. The
+   tids and rows are what the engine retains and expires on the same
+   script; the positions are the expired tids' ranks in the relation
+   before the commit; every commit journals, since base DML moves no log
+   relation. Each commit's record, replayed onto the relation as it was
+   before the commit (delete the positions, append the increment), must
+   give the live relation. Log DML after the script then forces one
+   checkpoint. *)
 
 open Relational
 open Datalawyer
@@ -41,42 +46,53 @@ let ops =
     sub 1 "W1"; sub 2 "W1"; sub 1 "W3"; sub 2 "W2"; sub 1 "W1"; sub 2 "W1";
     sub 1 "W1"; sub 1 "W1"; sub 2 "W1"; sub 1 "W1" ]
 
-(* Per commit: [rel -[expired tids] +[retained rows]] for each log
-   relation, then the durability decision. *)
+(* Per commit: [rel -[expired tids]@[their positions] +[retained rows]]
+   for each log relation, then the durability decision. *)
 let expected =
   [
-    "1 W1 users -[] +[1,1] schema -[] +[] provenance -[] +[1,0,d_patients,5] journal";
-    "1 W3 users -[] +[2,1] schema -[] +[] provenance -[] +[] journal";
-    "1 W1 users -[] +[3,1] schema -[] +[] provenance -[] +[3,0,d_patients,5] journal";
-    "2 W1 users -[] +[4,2] schema -[] +[] provenance -[] +[] journal";
-    "1 W1 users -[] +[5,1] schema -[] +[] provenance -[] +[5,0,d_patients,5] journal";
-    "1 W3 users -[] +[6,1] schema -[] +[] provenance -[] +[] journal";
-    "1 W1 users -[] +[7,1] schema -[] +[] provenance -[] +[7,0,d_patients,5] journal";
-    "1 W1 users -[] +[8,1] schema -[] +[] provenance -[] +[8,0,d_patients,5] journal";
-    "2 W1 users -[1] +[9,2] schema -[] +[] provenance -[] +[] checkpoint";
-    "1 W1 users -[] +[10,1] schema -[] +[] provenance -[] +[10,0,d_patients,5] journal";
+    "1 W1 users -[]@[] +[1,1] schema -[]@[] +[] provenance -[]@[] \
+     +[1,0,d_patients,5] journal";
+    "1 W3 users -[]@[] +[2,1] schema -[]@[] +[] provenance -[]@[] +[] journal";
+    "1 W1 users -[]@[] +[3,1] schema -[]@[] +[] provenance -[]@[] \
+     +[3,0,d_patients,5] journal";
+    "2 W1 users -[]@[] +[4,2] schema -[]@[] +[] provenance -[]@[] +[] journal";
+    "1 W1 users -[]@[] +[5,1] schema -[]@[] +[] provenance -[]@[] \
+     +[5,0,d_patients,5] journal";
+    "1 W3 users -[]@[] +[6,1] schema -[]@[] +[] provenance -[]@[] +[] journal";
+    "1 W1 users -[]@[] +[7,1] schema -[]@[] +[] provenance -[]@[] \
+     +[7,0,d_patients,5] journal";
+    "1 W1 users -[]@[] +[8,1] schema -[]@[] +[] provenance -[]@[] \
+     +[8,0,d_patients,5] journal";
+    "2 W1 users -[1]@[1] +[9,2] schema -[]@[] +[] provenance -[]@[] +[] journal";
+    "1 W1 users -[]@[] +[10,1] schema -[]@[] +[] provenance -[]@[] \
+     +[10,0,d_patients,5] journal";
     "dml";
-    "2 W1 users -[3] +[11,2] schema -[] +[] provenance -[] +[] checkpoint";
-    "1 W1 users -[0] +[12,1] schema -[] +[] provenance -[0] +[12,0,d_patients,5] checkpoint";
-    "2 W2 users -[5] +[13,2] schema -[] +[] provenance -[] +[] checkpoint";
+    "2 W1 users -[3]@[2] +[11,2] schema -[]@[] +[] provenance -[]@[] +[] journal";
+    "1 W1 users -[0]@[0] +[12,1] schema -[]@[] +[] provenance -[0]@[0] \
+     +[12,0,d_patients,5] journal";
+    "2 W2 users -[5]@[2] +[13,2] schema -[]@[] +[] provenance -[]@[] +[] journal";
     "add lte";
     "add bool";
-    "1 W1 users -[2] +[14,1] schema -[] +[] provenance -[1] +[14,0,d_patients,5] checkpoint";
-    "2 W1 users -[] +[15,2] schema -[] +[15,subject_id,d_patients,subject_id,false] \
-     provenance -[] +[] journal";
-    "1 W3 users -[4,8] +[16,1] schema -[] +[] provenance -[2] +[] checkpoint";
-    "2 W2 users -[] +[17,2] schema -[] +[17,sex,d_patients,sex,false] provenance -[] +[] \
-     journal";
-    "1 W1 users -[6,10] +[18,1] schema -[] +[] provenance -[3] +[18,0,d_patients,5] \
-     checkpoint";
-    "2 W1 users -[7] +[19,2] schema -[] +[19,subject_id,d_patients,subject_id,false] \
-     provenance -[4] +[] checkpoint";
-    "1 W1 users -[12] +[20,1] schema -[] +[] provenance -[] +[20,0,d_patients,5] checkpoint";
-    "1 W1 users -[9] +[21,1] schema -[] +[] provenance -[5] +[21,0,d_patients,5] checkpoint";
-    "2 W1 users -[14] +[22,2] schema -[0] +[22,subject_id,d_patients,subject_id,false] \
-     provenance -[] +[] checkpoint";
-    "1 W1 users -[11,15] +[23,1] schema -[] +[] provenance -[6] +[23,0,d_patients,5] \
-     checkpoint";
+    "1 W1 users -[2]@[0] +[14,1] schema -[]@[] +[] provenance -[1]@[0] \
+     +[14,0,d_patients,5] journal";
+    "2 W1 users -[]@[] +[15,2] schema -[]@[] \
+     +[15,subject_id,d_patients,subject_id,false] provenance -[]@[] +[] journal";
+    "1 W3 users -[4,8]@[0,3] +[16,1] schema -[]@[] +[] provenance -[2]@[0] \
+     +[] journal";
+    "2 W2 users -[]@[] +[17,2] schema -[]@[] +[17,sex,d_patients,sex,false] \
+     provenance -[]@[] +[] journal";
+    "1 W1 users -[6,10]@[0,3] +[18,1] schema -[]@[] +[] provenance -[3]@[0] \
+     +[18,0,d_patients,5] journal";
+    "2 W1 users -[7]@[0] +[19,2] schema -[]@[] \
+     +[19,subject_id,d_patients,subject_id,false] provenance -[4]@[0] +[] journal";
+    "1 W1 users -[12]@[2] +[20,1] schema -[]@[] +[] provenance -[]@[] \
+     +[20,0,d_patients,5] journal";
+    "1 W1 users -[9]@[0] +[21,1] schema -[]@[] +[] provenance -[5]@[0] \
+     +[21,0,d_patients,5] journal";
+    "2 W1 users -[14]@[2] +[22,2] schema -[0]@[0] \
+     +[22,subject_id,d_patients,subject_id,false] provenance -[]@[] +[] journal";
+    "1 W1 users -[11,15]@[0,2] +[23,1] schema -[]@[] +[] provenance -[6]@[0] \
+     +[23,0,d_patients,5] journal";
   ]
 
 let expected_final =
@@ -92,6 +108,13 @@ let tids db rel =
   List.rev (Table.fold (fun acc r -> Row.tid r :: acc) [] (Database.table db rel))
 
 let render_row cells = String.concat "," (Array.to_list (Array.map Value.to_string cells))
+
+let cells db rel =
+  List.rev (Table.fold (fun acc r -> Row.cells r :: acc) [] (Database.table db rel))
+
+(* Recovery's replay of one record onto one relation, on lists. *)
+let replay before ~positions ~retained =
+  List.filteri (fun i _ -> not (List.mem i positions)) before @ retained
 
 (* One submission's commit: append each stored relation's increment at
    the next tick under a savepoint, as the engine's generation does, then
@@ -133,19 +156,31 @@ let test_commit_contract () =
           Commit.reset c;
           "add " ^ name
         | `Sub (uid, w) ->
-          let before = List.map (fun rel -> (rel, tids db rel)) rels in
+          let before = List.map (fun rel -> (rel, (tids db rel, cells db rel))) rels in
           let o =
             commit c db (Engine.plan e) ~uid
               (Workload.Runner.query s w).Workload.Queries.sql
           in
           let part rel =
+            let before_tids, before_cells = List.assoc rel before in
             let after = tids db rel in
-            let expired = List.filter (fun t -> not (List.mem t after)) (List.assoc rel before) in
+            let expired = List.filter (fun t -> not (List.mem t after)) before_tids in
             let retained =
               Option.value (List.assoc_opt rel o.Commit.retained) ~default:[]
             in
-            Printf.sprintf "%s -[%s] +[%s]" rel
+            let dropped = Option.value (List.assoc_opt rel o.Commit.expired) ~default:[] in
+            let positions = List.map fst dropped in
+            Alcotest.(check (list string))
+              (Printf.sprintf "%s: expired rows at their positions" rel)
+              (List.map (fun p -> render_row (List.nth before_cells p)) positions)
+              (List.map (fun (_, r) -> render_row r) dropped);
+            Alcotest.(check (list string))
+              (Printf.sprintf "%s: record replayed onto the previous state" rel)
+              (List.map render_row (cells db rel))
+              (List.map render_row (replay before_cells ~positions ~retained));
+            Printf.sprintf "%s -[%s]@[%s] +[%s]" rel
               (String.concat "," (List.map string_of_int expired))
+              (String.concat "," (List.map string_of_int positions))
               (String.concat ";" (List.map render_row retained))
           in
           Printf.sprintf "%d %s %s %s" uid w
@@ -158,6 +193,16 @@ let test_commit_contract () =
   List.iter2 (Alcotest.(check string) "commit") expected got;
   List.iter
     (fun (rel, ts) -> Alcotest.(check (list int)) ("final " ^ rel) ts (tids db rel))
-    expected_final
+    expected_final;
+  (* Log DML is in no record: the next commit must checkpoint, the one
+     after it journals again. *)
+  ignore (Database.exec db "DELETE FROM users WHERE uid = 2");
+  let durability () =
+    match (commit c db (Engine.plan e) ~uid:1 "SELECT 1").Commit.durability with
+    | Commit.Journal -> "journal"
+    | Commit.Checkpoint -> "checkpoint"
+  in
+  Alcotest.(check string) "after log DML" "checkpoint" (durability ());
+  Alcotest.(check string) "the commit after" "journal" (durability ())
 
 let suite = [ Test_support.tc "contract pinned on a Table 2 script" test_commit_contract ]

@@ -214,6 +214,9 @@ type event = { what : string; messages : string list; calls : int }
 type run = {
   events : event list;
   logs : (string * (int * string) list) list;  (** relation, (tid, cells) rows *)
+  recovery : string list;
+      (** each [Restart] whose recovered state differs from the live one
+          before the close *)
 }
 
 let render_row cells =
@@ -269,6 +272,19 @@ let run ~optimized config s =
       ~persist_fsync:Persistence.Store.Never !db
   in
   let engine = ref (open_engine ()) in
+  let recovery = ref [] in
+  (* The persisted relations' cells in heap order, and the clock. *)
+  let durable_state rels =
+    let db = Engine.database !engine in
+    ( List.map
+        (fun rel ->
+          ( rel,
+            List.rev
+              (Table.fold (fun acc row -> render_row (Row.cells row) :: acc) []
+                 (Database.table db rel)) ))
+        rels,
+      Usage_log.current_time db )
+  in
   let registered = ref 0 in
   let register ti =
     let name = Printf.sprintf "p%d" !registered in
@@ -321,9 +337,20 @@ let run ~optimized config s =
       | Ddl di -> [ exec_sql (Printf.sprintf "ddl %d" di) ddls.(di) ]
       | Dml mi -> [ exec_sql (Printf.sprintf "dml %d" mi) dmls.(mi) ]
       | Restart ->
+        let rels = (Engine.plan !engine).Engine.store_rels in
+        let live = durable_state rels in
         Engine.close !engine;
         db := fresh_db ();
         engine := open_engine ();
+        let show (logs, clock) =
+          Printf.sprintf "clock %d %s" clock
+            (String.concat " "
+               (List.map (fun (r, rows) -> r ^ "={" ^ String.concat " " rows ^ "}") logs))
+        in
+        if durable_state rels <> live then
+          recovery :=
+            Printf.sprintf "live %s\n  recovered %s" (show live) (show (durable_state rels))
+            :: !recovery;
         [
           note
             (Printf.sprintf "restart (%d policies recovered)"
@@ -347,7 +374,7 @@ let run ~optimized config s =
      whole property rather than once per run. *)
   if s.persist then Engine.close !engine;
   Option.iter Test_support.remove_dir dir;
-  { events; logs }
+  { events; logs; recovery = List.rev !recovery }
 
 (* Views for comparison ----------------------------------------------------- *)
 
@@ -700,6 +727,31 @@ let prop_full_mark_twin =
       Test_support.remove_dir dir;
       ok)
 
+(* Recovery: at every restart of a persisted script, the recovered
+   persisted relations (cells in heap order) and clock equal the live
+   ones just before the close, log DML and rejected submissions' ticks
+   included. Every other restart follows a [users] delete, so most
+   scripts restart after log DML. *)
+let prop_restart_recovers =
+  QCheck.Test.make ~count:100
+    ~name:"a restart recovers the live persisted logs and clock"
+    (script_arb ~dml:true)
+    (fun s ->
+      let k = ref 0 in
+      let ops =
+        List.concat_map
+          (function
+            | Restart ->
+              incr k;
+              if !k mod 2 = 1 then [ Dml 4; Restart ] else [ Restart ]
+            | op -> [ op ])
+          s.ops
+      in
+      let s = { s with persist = true; ops } in
+      match (run ~optimized:true (layered s ~domains:s.domains) s).recovery with
+      | [] -> true
+      | m :: _ -> QCheck.Test.fail_reportf "restart: %s" m)
+
 (* Improved partial policies (§4.3): every increment-probe decision of a
    layered interleaved run, against the source-tid reference. An SPJ πS
    gets the reference's verdict. A grouped πS probes its HAVING-stripped
@@ -740,5 +792,6 @@ let suite =
       prop_eq1;
       prop_workload_identical;
       prop_full_mark_twin;
+      prop_restart_recovers;
       prop_probe_reference;
     ]

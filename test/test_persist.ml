@@ -62,18 +62,30 @@ let prop_row_roundtrip =
       P.Codec.expect_end c;
       row_eq row row')
 
+(* A commit that expires nothing keeps the kind-1 encoding; one that
+   expires rows is kind 4 and carries their ascending positions. *)
 let prop_commit_roundtrip =
   QCheck.Test.make ~count:200 ~name:"commit records round-trip"
     (QCheck.make
-       ~print:(fun (clock, rows) ->
-         Printf.sprintf "clock=%d rows=%s" clock
-           (String.concat " " (List.map print_row rows)))
-       QCheck.Gen.(pair nat (list_size (int_range 0 6) row_gen)))
-    (fun (clock, rows) ->
-      let r = P.Record.Commit { clock; increments = [ ("users", rows); ("r2", []) ] } in
-      match P.Record.decode (P.Record.encode r) with
-      | P.Record.Commit { clock = c'; increments = [ ("users", rows'); ("r2", []) ] } ->
-        c' = clock && rows_eq rows rows'
+       ~print:(fun (clock, rows, positions) ->
+         Printf.sprintf "clock=%d rows=%s positions=%s" clock
+           (String.concat " " (List.map print_row rows))
+           (String.concat "," (List.map string_of_int positions)))
+       QCheck.Gen.(
+         triple nat (list_size (int_range 0 6) row_gen)
+           (map (List.sort_uniq compare) (list_size (int_range 0 4) (int_range 0 1000)))))
+    (fun (clock, rows, positions) ->
+      let expired = if positions = [] then [] else [ ("users", positions) ] in
+      let r =
+        P.Record.Commit { clock; expired; increments = [ ("users", rows); ("r2", []) ] }
+      in
+      let s = P.Record.encode r in
+      Char.code s.[0] = (if positions = [] then 1 else 4)
+      &&
+      match P.Record.decode s with
+      | P.Record.Commit
+          { clock = c'; expired = e'; increments = [ ("users", rows'); ("r2", []) ] } ->
+        c' = clock && e' = expired && rows_eq rows rows'
       | _ -> false)
 
 let crc_vectors () =
@@ -142,14 +154,17 @@ let snapshot_roundtrip () =
 
 (* WAL crash simulation ----------------------------------------------------- *)
 
-let commit i = P.Record.Commit { clock = i; increments = [ ("users", [ [| Value.Int i; Value.Int 1 |] ]) ] }
+let commit i =
+  P.Record.Commit
+    { clock = i; expired = []; increments = [ ("users", [ [| Value.Int i; Value.Int 1 |] ]) ] }
 
 let store_with_commits dir n =
   let store, recovered = P.Store.open_dir ~fsync:P.Store.Always dir in
   Alcotest.(check bool) "fresh dir" true (recovered = None);
   for i = 1 to n do
     match commit i with
-    | P.Record.Commit { clock; increments } -> P.Store.log_commit store ~clock ~increments
+    | P.Record.Commit { clock; increments; _ } ->
+      P.Store.log_commit store ~clock ~expired:[] ~increments
     | _ -> assert false
   done;
   P.Store.close store
@@ -176,7 +191,7 @@ let torn_tail_drops_only_last () =
            [ [| Value.Int 1; Value.Int 1 |]; [| Value.Int 2; Value.Int 1 |] ])
     | _ -> Alcotest.fail "users relation expected");
   (* The torn bytes are gone from disk and appends work again. *)
-  P.Store.log_commit store ~clock:3 ~increments:[];
+  P.Store.log_commit store ~clock:3 ~expired:[] ~increments:[];
   P.Store.close store;
   let r = P.Wal.read (wal_path dir) in
   Alcotest.(check bool) "file clean after truncation" false r.P.Wal.torn;
@@ -333,9 +348,10 @@ let compaction_checkpoint_bounds_disk () =
   for _ = 1 to 30 do
     submit_ok a ~uid:1 "SELECT COUNT(*) FROM person"
   done;
-  (* The in-memory log is bounded by the window, so with compaction
-     wired to checkpointing the on-disk footprint stays bounded too
-     instead of growing linearly with the WAL. *)
+  (* The in-memory log is bounded by the window, and an expiring commit
+     checkpoints once the WAL holds more than 1/32 of it to reclaim, so
+     the on-disk footprint stays bounded too instead of growing linearly
+     with the WAL. *)
   let bytes_60 = P.Store.disk_bytes store in
   Alcotest.(check bool)
     (Printf.sprintf "disk stays bounded (%d vs %d bytes)" bytes_30 bytes_60)
@@ -480,7 +496,7 @@ let store_with_checkpoint dir =
   let store, _ = P.Store.open_dir ~fsync:P.Store.Always dir in
   let policies = [ policy_rec "p1" 0 ] in
   P.Store.log_add_policy store (List.hd policies);
-  P.Store.log_commit store ~clock:1 ~increments:[ ("users", [ [| Value.Int 1; Value.Int 1 |] ]) ];
+  P.Store.log_commit store ~clock:1 ~expired:[] ~increments:[ ("users", [ [| Value.Int 1; Value.Int 1 |] ]) ];
   P.Store.checkpoint store
     {
       P.Snapshot.clock = 1;
@@ -709,7 +725,7 @@ let compaction_off_keeps_raw_increments () =
   List.iter
     (fun payload ->
       match P.Record.decode payload with
-      | P.Record.Commit { clock; increments } ->
+      | P.Record.Commit { clock; increments; _ } ->
         List.iter
           (fun (rel, rows) ->
             List.iter (fun r -> line "wal@%d %s %s" clock rel (cells r)) rows)
@@ -780,6 +796,114 @@ provenance 4 6,0,person,2
   Engine.close a;
   Engine.close c
 
+
+(* Journaled compaction --------------------------------------------------- *)
+
+(* Log DML is in no WAL record: a commit after it must checkpoint, and so
+   must a close, or the deleted rows come back on restart. *)
+let log_dml_survives ~compaction ~ending () =
+  let dir = temp_dir () in
+  let config = { Engine.default_config with Engine.log_compaction = compaction } in
+  let open_engine () =
+    Engine.create ~config ~persist_dir:dir ~persist_fsync:P.Store.Always (base_db ())
+  in
+  let a = open_engine () in
+  ignore (Engine.add_policy a ~name:"window" (window_policy ~w:50 ~max:25));
+  for i = 1 to 6 do
+    submit_ok a ~uid:(1 + (i mod 2)) "SELECT COUNT(*) FROM person"
+  done;
+  (match Database.exec (Engine.database a) "DELETE FROM users WHERE ts <= 3" with
+  | Dml.Affected n -> Alcotest.(check bool) "log DML deleted rows" true (n > 0)
+  | _ -> Alcotest.fail "DELETE must report affected rows");
+  let b =
+    match ending with
+    | `Submit_and_crash ->
+      submit_ok a ~uid:1 "SELECT COUNT(*) FROM person";
+      open_engine ()
+    | `Close ->
+      Engine.close a;
+      open_engine ()
+  in
+  check_same_log_state ~rels:[ "users" ] a b;
+  Engine.close b;
+  if ending = `Submit_and_crash then Engine.close a
+
+(* The WAL cut at every byte of a final record that expires rows
+   recovers the state before that commit; the whole record, the state
+   after it. The window is wide enough that the commit journals
+   instead of checkpointing. *)
+let torn_expiring_record () =
+  let dir = temp_dir () in
+  let open_engine dir =
+    Engine.create ~persist_dir:dir ~persist_fsync:P.Store.Always (base_db ())
+  in
+  let a = open_engine dir in
+  ignore (Engine.add_policy a ~name:"window" (window_policy ~w:200 ~max:200));
+  let store = Option.get (Engine.persist_store a) in
+  let state e = (table_cells e "users", Usage_log.current_time (Engine.database e)) in
+  let last_expires () =
+    let wal = P.Wal.read (Filename.concat dir (P.Recovery.wal_file (P.Store.generation store))) in
+    match List.rev wal.P.Wal.payloads with
+    | last :: _ -> (
+      match P.Record.decode last with
+      | P.Record.Commit { expired = _ :: _; _ } ->
+        Some (wal.P.Wal.valid_bytes - 8 - String.length last, wal.P.Wal.valid_bytes)
+      | _ -> None)
+    | [] -> None
+  in
+  let rec go n =
+    if n = 0 then Alcotest.fail "no commit journaled its expired rows";
+    let before = state a in
+    let g = P.Store.generation store in
+    submit_ok a ~uid:1 "SELECT COUNT(*) FROM person";
+    match last_expires () with
+    | Some range when P.Store.generation store = g -> (before, range)
+    | _ -> go (n - 1)
+  in
+  let before, (start, stop) = go 400 in
+  let after = state a in
+  let copy = temp_dir () in
+  let recovered cut =
+    Array.iter (fun f -> Sys.remove (Filename.concat copy f)) (Sys.readdir copy);
+    Array.iter
+      (fun f ->
+        let data = In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all in
+        Out_channel.with_open_bin (Filename.concat copy f) (fun oc ->
+            Out_channel.output_string oc data))
+      (Sys.readdir dir);
+    Unix.truncate (Filename.concat copy (P.Recovery.wal_file (P.Store.generation store))) cut;
+    let e = open_engine copy in
+    let st = state e in
+    Engine.close e;
+    st
+  in
+  let show (rows, clock) = Printf.sprintf "clock %d, %s" clock (encode_cells rows) in
+  for cut = start to stop - 1 do
+    Alcotest.(check string)
+      (Printf.sprintf "WAL cut at byte %d of [%d, %d)" cut start stop)
+      (show before) (show (recovered cut))
+  done;
+  Alcotest.(check string) "whole record" (show after) (show (recovered stop));
+  Test_support.remove_dir copy;
+  Engine.close a
+
+(* Store.fsyncs counts a checkpoint's file and directory fsyncs: two per
+   file written, so four when the catalog is rewritten too. *)
+let checkpoint_fsyncs () =
+  let dir = temp_dir () in
+  let store, _ = P.Store.open_dir ~fsync:P.Store.Never dir in
+  let policies = [ policy_rec "p1" 0 ] in
+  let state = { P.Snapshot.clock = 0; policies; relations = [] } in
+  let added f =
+    let before = P.Store.fsyncs store in
+    f ();
+    P.Store.fsyncs store - before
+  in
+  P.Store.log_add_policy store (List.hd policies);
+  Alcotest.(check int) "snapshot and catalog" 4 (added (fun () -> P.Store.checkpoint store state));
+  Alcotest.(check int) "snapshot only" 2 (added (fun () -> P.Store.checkpoint store state));
+  P.Store.close store
+
 let suite =
   [
     tc "crc32 reference vectors" crc_vectors;
@@ -807,5 +931,13 @@ let suite =
     tc "unchanged policies keep their catalog" unchanged_policies_keep_their_catalog;
     tc "disk_bytes counts snapshot, WAL and catalog" disk_bytes_counts_all_three_files;
     tc "10^4 policies recover in registration order" many_policies_recover_in_order;
+    tc "log DML, a commit, a crash (compaction on)"
+      (log_dml_survives ~compaction:true ~ending:`Submit_and_crash);
+    tc "log DML, a commit, a crash (compaction off)"
+      (log_dml_survives ~compaction:false ~ending:`Submit_and_crash);
+    tc "log DML, then close (compaction on)" (log_dml_survives ~compaction:true ~ending:`Close);
+    tc "log DML, then close (compaction off)" (log_dml_survives ~compaction:false ~ending:`Close);
+    tc "WAL cut inside a final expiring record" torn_expiring_record;
+    tc "a checkpoint counts its fsyncs" checkpoint_fsyncs;
   ]
   @ List.map QCheck_alcotest.to_alcotest [ prop_row_roundtrip; prop_commit_roundtrip ]
