@@ -44,6 +44,9 @@ let setup ?(config = Engine.default_config) ?(policy_names = [ "P1" ]) () =
 
 let ms x = x *. 1000.
 
+(* One of [Engine.counters]'s values, as an int. *)
+let counter engine key = int_of_string (List.assoc key (Engine.counters engine))
+
 (* Mean total (policy machinery + query) per query, in ms. *)
 let mean_total stats = ms (Stats.total (Stats.mean stats))
 

@@ -224,8 +224,7 @@ let parallel_case () =
       ignore (Engine.submit engine ~uid:1 "SELECT v FROM data WHERE k = 1")
     done;
     let dt = (Unix.gettimeofday () -. t0) /. float_of_int iters in
-    let _, batches, tasks = Engine.parallel_stats engine in
-    (dt, batches, tasks)
+    (dt, Common.counter engine "parallel-batches", Common.counter engine "parallel-tasks")
   in
   let serial, _, _ = run_with ~domains:1 in
   Printf.printf "%d policies x %d log rows, serial: %.1f ms/submission\n"

@@ -70,7 +70,7 @@ let measure config n ~reps =
     submit (n + 1 + (i mod 7))
   done;
   let per_adm = Common.ms (Unix.gettimeofday () -. t0) /. float_of_int reps in
-  let u = Engine.unify_stats engine in
+  let u = Printf.sprintf "%d/%d" (Common.counter engine "unify-active") (Common.counter engine "unify-groups") in
   let r = Engine.relevance_stats engine in
   Engine.close engine;
   (per_adm, u, r)
@@ -100,7 +100,7 @@ let run (scale : Common.scale) =
            Common.f3 naive;
            Common.f3 scaled;
            Common.f1 (naive /. scaled) ^ "x";
-           Printf.sprintf "%d/%d" u.Engine.unify_active u.Engine.unify_groups;
+           u;
            Printf.sprintf "%d/%d" r.Engine.rel_skips r.Engine.rel_checks;
          ])
        results);

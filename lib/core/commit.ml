@@ -1,5 +1,5 @@
-(* Log compaction (Algorithm 2, §4.1.2) and the durability decision of
-   an accepted submission's commit. *)
+(* Log compaction (Algorithm 2, §4.1.2) of an accepted submission's
+   commit. *)
 
 open Relational
 
@@ -18,40 +18,10 @@ type t = {
           the end of the last commit; [None] until a commit compacts *)
   mutable delta_marks : int;  (** relations marked from their increment *)
   mutable full_marks : int;  (** relations marked over the whole log *)
-  durable : (string, int list) Hashtbl.t;
-      (** per log relation, its {!log_basis} at the last durable point:
-          the end of the last commit, or the last checkpoint or recovery *)
 }
 
-(* A log relation's committed shape: its row count less the tentative
-   increment of [pending] rows, and the counters that only DML and
-   reloads move (compaction moves [ver_compact] instead). *)
-let log_basis tb ~pending = [ Table.row_count tb - pending; Table.ver_del tb; Table.ver_unsafe tb ]
-
-let log_rels t = Catalog.log_table_names (Database.catalog t.db)
-
-let mark_durable t =
-  Hashtbl.reset t.durable;
-  List.iter
-    (fun rel -> Hashtbl.replace t.durable rel (log_basis (Database.table t.db rel) ~pending:0))
-    (log_rels t)
-
-let moved t ~pending rels =
-  List.exists
-    (fun rel ->
-      Hashtbl.find_opt t.durable rel
-      <> Some (log_basis (Database.table t.db rel) ~pending:(pending rel)))
-    rels
-
-let durable_moved t = moved t ~pending:(fun _ -> 0) (log_rels t)
-
 let create db prepared =
-  let t =
-    { db; prepared; deadlines = Hashtbl.create 4; mark_basis = None;
-      delta_marks = 0; full_marks = 0; durable = Hashtbl.create 4 }
-  in
-  mark_durable t;
-  t
+  { db; prepared; deadlines = Hashtbl.create 4; mark_basis = None; delta_marks = 0; full_marks = 0 }
 
 let reset t =
   Hashtbl.reset t.deadlines;
@@ -78,12 +48,9 @@ let preemptively_empty t (pl : Offline.t) ~generated (rel : string) : bool =
         | Some pq -> Prepared.is_empty t.prepared (Ast.Select pq))
       qs
 
-type durability = Journal | Checkpoint
-
 type outcome = {
   retained : (string * Value.t array list) list;
   expired : (string * (int * Value.t array) list) list;
-  durability : durability;
 }
 
 type map = { map : 'a 'b. (Stats.t -> 'a -> 'b) -> 'a list -> 'b list }
@@ -110,7 +77,8 @@ let mark_basis t (pl : Offline.t) ~(pending : string -> int) : int list =
     List.concat_map
       (fun rel ->
         let tb = Database.table t.db rel in
-        log_basis tb ~pending:(pending rel) @ [ Table.ver_compact tb ])
+        [ Table.row_count tb - pending rel; Table.ver_del tb; Table.ver_unsafe tb;
+          Table.ver_compact tb ])
       pl.Offline.store_rels
   in
   (Catalog.generation cat :: logs)
@@ -155,8 +123,6 @@ let run t (pl : Offline.t) ~compaction ~generated ~floors ~(now : int)
     | Some sp -> Table.fold_since (fun n _ -> n + 1) 0 (Database.table t.db rel) sp
     | None -> 0
   in
-  (* Rows no record journals: the engine must checkpoint. *)
-  let moved = moved t ~pending pl.Offline.store_rels in
   (* Mark phase: choose each relation's route, run its witness queries
      and fold every witnessed tuple's deadline (the max over its joined
      rows). *)
@@ -311,14 +277,8 @@ let run t (pl : Offline.t) ~compaction ~generated ~floors ~(now : int)
      query) must not attempt to roll them back again. *)
   Hashtbl.reset generated;
   if compaction then t.mark_basis <- Some (mark_basis t pl ~pending:(fun _ -> 0));
-  mark_durable t;
-  (* An accepted submission is one atomic WAL record: the clock advance,
-     the positions compaction expired and every relation's retained
-     increment — unless a stored relation changed outside a commit (log
-     DML) since the last durable point, which no record describes. *)
+  (* The outcome is the commit's WAL record ({!Durable.commit}): the
+     positions compaction expired and every relation's retained
+     increment. *)
   let by_rel l = List.sort (fun (a, _) (b, _) -> String.compare a b) l in
-  {
-    retained = by_rel !persisted;
-    expired = by_rel !expired;
-    durability = (if moved then Checkpoint else Journal);
-  }
+  { retained = by_rel !persisted; expired = by_rel !expired }

@@ -1,12 +1,11 @@
 (** The commit of an accepted submission: log compaction (Algorithm 2,
-    Lemmas 4.1–4.3, §4.1.2) over its tentative increments, and the
-    durability decision that follows. A full mark runs the witnesses
-    over the whole log and records the survivors' deadlines; while the
-    mark basis holds, a single-tick commit marks only its increment and
-    expires the committed tuples whose deadline came. The expired rows
-    are returned by position, so one WAL record describes the commit;
-    only a log relation changed outside any commit (log DML) since the
-    last durable point calls for a checkpoint instead. *)
+    Lemmas 4.1–4.3, §4.1.2) over its tentative increments. A full mark
+    runs the witnesses over the whole log and records the survivors'
+    deadlines; while the mark basis holds, a single-tick commit marks
+    only its increment and expires the committed tuples whose deadline
+    came. The expired rows are returned by position, so one WAL record
+    describes the commit; whether it is journaled or checkpointed is
+    {!Durable}'s decision. *)
 
 open Relational
 
@@ -18,15 +17,6 @@ val create : Database.t -> Prepared.t -> t
 (** Forget the deadlines and their basis (the plan changed). *)
 val reset : t -> unit
 
-(** Record every log relation's committed row count, [ver_del] and
-    [ver_unsafe] as durable: after recovery and after every checkpoint.
-    {!create} and {!run} record it too. *)
-val mark_durable : t -> unit
-
-(** Has a log relation changed outside a commit since the last durable
-    point? *)
-val durable_moved : t -> bool
-
 (** (relations marked from their increment, over the whole log), one
     count per relation per commit. *)
 val marks : t -> int * int
@@ -37,13 +27,6 @@ val marks : t -> int * int
 val preemptively_empty :
   t -> Offline.t -> generated:(string, Table.savepoint) Hashtbl.t -> string -> bool
 
-type durability =
-  | Journal  (** append one WAL record of [expired] and [retained] *)
-  | Checkpoint
-      (** a stored relation changed outside a commit since the last
-          durable point, which no record describes: a snapshot must
-          supersede the WAL *)
-
 type outcome = {
   retained : (string * Value.t array list) list;
       (** the increment rows each relation keeps, by relation name *)
@@ -51,7 +34,6 @@ type outcome = {
       (** the committed rows compaction deleted, by relation name, each
           with its position in the relation before the deletion,
           ascending; relations that expired nothing are absent *)
-  durability : durability;
 }
 
 (** A map over independent read-only tasks (the engine's pool fan-out). *)

@@ -1,0 +1,159 @@
+(* The durable usage log: recovery install, snapshot assembly and the
+   one journal-or-checkpoint rule. *)
+
+open Relational
+module Store = Persistence.Store
+module Snapshot = Persistence.Snapshot
+module Record = Persistence.Record
+
+(* Checkpoint once the WAL holds this many records, bounding replay time
+   on recovery even for workloads that never trigger compaction. *)
+let wal_checkpoint_limit = 10_000
+
+(* After a commit that expired rows, checkpoint once the bytes a
+   checkpoint would reclaim pass 1/[reclaim_ratio] of the live log: the
+   snapshot and WAL then hold at most 1 + 1/[reclaim_ratio] times what a
+   snapshot of the log would, and a checkpoint's cost amortizes over
+   commits that journaled a proportional share of the log. *)
+let reclaim_ratio = 32
+
+type t = {
+  db : Database.t;
+  store : Store.t;
+  policies : unit -> Policy.t list;
+  mutable scope : string list;
+      (** the [store_rels] the snapshot scope was last computed for *)
+  mutable clock : int;
+      (** the clock recovery would restore: the last journaled commit's
+          or policy registration's. Checkpoints record it, not the live
+          clock, which also counts rejected submissions' unjournaled
+          ticks — so the recovered clock never depends on when
+          checkpoints ran *)
+  mutable basis : (string * (int * int * int)) list;
+      (** per scope relation, its {!shape} at the last durable point *)
+}
+
+let store t = t.store
+
+(* A relation's row count less [growth], and the counters that only DML
+   and reloads move: compaction moves [ver_compact], and rolling back or
+   releasing an increment only [ver_mut]. *)
+let shape t ?(growth = 0) rel =
+  let tb = Database.table t.db rel in
+  (Table.row_count tb - growth, Table.ver_del tb, Table.ver_unsafe tb)
+
+let mark t = t.basis <- List.map (fun rel -> (rel, shape t rel)) t.scope
+
+(* Has a scope relation changed outside a commit since the last durable
+   point? [growth rel] is what the commit being made durable added to
+   [rel], net of what it expired. *)
+let moved t ~growth =
+  List.exists (fun (rel, b) -> shape t ~growth:(growth rel) rel <> b) t.basis
+
+let columns table =
+  List.map (fun (c : Schema.column) -> (c.Schema.name, c.Schema.ty)) (Schema.columns (Table.schema table))
+
+let policy_rec (p : Policy.t) =
+  { Record.name = p.Policy.name; source = p.Policy.source; active_from = p.Policy.active_from }
+
+(* Full persisted state at this instant: the journaled clock, the policy
+   set as registered, and every scope relation's contents. *)
+let state t : Snapshot.state =
+  let rel_state rel =
+    let table = Database.table t.db rel in
+    let rows = Table.to_seq table |> Seq.map Row.cells |> List.of_seq in
+    (rel, { Snapshot.schema = columns table; rows })
+  in
+  {
+    Snapshot.clock = t.clock;
+    policies = List.map policy_rec (t.policies ());
+    relations = List.map rel_state (List.sort_uniq String.compare t.scope);
+  }
+
+let checkpoint t =
+  Store.checkpoint t.store (state t);
+  mark t
+
+(* Install the recovered state: log relation contents, the clock, and
+   the registered-policy set. The same generators must be registered as
+   when the state was written — a recovered relation without its table
+   is an error, not a skip. *)
+let install db (st : Snapshot.state) : Policy.t list =
+  let cat = Database.catalog db in
+  List.iter
+    (fun (rel, (rs : Snapshot.rel)) ->
+      match Catalog.find_opt cat rel with
+      | None ->
+        Persistence.Recovery.error "recovered log relation %s has no registered generator" rel
+      | Some table ->
+        if not (Catalog.is_log cat rel) then
+          Persistence.Recovery.error "recovered relation %s is not a log relation" rel;
+        if rs.Snapshot.schema <> [] then begin
+          let norm = List.map (fun (n, ty) -> (Analysis.lc n, ty)) in
+          if norm (columns table) <> norm rs.Snapshot.schema then
+            Persistence.Recovery.error
+              "recovered relation %s: snapshot schema does not match the installed one" rel
+        end;
+        Table.clear table;
+        Table.bulk_load table rs.Snapshot.rows)
+    st.Snapshot.relations;
+  Usage_log.set_clock db st.Snapshot.clock;
+  List.map
+    (fun (p : Record.policy_rec) ->
+      Policy.create cat ~is_log:(Catalog.is_log cat) ~name:p.Record.name
+        ~active_from:p.Record.active_from p.Record.source)
+    st.Snapshot.policies
+
+let open_dir ~fsync ~policies db dir =
+  let store, recovered = Store.open_dir ~fsync dir in
+  let scope, ps =
+    match recovered with
+    | None -> ([], [])
+    | Some r ->
+      let st = r.Persistence.Recovery.state in
+      (List.map fst st.Snapshot.relations, install db st)
+  in
+  let t = { db; store; policies; scope; clock = Usage_log.current_time db; basis = [] } in
+  mark t;
+  (t, ps)
+
+let add_policy t (p : Policy.t) =
+  t.clock <- p.Policy.active_from;
+  Store.log_add_policy t.store (policy_rec p)
+
+let remove_policy t name = Store.log_remove_policy t.store name
+
+let set_scope t scope =
+  if scope <> t.scope then begin
+    t.scope <- scope;
+    checkpoint t
+  end
+
+(* Rows a commit record lists, by relation. *)
+let count rel l = match List.assoc_opt rel l with Some rows -> List.length rows | None -> 0
+
+let commit t ~now (c : Commit.outcome) =
+  t.clock <- now;
+  let growth rel = count rel c.Commit.retained - count rel c.Commit.expired in
+  if moved t ~growth then checkpoint t
+  else begin
+    Store.log_commit t.store ~clock:now ~expired:c.Commit.expired ~increments:c.Commit.retained;
+    if
+      Store.wal_records t.store >= wal_checkpoint_limit
+      || c.Commit.expired <> []
+         && Store.reclaimable_bytes t.store * reclaim_ratio > Store.live_bytes t.store
+    then checkpoint t
+    else mark t
+  end
+
+let close t =
+  let now = Usage_log.current_time t.db in
+  if moved t ~growth:(fun _ -> 0) then begin
+    t.clock <- now;
+    checkpoint t
+  end
+  else if now > t.clock then begin
+    t.clock <- now;
+    Store.log_commit t.store ~clock:now ~expired:[] ~increments:[]
+  end;
+  Store.close t.store

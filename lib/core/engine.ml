@@ -5,8 +5,8 @@
     and checks every active policy under the configured strategy
     ([Union_all] is NoOpt's Algorithm 1, [Interleaved] Algorithm 3). A
     violation rejects the query and reverts the log; otherwise the
-    commit compacts the increments ({!Commit}), journals or checkpoints
-    them as it decides, and the query executes. Each {!config} field
+    commit compacts the increments ({!Commit}), {!Durable} journals or
+    checkpoints them, and the query executes. Each {!config} field
     selects one optimization (engine.mli documents them all).
 
     Every admission stage has one implementation; parallelism is only
@@ -93,17 +93,8 @@ type t = {
   registered_names : (string, unit) Hashtbl.t;
       (** names in [registered_rev], for the duplicate check *)
   mutable plan : plan option;
-  mutable persist : Persistence.Store.t option;
-  mutable persist_scope : string list;
-      (** the [store_rels] the store's snapshot scope was last computed
-          for; recomputed (with a checkpoint) whenever the plan is
-          invalidated and yields a different scope *)
-  mutable persist_clock : int;
-      (** the clock recovery would restore: the last journaled commit's
-          or policy registration's. Checkpoints record it, not the live
-          clock, which also counts rejected submissions' unjournaled
-          ticks — so the recovered clock never depends on when
-          checkpoints ran *)
+  mutable durable : Durable.t option;
+      (** the persisted log; its scope follows every new plan *)
   prepared : Prepared.t;
       (** compiled-plan cache for policy, partial-policy and witness
           queries; invalidated through the same catalog generation
@@ -149,26 +140,13 @@ let stats_of = function Accepted (_, s) -> s | Rejected (_, s) -> s
 
 let lc = Analysis.lc
 
-(* Checkpoint once the WAL holds this many records, bounding replay time
-   on recovery even for workloads that never trigger compaction. *)
-let wal_checkpoint_limit = 10_000
-
-(* After a commit that expired rows, checkpoint once the bytes a
-   checkpoint would reclaim pass 1/[reclaim_ratio] of the live log: the
-   snapshot and WAL then hold at most 1 + 1/[reclaim_ratio] times what a
-   snapshot of the log would, and a checkpoint's cost amortizes over
-   commits that journaled a proportional share of the log. *)
-let reclaim_ratio = 32
-
-let is_log' db rel = Catalog.is_log (Database.catalog db) rel
-
 (* Every policy/witness evaluation probes the log relations by [uid]
    equality and [ts] windows (preemptive checks pin [ts = now]); declare
    the matching indexes up front so the optimizer's access-path selection
    makes those probes sublinear in log size. Index names are
    deterministic ([dl_ix_<rel>_<col>]) and creation is idempotent, so
    re-registration and recovery are safe. Recovery itself needs no
-   special casing: [apply_recovered] clears and bulk-loads the tables,
+   special casing: {!Durable.open_dir} clears and bulk-loads the tables,
    and both paths maintain declared indexes. *)
 let auto_index_log_relation db (g : Usage_log.generator) =
   let cat = Database.catalog db in
@@ -196,45 +174,7 @@ let auto_index_log_relation db (g : Usage_log.generator) =
        and harmless when the row path is pinned. *)
     ignore (Table.enable_columnar table)
 
-(* Install the state recovered from the persistence directory: log
-   relation contents, the clock, and the registered-policy set. The same
-   generators must be registered as when the state was written — a
-   recovered relation without its table is an error, not a skip. *)
-let apply_recovered (db : Database.t) (r : Persistence.Recovery.recovered) :
-    Policy.t list =
-  let st = r.Persistence.Recovery.state in
-  List.iter
-    (fun (rel, (rs : Persistence.Snapshot.rel)) ->
-      match Catalog.find_opt (Database.catalog db) rel with
-      | None ->
-        Persistence.Recovery.error
-          "recovered log relation %s has no registered generator" rel
-      | Some table ->
-        if not (is_log' db rel) then
-          Persistence.Recovery.error "recovered relation %s is not a log relation" rel;
-        if rs.Persistence.Snapshot.schema <> [] then begin
-          let norm = List.map (fun (n, ty) -> (lc n, ty)) in
-          let installed =
-            List.map
-              (fun (c : Schema.column) -> (c.Schema.name, c.Schema.ty))
-              (Schema.columns (Table.schema table))
-          in
-          if norm installed <> norm rs.Persistence.Snapshot.schema then
-            Persistence.Recovery.error
-              "recovered relation %s: snapshot schema does not match the \
-               installed one"
-              rel
-        end;
-        Table.clear table;
-        Table.bulk_load table rs.Persistence.Snapshot.rows)
-    st.Persistence.Snapshot.relations;
-  Usage_log.set_clock db st.Persistence.Snapshot.clock;
-  List.map
-    (fun (p : Persistence.Record.policy_rec) ->
-      Policy.create (Database.catalog db) ~is_log:(is_log' db)
-        ~name:p.Persistence.Record.name
-        ~active_from:p.Persistence.Record.active_from p.Persistence.Record.source)
-    st.Persistence.Snapshot.policies
+let policies t = List.rev t.registered_rev
 
 let create ?(config = default_config) ?(generators = Usage_log.standard)
     ?persist_dir ?(persist_fsync = Persistence.Store.Interval 32)
@@ -262,9 +202,7 @@ let create ?(config = default_config) ?(generators = Usage_log.standard)
       registered_rev = [];
       registered_names = Hashtbl.create 16;
       plan = None;
-      persist = None;
-      persist_scope = [];
-      persist_clock = 0;
+      durable = None;
       prepared;
       pool = None;
       par_batches = 0;
@@ -283,22 +221,15 @@ let create ?(config = default_config) ?(generators = Usage_log.standard)
     }
   in
   Prepared.set_vectorized t.prepared config.vectorized;
-  (match persist_dir with
-  | None -> ()
-  | Some dir ->
-    let store, recovered = Persistence.Store.open_dir ~fsync:persist_fsync dir in
-    (match recovered with
-    | None -> ()
-    | Some r ->
-      let ps = apply_recovered db r in
+  Option.iter
+    (fun dir ->
+      let d, ps =
+        Durable.open_dir ~fsync:persist_fsync ~policies:(fun () -> policies t) db dir
+      in
       t.registered_rev <- List.rev ps;
       List.iter (fun p -> Hashtbl.replace t.registered_names p.Policy.name ()) ps;
-      (* The recovered relations are the scope the snapshot was written
-         for, so a plan with the same scope needs no checkpoint. *)
-      t.persist_scope <- List.map fst r.Persistence.Recovery.state.Persistence.Snapshot.relations;
-      Commit.mark_durable t.commit);
-    t.persist_clock <- Usage_log.current_time db;
-    t.persist <- Some store);
+      t.durable <- Some d)
+    persist_dir;
   t
 
 let database t = t.db
@@ -336,16 +267,7 @@ let add_policy t ~name sql : Policy.t =
   t.registered_rev <- p :: t.registered_rev;
   Hashtbl.replace t.registered_names name ();
   invalidate t;
-  (match t.persist with
-  | Some store ->
-    t.persist_clock <- p.Policy.active_from;
-    Persistence.Store.log_add_policy store
-      {
-        Persistence.Record.name;
-        source = sql;
-        active_from = p.Policy.active_from;
-      }
-  | None -> ());
+  Option.iter (fun d -> Durable.add_policy d p) t.durable;
   p
 
 let remove_policy t name =
@@ -356,46 +278,11 @@ let remove_policy t name =
       List.filter (fun p -> p.Policy.name <> name) t.registered_rev
   end;
   invalidate t;
-  match t.persist with
-  | Some store when present -> Persistence.Store.log_remove_policy store name
+  match t.durable with
+  | Some d when present -> Durable.remove_policy d name
   | Some _ | None -> ()
 
-let policies t = List.rev t.registered_rev
-
 (* Offline phase (§4.4) --------------------------------------------------- *)
-
-(* Full persisted state at this instant, for checkpointing: the journaled
-   clock, the policy set as registered, and every scope relation's
-   contents. *)
-let persist_state t ~(scope : string list) : Persistence.Snapshot.state =
-  let rel_state rel =
-    let table = Database.table t.db rel in
-    let schema =
-      List.map
-        (fun (c : Schema.column) -> (c.Schema.name, c.Schema.ty))
-        (Schema.columns (Table.schema table))
-    in
-    let rows = Table.to_seq table |> Seq.map Row.cells |> List.of_seq in
-    (rel, { Persistence.Snapshot.schema; rows })
-  in
-  {
-    Persistence.Snapshot.clock = t.persist_clock;
-    policies =
-      List.rev_map
-        (fun (p : Policy.t) ->
-          {
-            Persistence.Record.name = p.Policy.name;
-            source = p.Policy.source;
-            active_from = p.Policy.active_from;
-          })
-        t.registered_rev;
-    relations = List.map rel_state (List.sort_uniq String.compare scope);
-  }
-
-let checkpoint_to t store ~scope =
-  Persistence.Store.checkpoint store (persist_state t ~scope);
-  t.persist_scope <- scope;
-  Commit.mark_durable t.commit
 
 let plan t =
   match t.plan with
@@ -410,12 +297,8 @@ let plan t =
     (* Recompute the persistence scope on every plan invalidation: a
        config or policy change can move a log relation in or out of
        [store_rels] (e.g. a policy ceasing to be TI-rewritten), and a
-       stale scope would let its tuples skip persistence. A checkpoint
-       realigns the on-disk state with the new scope atomically. *)
-    (match t.persist with
-    | Some store when p.store_rels <> t.persist_scope ->
-      checkpoint_to t store ~scope:p.store_rels
-    | Some _ | None -> ());
+       stale scope would let its tuples skip persistence. *)
+    Option.iter (fun d -> Durable.set_scope d p.store_rels) t.durable;
     p
 
 let log_size t rel = Table.row_count (Database.table t.db rel)
@@ -462,8 +345,6 @@ let with_frozen t (f : unit -> 'a) : 'a =
     List.iter Table.freeze tables;
     Fun.protect ~finally:(fun () -> List.iter Table.thaw tables) f
   end
-
-let parallel_stats t = (t.config.domains, t.par_batches, t.par_tasks)
 
 (* Online phase ------------------------------------------------------------ *)
 
@@ -781,9 +662,6 @@ let relevance_stats t : relevance_stats =
     rel_skips = Atomic.get t.rel_skips;
   }
 
-(* (hits, misses) of the shared-scan materialization cache. *)
-let shared_scan_stats t = Prepared.shared_stats t.prepared
-
 type vector_stats = {
   vec_enabled : bool;  (** this engine's configured route *)
   vec_batches : int;  (** batches materialized (scans + join outputs) *)
@@ -820,25 +698,6 @@ let vector_stats t : vector_stats =
     vec_typed_cols = typed;
     vec_mixed_cols = mixed;
     vec_dict_entries = dict_entries;
-  }
-
-type unify_stats = {
-  unify_registered : int;  (** policies as registered *)
-  unify_active : int;  (** policies after unification / rewriting *)
-  unify_groups : int;  (** unified groups *)
-  unify_members : int;  (** registered policies absorbed into groups *)
-}
-
-let unify_stats t : unify_stats =
-  let pl = plan t in
-  {
-    unify_registered = List.length t.registered_rev;
-    unify_active = List.length pl.active;
-    unify_groups = List.length pl.unified_groups;
-    unify_members =
-      List.fold_left
-        (fun n (g : Unify.group) -> n + List.length g.Unify.members)
-        0 pl.unified_groups;
   }
 
 (* The one per-policy route: the relevance index's skip (the increment
@@ -1069,12 +928,9 @@ let run_union t (sub : submission) (pool : Parallel.Pool.t option) (pl : plan)
 
 (* Accept: the commit — the preemptive generate-or-skip of the stored
    relations not generated during evaluation, then compaction
-   ({!Commit.run}) — and durability as the commit decides it: one atomic
-   WAL record of the clock advance, the expired positions and every
-   retained increment, then a checkpoint if the WAL reached its record
-   limit or an expiring commit left too much to reclaim; or a checkpoint
-   outright after log DML. Then record the delta and relevance bases the
-   committed state now satisfies. *)
+   ({!Commit.run}) — made durable as {!Durable.commit} decides. Then
+   record the delta and relevance bases the committed state now
+   satisfies. *)
 let accept t (sub : submission) (pool : Parallel.Pool.t option) (pl : plan)
     ~(now : int) ~(single_tick : bool) =
   List.iter
@@ -1092,24 +948,12 @@ let accept t (sub : submission) (pool : Parallel.Pool.t option) (pl : plan)
       ~stats:sub.stats
       ~map:{ Commit.map = (fun f xs -> fan_out t sub pool f xs) }
   in
-  (match t.persist with
-  | None -> ()
-  | Some store ->
-    Stats.timed
-      (fun d -> sub.stats.Stats.persist <- sub.stats.Stats.persist +. d)
-      (fun () ->
-        t.persist_clock <- now;
-        match c.Commit.durability with
-        | Commit.Checkpoint -> checkpoint_to t store ~scope:pl.store_rels
-        | Commit.Journal ->
-          Persistence.Store.log_commit store ~clock:now ~expired:c.Commit.expired
-            ~increments:c.Commit.retained;
-          if
-            Persistence.Store.wal_records store >= wal_checkpoint_limit
-            || c.Commit.expired <> []
-               && Persistence.Store.reclaimable_bytes store * reclaim_ratio
-                  > Persistence.Store.live_bytes store
-          then checkpoint_to t store ~scope:pl.store_rels));
+  Option.iter
+    (fun d ->
+      Stats.timed
+        (fun x -> sub.stats.Stats.persist <- sub.stats.Stats.persist +. x)
+        (fun () -> Durable.commit d ~now c))
+    t.durable;
   if t.config.delta || t.config.relevance then establish_bases t pl
 
 (* Execute an admitted user query, charging [stats.query_exec]. *)
@@ -1164,30 +1008,13 @@ type batch_submission = {
   batch_query : Ast.query;
 }
 
-type batch_stats = {
-  fast_batches : int;
-  retried_batches : int;
-  serial_batches : int;
-  batched_submissions : int;
-}
-
-let batch_stats t =
-  {
-    fast_batches = t.adm_fast;
-    retried_batches = t.adm_retried;
-    serial_batches = t.adm_ineligible;
-    batched_submissions = t.adm_submissions;
-  }
-
 let counters t : (string * string) list =
   let i = string_of_int in
   let plan_hits, plan_misses = plan_cache_stats t in
-  let domains, par_batches, par_tasks = parallel_stats t in
-  let b = batch_stats t in
+  let pl = plan t in
   let d = delta_stats t in
-  let u = unify_stats t in
   let r = relevance_stats t in
-  let shared_hits, shared_misses = shared_scan_stats t in
+  let shared_hits, shared_misses = Prepared.shared_stats t.prepared in
   let v = vector_stats t in
   let delta_marks, full_marks = Commit.marks t.commit in
   let vhist =
@@ -1198,29 +1025,31 @@ let counters t : (string * string) list =
          (Array.mapi (fun k n -> Printf.sprintf "%s:%d" labels.(k) n) v.vec_hist))
   in
   let fsyncs, wal =
-    match t.persist with
+    match t.durable with
     | None -> (0, 0)
-    | Some s -> (Persistence.Store.fsyncs s, Persistence.Store.wal_records s)
+    | Some d -> Persistence.Store.(fsyncs (Durable.store d), wal_records (Durable.store d))
   in
   [
     ("plan-cache-hits", i plan_hits);
     ("plan-cache-misses", i plan_misses);
     ("index-probes", i (Atomic.get Executor.index_probes));
-    ("parallel-domains", i domains);
-    ("parallel-batches", i par_batches);
-    ("parallel-tasks", i par_tasks);
-    ("batch-fast", i b.fast_batches);
-    ("batch-retried", i b.retried_batches);
-    ("batch-serial", i b.serial_batches);
+    ("parallel-domains", i t.config.domains);
+    ("parallel-batches", i t.par_batches);
+    ("parallel-tasks", i t.par_tasks);
+    ("batch-fast", i t.adm_fast);
+    ("batch-retried", i t.adm_retried);
+    ("batch-serial", i t.adm_ineligible);
+    ("batch-submissions", i t.adm_submissions);
     ("delta-eligible", i d.eligible_plans);
     ("delta-fallback", i d.fallback_plans);
     ("delta-bases", i d.delta_bases);
     ("delta-evals", i d.delta_evals);
     ("full-evals", i d.full_evals);
-    ("unify-registered", i u.unify_registered);
-    ("unify-active", i u.unify_active);
-    ("unify-groups", i u.unify_groups);
-    ("unify-members", i u.unify_members);
+    ("unify-registered", i (List.length t.registered_rev));
+    ("unify-active", i (List.length pl.active));
+    ("unify-groups", i (List.length pl.unified_groups));
+    ( "unify-members",
+      i (List.fold_left (fun n (g : Unify.group) -> n + List.length g.Unify.members) 0 pl.unified_groups) );
     ("relevance-indexed", i r.rel_indexed);
     ("relevance-eligible", i r.rel_eligible);
     ("relevance-checks", i r.rel_checks);
@@ -1389,31 +1218,19 @@ let submit_batch t (subs : batch_submission list) :
 
 (* Persistence ------------------------------------------------------------- *)
 
-let persist_store t = t.persist
+let persist_store t = Option.map Durable.store t.durable
 
+(* A current plan first: it brings the scope up to date. *)
 let persist_checkpoint t =
-  match t.persist with
-  | None -> ()
-  | Some store -> checkpoint_to t store ~scope:(plan t).store_rels
+  Option.iter
+    (fun d ->
+      ignore (plan t);
+      Durable.checkpoint d)
+    t.durable
 
 let close t =
-  (match t.persist with
-  | None -> ()
-  | Some store ->
-    (* Leave the live state durable: log DML no record describes takes a
-       checkpoint, and ticks no record carries (rejected submissions')
-       a clock-only record. *)
-    let now = Usage_log.current_time t.db in
-    if Commit.durable_moved t.commit then begin
-      t.persist_clock <- now;
-      checkpoint_to t store ~scope:t.persist_scope
-    end
-    else if now > t.persist_clock then begin
-      t.persist_clock <- now;
-      Persistence.Store.log_commit store ~clock:now ~expired:[] ~increments:[]
-    end;
-    Persistence.Store.close store;
-    t.persist <- None);
+  Option.iter Durable.close t.durable;
+  t.durable <- None;
   (* Join the shared evaluation domains so a long-running process (the
      policy server, the REPL) exits cleanly instead of leaking domains.
      Pools are process-wide: other engines (and this one, which stays

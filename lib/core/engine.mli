@@ -160,11 +160,6 @@ val plan_cache_stats : t -> int * int
     submission (benchmarking hook; statistics survive). *)
 val clear_plan_cache : t -> unit
 
-(** (configured domains, parallel batches dispatched, tasks executed
-    across them). Batches and tasks stay 0 at [domains = 1], and only
-    batches of two or more tasks count. *)
-val parallel_stats : t -> int * int * int
-
 (** Incremental-evaluation counters, under the current configuration. *)
 type delta_stats = {
   eligible_plans : int;
@@ -199,11 +194,6 @@ type relevance_stats = {
     check/skip counters. Forces the offline plan if stale. *)
 val relevance_stats : t -> relevance_stats
 
-(** (hits, misses) of the shared-scan materialization cache: a hit is a
-    policy plan reusing rows another plan of the same admission already
-    materialized for the same scan-plus-filter prefix. *)
-val shared_scan_stats : t -> int * int
-
 type vector_stats = {
   vec_enabled : bool;  (** this engine's configured route *)
   vec_batches : int;  (** batches materialized (scans + join outputs) *)
@@ -222,17 +212,6 @@ type vector_stats = {
     census (typed / Mixed columns, dictionary entries) walks this
     engine's columnar mirrors. *)
 val vector_stats : t -> vector_stats
-
-(** Unification shape of the current offline plan. *)
-type unify_stats = {
-  unify_registered : int;  (** policies as registered *)
-  unify_active : int;  (** policies after unification / rewriting *)
-  unify_groups : int;  (** unified groups *)
-  unify_members : int;  (** registered policies absorbed into groups *)
-}
-
-(** Forces the offline plan if stale. *)
-val unify_stats : t -> unify_stats
 
 (** Check-and-execute one query (the §4.4 online phase). [extra] is
     passed to custom log-generating functions. *)
@@ -269,26 +248,21 @@ type batch_submission = {
     execution. *)
 val submit_batch : t -> batch_submission list -> (outcome, exn) result list
 
-(** Admission-batch counters: batches decided on the fast path, fast
-    batches replayed serially after a violation, batches that went
-    straight to the serial path (ineligible or singleton), and total
-    submissions across them. *)
-type batch_stats = {
-  fast_batches : int;
-  retried_batches : int;
-  serial_batches : int;
-  batched_submissions : int;
-}
-
-val batch_stats : t -> batch_stats
-
 (** Every engine counter as [(key, value)] pairs, in a fixed order: the
     one rendering the console [:stats] and the server [STATS] reply
     share. Keys: [plan-cache-hits]/[-misses], [index-probes],
-    [parallel-domains]/[-batches]/[-tasks], [batch-fast]/[-retried]/
-    [-serial], the [delta-*] and [full-evals] counters of
-    {!delta_stats}, [unify-*], [relevance-*], [shared-scan-hits]/
-    [-misses], [partial-empty-prunes]/[-probe-prunes] (interleaved prunes
+    [parallel-domains]/[-batches]/[-tasks] (configured domains, parallel
+    batches of two or more tasks, tasks across them; 0 at
+    [domains = 1]), [batch-fast]/[-retried]/[-serial]/[-submissions]
+    (admission batches decided on the fast path, replayed serially
+    after a violation, sent straight to the serial path, and the
+    submissions across them), the [delta-*] and [full-evals] counters
+    of {!delta_stats}, [unify-registered]/[-active]/[-groups]/
+    [-members] (policies as registered, after unification, unified
+    groups, policies absorbed into them), [relevance-*],
+    [shared-scan-hits]/[-misses] (a hit is a policy plan reusing rows
+    another plan of the same admission materialized for the same
+    scan-plus-filter prefix), [partial-empty-prunes]/[-probe-prunes] (interleaved prunes
     by an empty partial policy or core, and by increment probes that all
     came back empty), [vector-*] (with [vector-hist] as space-separated
     [bound:count] pairs), [witness-delta-marks]/[-full-marks] (stored

@@ -15,10 +15,10 @@
     the positions of the rows it expired. The store keeps the sizes the
     checkpoint rule needs — the snapshot's, the WAL's (buffered records
     included) and {!live_bytes}, what a snapshot written now would take —
-    so the engine checkpoints once {!reclaimable_bytes} pass a fraction
-    of the live log, when the persistence scope changes, when a log
-    relation changed outside a commit, and when the WAL grows past a
-    length bound. *)
+    so its owner (the core library's [Durable]) checkpoints once
+    {!reclaimable_bytes} pass a fraction of the live log, when the
+    persistence scope changes, when a log relation changed outside a
+    commit, and when the WAL grows past a length bound. *)
 
 type fsync_policy = Wal.fsync_policy = Always | Interval of int | Never
 

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Repo health check: build, the test suite on the serial and the pooled
-# engine (CI runs both legs here and nowhere else), formatting (when
-# ocamlformat is available), and a persistence-bench smoke run.
+# engine, formatting (when ocamlformat is available), and the bench smoke
+# gates. CI runs all of it here and nowhere else, so a local run checks
+# exactly what CI checks.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -25,7 +26,19 @@ else
   echo "== dune build @fmt (skipped: ocamlformat not installed)"
 fi
 
-echo "== bench smoke (persist)"
+echo "== bench smoke (persist: on-disk log within 33/32 of a fresh checkpoint)"
 ./_build/default/bench/main.exe persist >/dev/null
+
+echo "== bench smoke (micro: access-path, domain-pool, delta SPJ, vectorized and typed-column gates)"
+./_build/default/bench/main.exe micro --smoke
+
+echo "== bench smoke (typedcols: >=1.5x time / >=5x minor-words over boxed mirrors)"
+./_build/default/bench/main.exe typedcols --smoke
+
+echo "== bench smoke (load: batched-admission throughput gate)"
+./_build/default/bench/main.exe load --smoke
+
+echo "== bench smoke (scale: >=10x over naive at 1k policies)"
+./_build/default/bench/main.exe scale --smoke
 
 echo "ok"

@@ -2,15 +2,13 @@
    additions, where each submission's stored increments are generated
    here and committed through [Commit.run] directly, with no policy
    evaluation (every submission of the script is accepted by the
-   engine). Per commit, the committed tids that expired, their positions,
-   the retained increment and the durability decision are pinned. The
-   tids and rows are what the engine retains and expires on the same
-   script; the positions are the expired tids' ranks in the relation
-   before the commit; every commit journals, since base DML moves no log
-   relation. Each commit's record, replayed onto the relation as it was
-   before the commit (delete the positions, append the increment), must
-   give the live relation. Log DML after the script then forces one
-   checkpoint. *)
+   engine). Per commit, the committed tids that expired, their positions
+   and the retained increment are pinned. The tids and rows are what the
+   engine retains and expires on the same script; the positions are the
+   expired tids' ranks in the relation before the commit. Each commit's
+   record, replayed onto the relation as it was before the commit
+   (delete the positions, append the increment), must give the live
+   relation. *)
 
 open Relational
 open Datalawyer
@@ -47,52 +45,52 @@ let ops =
     sub 1 "W1"; sub 1 "W1"; sub 2 "W1"; sub 1 "W1" ]
 
 (* Per commit: [rel -[expired tids]@[their positions] +[retained rows]]
-   for each log relation, then the durability decision. *)
+   for each log relation. *)
 let expected =
   [
     "1 W1 users -[]@[] +[1,1] schema -[]@[] +[] provenance -[]@[] \
-     +[1,0,d_patients,5] journal";
-    "1 W3 users -[]@[] +[2,1] schema -[]@[] +[] provenance -[]@[] +[] journal";
+     +[1,0,d_patients,5]";
+    "1 W3 users -[]@[] +[2,1] schema -[]@[] +[] provenance -[]@[] +[]";
     "1 W1 users -[]@[] +[3,1] schema -[]@[] +[] provenance -[]@[] \
-     +[3,0,d_patients,5] journal";
-    "2 W1 users -[]@[] +[4,2] schema -[]@[] +[] provenance -[]@[] +[] journal";
+     +[3,0,d_patients,5]";
+    "2 W1 users -[]@[] +[4,2] schema -[]@[] +[] provenance -[]@[] +[]";
     "1 W1 users -[]@[] +[5,1] schema -[]@[] +[] provenance -[]@[] \
-     +[5,0,d_patients,5] journal";
-    "1 W3 users -[]@[] +[6,1] schema -[]@[] +[] provenance -[]@[] +[] journal";
+     +[5,0,d_patients,5]";
+    "1 W3 users -[]@[] +[6,1] schema -[]@[] +[] provenance -[]@[] +[]";
     "1 W1 users -[]@[] +[7,1] schema -[]@[] +[] provenance -[]@[] \
-     +[7,0,d_patients,5] journal";
+     +[7,0,d_patients,5]";
     "1 W1 users -[]@[] +[8,1] schema -[]@[] +[] provenance -[]@[] \
-     +[8,0,d_patients,5] journal";
-    "2 W1 users -[1]@[1] +[9,2] schema -[]@[] +[] provenance -[]@[] +[] journal";
+     +[8,0,d_patients,5]";
+    "2 W1 users -[1]@[1] +[9,2] schema -[]@[] +[] provenance -[]@[] +[]";
     "1 W1 users -[]@[] +[10,1] schema -[]@[] +[] provenance -[]@[] \
-     +[10,0,d_patients,5] journal";
+     +[10,0,d_patients,5]";
     "dml";
-    "2 W1 users -[3]@[2] +[11,2] schema -[]@[] +[] provenance -[]@[] +[] journal";
+    "2 W1 users -[3]@[2] +[11,2] schema -[]@[] +[] provenance -[]@[] +[]";
     "1 W1 users -[0]@[0] +[12,1] schema -[]@[] +[] provenance -[0]@[0] \
-     +[12,0,d_patients,5] journal";
-    "2 W2 users -[5]@[2] +[13,2] schema -[]@[] +[] provenance -[]@[] +[] journal";
+     +[12,0,d_patients,5]";
+    "2 W2 users -[5]@[2] +[13,2] schema -[]@[] +[] provenance -[]@[] +[]";
     "add lte";
     "add bool";
     "1 W1 users -[2]@[0] +[14,1] schema -[]@[] +[] provenance -[1]@[0] \
-     +[14,0,d_patients,5] journal";
+     +[14,0,d_patients,5]";
     "2 W1 users -[]@[] +[15,2] schema -[]@[] \
-     +[15,subject_id,d_patients,subject_id,false] provenance -[]@[] +[] journal";
+     +[15,subject_id,d_patients,subject_id,false] provenance -[]@[] +[]";
     "1 W3 users -[4,8]@[0,3] +[16,1] schema -[]@[] +[] provenance -[2]@[0] \
-     +[] journal";
+     +[]";
     "2 W2 users -[]@[] +[17,2] schema -[]@[] +[17,sex,d_patients,sex,false] \
-     provenance -[]@[] +[] journal";
+     provenance -[]@[] +[]";
     "1 W1 users -[6,10]@[0,3] +[18,1] schema -[]@[] +[] provenance -[3]@[0] \
-     +[18,0,d_patients,5] journal";
+     +[18,0,d_patients,5]";
     "2 W1 users -[7]@[0] +[19,2] schema -[]@[] \
-     +[19,subject_id,d_patients,subject_id,false] provenance -[4]@[0] +[] journal";
+     +[19,subject_id,d_patients,subject_id,false] provenance -[4]@[0] +[]";
     "1 W1 users -[12]@[2] +[20,1] schema -[]@[] +[] provenance -[]@[] \
-     +[20,0,d_patients,5] journal";
+     +[20,0,d_patients,5]";
     "1 W1 users -[9]@[0] +[21,1] schema -[]@[] +[] provenance -[5]@[0] \
-     +[21,0,d_patients,5] journal";
+     +[21,0,d_patients,5]";
     "2 W1 users -[14]@[2] +[22,2] schema -[0]@[0] \
-     +[22,subject_id,d_patients,subject_id,false] provenance -[]@[] +[] journal";
+     +[22,subject_id,d_patients,subject_id,false] provenance -[]@[] +[]";
     "1 W1 users -[11,15]@[0,2] +[23,1] schema -[]@[] +[] provenance -[6]@[0] \
-     +[23,0,d_patients,5] journal";
+     +[23,0,d_patients,5]";
   ]
 
 let expected_final =
@@ -183,26 +181,12 @@ let test_commit_contract () =
               (String.concat "," (List.map string_of_int positions))
               (String.concat ";" (List.map render_row retained))
           in
-          Printf.sprintf "%d %s %s %s" uid w
-            (String.concat " " (List.map part rels))
-            (match o.Commit.durability with
-            | Commit.Journal -> "journal"
-            | Commit.Checkpoint -> "checkpoint"))
+          Printf.sprintf "%d %s %s" uid w (String.concat " " (List.map part rels)))
       ops
   in
   List.iter2 (Alcotest.(check string) "commit") expected got;
   List.iter
     (fun (rel, ts) -> Alcotest.(check (list int)) ("final " ^ rel) ts (tids db rel))
-    expected_final;
-  (* Log DML is in no record: the next commit must checkpoint, the one
-     after it journals again. *)
-  ignore (Database.exec db "DELETE FROM users WHERE uid = 2");
-  let durability () =
-    match (commit c db (Engine.plan e) ~uid:1 "SELECT 1").Commit.durability with
-    | Commit.Journal -> "journal"
-    | Commit.Checkpoint -> "checkpoint"
-  in
-  Alcotest.(check string) "after log DML" "checkpoint" (durability ());
-  Alcotest.(check string) "the commit after" "journal" (durability ())
+    expected_final
 
 let suite = [ Test_support.tc "contract pinned on a Table 2 script" test_commit_contract ]

@@ -314,7 +314,7 @@ let test_trace_pinned () =
 
 (* Fallback pins ------------------------------------------------------------ *)
 
-let counter e key = int_of_string (List.assoc key (Engine.counters e))
+let counter = Test_support.counter
 
 let dump db rel =
   List.rev

@@ -296,9 +296,8 @@ let test_unified_aggregate_evaluates_in_full () =
     ignore (Engine.add_policy engine ~name:(Printf.sprintf "q%d" i) (agg_member i))
   done;
   submit_ok engine ~uid:1 "warm-up";
-  let u = Engine.unify_stats engine in
-  Alcotest.(check int) "all members absorbed" n u.Engine.unify_members;
-  Alcotest.(check int) "one active policy" 1 u.Engine.unify_active;
+  Alcotest.(check int) "all members absorbed" n (Test_support.counter engine "unify-members");
+  Alcotest.(check int) "one active policy" 1 (Test_support.counter engine "unify-active");
   submit_ok engine ~uid:1 "second";
   submit_ok engine ~uid:7 "uid 7 first";
   submit_ok engine ~uid:7 "uid 7 second";

@@ -190,7 +190,7 @@ let test_prune_counters_table2 () =
      committed rows, so both are pruned by probe. *)
   let s = Workload.Runner.make () in
   let e = s.Workload.Runner.engine in
-  let counter k = int_of_string (List.assoc k (Engine.counters e)) in
+  let counter = Test_support.counter e in
   let prunes () = (counter "partial-empty-prunes", counter "partial-probe-prunes") in
   let got =
     List.map

@@ -828,6 +828,42 @@ let log_dml_survives ~compaction ~ending () =
   Engine.close b;
   if ending = `Submit_and_crash then Engine.close a
 
+(* The accepted submission after log DML checkpoints and journals
+   nothing; the one after it journals exactly one record. The window is
+   wide enough that neither commit expires a row. *)
+let log_dml_then_commits () =
+  let dir = temp_dir () in
+  let a = Engine.create ~persist_dir:dir ~persist_fsync:P.Store.Always (base_db ()) in
+  ignore (Engine.add_policy a ~name:"window" (window_policy ~w:200 ~max:200));
+  let store = Option.get (Engine.persist_store a) in
+  for _ = 1 to 3 do
+    submit_ok a ~uid:1 "SELECT COUNT(*) FROM person"
+  done;
+  ignore (Database.exec (Engine.database a) "DELETE FROM users WHERE ts <= 1");
+  let durable_after () =
+    let g = P.Store.generation store in
+    submit_ok a ~uid:1 "SELECT COUNT(*) FROM person";
+    (P.Store.generation store - g, P.Store.wal_records store)
+  in
+  Alcotest.(check (pair int int)) "after log DML: checkpoint, no record" (1, 0) (durable_after ());
+  Alcotest.(check (pair int int)) "the commit after: one record" (0, 1) (durable_after ());
+  Engine.close a
+
+(* DML on a log relation outside the persistence scope changes nothing
+   the store holds: close writes no checkpoint. *)
+let unstored_log_dml_then_close () =
+  let dir = temp_dir () in
+  let a = Engine.create ~persist_dir:dir ~persist_fsync:P.Store.Always (base_db ()) in
+  ignore (Engine.add_policy a ~name:"window" (window_policy ~w:200 ~max:200));
+  submit_ok a ~uid:1 "SELECT COUNT(*) FROM person";
+  Alcotest.(check bool) "schema is not stored" false
+    (List.mem "schema" (Engine.plan a).Engine.store_rels);
+  let store = Option.get (Engine.persist_store a) in
+  let g = P.Store.generation store in
+  ignore (Database.exec (Engine.database a) "DELETE FROM schema");
+  Engine.close a;
+  Alcotest.(check int) "generation after close" g (P.Store.generation store)
+
 (* The WAL cut at every byte of a final record that expires rows
    recovers the state before that commit; the whole record, the state
    after it. The window is wide enough that the commit journals
@@ -937,6 +973,8 @@ let suite =
       (log_dml_survives ~compaction:false ~ending:`Submit_and_crash);
     tc "log DML, then close (compaction on)" (log_dml_survives ~compaction:true ~ending:`Close);
     tc "log DML, then close (compaction off)" (log_dml_survives ~compaction:false ~ending:`Close);
+    tc "log DML, then two commits" log_dml_then_commits;
+    tc "unstored log DML, then close" unstored_log_dml_then_close;
     tc "WAL cut inside a final expiring record" torn_expiring_record;
     tc "a checkpoint counts its fsyncs" checkpoint_fsyncs;
   ]

@@ -581,7 +581,7 @@ let test_vec_shared_scan_rule () =
     for _ = 1 to 2 do
       ignore (Engine.submit e ~uid:1 "SELECT e.name FROM emp e WHERE e.id = 1")
     done;
-    let s = Engine.shared_scan_stats e in
+    let s = Test_support.(counter e "shared-scan-hits", counter e "shared-scan-misses") in
     Engine.close e;
     s
   in

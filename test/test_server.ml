@@ -218,11 +218,11 @@ let test_fast_path_engages () =
       Ok (Engine.Accepted _) ] ->
     ()
   | _ -> Alcotest.fail "violation-free batch must be accepted wholesale");
-  let b = Engine.batch_stats engine in
-  Alcotest.(check int) "fast" 1 b.Engine.fast_batches;
-  Alcotest.(check int) "retried" 0 b.Engine.retried_batches;
-  Alcotest.(check int) "serial" 0 b.Engine.serial_batches;
-  Alcotest.(check int) "submissions" 4 b.Engine.batched_submissions;
+  let counter = Test_support.counter engine in
+  Alcotest.(check int) "fast" 1 (counter "batch-fast");
+  Alcotest.(check int) "retried" 0 (counter "batch-retried");
+  Alcotest.(check int) "serial" 0 (counter "batch-serial");
+  Alcotest.(check int) "submissions" 4 (counter "batch-submissions");
   Engine.close engine
 
 let test_violating_batch_retries_serially () =
@@ -244,8 +244,7 @@ let test_violating_batch_retries_serially () =
       Ok (Engine.Accepted _) ] ->
     Alcotest.(check string) "message" "uid 2 blocked" m
   | _ -> Alcotest.fail "only uid 2 must be rejected");
-  let b = Engine.batch_stats engine in
-  Alcotest.(check int) "retried" 1 b.Engine.retried_batches;
+  Alcotest.(check int) "retried" 1 (Test_support.counter engine "batch-retried");
   Engine.close engine
 
 let verdict = function
@@ -275,9 +274,9 @@ let test_ineligible_policy_goes_serial () =
       in
       let engine = make_engine ~policies:[ policy ] () in
       let batched = List.map verdict (Engine.submit_batch engine subs) in
-      let b = Engine.batch_stats engine in
-      Alcotest.(check int) (policy ^ ": fast") 0 b.Engine.fast_batches;
-      Alcotest.(check int) (policy ^ ": serial") 1 b.Engine.serial_batches;
+      let counter = Test_support.counter engine in
+      Alcotest.(check int) (policy ^ ": fast") 0 (counter "batch-fast");
+      Alcotest.(check int) (policy ^ ": serial") 1 (counter "batch-serial");
       Engine.close engine;
       let engine = make_engine ~policies:[ policy ] () in
       let serial =

@@ -57,6 +57,9 @@ let temp_dir =
     (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
     dir
 
+(* One of [Engine.counters]'s values, as an int. *)
+let counter e key = int_of_string (List.assoc key (Datalawyer.Engine.counters e))
+
 (* Remove a flat directory made by [temp_dir]. *)
 let remove_dir dir =
   Sys.readdir dir |> Array.iter (fun f -> Sys.remove (Filename.concat dir f));

@@ -41,11 +41,11 @@ let test_unification_groups_form () =
     (fun (name, sql) -> ignore (Engine.add_policy engine ~name sql))
     (Templates.per_user ~name_prefix:"noacc" ~uids:(List.init 50 (fun i -> i + 1))
        (fun ~subject -> Templates.no_access ~relation:"data" ~subject ()));
-  let u = Engine.unify_stats engine in
-  Alcotest.(check int) "registered" 50 u.Engine.unify_registered;
-  Alcotest.(check int) "one group" 1 u.Engine.unify_groups;
-  Alcotest.(check int) "all members absorbed" 50 u.Engine.unify_members;
-  Alcotest.(check int) "one active policy" 1 u.Engine.unify_active;
+  let counter = Test_support.counter engine in
+  Alcotest.(check int) "registered" 50 (counter "unify-registered");
+  Alcotest.(check int) "one group" 1 (counter "unify-groups");
+  Alcotest.(check int) "all members absorbed" 50 (counter "unify-members");
+  Alcotest.(check int) "one active policy" 1 (counter "unify-active");
   (match Engine.submit engine ~uid:7 "SELECT v FROM data WHERE k = 1" with
   | Engine.Rejected ([ m ], _) ->
     Alcotest.(check string) "member message" "data is off-limits" m
@@ -181,7 +181,7 @@ let test_shared_scans_hit () =
           p.irid = 'never'");
     ignore (Engine.submit engine ~uid:1 "SELECT v FROM data WHERE k = 1");
     ignore (Engine.submit engine ~uid:1 "SELECT v FROM data WHERE k = 1");
-    Engine.shared_scan_stats engine
+    Test_support.(counter engine "shared-scan-hits", counter engine "shared-scan-misses")
   in
   (* Exact counts on this fixed script pin which plans share. With
      improved partial policies every check here is decided by increment
