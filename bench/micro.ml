@@ -178,10 +178,10 @@ let warm_submit engine =
 (* Domain pool: N expensive policies (nested-loop self-joins over a
    preloaded users log, accepted thanks to huge HAVING thresholds)
    checked per submission, serial vs pooled — the ISSUE 4 acceptance
-   measurement. The >= 1.3x floor at 4 domains asserts only where the
-   host can actually run domains in parallel (CI's multi-core runners);
-   on a single-core host the pooled run cannot win and the gate is
-   skipped with a notice. *)
+   measurement. The >= 1.3x floor asserts at min(4, cores) domains, so
+   a 2-core host is gated at 2 domains rather than at 4 domains
+   oversubscribing its cores; on a single-core host the pooled run
+   cannot win and the gate is skipped with a notice. *)
 let parallel_case () =
   Common.header "Domain pool: per-submission policy fan-out, serial vs pooled";
   let open Relational in
@@ -229,20 +229,23 @@ let parallel_case () =
   let serial, _, _ = run_with ~domains:1 in
   Printf.printf "%d policies x %d log rows, serial: %.1f ms/submission\n"
     n_policies n_log_rows (serial *. 1000.);
-  let speedup4 = ref 0. in
-  List.iter
-    (fun domains ->
-      let pooled, batches, tasks = run_with ~domains in
-      let sp = serial /. pooled in
-      if domains = 4 then speedup4 := sp;
-      Printf.printf
-        "  %d domains: %.1f ms/submission (%.2fx, %d batches, %d tasks)\n"
-        domains (pooled *. 1000.) sp batches tasks)
-    [ 2; 4 ];
-  if Domain.recommended_domain_count () >= 2 then begin
-    if !speedup4 < 1.3 then begin
-      Printf.printf
-        "FAIL: 4-domain speedup %.2fx is below the 1.3x floor\n" !speedup4;
+  let gated = min 4 (Domain.recommended_domain_count ()) in
+  let speedups =
+    List.map
+      (fun domains ->
+        let pooled, batches, tasks = run_with ~domains in
+        let sp = serial /. pooled in
+        Printf.printf
+          "  %d domains: %.1f ms/submission (%.2fx, %d batches, %d tasks)\n"
+          domains (pooled *. 1000.) sp batches tasks;
+        (domains, sp))
+      (List.sort_uniq compare [ 2; 4; max 2 gated ])
+  in
+  if gated >= 2 then begin
+    let sp = List.assoc gated speedups in
+    if sp < 1.3 then begin
+      Printf.printf "FAIL: %d-domain speedup %.2fx is below the 1.3x floor\n"
+        gated sp;
       exit 1
     end
   end

@@ -18,16 +18,20 @@ type t = {
           the end of the last commit; [None] until a commit compacts *)
   mutable delta_marks : int;  (** relations marked from their increment *)
   mutable full_marks : int;  (** relations marked over the whole log *)
+  mutable preemptive_skips : int;  (** stored relations committed ungenerated *)
 }
 
 let create db prepared =
-  { db; prepared; deadlines = Hashtbl.create 4; mark_basis = None; delta_marks = 0; full_marks = 0 }
+  { db; prepared; deadlines = Hashtbl.create 4; mark_basis = None; delta_marks = 0; full_marks = 0;
+    preemptive_skips = 0 }
 
 let reset t =
   Hashtbl.reset t.deadlines;
   t.mark_basis <- None
 
 let marks t = (t.delta_marks, t.full_marks)
+
+let preemptive_skips t = t.preemptive_skips
 
 (* §4.3 preemptive log compaction: before generating relation [rel] just
    for storage, test whether its witnesses could possibly retain any tuple
@@ -99,11 +103,12 @@ let track_src = { Executor.lineage = false; track_src = true }
    while the basis holds. So the deadlines seeded by a full mark stay
    exact, and a later commit only marks its increment
    ({!Witness.at_clock_tick}) and deletes the committed tuples whose
-   deadline has come. The full mark runs instead for a relation without recorded deadlines (new or
-   recovered engine, new plan, a relation skipped at the last full mark),
-   after the basis moved (base DML, DDL, log DML), for a relation with a
-   Lemma 4.2 witness (its representatives can change), and for a batch
-   ([single_tick = false]), whose increment spans several ticks. *)
+   deadline has come (a relation skipped preemptively only expires). The
+   full mark runs instead for a relation without recorded deadlines (new
+   or recovered engine, new plan), after the basis moved (base DML, DDL,
+   log DML), for a relation with a Lemma 4.2 witness (its
+   representatives can change), and for a batch ([single_tick = false]),
+   whose increment spans several ticks. *)
 let run t (pl : Offline.t) ~compaction ~generated ~floors ~(now : int)
     ~(single_tick : bool) ~(stats : Stats.t) ~map : outcome =
   (* Per-relation rows retained and committed rows expired this commit:
@@ -137,18 +142,19 @@ let run t (pl : Offline.t) ~compaction ~generated ~floors ~(now : int)
         in
         if not incremental then Hashtbl.reset t.deadlines;
         let marks =
-          List.filter_map
+          List.map
             (fun rel ->
-              if not (Hashtbl.mem generated rel) then None
-              else if not compaction then Some (rel, Keep)
+              if not (Hashtbl.mem generated rel) then
+                t.preemptive_skips <- t.preemptive_skips + 1;
+              if not compaction then (rel, Keep)
               else
                 match List.assoc rel pl.Offline.witnesses with
-                | Witness.Keep_all -> Some (rel, Keep)
+                | Witness.Keep_all -> (rel, Keep)
                 | Witness.Queries queries ->
                   let full = not (Hashtbl.mem t.deadlines rel) in
                   if full then t.full_marks <- t.full_marks + 1
                   else t.delta_marks <- t.delta_marks + 1;
-                  Some (rel, Mark { full; queries }))
+                  (rel, Mark { full; queries }))
             pl.Offline.store_rels
         in
         (* Every witness query is one [map] task; results fold in input

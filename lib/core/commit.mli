@@ -21,6 +21,10 @@ val reset : t -> unit
     count per relation per commit. *)
 val marks : t -> int * int
 
+(** Stored relations committed without an increment because
+    {!preemptively_empty} held, one count per relation per commit. *)
+val preemptive_skips : t -> int
+
 (** §4.3 preemptive compaction: no witness of stored relation [rel] can
     keep a tuple of its would-be increment, as monotone probes over the
     relations already in [generated] show. *)
@@ -40,11 +44,13 @@ type outcome = {
 type map = { map : 'a 'b. (Stats.t -> 'a -> 'b) -> 'a list -> 'b list }
 
 (** Commit the increments whose savepoints [generated] holds ([floors]:
-    first tentative tids). A stored relation absent from [generated] was
-    skipped preemptively; the others keep their retained increment (all
-    of it without [compaction] or under [Keep_all]); every other
-    relation in [generated] is rolled back, and [generated] is emptied.
-    A batch ([single_tick = false]) marks in full. *)
+    first tentative tids). Every stored relation is marked, and keeps
+    its retained increment (all of it without [compaction] or under
+    [Keep_all]); one absent from [generated] was skipped preemptively,
+    so its increment is empty, but its committed tuples still expire at
+    their deadlines. Every other relation in [generated] is rolled back,
+    and [generated] is emptied. A batch ([single_tick = false]) marks in
+    full. *)
 val run :
   t ->
   Offline.t ->

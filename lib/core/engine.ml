@@ -774,37 +774,30 @@ let run_interleaved t (sub : submission) (pool : Parallel.Pool.t option)
   in
   let gens = List.filter (fun g -> List.mem (lc g.Usage_log.relation) needed) t.generators in
   let remaining = ref pl.inter in
-  let available = ref [] in
   let prune counter =
     Atomic.incr counter;
     false
   in
   List.iter
     (fun g ->
-      let rel = lc g.Usage_log.relation in
-      (* Retained relations are generated even after every policy has
-         been pruned: their increment must reach the committed log
-         whether or not checking still needs it — and pruning speed
-         (which the relevance index changes) must never leak into the
-         log's contents. *)
-      if !remaining <> [] || List.mem rel pl.store_rels then begin
-        gen_rel t sub rel;
-        available := rel :: !available
-      end;
+      (* A stored relation left ungenerated once every policy is pruned
+         is {!accept}'s to generate or skip. *)
       if !remaining <> [] then begin
+        gen_rel t sub (lc g.Usage_log.relation);
+        let available = Hashtbl.fold (fun r _ acc -> r :: acc) sub.generated [] in
         (* One partial-policy check per remaining policy: independent
-           read-only queries over the logs generated so far (the
-           increment for [rel] is already appended), one {!fan_out}
+           read-only queries over the logs generated so far (this
+           generator's increment is already appended), one {!fan_out}
            task each; the filter keeps input order. *)
         let keep stats p =
           let partial () =
-            Partial.of_query ~is_log ~available:!available p.Policy.query
+            Partial.of_query ~is_log ~available p.Policy.query
           in
           (* The relevance index first: the slots restricted to the
              relations generated so far, whose deltas are final. A
              skipped policy is proved to hold outright — no partial
              check now, no full evaluation later. *)
-          if irrelevant ~available:!available t pl p then false
+          if irrelevant ~available t pl p then false
           else if not p.Policy.interleavable then
             (* Admitted via core-prunability: the monotone HAVING-stripped
                core instead of πS (empty core ⇒ π empty). *)
@@ -814,7 +807,7 @@ let run_interleaved t (sub : submission) (pool : Parallel.Pool.t option)
             (* Once every log relation is available, πS is the policy
                itself, and a delta verdict decides its emptiness. *)
             let covered =
-              List.for_all (fun r -> List.mem r !available) p.Policy.log_rels
+              List.for_all (fun r -> List.mem r available) p.Policy.log_rels
             in
             match if covered then delta_try t ~stats p else None with
             | Some None -> prune t.empty_prunes
@@ -926,11 +919,11 @@ let run_union t (sub : submission) (pool : Parallel.Pool.t option) (pl : plan)
 
 (* Submission -------------------------------------------------------------- *)
 
-(* Accept: the commit — the preemptive generate-or-skip of the stored
-   relations not generated during evaluation, then compaction
-   ({!Commit.run}) — made durable as {!Durable.commit} decides. Then
-   record the delta and relevance bases the committed state now
-   satisfies. *)
+(* Accept: the commit — §4.3's generate-or-skip of every stored
+   relation that checking did not generate, then compaction
+   ({!Commit.run}), which marks skipped ones too — made durable as
+   {!Durable.commit} decides. Then record the delta and relevance bases
+   the committed state now satisfies. *)
 let accept t (sub : submission) (pool : Parallel.Pool.t option) (pl : plan)
     ~(now : int) ~(single_tick : bool) =
   List.iter
@@ -1068,6 +1061,7 @@ let counters t : (string * string) list =
     ("vector-dict-entries", i v.vec_dict_entries);
     ("witness-delta-marks", i delta_marks);
     ("witness-full-marks", i full_marks);
+    ("witness-preemptive-skips", i (Commit.preemptive_skips t.commit));
     ("group-commit-fsyncs", i fsyncs);
     ("wal-records", i wal);
   ]

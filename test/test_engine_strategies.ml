@@ -211,11 +211,10 @@ let test_prune_counters_table2 () =
 
 (* A witness that can never keep uid 2's provenance (its uid = 1 filter)
    leaves no row of that increment in the log, with the §4.3 preemptive
-   check on or off. The check itself is not reached here: every strategy
-   generates each stored relation before the commit, so the commit's
-   preemptive skip sees no ungenerated relation until the interleaved
-   loop stops generating stored relations once every policy is pruned
-   (ROADMAP, "preemptive compaction that actually skips generation"). *)
+   check on or off. With it on, the interleaved loop prunes the policy
+   on [users] alone, and the commit's probe then skips generating
+   [provenance]; with it off, provenance is generated and compaction
+   drops it. *)
 let test_unwitnessed_increment_leaves_no_row () =
   List.iter
     (fun preemptive ->
@@ -235,7 +234,11 @@ let test_unwitnessed_increment_leaves_no_row () =
       Alcotest.(check int)
         (Printf.sprintf "no provenance row kept (preemptive = %b)" preemptive)
         0
-        (Engine.log_size e "provenance"))
+        (Engine.log_size e "provenance");
+      let skips = counter e "witness-preemptive-skips" in
+      if preemptive then
+        Alcotest.(check bool) "provenance skipped preemptively" true (skips > 0)
+      else Alcotest.(check int) "no preemptive skip" 0 skips)
     [ true; false ]
 
 let test_invalid_query_leaves_engine_usable () =

@@ -2,17 +2,18 @@
    by two properties.
 
    A script draws the paper-level settings (strategy, TI rewriting,
-   compaction, preemptive compaction, improved partial policies,
-   persistence, initial policies) and a stream of operations:
+   compaction, improved partial policies, persistence, initial
+   policies) and a stream of operations:
    submissions, admission batches, policy registration and removal,
    DDL, DML on base and log relations, restarts and checkpoints of the
    persisted store, and mid-stream flips of one optimization layer.
 
    - Layer identity (every script): with the paper-level settings
-     fixed, turning the post-paper layers on — unification, delta,
-     relevance, shared scans, the vectorized executor, the domain pool
-     and the batch fast path — changes no outcome, message, result row,
-     DDL/DML outcome or final log row. The layered run also agrees with
+     fixed, turning the optimization layers on — §4.3's preemptive
+     compaction and the post-paper unification, delta, relevance,
+     shared scans, the vectorized executor, the domain pool and the
+     batch fast path — changes no outcome, message, result row, DDL/DML
+     outcome or final log row. The layered run also agrees with
      itself at the other domain count, policy-call counts included.
    - Eq. 1 (scripts without DML): the layered run decides every
      submission exactly as the literal reference — NoOpt (Algorithm 1:
@@ -48,9 +49,15 @@ let per_uid uid =
    window templates (they join the clock, so never take a delta
    branch), unification (the per-uid family and the two quotas), the
    relevance index (plain-table joins it must guard), the batch fast
-   path (the clock-free SPJ ones) and its fallback, and the shapes
+   path (the clock-free SPJ ones) and its fallback, the shapes
    footnote 7 must restrict below the top level (a UNION and a FROM
-   subquery). *)
+   subquery), and a join across ticks, which the interleaved loop prunes
+   before [provenance] while its witness still keeps that increment's
+   tid-2 rows (the preemptive probe must generate them). That join has a
+   HAVING, so Lemma 4.1 keeps every witnessed row: its Boolean form
+   keeps one row per Lemma 4.2 key, and unification lifts the
+   registration-tick bound into that key, so the kept rows differ with
+   unification on and off (ROADMAP, keyed witnesses). *)
 let templates =
   [|
     ("blocked", "SELECT DISTINCT 'uid 2 blocked' FROM users u WHERE u.uid = 2");
@@ -97,6 +104,10 @@ let templates =
     ( "subquery",
       "SELECT DISTINCT 'uid 2 seen' FROM (SELECT uid FROM users) x WHERE x.uid \
        = 2" );
+    ( "cross-tick",
+      "SELECT DISTINCT 'uid 2 after tid 2 twice' FROM users u, provenance p \
+       WHERE u.uid = 2 AND p.irid = 'data' AND p.itid = 2 HAVING COUNT(DISTINCT \
+       p.ts) > 1" );
   |]
 
 let template name = List.assoc name (Array.to_list templates)
@@ -137,10 +148,11 @@ let fresh_db () =
 
 (* Scripts ------------------------------------------------------------------ *)
 
-(* The post-paper layers: each must leave every verdict unchanged. *)
-type layer = Unification | Delta | Relevance | Shared_scans | Vectorized
+(* The optimization layers: each must leave every verdict and log
+   unchanged. *)
+type layer = Preemptive | Unification | Delta | Relevance | Shared_scans | Vectorized
 
-let all_layers = [ Unification; Delta; Relevance; Shared_scans; Vectorized ]
+let all_layers = [ Preemptive; Unification; Delta; Relevance; Shared_scans; Vectorized ]
 
 type op =
   | Submit of int * int  (** uid, query index *)
@@ -157,7 +169,6 @@ type script = {
   strategy : Engine.strategy;
   ti : bool;
   compaction : bool;
-  preemptive : bool;
   improved_partial : bool;
   persist : bool;
   initial : int list;  (** templates registered before the stream *)
@@ -172,12 +183,12 @@ let paper_config s =
     Engine.strategy = s.strategy;
     time_independent = s.ti;
     log_compaction = s.compaction;
-    preemptive = s.preemptive;
     improved_partial = s.improved_partial;
   }
 
 let set_layer layer on (c : Engine.config) =
   match layer with
+  | Preemptive -> { c with Engine.preemptive = on }
   | Unification -> { c with Engine.unification = on }
   | Delta -> { c with Engine.delta = on }
   | Relevance -> { c with Engine.relevance = on }
@@ -186,6 +197,7 @@ let set_layer layer on (c : Engine.config) =
 
 let layer_on layer (c : Engine.config) =
   match layer with
+  | Preemptive -> c.Engine.preemptive
   | Unification -> c.Engine.unification
   | Delta -> c.Engine.delta
   | Relevance -> c.Engine.relevance
@@ -426,7 +438,6 @@ let script_gen ~dml : script QCheck.Gen.t =
   let* strategy = oneofl [ Engine.Union_all; Engine.Serial; Engine.Interleaved ] in
   let* ti = bool in
   let* compaction = bool in
-  let* preemptive = bool in
   let* improved_partial = bool in
   (* persisted runs cost several in-memory ones; keep them a minority *)
   let* persist = frequency [ (4, return false); (1, return true) ] in
@@ -455,7 +466,6 @@ let script_gen ~dml : script QCheck.Gen.t =
     strategy;
     ti;
     compaction;
-    preemptive;
     improved_partial;
     persist;
     initial;
@@ -465,6 +475,7 @@ let script_gen ~dml : script QCheck.Gen.t =
   }
 
 let layer_name = function
+  | Preemptive -> "preemptive"
   | Unification -> "unify"
   | Delta -> "delta"
   | Relevance -> "relevance"
@@ -473,13 +484,13 @@ let layer_name = function
 
 let print_script s =
   Printf.sprintf
-    "strategy=%s ti=%b comp=%b pre=%b ip=%b persist=%b initial=[%s] \
+    "strategy=%s ti=%b comp=%b ip=%b persist=%b initial=[%s] \
      layers=[%s] domains=%d ops=[%s]"
     (match s.strategy with
     | Engine.Union_all -> "union"
     | Engine.Serial -> "serial"
     | Engine.Interleaved -> "interleaved")
-    s.ti s.compaction s.preemptive s.improved_partial s.persist
+    s.ti s.compaction s.improved_partial s.persist
     (String.concat ";" (List.map (fun i -> fst templates.(i)) s.initial))
     (String.concat ";" (List.map layer_name s.layers))
     s.domains
