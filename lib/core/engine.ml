@@ -119,7 +119,7 @@ type t = {
       (** interleaved prunes of a policy whose partial policy (or core)
           was empty *)
   probe_prunes : int Atomic.t;
-      (** interleaved prunes of a policy whose increment probes were all
+      (** interleaved prunes of a policy whose tick-pinned probe was
           empty (§4.3 improved partial policies) *)
   delta_store : Incremental.Delta_store.t;
       (** per-policy emptiness bases for incremental evaluation; written
@@ -731,7 +731,9 @@ let eval_full t (sub : submission) (pool : Parallel.Pool.t option) (pl : plan)
 (* §4.3's gate for improved partial policies: the policy is one SELECT
    whose log aliases share one [ts] equivalence class. A result row of π
    that draws on any increment then has every log slot at the clock's
-   tick, so its image in πS draws on the increments generated so far. *)
+   tick, so its image in πS draws on the increments generated so far.
+   Every binding of πS has its log slots at one tick too, so pinning all
+   of them ({!Partial.at_tick}) tests the same as pinning any one. *)
 let ts_joined ~is_log (p : Policy.t) : bool =
   match p.Policy.query with
   | Ast.Union _ -> false
@@ -754,8 +756,8 @@ let probe_observer :
     ref =
   ref None
 
-(* Whether one increment probe ({!Partial.increment_probes}) returns a
-   row, charged as a policy evaluation. Through the clock-eliminated
+(* Whether a tick-pinned probe ({!Partial.at_tick}) returns a row,
+   charged as a policy evaluation. Through the clock-eliminated
    plan the pin is a [ts]-index probe, whatever the log's size. *)
 let probe_hits t ~(stats : Stats.t) (q : Ast.select) : bool =
   Stats.timed
@@ -783,21 +785,28 @@ let run_interleaved t (sub : submission) (pool : Parallel.Pool.t option)
       (* A stored relation left ungenerated once every policy is pruned
          is {!accept}'s to generate or skip. *)
       if !remaining <> [] then begin
-        gen_rel t sub (lc g.Usage_log.relation);
+        let rel = lc g.Usage_log.relation in
+        gen_rel t sub rel;
         let available = Hashtbl.fold (fun r _ acc -> r :: acc) sub.generated [] in
-        (* One partial-policy check per remaining policy: independent
-           read-only queries over the logs generated so far (this
-           generator's increment is already appended), one {!fan_out}
-           task each; the filter keeps input order. *)
+        (* One partial-policy check per remaining policy that reads
+           [rel]: independent read-only queries over the logs generated
+           so far (this generator's increment is already appended), one
+           {!fan_out} task each; the filter keeps input order. *)
         let keep stats p =
           let partial () =
             Partial.of_query ~is_log ~available p.Policy.query
           in
+          (* Checked only at a stage that generated one of its own log
+             relations. At any other stage its relevance verdict, πS and
+             probe are the queries of its last check over the same rows,
+             and that check kept it; before its first relation, πS is
+             log-free, and no increment can change it. *)
+          if not (List.mem rel p.Policy.log_rels) then true
           (* The relevance index first: the slots restricted to the
              relations generated so far, whose deltas are final. A
              skipped policy is proved to hold outright — no partial
              check now, no full evaluation later. *)
-          if irrelevant ~available t pl p then false
+          else if irrelevant ~available t pl p then false
           else if not p.Policy.interleavable then
             (* Admitted via core-prunability: the monotone HAVING-stripped
                core instead of πS (empty core ⇒ π empty). *)
@@ -811,26 +820,29 @@ let run_interleaved t (sub : submission) (pool : Parallel.Pool.t option)
             in
             match if covered then delta_try t ~stats p else None with
             | Some None -> prune t.empty_prunes
-            | verdict ->
+            | verdict -> (
               let pq = partial () in
               let nonempty () =
                 Option.is_some verdict || eval_query t ~stats pq <> None
               in
               (* §4.3: a non-empty πS still prunes π unless it draws on
-                 the increment. A probe hit implies an SPJ πS is
-                 non-empty, so only a grouped πS runs unpinned too. *)
-              let probes, grouped =
+                 the increment, which its tick-pinned core tests. A probe
+                 hit implies an SPJ πS is non-empty, so only a grouped πS
+                 runs unpinned too. *)
+              let probe =
                 match pq with
                 | Ast.Select s when t.config.improved_partial && ts_joined ~is_log p ->
-                  (Partial.increment_probes ~is_log s, s.Ast.having <> None)
-                | Ast.Select _ | Ast.Union _ -> ([], false)
+                  Option.map
+                    (fun probe -> (probe, s.Ast.having <> None))
+                    (Partial.at_tick ~is_log ~available { s with Ast.having = None })
+                | Ast.Select _ | Ast.Union _ -> None
               in
-              if probes = [] then nonempty () || prune t.empty_prunes
-              else begin
+              match probe with
+              | None -> nonempty () || prune t.empty_prunes
+              | Some (probe, grouped) ->
                 let kept =
                   if grouped && not (nonempty ()) then prune t.empty_prunes
-                  else
-                    List.exists (probe_hits t ~stats) probes || prune t.probe_prunes
+                  else probe_hits t ~stats probe || prune t.probe_prunes
                 in
                 Option.iter
                   (fun observe ->
@@ -838,8 +850,7 @@ let run_interleaved t (sub : submission) (pool : Parallel.Pool.t option)
                       ~floors:(List.of_seq (Hashtbl.to_seq sub.increment_floor))
                       ~kept)
                   !probe_observer;
-                kept
-              end
+                kept)
         in
         remaining :=
           List.filter_map Fun.id

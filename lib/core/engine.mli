@@ -263,7 +263,7 @@ val submit_batch : t -> batch_submission list -> (outcome, exn) result list
     [shared-scan-hits]/[-misses] (a hit is a policy plan reusing rows
     another plan of the same admission materialized for the same
     scan-plus-filter prefix), [partial-empty-prunes]/[-probe-prunes] (interleaved prunes
-    by an empty partial policy or core, and by increment probes that all
+    by an empty partial policy or core, and by a tick-pinned probe that
     came back empty), [vector-*] (with [vector-hist] as space-separated
     [bound:count] pairs), [witness-delta-marks]/[-full-marks] (stored
     relations compacted from their increment / over the whole log, one
@@ -273,7 +273,7 @@ val submit_batch : t -> batch_submission list -> (outcome, exn) result list
 val counters : t -> (string * string) list
 
 (** Test hook: when set, called after each interleaved decision made by
-    increment probes (§4.3 improved partial policies) with the engine's
+    a tick-pinned probe (§4.3 improved partial policies) with the engine's
     database, the partial policy πS, the submission's increment floors
     (relation, first tentative tid) and whether the policy was kept.
     Runs inside pool tasks, over frozen tables. *)

@@ -137,41 +137,40 @@ let strip_having (q : Ast.query) : Ast.query =
   in
   go q
 
-(* §4.3 improved partial policies ask whether πS's result draws on the
-   tentative increment at all. Every increment row is stamped with the
-   clock's tick and every committed row is older, so a binding touches
-   the increment iff some log slot's [ts] equals the clock's: one probe
-   per top-level log slot, each πS with HAVING dropped (a probe tests
-   for a binding, not a group) plus that pin. πS's own clock alias is
-   reused, or one is added. *)
-let increment_probes ~(is_log : string -> bool) (s : Ast.select) :
-    Ast.select list =
+(* A FROM alias for the clock relation that no item of [s] uses. *)
+let fresh_clock_alias (s : Ast.select) =
+  let taken = List.map (fun fi -> lc (Ast.from_item_alias fi)) s.Ast.from in
+  let rec pick k =
+    let a = if k = 0 then "dl_clock" else Printf.sprintf "dl_clock%d" k in
+    if List.mem a taken then pick (k + 1) else a
+  in
+  pick 0
+
+(* §4.3's tick-pinned probe. Every increment row is stamped with the
+   clock's tick and every committed row is older, so pinning each
+   remaining log slot's [ts] to the clock's keeps exactly the bindings
+   drawn from the increments. [s]'s clock alias is reused, or one is
+   added. *)
+let at_tick ~(is_log : string -> bool) ~(available : string list)
+    (s : Ast.select) : Ast.select option =
+  let s = of_select ~is_log ~available s in
   let occs = Analysis.table_occurrences s in
   let clock_rel = Usage_log.clock_relation in
   let clock, from =
     match List.find_opt (fun (_, rel) -> rel = clock_rel) occs with
     | Some (alias, _) -> (alias, s.from)
     | None ->
-      let taken = List.map (fun fi -> lc (Ast.from_item_alias fi)) s.from in
-      let rec fresh k =
-        let a = Printf.sprintf "dl_clock%d" k in
-        if List.mem a taken then fresh (k + 1) else a
-      in
-      let alias = fresh 0 in
+      let alias = fresh_clock_alias s in
       (alias, s.from @ [ Ast.From_table { name = clock_rel; alias = Some alias } ])
   in
-  let ts a = Ast.Col (Some a, Usage_log.time_column) in
-  List.filter_map
-    (fun (alias, rel) ->
-      if not (is_log rel) then None
-      else
-        Some
-          {
-            s with
-            Ast.from;
-            where =
-              Ast.conjoin
-                (Ast.conjuncts_opt s.where @ [ Ast.Binop (Ast.Eq, ts alias, ts clock) ]);
-            having = None;
-          })
-    occs
+  match from with
+  | [ _clock ] -> None
+  | _ ->
+    let ts a = Ast.Col (Some a, Usage_log.time_column) in
+    let pins =
+      List.filter_map
+        (fun (alias, rel) ->
+          if is_log rel then Some (Ast.Binop (Ast.Eq, ts alias, ts clock)) else None)
+        occs
+    in
+    Some { s with from; where = Ast.conjoin (Ast.conjuncts_opt s.where @ pins) }

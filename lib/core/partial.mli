@@ -23,10 +23,17 @@ val of_query :
     non-monotone (but grouped) policies. *)
 val strip_having : Ast.query -> Ast.query
 
-(** The increment probes of a partial policy πS (§4.3): one per
-    top-level log slot, each πS without HAVING plus the conjunct pinning
-    that slot's [ts] to the clock's (πS's clock alias, or an added one).
+(** A FROM alias for the clock relation that no item of the select uses. *)
+val fresh_clock_alias : Ast.select -> string
+
+(** §4.3's tick-pinned probe: [s] restricted ({!of_select}) to the
+    [available] log relations, with every remaining log slot's [ts]
+    pinned to the clock's ([s]'s clock alias, or an added one).
     Increment rows carry the clock's tick and committed rows are older,
-    so some probe is non-empty iff a binding of πS's FROM list and WHERE
-    draws on the increment. [[]] when πS has no log slot. *)
-val increment_probes : is_log:(string -> bool) -> Ast.select -> Ast.select list
+    so the probe keeps exactly the bindings whose log slots all lie in
+    the increments. When [s]'s log slots share one [ts] equivalence
+    class, every binding has them all at one tick, so the probe is
+    non-empty iff some binding draws on an increment at all. [None] when
+    only the clock is left. *)
+val at_tick :
+  is_log:(string -> bool) -> available:string list -> Ast.select -> Ast.select option

@@ -230,16 +230,6 @@ let with_query ~is_log (p : t) (query : Ast.query) : t =
     time_independent = time_independent ~is_log query;
   }
 
-(* Evaluate the policy: [None] when satisfied, [Some message] otherwise. *)
-let check (db : Database.t) (p : t) : string option =
-  let result = Database.query_ast db p.query in
-  match result.Executor.out_rows with
-  | [] -> None
-  | row :: _ -> (
-    match row.Executor.values with
-    | [| Value.Str m |] -> Some m
-    | _ -> Some p.message)
-
 let pp ppf (p : t) =
   Format.fprintf ppf "%s [%s%s%s]: %s" p.name
     (if p.monotone then "monotone" else "non-monotone")

@@ -56,7 +56,4 @@ val create :
 (** Replace a policy's query, re-running classification. *)
 val with_query : is_log:(string -> bool) -> t -> Ast.query -> t
 
-(** Evaluate directly: [None] when satisfied, [Some message] otherwise. *)
-val check : Database.t -> t -> string option
-
 val pp : Format.formatter -> t -> unit

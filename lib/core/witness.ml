@@ -127,15 +127,6 @@ let deadline (b : bound) (v : Value.t) : int =
 
 (* Witnesses for one SELECT ------------------------------------------------ *)
 
-(* A FROM alias for the clock relation that no item of [s] uses. *)
-let fresh_clock_alias (s : Ast.select) =
-  let taken = List.map (fun fi -> lc (Ast.from_item_alias fi)) s.Ast.from in
-  let rec pick k =
-    let a = if k = 0 then "dl_clock" else Printf.sprintf "dl_clock%d" k in
-    if List.mem a taken then pick (k + 1) else a
-  in
-  pick 0
-
 (* Compute, for every log relation occurring in [s], its witness queries.
    Returns an association list keyed by (lowercased) log relation name. *)
 let for_select ~(is_log : string -> bool) (s : Ast.select) : (string * t) list =
@@ -222,7 +213,7 @@ let for_select ~(is_log : string -> bool) (s : Ast.select) : (string * t) list =
           s.from
       in
       let boolean = s.having = None && s.group_by = [] in
-      let clock = fresh_clock_alias s in
+      let clock = Partial.fresh_clock_alias s in
       let witness_for (target_alias, _rel) : query =
         let kept_aliases =
           target_alias
@@ -364,28 +355,14 @@ let frozen q =
        (fun b -> Ast.Binop ((if b.strict then Ast.Lt else Ast.Le), frontier, b.expr))
        q.bounds)
 
-(* The frozen witness restricted to the [available] logs. The target's
-   neighbourhood all ts-equijoins it and a would-be increment lives at
-   the clock's tick, so every surviving log relation's [ts] is pinned to
-   the clock's. *)
+(* The frozen witness restricted to the [available] logs, every
+   surviving log slot pinned to the tick of [q.clock], its one clock
+   item: the target's neighbourhood all ts-equijoins it, and a would-be
+   increment lives at the clock's tick. *)
 let probe ~is_log ~available q =
   let s = frozen q in
-  let s = { s with Ast.items = [ Ast.Sel_expr (Ast.Lit (Value.Int 1), None) ] } in
-  let pq = Partial.of_select ~is_log ~available s in
-  match pq.Ast.from with
-  | [ _clock ] -> None
-  | _ ->
-    let pins =
-      List.filter_map
-        (fun (alias, r) ->
-          if is_log r then
-            Some
-              (Ast.Binop
-                 (Ast.Eq, Ast.Col (Some alias, Usage_log.time_column), clock_ts q))
-          else None)
-        (Analysis.table_occurrences pq)
-    in
-    Some { pq with Ast.where = Ast.conjoin (Ast.conjuncts_opt pq.Ast.where @ pins) }
+  Partial.at_tick ~is_log ~available
+    { s with Ast.items = [ Ast.Sel_expr (Ast.Lit (Value.Int 1), None) ] }
 
 (* Reading results ------------------------------------------------------------ *)
 

@@ -66,11 +66,12 @@ val at_clock_tick : query -> Ast.select
     relation: each bound becomes [clock.ts + 1 < e] (or [<=]). *)
 val frozen : query -> Ast.select
 
-(** §4.3's preemptive probe: {!frozen} [q] projecting a constant,
-    restricted ({!Partial.of_select}) to the [available] log relations,
-    with each remaining log relation's [ts] pinned to the clock's. An
-    empty result means no tuple of an increment stamped at the clock's
-    tick can be a witness. [None] when only the clock is left. *)
+(** §4.3's preemptive probe: {!Partial.at_tick} of {!frozen} [q]
+    projecting a constant, so it is restricted to the [available] log
+    relations and every remaining log slot's [ts] is pinned to
+    [q.clock]'s, the frozen query's one clock item. An empty result means
+    no tuple of an increment stamped at the clock's tick can be a
+    witness. [None] when only the clock is left. *)
 val probe :
   is_log:(string -> bool) -> available:string list -> query -> Ast.select option
 

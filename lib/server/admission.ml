@@ -24,9 +24,6 @@ type verdict =
       (** the SQL did not parse, evaluation raised, or the server is
           draining *)
 
-let seq_of = function
-  | Accepted { seq; _ } | Rejected { seq; _ } | Failed { seq; _ } -> seq
-
 (* One queued submission: the admission thread fills [result] and
    signals [cond] to release the waiting connection thread. *)
 type pending = {

@@ -14,8 +14,6 @@ type verdict =
           draining ([seq] is 0 when the submission never reached the
           engine queue) *)
 
-val seq_of : verdict -> int
-
 type t
 
 (** [create ~engine ~max_batch ()] wraps [engine]; nothing runs until

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Repo health check: build, the test suite on the serial and the pooled
 # engine, formatting (when ocamlformat is available), and the bench smoke
-# gates. CI runs all of it here and nowhere else, so a local run checks
-# exactly what CI checks.
+# gates, every one of them even after a failure; the exit status is 1
+# when any step failed. CI runs all of it here and nowhere else, so a
+# local run checks exactly what CI checks.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -26,19 +27,32 @@ else
   echo "== dune build @fmt (skipped: ocamlformat not installed)"
 fi
 
-echo "== bench smoke (persist: on-disk log within 33/32 of a fresh checkpoint)"
-./_build/default/bench/main.exe persist >/dev/null
+# Every smoke gate runs, whatever the ones before it printed; the
+# failed ones are named at the end.
+failed=""
+gate() {
+  name=$1
+  echo "== bench smoke ($name: $2)"
+  shift 2
+  if ! "$@"; then
+    echo "!! bench smoke $name failed"
+    failed="$failed $name"
+  fi
+}
 
-echo "== bench smoke (micro: access-path, domain-pool, delta SPJ, vectorized and typed-column gates)"
-./_build/default/bench/main.exe micro --smoke
+gate persist "on-disk log within 33/32 of a fresh checkpoint" \
+  sh -c './_build/default/bench/main.exe persist >/dev/null'
+gate micro "access-path, domain-pool, delta SPJ, vectorized and typed-column gates" \
+  ./_build/default/bench/main.exe micro --smoke
+gate typedcols ">=1.5x time / >=5x minor-words over boxed mirrors" \
+  ./_build/default/bench/main.exe typedcols --smoke
+gate load "batched-admission throughput gate" \
+  ./_build/default/bench/main.exe load --smoke
+gate scale ">=10x over naive at 1k policies" \
+  ./_build/default/bench/main.exe scale --smoke
 
-echo "== bench smoke (typedcols: >=1.5x time / >=5x minor-words over boxed mirrors)"
-./_build/default/bench/main.exe typedcols --smoke
-
-echo "== bench smoke (load: batched-admission throughput gate)"
-./_build/default/bench/main.exe load --smoke
-
-echo "== bench smoke (scale: >=10x over naive at 1k policies)"
-./_build/default/bench/main.exe scale --smoke
-
+if [ -n "$failed" ]; then
+  echo "failed smoke gates:$failed"
+  exit 1
+fi
 echo "ok"

@@ -209,6 +209,52 @@ let test_prune_counters_table2 () =
     [ (5, 0); (4, 0); (5, 0); (4, 0); (2, 2); (2, 2); (5, 0); (2, 2) ]
     got
 
+(* A policy is checked only at a stage that generated one of its own
+   log relations. [prov] joins provenance with [banned]; before
+   provenance is generated its πS is a scan of [banned], the same rows
+   at the users and at the schema stage, which no increment can change.
+   So each submission makes one policy call, [secret]'s users-stage
+   probe, and three relevance checks: at the schema stage the index
+   skips [secret] (the queries read no relation named 'secret'), at the provenance
+   stage it skips [prov] (no provenance row joins the ban list).
+   Checking [prov] at every stage would add two scans of [banned] and
+   two relevance checks per submission. *)
+let test_checked_only_at_own_stages () =
+  let db =
+    db_of_script
+      {|
+      CREATE TABLE data (k INT, v TEXT);
+      INSERT INTO data VALUES (1, 'a'), (2, 'b'), (3, 'c');
+      CREATE TABLE banned (uid INT);
+      INSERT INTO banned VALUES (50), (100), (150)
+      |}
+  in
+  let e =
+    Engine.create
+      ~config:{ Engine.default_config with Engine.unification = false; domains = 1 }
+      db
+  in
+  ignore
+    (Engine.add_policy e ~name:"secret"
+       "SELECT DISTINCT 'secret' FROM users u, schema s WHERE u.ts = s.ts AND \
+        s.irid = 'secret'");
+  ignore
+    (Engine.add_policy e ~name:"prov"
+       "SELECT DISTINCT 'prov' FROM provenance p, banned b WHERE p.irid = 'data' \
+        AND p.itid = b.uid");
+  let calls sql =
+    match Engine.submit e ~uid:1 sql with
+    | Engine.Accepted (_, st) -> st.Stats.policy_calls
+    | Engine.Rejected _ -> Alcotest.fail "no policy fires"
+  in
+  let got =
+    List.map calls
+      [ "SELECT v FROM data WHERE k = 1"; "SELECT v FROM data"; "SELECT v FROM data WHERE k = 2" ]
+  in
+  Alcotest.(check (list int)) "policy calls per submission" [ 1; 1; 1 ] got;
+  Alcotest.(check (pair int int)) "relevance checks, skips" (9, 6)
+    (counter e "relevance-checks", counter e "relevance-skips")
+
 (* A witness that can never keep uid 2's provenance (its uid = 1 filter)
    leaves no row of that increment in the log, with the §4.3 preemptive
    check on or off. With it on, the interleaved loop prunes the policy
@@ -310,6 +356,7 @@ let suite =
     tc "increment probe: two log slots" test_probe_two_log_slots;
     tc "increment probe: grouped partial" test_probe_grouped;
     tc "prune counters on Table 2, uid 1" test_prune_counters_table2;
+    tc "a policy is checked only at its own stages" test_checked_only_at_own_stages;
     tc "an increment no witness keeps leaves no row"
       test_unwitnessed_increment_leaves_no_row;
     tc "invalid query leaves engine usable" test_invalid_query_leaves_engine_usable;

@@ -44,14 +44,14 @@ let per_uid uid =
     ~message:(Printf.sprintf "uid %d off data" uid)
     ()
 
-(* Policy templates, by name. Between them they reach both delta branch
-   kinds (SPJ, carried aggregate), the clock-eliminated plans of the
-   window templates (they join the clock, so never take a delta
-   branch), unification (the per-uid family and the two quotas), the
-   relevance index (plain-table joins it must guard), the batch fast
-   path (the clock-free SPJ ones) and its fallback, the shapes
-   footnote 7 must restrict below the top level (a UNION and a FROM
-   subquery), and a join across ticks, which the interleaved loop prunes
+(* Policy templates, by name. Between them they reach the delta route
+   (the clock-free SPJ ones; aggregates always evaluate in full), the
+   clock-eliminated plans of the window templates (they join the clock,
+   so never take it), unification (the per-uid family and the two
+   quotas), the relevance index (plain-table joins it must guard), the
+   batch fast path (the clock-free SPJ ones) and its fallback, the
+   shapes footnote 7 must restrict below the top level (a UNION and a
+   FROM subquery), and a join across ticks, which the interleaved loop prunes
    before [provenance] while its witness still keeps that increment's
    tid-2 rows (the preemptive probe must generate them). That join has a
    HAVING, so Lemma 4.1 keeps every witnessed row: its Boolean form
@@ -123,8 +123,8 @@ let ddls =
   |]
 
 (* Base-table DML bumps version counters: the [banned] flips change the
-   ban-list templates' verdicts, so a stale base, relevance proof or
-   carried aggregate fails the diff. The [users] deletes are log DML. *)
+   ban-list templates' verdicts, so a stale delta base or relevance
+   proof fails the diff. The [users] deletes are log DML. *)
 let dmls =
   [|
     "INSERT INTO banned VALUES (2)";

@@ -120,14 +120,6 @@ let test_workload_policy_classification () =
   Alcotest.(check bool) "P5 interleavable" true p5.Policy.interleavable;
   Alcotest.(check bool) "P6 interleavable" true p6.Policy.interleavable
 
-let test_check_direct () =
-  let db, e = policy_db () in
-  let p = mk e "chk" "SELECT DISTINCT 'boom' FROM emp WHERE salary > 140" in
-  (* policy over plain database relation: violated because eli earns 150 *)
-  Alcotest.(check (option string)) "violated" (Some "boom") (Policy.check db p);
-  ignore (Database.exec db "DELETE FROM emp WHERE salary > 140");
-  Alcotest.(check (option string)) "satisfied" None (Policy.check db p)
-
 let test_duplicate_name_rejected () =
   let _, e = policy_db () in
   ignore (mk e "dup" "SELECT DISTINCT 'x' FROM users u WHERE u.uid = 1");
@@ -152,7 +144,6 @@ let suite =
     tc "time independence" test_time_independent_classification;
     tc "TI rewriting" test_ti_rewriting;
     tc "workload policy classification" test_workload_policy_classification;
-    tc "direct check" test_check_direct;
     tc "duplicate name" test_duplicate_name_rejected;
     tc "bad policy sql" test_bad_policy_sql_rejected;
   ]

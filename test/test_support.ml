@@ -86,7 +86,7 @@ let witness_retained db ~now (w : Datalawyer.Witness.t) : (int, unit) Hashtbl.t 
   retained
 
 (* The source-tid form of §4.3's improved partial check, the reference
-   for the engine's increment probes: run πS with source-tid tracking
+   for the engine's tick-pinned probe: run πS with source-tid tracking
    and keep the policy iff some result row draws on a tentative
    increment, i.e. holds a tid at or above its relation's floor. An
    empty πS prunes. *)
