@@ -14,7 +14,7 @@ let experiments =
     ("ablate", Ablate.run);
     ("persist", Persist.run);
     ("micro", fun _ -> Micro.run ());
-    ("typedcols", fun _ -> Micro.typed_columns_case ());
+    ("typedcols", fun _ -> if not (Micro.typed_columns_case ()) then exit 1);
     ("load", Load.run);
     ("scale", Scale.run);
   ]

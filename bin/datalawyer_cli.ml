@@ -345,7 +345,7 @@ let delta =
     & opt (some bool) None
     & info [ "delta" ] ~docv:"BOOL"
         ~doc:
-          "Incremental policy evaluation: re-check delta-eligible policies \
+          "Delta-driven policy evaluation: re-check delta-eligible policies \
            against only the usage-log rows appended since the last accepted \
            submission, falling back to full re-evaluation where the plan \
            shape or an invalidation requires it. On by default. \

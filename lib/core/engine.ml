@@ -121,14 +121,15 @@ type t = {
   probe_prunes : int Atomic.t;
       (** interleaved prunes of a policy whose tick-pinned probe was
           empty (§4.3 improved partial policies) *)
-  delta_store : Incremental.Delta_store.t;
-      (** per-policy emptiness bases for incremental evaluation; written
-          only between submissions, read (with atomic counters) by pool
-          workers during batches *)
-  relevance_store : Incremental.Delta_store.t;
-      (** the relevance index's own emptiness bases, kept apart from the
-          delta bases because the two proofs snapshot different
-          dependency lists and are counted separately *)
+  mutable proved : (int * (string, int) Hashtbl.t) option;
+      (** the accept proof: the catalog generation and every table's
+          version (see {!version}) when the last accepted submission
+          proved each active policy empty over the committed log.
+          Written only by {!establish_bases} between submissions,
+          cleared only by {!invalidate}; pool tasks only read it *)
+  delta_evals : int Atomic.t;  (** policy evaluations served by delta plans *)
+  full_evals : int Atomic.t;
+      (** delta-eligible policies that fell back to full evaluation *)
   commit : Commit.t;  (** log compaction's state across commits *)
 }
 
@@ -215,8 +216,9 @@ let create ?(config = default_config) ?(generators = Usage_log.standard)
       rel_skips = Atomic.make 0;
       empty_prunes = Atomic.make 0;
       probe_prunes = Atomic.make 0;
-      delta_store = Incremental.Delta_store.create ();
-      relevance_store = Incremental.Delta_store.create ();
+      proved = None;
+      delta_evals = Atomic.make 0;
+      full_evals = Atomic.make 0;
       commit = Commit.create db prepared;
     }
   in
@@ -244,11 +246,9 @@ let is_log t rel = Catalog.is_log (Database.catalog t.db) rel
 let invalidate t =
   t.plan <- None;
   Catalog.touch (Database.catalog t.db);
-  (* Bases are keyed on the generation we just bumped, so they are all
-     dead; dropping them keeps the stores from accreting entries for
-     renamed or retired policies. *)
-  Incremental.Delta_store.reset t.delta_store;
-  Incremental.Delta_store.reset t.relevance_store;
+  (* The proof covered the old policy set, under the generation just
+     bumped. *)
+  t.proved <- None;
   (* The witnesses change with the plan: re-derive every deadline. *)
   Commit.reset t.commit
 
@@ -479,7 +479,7 @@ let messages_of_result (p : Policy.t) (r : Executor.result) : string list =
   | [] -> [ p.Policy.message ]
   | ms -> ms
 
-(* Incremental evaluation --------------------------------------------------- *)
+(* Delta evaluation ------------------------------------------------------- *)
 
 (* The compiled delta variants of a policy's query, via the per-domain
    prepared cache; [None] when delta evaluation is off or the query is
@@ -490,6 +490,56 @@ let delta_entry t (p : Policy.t) : Executor.delta_compiled option =
     Prepared.prepare_delta t.prepared ~is_log:(is_log t)
       ~clock_rel:Usage_log.clock_relation p.Policy.query
 
+(* The version the accept proof records for a table: a log relation's
+   {!Table.ver_unsafe} (appends are covered by the delta watermark, and
+   removals cannot grow a monotone result), any other table's
+   {!Table.ver_mut}, and -1 for a missing one. *)
+let version cat name =
+  match Catalog.find_opt cat name with
+  | Some table ->
+    if Catalog.is_log cat name then Table.ver_unsafe table
+    else Table.ver_mut table
+  | None -> -1
+
+(* After an accepted submission: acceptance proved every active policy
+   empty over the tentative state, of which the just-committed state is a
+   subset (monotonicity), so every policy is empty over the committed
+   state. Advance all log watermarks to the committed frontier and record
+   the proof — the catalog generation and every table's {!version} — in
+   the same breath: the alignment of watermark and record is what
+   {!delta_try}'s and {!irrelevant}'s soundness arguments rest on. *)
+let establish_bases t =
+  let cat = Database.catalog t.db in
+  List.iter
+    (fun (g : Usage_log.generator) ->
+      match Catalog.find_opt cat g.Usage_log.relation with
+      | Some table -> Table.mark_delta_base table
+      | None -> ())
+    t.generators;
+  let names = Catalog.table_names cat in
+  let vers = Hashtbl.create (List.length names) in
+  List.iter (fun name -> Hashtbl.replace vers name (version cat name)) names;
+  t.proved <- Some (Catalog.generation cat, vers)
+
+(* Does the accept proof still cover a policy reading [deps]: the
+   catalog generation is unchanged and so is every dependency's
+   {!version}? Then plain dependencies are untouched and log ones have
+   only gained rows above the watermark or lost rows, so the policy is
+   still empty over the rows below the watermarks. Each caller passes
+   its own dependencies: DML on a table nobody reads invalidates
+   nothing. Read-only, so safe inside pool tasks. *)
+let proved_empty t deps =
+  match t.proved with
+  | None -> false
+  | Some (gen, vers) ->
+    let cat = Database.catalog t.db in
+    gen = Catalog.generation cat
+    && List.for_all
+         (fun name ->
+           Option.value (Hashtbl.find_opt vers name) ~default:(-1)
+           = version cat name)
+         deps
+
 (* Try to decide a policy from its delta plans alone. [Some res] is a
    verdict: the policy's result over the full tentative state is empty
    iff [res = None], and a non-empty [res] carries the union of every
@@ -499,33 +549,24 @@ let delta_entry t (p : Policy.t) : Executor.delta_compiled option =
    firing members can be split across them, and stopping at the first
    non-empty one would truncate the message set.) [None] means no
    shortcut — delta off, plan ineligible (a clock join or an aggregate
-   included: it evaluates in full), or the base invalidated — and the
-   caller must evaluate in full.
+   included: it evaluates in full), or the proof no longer covers the
+   policy — and the caller must evaluate in full.
 
-   Soundness: a valid base says the query was empty over the state below
-   the log relations' delta watermarks, the catalog generation is
-   unchanged, and every dependency's version snapshot matches — so plain
-   relations are untouched and log relations have only gained rows above
-   the watermark or lost rows (both monotone-safe). Any result row must
-   then bind at least one log slot to a delta tuple, and the per-slot
-   variants enumerate exactly those bindings. *)
+   Soundness: under a valid proof ({!proved_empty}) the query is empty
+   over the rows below the watermarks, so any result row must bind at
+   least one log slot to a delta tuple, and the per-slot variants
+   enumerate exactly those bindings. *)
 let delta_try t ~(stats : Stats.t) (p : Policy.t) :
     Executor.result option option =
   match delta_entry t p with
   | None -> None
   | Some entry ->
-    let cat = Database.catalog t.db in
-    let gen = Catalog.generation cat in
-    let vers = Incremental.Delta_store.snapshot cat entry.Executor.delta_deps in
-    if
-      not
-        (Incremental.Delta_store.valid t.delta_store p.Policy.name ~gen ~vers)
-    then begin
-      Incremental.Delta_store.note_full_eval t.delta_store;
+    if not (proved_empty t entry.Executor.delta_deps) then begin
+      Atomic.incr t.full_evals;
       None
     end
     else begin
-      Incremental.Delta_store.note_delta_eval t.delta_store;
+      Atomic.incr t.delta_evals;
       Stats.timed
         (fun d -> stats.Stats.policy_eval <- stats.Stats.policy_eval +. d)
         (fun () ->
@@ -543,58 +584,14 @@ let delta_try t ~(stats : Stats.t) (p : Policy.t) :
             Some (Some { Executor.columns; out_rows }))
     end
 
-(* After an accepted submission: acceptance proved every active policy
-   empty over the tentative state, of which the just-committed state is a
-   subset (monotonicity), so every policy is empty over the committed
-   state. Advance all log watermarks to the committed frontier and record
-   a base for each delta-eligible policy — and a relevance base for each
-   index-eligible one — in the same breath: the alignment of watermark
-   and snapshot is what {!delta_try}'s and {!irrelevant}'s soundness
-   arguments rest on. *)
-let establish_bases t (pl : plan) =
-  let cat = Database.catalog t.db in
-  let gen = Catalog.generation cat in
-  List.iter
-    (fun (g : Usage_log.generator) ->
-      match Catalog.find_opt cat g.Usage_log.relation with
-      | Some table -> Table.mark_delta_base table
-      | None -> ())
-    t.generators;
-  if t.config.delta then
-    List.iter
-      (fun (p : Policy.t) ->
-        match delta_entry t p with
-        | None -> ()
-        | Some entry ->
-          let vers =
-            Incremental.Delta_store.snapshot cat entry.Executor.delta_deps
-          in
-          Incremental.Delta_store.establish t.delta_store p.Policy.name ~gen
-            ~vers)
-      pl.active;
-  if t.config.relevance then
-    List.iter
-      (fun (p : Policy.t) ->
-        match Relevance.info pl.relevance p.Policy.name with
-        | Some info when info.Relevance.eligible ->
-          let vers =
-            Incremental.Delta_store.snapshot cat info.Relevance.deps
-          in
-          Incremental.Delta_store.establish t.relevance_store p.Policy.name
-            ~gen ~vers
-        | Some _ | None -> ())
-      pl.active
-
 (* The relevance index's skip decision (see {!Relevance} for the full
-   soundness argument): the policy is index-eligible, its base — proof
-   that it was empty over the last committed state — still validates
-   against the catalog generation and every dependency's version
-   counter (waived for TI-pinned policies, whose verdict is decided at
-   the current tick alone), its enumerated filter sources are
-   untouched, and no row of the tentative increment can bind any of its
-   log slots. All of that together pins the result to the base's:
-   empty, so evaluation is skipped. Read-only over frozen state, so
-   safe inside pool tasks. *)
+   soundness argument): the policy is index-eligible, the accept proof
+   still covers its dependencies (waived for TI-pinned policies, whose
+   verdict is decided at the current tick alone), its enumerated filter
+   sources are untouched, and no row of the tentative increment can
+   bind any of its log slots. All of that together pins the result to
+   the proved one: empty, so evaluation is skipped. Read-only over
+   frozen state, so safe inside pool tasks. *)
 let irrelevant ?available t (pl : plan) (p : Policy.t) : bool =
   t.config.relevance
   &&
@@ -604,19 +601,10 @@ let irrelevant ?available t (pl : plan) (p : Policy.t) : bool =
     info.Relevance.eligible
     && begin
       Atomic.incr t.rel_checks;
-      let cat = Database.catalog t.db in
-      (* A TI-pinned policy's verdict is emptiness at the current tick —
-         blocked slots decide it with no base (its clock dependency
-         would invalidate one every submission anyway). *)
-      let based =
-        info.Relevance.ti_pinned
-        ||
-        let gen = Catalog.generation cat in
-        let vers = Incremental.Delta_store.snapshot cat info.Relevance.deps in
-        Incremental.Delta_store.valid t.relevance_store p.Policy.name ~gen
-          ~vers
+      let skip =
+        (info.Relevance.ti_pinned || proved_empty t info.Relevance.deps)
+        && Relevance.blocked ?available (Database.catalog t.db) info
       in
-      let skip = based && Relevance.blocked ?available cat info in
       if skip then Atomic.incr t.rel_skips;
       skip
     end
@@ -637,13 +625,12 @@ let delta_stats t : delta_stats =
         if Option.is_some (delta_entry t p) then (e + 1, f) else (e, f + 1))
       (0, 0) pl.active
   in
-  let s = Incremental.Delta_store.stats t.delta_store in
   {
     eligible_plans = eligible;
     fallback_plans = fallback;
-    delta_bases = s.Incremental.Delta_store.bases;
-    delta_evals = s.Incremental.Delta_store.delta_evals;
-    full_evals = s.Incremental.Delta_store.full_evals;
+    delta_bases = (if Option.is_some t.proved then eligible else 0);
+    delta_evals = Atomic.get t.delta_evals;
+    full_evals = Atomic.get t.full_evals;
   }
 
 type relevance_stats = {
@@ -728,26 +715,6 @@ let eval_full t (sub : submission) (pool : Parallel.Pool.t option) (pl : plan)
          | Some None | None -> [])
        ps)
 
-(* §4.3's gate for improved partial policies: the policy is one SELECT
-   whose log aliases share one [ts] equivalence class. A result row of π
-   that draws on any increment then has every log slot at the clock's
-   tick, so its image in πS draws on the increments generated so far.
-   Every binding of πS has its log slots at one tick too, so pinning all
-   of them ({!Partial.at_tick}) tests the same as pinning any one. *)
-let ts_joined ~is_log (p : Policy.t) : bool =
-  match p.Policy.query with
-  | Ast.Union _ -> false
-  | Ast.Select s -> (
-    match
-      List.filter_map
-        (fun (a, rel) -> if is_log rel then Some a else None)
-        (Analysis.table_occurrences s)
-    with
-    | [] -> false
-    | aliases ->
-      Analysis.one_class ~col:Usage_log.time_column
-        (Ast.conjuncts_opt s.Ast.where) aliases)
-
 (* Observer of each increment-probe decision, for the differential test
    against the source-tid check (see the mli). *)
 let probe_observer :
@@ -826,12 +793,18 @@ let run_interleaved t (sub : submission) (pool : Parallel.Pool.t option)
                 Option.is_some verdict || eval_query t ~stats pq <> None
               in
               (* §4.3: a non-empty πS still prunes π unless it draws on
-                 the increment, which its tick-pinned core tests. A probe
-                 hit implies an SPJ πS is non-empty, so only a grouped πS
-                 runs unpinned too. *)
+                 the increment, which its tick-pinned core tests. The
+                 gate is [ts_joined]: a result row of π that draws on any
+                 increment then has every log slot at the clock's tick,
+                 so its image in πS draws on the increments generated so
+                 far; and every binding of πS has its log slots at one
+                 tick, so pinning all of them ({!Partial.at_tick}) tests
+                 the same as pinning any one. A probe hit implies an SPJ
+                 πS is non-empty, so only a grouped πS runs unpinned
+                 too. *)
               let probe =
                 match pq with
-                | Ast.Select s when t.config.improved_partial && ts_joined ~is_log p ->
+                | Ast.Select s when t.config.improved_partial && p.Policy.ts_joined ->
                   Option.map
                     (fun probe -> (probe, s.Ast.having <> None))
                     (Partial.at_tick ~is_log ~available { s with Ast.having = None })
@@ -933,8 +906,8 @@ let run_union t (sub : submission) (pool : Parallel.Pool.t option) (pl : plan)
 (* Accept: the commit — §4.3's generate-or-skip of every stored
    relation that checking did not generate, then compaction
    ({!Commit.run}), which marks skipped ones too — made durable as
-   {!Durable.commit} decides. Then record the delta and relevance bases
-   the committed state now satisfies. *)
+   {!Durable.commit} decides. Then record the accept proof the
+   committed state now satisfies. *)
 let accept t (sub : submission) (pool : Parallel.Pool.t option) (pl : plan)
     ~(now : int) ~(single_tick : bool) =
   List.iter
@@ -958,7 +931,7 @@ let accept t (sub : submission) (pool : Parallel.Pool.t option) (pl : plan)
         (fun x -> sub.stats.Stats.persist <- sub.stats.Stats.persist +. x)
         (fun () -> Durable.commit d ~now c))
     t.durable;
-  if t.config.delta || t.config.relevance then establish_bases t pl
+  if t.config.delta || t.config.relevance then establish_bases t
 
 (* Execute an admitted user query, charging [stats.query_exec]. *)
 let run_query t (stats : Stats.t) (query : Ast.query) : Executor.result =

@@ -32,14 +32,15 @@ type config = {
           Defaults to {!default_domains}. *)
   delta : bool;
       (** incremental (delta-driven) policy evaluation: after each
-          accepted submission the engine records that every delta-eligible
-          policy (see {!Relational.Optimizer.derive_delta}) was proved
-          empty over the committed log, and later submissions re-check it
-          by scanning only the rows above the log relations' watermarks.
-          Policies whose plans are not eligible — or whose recorded base
-          was invalidated by DDL, configuration or policy changes, or
-          non-monotone table mutations — transparently fall back to full
-          re-evaluation, so decisions, messages and log contents are
+          accepted submission the engine records that every active
+          policy was proved empty over the committed log (the accept
+          proof), and later submissions re-check a delta-eligible one
+          (see {!Relational.Optimizer.derive_delta}) by scanning only
+          the rows above the log relations' watermarks. Policies whose
+          plans are not eligible — or that the proof no longer covers,
+          after DDL, configuration or policy changes, or non-monotone
+          mutations of a table they read — transparently fall back to
+          full re-evaluation, so decisions, messages and log contents are
           identical either way. A policy joining the clock or
           aggregating (GROUP BY/HAVING) is never delta-eligible: with or
           without this flag, it evaluates in full — a clock join through
@@ -49,8 +50,8 @@ type config = {
       (** the policy relevance index: per active policy, the log slots
           its query binds and the equality filters gating them
           ({!Relevance}). On every submission the engine skips — without
-          evaluating — each policy whose proved-empty base still
-          validates and whose slots no row of the tentative increment
+          evaluating — each policy that the accept proof still covers
+          and whose slots no row of the tentative increment
           can bind. Decisions, messages and log contents are identical
           either way; with thousands of template-instantiated policies,
           the per-submission work shrinks to the handful of policies the
@@ -160,7 +161,7 @@ val plan_cache_stats : t -> int * int
     submission (benchmarking hook; statistics survive). *)
 val clear_plan_cache : t -> unit
 
-(** Incremental-evaluation counters, under the current configuration. *)
+(** Delta-evaluation counters, under the current configuration. *)
 type delta_stats = {
   eligible_plans : int;
       (** active policies whose queries derive delta plans (monotone
@@ -169,17 +170,21 @@ type delta_stats = {
   fallback_plans : int;
       (** active policies that always evaluate in full: clock-reading,
           aggregated, or otherwise not delta-eligible *)
-  delta_bases : int;  (** policies with a currently recorded base *)
+  delta_bases : int;
+      (** [eligible_plans] while an accept proof is recorded, else 0:
+          the policies the proof can serve on the delta route *)
   delta_evals : int;  (** policy evaluations served by delta plans *)
   full_evals : int;
       (** evaluations of a delta-eligible (SPJ) policy that fell back to
-          a full re-run (no base yet, or the base was invalidated);
-          policies counted in [fallback_plans] never bump it *)
+          a full re-run (no proof yet, or the proof no longer covers its
+          dependencies); policies counted in [fallback_plans] never bump
+          it *)
 }
 
 (** Snapshot of the incremental-evaluation state: plan eligibility over
     the current active policy set plus the engine-lifetime delta/full
-    evaluation counters. Forces the offline plan if stale. *)
+    evaluation counters, which no invalidation resets. Forces the
+    offline plan if stale. *)
 val delta_stats : t -> delta_stats
 
 (** Relevance-index counters, under the current configuration. *)

@@ -77,8 +77,7 @@ let compute cat ~unification ~time_independent ~interleaved ps : t =
     store_rels;
     unified_groups;
     relevance =
-      Relevance.build cat ~is_log ~clock_rel:Usage_log.clock_relation
-        ~time_col:Usage_log.time_column ps;
+      Relevance.build cat ~is_log ~clock_rel:Usage_log.clock_relation ps;
     witnesses;
     witness_bases;
   }

@@ -39,6 +39,7 @@ type t = {
   core_prunable : bool;
       (** may join interleaved evaluation with a HAVING-stripped partial *)
   time_independent : bool;
+  ts_joined : bool;  (** the top-level log aliases share one [ts] class *)
   ti_rewritten : bool;  (** [query] already restricted to the current ts *)
   active_from : int;  (** timestamp at which the policy was registered *)
 }
@@ -120,23 +121,28 @@ let empty_input_empty_output (q : Ast.query) =
 
 (* Time-independence ----------------------------------------------------- *)
 
+let log_aliases ~is_log (s : Ast.select) =
+  List.filter_map
+    (fun (alias, rel) -> if is_log rel then Some alias else None)
+    (Analysis.table_occurrences s)
+
+(* Do the log aliases of [s] share one [ts] equivalence class? *)
+let select_ts_joined ~is_log (s : Ast.select) =
+  Analysis.one_class ~col:Usage_log.time_column (Ast.conjuncts_opt s.where)
+    (log_aliases ~is_log s)
+
 let select_time_independent ~is_log (s : Ast.select) =
-  let occs = Analysis.table_occurrences s in
-  let log_aliases = List.filter (fun (_, rel) -> is_log rel) occs in
   let uses_clock =
-    List.exists (fun (_, rel) -> rel = Usage_log.clock_relation) occs
+    List.exists
+      (fun (_, rel) -> rel = Usage_log.clock_relation)
+      (Analysis.table_occurrences s)
   in
   if uses_clock then false
   else
-    match log_aliases with
+    match log_aliases ~is_log s with
     | [] -> true (* no log relations: trivially time-independent *)
-    | (a0, _) :: rest ->
+    | a0 :: _ ->
       let classes = Analysis.Eq_classes.of_conjuncts (Ast.conjuncts_opt s.where) in
-      let ts_joined =
-        List.for_all
-          (fun (a, _) -> Analysis.Eq_classes.same classes (a0, "ts") (a, "ts"))
-          rest
-      in
       let has_agg =
         s.having <> None
         || List.exists
@@ -151,7 +157,7 @@ let select_time_independent ~is_log (s : Ast.select) =
             | _ -> false)
           s.group_by
       in
-      ts_joined && ((not has_agg) || group_has_ts)
+      select_ts_joined ~is_log s && ((not has_agg) || group_has_ts)
 
 let time_independent ~is_log (q : Ast.query) =
   (* No FROM subqueries referencing logs: keeps the rewriting simple and
@@ -159,7 +165,31 @@ let time_independent ~is_log (q : Ast.query) =
   (not (Analysis.subquery_uses_log ~is_log q))
   && List.for_all (select_time_independent ~is_log) (selects_of q)
 
+(* One top-level SELECT whose log aliases (at least one) share one
+   [ts] class. *)
+let ts_joined ~is_log (q : Ast.query) =
+  match q with
+  | Ast.Union _ -> false
+  | Ast.Select s -> log_aliases ~is_log s <> [] && select_ts_joined ~is_log s
+
 (* Registration ------------------------------------------------------------ *)
+
+(* Replace a policy's query, re-running classification: every field
+   derived from the query alone. *)
+let with_query ~is_log (p : t) (query : Ast.query) : t =
+  {
+    p with
+    query;
+    shape = Ast.mask_literals query;
+    log_rels = Analysis.log_relations ~is_log query;
+    monotone = monotone query;
+    interleavable = interleavable ~is_log query;
+    core_prunable =
+      (not (Analysis.subquery_uses_log ~is_log query))
+      && empty_input_empty_output query;
+    time_independent = time_independent ~is_log query;
+    ts_joined = ts_joined ~is_log query;
+  }
 
 let create (cat : Catalog.t) ~(is_log : string -> bool) ~(name : string)
     ~(active_from : int) (source : string) : t =
@@ -198,37 +228,24 @@ let create (cat : Catalog.t) ~(is_log : string -> bool) ~(name : string)
         { s with from; where = Ast.conjoin (Ast.conjuncts_opt s.where @ extra) }
   in
   let query = if active_from <= 0 then query else restrict query in
-  {
-    name;
-    source;
-    query;
-    shape = Ast.mask_literals query;
-    message = message_of query ~default:(Printf.sprintf "policy %s violated" name);
-    log_rels = Analysis.log_relations ~is_log query;
-    monotone = monotone query;
-    interleavable = interleavable ~is_log query;
-    core_prunable =
-      (not (Analysis.subquery_uses_log ~is_log query))
-      && empty_input_empty_output query;
-    time_independent = time_independent ~is_log query;
-    ti_rewritten = false;
-    active_from;
-  }
-
-(* Replace a policy's query, re-running classification. *)
-let with_query ~is_log (p : t) (query : Ast.query) : t =
-  {
-    p with
-    query;
-    shape = Ast.mask_literals query;
-    log_rels = Analysis.log_relations ~is_log query;
-    monotone = monotone query;
-    interleavable = interleavable ~is_log query;
-    core_prunable =
-      (not (Analysis.subquery_uses_log ~is_log query))
-      && empty_input_empty_output query;
-    time_independent = time_independent ~is_log query;
-  }
+  (* [with_query] fills in every classified field. *)
+  with_query ~is_log
+    {
+      name;
+      source;
+      query;
+      shape = query;
+      message = message_of query ~default:(Printf.sprintf "policy %s violated" name);
+      log_rels = [];
+      monotone = false;
+      interleavable = false;
+      core_prunable = false;
+      time_independent = false;
+      ts_joined = false;
+      ti_rewritten = false;
+      active_from;
+    }
+    query
 
 let pp ppf (p : t) =
   Format.fprintf ppf "%s [%s%s%s]: %s" p.name

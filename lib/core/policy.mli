@@ -26,6 +26,13 @@ type t = {
           empty input implies empty output (grouped, or no HAVING) *)
   time_independent : bool;
       (** §4.1.1 criterion, strengthened to also exclude [clock] uses *)
+  ts_joined : bool;
+      (** the query is one SELECT whose top-level log aliases (at least
+          one) share one [ts] equivalence class
+          ({!Analysis.one_class}): a binding's log rows then all carry
+          one tick. Gates §4.3's tick-pinned probe and the relevance
+          index's one-blocked-slot rule. TI rewriting keeps it: the
+          clock pin it adds joins one class that is already whole *)
   ti_rewritten : bool;  (** [query] already restricted to the current ts *)
   active_from : int;  (** timestamp at which the policy was registered *)
 }

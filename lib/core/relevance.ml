@@ -6,17 +6,18 @@
     per active policy, which log slots its top-level FROM binds and
     which equality filters gate each slot, so the engine can decide —
     from the tentative log increment alone, without evaluating the
-    query — that a policy's verdict cannot have changed since its last
-    proved-empty base and skip it.
+    query — that a policy's verdict cannot have changed since the last
+    accepted submission proved it empty, and skip it.
 
     Soundness rests on an exact-identity argument, not an approximation.
     A policy is {e eligible} when its query is a monotone top-level
-    SELECT with no log relation inside a subquery. For an eligible
+    SELECT with no log relation inside a subquery, and it reads the
+    clock only if TI-rewritten (see below). For an eligible
     policy, suppose (the engine checks all of this at skip time):
 
-    - a base proves the query empty over the state at the last accepted
-      submission, with every referenced relation's version counter
-      matching its snapshot ({!Incremental.Delta_store} semantics: plain
+    - the accept proof (the engine's [proved_empty]) shows the query
+      empty over the state at the last accepted submission, with every
+      referenced relation's version counter unchanged since (plain
       relations are bit-unchanged, log relations have only gained rows
       above the delta watermark or lost rows below it);
     - the enumerated filter sources ({!filter.allowed} built from
@@ -30,15 +31,15 @@
     conjuncts, so satisfying them is necessary for a row to bind the
     slot. Blocked slots therefore mean no delta row participates in any
     binding; the query's bindings over the current state all draw on
-    rows below the watermarks, a subset of the base state, and
-    monotonicity collapses the result into the base's proved-empty one.
+    rows below the watermarks, a subset of the proved state, and
+    monotonicity collapses the result into the proved-empty one.
     The verdict is unchanged: satisfied.
 
     Requiring {e every} slot blocked is needed in general but overly
     conservative for the common template shape, a join of several log
     relations on their timestamp column ([u.ts = s.ts]): there, {e one}
     blocked slot suffices. Every submission appends all its increments
-    at one fresh clock tick, so a row with a post-base timestamp is a
+    at one fresh clock tick, so a row with a post-proof timestamp is a
     delta row; when the log slots are connected by timestamp equalities
     ({!info.ts_linked}), any binding containing one delta row has the
     delta timestamp in every log slot — making {e all} its log rows
@@ -46,11 +47,11 @@
     starves every new binding outright: the per-user policy joining
     [users] with [schema] is skipped for uid 9's submissions because
     uid 9 cannot bind the users slot, even though the schema slot's
-    rows match. (A new binding cannot hide in the plain slots either: a
-    valid base pins the plain dependencies bit-unchanged.)
+    rows match. (A new binding cannot hide in the plain slots either:
+    the proof pins the plain dependencies bit-unchanged.)
 
     A time-independent policy, once rewritten ({!info.ti_pinned}), needs
-    no base at all. The rewrite pins a log timestamp to the clock — and
+    no proof at all. The rewrite pins a log timestamp to the clock — and
     the TI qualification equates every log timestamp — so its verdict is
     exactly emptiness at the current tick: that is the §4.1.1 property
     (holds on the whole log iff it holds on the increment). Every
@@ -59,10 +60,10 @@
     satisfied — whatever the plain relations now contain, and however
     the clock moved. Without the waiver no TI policy could ever be
     skipped: the rewrite adds the clock as a dependency, and the clock's
-    version bumps on every submission's [set_clock], so the base would
-    simply never validate. A policy that references the clock {e
-    without} being TI-rewritten keeps the conservative treatment — the
-    clock is a plain dependency and its base never validates. *)
+    version bumps on every submission's [set_clock], so the proof would
+    simply never cover it. For the same reason a policy that reads the
+    clock {e without} being TI-rewritten is not eligible: no proof ever
+    covers it, so checking it would be wasted work. *)
 
 open Relational
 
@@ -78,7 +79,7 @@ type info = {
   eligible : bool;
   deps : string list;
       (** every relation the query references (canonical name), across
-          subqueries too — snapshot input for the base check *)
+          subqueries too — what the accept proof must cover *)
   slots : (string * filter list) list;
       (** top-level FROM occurrences of log relations, with the equality
           filters extracted for each occurrence's alias *)
@@ -88,11 +89,12 @@ type info = {
           snapshot, so any later mutation disables skipping *)
   ts_linked : bool;
       (** the log slots form one component under the query's
-          timestamp-equality conjuncts: one blocked slot suffices *)
+          timestamp-equality conjuncts ({!Policy.t.ts_joined}): one
+          blocked slot suffices *)
   ti_pinned : bool;
       (** the query is TI-rewritten (pinned to the current clock tick):
           its verdict is emptiness at the current tick, so blocked slots
-          decide it without any base — see the header *)
+          decide it without any proof — see the header *)
 }
 
 type t = (string, info) Hashtbl.t
@@ -126,19 +128,23 @@ let enumerate (cat : Catalog.t) (rel : string) (col : string) :
       Some allowed)
 
 let build (cat : Catalog.t) ~(is_log : string -> bool) ~(clock_rel : string)
-    ~(time_col : string) (ps : Policy.t list) : t =
+    (ps : Policy.t list) : t =
   let clock = lc clock_rel in
   let t = Hashtbl.create (max 16 (List.length ps)) in
   List.iter
     (fun (p : Policy.t) ->
       let deps = deps_of cat p.Policy.query in
       let guards = ref [] in
-      let eligible, slots, ts_linked =
+      let eligible, slots =
         match p.Policy.query with
-        | Ast.Union _ -> (false, [], false)
-        | _ when not p.Policy.monotone -> (false, [], false)
+        | Ast.Union _ -> (false, [])
+        | _ when not p.Policy.monotone -> (false, [])
         | _ when Analysis.subquery_uses_log ~is_log p.Policy.query ->
-          (false, [], false)
+          (false, [])
+        | _
+          when (not p.Policy.ti_rewritten)
+               && List.exists (fun d -> lc d = clock) deps ->
+          (false, [])
         | Ast.Select s ->
           let occs = Analysis.table_occurrences s in
           let conjuncts = Ast.conjuncts_opt s.Ast.where in
@@ -202,12 +208,7 @@ let build (cat : Catalog.t) ~(is_log : string -> bool) ~(clock_rel : string)
                 if is_log rel then Some (rel, filters_for alias rel) else None)
               occs
           in
-          let log_aliases =
-            List.filter_map
-              (fun (alias, rel) -> if is_log rel then Some alias else None)
-              occs
-          in
-          (true, slots, Analysis.one_class ~col:time_col conjuncts log_aliases)
+          (true, slots)
       in
       Hashtbl.replace t p.Policy.name
         {
@@ -215,7 +216,7 @@ let build (cat : Catalog.t) ~(is_log : string -> bool) ~(clock_rel : string)
           deps;
           slots;
           guards = List.sort_uniq compare !guards;
-          ts_linked;
+          ts_linked = p.Policy.ts_joined;
           ti_pinned = eligible && p.Policy.ti_rewritten;
         })
     ps;

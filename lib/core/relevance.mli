@@ -1,12 +1,12 @@
 (** Policy relevance index: per-policy metadata that lets the engine
     decide, from a submission's tentative log increment alone, that a
-    policy's verdict cannot have changed since its last proved-empty
-    base — and skip evaluating it. See the implementation header for
-    the full soundness argument; in short, for a monotone top-level
-    SELECT with no log subqueries, if no delta row can bind any of its
-    log slots (each slot gated by the query's own equality conjuncts)
-    and its non-log dependencies are unchanged, the result is literally
-    the base's: empty. *)
+    policy's verdict cannot have changed since the last accepted
+    submission proved it empty — and skip evaluating it. See the
+    implementation header for the full soundness argument; in short,
+    for a monotone top-level SELECT with no log subqueries, if no delta
+    row can bind any of its log slots (each slot gated by the query's
+    own equality conjuncts) and its non-log dependencies are unchanged,
+    the result is literally the proved one: empty. *)
 
 open Relational
 
@@ -17,8 +17,8 @@ type filter = { col : int; allowed : unit Value.Tbl.t }
 type info = {
   eligible : bool;
   deps : string list;
-      (** referenced relations (canonical names), for the base's version
-          snapshot *)
+      (** referenced relations (canonical names): what the accept
+          proof must cover *)
   slots : (string * filter list) list;
       (** top-level log-relation occurrences with their filters *)
   guards : (string * int) list;
@@ -32,7 +32,7 @@ type info = {
   ti_pinned : bool;
       (** the query is TI-rewritten: its verdict is emptiness at the
           current clock tick (§4.1.1), whose rows are all delta rows —
-          so {!blocked} decides it alone, no proved-empty base needed *)
+          so {!blocked} decides it alone, no accept proof needed *)
 }
 
 type t
@@ -40,12 +40,13 @@ type t
 (** Build the index for a post-unification active-policy list. Consults
     the catalog for schemas and enumerates equality-partner columns
     (e.g. a unified policy's constants table), recording version
-    guards. *)
+    guards. A policy that reads [clock_rel] without being TI-rewritten
+    is not eligible: the clock moves at every submission, so no accept
+    proof ever covers it. *)
 val build :
   Catalog.t ->
   is_log:(string -> bool) ->
   clock_rel:string ->
-  time_col:string ->
   Policy.t list ->
   t
 
@@ -55,7 +56,8 @@ val info : t -> string -> info option
     them when [ts_linked], every one otherwise? A slot is blocked when
     no row of its relation's tentative delta satisfies all the slot's
     filters (with no filters: only if the delta is empty). [true] plus
-    a valid base means the policy can be skipped.
+    an accept proof that covers [deps] means the policy can be
+    skipped.
 
     [available], when given, lists (lowercase) log relations whose
     tentative increment is fully appended; slots over other relations

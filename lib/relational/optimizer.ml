@@ -737,7 +737,8 @@ let eliminate_clock (cat : Catalog.t) ~(clock_rel : string) (q : Plan.query) :
 
 (* Every select of a policy must be monotone select-project-join, or the
    whole policy is ineligible. Delta evaluation runs against a watermark
-   and a proved-empty base, so a select joining the clock — whose one row
+   and the engine's proof that the policy was empty at the last accepted
+   submission, so a select joining the clock — whose one row
    is rewritten in place each submission, outside the append-only
    discipline — is ineligible: its full evaluation already runs the
    clock-eliminated plan ({!eliminate_clock}). So is an aggregated

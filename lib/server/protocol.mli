@@ -61,7 +61,7 @@ val render_response : response -> string
 (** Prefix [payload] with its framing header. *)
 val encode_frame : string -> string
 
-(** Incremental frame decoder over a byte stream. Feed it chunks as they
+(** Streaming frame decoder over a byte stream. Feed it chunks as they
     arrive; [next] yields complete payloads. A framing error is sticky:
     once a stream is undecodable there is no resynchronisation point, so
     the connection must be dropped. *)

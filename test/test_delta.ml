@@ -234,6 +234,68 @@ let test_plain_mutation_invalidates () =
   let after = (Engine.delta_stats engine).Engine.full_evals in
   Alcotest.(check bool) "a full eval was counted" true (after > before)
 
+(* The accept proof is one record, but each check reads only its own
+   dependencies: DML on [banned] sends the ban-list policy back to full
+   evaluation, and leaves the policy over [data] on its delta plans
+   (relevance off) or its relevance skip (relevance on). *)
+let test_proof_checked_per_dependency () =
+  List.iter
+    (fun relevance ->
+      let what s = Printf.sprintf "%s (relevance=%b)" s relevance in
+      let db, engine =
+        make_engine
+          ~config:{ ti_off with Engine.strategy = Engine.Serial; relevance }
+          ()
+      in
+      ignore (Engine.add_policy engine ~name:"banned" (Test_oracle.template "banned"));
+      ignore
+        (Engine.add_policy engine ~name:"touch"
+           "SELECT DISTINCT 'data touch' FROM users u, data d WHERE u.uid = \
+            d.k AND d.v = 'z'");
+      submit_ok engine ~uid:2 (what "first");
+      submit_ok engine ~uid:2 (what "second");
+      let d0 = Engine.delta_stats engine in
+      let r0 = Engine.relevance_stats engine in
+      ignore
+        (Dml.exec (Database.catalog db) (Parser.stmt "INSERT INTO banned VALUES (5)"));
+      submit_ok engine ~uid:2 (what "after the insert");
+      let d1 = Engine.delta_stats engine in
+      let r1 = Engine.relevance_stats engine in
+      Alcotest.(check int) (what "the ban-list policy falls back") 1
+        (d1.Engine.full_evals - d0.Engine.full_evals);
+      Alcotest.(check int) (what "the data policy stays on delta")
+        (if relevance then 0 else 1)
+        (d1.Engine.delta_evals - d0.Engine.delta_evals);
+      Alcotest.(check int) (what "the data policy stays skipped")
+        (if relevance then 1 else 0)
+        (r1.Engine.rel_skips - r0.Engine.rel_skips))
+    [ false; true ]
+
+(* Every [Engine.counters] key counts over the engine's lifetime; the
+   delta ones too survive the invalidation a registration or a config
+   change brings. *)
+let test_delta_counters_engine_lifetime () =
+  let _, engine = make_engine () in
+  ignore (Engine.add_policy engine ~name:"blocked" (Test_oracle.template "blocked"));
+  submit_ok engine ~uid:1 "first";
+  submit_ok engine ~uid:1 "second";
+  let d0 = Engine.delta_stats engine in
+  Alcotest.(check bool) "both counters moved" true
+    (d0.Engine.delta_evals > 0 && d0.Engine.full_evals > 0);
+  ignore (Engine.add_policy engine ~name:"banned" (Test_oracle.template "banned"));
+  let d1 = Engine.delta_stats engine in
+  Alcotest.(check int) "delta evals survive add_policy" d0.Engine.delta_evals
+    d1.Engine.delta_evals;
+  Alcotest.(check int) "full evals survive add_policy" d0.Engine.full_evals
+    d1.Engine.full_evals;
+  Alcotest.(check int) "the proof does not" 0 d1.Engine.delta_bases;
+  Engine.set_config engine ti_off;
+  let d2 = Engine.delta_stats engine in
+  Alcotest.(check int) "delta evals survive set_config" d0.Engine.delta_evals
+    d2.Engine.delta_evals;
+  Alcotest.(check int) "full evals survive set_config" d0.Engine.full_evals
+    d2.Engine.full_evals
+
 let test_time_dependent_join_eligible_under_defaults () =
   (* Under the full default config, TI rewriting claims the
      time-independent policies; the delta path's remaining jurisdiction
@@ -357,6 +419,9 @@ let suite =
     tc "Table-2 workload policies run on delta branches or eliminated plans"
       test_table2_policies_on_delta_or_eliminated;
     tc "plain-table mutation invalidates the base" test_plain_mutation_invalidates;
+    tc "the accept proof is checked per dependency"
+      test_proof_checked_per_dependency;
+    tc "delta counters are engine-lifetime" test_delta_counters_engine_lifetime;
     tc "time-dependent join is eligible under the default config"
       test_time_dependent_join_eligible_under_defaults;
     tc "delta off establishes and evaluates nothing" test_delta_off_counts_nothing;

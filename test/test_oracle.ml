@@ -600,7 +600,7 @@ let prop_workload_identical =
       in
       run 1 = run 4)
 
-(* Incremental compaction against the full mark: with compaction on, an
+(* Delta-mark compaction against the full mark: with compaction on, an
    engine and a twin that checkpoints, closes and recovers before every
    submission — so every twin commit marks in full — hold the same logs,
    as row multisets over the persisted relations, after every step.

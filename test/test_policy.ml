@@ -82,6 +82,34 @@ let test_time_independent_classification () =
   in
   Alcotest.(check bool) "transitive ts join is TI" true transitive.Policy.time_independent
 
+(* [ts_joined]: one top-level SELECT whose log aliases share one [ts]
+   class. It gates §4.3's tick-pinned probe and the relevance index's
+   one-blocked-slot rule; TI rewriting keeps it. *)
+let test_ts_joined_classification () =
+  let _, e = policy_db () in
+  let check what expected sql =
+    Alcotest.(check bool) what expected (mk e what sql).Policy.ts_joined
+  in
+  check "single log alias" true "SELECT DISTINCT 'x' FROM users u WHERE u.uid = 1";
+  check "transitive ts join" true
+    "SELECT DISTINCT 'x' FROM users u, schema s, provenance p WHERE u.ts = \
+     s.ts AND s.ts = p.ts";
+  check "unjoined ts" false
+    "SELECT DISTINCT 'x' FROM users u, schema s WHERE u.uid = 1";
+  check "no log alias" false "SELECT DISTINCT 'x' FROM emp e WHERE e.id = 1";
+  check "union" false
+    "SELECT DISTINCT 'x' FROM users u WHERE u.uid = 1 UNION SELECT DISTINCT \
+     'y' FROM users v WHERE v.uid = 2";
+  let p =
+    mk e "rewritten"
+      "SELECT DISTINCT 'x' FROM users u, schema s WHERE u.ts = s.ts AND u.uid = 1"
+  in
+  let is_log rel = Catalog.is_log (Database.catalog (Engine.database e)) rel in
+  let p' = Time_independent.apply ~is_log p in
+  Alcotest.(check bool) "kept by TI rewriting" true p'.Policy.ts_joined;
+  Alcotest.(check bool) "and still true of the rewritten query" true
+    (Policy.with_query ~is_log p' p'.Policy.query).Policy.ts_joined
+
 let contains_substring haystack needle =
   let nl = String.length needle and hl = String.length haystack in
   let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
@@ -142,6 +170,7 @@ let suite =
     tc "log relations" test_log_rels;
     tc "monotonicity" test_monotone_classification;
     tc "time independence" test_time_independent_classification;
+    tc "ts-joined log aliases" test_ts_joined_classification;
     tc "TI rewriting" test_ti_rewriting;
     tc "workload policy classification" test_workload_policy_classification;
     tc "duplicate name" test_duplicate_name_rejected;

@@ -150,6 +150,27 @@ let test_relevance_refires_after_policy_change () =
     Alcotest.(check string) "message" "uid 1 off data" m
   | _ -> Alcotest.fail "uid 1 must be rejected after registration"
 
+(* A window policy (the shape of Table 2's P5) reads the clock without
+   TI rewriting. The clock moves at every submission, so no accept
+   proof ever covers it: it is not index-eligible, costs no relevance
+   check, and still fires. *)
+let test_relevance_window_policy_ineligible () =
+  let _, engine = make_engine () in
+  ignore (Engine.add_policy engine ~name:"window" (Test_oracle.template "quota1"));
+  let submit () = Engine.submit engine ~uid:1 "SELECT v FROM data WHERE k = 1" in
+  for _ = 1 to 2 do
+    match submit () with
+    | Engine.Accepted _ -> ()
+    | Engine.Rejected _ -> Alcotest.fail "two uid-1 submissions must pass"
+  done;
+  (match submit () with
+  | Engine.Rejected ([ m ], _) -> Alcotest.(check string) "message" "quota uid 1" m
+  | _ -> Alcotest.fail "the third uid-1 submission must be rejected");
+  let r = Engine.relevance_stats engine in
+  Alcotest.(check int) "indexed" 1 r.Engine.rel_indexed;
+  Alcotest.(check int) "not eligible" 0 r.Engine.rel_eligible;
+  Alcotest.(check int) "never checked" 0 r.Engine.rel_checks
+
 let test_relevance_off_counts_nothing () =
   let _, engine =
     make_engine ~config:{ scale_cfg with Engine.relevance = false } ()
@@ -243,6 +264,8 @@ let suite =
     tc "skipped policy fires again after a policy-set change"
       test_relevance_refires_after_policy_change;
     tc "relevance off checks and skips nothing" test_relevance_off_counts_nothing;
+    tc "a clock-reading policy without TI rewriting is not index-eligible"
+      test_relevance_window_policy_ineligible;
     tc "shared subplans are materialized once per admission"
       test_shared_scans_hit;
     tc "batch fast path composes with the full scale stack"
