@@ -6,6 +6,13 @@ open Relational
 (* Committed log tuples by the tick at which no witness keeps them. *)
 module Ticks = Map.Make (Int)
 
+(* What the commit record keeps of a table. *)
+type shape = {
+  rows : int;
+  mut : int;  (** {!Table.ver_mut} *)
+  dml : int;  (** {!Table.ver_dml} *)
+}
+
 type t = {
   db : Database.t;
   prepared : Prepared.t;
@@ -13,21 +20,66 @@ type t = {
       (** per compacted relation whose committed tuples all carry a
           deadline: those tuples by deadline, finite ones only (see
           {!run}); a relation without an entry is marked in full *)
-  mutable mark_basis : int list option;
-      (** what [deadlines] were derived against ({!mark_basis}), as of
-          the end of the last commit; [None] until a commit compacts *)
+  mutable committed : (int * (string, shape) Hashtbl.t) option;
+      (** the committed state as of the end of the last commit: the
+          catalog generation and every table's shape, by lowercased
+          name. Written only by {!run}, cleared only by {!reset}; pool
+          tasks only read it *)
   mutable delta_marks : int;  (** relations marked from their increment *)
   mutable full_marks : int;  (** relations marked over the whole log *)
   mutable preemptive_skips : int;  (** stored relations committed ungenerated *)
 }
 
 let create db prepared =
-  { db; prepared; deadlines = Hashtbl.create 4; mark_basis = None; delta_marks = 0; full_marks = 0;
+  { db; prepared; deadlines = Hashtbl.create 4; committed = None; delta_marks = 0; full_marks = 0;
     preemptive_skips = 0 }
 
 let reset t =
   Hashtbl.reset t.deadlines;
-  t.mark_basis <- None
+  t.committed <- None
+
+let recorded t = Option.is_some t.committed
+
+(* Record the committed state, and advance every log relation's
+   watermark to its frontier in the same breath: the alignment of
+   watermark and record is what the engine's delta and relevance
+   soundness arguments rest on. *)
+let record t =
+  let cat = Database.catalog t.db in
+  let names = Catalog.table_names cat in
+  let shapes = Hashtbl.create (List.length names) in
+  List.iter
+    (fun name ->
+      let tb = Catalog.find cat name in
+      if Catalog.is_log cat name then Table.mark_delta_base tb;
+      Hashtbl.replace shapes (Analysis.lc name)
+        { rows = Table.row_count tb; mut = Table.ver_mut tb; dml = Table.ver_dml tb })
+    names;
+  t.committed <- Some (Catalog.generation cat, shapes)
+
+(* Has every relation of [rels] kept its recorded shape, under the
+   recorded catalog generation, as [same] judges it? A relation neither
+   recorded nor in the catalog has; one in only one of them has not. *)
+let unchanged t rels same =
+  match t.committed with
+  | None -> false
+  | Some (gen, shapes) ->
+    let cat = Database.catalog t.db in
+    gen = Catalog.generation cat
+    && List.for_all
+         (fun rel ->
+           match (Hashtbl.find_opt shapes (Analysis.lc rel), Catalog.find_opt cat rel) with
+           | Some s, Some tb -> same rel s tb
+           | None, None -> true
+           | _ -> false)
+         rels
+
+(* Log dependencies have only gained rows above their watermarks or
+   lost rows to compaction unless DML moved [ver_dml]. *)
+let covers t deps =
+  let cat = Database.catalog t.db in
+  unchanged t deps (fun rel s tb ->
+      if Catalog.is_log cat rel then s.dml = Table.ver_dml tb else s.mut = Table.ver_mut tb)
 
 let marks t = (t.delta_marks, t.full_marks)
 
@@ -68,30 +120,14 @@ type mark = Keep | Mark of { full : bool; queries : Witness.query list }
 let add_due d tid due =
   Ticks.update d (fun tids -> Some (tid :: Option.value tids ~default:[])) due
 
-(* What the recorded deadlines were derived against: the catalog
-   generation, every stored relation's committed row count and
-   non-append version counters, and the version of every base relation a
-   witness joins. [pending rel] is the size of [rel]'s tentative
-   increment. If the basis after one commit equals the basis before the
-   next, the committed log changed only by compaction and the base
-   relations not at all, so the deadlines still hold. *)
-let mark_basis t (pl : Offline.t) ~(pending : string -> int) : int list =
-  let cat = Database.catalog t.db in
-  let logs =
-    List.concat_map
-      (fun rel ->
-        let tb = Database.table t.db rel in
-        [ Table.row_count tb - pending rel; Table.ver_del tb; Table.ver_unsafe tb;
-          Table.ver_compact tb ])
-      pl.Offline.store_rels
-  in
-  (Catalog.generation cat :: logs)
-  @ List.map
-      (fun rel ->
-        match Catalog.find_opt cat rel with
-        | Some tb -> Table.ver_mut tb
-        | None -> -1)
-      pl.Offline.witness_bases
+(* Do the recorded deadlines still hold? Since the last commit, each
+   stored relation has changed only by its tentative increment
+   ([pending rel] rows) and every base relation a witness joins not at
+   all. *)
+let deadlines_hold t (pl : Offline.t) ~(pending : string -> int) =
+  unchanged t pl.Offline.store_rels (fun rel s tb ->
+      s.rows = Table.row_count tb - pending rel && s.dml = Table.ver_dml tb)
+  && unchanged t pl.Offline.witness_bases (fun _ s tb -> s.mut = Table.ver_mut tb)
 
 let track_src = { Executor.lineage = false; track_src = true }
 
@@ -100,13 +136,13 @@ let track_src = { Executor.lineage = false; track_src = true }
    witness that tick is fixed when the tuple is committed: its joined
    rows are its ts-equijoin neighbours, stamped at its own tick and so
    never joined by later increments, and base rows, which do not move
-   while the basis holds. So the deadlines seeded by a full mark stay
-   exact, and a later commit only marks its increment
+   while {!deadlines_hold} holds. So the deadlines seeded by a full mark
+   stay exact, and a later commit only marks its increment
    ({!Witness.at_clock_tick}) and deletes the committed tuples whose
    deadline has come (a relation skipped preemptively only expires). The
    full mark runs instead for a relation without recorded deadlines (new
-   or recovered engine, new plan), after the basis moved (base DML, DDL,
-   log DML), for a relation with a Lemma 4.2 witness (its
+   or recovered engine, new plan), after the recorded state moved (base
+   DML, DDL, log DML), for a relation with a Lemma 4.2 witness (its
    representatives can change), and for a batch ([single_tick = false]),
    whose increment spans several ticks. *)
 let run t (pl : Offline.t) ~compaction ~generated ~floors ~(now : int)
@@ -137,8 +173,7 @@ let run t (pl : Offline.t) ~compaction ~generated ~floors ~(now : int)
       (fun d -> stats.Stats.compact_mark <- stats.Stats.compact_mark +. d)
       (fun () ->
         let incremental =
-          compaction && single_tick
-          && t.mark_basis = Some (mark_basis t pl ~pending)
+          compaction && single_tick && deadlines_hold t pl ~pending
         in
         if not incremental then Hashtbl.reset t.deadlines;
         let marks =
@@ -282,7 +317,7 @@ let run t (pl : Offline.t) ~compaction ~generated ~floors ~(now : int)
   (* All savepoints are resolved now: a later failure (e.g. in the user
      query) must not attempt to roll them back again. *)
   Hashtbl.reset generated;
-  if compaction then t.mark_basis <- Some (mark_basis t pl ~pending:(fun _ -> 0));
+  record t;
   (* The outcome is the commit's WAL record ({!Durable.commit}): the
      positions compaction expired and every relation's retained
      increment. *)

@@ -1,21 +1,42 @@
 (** The commit of an accepted submission: log compaction (Algorithm 2,
-    Lemmas 4.1–4.3, §4.1.2) over its tentative increments. A full mark
-    runs the witnesses over the whole log and records the survivors'
-    deadlines; while the mark basis holds, a single-tick commit marks
-    only its increment and expires the committed tuples whose deadline
-    came. The expired rows are returned by position, so one WAL record
-    describes the commit; whether it is journaled or checkpointed is
-    {!Durable}'s decision. *)
+    Lemmas 4.1–4.3, §4.1.2) over its tentative increments, and the one
+    record of the committed state. A full mark runs the witnesses over
+    the whole log and records the survivors' deadlines; while the
+    committed state has moved only by increments since, a single-tick
+    commit marks only its increment and expires the committed tuples
+    whose deadline came. The expired rows are returned by position, so
+    one WAL record describes the commit; whether it is journaled or
+    checkpointed is {!Durable}'s decision.
+
+    Every commit ends by recording the catalog generation and every
+    table's row count, {!Table.ver_mut} and {!Table.ver_dml}, and by
+    advancing every log relation's delta watermark. Both questions of
+    the form "what changed since the last commit" read that record: the
+    accept proof ({!covers}) and the incremental mark's test. *)
 
 open Relational
 
-(** Deadlines, the basis they hold against, and the mark counters. *)
+(** Deadlines, the committed-state record, and the mark counters. *)
 type t
 
 val create : Database.t -> Prepared.t -> t
 
-(** Forget the deadlines and their basis (the plan changed). *)
+(** Forget the deadlines and the committed-state record (the plan
+    changed). The only place that clears the record. *)
 val reset : t -> unit
+
+(** Whether a commit has recorded the committed state since the last
+    {!reset}. *)
+val recorded : t -> bool
+
+(** The accept proof: acceptance proved every active policy empty over
+    a superset of the recorded state. Does that still cover a policy
+    reading [deps]? It does while the catalog generation is unchanged,
+    no log dependency has seen DML ({!Table.ver_dml}: it has only gained
+    rows above its watermark or lost rows to compaction), and every
+    other dependency is untouched ({!Table.ver_mut}). Read-only, so safe
+    inside pool tasks. *)
+val covers : t -> string list -> bool
 
 (** (relations marked from their increment, over the whole log), one
     count per relation per commit. *)

@@ -29,18 +29,20 @@ type t = {
           clock, which also counts rejected submissions' unjournaled
           ticks — so the recovered clock never depends on when
           checkpoints ran *)
-  mutable basis : (string * (int * int * int)) list;
-      (** per scope relation, its {!shape} at the last durable point *)
+  mutable basis : (string * (int * int)) list;
+      (** per scope relation, its {!shape} at the last durable point:
+          checkpoints also happen between commits, so this is not
+          {!Commit}'s record *)
 }
 
 let store t = t.store
 
-(* A relation's row count less [growth], and the counters that only DML
-   and reloads move: compaction moves [ver_compact], and rolling back or
-   releasing an increment only [ver_mut]. *)
+(* A relation's row count less [growth], and {!Table.ver_dml}, which
+   only DML and reloads move: compaction and rolling back or releasing
+   an increment leave it alone. *)
 let shape t ?(growth = 0) rel =
   let tb = Database.table t.db rel in
-  (Table.row_count tb - growth, Table.ver_del tb, Table.ver_unsafe tb)
+  (Table.row_count tb - growth, Table.ver_dml tb)
 
 let mark t = t.basis <- List.map (fun rel -> (rel, shape t rel)) t.scope
 

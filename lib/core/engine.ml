@@ -121,12 +121,6 @@ type t = {
   probe_prunes : int Atomic.t;
       (** interleaved prunes of a policy whose tick-pinned probe was
           empty (§4.3 improved partial policies) *)
-  mutable proved : (int * (string, int) Hashtbl.t) option;
-      (** the accept proof: the catalog generation and every table's
-          version (see {!version}) when the last accepted submission
-          proved each active policy empty over the committed log.
-          Written only by {!establish_bases} between submissions,
-          cleared only by {!invalidate}; pool tasks only read it *)
   delta_evals : int Atomic.t;  (** policy evaluations served by delta plans *)
   full_evals : int Atomic.t;
       (** delta-eligible policies that fell back to full evaluation *)
@@ -216,7 +210,6 @@ let create ?(config = default_config) ?(generators = Usage_log.standard)
       rel_skips = Atomic.make 0;
       empty_prunes = Atomic.make 0;
       probe_prunes = Atomic.make 0;
-      proved = None;
       delta_evals = Atomic.make 0;
       full_evals = Atomic.make 0;
       commit = Commit.create db prepared;
@@ -246,10 +239,8 @@ let is_log t rel = Catalog.is_log (Database.catalog t.db) rel
 let invalidate t =
   t.plan <- None;
   Catalog.touch (Database.catalog t.db);
-  (* The proof covered the old policy set, under the generation just
-     bumped. *)
-  t.proved <- None;
-  (* The witnesses change with the plan: re-derive every deadline. *)
+  (* The accept proof covered the old policy set, and the witnesses
+     change with the plan: drop the record and every deadline. *)
   Commit.reset t.commit
 
 let set_config t config =
@@ -490,56 +481,6 @@ let delta_entry t (p : Policy.t) : Executor.delta_compiled option =
     Prepared.prepare_delta t.prepared ~is_log:(is_log t)
       ~clock_rel:Usage_log.clock_relation p.Policy.query
 
-(* The version the accept proof records for a table: a log relation's
-   {!Table.ver_unsafe} (appends are covered by the delta watermark, and
-   removals cannot grow a monotone result), any other table's
-   {!Table.ver_mut}, and -1 for a missing one. *)
-let version cat name =
-  match Catalog.find_opt cat name with
-  | Some table ->
-    if Catalog.is_log cat name then Table.ver_unsafe table
-    else Table.ver_mut table
-  | None -> -1
-
-(* After an accepted submission: acceptance proved every active policy
-   empty over the tentative state, of which the just-committed state is a
-   subset (monotonicity), so every policy is empty over the committed
-   state. Advance all log watermarks to the committed frontier and record
-   the proof — the catalog generation and every table's {!version} — in
-   the same breath: the alignment of watermark and record is what
-   {!delta_try}'s and {!irrelevant}'s soundness arguments rest on. *)
-let establish_bases t =
-  let cat = Database.catalog t.db in
-  List.iter
-    (fun (g : Usage_log.generator) ->
-      match Catalog.find_opt cat g.Usage_log.relation with
-      | Some table -> Table.mark_delta_base table
-      | None -> ())
-    t.generators;
-  let names = Catalog.table_names cat in
-  let vers = Hashtbl.create (List.length names) in
-  List.iter (fun name -> Hashtbl.replace vers name (version cat name)) names;
-  t.proved <- Some (Catalog.generation cat, vers)
-
-(* Does the accept proof still cover a policy reading [deps]: the
-   catalog generation is unchanged and so is every dependency's
-   {!version}? Then plain dependencies are untouched and log ones have
-   only gained rows above the watermark or lost rows, so the policy is
-   still empty over the rows below the watermarks. Each caller passes
-   its own dependencies: DML on a table nobody reads invalidates
-   nothing. Read-only, so safe inside pool tasks. *)
-let proved_empty t deps =
-  match t.proved with
-  | None -> false
-  | Some (gen, vers) ->
-    let cat = Database.catalog t.db in
-    gen = Catalog.generation cat
-    && List.for_all
-         (fun name ->
-           Option.value (Hashtbl.find_opt vers name) ~default:(-1)
-           = version cat name)
-         deps
-
 (* Try to decide a policy from its delta plans alone. [Some res] is a
    verdict: the policy's result over the full tentative state is empty
    iff [res = None], and a non-empty [res] carries the union of every
@@ -552,7 +493,7 @@ let proved_empty t deps =
    included: it evaluates in full), or the proof no longer covers the
    policy — and the caller must evaluate in full.
 
-   Soundness: under a valid proof ({!proved_empty}) the query is empty
+   Soundness: under a valid proof ({!Commit.covers}) the query is empty
    over the rows below the watermarks, so any result row must bind at
    least one log slot to a delta tuple, and the per-slot variants
    enumerate exactly those bindings. *)
@@ -561,7 +502,7 @@ let delta_try t ~(stats : Stats.t) (p : Policy.t) :
   match delta_entry t p with
   | None -> None
   | Some entry ->
-    if not (proved_empty t entry.Executor.delta_deps) then begin
+    if not (Commit.covers t.commit entry.Executor.delta_deps) then begin
       Atomic.incr t.full_evals;
       None
     end
@@ -602,7 +543,7 @@ let irrelevant ?available t (pl : plan) (p : Policy.t) : bool =
     && begin
       Atomic.incr t.rel_checks;
       let skip =
-        (info.Relevance.ti_pinned || proved_empty t info.Relevance.deps)
+        (info.Relevance.ti_pinned || Commit.covers t.commit info.Relevance.deps)
         && Relevance.blocked ?available (Database.catalog t.db) info
       in
       if skip then Atomic.incr t.rel_skips;
@@ -628,7 +569,7 @@ let delta_stats t : delta_stats =
   {
     eligible_plans = eligible;
     fallback_plans = fallback;
-    delta_bases = (if Option.is_some t.proved then eligible else 0);
+    delta_bases = (if Commit.recorded t.commit then eligible else 0);
     delta_evals = Atomic.get t.delta_evals;
     full_evals = Atomic.get t.full_evals;
   }
@@ -905,9 +846,9 @@ let run_union t (sub : submission) (pool : Parallel.Pool.t option) (pl : plan)
 
 (* Accept: the commit — §4.3's generate-or-skip of every stored
    relation that checking did not generate, then compaction
-   ({!Commit.run}), which marks skipped ones too — made durable as
-   {!Durable.commit} decides. Then record the accept proof the
-   committed state now satisfies. *)
+   ({!Commit.run}), which marks skipped ones too and records the
+   committed state the accept proof covers — made durable as
+   {!Durable.commit} decides. *)
 let accept t (sub : submission) (pool : Parallel.Pool.t option) (pl : plan)
     ~(now : int) ~(single_tick : bool) =
   List.iter
@@ -930,8 +871,7 @@ let accept t (sub : submission) (pool : Parallel.Pool.t option) (pl : plan)
       Stats.timed
         (fun x -> sub.stats.Stats.persist <- sub.stats.Stats.persist +. x)
         (fun () -> Durable.commit d ~now c))
-    t.durable;
-  if t.config.delta || t.config.relevance then establish_bases t
+    t.durable
 
 (* Execute an admitted user query, charging [stats.query_exec]. *)
 let run_query t (stats : Stats.t) (query : Ast.query) : Executor.result =

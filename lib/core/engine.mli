@@ -31,15 +31,15 @@ type config = {
           and policy-call counts are identical at every value.
           Defaults to {!default_domains}. *)
   delta : bool;
-      (** incremental (delta-driven) policy evaluation: after each
-          accepted submission the engine records that every active
-          policy was proved empty over the committed log (the accept
-          proof), and later submissions re-check a delta-eligible one
+      (** incremental (delta-driven) policy evaluation: every commit
+          records the committed log, over which every active policy was
+          proved empty (the accept proof, {!Commit.covers}), and later
+          submissions re-check a delta-eligible one
           (see {!Relational.Optimizer.derive_delta}) by scanning only
           the rows above the log relations' watermarks. Policies whose
           plans are not eligible — or that the proof no longer covers,
-          after DDL, configuration or policy changes, or non-monotone
-          mutations of a table they read — transparently fall back to
+          after DDL, configuration or policy changes, or DML on a table
+          they read — transparently fall back to
           full re-evaluation, so decisions, messages and log contents are
           identical either way. A policy joining the clock or
           aggregating (GROUP BY/HAVING) is never delta-eligible: with or

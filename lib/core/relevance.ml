@@ -15,11 +15,11 @@
     clock only if TI-rewritten (see below). For an eligible
     policy, suppose (the engine checks all of this at skip time):
 
-    - the accept proof (the engine's [proved_empty]) shows the query
-      empty over the state at the last accepted submission, with every
-      referenced relation's version counter unchanged since (plain
-      relations are bit-unchanged, log relations have only gained rows
-      above the delta watermark or lost rows below it);
+    - the accept proof ({!Commit.covers}) shows the query empty over
+      the state the last commit recorded, with every referenced
+      relation's version counter unchanged since (plain relations are
+      bit-unchanged, log relations have only gained rows above the
+      delta watermark or lost rows to compaction);
     - the enumerated filter sources ({!filter.allowed} built from
       [log.col = plain.col] equalities) are unchanged since the index
       was built; and
@@ -166,6 +166,20 @@ let build (cat : Catalog.t) ~(is_log : string -> bool) ~(clock_rel : string)
               Value.Tbl.replace h v ();
               h
             in
+            (* [alias.c = a2.c2] with [a2] a plain table: [c] may take
+               only the values [c2] enumerates. *)
+            let plain_join (a, c) (a2, c2) =
+              if lc a <> alias || lc a2 = alias then None
+              else
+                match plain_table (lc a2) with
+                | None -> None
+                | Some tb -> (
+                  match (col_index c, enumerate cat (Table.name tb) c2) with
+                  | Some col, Some allowed ->
+                    guards := (Table.name tb, Table.ver_mut tb) :: !guards;
+                    Some { col; allowed }
+                  | _ -> None)
+            in
             List.filter_map
               (fun conj ->
                 match conj with
@@ -175,30 +189,11 @@ let build (cat : Catalog.t) ~(is_log : string -> bool) ~(clock_rel : string)
                   Option.map
                     (fun col -> { col; allowed = singleton v })
                     (col_index c)
-                | Ast.Binop (Ast.Eq, Ast.Col (Some a, c), Ast.Col (Some a2, c2))
-                  when lc a = alias && lc a2 <> alias -> (
-                  match plain_table (lc a2) with
-                  | None -> None
-                  | Some tb -> (
-                    match
-                      (col_index c, enumerate cat (Table.name tb) c2)
-                    with
-                    | Some col, Some allowed ->
-                      guards := (Table.name tb, Table.ver_mut tb) :: !guards;
-                      Some { col; allowed }
-                    | _ -> None))
-                | Ast.Binop (Ast.Eq, Ast.Col (Some a2, c2), Ast.Col (Some a, c))
-                  when lc a = alias && lc a2 <> alias -> (
-                  match plain_table (lc a2) with
-                  | None -> None
-                  | Some tb -> (
-                    match
-                      (col_index c, enumerate cat (Table.name tb) c2)
-                    with
-                    | Some col, Some allowed ->
-                      guards := (Table.name tb, Table.ver_mut tb) :: !guards;
-                      Some { col; allowed }
-                    | _ -> None))
+                | Ast.Binop (Ast.Eq, Ast.Col (Some a, c), Ast.Col (Some a2, c2)) -> (
+                  (* Either operand may be this slot's column. *)
+                  match plain_join (a, c) (a2, c2) with
+                  | Some f -> Some f
+                  | None -> plain_join (a2, c2) (a, c))
                 | _ -> None)
               conjuncts
           in

@@ -28,18 +28,12 @@ type t = {
   mutable delta_base : int;
       (* tid watermark for incremental policy evaluation: rows with
          tid >= delta_base form the delta (Δ) against the state the
-         engine last proved its policies empty over *)
+         last commit recorded *)
   mutable ver_mut : int;  (* bumped by every mutation *)
-  mutable ver_unsafe : int;
-      (* bumped only by the mutations that can grow a monotone query's
-         result without appending new tids: update_where, clear,
-         bulk_load (recovery reload) *)
-  mutable ver_del : int;
-      (* bumped only by predicate deletion (delete_where): arbitrary DML
-         removals *)
-  mutable ver_compact : int;
-      (* bumped only by tid-set deletion (retain_tids, drop_tids):
-         witness-driven log compaction *)
+  mutable ver_dml : int;
+      (* bumped only by the mutations outside the engine's append,
+         rollback and compaction protocol: delete_where, update_where,
+         clear, bulk_load (recovery reload) *)
   mutable columnar : Column.t option;
       (* opt-in columnar mirror for batch scans, kept consistent with
          the heap by the same mutation hooks that maintain indexes *)
@@ -62,9 +56,7 @@ let create ~name ~schema =
     indexes = [];
     delta_base = 0;
     ver_mut = 0;
-    ver_unsafe = 0;
-    ver_del = 0;
-    ver_compact = 0;
+    ver_dml = 0;
     columnar = None;
   }
 
@@ -264,7 +256,7 @@ let guard_no_txn t op =
 
 let bulk_load t rows =
   guard_no_txn t "bulk_load";
-  t.ver_unsafe <- t.ver_unsafe + 1;
+  t.ver_dml <- t.ver_dml + 1;
   List.iter (fun cells -> ignore (insert t cells)) rows
 
 (* Keep rows satisfying [keep_row], unhooking the dropped ones from every
@@ -305,25 +297,22 @@ let filter_rows t keep_row =
    by position. *)
 let retain_tids t keep =
   guard_no_txn t "retain_tids";
-  t.ver_compact <- t.ver_compact + 1;
   filter_rows t (fun r -> Hashtbl.mem keep (Row.tid r))
 
-(* Delete the rows whose tid IS in [dead]: compaction's expiry path,
-   counted like [retain_tids]. *)
+(* Delete the rows whose tid IS in [dead]: compaction's expiry path. *)
 let drop_tids t dead =
   guard_no_txn t "drop_tids";
-  t.ver_compact <- t.ver_compact + 1;
   filter_rows t (fun r -> not (Hashtbl.mem dead (Row.tid r)))
 
 let delete_where t pred =
   guard_no_txn t "delete_where";
-  t.ver_del <- t.ver_del + 1;
+  t.ver_dml <- t.ver_dml + 1;
   List.length (filter_rows t (fun r -> not (pred r)))
 
 let clear t =
   guard_no_txn t "clear";
   t.ver_mut <- t.ver_mut + 1;
-  t.ver_unsafe <- t.ver_unsafe + 1;
+  t.ver_dml <- t.ver_dml + 1;
   List.iter Index.clear t.indexes;
   Vec.clear t.rows;
   match t.columnar with None -> () | Some store -> Column.clear store
@@ -333,7 +322,7 @@ let clear t =
 let update_where t pred f =
   guard_no_txn t "update_where";
   t.ver_mut <- t.ver_mut + 1;
-  t.ver_unsafe <- t.ver_unsafe + 1;
+  t.ver_dml <- t.ver_dml + 1;
   let n = ref 0 in
   Vec.iteri
     (fun i r ->
@@ -394,11 +383,7 @@ let mark_delta_base t = t.delta_base <- t.next_tid
 
 let ver_mut t = t.ver_mut
 
-let ver_unsafe t = t.ver_unsafe
-
-let ver_del t = t.ver_del
-
-let ver_compact t = t.ver_compact
+let ver_dml t = t.ver_dml
 
 (* Fold over the delta: rows with tid >= delta_base. Rows are tid-sorted
    (module invariant), so a binary lower bound finds the start. *)

@@ -127,7 +127,7 @@ val retain_tids : t -> (int, unit) Hashtbl.t -> (int * Row.t) list
 
 (** Delete the rows whose tid is in the given set; returns the removed
     rows by position, as {!retain_tids} does. The complement of
-    {!retain_tids}, with the same version accounting ({!ver_compact}):
+    {!retain_tids}, with the same version accounting (only {!ver_mut}):
     log compaction expires tuples with it.
     @raise Errors.Sql_error inside a savepoint. *)
 val drop_tids : t -> (int, unit) Hashtbl.t -> (int * Row.t) list
@@ -165,13 +165,13 @@ val fold_since : ('acc -> Row.t -> 'acc) -> 'acc -> t -> savepoint -> 'acc
 
 (** {1 Delta watermark}
 
-    Support for the engine's incremental policy evaluation: after it has
-    proved every policy empty over the current state, the engine marks
-    each log relation's watermark; rows appended later (which always
-    carry larger tids — see the module invariant) form the delta the
-    next evaluation joins against the indexed state. The version
-    counters let the engine detect mutations that invalidate that
-    proof. *)
+    Support for the engine's incremental policy evaluation: every commit
+    marks each log relation's watermark when it records the committed
+    state, over which acceptance proved every policy empty; rows
+    appended later (which always carry larger tids — see the module
+    invariant) form the delta the next evaluation joins against the
+    indexed state. The two version counters tell what changed since
+    that record. *)
 
 (** Current watermark tid (0 until {!mark_delta_base} is first called). *)
 val delta_base : t -> int
@@ -184,20 +184,12 @@ val mark_delta_base : t -> unit
     [retain_tids], [drop_tids], [update_where], [rollback_to], [clear]). *)
 val ver_mut : t -> int
 
-(** Bumped only by mutations that can grow a monotone query's result
-    without appending fresh tids: [update_where], [clear] and
-    [bulk_load]. Pure removals ([delete_where], [retain_tids],
-    [drop_tids], [rollback_to]) and appends (watermarked by tid) leave it alone. *)
-val ver_unsafe : t -> int
-
-(** Bumped only by predicate deletion ([delete_where]): arbitrary DML
-    removals. *)
-val ver_del : t -> int
-
-(** Bumped only by tid-set deletion ([retain_tids], [drop_tids]):
-    witness-driven log compaction. [rollback_to] bumps neither removal
-    counter — discarded tentative rows were never committed. *)
-val ver_compact : t -> int
+(** Bumped only by the mutations outside the engine's append, rollback
+    and compaction protocol: [delete_where], [update_where], [clear] and
+    [bulk_load]. Appends (watermarked by tid), [rollback_to] (the
+    discarded tentative rows were never committed) and compaction's
+    [retain_tids] and [drop_tids] leave it alone. *)
+val ver_dml : t -> int
 
 (** Fold over the delta — the rows with tid >= {!delta_base}, in tid
     order — without touching the rest of the heap (binary lower bound,

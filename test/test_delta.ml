@@ -268,7 +268,29 @@ let test_proof_checked_per_dependency () =
         (d1.Engine.delta_evals - d0.Engine.delta_evals);
       Alcotest.(check int) (what "the data policy stays skipped")
         (if relevance then 1 else 0)
-        (r1.Engine.rel_skips - r0.Engine.rel_skips))
+        (r1.Engine.rel_skips - r0.Engine.rel_skips);
+      (* Log DML voids the proof for every policy reading the relation:
+         both policies read [users], so both evaluate in full once, and
+         the next commit's record covers them again (the ban-list
+         policy's index filter went stale at the [banned] insert, so it
+         runs on delta instead of being skipped). *)
+      ignore
+        (Dml.exec (Database.catalog db) (Parser.stmt "DELETE FROM users WHERE uid = 7"));
+      let step s =
+        let d = Engine.delta_stats engine and r = Engine.relevance_stats engine in
+        submit_ok engine ~uid:2 (what s);
+        let d' = Engine.delta_stats engine and r' = Engine.relevance_stats engine in
+        ( d'.Engine.full_evals - d.Engine.full_evals,
+          d'.Engine.delta_evals - d.Engine.delta_evals,
+          r'.Engine.rel_skips - r.Engine.rel_skips )
+      in
+      Alcotest.(check (triple int int int))
+        (what "after the log delete: full, delta, skips")
+        (2, 0, 0) (step "after the log delete");
+      Alcotest.(check (triple int int int))
+        (what "the submission after: full, delta, skips")
+        (if relevance then (0, 1, 1) else (0, 2, 0))
+        (step "the submission after"))
     [ false; true ]
 
 (* Every [Engine.counters] key counts over the engine's lifetime; the

@@ -828,10 +828,11 @@ let log_dml_survives ~compaction ~ending () =
   Engine.close b;
   if ending = `Submit_and_crash then Engine.close a
 
-(* The accepted submission after log DML checkpoints and journals
-   nothing; the one after it journals exactly one record. The window is
-   wide enough that neither commit expires a row. *)
-let log_dml_then_commits () =
+(* The accepted submission after log DML [dml] checkpoints, journals
+   nothing and marks [users] over the whole log; the one after it
+   journals exactly one record and marks from its increment. The window
+   is wide enough that neither commit expires a row. *)
+let log_dml_then_commits dml () =
   let dir = temp_dir () in
   let a = Engine.create ~persist_dir:dir ~persist_fsync:P.Store.Always (base_db ()) in
   ignore (Engine.add_policy a ~name:"window" (window_policy ~w:200 ~max:200));
@@ -839,14 +840,18 @@ let log_dml_then_commits () =
   for _ = 1 to 3 do
     submit_ok a ~uid:1 "SELECT COUNT(*) FROM person"
   done;
-  ignore (Database.exec (Engine.database a) "DELETE FROM users WHERE ts <= 1");
+  ignore (Database.exec (Engine.database a) dml);
   let durable_after () =
     let g = P.Store.generation store in
+    let full = Test_support.counter a "witness-full-marks" in
     submit_ok a ~uid:1 "SELECT COUNT(*) FROM person";
-    (P.Store.generation store - g, P.Store.wal_records store)
+    ( P.Store.generation store - g,
+      P.Store.wal_records store,
+      Test_support.counter a "witness-full-marks" - full )
   in
-  Alcotest.(check (pair int int)) "after log DML: checkpoint, no record" (1, 0) (durable_after ());
-  Alcotest.(check (pair int int)) "the commit after: one record" (0, 1) (durable_after ());
+  let check what = Alcotest.(check (triple int int int)) (what ^ ", full marks") in
+  check "after log DML: checkpoint, no record" (1, 0, 1) (durable_after ());
+  check "the commit after: one record" (0, 1, 0) (durable_after ());
   Engine.close a
 
 (* DML on a log relation outside the persistence scope changes nothing
@@ -973,7 +978,10 @@ let suite =
       (log_dml_survives ~compaction:false ~ending:`Submit_and_crash);
     tc "log DML, then close (compaction on)" (log_dml_survives ~compaction:true ~ending:`Close);
     tc "log DML, then close (compaction off)" (log_dml_survives ~compaction:false ~ending:`Close);
-    tc "log DML, then two commits" log_dml_then_commits;
+    tc "log DML, then two commits" (log_dml_then_commits "DELETE FROM users WHERE ts <= 1");
+    tc "log UPDATE, then two commits"
+      (log_dml_then_commits "UPDATE users SET ts = 2 WHERE ts = 1");
+    tc "log INSERT, then two commits" (log_dml_then_commits "INSERT INTO users VALUES (1, 1)");
     tc "unstored log DML, then close" unstored_log_dml_then_close;
     tc "WAL cut inside a final expiring record" torn_expiring_record;
     tc "a checkpoint counts its fsyncs" checkpoint_fsyncs;

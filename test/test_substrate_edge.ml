@@ -33,6 +33,45 @@ let test_savepoint_guards () =
   Alcotest.(check int) "deletes allowed after release" 1
     (Table.delete_where t (fun _ -> true))
 
+(* The version-counter contract the commit record relies on: the
+   engine's own protocol (appends, savepoints, compaction's tid-set
+   deletions) moves only [ver_mut]; the mutations outside it move
+   [ver_dml] too. *)
+let test_version_counters () =
+  let db = db_of_script "CREATE TABLE t (a INT); INSERT INTO t VALUES (1), (2), (3)" in
+  let t = Database.table db "t" in
+  let tids l =
+    let h = Hashtbl.create 4 in
+    List.iter (fun tid -> Hashtbl.replace h tid ()) l;
+    h
+  in
+  let moves what ~mut ~dml op =
+    let m0 = Table.ver_mut t and d0 = Table.ver_dml t in
+    op ();
+    Alcotest.(check (pair bool bool))
+      (what ^ ": ver_mut, ver_dml moved")
+      (mut, dml)
+      (Table.ver_mut t <> m0, Table.ver_dml t <> d0)
+  in
+  moves "insert" ~mut:true ~dml:false (fun () -> ignore (Table.insert t [| i 4 |]));
+  let sp = Table.savepoint t in
+  moves "tentative insert" ~mut:true ~dml:false (fun () -> ignore (Table.insert t [| i 5 |]));
+  moves "rollback_to" ~mut:true ~dml:false (fun () -> Table.rollback_to t sp);
+  let sp = Table.savepoint t in
+  ignore (Table.insert t [| i 5 |]);
+  (* Keeping the increment is no mutation: neither counter moves. *)
+  moves "release" ~mut:false ~dml:false (fun () -> Table.release t sp);
+  moves "retain_tids" ~mut:true ~dml:false (fun () ->
+      ignore (Table.retain_tids t (tids [ 0; 1; 2; 3 ])));
+  moves "drop_tids" ~mut:true ~dml:false (fun () -> ignore (Table.drop_tids t (tids [ 0 ])));
+  moves "delete_where" ~mut:true ~dml:true (fun () ->
+      ignore (Table.delete_where t (fun r -> Value.equal (Row.cell r 0) (i 2))));
+  moves "update_where" ~mut:true ~dml:true (fun () ->
+      ignore (Table.update_where t (fun _ -> true) (fun c -> c)));
+  moves "clear" ~mut:true ~dml:true (fun () -> Table.clear t);
+  moves "bulk_load" ~mut:true ~dml:true (fun () -> Table.bulk_load t [ [| i 7 |] ]);
+  Alcotest.(check int) "rows after the sequence" 1 (Table.row_count t)
+
 let test_find_by_tid_after_deletion () =
   let db = db_of_script "CREATE TABLE t (a INT); INSERT INTO t VALUES (10), (20), (30)" in
   let t = Database.table db "t" in
@@ -154,4 +193,5 @@ let suite =
     tc "scalar helper" test_scalar_helper;
     tc "result rendering" test_render;
     tc "quoted identifiers" test_quoted_identifier_table;
+    tc "version counters" test_version_counters;
   ]
