@@ -3,48 +3,16 @@
     All policy rewrites (time-independence, witnesses, partial policies,
     unification) operate on {e qualified} queries: every column reference
     carries its table alias. {!qualify} resolves unqualified references
-    once at policy-registration time so the rewrites can reason purely
-    syntactically afterwards. *)
+    once at policy-registration time, through the binder's own scope
+    ({!Plan.from_scope}), so the rewrites can reason purely syntactically
+    afterwards. *)
 
 open Relational
 
 let lc = String.lowercase_ascii
 
-(* Output column names of a query (used to resolve through subqueries). *)
-let rec output_columns (cat : Catalog.t) (q : Ast.query) : string list =
-  match q with
-  | Ast.Union { left; _ } -> output_columns cat left
-  | Ast.Select s ->
-    let sources = source_columns cat s.from in
-    List.concat_map
-      (function
-        | Ast.Star -> List.concat_map snd sources
-        | Ast.Table_star t -> (
-          match List.assoc_opt (lc t) sources with
-          | Some cols -> cols
-          | None -> Errors.bind_error "unknown table or alias %S" t)
-        | Ast.Sel_expr (e, alias) ->
-          let name =
-            match alias, e with
-            | Some a, _ -> a
-            | None, Ast.Col (_, c) -> c
-            | None, Ast.Agg_call (agg, _, _) -> lc (Sql_print.agg_str agg)
-            | None, _ -> "?column?"
-          in
-          [ name ])
-      s.items
-
-and source_columns cat (from : Ast.from_item list) : (string * string list) list =
-  List.map
-    (fun fi ->
-      let alias = lc (Ast.from_item_alias fi) in
-      match fi with
-      | Ast.From_table { name; _ } ->
-        (alias, Schema.column_names (Table.schema (Catalog.find cat name)))
-      | Ast.From_subquery { query; _ } -> (alias, output_columns cat query))
-    from
-
-(* Qualify every column reference in a query with its source alias. *)
+(* Qualify every column reference in a query with the alias the binder
+   resolves it to. *)
 let rec qualify (cat : Catalog.t) (q : Ast.query) : Ast.query =
   match q with
   | Ast.Union { all; left; right } ->
@@ -59,20 +27,10 @@ let rec qualify (cat : Catalog.t) (q : Ast.query) : Ast.query =
           | Ast.From_table _ -> fi)
         s.from
     in
-    let sources = source_columns cat from in
-    let resolve name =
-      let lname = lc name in
-      let hits =
-        List.filter (fun (_, cols) -> List.exists (fun c -> lc c = lname) cols) sources
-      in
-      match hits with
-      | [ (alias, _) ] -> alias
-      | [] -> Errors.bind_error "unknown column %S in policy" name
-      | _ -> Errors.bind_error "ambiguous column %S in policy" name
-    in
+    let scope = Plan.from_scope cat from in
     let fix =
       Ast.map_expr (function
-        | Ast.Col (None, name) -> Ast.Col (Some (resolve name), name)
+        | Ast.Col (None, name) -> Ast.Col (Some (Plan.alias_of scope name), name)
         | e -> e)
     in
     Ast.Select

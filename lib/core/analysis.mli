@@ -10,12 +10,10 @@ open Relational
 (** [String.lowercase_ascii]. *)
 val lc : string -> string
 
-(** Output column names of a query (resolving through subqueries).
-    @raise Errors.Sql_error on unknown aliases. *)
-val output_columns : Catalog.t -> Ast.query -> string list
-
-(** Qualify every column reference with its source alias.
-    @raise Errors.Sql_error on unknown or ambiguous columns. *)
+(** Qualify every unqualified column reference with the alias the binder
+    resolves it to ({!Plan.alias_of}); FROM subqueries are bound whole.
+    @raise Errors.Sql_error with the binder's message on unknown or
+    ambiguous names. *)
 val qualify : Catalog.t -> Ast.query -> Ast.query
 
 (** Does the expression reference any of the given (lowercased)

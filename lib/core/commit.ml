@@ -145,7 +145,7 @@ let track_src = { Executor.lineage = false; track_src = true }
    DML, DDL, log DML), for a relation with a Lemma 4.2 witness (its
    representatives can change), and for a batch ([single_tick = false]),
    whose increment spans several ticks. *)
-let run t (pl : Offline.t) ~compaction ~generated ~floors ~(now : int)
+let run t (pl : Offline.t) ~compaction ~generated ~(now : int)
     ~(single_tick : bool) ~(stats : Stats.t) ~map : outcome =
   (* Per-relation rows retained and committed rows expired this commit:
      the WAL record. *)
@@ -270,9 +270,7 @@ let run t (pl : Offline.t) ~compaction ~generated ~floors ~(now : int)
                  4.2 witness keeps this relation on the full mark. *)
               if List.for_all (fun (q : Witness.query) -> q.Witness.keys = None) queries
               then begin
-                let floor =
-                  Option.value (Hashtbl.find_opt floors rel) ~default:max_int
-                in
+                let floor = Option.fold ~none:max_int ~some:Table.savepoint_tid sp in
                 Hashtbl.replace t.deadlines rel
                   (Hashtbl.fold
                      (fun tid d due ->

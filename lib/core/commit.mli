@@ -64,8 +64,7 @@ type outcome = {
 (** A map over independent read-only tasks (the engine's pool fan-out). *)
 type map = { map : 'a 'b. (Stats.t -> 'a -> 'b) -> 'a list -> 'b list }
 
-(** Commit the increments whose savepoints [generated] holds ([floors]:
-    first tentative tids). Every stored relation is marked, and keeps
+(** Commit the increments whose savepoints [generated] holds. Every stored relation is marked, and keeps
     its retained increment (all of it without [compaction] or under
     [Keep_all]); one absent from [generated] was skipped preemptively,
     so its increment is empty, but its committed tuples still expire at
@@ -77,7 +76,6 @@ val run :
   Offline.t ->
   compaction:bool ->
   generated:(string, Table.savepoint) Hashtbl.t ->
-  floors:(string, int) Hashtbl.t ->
   now:int ->
   single_tick:bool ->
   stats:Stats.t ->

@@ -344,8 +344,6 @@ type submission = {
   ctx : Usage_log.query_ctx;
   stats : Stats.t;
   generated : (string, Table.savepoint) Hashtbl.t;
-  increment_floor : (string, int) Hashtbl.t;
-      (** first tid of the tentative increment, per relation *)
 }
 
 let new_submission (ctx : Usage_log.query_ctx) : submission =
@@ -353,7 +351,6 @@ let new_submission (ctx : Usage_log.query_ctx) : submission =
     ctx;
     stats = Stats.create ();
     generated = Hashtbl.create 4;
-    increment_floor = Hashtbl.create 4;
   }
 
 (* Revert every tentative increment of [sub] (Eq. 1's rejection, or a
@@ -366,8 +363,7 @@ let rollback t (sub : submission) =
       Hashtbl.iter
         (fun rel sp -> Table.rollback_to (Database.table t.db rel) sp)
         sub.generated);
-  Hashtbl.reset sub.generated;
-  Hashtbl.reset sub.increment_floor
+  Hashtbl.reset sub.generated
 
 let generator_for t rel =
   match Hashtbl.find_opt t.gen_index rel with
@@ -409,8 +405,7 @@ let fan_out t (sub : submission) (pool : Parallel.Pool.t option)
 (* Run the log-generating function for [rel] under [ctx] and tentatively
    append the increment. The savepoint is opened at the relation's first
    touch, so a batched submission record accumulates every member's rows
-   under one savepoint per relation; [increment_floor] tracks the lowest
-   tentative tid across members. *)
+   under one savepoint per relation. *)
 let gen_rel_for t (sub : submission) (ctx : Usage_log.query_ctx) rel =
   let g = generator_for t rel in
   let table = Database.table t.db g.Usage_log.relation in
@@ -422,17 +417,7 @@ let gen_rel_for t (sub : submission) (ctx : Usage_log.query_ctx) rel =
       if not (Hashtbl.mem sub.generated rel) then
         Hashtbl.add sub.generated rel (Table.savepoint table);
       let ts = Value.Int ctx.Usage_log.time in
-      let first = ref None in
-      List.iter
-        (fun cells ->
-          let tid = Table.insert table (Array.append [| ts |] cells) in
-          if !first = None then first := Some tid)
-        rows;
-      let floor = Option.value !first ~default:max_int in
-      match Hashtbl.find_opt sub.increment_floor rel with
-      | None -> Hashtbl.add sub.increment_floor rel floor
-      | Some f when floor < f -> Hashtbl.replace sub.increment_floor rel floor
-      | Some _ -> ())
+      List.iter (fun cells -> ignore (Table.insert table (Array.append [| ts |] cells))) rows)
 
 (* Run the log-generating function for [rel] (once per submission) under
    the submission's own context. *)
@@ -761,7 +746,10 @@ let run_interleaved t (sub : submission) (pool : Parallel.Pool.t option)
                 Option.iter
                   (fun observe ->
                     observe t.db pq
-                      ~floors:(List.of_seq (Hashtbl.to_seq sub.increment_floor))
+                      ~floors:
+                        (Hashtbl.fold
+                           (fun rel sp acc -> (rel, Table.savepoint_tid sp) :: acc)
+                           sub.generated [])
                       ~kept)
                   !probe_observer;
                 kept)
@@ -862,7 +850,7 @@ let accept t (sub : submission) (pool : Parallel.Pool.t option) (pl : plan)
     pl.store_rels;
   let c =
     Commit.run t.commit pl ~compaction:t.config.log_compaction
-      ~generated:sub.generated ~floors:sub.increment_floor ~now ~single_tick
+      ~generated:sub.generated ~now ~single_tick
       ~stats:sub.stats
       ~map:{ Commit.map = (fun f xs -> fan_out t sub pool f xs) }
   in
@@ -873,14 +861,18 @@ let accept t (sub : submission) (pool : Parallel.Pool.t option) (pl : plan)
         (fun () -> Durable.commit d ~now c))
     t.durable
 
-(* Execute an admitted user query, charging [stats.query_exec]. *)
-let run_query t (stats : Stats.t) (query : Ast.query) : Executor.result =
+(* Execute an admitted user query's compiled plan, charging
+   [stats.query_exec]. *)
+let run_query (stats : Stats.t) (compiled : Executor.compiled) : Executor.result =
   Stats.timed
     (fun d -> stats.Stats.query_exec <- stats.Stats.query_exec +. d)
-    (fun () -> Prepared.run t.prepared query)
+    (fun () -> Executor.run_compiled compiled)
 
 let submit_ast t ~(uid : int) ?(extra = []) (query : Ast.query) : outcome =
   let pl = plan t in
+  (* Bound before anything is generated: a query that fails to bind
+     raises here, leaving the log and the clock as they were. *)
+  let compiled = Prepared.prepare t.prepared query in
   let now = Usage_log.current_time t.db + 1 in
   Usage_log.set_clock t.db now;
   let sub = new_submission { Usage_log.uid; time = now; query; db = t.db; extra } in
@@ -892,10 +884,10 @@ let submit_ast t ~(uid : int) ?(extra = []) (query : Ast.query) : outcome =
     let violations =
       match t.config.strategy with
       | Union_all -> run_union t sub pool pl pl.active
-      | Serial -> run_serial t sub pool pl pl.active
-      | Interleaved ->
+      | Serial | Interleaved ->
         (* Algorithm 3 on the interleavable policies, then the rest in
-           full, as in the §4.4 online phase. *)
+           full, as in the §4.4 online phase ([Serial] plans leave no
+           policy interleavable). *)
         let v1 = run_interleaved t sub pool pl in
         let v2 = run_serial t sub pool pl pl.rest in
         v1 @ v2
@@ -907,7 +899,7 @@ let submit_ast t ~(uid : int) ?(extra = []) (query : Ast.query) : outcome =
     end
     else begin
       accept t sub pool pl ~now ~single_tick:true;
-      Accepted (run_query t sub.stats query, sub.stats)
+      Accepted (run_query sub.stats compiled, sub.stats)
     end
   with
   | outcome -> outcome
@@ -1067,72 +1059,76 @@ let submit_batch t (subs : batch_submission list) :
       t.adm_ineligible <- t.adm_ineligible + 1;
       submit_serially t subs
     end
-    else begin
-      let now0 = Usage_log.current_time t.db in
-      let now = now0 + n in
-      let last = List.nth subs (n - 1) in
-      let sub =
-        new_submission
-          {
-            Usage_log.uid = last.batch_uid;
-            time = now;
-            query = last.batch_query;
-            db = t.db;
-            extra = last.batch_extra;
-          }
-      in
-      let rollback_batch () =
-        rollback t sub;
-        Usage_log.set_clock t.db now0
-      in
-      (* Generate every relation a policy may read or the commit may
-         store, for every member: preemptive skipping is pointless here
-         (the mark phase sees the whole combined increment anyway). *)
-      let rels =
-        List.sort_uniq String.compare (pl.required @ pl.store_rels)
-      in
-      let pool = pool_of t in
-      match
-        Usage_log.set_clock t.db now;
-        List.iteri
-          (fun i s ->
-            let ctx =
-              {
-                Usage_log.uid = s.batch_uid;
-                time = now0 + i + 1;
-                query = s.batch_query;
-                db = t.db;
-                extra = s.batch_extra;
-              }
-            in
-            List.iter (gen_rel_for t sub ctx) rels)
-          subs;
-        eval_full t sub pool pl pl.active
-      with
-      | [] ->
-        t.adm_fast <- t.adm_fast + 1;
-        (* A commit failure must resolve the savepoints before escaping,
-           exactly as [submit_ast]'s handler does, or they would poison
-           later submissions. *)
-        (try accept t sub pool pl ~now ~single_tick:false
-         with e ->
-           rollback_batch ();
-           raise e);
-        List.map
-          (fun s ->
-            let stats = Stats.create () in
-            match run_query t stats s.batch_query with
-            | r -> Ok (Accepted (r, stats))
-            | exception e -> Error e)
-          subs
-      | _violations ->
-        t.adm_retried <- t.adm_retried + 1;
-        rollback_batch ();
-        submit_serially t subs
-      | exception _ ->
-        rollback_batch ();
-        submit_serially t subs
-    end
+    else
+      (* Every member is bound before anything is generated; a member
+         that fails to bind fails alone, on the serial path. *)
+      match List.map (fun s -> Prepared.prepare t.prepared s.batch_query) subs with
+      | exception _ -> submit_serially t subs
+      | compiled ->
+        let now0 = Usage_log.current_time t.db in
+        let now = now0 + n in
+        let last = List.nth subs (n - 1) in
+        let sub =
+          new_submission
+            {
+              Usage_log.uid = last.batch_uid;
+              time = now;
+              query = last.batch_query;
+              db = t.db;
+              extra = last.batch_extra;
+            }
+        in
+        let rollback_batch () =
+          rollback t sub;
+          Usage_log.set_clock t.db now0
+        in
+        (* Generate every relation a policy may read or the commit may
+           store, for every member: preemptive skipping is pointless here
+           (the mark phase sees the whole combined increment anyway). *)
+        let rels =
+          List.sort_uniq String.compare (pl.required @ pl.store_rels)
+        in
+        let pool = pool_of t in
+        match
+          Usage_log.set_clock t.db now;
+          List.iteri
+            (fun i s ->
+              let ctx =
+                {
+                  Usage_log.uid = s.batch_uid;
+                  time = now0 + i + 1;
+                  query = s.batch_query;
+                  db = t.db;
+                  extra = s.batch_extra;
+                }
+              in
+              List.iter (gen_rel_for t sub ctx) rels)
+            subs;
+          eval_full t sub pool pl pl.active
+        with
+        | [] ->
+          t.adm_fast <- t.adm_fast + 1;
+          (* A commit failure must resolve the savepoints before escaping,
+             exactly as [submit_ast]'s handler does, or they would poison
+             later submissions. *)
+          (try accept t sub pool pl ~now ~single_tick:false
+           with e ->
+             rollback_batch ();
+             raise e);
+          List.map
+            (fun c ->
+              let stats = Stats.create () in
+              match run_query stats c with
+              | r -> Ok (Accepted (r, stats))
+              | exception e -> Error e)
+            compiled
+        | _violations ->
+          t.adm_retried <- t.adm_retried + 1;
+          rollback_batch ();
+          submit_serially t subs
+        | exception _ ->
+          rollback_batch ();
+          submit_serially t subs
 
 (* Persistence ------------------------------------------------------------- *)
 

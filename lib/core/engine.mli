@@ -219,7 +219,9 @@ type vector_stats = {
 val vector_stats : t -> vector_stats
 
 (** Check-and-execute one query (the §4.4 online phase). [extra] is
-    passed to custom log-generating functions. *)
+    passed to custom log-generating functions. The query is bound first:
+    one that fails to bind raises before the clock moves or any log row
+    is generated. *)
 val submit :
   t -> uid:int -> ?extra:(string * Value.t) list -> string -> outcome
 
@@ -244,9 +246,11 @@ type batch_submission = {
     set is evaluated {e once} over the combined state, so evaluation,
     witness compaction, WAL record and fsync all amortize across the
     batch; any policy firing, or any ineligibility, falls back to the
-    serial path. A member whose evaluation or execution raised yields
-    [Error] (the engine state is rolled back for that member exactly as
-    {!submit} would); its batch-mates' verdicts are unaffected.
+    serial path, as does a member that fails to bind (checked before
+    anything is generated). A member whose evaluation or execution
+    raised yields [Error] (the engine state is rolled back for that
+    member exactly as {!submit} would); its batch-mates' verdicts are
+    unaffected.
 
     Shared policy-machinery time of a fast-path batch is not split
     across members: each member's stats carry only its own query
@@ -280,7 +284,8 @@ val counters : t -> (string * string) list
 (** Test hook: when set, called after each interleaved decision made by
     a tick-pinned probe (§4.3 improved partial policies) with the engine's
     database, the partial policy πS, the submission's increment floors
-    (relation, first tentative tid) and whether the policy was kept.
+    (relation, first tentative tid: {!Relational.Table.savepoint_tid})
+    and whether the policy was kept.
     Runs inside pool tasks, over frozen tables. *)
 val probe_observer :
   (Database.t -> Ast.query -> floors:(string * int) list -> kept:bool -> unit)

@@ -79,172 +79,96 @@ let users : generator =
 
 (* schema(ts, ocid, irid, icid, agg) --------------------------------------- *)
 
-(* Static analysis of a query: which output column derives from which
-   input relation/column, and whether an aggregate was involved. Beyond
-   the paper's Example 3.3 we additionally record, with a NULL ocid,
-   columns referenced only in WHERE/GROUP BY/HAVING and relations merely
-   listed in FROM, so that join-restriction policies (P1, P2 of Table 1)
-   see every relation a query touches. *)
-module Schema_analysis = struct
-  (* A derivation: (input relation, input column option, used under
-     aggregate). *)
-  type deriv = string * string option * bool
+(* A derivation: (input relation, input column option, used under
+   aggregate). *)
+type deriv = string * string option * bool
 
-  (* Analysis of a query: output column names, each with its derivations,
-     plus auxiliary derivations (non-projected references). *)
-  type t = { out_cols : (string * deriv list) list; aux : deriv list }
-
-  let rec analyze (cat : Catalog.t) (q : Ast.query) : t =
-    match q with
-    | Ast.Union { left; right; _ } ->
-      let l = analyze cat left and r = analyze cat right in
-      let out_cols =
-        List.map2
-          (fun (name, dl) (_, dr) -> (name, dl @ dr))
-          l.out_cols r.out_cols
-      in
-      { out_cols; aux = l.aux @ r.aux }
-    | Ast.Select s ->
-      (* Resolve each FROM item to either a base table or a nested
-         analysis. *)
-      let sources =
-        List.map
-          (fun fi ->
-            let alias = String.lowercase_ascii (Ast.from_item_alias fi) in
-            match fi with
-            | Ast.From_table { name; _ } ->
-              let table = Catalog.find cat name in
-              let cols = Schema.column_names (Table.schema table) in
-              (alias, `Base (Table.name table, cols))
-            | Ast.From_subquery { query; _ } -> (alias, `Sub (analyze cat query)))
-          s.from
-      in
-      let cols_of = function
-        | `Base (_, cols) -> cols
-        | `Sub a -> List.map fst a.out_cols
-      in
-      (* Resolve a column reference to its source derivations. *)
-      let resolve_ref ~under_agg q name : deriv list =
-        let lname = String.lowercase_ascii name in
-        let matching =
-          List.filter
-            (fun (alias, src) ->
-              (match q with
-              | Some q -> String.lowercase_ascii q = alias
-              | None -> true)
-              && List.exists
-                   (fun c -> String.lowercase_ascii c = lname)
-                   (cols_of src))
-            sources
-        in
-        match matching with
-        | [] -> []  (* unresolvable: tolerated in static analysis *)
-        | (_, src) :: _ -> (
-          match src with
-          | `Base (tname, _) -> [ (tname, Some name, under_agg) ]
-          | `Sub a -> (
-            match
-              List.find_opt
-                (fun (c, _) -> String.lowercase_ascii c = lname)
-                a.out_cols
-            with
-            | Some (_, derivs) ->
-              List.map (fun (r, c, agg) -> (r, c, agg || under_agg)) derivs
-            | None -> []))
-      in
-      let rec derivs_of_expr ~under_agg (e : Ast.expr) : deriv list =
-        match e with
-        | Ast.Lit _ -> []
-        | Ast.Col (q, name) -> resolve_ref ~under_agg q name
-        | Ast.Binop (_, a, b) ->
-          derivs_of_expr ~under_agg a @ derivs_of_expr ~under_agg b
-        | Ast.Unop (_, a) -> derivs_of_expr ~under_agg a
-        | Ast.Agg_call (_, _, arg) -> (
-          match arg with
-          | None -> []
-          | Some a -> derivs_of_expr ~under_agg:true a)
-        | Ast.Fn_call (_, args) ->
-          List.concat_map (derivs_of_expr ~under_agg) args
-        | Ast.Case (branches, default) ->
-          List.concat_map
-            (fun (c, v) ->
-              derivs_of_expr ~under_agg c @ derivs_of_expr ~under_agg v)
-            branches
-          @ (match default with
-            | Some d -> derivs_of_expr ~under_agg d
-            | None -> [])
-      in
-      (* Expand the select list into named output columns. *)
-      let expand_star src_filter =
-        List.concat_map
-          (fun (alias, src) ->
-            if src_filter alias then
-              List.map
-                (fun c -> (c, resolve_ref ~under_agg:false (Some alias) c))
-                (cols_of src)
-            else [])
-          sources
-      in
-      let out_cols =
-        List.concat_map
-          (function
-            | Ast.Star -> expand_star (fun _ -> true)
-            | Ast.Table_star t ->
-              expand_star (fun a -> a = String.lowercase_ascii t)
-            | Ast.Sel_expr (e, alias) ->
-              let name =
-                match alias, e with
-                | Some a, _ -> a
-                | None, Ast.Col (_, c) -> c
-                | None, Ast.Agg_call (agg, _, _) ->
-                  String.lowercase_ascii (Sql_print.agg_str agg)
-                | None, _ -> "?column?"
-              in
-              [ (name, derivs_of_expr ~under_agg:false e) ])
-          s.items
-      in
-      (* Non-projected references. *)
-      let aux_exprs =
-        Option.to_list s.where @ s.group_by @ Option.to_list s.having
-        @ List.map fst s.order_by
-      in
-      let aux = List.concat_map (derivs_of_expr ~under_agg:false) aux_exprs in
-      (* Relations in FROM with no reference at all. *)
-      let referenced r =
-        List.exists (fun (r', _, _) -> r' = r) aux
-        || List.exists (fun (_, ds) -> List.exists (fun (r', _, _) -> r' = r) ds) out_cols
-      in
-      let from_aux =
-        List.filter_map
-          (fun (_, src) ->
-            match src with
-            | `Base (tname, _) when not (referenced tname) -> Some (tname, None, false)
-            | `Base _ | `Sub _ -> None)
-          sources
-      in
-      let sub_aux =
-        List.concat_map
-          (fun (_, src) -> match src with `Sub a -> a.aux | `Base _ -> [])
-          sources
-      in
-      { out_cols; aux = aux @ from_aux @ sub_aux }
-end
+(* Which output column derives from which input relation/column, and
+   whether an aggregate was involved, read off the binder's plan so the
+   log names exactly the columns the executor reads (catalog names, an
+   ORDER BY key as the column it sorts by). Beyond the paper's Example
+   3.3 we additionally record, as auxiliary derivations with a NULL
+   ocid, columns referenced only in WHERE/GROUP BY/HAVING/ORDER BY and
+   relations merely listed in FROM, so that join-restriction policies
+   (P1, P2 of Table 1) see every relation a query touches. *)
+let rec derivations (cat : Catalog.t) (q : Plan.query) :
+    (string * deriv list) list * deriv list =
+  match q with
+  | Plan.Union { left; right; _ } ->
+    let lo, la = derivations cat left and ro, ra = derivations cat right in
+    (List.map2 (fun (name, dl) (_, dr) -> (name, dl @ dr)) lo ro, la @ ra)
+  | Plan.Select { slots; const_preds; joins; finish = f; _ } ->
+    let sources =
+      List.map
+        (fun (sl : Plan.slot) ->
+          match sl.Plan.source with
+          | Plan.Scan (name, _) -> `Base (Table.name (Catalog.find cat name), sl.Plan.cols)
+          | Plan.Sub sub -> `Sub (derivations cat sub))
+        (Array.to_list slots)
+    in
+    (* The binder's layout: every slot's columns side by side. *)
+    let fields =
+      Array.of_list
+        (List.concat_map
+           (function
+             | `Base (irid, cols) ->
+               List.map (fun c -> [ (irid, Some c, false) ]) (Array.to_list cols)
+             | `Sub (outs, _) -> List.map snd outs)
+           sources)
+    in
+    let rec derivs ~under_agg (p : Plan.pexpr) : deriv list =
+      match p with
+      | Plan.Const _ | Plan.Agg_outside | Plan.Exec _ -> []
+      | Plan.Field i | Plan.Rep_field i ->
+        List.map (fun (r, c, agg) -> (r, c, agg || under_agg)) fields.(i)
+      | Plan.Agg_ref k ->
+        Option.fold ~none:[] ~some:(derivs ~under_agg:true) f.Plan.aggs.(k).Plan.arg
+      | Plan.Binop (_, a, b) -> derivs ~under_agg a @ derivs ~under_agg b
+      | Plan.Unop (_, a) -> derivs ~under_agg a
+      | Plan.Fn (_, args) -> List.concat_map (derivs ~under_agg) args
+      | Plan.Case (branches, default) ->
+        List.concat_map (fun (c, v) -> derivs ~under_agg c @ derivs ~under_agg v) branches
+        @ Option.fold ~none:[] ~some:(derivs ~under_agg) default
+    in
+    let direct = derivs ~under_agg:false in
+    let outs = List.combine f.Plan.columns (List.map direct f.Plan.projs) in
+    let aux =
+      List.concat_map direct
+        (const_preds
+        @ List.concat_map (fun (j : Plan.jstep) -> j.Plan.residual) (Array.to_list joins)
+        @ f.Plan.group_by @ Option.to_list f.Plan.having)
+      @ List.concat_map
+          (fun (k, _) ->
+            match k with
+            | Plan.By_output i -> snd (List.nth outs i)
+            | Plan.By_expr p -> direct p
+            | Plan.By_null -> [])
+          f.Plan.order_by
+    in
+    (* Relations in FROM with no reference at all, then the subqueries'
+       own auxiliary derivations. *)
+    let referenced r =
+      List.exists (fun (r', _, _) -> r' = r) aux
+      || List.exists (fun (_, ds) -> List.exists (fun (r', _, _) -> r' = r) ds) outs
+    in
+    let from_aux =
+      List.filter_map
+        (function
+          | `Base (irid, _) when not (referenced irid) -> Some (irid, None, false)
+          | `Base _ | `Sub _ -> None)
+        sources
+    in
+    let sub_aux = List.concat_map (function `Sub (_, a) -> a | `Base _ -> []) sources in
+    (outs, aux @ from_aux @ sub_aux)
 
 let schema_rows (db : Database.t) (q : Ast.query) : Value.t array list =
-  let a = Schema_analysis.analyze (Database.catalog db) q in
-  let mk ocid (irid, icid, agg) =
-    [|
-      (match ocid with Some c -> Value.Str c | None -> Value.Null);
-      Value.Str irid;
-      (match icid with Some c -> Value.Str c | None -> Value.Null);
-      Value.Bool agg;
-    |]
-  in
+  let cat = Database.catalog db in
+  let outs, aux = derivations cat (Plan.of_query cat q) in
+  let str = function Some c -> Value.Str c | None -> Value.Null in
+  let mk ocid (irid, icid, agg) = [| str ocid; Value.Str irid; str icid; Value.Bool agg |] in
   let rows =
-    List.concat_map
-      (fun (ocid, derivs) -> List.map (mk (Some ocid)) derivs)
-      a.Schema_analysis.out_cols
-    @ List.map (mk None) a.Schema_analysis.aux
+    List.concat_map (fun (ocid, ds) -> List.map (mk (Some ocid)) ds) outs
+    @ List.map (mk None) aux
   in
   (* The log is a set: dedupe. *)
   Value.Key.dedup Fun.id rows

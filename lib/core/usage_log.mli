@@ -60,12 +60,16 @@ val current_time : Database.t -> int
 (** [users(ts, uid)] — who issued each query. Rank 0 (cheapest). *)
 val users : generator
 
-(** [schema(ts, ocid, irid, icid, agg)] — static analysis of each query:
-    which output column derives from which input relation/column and
-    whether an aggregate was involved. Beyond the paper's Example 3.3,
-    columns referenced only in WHERE/GROUP BY/HAVING and relations merely
-    listed in FROM are also recorded (with NULL [ocid]/[icid]) so that
-    join-restriction policies see every relation a query touches. Rank 1. *)
+(** [schema(ts, ocid, irid, icid, agg)] — static analysis of each query,
+    read off its bound plan ({!Relational.Plan.of_query}): which output
+    column derives from which input relation/column (the catalog's
+    names, however the query spells them) and whether an aggregate was
+    involved. Beyond the paper's Example 3.3, columns referenced only in
+    WHERE/GROUP BY/HAVING/ORDER BY and relations merely listed in FROM
+    are also recorded (with NULL [ocid], and NULL [icid] for a relation)
+    so that join-restriction policies see every relation a query
+    touches; an ORDER BY key is recorded as the column it sorts by.
+    Rank 1. *)
 val schema_gen : generator
 
 (** [provenance(ts, otid, irid, itid)] — full lineage of the query's
@@ -73,7 +77,8 @@ val schema_gen : generator
     Perm-style [f_Provenance]). Rank 2 (most expensive). *)
 val provenance : generator
 
-(** The raw analysis behind {!schema_gen}. *)
+(** The raw analysis behind {!schema_gen}.
+    @raise Errors.Sql_error if the query fails to bind. *)
 val schema_rows : Database.t -> Ast.query -> Value.t array list
 
 (** The raw computation behind {!provenance}. *)

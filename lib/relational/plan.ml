@@ -155,18 +155,34 @@ let table_scope name cols =
 
 let empty_scope = { aliases = [||]; slot_cols = [||]; offsets = [||] }
 
+let col_index cols lname =
+  let rec go i =
+    if i >= Array.length cols then None
+    else if String.lowercase_ascii cols.(i) = lname then Some i
+    else go (i + 1)
+  in
+  go 0
+
+(* The (slot, slot-local column) an unqualified name resolves to. *)
+let resolve_unqualified scope name =
+  let lname = String.lowercase_ascii name in
+  let hits = ref [] in
+  Array.iteri
+    (fun si cols ->
+      match col_index cols lname with
+      | Some ci -> hits := (si, ci) :: !hits
+      | None -> ())
+    scope.slot_cols;
+  match !hits with
+  | [ hit ] -> hit
+  | [] -> Errors.bind_error "unknown column %S" name
+  | _ -> Errors.bind_error "ambiguous column %S" name
+
+let alias_of scope name = scope.aliases.(fst (resolve_unqualified scope name))
+
 (* Resolve a column reference to an absolute index in the final layout,
    with the exact error messages of the AST-walking executor. *)
 let resolve scope q name =
-  let lname = String.lowercase_ascii name in
-  let col_index cols =
-    let rec go i =
-      if i >= Array.length cols then None
-      else if String.lowercase_ascii cols.(i) = lname then Some i
-      else go (i + 1)
-    in
-    go 0
-  in
   match q with
   | Some q -> (
     let lq = String.lowercase_ascii q in
@@ -177,21 +193,12 @@ let resolve scope q name =
       else find (i + 1)
     in
     let si = find 0 in
-    match col_index scope.slot_cols.(si) with
+    match col_index scope.slot_cols.(si) (String.lowercase_ascii name) with
     | Some ci -> scope.offsets.(si) + ci
     | None -> Errors.bind_error "no column %S in %S" name q)
-  | None -> (
-    let hits = ref [] in
-    Array.iteri
-      (fun si cols ->
-        match col_index cols with
-        | Some ci -> hits := (scope.offsets.(si) + ci) :: !hits
-        | None -> ())
-      scope.slot_cols;
-    match !hits with
-    | [ hit ] -> hit
-    | [] -> Errors.bind_error "unknown column %S" name
-    | _ -> Errors.bind_error "ambiguous column %S" name)
+  | None ->
+    let si, ci = resolve_unqualified scope name in
+    scope.offsets.(si) + ci
 
 (* Lower an expression in the base (per-row) context. *)
 let rec lower scope (e : Ast.expr) : pexpr =
@@ -268,6 +275,30 @@ let slots_of_pexpr (offsets : int array) (widths : int array) (p : pexpr) :
   walk p;
   List.sort_uniq compare !acc
 
+(* Layout helpers shared with the optimizer and compiler. *)
+let full_offsets (slots : slot array) : int array =
+  let n = Array.length slots in
+  let offsets = Array.make n 0 in
+  for i = 1 to n - 1 do
+    offsets.(i) <- offsets.(i - 1) + Array.length slots.(i - 1).cols
+  done;
+  offsets
+
+let pruned_offsets (slots : slot array) : int array =
+  let n = Array.length slots in
+  let offsets = Array.make n 0 in
+  for i = 1 to n - 1 do
+    offsets.(i) <- offsets.(i - 1) + Array.length slots.(i - 1).keep
+  done;
+  offsets
+
+let scope_of_slots (slots : slot array) : scope =
+  {
+    aliases = Array.map (fun sl -> sl.alias) slots;
+    slot_cols = Array.map (fun sl -> sl.cols) slots;
+    offsets = full_offsets slots;
+  }
+
 let rec of_query (cat : Catalog.t) (q : Ast.query) : query =
   match q with
   | Ast.Select s -> Select (of_select cat s)
@@ -279,48 +310,39 @@ let rec of_query (cat : Catalog.t) (q : Ast.query) : query =
       Errors.bind_error "UNION operands have different arities (%d vs %d)" la ra;
     Union { all; left = l; right = r }
 
+and bind_from (cat : Catalog.t) (from : Ast.from_item list) : slot array =
+  Array.of_list
+    (List.map
+       (fun (fi : Ast.from_item) ->
+         match fi with
+         | Ast.From_table { name; alias } ->
+           let table = Catalog.find cat name in
+           let cols = Array.of_list (Schema.column_names (Table.schema table)) in
+           {
+             alias = String.lowercase_ascii (Option.value alias ~default:name);
+             cols;
+             source = Scan (name, Heap);
+             keep = identity (Array.length cols);
+           }
+         | Ast.From_subquery { query; alias } ->
+           let sub = of_query cat query in
+           let cols = Array.of_list (columns sub) in
+           {
+             alias = String.lowercase_ascii alias;
+             cols;
+             source = Sub sub;
+             keep = identity (Array.length cols);
+           })
+       from)
+
 and of_select (cat : Catalog.t) (s : Ast.select) : select_plan =
   (* 1. Resolve FROM items into slots (missing tables error here, before
      any other binding, as the executor materialized inputs first). *)
-  let slots =
-    Array.of_list
-      (List.map
-         (fun (fi : Ast.from_item) ->
-           match fi with
-           | Ast.From_table { name; alias } ->
-             let table = Catalog.find cat name in
-             let cols = Array.of_list (Schema.column_names (Table.schema table)) in
-             {
-               alias =
-                 String.lowercase_ascii (Option.value alias ~default:name);
-               cols;
-               source = Scan (name, Heap);
-               keep = identity (Array.length cols);
-             }
-           | Ast.From_subquery { query; alias } ->
-             let sub = of_query cat query in
-             let cols = Array.of_list (columns sub) in
-             {
-               alias = String.lowercase_ascii alias;
-               cols;
-               source = Sub sub;
-               keep = identity (Array.length cols);
-             })
-         s.from)
-  in
+  let slots = bind_from cat s.from in
   let nslots = Array.length slots in
   let widths = Array.map (fun sl -> Array.length sl.cols) slots in
-  let offsets = Array.make nslots 0 in
-  for i = 1 to nslots - 1 do
-    offsets.(i) <- offsets.(i - 1) + widths.(i - 1)
-  done;
-  let scope =
-    {
-      aliases = Array.map (fun sl -> sl.alias) slots;
-      slot_cols = Array.map (fun sl -> sl.cols) slots;
-      offsets;
-    }
-  in
+  let scope = scope_of_slots slots in
+  let offsets = scope.offsets in
   (* 2. WHERE conjuncts: reject aggregates first, then bind. *)
   let conjuncts = Ast.conjuncts_opt s.where in
   List.iter
@@ -418,9 +440,10 @@ and of_select (cat : Catalog.t) (s : Ast.select) : select_plan =
          agg_calls)
   in
   (* 5. ORDER BY keys: an unqualified name matching an output column uses
-     that column; otherwise the key binds in the base context, and in an
-     aggregate query a key that fails to bind degrades to NULL — exactly
-     the lazy behaviour of the AST walker. *)
+     that column; otherwise the key binds as a SELECT item does (in the
+     group context of an aggregate query, so an aggregate key reads its
+     computed value), and in an aggregate query a key that fails to bind
+     degrades to NULL — exactly the lazy behaviour of the AST walker. *)
   let order_by =
     List.map
       (fun (e, dir) ->
@@ -438,7 +461,7 @@ and of_select (cat : Catalog.t) (s : Ast.select) : select_plan =
           | Ast.Col (None, name) when by_output name <> None ->
             By_output (Option.get (by_output name))
           | _ -> (
-            try By_expr (lower scope e)
+            try By_expr (lower_item e)
             with Errors.Sql_error _ when has_agg -> By_null)
         in
         (key, dir))
@@ -471,19 +494,4 @@ and of_select (cat : Catalog.t) (s : Ast.select) : select_plan =
     finish;
   }
 
-(* Layout helpers shared with the optimizer and compiler. *)
-let full_offsets (slots : slot array) : int array =
-  let n = Array.length slots in
-  let offsets = Array.make n 0 in
-  for i = 1 to n - 1 do
-    offsets.(i) <- offsets.(i - 1) + Array.length slots.(i - 1).cols
-  done;
-  offsets
-
-let pruned_offsets (slots : slot array) : int array =
-  let n = Array.length slots in
-  let offsets = Array.make n 0 in
-  for i = 1 to n - 1 do
-    offsets.(i) <- offsets.(i - 1) + Array.length slots.(i - 1).keep
-  done;
-  offsets
+let from_scope cat from = scope_of_slots (bind_from cat from)

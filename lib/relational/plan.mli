@@ -121,6 +121,15 @@ val table_scope : string -> string list -> scope
 (** No slots: every column reference is unknown (INSERT values). *)
 val empty_scope : scope
 
+(** The scope of a FROM list, its items bound as {!of_query} binds them
+    (a FROM subquery is bound whole).
+    @raise Errors.Sql_error on resolution failures. *)
+val from_scope : Catalog.t -> Ast.from_item list -> scope
+
+(** The alias of the slot an unqualified column name resolves to.
+    @raise Errors.Sql_error on unknown or ambiguous names. *)
+val alias_of : scope -> string -> string
+
 (** Bind a per-row expression against a scope, as the SELECT binder
     binds WHERE; [Field i] then indexes the scope's concatenated row.
     @raise Errors.Sql_error on unknown or ambiguous names. *)

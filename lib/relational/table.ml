@@ -368,6 +368,8 @@ let rollback_to t (sp : savepoint) =
 
 let release t (_sp : savepoint) = t.in_txn <- false
 
+let savepoint_tid (sp : savepoint) = sp.sp_tid
+
 let fold_since f init t (sp : savepoint) =
   let acc = ref init in
   for i = sp.sp_pos to Vec.length t.rows - 1 do

@@ -159,6 +159,10 @@ val rollback_to : t -> savepoint -> unit
 (** Keep the rows appended since the savepoint and close it. *)
 val release : t -> savepoint -> unit
 
+(** The tid the first row appended since the savepoint gets: the rows at
+    or above it are exactly those appended since. *)
+val savepoint_tid : savepoint -> int
+
 (** Fold over the rows appended since the savepoint without building a
     list. *)
 val fold_since : ('acc -> Row.t -> 'acc) -> 'acc -> t -> savepoint -> 'acc

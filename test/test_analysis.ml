@@ -46,7 +46,7 @@ let test_qualify_subquery () =
 
 let test_output_columns () =
   let db = sample_db () in
-  let cols sql = Analysis.output_columns (Database.catalog db) (Parser.query sql) in
+  let cols sql = Plan.columns (Plan.of_query (Database.catalog db) (Parser.query sql)) in
   Alcotest.(check (list string)) "star" [ "id"; "name"; "dept"; "salary" ]
     (cols "SELECT * FROM emp");
   Alcotest.(check (list string)) "aliases and defaults"

@@ -121,7 +121,7 @@ let commit c db (pl : Engine.plan) ~uid sql =
   let now = Usage_log.current_time db + 1 in
   Usage_log.set_clock db now;
   let ctx = { Usage_log.uid; time = now; query = Parser.query sql; db; extra = [] } in
-  let generated = Hashtbl.create 4 and floors = Hashtbl.create 4 in
+  let generated = Hashtbl.create 4 in
   List.iter
     (fun (g : Usage_log.generator) ->
       let rel = g.Usage_log.relation in
@@ -129,13 +129,11 @@ let commit c db (pl : Engine.plan) ~uid sql =
         let table = Database.table db rel in
         Hashtbl.replace generated rel (Table.savepoint table);
         List.iter
-          (fun cells ->
-            let tid = Table.insert table (Array.append [| Value.Int now |] cells) in
-            if not (Hashtbl.mem floors rel) then Hashtbl.add floors rel tid)
+          (fun cells -> ignore (Table.insert table (Array.append [| Value.Int now |] cells)))
           (g.Usage_log.generate ctx)
       end)
     Usage_log.standard;
-  Commit.run c pl ~compaction:true ~generated ~floors ~now ~single_tick:true
+  Commit.run c pl ~compaction:true ~generated ~now ~single_tick:true
     ~stats:(Stats.create ())
     ~map:{ Commit.map = (fun f xs -> List.map (f (Stats.create ())) xs) }
 

@@ -300,6 +300,44 @@ let test_null_join_keys_never_match () =
       Engine.close e)
     [ ("default", Engine.default_config); ("noopt", Engine.noopt_config) ]
 
+(* A query that fails to bind raises before anything is generated: the
+   log and the clock stay as they were. *)
+let test_unbound_query_not_logged () =
+  let e = Engine.create (sample_db ()) in
+  ignore
+    (Engine.add_policy e ~name:"quota"
+       "SELECT DISTINCT 'quota' FROM users u, clock c WHERE u.uid = 1 AND \
+        u.ts > c.ts - 5 HAVING COUNT(*) > 100");
+  (match Engine.submit e ~uid:1 "SELECT nosuch FROM emp" with
+  | exception Errors.Sql_error (Errors.Bind_error, _) -> ()
+  | _ -> Alcotest.fail "an unbound query must raise");
+  Alcotest.(check int) "users log untouched" 0 (Engine.log_size e "users");
+  Alcotest.(check int) "clock untouched" 0
+    (Usage_log.current_time (Engine.database e));
+  Engine.close e
+
+(* The schema log names the columns the binder resolves, so a column
+   restriction holds however the query spells the column. *)
+let test_column_case_cannot_evade () =
+  let e = Engine.create (sample_db ()) in
+  ignore
+    (Engine.add_policy e ~name:"salary"
+       "SELECT DISTINCT 'salary is off-limits' FROM schema s WHERE s.irid = \
+        'emp' AND s.icid = 'salary'");
+  List.iter
+    (fun sql ->
+      Alcotest.(check (list string)) sql [ "salary is off-limits" ]
+        (messages (Engine.submit e ~uid:1 sql)))
+    [
+      "SELECT salary FROM emp";
+      "SELECT SALARY FROM emp";
+      "SELECT e.Salary FROM emp e";
+      "SELECT name FROM emp WHERE SALARY > 10";
+    ];
+  Alcotest.(check bool) "other columns pass" true
+    (accepted (Engine.submit e ~uid:1 "SELECT name FROM emp"));
+  Engine.close e
+
 let suite =
   [
     tc "accept and reject" test_accept_and_reject;
@@ -315,5 +353,7 @@ let suite =
       test_footnote7_nested_shapes;
     tc "P5b output privacy" test_p5b_output_privacy;
     tc "NULL join keys never match" test_null_join_keys_never_match;
+    tc "unbound query is not logged" test_unbound_query_not_logged;
+    tc "column case cannot evade a restriction" test_column_case_cannot_evade;
     Alcotest.test_case "noopt equivalence" `Slow test_noopt_equivalence;
   ]

@@ -124,7 +124,7 @@ let ddls =
 
 (* Base-table DML bumps version counters: the [banned] flips change the
    ban-list templates' verdicts, so a stale delta base or relevance
-   proof fails the diff. The [users] deletes are log DML. *)
+   proof fails the diff. The [users] deletes and update are log DML. *)
 let dmls =
   [|
     "INSERT INTO banned VALUES (2)";
@@ -133,6 +133,7 @@ let dmls =
     "INSERT INTO data VALUES (9, 'i')";
     "DELETE FROM users WHERE uid = 2";
     "DELETE FROM users WHERE uid = 3";
+    "UPDATE users SET uid = 2 WHERE uid = 3";
   |]
 
 let log_relations = [ "users"; "schema"; "provenance"; "clock" ]

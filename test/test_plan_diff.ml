@@ -432,6 +432,24 @@ let check_vec_exact ?(opts = Executor.default_opts) db sql =
     (canon_exact vec.Executor.out_rows = canon_exact row.Executor.out_rows);
   vec
 
+(* ORDER BY an aggregate sorts a grouped query by the aggregate's value,
+   on both pipelines (the key binds in the group context). *)
+let test_order_by_aggregate () =
+  let db = sample_db () in
+  List.iter
+    (fun (sql, expected) ->
+      let vec = check_vec_exact db sql in
+      Alcotest.(check (list string)) sql expected
+        (List.map
+           (fun (r : Executor.row_out) -> Value.to_string r.Executor.values.(0))
+           vec.Executor.out_rows))
+    [
+      ("SELECT dept, SUM(salary) FROM emp GROUP BY dept ORDER BY SUM(salary)",
+       [ "mgmt"; "ops"; "eng" ]);
+      ("SELECT dept, MIN(salary) FROM emp GROUP BY dept ORDER BY MIN(salary) DESC",
+       [ "mgmt"; "eng"; "ops" ]);
+    ]
+
 (* Subquery slots compile on the row path and adapt into the batch join;
    the surrounding hash join and DISTINCT run columnar. *)
 let test_vec_sub_slot_adapter () =
@@ -1187,6 +1205,7 @@ let test_clock_elimination_differential () =
 let suite =
   List.map QCheck_alcotest.to_alcotest (prop_diff :: (vec_props @ vec_typed_props))
   @ [
+      tc "ORDER BY an aggregate, both pipelines" test_order_by_aggregate;
       tc "vectorized: sub-slot adapter" test_vec_sub_slot_adapter;
       tc "vectorized: index probe adapter" test_vec_index_adapter;
       tc "vectorized: shared batch cache" test_vec_shared_batch_cache;

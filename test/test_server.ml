@@ -247,6 +247,24 @@ let test_violating_batch_retries_serially () =
   Alcotest.(check int) "retried" 1 (Test_support.counter engine "batch-retried");
   Engine.close engine
 
+(* A member that fails to bind fails alone, before anything is
+   generated: its batch-mates are admitted serially, each at its own
+   tick, and the clock never moves for it. *)
+let test_unbound_member_fails_alone () =
+  let engine = make_engine ~policies:[ "banned" ] () in
+  let db = Engine.database engine in
+  let subs =
+    List.map
+      (fun sql ->
+        { Engine.batch_uid = 1; batch_extra = []; batch_query = Parser.query sql })
+      [ queries.(0); "SELECT nosuch FROM data" ]
+  in
+  (match Engine.submit_batch engine subs with
+  | [ Ok (Engine.Accepted _); Error (Errors.Sql_error (Errors.Bind_error, _)) ] -> ()
+  | _ -> Alcotest.fail "only the unbound member must fail");
+  Alcotest.(check int) "one tick" 1 (Usage_log.current_time db);
+  Engine.close engine
+
 let verdict = function
   | Ok (Engine.Accepted (r, _)) ->
     Printf.sprintf "accepted [%s]" (Test_oracle.render_rows r)
@@ -545,6 +563,7 @@ let suite =
     tc "batch fast path engages on eligible work" test_fast_path_engages;
     tc "violating batch replays serially with per-member verdicts"
       test_violating_batch_retries_serially;
+    tc "a batch member that fails to bind fails alone" test_unbound_member_fails_alone;
     tc "clock-reading or aggregate policy forces the serial batch path"
       test_ineligible_policy_goes_serial;
     tc "concurrent clients == the server's serial order (sockets)"

@@ -71,6 +71,19 @@ let test_schema_star () =
   let rows = Usage_log.schema_rows db (Parser.query "SELECT * FROM dept") in
   Alcotest.(check int) "one row per column" 2 (List.length rows)
 
+(* Every icid is the catalog's column name, and an ORDER BY naming an
+   output column derives from what that column reads. *)
+let test_schema_binder_names () =
+  let db = sample_db () in
+  let icids rows = List.map (fun r -> (r.(0) = Value.Null, str_cell r.(2))) rows in
+  let rows sql = icids (Usage_log.schema_rows db (Parser.query sql)) in
+  Alcotest.(check (list (pair bool (option string))))
+    "catalog column name" [ (false, Some "name") ] (rows "SELECT NAME FROM emp");
+  Alcotest.(check (list (pair bool (option string))))
+    "ORDER BY alias sorts by salary"
+    [ (false, Some "salary"); (true, Some "salary") ]
+    (rows "SELECT salary AS name FROM emp ORDER BY name")
+
 let test_provenance_point () =
   let db = sample_db () in
   let rows =
@@ -158,6 +171,7 @@ let suite =
     tc "schema: where refs" test_schema_where_refs;
     tc "schema: join + agg flag" test_schema_join_and_agg;
     tc "schema: from-only relation" test_schema_from_only_relation;
+    tc "schema: binder's column names" test_schema_binder_names;
     tc "schema: through subquery" test_schema_subquery;
     tc "schema: star" test_schema_star;
     tc "provenance: point query" test_provenance_point;
