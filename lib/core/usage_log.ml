@@ -88,9 +88,10 @@ type deriv = string * string option * bool
    log names exactly the columns the executor reads (catalog names, an
    ORDER BY key as the column it sorts by). Beyond the paper's Example
    3.3 we additionally record, as auxiliary derivations with a NULL
-   ocid, columns referenced only in WHERE/GROUP BY/HAVING/ORDER BY and
-   relations merely listed in FROM, so that join-restriction policies
-   (P1, P2 of Table 1) see every relation a query touches. *)
+   ocid, columns referenced only in WHERE/GROUP BY/HAVING/ORDER BY/
+   DISTINCT ON and relations merely listed in FROM, so that
+   join-restriction policies (P1, P2 of Table 1) see every relation a
+   query touches. *)
 let rec derivations (cat : Catalog.t) (q : Plan.query) :
     (string * deriv list) list * deriv list =
   match q with
@@ -144,6 +145,9 @@ let rec derivations (cat : Catalog.t) (q : Plan.query) :
             | Plan.By_expr p -> direct p
             | Plan.By_null -> [])
           f.Plan.order_by
+      @ (match f.Plan.distinct with
+        | Plan.D_on keys -> List.concat_map direct keys
+        | Plan.D_all | Plan.D_distinct -> [])
     in
     (* Relations in FROM with no reference at all, then the subqueries'
        own auxiliary derivations. *)

@@ -54,13 +54,6 @@ let merge a b =
 
 (* Clock predicate normalization (Lemma 4.3) ----------------------------- *)
 
-let flip = function
-  | Ast.Lt -> Ast.Gt
-  | Ast.Le -> Ast.Ge
-  | Ast.Gt -> Ast.Lt
-  | Ast.Ge -> Ast.Le
-  | op -> op
-
 (* Isolate [clk.ts op expr] from a comparison conjunct; the clock side may
    be wrapped in +/- arithmetic. Returns [None] when the predicate cannot
    be normalized (which disables compaction for the whole policy). *)
@@ -81,14 +74,14 @@ let isolate_clock ~(clock_aliases : string list) (conj : Ast.expr) :
       | Ast.Binop (Ast.Sub, a, b) when mentions a && not (mentions b) ->
         isolate op a (Ast.Binop (Ast.Add, rhs, b))
       | Ast.Binop (Ast.Sub, a, b) when mentions b && not (mentions a) ->
-        isolate (flip op) b (Ast.Binop (Ast.Sub, a, rhs))
+        isolate (Ast.flip_cmp op) b (Ast.Binop (Ast.Sub, a, rhs))
       | _ -> None
     in
     match conj with
     | Ast.Binop (((Ast.Eq | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge) as op), l, r) -> (
       let attempt =
         if mentions l && not (mentions r) then isolate op l r
-        else if mentions r && not (mentions l) then isolate (flip op) r l
+        else if mentions r && not (mentions l) then isolate (Ast.flip_cmp op) r l
         else None
       in
       match attempt with Some (op, e) -> `Clock (op, e) | None -> `Unsupported)

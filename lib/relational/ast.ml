@@ -19,6 +19,13 @@ type binop =
   | Concat
   | Like  (** SQL LIKE with [%] and [_] wildcards *)
 
+let flip_cmp = function
+  | Lt -> Gt
+  | Le -> Ge
+  | Gt -> Lt
+  | Ge -> Le
+  | op -> op
+
 type unop = Not | Neg
 
 type agg = Count_star | Count | Sum | Avg | Min | Max

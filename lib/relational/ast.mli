@@ -14,6 +14,11 @@ type binop =
   | Concat
   | Like  (** SQL LIKE with [%] and [_] wildcards *)
 
+(** The comparison that holds with its operands swapped: [a op b] is
+    [b (flip_cmp op) a]. [Lt]/[Gt] and [Le]/[Ge] trade places; every
+    other operator maps to itself. *)
+val flip_cmp : binop -> binop
+
 type unop = Not | Neg
 
 type agg = Count_star | Count | Sum | Avg | Min | Max

@@ -434,8 +434,8 @@ let union_rows ~(all : bool) (lrows : arow list) (rrows : arow list) :
 
 (* One scan closure per access path. Key/bound expressions compile once,
    here; probes and bound evaluation happen per execution. *)
-let access_scan (table : Table.t) (tname : string) (annotate : Row.t -> arow)
-    (access : Plan.access) : unit -> arow list =
+let access_scan (table : Table.t) (tname : string) (annotate : Row.t -> 'a)
+    (access : Plan.access) : unit -> 'a list =
   match access with
   | Plan.Heap ->
     fun () ->

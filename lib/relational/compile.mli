@@ -32,6 +32,14 @@ val compile_expr : Plan.pexpr -> cexpr
 
 type t = { cols : string array; exec : unit -> arow list }
 
+(** The scan closure for one slot's access path, each row mapped
+    through the annotation: heap or delta rows in heap order, or one
+    index probe per execution (counted in {!index_probes}) whose rows
+    come back in tid order. A NULL key or bound matches nothing. The
+    batch compiler scans tables without a columnar mirror through it.
+    @raise Errors.Sql_error if an index the path names is missing. *)
+val access_scan : Table.t -> string -> (Row.t -> 'a) -> Plan.access -> unit -> 'a list
+
 (** {1 Finish pipeline, exposed for the batch compiler}
 
     {!Compile_batch} replaces the join pipeline with columnar operators

@@ -499,8 +499,8 @@ let filter_residual (b : batch) (preds : bpred list) : batch =
 
 (* Scans ------------------------------------------------------------------ *)
 
-(* Transpose a row list (index probe results, columnar-less tables) into
-   boxed Mixed views — these paths have no typed mirror to borrow. *)
+(* Transpose the rows of a table without a columnar mirror into boxed
+   Mixed views; there is no typed mirror to borrow. *)
 let batch_of_rows ~track ~slot ~width (rows : Row.t list) : batch =
   let n = List.length rows in
   let cols = Array.init width (fun _ -> Array.make n Value.Null) in
@@ -517,6 +517,14 @@ let batch_of_rows ~track ~slot ~width (rows : Row.t list) : batch =
     cols = Array.map (fun a -> Column.V_mixed a) cols;
     sel = All n;
     srcs = (if track then [ { slot; tids } ] else []);
+  }
+
+(* The mirror's zero-copy views under a selection vector. *)
+let mirror_batch store ~track ~slot sel : batch =
+  {
+    cols = Column.views store;
+    sel;
+    srcs = (if track then [ { slot; tids = Column.tids store } ] else []);
   }
 
 (* The first position at or after [p] whose tid is [>= tid], in the
@@ -558,100 +566,61 @@ let batch_of_sorted_tids store ~track ~slot (tids : int array) : batch =
         incr k
       end)
     tids;
-  {
-    cols = Column.views store;
-    sel = Chosen (if !k = Array.length buf then buf else Array.sub buf 0 !k);
-    srcs = (if track then [ { slot; tids = mt } ] else []);
-  }
+  mirror_batch store ~track ~slot
+    (Chosen (if !k = Array.length buf then buf else Array.sub buf 0 !k))
 
-(* One scan closure per access path, mirroring [Compile.access_scan]:
-   index probes count against {!Compile.index_probes} and NULL keys /
-   bounds match nothing. Tables with a columnar mirror are scanned
-   zero-copy; others transpose per execution. *)
+(* One scan closure per access path. A table with a columnar mirror is
+   scanned zero-copy; one without runs the row path's
+   {!Compile.access_scan} and transposes its rows once. Either way an
+   index probe counts once against {!Compile.index_probes}, and a NULL
+   key or bound matches nothing. Whether the mirror exists is read per
+   execution. *)
 let batch_access (table : Table.t) (tname : string) ~track ~slot
     (access : Plan.access) : unit -> batch =
   let width = Schema.arity (Table.schema table) in
-  match access with
-  | Plan.Heap -> (
-    fun () ->
-      match Table.columnar table with
-      | Some store ->
-        let n = Column.length store in
-        {
-          cols = Column.views store;
-          sel = All n;
-          srcs =
-            (if track then [ { slot; tids = Column.tids store } ] else []);
-        }
-      | None ->
-        let rows = List.rev (Table.fold (fun acc r -> r :: acc) [] table) in
-        batch_of_rows ~track ~slot ~width rows)
-  | Plan.Delta -> (
-    (* The watermark is read per execution, like the row path: one
-       compiled plan keeps scanning the current delta suffix as the
-       engine advances [Table.delta_base]. *)
-    fun () ->
-      match Table.columnar table with
-      | Some store ->
+  let rows = Compile.access_scan table tname Fun.id access in
+  let find_index index =
+    match Table.find_index table index with
+    | Some ix -> ix
+    | None -> Errors.catalog_error "no index %s on table %s" index tname
+  in
+  let mirrored : Column.t -> batch =
+    match access with
+    | Plan.Heap ->
+      fun store -> mirror_batch store ~track ~slot (All (Column.length store))
+    | Plan.Delta ->
+      (* The watermark is read per execution, like the row path: one
+         compiled plan keeps scanning the current delta suffix as the
+         engine advances [Table.delta_base]. *)
+      fun store ->
         let n = Column.length store in
         let lo = Column.delta_start store ~base:(Table.delta_base table) in
-        {
-          cols = Column.views store;
-          sel =
-            (if lo = 0 then All n
-             else Chosen (Array.init (n - lo) (fun k -> lo + k)));
-          srcs =
-            (if track then [ { slot; tids = Column.tids store } ] else []);
-        }
-      | None ->
-        let rows =
-          List.rev (Table.fold_delta (fun acc r -> r :: acc) [] table)
-        in
-        batch_of_rows ~track ~slot ~width rows)
-  | Plan.Index_eq { index; key } ->
-    let ix =
-      match Table.find_index table index with
-      | Some ix -> ix
-      | None -> Errors.catalog_error "no index %s on table %s" index tname
-    in
-    let ckey = Compile.compile_expr key in
-    fun () ->
-      Atomic.incr Compile.index_probes;
-      let v = ckey [||] [||] in
-      (* [col = NULL] matches nothing. *)
-      (match Table.columnar table with
-      | Some store ->
+        mirror_batch store ~track ~slot
+          (if lo = 0 then All n else Chosen (Array.init (n - lo) (fun k -> lo + k)))
+    | Plan.Index_eq { index; key } ->
+      let ix = find_index index in
+      let ckey = Compile.compile_expr key in
+      fun store ->
+        Atomic.incr Compile.index_probes;
+        let v = ckey [||] [||] in
         let tids =
           if Value.is_null v then [||] else Table.index_lookup_tids table ix v
         in
         batch_of_sorted_tids store ~track ~slot tids
-      | None ->
-        let rows =
-          if Value.is_null v then [] else Table.index_lookup table ix v
+    | Plan.Index_range { index; lo; hi } ->
+      let kcol = Index.column (find_index index) in
+      let cbound = Option.map (fun (p, incl) -> (Compile.compile_expr p, incl)) in
+      let clo = cbound lo and chi = cbound hi in
+      fun store ->
+        Atomic.incr Compile.index_probes;
+        let eval = Option.map (fun (c, incl) -> (c [||] [||], incl)) in
+        let lo = eval clo and hi = eval chi in
+        let null_bound =
+          match lo, hi with
+          | Some (v, _), _ when Value.is_null v -> true
+          | _, Some (v, _) when Value.is_null v -> true
+          | _ -> false
         in
-        batch_of_rows ~track ~slot ~width rows)
-  | Plan.Index_range { index; lo; hi } ->
-    let ix =
-      match Table.find_index table index with
-      | Some ix -> ix
-      | None -> Errors.catalog_error "no index %s on table %s" index tname
-    in
-    let kcol = Index.column ix in
-    let cbound = Option.map (fun (p, incl) -> (Compile.compile_expr p, incl)) in
-    let clo = cbound lo and chi = cbound hi in
-    fun () ->
-      Atomic.incr Compile.index_probes;
-      let eval = Option.map (fun (c, incl) -> (c [||] [||], incl)) in
-      let lo = eval clo and hi = eval chi in
-      (* A NULL bound makes the comparison false for every row. *)
-      let null_bound =
-        match lo, hi with
-        | Some (v, _), _ when Value.is_null v -> true
-        | _, Some (v, _) when Value.is_null v -> true
-        | _ -> false
-      in
-      (match Table.columnar table with
-      | Some store ->
         (* The row path re-sorts probe results into tid order, so a
            range probe is observably a bound-filtered scan in heap
            order — over the mirror that is one selection pass on the
@@ -695,17 +664,13 @@ let batch_access (table : Table.t) (tname : string) ~track ~slot
               end
             done
         end;
-        {
-          cols = Column.views store;
-          sel = Chosen (if !k = n then buf else Array.sub buf 0 !k);
-          srcs =
-            (if track then [ { slot; tids = Column.tids store } ] else []);
-        }
-      | None ->
-        let rows =
-          if null_bound then [] else Table.index_range table ix ?lo ?hi ()
-        in
-        batch_of_rows ~track ~slot ~width rows)
+        mirror_batch store ~track ~slot
+          (Chosen (if !k = n then buf else Array.sub buf 0 !k))
+  in
+  fun () ->
+    match Table.columnar table with
+    | Some store -> mirrored store
+    | None -> batch_of_rows ~track ~slot ~width (rows ())
 
 (* Joins ------------------------------------------------------------------ *)
 

@@ -11,6 +11,9 @@
       scan, rebased to the slot-local layout;
     - {b equi-join-key extraction} — conjuncts of shape
       [prefix_expr = slot_expr] at a join step become hash keys;
+    - {b access-path selection} — one probe rule ({!select_access})
+      turns a scan's pushed-down comparisons into an index probe,
+      whether their keys are constants or clock-pinned;
     - {b projection pruning} — multi-slot selects narrow each slot to the
       columns the rest of the plan references, remapping every
       final-layout field.
@@ -196,187 +199,110 @@ let rec has_exec (p : Plan.pexpr) : bool =
 
 let dyn_key (p : Plan.pexpr) : bool = has_exec p && never_raises p
 
-(* Access-path selection helper: given a scan's pushed-down conjuncts
-   (slot-local, i.e. [Field i] is table column [i]), pick an index probe
-   and return it with the conjuncts left over as ordinary filters.
+(* A pushed-down conjunct read as [field op key] with the field on the
+   left ([Field i] is table column [i] once slot-local): [key] is a
+   non-NULL constant or a {!dyn_key}, and [dynamic] says which. A NULL
+   constant never qualifies: the comparison is false for every row, and
+   leaving the conjunct as a filter preserves that. *)
+type candidate = { col : int; op : Ast.binop; key : Plan.pexpr; dynamic : bool }
 
-   A [col = dyn] equality over an indexed column wins, where [dyn] is a
-   {!dyn_key} (the clock-elimination rewrite plants those: it pins a
-   column to the clock's tick, which on a log relation is one
+let candidate (p : Plan.pexpr) : candidate option =
+  let read col op key =
+    match key with
+    | Plan.Const v when not (Value.is_null v) ->
+      Some { col; op; key; dynamic = false }
+    | _ when dyn_key key -> Some { col; op; key; dynamic = true }
+    | _ -> None
+  in
+  match p with
+  | Plan.Binop (((Ast.Eq | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge) as op), a, b) -> (
+    match (a, b) with
+    | Plan.Field i, key -> read i op key
+    | key, Plan.Field i -> read i (Ast.flip_cmp op) key
+    | _ -> None)
+  | _ -> None
+
+(* Access-path selection (the tries are listed in optimizer.mli). A
+   dynamic equality goes first: the clock-elimination rewrite plants it
+   to pin a column to the clock's tick, which on a log relation is one
    submission's increment, narrower than a constant equality such as a
-   uid that holds across the whole history). Next, the first
-   [col = const] conjunct over an indexed column (hash preferred, sorted
-   serves equality too); failing that, every range conjunct
-   ([</<=/>/>=] against a constant) over the first sorted-indexed column
-   is folded into one [Index_range] whose bounds are the tightest
-   combination. NULL constants are ineligible: the comparison is false
-   for every row, and leaving the conjunct as a filter preserves that.
-
-   Only when no constant probe exists, dynamic bounds over the first
-   sorted-indexed column with one may probe — at most one lower and one
-   upper bound, untightened (dynamic bounds cannot be compared at plan
-   time), the rest staying filters. A dynamic key evaluating to NULL at
+   uid that holds across the whole history. Constant bounds fold to the
+   tightest per side; dynamic bounds cannot be compared at plan time, so
+   only the first per side probes. A dynamic key evaluating to NULL at
    probe time yields no rows, matching the filter it replaced. *)
 let select_access (table : Table.t) (preds : Plan.pexpr list) :
     (Plan.access * Plan.pexpr list) option =
   let index_for col ~range =
-    let candidates = Table.index_on table ~column:col in
-    if range then List.find_opt (fun ix -> Index.kind ix = Index.Sorted) candidates
+    let ixs = Table.index_on table ~column:col in
+    if range then List.find_opt (fun ix -> Index.kind ix = Index.Sorted) ixs
     else
-      match List.find_opt (fun ix -> Index.kind ix = Index.Hash) candidates with
+      match List.find_opt (fun ix -> Index.kind ix = Index.Hash) ixs with
       | Some ix -> Some ix
-      | None -> List.nth_opt candidates 0
+      | None -> List.nth_opt ixs 0
   in
-  let eq_probe = function
-    | Plan.Binop (Ast.Eq, Plan.Field i, (Plan.Const v as k))
-    | Plan.Binop (Ast.Eq, (Plan.Const v as k), Plan.Field i)
-      when not (Value.is_null v) -> (
-      match index_for i ~range:false with
-      | Some ix -> Some (Plan.Index_eq { index = Index.name ix; key = k })
-      | None -> None)
-    | _ -> None
+  let cands =
+    List.filter_map Fun.id
+      (List.mapi (fun i p -> Option.map (fun c -> (i, c)) (candidate p)) preds)
   in
-  let rec split_eq before = function
-    | [] -> None
-    | p :: rest -> (
-      match eq_probe p with
-      | Some access -> Some (access, List.rev_append before rest)
-      | None -> split_eq (p :: before) rest)
+  let without used = List.filteri (fun j _ -> not (List.mem j used)) preds in
+  let equality ~dynamic =
+    List.find_map
+      (fun (i, c) ->
+        if c.op <> Ast.Eq || c.dynamic <> dynamic then None
+        else
+          Option.map
+            (fun ix ->
+              (Plan.Index_eq { index = Index.name ix; key = c.key }, without [ i ]))
+            (index_for c.col ~range:false))
+      cands
   in
-  let dyn_eq_probe p =
-    (* Two clauses, not an or-pattern: a failed [when] guard abandons
-       the whole clause rather than retrying the other alternative. *)
-    match p with
-    | Plan.Binop (Ast.Eq, Plan.Field i, k) when dyn_key k -> (
-      match index_for i ~range:false with
-      | Some ix -> Some (Plan.Index_eq { index = Index.name ix; key = k })
-      | None -> None)
-    | Plan.Binop (Ast.Eq, k, Plan.Field i) when dyn_key k -> (
-      match index_for i ~range:false with
-      | Some ix -> Some (Plan.Index_eq { index = Index.name ix; key = k })
-      | None -> None)
-    | _ -> None
+  let inclusive c = c.op = Ast.Ge || c.op = Ast.Le in
+  (* On equal values an exclusive bound is tighter than an inclusive one. *)
+  let tighter ~lower ((_, c0) as cur) ((_, c) as b) =
+    match (c0.key, c.key) with
+    | Plan.Const v0, Plan.Const v ->
+      let d = Value.compare v v0 in
+      let d = if lower then d else -d in
+      if d > 0 || (d = 0 && inclusive c0 && not (inclusive c)) then b else cur
+    | _ -> cur
   in
-  let dyn_bound_of p =
-    match p with
-    | Plan.Binop (op, Plan.Field i, k) when dyn_key k -> (
-      match op with
-      | Ast.Lt -> Some (i, `Hi (k, false))
-      | Ast.Le -> Some (i, `Hi (k, true))
-      | Ast.Gt -> Some (i, `Lo (k, false))
-      | Ast.Ge -> Some (i, `Lo (k, true))
-      | _ -> None)
-    | Plan.Binop (op, k, Plan.Field i) when dyn_key k -> (
-      match op with
-      | Ast.Lt -> Some (i, `Lo (k, false))
-      | Ast.Le -> Some (i, `Lo (k, true))
-      | Ast.Gt -> Some (i, `Hi (k, false))
-      | Ast.Ge -> Some (i, `Hi (k, true))
-      | _ -> None)
-    | _ -> None
-  in
-  let rec split_dyn_eq before = function
-    | [] -> None
-    | p :: rest -> (
-      match dyn_eq_probe p with
-      | Some access -> Some (access, List.rev_append before rest)
-      | None -> split_dyn_eq (p :: before) rest)
-  in
-  let dyn_range () =
-    let target =
-      List.find_map
-        (fun p ->
-          match dyn_bound_of p with
-          | Some (i, _) when index_for i ~range:true <> None -> Some i
-          | _ -> None)
-        preds
+  let range ~dynamic =
+    let bounds =
+      List.filter (fun (_, c) -> c.op <> Ast.Eq && c.dynamic = dynamic) cands
     in
-    match target with
+    let target (_, c) =
+      Option.map (fun ix -> (c.col, ix)) (index_for c.col ~range:true)
+    in
+    match List.find_map target bounds with
     | None -> None
-    | Some col ->
-      let ix = Option.get (index_for col ~range:true) in
-      let lo = ref None and hi = ref None in
-      let remaining =
-        List.filter
-          (fun p ->
-            match dyn_bound_of p with
-            | Some (i, `Lo b) when i = col && Option.is_none !lo ->
-              lo := Some b;
-              false
-            | Some (i, `Hi b) when i = col && Option.is_none !hi ->
-              hi := Some b;
-              false
-            | _ -> true)
-          preds
+    | Some (col, ix) ->
+      let bounds = List.filter (fun (_, c) -> c.col = col) bounds in
+      let pick ~lower =
+        match
+          List.filter (fun (_, c) -> (c.op = Ast.Gt || c.op = Ast.Ge) = lower) bounds
+        with
+        | [] -> None
+        | b :: rest ->
+          Some (if dynamic then b else List.fold_left (tighter ~lower) b rest)
       in
-      Some (Plan.Index_range { index = Index.name ix; lo = !lo; hi = !hi }, remaining)
-  in
-  match split_dyn_eq [] preds with
-  | Some r -> Some r
-  | None ->
-  match split_eq [] preds with
-  | Some r -> Some r
-  | None ->
-    let bound_of = function
-      | Plan.Binop (op, Plan.Field i, Plan.Const v) when not (Value.is_null v) -> (
-        match op with
-        | Ast.Lt -> Some (i, `Hi (v, false))
-        | Ast.Le -> Some (i, `Hi (v, true))
-        | Ast.Gt -> Some (i, `Lo (v, false))
-        | Ast.Ge -> Some (i, `Lo (v, true))
-        | _ -> None)
-      | Plan.Binop (op, Plan.Const v, Plan.Field i) when not (Value.is_null v) -> (
-        match op with
-        | Ast.Lt -> Some (i, `Lo (v, false))
-        | Ast.Le -> Some (i, `Lo (v, true))
-        | Ast.Gt -> Some (i, `Hi (v, false))
-        | Ast.Ge -> Some (i, `Hi (v, true))
-        | _ -> None)
-      | _ -> None
-    in
-    let target =
-      List.find_map
-        (fun p ->
-          match bound_of p with
-          | Some (i, _) when index_for i ~range:true <> None -> Some i
-          | _ -> None)
-        preds
-    in
-    (match target with
-    | None -> dyn_range ()
-    | Some col ->
-      let ix = Option.get (index_for col ~range:true) in
-      let lo = ref None and hi = ref None in
-      (* Tightest bound wins; on equal values an exclusive bound is
-         tighter than an inclusive one. *)
-      let tighter_lo (v, incl) =
-        match !lo with
-        | None -> lo := Some (v, incl)
-        | Some (v0, i0) ->
-          let c = Value.compare v v0 in
-          if c > 0 || (c = 0 && i0 && not incl) then lo := Some (v, incl)
+      let lo = pick ~lower:true and hi = pick ~lower:false in
+      let used =
+        if dynamic then List.filter_map (Option.map fst) [ lo; hi ]
+        else List.map fst bounds
       in
-      let tighter_hi (v, incl) =
-        match !hi with
-        | None -> hi := Some (v, incl)
-        | Some (v0, i0) ->
-          let c = Value.compare v v0 in
-          if c < 0 || (c = 0 && i0 && not incl) then hi := Some (v, incl)
-      in
-      let remaining =
-        List.filter
-          (fun p ->
-            match bound_of p with
-            | Some (i, b) when i = col ->
-              (match b with `Lo b -> tighter_lo b | `Hi b -> tighter_hi b);
-              false
-            | _ -> true)
-          preds
-      in
-      let wrap = Option.map (fun (v, incl) -> (Plan.Const v, incl)) in
+      let bound = Option.map (fun (_, c) -> (c.key, inclusive c)) in
       Some
-        ( Plan.Index_range { index = Index.name ix; lo = wrap !lo; hi = wrap !hi },
-          remaining ))
+        ( Plan.Index_range { index = Index.name ix; lo = bound lo; hi = bound hi },
+          without used )
+  in
+  List.find_map
+    (fun attempt -> attempt ())
+    [
+      (fun () -> equality ~dynamic:true);
+      (fun () -> equality ~dynamic:false);
+      (fun () -> range ~dynamic:false);
+      (fun () -> range ~dynamic:true);
+    ]
 
 let rec optimize (cat : Catalog.t) (q : Plan.query) : Plan.query =
   match q with
@@ -644,70 +570,32 @@ let eliminate_select (cat : Catalog.t) ~(clock : string)
      partner satisfied the pin, so filtering early drops only rows that
      could never join (NULL fields included — the equality would have
      rejected them). *)
-  let op_tag = function
-    | Ast.Eq -> 0
-    | Ast.Lt -> 1
-    | Ast.Le -> 2
-    | Ast.Gt -> 3
-    | Ast.Ge -> 4
-    | _ -> -1
-  in
   let pins : (int, Ast.binop * Plan.pexpr) Hashtbl.t = Hashtbl.create 8 in
-  let direct : (int * int, unit) Hashtbl.t = Hashtbl.create 8 in
-  let note fi op d =
-    Hashtbl.add pins (find fi) (op, d);
-    Hashtbl.replace direct (fi, op_tag op) ()
-  in
-  let flip = function
-    | Ast.Lt -> Ast.Gt
-    | Ast.Le -> Ast.Ge
-    | Ast.Gt -> Ast.Lt
-    | Ast.Ge -> Ast.Le
-    | op -> op
-  in
+  let direct : (int * Ast.binop, unit) Hashtbl.t = Hashtbl.create 8 in
   List.iter
     (fun c ->
-      match c with
-      | Plan.Binop
-          (((Ast.Eq | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge) as op), Plan.Field fi, d)
-        when dyn_key d ->
-        note fi op d
-      | Plan.Binop
-          (((Ast.Eq | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge) as op), d, Plan.Field fi)
-        when dyn_key d ->
-        note fi (flip op) d
+      match candidate c with
+      | Some { col; op; key; dynamic = true } ->
+        Hashtbl.add pins (find col) (op, key);
+        Hashtbl.replace direct (col, op) ()
       | _ -> ())
     cs;
   let derived = ref [] in
   for fld = 0 to total' - 1 do
     List.iter
       (fun (op, d) ->
-        if not (Hashtbl.mem direct (fld, op_tag op)) then begin
-          Hashtbl.replace direct (fld, op_tag op) ();
+        if not (Hashtbl.mem direct (fld, op)) then begin
+          Hashtbl.replace direct (fld, op) ();
           derived := Plan.Binop (op, Plan.Field fld, d) :: !derived
         end)
       (Hashtbl.find_all pins (find fld))
   done;
-  (* Re-place all conjuncts by the binder's rule: a conjunct joins the
-     step of its last slot; slot-free ones gate the query. *)
-  let residuals = Array.make n' [] in
-  let consts = ref [] in
-  List.iter
-    (fun p ->
-      match Plan.slots_of_pexpr offsets' widths' p with
-      | [] -> consts := p :: !consts
-      | ss ->
-        let step = List.fold_left max 0 ss in
-        residuals.(step) <- p :: residuals.(step))
-    (cs @ List.rev !derived);
-  let joins' =
-    Array.init n' (fun i -> { Plan.keys = []; residual = List.rev residuals.(i) })
-  in
+  let const_preds, joins = Plan.place offsets' widths' (cs @ List.rev !derived) in
   {
     Plan.slots = slots';
-    const_preds = List.rev !consts;
+    const_preds;
     scan_preds = Array.make n' [];
-    joins = joins';
+    joins;
     finish = finish';
   }
 
@@ -901,14 +789,6 @@ type cmp_shape =
   | Cmp_field_field of Ast.binop * int * int  (** [field OP field] *)
   | Cmp_opaque  (** anything else: evaluate through the scalar closure *)
 
-(* Mirror a comparison around the constant: [c OP f] is [f (flip OP) c]. *)
-let flip_cmp = function
-  | Ast.Lt -> Ast.Gt
-  | Ast.Gt -> Ast.Lt
-  | Ast.Le -> Ast.Ge
-  | Ast.Ge -> Ast.Le
-  | op -> op
-
 let cmp_shape (p : Plan.pexpr) : cmp_shape =
   match p with
   | Plan.Binop
@@ -920,7 +800,7 @@ let cmp_shape (p : Plan.pexpr) : cmp_shape =
       ( ((Ast.Eq | Ast.Neq | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge) as op),
         Plan.Const v,
         Plan.Field i ) ->
-    Cmp_field_const (flip_cmp op, i, v)
+    Cmp_field_const (Ast.flip_cmp op, i, v)
   | Plan.Binop
       ( ((Ast.Eq | Ast.Neq | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge) as op),
         Plan.Field i,

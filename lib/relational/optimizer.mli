@@ -10,6 +10,20 @@
 
 val optimize : Catalog.t -> Plan.query -> Plan.query
 
+(** Access-path selection for one base-table scan, given its pushed-down
+    conjuncts (slot-local: [Field i] is table column [i]): the index
+    probe that replaces the heap scan and the conjuncts left as filters
+    over its result, or [None] to keep the heap scan. One rule reads
+    every conjunct as [column op key], the key a non-NULL constant or a
+    clock-pinned key ({!Plan.Exec} leaves under [+]/[-] over numeric
+    literals). The tries, in order: a clock-pinned equality, a constant
+    equality, the constant bounds on the first sorted-indexed column
+    folded to the tightest per side (an exclusive bound wins a tie),
+    then the first clock-pinned lower and upper bound on the first
+    sorted-indexed column, the other bounds staying filters. *)
+val select_access :
+  Table.t -> Plan.pexpr list -> (Plan.access * Plan.pexpr list) option
+
 (** Whether an expression carries an {!Plan.Exec} leaf, i.e. reads
     execution-time state (the clock) that no table version covers. *)
 val has_exec : Plan.pexpr -> bool

@@ -292,6 +292,25 @@ let pruned_offsets (slots : slot array) : int array =
   done;
   offsets
 
+(* Naive placement: each conjunct joins the step at which its last slot
+   becomes available, and slot-free ones gate the query. The optimizer
+   refines this into pushdowns and hash keys. *)
+let place (offsets : int array) (widths : int array) (conjuncts : pexpr list) :
+    pexpr list * jstep array =
+  let nslots = Array.length offsets in
+  let residuals = Array.make (max nslots 1) [] in
+  let consts = ref [] in
+  List.iter
+    (fun p ->
+      match slots_of_pexpr offsets widths p with
+      | [] -> consts := p :: !consts
+      | ss ->
+        let step = List.fold_left max 0 ss in
+        residuals.(step) <- p :: residuals.(step))
+    conjuncts;
+  ( List.rev !consts,
+    Array.init nslots (fun i -> { keys = []; residual = List.rev residuals.(i) }) )
+
 let scope_of_slots (slots : slot array) : scope =
   {
     aliases = Array.map (fun sl -> sl.alias) slots;
@@ -350,30 +369,8 @@ and of_select (cat : Catalog.t) (s : Ast.select) : select_plan =
       if Ast.expr_has_agg c then
         Errors.bind_error "aggregates are not allowed in WHERE")
     conjuncts;
-  let bound =
-    List.map
-      (fun c ->
-        let p = lower scope c in
-        (p, slots_of_pexpr offsets widths p))
-      conjuncts
-  in
-  let const_preds =
-    List.filter_map (fun (p, ss) -> if ss = [] then Some p else None) bound
-  in
-  (* Naive placement: each conjunct joins the step at which its last slot
-     becomes available. The optimizer refines this into pushdowns and
-     hash keys. *)
-  let residuals = Array.make (max nslots 1) [] in
-  List.iter
-    (fun (p, ss) ->
-      match ss with
-      | [] -> ()
-      | _ ->
-        let step = List.fold_left max 0 ss in
-        residuals.(step) <- p :: residuals.(step))
-    bound;
-  let joins =
-    Array.init nslots (fun i -> { keys = []; residual = List.rev residuals.(i) })
+  let const_preds, joins =
+    place offsets widths (List.map (lower scope) conjuncts)
   in
   (* 3. SELECT list. *)
   let item_exprs =

@@ -143,6 +143,12 @@ val of_query : Catalog.t -> Ast.query -> query
     and widths; sorted, without duplicates. *)
 val slots_of_pexpr : int array -> int array -> pexpr -> int list
 
+(** The binder's conjunct placement over a layout's offsets and widths:
+    the slot-free conjuncts, which gate the query, and one join step per
+    slot holding the conjuncts whose last slot it is, in input order.
+    Clock elimination re-places its rewritten conjuncts through it. *)
+val place : int array -> int array -> pexpr list -> pexpr list * jstep array
+
 (** Per-slot offsets in the full (un-pruned) row layout. *)
 val full_offsets : slot array -> int array
 

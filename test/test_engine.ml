@@ -317,7 +317,8 @@ let test_unbound_query_not_logged () =
   Engine.close e
 
 (* The schema log names the columns the binder resolves, so a column
-   restriction holds however the query spells the column. *)
+   restriction holds however the query spells the column and whichever
+   clause reads it. *)
 let test_column_case_cannot_evade () =
   let e = Engine.create (sample_db ()) in
   ignore
@@ -333,6 +334,8 @@ let test_column_case_cannot_evade () =
       "SELECT SALARY FROM emp";
       "SELECT e.Salary FROM emp e";
       "SELECT name FROM emp WHERE SALARY > 10";
+      "SELECT name FROM emp ORDER BY salary";
+      "SELECT DISTINCT ON (salary) name FROM emp";
     ];
   Alcotest.(check bool) "other columns pass" true
     (accepted (Engine.submit e ~uid:1 "SELECT name FROM emp"));

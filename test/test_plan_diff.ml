@@ -958,6 +958,123 @@ let test_range_index_identical () =
   Alcotest.(check bool) "range returned rows" true
     (indexed.Executor.out_rows <> [])
 
+(* The probe rule's priority order: a clock-pinned equality beats a
+   constant one, a constant equality beats any range, a constant range
+   beats a clock-pinned one, constant bounds fold to the tightest (an
+   exclusive bound wins a tie, a constant on the left flips), and of
+   two clock-pinned lower bounds the first probes and the second stays a
+   filter. NULL constants never probe. *)
+let test_select_access_priority () =
+  let db =
+    db_of_script
+      "CREATE TABLE t (a INT, b INT); CREATE INDEX ix_t_a ON t USING hash (a); \
+       CREATE INDEX ix_t_b ON t USING sorted (b)"
+  in
+  let t = Database.table db "t" in
+  let a = Plan.Field 0 and b = Plan.Field 1 in
+  let c n = Plan.Const (Value.Int n) in
+  let clock n = Plan.Exec (fun () -> Value.Int n) in
+  let ( %% ) x (op, y) = Plan.Binop (op, x, y) in
+  let key = function
+    | Plan.Const v -> Value.to_string v
+    | Plan.Exec read -> "clock " ^ Value.to_string (read ())
+    | _ -> "?"
+  in
+  let bound = function
+    | None -> "-"
+    | Some (k, incl) -> key k ^ if incl then " incl" else " excl"
+  in
+  let check name preds expected rest =
+    let got, left =
+      match Optimizer.select_access t preds with
+      | None -> ("heap", preds)
+      | Some (Plan.Index_eq { index; key = k }, left) ->
+        (Printf.sprintf "%s = %s" index (key k), left)
+      | Some (Plan.Index_range { index; lo; hi }, left) ->
+        (Printf.sprintf "%s [%s, %s]" index (bound lo) (bound hi), left)
+      | Some ((Plan.Heap | Plan.Delta), left) -> ("scan", left)
+    in
+    Alcotest.(check string) name expected got;
+    Alcotest.(check bool) (name ^ ": leftover filters") true
+      (List.length left = List.length rest && List.for_all2 ( == ) left rest)
+  in
+  let const_eq = a %% (Ast.Eq, c 1) and dyn_eq = clock 7 %% (Ast.Eq, a) in
+  check "dynamic equality beats constant" [ const_eq; dyn_eq ] "ix_t_a = clock 7"
+    [ const_eq ];
+  let lt5 = b %% (Ast.Lt, c 5) in
+  check "constant equality beats a range" [ lt5; const_eq ] "ix_t_a = 1" [ lt5 ];
+  let dyn_lo = b %% (Ast.Gt, clock 2) in
+  check "constant range beats dynamic" [ dyn_lo; lt5 ] "ix_t_b [-, 5 excl]"
+    [ dyn_lo ];
+  let lo1 = b %% (Ast.Ge, clock 1) and lo2 = b %% (Ast.Gt, clock 2) in
+  let hi = clock 9 %% (Ast.Gt, b) in
+  check "first dynamic lower bound probes" [ lo1; lo2; hi ]
+    "ix_t_b [clock 1 incl, clock 9 excl]" [ lo2 ];
+  check "constant bounds tighten"
+    [ b %% (Ast.Ge, c 3); c 2 %% (Ast.Lt, b); b %% (Ast.Gt, c 3); b %% (Ast.Le, c 9);
+      c 9 %% (Ast.Gt, b); c 12 %% (Ast.Ge, b) ]
+    "ix_t_b [3 excl, 9 excl]" [];
+  let null_eq = a %% (Ast.Eq, Plan.Const Value.Null) in
+  check "NULL constant stays a filter" [ null_eq ] "heap" [ null_eq ]
+
+(* A table without a columnar mirror reaches every access path through
+   the row path's scan, transposed once: the batch path returns the row
+   path's rows, source tids and index-probe count, for constant and
+   clock-pinned keys and for a NULL key or bound. *)
+let test_vec_mirrorless_access () =
+  let db =
+    db_of_script
+      "CREATE TABLE m (k INT, v INT); CREATE INDEX ix_m_k ON m USING hash (k); \
+       CREATE INDEX ix_m_v ON m USING sorted (v); INSERT INTO m VALUES \
+       (1, 10), (2, 20), (1, 30), (NULL, 40), (3, NULL), (2, 50)"
+  in
+  let cat = Database.catalog db in
+  Alcotest.(check bool) "no mirror" true (Table.columnar (Database.table db "m") = None);
+  let opts = { Executor.lineage = false; track_src = true } in
+  let plan access =
+    match Plan.of_query cat (Parser.query "SELECT m.k, m.v FROM m") with
+    | Plan.Select sp ->
+      let slots = Array.copy sp.Plan.slots in
+      slots.(0) <- { slots.(0) with Plan.source = Plan.Scan ("m", access) };
+      Plan.Select { sp with Plan.slots }
+    | Plan.Union _ -> Alcotest.fail "select expected"
+  in
+  let run vectorized p =
+    let probes = Atomic.get Executor.index_probes in
+    let r = Executor.run_compiled (Executor.compile ~opts ~vectorized cat p) in
+    (canon_exact r.Executor.out_rows, Atomic.get Executor.index_probes - probes)
+  in
+  let tick = ref (Value.Int 1) in
+  let clock = Plan.Exec (fun () -> !tick) in
+  let c n = Plan.Const (Value.Int n) in
+  let eq key = Plan.Index_eq { index = "ix_m_k"; key } in
+  let range lo hi = Plan.Index_range { index = "ix_m_v"; lo; hi } in
+  let case (name, access, rows, probes) =
+    let p = plan access in
+    Alcotest.(check bool) (name ^ ": batch route") true
+      (Optimizer.batch_route ~lineage:false ~track_src:true p = Plan.Route_batch);
+    let row = run false p and batch = run true p in
+    Alcotest.(check bool) (name ^ ": batch = row, source tids included") true
+      (same batch row);
+    Alcotest.(check (pair int int)) (name ^ ": rows, probes") (rows, probes)
+      (List.length (fst row), snd row)
+  in
+  List.iter case
+    [
+      ("heap", Plan.Heap, 6, 0);
+      ("delta", Plan.Delta, 6, 0);
+      ("constant key", eq (c 2), 2, 1);
+      ("clock-pinned key", eq clock, 2, 1);
+      ("NULL key", eq (Plan.Const Value.Null), 0, 1);
+      ("constant range", range (Some (c 10, false)) (Some (c 50, true)), 4, 1);
+      ("clock-pinned range", range (Some (clock, true)) (Some (c 40, false)), 3, 1);
+      ("NULL bound", range None (Some (Plan.Const Value.Null, true)), 0, 1);
+    ];
+  tick := Value.Int 20;
+  case ("clock moved", range (Some (clock, true)) None, 4, 1);
+  tick := Value.Null;
+  case ("clock-pinned NULL key", eq clock, 0, 1)
+
 (* Prepared-plan cache: DDL invalidation ---------------------------------- *)
 
 let test_prepared_ddl_invalidation () =
@@ -1221,6 +1338,8 @@ let suite =
       tc "join lineage identical across paths" test_join_lineage_identical;
       tc "indexed access = heap access, bit for bit" test_indexed_vs_heap_identical;
       tc "range index = reference" test_range_index_identical;
+      tc "probe rule: priority order" test_select_access_priority;
+      tc "vectorized: mirror-less access paths = row path" test_vec_mirrorless_access;
       tc "prepared cache: DDL invalidates" test_prepared_ddl_invalidation;
       tc "prepared cache: set_config invalidates" test_set_config_invalidates_cache;
       tc "prepared cache: unify constants rebuild" test_unify_constants_rebuild_invalidates;
