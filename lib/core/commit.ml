@@ -90,7 +90,7 @@ let preemptive_skips t = t.preemptive_skips
    of the would-be increment, using only the already-generated logs
    ({!Witness.probe}). Witness queries are monotone, so an empty probe
    implies an empty increment witness. *)
-let preemptively_empty t (pl : Offline.t) ~generated (rel : string) : bool =
+let preemptively_empty t (pl : Offline.t) ~share ~generated (rel : string) : bool =
   let available = Hashtbl.fold (fun r _ acc -> r :: acc) generated [] in
   let is_log = Catalog.is_log (Database.catalog t.db) in
   match List.assoc_opt rel pl.Offline.witnesses with
@@ -101,7 +101,7 @@ let preemptively_empty t (pl : Offline.t) ~generated (rel : string) : bool =
       (fun q ->
         match Witness.probe ~is_log ~available q with
         | None -> false (* nothing left to test: generate *)
-        | Some pq -> Prepared.is_empty t.prepared (Ast.Select pq))
+        | Some pq -> Prepared.is_empty t.prepared ~share (Ast.Select pq))
       qs
 
 type outcome = {
@@ -145,7 +145,7 @@ let track_src = { Executor.lineage = false; track_src = true }
    DML, DDL, log DML), for a relation with a Lemma 4.2 witness (its
    representatives can change), and for a batch ([single_tick = false]),
    whose increment spans several ticks. *)
-let run t (pl : Offline.t) ~compaction ~generated ~(now : int)
+let run t (pl : Offline.t) ~compaction ~share ~generated ~(now : int)
     ~(single_tick : bool) ~(stats : Stats.t) ~map : outcome =
   (* Per-relation rows retained and committed rows expired this commit:
      the WAL record. *)
@@ -208,7 +208,7 @@ let run t (pl : Offline.t) ~compaction ~generated ~(now : int)
           map.map
             (fun _ (rel, (q : Witness.query), full) ->
               let s = if full then q.Witness.select else Witness.at_clock_tick q in
-              (rel, q, Prepared.run t.prepared ~opts:track_src (Ast.Select s)))
+              (rel, q, Prepared.run t.prepared ~opts:track_src ~share (Ast.Select s)))
             tasks
         in
         List.iter (fun (rel, _) -> Hashtbl.replace witnessed rel (Hashtbl.create 64)) marks;

@@ -48,9 +48,15 @@ val preemptive_skips : t -> int
 
 (** §4.3 preemptive compaction: no witness of stored relation [rel] can
     keep a tuple of its would-be increment, as monotone probes over the
-    relations already in [generated] show. *)
+    relations already in [generated] show. With [share], the probes read
+    base relations through the shared scan cache ({!Prepared.prepare}). *)
 val preemptively_empty :
-  t -> Offline.t -> generated:(string, Table.savepoint) Hashtbl.t -> string -> bool
+  t ->
+  Offline.t ->
+  share:bool ->
+  generated:(string, Table.savepoint) Hashtbl.t ->
+  string ->
+  bool
 
 type outcome = {
   retained : (string * Value.t array list) list;
@@ -70,11 +76,14 @@ type map = { map : 'a 'b. (Stats.t -> 'a -> 'b) -> 'a list -> 'b list }
     so its increment is empty, but its committed tuples still expire at
     their deadlines. Every other relation in [generated] is rolled back,
     and [generated] is emptied. A batch ([single_tick = false]) marks in
-    full. *)
+    full. With [share], the witness queries read base relations through
+    the shared scan cache ({!Prepared.prepare}), so a witness joining an
+    unchanged base relation hashes it once per table version. *)
 val run :
   t ->
   Offline.t ->
   compaction:bool ->
+  share:bool ->
   generated:(string, Table.savepoint) Hashtbl.t ->
   now:int ->
   single_tick:bool ->

@@ -657,7 +657,7 @@ let probe_hits t ~(stats : Stats.t) (q : Ast.select) : bool =
     (fun d -> stats.Stats.policy_eval <- stats.Stats.policy_eval +. d)
     (fun () ->
       stats.Stats.policy_calls <- stats.Stats.policy_calls + 1;
-      not (Prepared.is_empty t.prepared (Ast.Select q)))
+      not (Prepared.is_empty t.prepared ~share:t.config.shared_scans (Ast.Select q)))
 
 (* Interleaved policy evaluation (Algorithm 3). Returns violations. *)
 let run_interleaved t (sub : submission) (pool : Parallel.Pool.t option)
@@ -845,12 +845,13 @@ let accept t (sub : submission) (pool : Parallel.Pool.t option) (pl : plan)
         (not (Hashtbl.mem sub.generated rel))
         && not
              (t.config.log_compaction && t.config.preemptive
-             && Commit.preemptively_empty t.commit pl ~generated:sub.generated rel)
+             && Commit.preemptively_empty t.commit pl ~share:t.config.shared_scans
+                  ~generated:sub.generated rel)
       then gen_rel t sub rel)
     pl.store_rels;
   let c =
     Commit.run t.commit pl ~compaction:t.config.log_compaction
-      ~generated:sub.generated ~now ~single_tick
+      ~share:t.config.shared_scans ~generated:sub.generated ~now ~single_tick
       ~stats:sub.stats
       ~map:{ Commit.map = (fun f xs -> fan_out t sub pool f xs) }
   in

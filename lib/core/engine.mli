@@ -57,13 +57,16 @@ type config = {
           the per-submission work shrinks to the handful of policies the
           touched schema elements select. *)
   shared_scans : bool;
-      (** multi-query shared scans: while a batch-routed policy plan
-          compiles, each base-table scan slot may materialize its scan
-          plus pushed-down filter through a per-engine cache
-          ({!Relational.Compile_batch.compile} says which slots do), so
-          the policies of one admission scan each log table once instead
-          of once per policy. Entries self-validate against table
-          versions; results are identical either way. Needs [vectorized]:
+      (** multi-query shared scans: while a batch-routed policy,
+          witness or probe plan compiles, each base-table scan slot may
+          materialize its scan plus pushed-down filter through a
+          per-engine cache ({!Relational.Compile_batch.compile} says
+          which slots do), together with the hash tables joins build
+          over it. So the plans of one admission scan each log table
+          once instead of once per plan, and a join over an unchanged
+          base relation hashes it once per table version instead of once
+          per admission. Entries self-validate against table versions;
+          results are identical either way. Needs [vectorized]:
           with [vectorized = false] this flag has no effect. *)
   vectorized : bool;
       (** the vectorized (batch-at-a-time) executor: batch-eligible
@@ -269,9 +272,10 @@ val submit_batch : t -> batch_submission list -> (outcome, exn) result list
     of {!delta_stats}, [unify-registered]/[-active]/[-groups]/
     [-members] (policies as registered, after unification, unified
     groups, policies absorbed into them), [relevance-*],
-    [shared-scan-hits]/[-misses] (a hit is a policy plan reusing rows
-    another plan of the same admission materialized for the same
-    scan-plus-filter prefix), [partial-empty-prunes]/[-probe-prunes] (interleaved prunes
+    [shared-scan-hits]/[-misses] (a hit is a policy, witness or probe
+    plan reusing rows materialized for the same scan-plus-filter prefix
+    at the same table version, by another plan or an earlier
+    admission), [partial-empty-prunes]/[-probe-prunes] (interleaved prunes
     by an empty partial policy or core, and by a tick-pinned probe that
     came back empty), [vector-*] (with [vector-hist] as space-separated
     [bound:count] pairs), [witness-delta-marks]/[-full-marks] (stored

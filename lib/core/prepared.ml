@@ -52,13 +52,14 @@ type t = {
   cat : Catalog.t;
   lock : Mutex.t;  (** guards [shards]; per-shard state is domain-private *)
   shards : (int, shard) Hashtbl.t;  (** domain id -> private shard *)
-  shared : Compile_batch.batch Shared_cache.t;
+  shared : Compile_batch.build_side Shared_cache.t;
       (** cross-domain materialization cache behind shared scan slots:
           compiled plans stay domain-private, but the immutable batches
-          their shared scan prefixes produce are served from here, so one
-          domain's materialization feeds every policy of the admission.
-          Self-validating against (generation, table version) — no [sync]
-          discipline needed *)
+          their shared scan prefixes produce, and the join tables built
+          over them, are served from here, so one domain's
+          materialization feeds every policy, witness and probe plan
+          while the table's version holds. Self-validating against
+          (generation, table version) — no [sync] discipline needed *)
   mutable vectorized : bool;
       (** route for [prepare]/[prepare_delta]; not part of any cache key,
           so a change must come with a catalog generation bump (the
@@ -148,9 +149,10 @@ let prepare t ?(opts = Executor.default_opts) ?(share = false)
     (q : Ast.query) : Executor.compiled =
   let s = shard_for t in
   sync t s;
-  (* Provenance annotations are slot-specific; such plans never share,
-     so don't fragment the cache key space over the flag. *)
-  let share = share && (not opts.Executor.lineage) && not opts.Executor.track_src in
+  (* Lineage runs stay on the row path, which never shares, so don't
+     fragment the cache key space over the flag. Source-tracking runs
+     share: cached batches carry source tids. *)
+  let share = share && not opts.Executor.lineage in
   let k =
     {
       q;

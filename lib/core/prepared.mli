@@ -33,11 +33,11 @@ val set_vectorized : t -> bool -> unit
     results are the as-written plan's either way (under [track_src],
     numbered over the eliminated layout while the clock holds one row).
     With [share] on the vectorized route, the plan's base-table scan
-    prefixes materialize through a single cross-domain
-    {!Relational.Shared_cache}, so identical prefixes across the
-    policies of one admission scan the table once (ignored on the row
-    route and under lineage or source-tid options — those annotations
-    are slot-specific).
+    prefixes, and the hash tables joins build over them, materialize
+    through a single cross-domain {!Relational.Shared_cache}, so
+    identical prefixes scan the table once per table version, across
+    plans and admissions (ignored on the row route and under lineage,
+    whose runs take the row path; source-tracking runs share).
     @raise Errors.Sql_error on binding failures (never cached). *)
 val prepare :
   t -> ?opts:Executor.opts -> ?share:bool -> Ast.query -> Executor.compiled

@@ -42,6 +42,7 @@
 let batches_built = Atomic.make 0
 let batch_rows = Atomic.make 0
 let row_fallbacks = Atomic.make 0
+let join_build_rows = Atomic.make 0
 
 (* Rows-per-batch histogram: < 16, < 256, < 4096, < 65536, >= 65536. *)
 let hist_bounds = [| 16; 256; 4096; 65536 |]
@@ -797,6 +798,43 @@ let typed_keys (vp : Column.view) (vb : Column.view) :
     end
   | _ -> None
 
+(* A join's build-side hash table, in the key representation the
+   execution picked: raw ints / dictionary codes, boxed values, or value
+   tuples. Each key's chain holds build positions, prepended in build
+   order. *)
+type jtable =
+  | J_int of int list ref ITbl.t
+  | J_value of int list ref VTbl.t
+  | J_tuple of int list ref KTbl.t
+
+(* Where a join gets its build table: [tables kind build] returns the
+   table of representation [kind], running [build] only when no cached
+   one exists. *)
+type tables = string -> (unit -> jtable) -> jtable
+
+let unshared_tables : tables = fun _ build -> build ()
+
+(* A shared slot's cached build side: its filtered batch, carrying the
+   slot's source tids, and the tables joins built over it, by build key
+   and representation. The list only grows, under the cache's lock;
+   readers take a snapshot without it. *)
+type build_side = { batch : batch; built : (string * jtable) list Atomic.t }
+
+let cached_tables (cache : build_side Shared_cache.t) (e : build_side)
+    (jkey : string) : tables =
+ fun kind build ->
+  let key = jkey ^ kind in
+  match List.assoc_opt key (Atomic.get e.built) with
+  | Some t -> t
+  | None ->
+    Shared_cache.locked cache (fun () ->
+        match List.assoc_opt key (Atomic.get e.built) with
+        | Some t -> t
+        | None ->
+          let t = build () in
+          Atomic.set e.built ((key, t) :: Atomic.get e.built);
+          t)
+
 (* Hash join: build on the new slot (full width), probe with the prefix,
    emit (probe, build) position pairs. Per-key chains are built by
    prepending in build order, reproducing [Hashtbl.add] + [find_all]'s
@@ -804,36 +842,24 @@ let typed_keys (vp : Column.view) (vb : Column.view) :
    output probe-major, exactly the row path's [List.rev !out]. The key
    representation is picked per execution: raw ints / dictionary codes
    when the views allow, the Value table otherwise, {!Value.Key} for
-   multi-column keys. *)
-let join_hash ~(keys : jkey list) (prefix : batch) (build : batch)
-    ~(keep : int array option) : batch =
+   multi-column keys. The build table comes from [tables], so a cached
+   build side is hashed once per table version. *)
+let join_hash ~(keys : jkey list) ~(tables : tables) (prefix : batch)
+    (build : batch) ~(keep : int array option) : batch =
   let probe_idx = Vec.create ~dummy:0 () in
   let build_idx = Vec.create ~dummy:0 () in
-  let emit q p =
-    Vec.push probe_idx q;
-    Vec.push build_idx p
-  in
-  let value_join (cp : bexpr) (cb : bexpr) =
-    (* Single-column boxed key: SQL [=] is [Value.equal] on non-NULL
-       keys (integral floats = ints), so NULL keys are never built and a
-       NULL probe finds nothing. *)
-    let evb = cb build.cols in
-    let tbl : int list ref VTbl.t = VTbl.create (max 16 (sel_length build.sel)) in
-    sel_iter
+  let emit q cell =
+    List.iter
       (fun p ->
-        let k = evb p in
-        if not (Value.is_null k) then
-          match VTbl.find_opt tbl k with
-          | Some cell -> cell := p :: !cell
-          | None -> VTbl.add tbl k (ref [ p ]))
-      build.sel;
-    let evp = cp prefix.cols in
-    sel_iter
-      (fun q ->
-        match VTbl.find_opt tbl (evp q) with
-        | None -> ()
-        | Some cell -> List.iter (fun p -> emit q p) !cell)
-      prefix.sel
+        Vec.push probe_idx q;
+        Vec.push build_idx p)
+      !cell
+  in
+  let size = max 16 (sel_length build.sel) in
+  let tables kind f =
+    tables kind (fun () ->
+        ignore (Atomic.fetch_and_add join_build_rows (sel_length build.sel));
+        f ())
   in
   (match keys with
    | [ k ] -> (
@@ -843,51 +869,87 @@ let join_hash ~(keys : jkey list) (prefix : batch) (build : batch)
        | _ -> None
      in
      match typed with
-     | Some (pnull, pkey, bnull, bkey) ->
-       let tbl : int list ref ITbl.t =
-         ITbl.create (max 16 (sel_length build.sel))
+     | Some (pnull, pkey, bnull, bkey) -> (
+       let build () =
+         let tbl = ITbl.create size in
+         sel_iter
+           (fun p ->
+             if not (bnull p) then
+               let k = bkey p in
+               match ITbl.find_opt tbl k with
+               | Some cell -> cell := p :: !cell
+               | None -> ITbl.add tbl k (ref [ p ]))
+           build.sel;
+         J_int tbl
        in
-       (* find_opt, not find: probe misses are the common case (the
-          violation-free join is empty), and a raise per miss costs more
-          than the 2-word [Some] per hit. *)
-       sel_iter
-         (fun p ->
-           if not (bnull p) then
-             let k = bkey p in
-             match ITbl.find_opt tbl k with
-             | Some cell -> cell := p :: !cell
-             | None -> ITbl.add tbl k (ref [ p ]))
-         build.sel;
-       sel_iter
-         (fun q ->
-           if not (pnull q) then
-             match ITbl.find_opt tbl (pkey q) with
-             | Some cell -> List.iter (fun p -> emit q p) !cell
+       match tables "i" build with
+       | J_int tbl ->
+         (* find_opt, not find: probe misses are the common case (the
+            violation-free join is empty), and a raise per miss costs
+            more than the 2-word [Some] per hit. *)
+         sel_iter
+           (fun q ->
+             if not (pnull q) then
+               match ITbl.find_opt tbl (pkey q) with
+               | Some cell -> emit q cell
+               | None -> ())
+           prefix.sel
+       | J_value _ | J_tuple _ -> assert false)
+     | None -> (
+       (* Single-column boxed key: SQL [=] is [Value.equal] on non-NULL
+          keys (integral floats = ints), so NULL keys are never built and
+          a NULL probe finds nothing. *)
+       let build () =
+         let evb = k.cb build.cols in
+         let tbl = VTbl.create size in
+         sel_iter
+           (fun p ->
+             let k = evb p in
+             if not (Value.is_null k) then
+               match VTbl.find_opt tbl k with
+               | Some cell -> cell := p :: !cell
+               | None -> VTbl.add tbl k (ref [ p ]))
+           build.sel;
+         J_value tbl
+       in
+       match tables "v" build with
+       | J_value tbl ->
+         let evp = k.cp prefix.cols in
+         sel_iter
+           (fun q ->
+             match VTbl.find_opt tbl (evp q) with
+             | Some cell -> emit q cell
              | None -> ())
-         prefix.sel
-     | None -> value_join k.cp k.cb)
-   | _ ->
+           prefix.sel
+       | J_int _ | J_tuple _ -> assert false))
+   | _ -> (
      (* Multi-column key: value tuples through {!Value.Key}, as the row
         path joins — a key with a NULL component is never built, so a
         probe holding NULL finds nothing. *)
-     let evbs = List.map (fun k -> k.cb build.cols) keys in
-     let tbl : int list ref KTbl.t = KTbl.create (max 16 (sel_length build.sel)) in
-     sel_iter
-       (fun p ->
-         let kv = Array.of_list (List.map (fun ev -> ev p) evbs) in
-         if not (Value.Key.has_null kv) then
+     let build () =
+       let evbs = List.map (fun k -> k.cb build.cols) keys in
+       let tbl = KTbl.create size in
+       sel_iter
+         (fun p ->
+           let kv = Array.of_list (List.map (fun ev -> ev p) evbs) in
+           if not (Value.Key.has_null kv) then
+             match KTbl.find_opt tbl kv with
+             | Some cell -> cell := p :: !cell
+             | None -> KTbl.add tbl kv (ref [ p ]))
+         build.sel;
+       J_tuple tbl
+     in
+     match tables "k" build with
+     | J_tuple tbl ->
+       let evps = List.map (fun k -> k.cp prefix.cols) keys in
+       sel_iter
+         (fun q ->
+           let kv = Array.of_list (List.map (fun ev -> ev q) evps) in
            match KTbl.find_opt tbl kv with
-           | Some cell -> cell := p :: !cell
-           | None -> KTbl.add tbl kv (ref [ p ]))
-       build.sel;
-     let evps = List.map (fun k -> k.cp prefix.cols) keys in
-     sel_iter
-       (fun q ->
-         let kv = Array.of_list (List.map (fun ev -> ev q) evps) in
-         match KTbl.find_opt tbl kv with
-         | None -> ()
-         | Some cell -> List.iter (fun p -> emit q p) !cell)
-       prefix.sel);
+           | Some cell -> emit q cell
+           | None -> ())
+         prefix.sel
+     | J_int _ | J_value _ -> assert false));
   let pidx = Vec.to_array probe_idx and bidx = Vec.to_array build_idx in
   let m = Array.length pidx in
   Compile.note_rows m;
@@ -1144,11 +1206,12 @@ let produce_batch (f : Plan.finish) : batch -> (Compile.arow * Value.t array) li
 (* Pipeline --------------------------------------------------------------- *)
 
 (* Whether a scan slot may materialize through the shared cache. [Delta]
-   reads the watermark at execution time (and is tiny);
-   source-tid columns are slot-index-specific; an [Exec] leaf reads the
-   clock, which the cache's (generation, [ver_mut]) validation does not
-   cover — and a closure cannot be digested into a tag anyway. *)
-let shareable ~track (access : Plan.access) (preds : Plan.pexpr list) : bool =
+   reads the watermark at execution time (and is tiny); an [Exec] leaf
+   reads the clock, which the cache's (generation, [ver_mut]) validation
+   does not cover — and a closure cannot be digested into a tag anyway.
+   Source tids do not matter: a cached batch always carries them, and
+   each plan relabels or drops them. *)
+let shareable (access : Plan.access) (preds : Plan.pexpr list) : bool =
   let no_exec = function None -> true | Some (p, _) -> not (Optimizer.has_exec p) in
   let access_ok =
     match access with
@@ -1157,9 +1220,11 @@ let shareable ~track (access : Plan.access) (preds : Plan.pexpr list) : bool =
     | Plan.Index_eq { key; _ } -> not (Optimizer.has_exec key)
     | Plan.Index_range { lo; hi; _ } -> no_exec lo && no_exec hi
   in
-  (not track) && access_ok && not (List.exists Optimizer.has_exec preds)
+  access_ok && not (List.exists Optimizer.has_exec preds)
 
-let rec compile_route (cat : Catalog.t) (shared : batch Shared_cache.t option)
+let digest v = Digest.to_hex (Digest.string (Marshal.to_string v []))
+
+let rec compile_route (cat : Catalog.t) (shared : build_side Shared_cache.t option)
     (opts : Compile.opts) (route : Plan.route) (q : Plan.query) : Compile.t =
   match route, q with
   | Plan.Route_batch, Plan.Select sp -> compile_select_batch cat shared opts sp
@@ -1177,74 +1242,102 @@ let rec compile_route (cat : Catalog.t) (shared : batch Shared_cache.t option)
     Atomic.incr row_fallbacks;
     Compile.compile cat opts q
 
-and compile_select_batch (cat : Catalog.t) (shared : batch Shared_cache.t option)
+and compile_select_batch (cat : Catalog.t) (shared : build_side Shared_cache.t option)
     (opts : Compile.opts) (sp : Plan.select_plan) : Compile.t =
   let track = opts.Compile.track_src in
   let nslots = Array.length sp.Plan.slots in
   (* A shared slot's cached batch already carries its pushed-down
      conjuncts, so the slot's own filter pass is emptied. *)
   let scan_preds = Array.copy sp.Plan.scan_preds in
-  let scan =
+  (* Each slot's scan returns its batch and where a join building on it
+     gets its hash table. *)
+  let scan : (unit -> batch * tables) array =
     Array.mapi
       (fun idx (slot : Plan.slot) ->
-        let raw =
-          match slot.Plan.source with
-          | Plan.Scan (name, access) -> (
-            let table = Catalog.find cat name in
-            let raw =
-              batch_access table (Table.name table) ~track ~slot:idx access
+        (* A batch is counted when it is materialized; a cache hit
+           reads rows already counted. *)
+        let materialized raw () =
+          let b = raw () in
+          note_batch (sel_length b.sel);
+          b
+        in
+        match slot.Plan.source with
+        | Plan.Scan (name, access) -> (
+          let table = Catalog.find cat name in
+          let preds = scan_preds.(idx) in
+          match shared with
+          | Some cache when shareable access preds ->
+            scan_preds.(idx) <- [];
+            (* Structural identity of the prefix: slots of any plan
+               reading the same table by the same access path under the
+               same conjuncts collide on purpose. The batch is full-width
+               (pruning applies at join time), so [keep] does not
+               participate; it carries source tids for slot 0, which a
+               tracking plan relabels to its own slot. *)
+            let tag = digest (name, access, preds) in
+            let raw = batch_access table (Table.name table) ~track:true ~slot:0 access in
+            let cpreds = List.map compile_bpred preds in
+            let materialize =
+              materialized (fun () -> filter_conjuncts (raw ()) cpreds)
             in
-            let preds = scan_preds.(idx) in
-            match shared with
-            | Some cache when shareable ~track access preds ->
-              scan_preds.(idx) <- [];
-              (* Structural identity of the prefix: slots of any plan
-                 reading the same table by the same access path under
-                 the same conjuncts collide on purpose. The batch is
-                 full-width (pruning applies at join time), so [keep]
-                 does not participate. *)
-              let tag =
-                Digest.to_hex
-                  (Digest.string (Marshal.to_string (name, access, preds) []))
-              in
-              let cpreds = List.map compile_bpred preds in
-              (* Generation / table version are read per execution: any
-                 mutation since materialization forces a fresh scan. *)
-              fun () ->
+            (* A hash join building on this slot caches its table in the
+               entry under its build-side key expressions, unless one
+               reads the clock. *)
+            let jkey =
+              match List.map snd sp.Plan.joins.(idx).Plan.keys with
+              | [] -> None
+              | bkeys when List.exists Optimizer.has_exec bkeys -> None
+              | bkeys -> Some (digest bkeys)
+            in
+            (* Generation / table version are read per execution: any
+               mutation since materialization forces a fresh scan. *)
+            fun () ->
+              let e =
                 Shared_cache.find_or_compute cache
                   ~gen:(Catalog.generation cat)
                   ~ver:(Table.ver_mut table) ~tag
-                  (fun () -> filter_conjuncts (raw ()) cpreds)
-            | _ -> raw)
-          | Plan.Sub q ->
-            (* Subqueries compile unshared on the row path (they may be
-               routed there themselves) and adapt at the slot boundary;
-               source tids do not flow out of subqueries, as in the row
-               path. *)
-            let c =
-              Compile.compile cat { opts with Compile.track_src = false } q
+                  (fun () -> { batch = materialize (); built = Atomic.make [] })
+              in
+              let srcs =
+                if track then List.map (fun sc -> { sc with slot = idx }) e.batch.srcs
+                else []
+              in
+              ( { e.batch with srcs },
+                match jkey with
+                | Some jk -> cached_tables cache e jk
+                | None -> unshared_tables )
+          | _ ->
+            let raw =
+              materialized (batch_access table (Table.name table) ~track ~slot:idx access)
             in
-            let width = Array.length c.Compile.cols in
-            fun () ->
-              let rows = c.Compile.exec () in
-              let n = List.length rows in
-              let cols = Array.init width (fun _ -> Array.make n Value.Null) in
-              List.iteri
-                (fun i (r : Compile.arow) ->
-                  for cidx = 0 to width - 1 do
-                    cols.(cidx).(i) <- r.Compile.vals.(cidx)
-                  done)
-                rows;
-              {
-                cols = Array.map (fun a -> Column.V_mixed a) cols;
-                sel = All n;
-                srcs = [];
-              }
-        in
-        fun () ->
-          let b = raw () in
-          note_batch (sel_length b.sel);
-          b)
+            fun () -> (raw (), unshared_tables))
+        | Plan.Sub q ->
+          (* Subqueries compile unshared on the row path (they may be
+             routed there themselves) and adapt at the slot boundary;
+             source tids do not flow out of subqueries, as in the row
+             path. *)
+          let c =
+            Compile.compile cat { opts with Compile.track_src = false } q
+          in
+          let width = Array.length c.Compile.cols in
+          let raw =
+            materialized (fun () ->
+                let rows = c.Compile.exec () in
+                let n = List.length rows in
+                let cols = Array.init width (fun _ -> Array.make n Value.Null) in
+                List.iteri
+                  (fun i (r : Compile.arow) ->
+                    for cidx = 0 to width - 1 do
+                      cols.(cidx).(i) <- r.Compile.vals.(cidx)
+                    done)
+                  rows;
+                {
+                  cols = Array.map (fun a -> Column.V_mixed a) cols;
+                  sel = All n;
+                  srcs = [];
+                })
+          in
+          fun () -> (raw (), unshared_tables))
       sp.Plan.slots
   in
   let scan_preds = Array.map (List.map compile_bpred) scan_preds in
@@ -1288,8 +1381,8 @@ and compile_select_batch (cat : Catalog.t) (shared : batch Shared_cache.t option
     else begin
       let joined = ref { cols = [||]; sel = All 0; srcs = [] } in
       for si = 0 to nslots - 1 do
-        let b = ref (scan.(si) ()) in
-        b := filter_conjuncts !b scan_preds.(si);
+        let scanned, tables = scan.(si) () in
+        let b = ref (filter_conjuncts scanned scan_preds.(si)) in
         let keys, residual = steps.(si) in
         if si = 0 then begin
           (match project.(0) with
@@ -1300,7 +1393,7 @@ and compile_select_batch (cat : Catalog.t) (shared : batch Shared_cache.t option
         end
         else begin
           let out =
-            if keys <> [] then join_hash ~keys !joined !b ~keep:project.(si)
+            if keys <> [] then join_hash ~keys ~tables !joined !b ~keep:project.(si)
             else join_nested !joined !b ~keep:project.(si)
           in
           joined := filter_residual out residual

@@ -41,7 +41,7 @@ type compiled = Compile.t
 val prepare :
   ?opts:opts ->
   ?vectorized:bool ->
-  ?shared:Compile_batch.batch Shared_cache.t ->
+  ?shared:Compile_batch.build_side Shared_cache.t ->
   Catalog.t ->
   Ast.query ->
   compiled
@@ -51,7 +51,7 @@ val prepare :
 val compile :
   ?opts:opts ->
   ?vectorized:bool ->
-  ?shared:Compile_batch.batch Shared_cache.t ->
+  ?shared:Compile_batch.build_side Shared_cache.t ->
   Catalog.t ->
   Plan.query ->
   compiled

@@ -508,8 +508,9 @@ let test_vec_shared_batch_cache () =
 
 (* Which scan slots share is decided while the batch plan compiles:
    the same pushed-down filter shares one materialization, a different
-   constant does not, and delta-watermark scans, source-tracking plans
-   and clock-reading ([Exec]) filters never touch the cache. *)
+   constant does not, a source-tracking plan shares the untracked
+   plans' entry, and delta-watermark scans and clock-reading ([Exec])
+   filters never touch the cache. *)
 let test_vec_shared_scan_rule () =
   let db =
     db_of_script
@@ -538,8 +539,17 @@ let test_vec_shared_scan_rule () =
       "SELECT u.q FROM users u WHERE u.uid = 1"
   in
   Alcotest.(check int) "tracked rows" 2 (n tracked);
-  Alcotest.(check (pair int int)) "track_src bypasses the cache" (1, 2)
+  (* A cached batch always carries source tids: the tracked run reads
+     r1's entry (a hit), relabelled to its own slot, and its tids are
+     the row path's. *)
+  Alcotest.(check (pair int int)) "track_src shares r1's entry" (2, 2)
     (stats ());
+  let src r = List.map (fun (o : Executor.row_out) -> o.Executor.src_tids) r.Executor.out_rows in
+  Alcotest.(check (list (list (pair int int)))) "shared source tids = row path"
+    (src
+       (Executor.run ~opts:{ Executor.default_opts with Executor.track_src = true } cat
+          (Parser.query "SELECT u.q FROM users u WHERE u.uid = 1")))
+    (src tracked);
   (* Hand-built plans: one slot's access path or filter swapped. *)
   let plan sql f =
     match Optimizer.optimize cat (Plan.of_query cat (Parser.query sql)) with
@@ -557,7 +567,7 @@ let test_vec_shared_scan_rule () =
   in
   ignore (run_plan p);
   ignore (run_plan p);
-  Alcotest.(check (pair int int)) "Delta bypasses the cache" (1, 2) (stats ());
+  Alcotest.(check (pair int int)) "Delta bypasses the cache" (2, 2) (stats ());
   let bound = ref (Value.Int 1) in
   let p =
     plan "SELECT u.q FROM users u" (fun sp ->
@@ -569,7 +579,7 @@ let test_vec_shared_scan_rule () =
   Alcotest.(check int) "uid > 1" 2 (run_plan p);
   bound := Value.Int 2;
   Alcotest.(check int) "uid > 2 follows the Exec value" 1 (run_plan p);
-  Alcotest.(check (pair int int)) "Exec filter bypasses the cache" (1, 2)
+  Alcotest.(check (pair int int)) "Exec filter bypasses the cache" (2, 2)
     (stats ());
   (* The row route has no shared cache: [shared_scans] only acts through
      the vectorized executor. *)
@@ -607,6 +617,170 @@ let test_vec_shared_scan_rule () =
     (engine_stats false);
   Alcotest.(check bool) "vectorized route shares" true
     (fst (engine_stats true) > 0)
+
+(* Cached against uncached ------------------------------------------------ *)
+
+(* A mutation between two executions against one long-lived shared
+   cache: DML on either table (r has a columnar mirror, s has none), a
+   savepoint whose tentative rows are checked and then rolled back (the
+   engine's tentative increments), an index (DDL), or s dropped and
+   created again under the same name. *)
+type mutation =
+  | Insert of bool * int * int  (** into r ([true]) or s *)
+  | Delete of bool * int  (** rows whose [a] is the value *)
+  | Update of int * int  (** [UPDATE r SET b = x WHERE a = y] *)
+  | Tentative of bool * (int * int) list
+  | Create_index of bool
+  | Recreate_s of (int * int) list
+
+let mutation_gen =
+  let open QCheck.Gen in
+  let v = int_range 0 5 in
+  frequency
+    [
+      (3, map3 (fun t a b -> Insert (t, a, b)) bool v v);
+      (2, map2 (fun t a -> Delete (t, a)) bool v);
+      (2, map2 (fun x y -> Update (x, y)) v v);
+      (2, map2 (fun t rows -> Tentative (t, rows)) bool (list_size (int_range 1 4) (pair v v)));
+      (1, map (fun t -> Create_index t) bool);
+      (1, map (fun rows -> Recreate_s rows) (list_size (int_range 0 8) (pair v v)));
+    ]
+
+let show_mutation = function
+  | Insert (t, a, b) -> Printf.sprintf "insert %s (%d,%d)" (if t then "r" else "s") a b
+  | Delete (t, a) -> Printf.sprintf "delete %s a=%d" (if t then "r" else "s") a
+  | Update (x, y) -> Printf.sprintf "update r b=%d where a=%d" x y
+  | Tentative (t, rows) ->
+    Printf.sprintf "tentative %s %d rows" (if t then "r" else "s") (List.length rows)
+  | Create_index t -> Printf.sprintf "index %s" (if t then "r.b" else "s.a")
+  | Recreate_s rows -> Printf.sprintf "recreate s with %d rows" (List.length rows)
+
+(* The first two fixed queries join r and s in both FROM orders, so a
+   tracked and an untracked run read one entry of each table through
+   different slot indexes. The others build on s's entry under other
+   keys: another column, a boxed key (the probe side is computed) and a
+   two-column key. *)
+let fixed_queries =
+  [
+    "SELECT r.b, s.c FROM r, s WHERE r.a = s.a";
+    "SELECT s.c, r.b FROM s, r WHERE s.a = r.a";
+    "SELECT r.a, s.a FROM r, s WHERE r.b = s.c";
+    "SELECT r.b, s.c FROM r, s WHERE r.a + 1 = s.a";
+    "SELECT r.a, s.c FROM r, s WHERE r.a = s.a AND r.b = s.c";
+  ]
+
+let cached_case_arb =
+  QCheck.make
+    ~print:(fun (qs, r, s, ms) ->
+      Printf.sprintf "%s\n r=%d rows s=%d rows\n %s" (String.concat "\n" qs) (List.length r)
+        (List.length s)
+        (String.concat "; " (List.map show_mutation ms)))
+    QCheck.Gen.(
+      quad (list_size (int_range 1 3) query_gen) table_rows_gen table_rows_gen
+        (list_size (int_range 1 6) mutation_gen))
+
+(* Every check runs each query untracked and tracked, through the one
+   cache and through a fresh uncached compile: rows, row order and
+   source tids must agree, or both must fail alike. The cached runs fan
+   out over the shared domain pool when DL_DOMAINS asks for more than
+   one domain, so pool domains materialize and hash entries
+   concurrently. *)
+let prop_cached_vs_uncached =
+  QCheck.Test.make ~name:"shared cache = uncached across mutations (rows, order, src tids)"
+    ~count:150 cached_case_arb (fun (qs, rows_r, rows_s, mutations) ->
+      let db = db_of_rows_nullable rows_r rows_s in
+      let cat = Database.catalog db in
+      let shared = Shared_cache.create () in
+      let runs =
+        List.concat_map
+          (fun sql ->
+            let q = Parser.query sql in
+            List.map
+              (fun track_src -> (q, { Executor.lineage = false; track_src }))
+              [ false; true ])
+          (qs @ fixed_queries)
+      in
+      let outcome ?shared (q, opts) =
+        match Executor.run_compiled (Executor.prepare ~opts ~vectorized:true ?shared cat q) with
+        | r -> Ok (canon_exact r.Executor.out_rows)
+        | exception e -> Error (Printexc.to_string e)
+      in
+      let map f xs =
+        if Engine.default_domains > 1 then
+          Parallel.Pool.map (Parallel.Pool.shared ~workers:(Engine.default_domains - 1)) f xs
+        else List.map f xs
+      in
+      let check () =
+        let cached = map (outcome ~shared) runs in
+        List.for_all2 (fun run c -> same (outcome run) c) runs cached
+      in
+      let exec sql = ignore (Database.exec db sql) in
+      let index = ref 0 in
+      let mutate = function
+        | Insert (t, a, b) ->
+          exec (Printf.sprintf "INSERT INTO %s VALUES (%d, %d)" (if t then "r" else "s") a b)
+        | Delete (t, a) ->
+          exec (Printf.sprintf "DELETE FROM %s WHERE a = %d" (if t then "r" else "s") a)
+        | Update (x, y) -> exec (Printf.sprintf "UPDATE r SET b = %d WHERE a = %d" x y)
+        | Tentative _ | Recreate_s _ -> ()
+        | Create_index t ->
+          incr index;
+          exec
+            (Printf.sprintf "CREATE INDEX ix_diff_%d ON %s USING hash (%s)" !index
+               (if t then "r" else "s")
+               (if t then "b" else "a"))
+      in
+      check ()
+      && List.for_all
+           (fun m ->
+             match m with
+             | Tentative (t, rows) ->
+               let table = Database.table db (if t then "r" else "s") in
+               let sp = Table.savepoint table in
+               List.iter
+                 (fun (a, b) -> ignore (Table.insert table [| Value.Int a; Value.Int b |]))
+                 rows;
+               let ok = check () in
+               Table.rollback_to table sp;
+               ok && check ()
+             | Recreate_s rows ->
+               exec "DROP TABLE s";
+               exec "CREATE TABLE s (a INT, c INT)";
+               let s = Database.table db "s" in
+               List.iter (fun (a, c) -> ignore (Table.insert s [| Value.Int a; Value.Int c |])) rows;
+               check ()
+             | m ->
+               mutate m;
+               check ())
+           mutations)
+
+(* Entries outlive an admission, so a re-plan (a catalog generation
+   bump) must not leave the old generation's entries behind: the first
+   miss under the new generation drops them. *)
+let test_shared_drops_stale_generations () =
+  let db =
+    db_of_script
+      "CREATE TABLE r (a INT, b INT); CREATE TABLE s (a INT, c INT); INSERT INTO r VALUES \
+       (1, 2); INSERT INTO s VALUES (1, 3)"
+  in
+  let cat = Database.catalog db in
+  let shared = Shared_cache.create () in
+  let run sql =
+    ignore
+      (Executor.run_compiled
+         (Executor.prepare ~vectorized:true ~shared cat (Parser.query sql)))
+  in
+  run "SELECT r.b, s.c FROM r, s WHERE r.a = s.a";
+  run "SELECT s.c FROM s WHERE s.a = 1";
+  Alcotest.(check int) "r, s and the filtered s" 3 (Shared_cache.size shared);
+  (* Re-plan: the engine bumps the generation on every new plan. *)
+  Catalog.touch cat;
+  run "SELECT r.b FROM r";
+  Alcotest.(check int) "first re-plan: only r's new entry" 1 (Shared_cache.size shared);
+  run "SELECT s.c FROM s WHERE s.a = 1";
+  Catalog.touch cat;
+  run "SELECT s.c FROM s WHERE s.a = 1";
+  Alcotest.(check int) "second re-plan: only the filtered s" 1 (Shared_cache.size shared)
 
 (* Past 2^53 adjacent ints share one float image. Grouping identity is
    exact, so [Float 2^53] groups with [Int 2^53] only, whichever value
@@ -1320,13 +1494,15 @@ let test_clock_elimination_differential () =
   Engine.close e
 
 let suite =
-  List.map QCheck_alcotest.to_alcotest (prop_diff :: (vec_props @ vec_typed_props))
+  List.map QCheck_alcotest.to_alcotest
+    ((prop_diff :: (vec_props @ vec_typed_props)) @ [ prop_cached_vs_uncached ])
   @ [
       tc "ORDER BY an aggregate, both pipelines" test_order_by_aggregate;
       tc "vectorized: sub-slot adapter" test_vec_sub_slot_adapter;
       tc "vectorized: index probe adapter" test_vec_index_adapter;
       tc "vectorized: shared batch cache" test_vec_shared_batch_cache;
       tc "vectorized: which scan slots share" test_vec_shared_scan_rule;
+      tc "shared cache drops stale generations" test_shared_drops_stale_generations;
       tc "Int/Float identity beyond 2^53" test_int_float_beyond_2_53;
       tc "vectorized: columnar rollback sync" test_vec_columnar_rollback_sync;
       tc "vectorized: cross-dict join remap" test_vec_cross_dict_join;

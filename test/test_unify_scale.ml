@@ -212,22 +212,116 @@ let test_shared_scans_hit () =
     ignore (Engine.submit engine ~uid:1 "SELECT v FROM data WHERE k = 1");
     Test_support.(counter engine "shared-scan-hits", counter engine "shared-scan-misses")
   in
-  (* Exact counts on this fixed script pin which plans share. With
-     improved partial policies every check here is decided by increment
-     probes, which run through clock-eliminated plans: their [ts] pin
-     reads the clock at execution time, so they never share. *)
-  Alcotest.(check (pair int int)) "improved partial: hits, misses" (0, 0)
+  (* Exact counts on this fixed script pin which plans share. Both
+     policies are Boolean (DISTINCT), so their witnesses are Lemma 4.2's
+     and every commit marks in full: four tracked witness queries, one
+     each for provenance and schema (provenance ⋈ users, schema ⋈ users)
+     and two for users (users ⋈ schema, users ⋈ provenance), eight scan
+     reads in all, of users and of the filtered schema and provenance
+     scans. Every admission appended to all three, so a read is a hit
+     only within one commit.
+
+     With improved partial policies every check here is decided by
+     increment probes, which run through clock-eliminated plans: their
+     [ts] pin reads the clock at execution time, so they never share.
+     Each commit's mark misses once per relation (provenance, users,
+     schema) and hits on the other five reads: (5, 3) per admission. *)
+  Alcotest.(check (pair int int)) "improved partial: hits, misses" (10, 6)
     (shared ~improved_partial:true);
   (* Without them each check runs its partial policy unpinned, and a
      policy is checked only at a stage that generated one of its own
      relations. The first admission reads users for both users-only
      partials (miss, hit), for a over users + schema at the schema stage
      (hit, miss) and for b over users + provenance at the provenance
-     stage (hit, miss); b is not re-checked at the schema stage. The
-     second, with relevance bases in place, runs the two users-only
-     partials (miss, hit). *)
-  Alcotest.(check (pair int int)) "plain partial: hits, misses" (4, 4)
+     stage (hit, miss); b is not re-checked at the schema stage. Its
+     commit reads the same three relations at the same versions, so all
+     eight mark reads hit: (11, 3). The second, with relevance bases in
+     place, runs the two users-only partials (miss, hit); its commit
+     finds users cached and misses on provenance and schema, which the
+     checks did not read: (7, 3). *)
+  Alcotest.(check (pair int int)) "plain partial: hits, misses" (18, 6)
     (shared ~improved_partial:false)
+
+(* The two policies of bench/e2e's [server-spj] over a ban list of [n]
+   rows (multiples of 50), one engine as the server runs it but serial.
+   Returns the shared-scan misses, the rows batches read
+   ([Compile_batch.batch_rows]) and the rows joins hashed
+   ([Compile_batch.join_build_rows]) that 20 admissions add after one
+   warm-up, then the same for one admission by a uid inserted into the
+   list just before it, and that admission's verdict. *)
+let ban_list_counts n =
+  let db = Database.create () in
+  ignore
+    (Database.exec_script db
+       "CREATE TABLE data (k INT, v TEXT); INSERT INTO data VALUES (1, 'a'); \
+        CREATE TABLE banned (uid INT)");
+  let banned = Database.table db "banned" in
+  for i = 1 to n do
+    ignore (Table.insert banned [| Value.Int (50 * i) |])
+  done;
+  let engine =
+    Engine.create
+      ~config:{ Engine.default_config with Engine.time_independent = false; domains = 1 }
+      db
+  in
+  ignore
+    (Engine.add_policy engine ~name:"banned"
+       "SELECT DISTINCT 'banned uid' FROM users u, banned b WHERE u.uid = b.uid");
+  ignore
+    (Engine.add_policy engine ~name:"prov"
+       "SELECT DISTINCT 'provenance touch' FROM provenance p, banned b WHERE p.irid = \
+        'data' AND p.itid = b.uid");
+  let submit uid = Engine.submit engine ~uid "SELECT v FROM data WHERE k = 1" in
+  let snapshot () =
+    ( Test_support.counter engine "shared-scan-misses",
+      Atomic.get Compile_batch.batch_rows,
+      Atomic.get Compile_batch.join_build_rows )
+  in
+  let since (m0, r0, h0) =
+    let m, r, h = snapshot () in
+    (m - m0, r - r0, h - h0)
+  in
+  ignore (submit 1);
+  let s0 = snapshot () in
+  for uid = 2 to 21 do
+    match submit uid with
+    | Engine.Accepted _ -> ()
+    | Engine.Rejected _ -> Alcotest.failf "uid %d is not banned" uid
+  done;
+  let steady = since s0 in
+  ignore (Database.exec db "INSERT INTO banned VALUES (22)");
+  let s1 = snapshot () in
+  let verdict = submit 22 in
+  let rebuilt = since s1 in
+  Engine.close engine;
+  (steady, rebuilt, verdict)
+
+let test_ban_list_scale_counted () =
+  (* A join over an unchanged base relation costs the increment, not the
+     relation: with the ban list cached as the build side of every policy
+     and witness join, 20 admissions miss the cache as often, read as
+     many rows and hash as many over 20 000 banned rows as over 2 000. *)
+  let steady_small, rebuilt_small, verdict_small = ban_list_counts 2_000 in
+  let steady_large, rebuilt_large, verdict_large = ban_list_counts 20_000 in
+  Alcotest.(check (triple int int int))
+    "20 admissions: misses, rows read, rows hashed at 2 000 = at 20 000" steady_small
+    steady_large;
+  List.iter
+    (function
+      | Engine.Rejected ([ "banned uid" ], _) -> ()
+      | _ -> Alcotest.fail "a uid inserted into the ban list must be rejected")
+    [ verdict_small; verdict_large ];
+  (* The INSERT moved the list's [ver_mut], so the next admission
+     rebuilds its entry. Misses are size-blind, and the rows read and
+     hashed each differ by exactly one pass over the larger list
+     (20 001 - 2 001 rows): the list is rescanned and rehashed once, not
+     once per plan that joins it. Both policies and their witnesses
+     build on [b.uid], so they share one table. *)
+  let m_small, r_small, h_small = rebuilt_small
+  and m_large, r_large, h_large = rebuilt_large in
+  Alcotest.(check int) "after the INSERT: misses at 2 000 = at 20 000" m_small m_large;
+  Alcotest.(check (pair int int)) "after the INSERT: one rescan, one rehash" (18_000, 18_000)
+    (r_large - r_small, h_large - h_small)
 
 let test_batch_everything_on () =
   (* the server's fast path (submit_batch), the domain pool, delta,
@@ -276,6 +370,8 @@ let suite =
       test_relevance_window_policy_ineligible;
     tc "shared subplans are materialized once per admission"
       test_shared_scans_hit;
+    tc "a ban list 10x larger adds no misses and no rows read per admission"
+      test_ban_list_scale_counted;
     tc "batch fast path composes with the full scale stack"
       test_batch_everything_on;
   ]
