@@ -10,7 +10,6 @@ module Ticks = Map.Make (Int)
 type shape = {
   rows : int;
   mut : int;  (** {!Table.ver_mut} *)
-  dml : int;  (** {!Table.ver_dml} *)
 }
 
 type t = {
@@ -53,7 +52,7 @@ let record t =
       let tb = Catalog.find cat name in
       if Catalog.is_log cat name then Table.mark_delta_base tb;
       Hashtbl.replace shapes (Analysis.lc name)
-        { rows = Table.row_count tb; mut = Table.ver_mut tb; dml = Table.ver_dml tb })
+        { rows = Table.row_count tb; mut = Table.ver_mut tb })
     names;
   t.committed <- Some (Catalog.generation cat, shapes)
 
@@ -74,12 +73,12 @@ let unchanged t rels same =
            | _ -> false)
          rels
 
-(* Log dependencies have only gained rows above their watermarks or
-   lost rows to compaction unless DML moved [ver_dml]. *)
+(* Only the engine writes a log relation ({!Catalog.writable}): since
+   the record, a log dependency has only gained rows above its
+   watermark, been rolled back to it, or lost rows to compaction. *)
 let covers t deps =
   let cat = Database.catalog t.db in
-  unchanged t deps (fun rel s tb ->
-      if Catalog.is_log cat rel then s.dml = Table.ver_dml tb else s.mut = Table.ver_mut tb)
+  unchanged t deps (fun rel s tb -> Catalog.is_log cat rel || s.mut = Table.ver_mut tb)
 
 let marks t = (t.delta_marks, t.full_marks)
 
@@ -125,8 +124,7 @@ let add_due d tid due =
    ([pending rel] rows) and every base relation a witness joins not at
    all. *)
 let deadlines_hold t (pl : Offline.t) ~(pending : string -> int) =
-  unchanged t pl.Offline.store_rels (fun rel s tb ->
-      s.rows = Table.row_count tb - pending rel && s.dml = Table.ver_dml tb)
+  unchanged t pl.Offline.store_rels (fun rel s tb -> s.rows = Table.row_count tb - pending rel)
   && unchanged t pl.Offline.witness_bases (fun _ s tb -> s.mut = Table.ver_mut tb)
 
 let track_src = { Executor.lineage = false; track_src = true }
@@ -142,7 +140,7 @@ let track_src = { Executor.lineage = false; track_src = true }
    deadline has come (a relation skipped preemptively only expires). The
    full mark runs instead for a relation without recorded deadlines (new
    or recovered engine, new plan), after the recorded state moved (base
-   DML, DDL, log DML), for a relation with a Lemma 4.2 witness (its
+   DML, DDL), for a relation with a Lemma 4.2 witness (its
    representatives can change), and for a batch ([single_tick = false]),
    whose increment spans several ticks. *)
 let run t (pl : Offline.t) ~compaction ~share ~generated ~(now : int)

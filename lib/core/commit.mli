@@ -9,8 +9,8 @@
     checkpointed is {!Durable}'s decision.
 
     Every commit ends by recording the catalog generation and every
-    table's row count, {!Table.ver_mut} and {!Table.ver_dml}, and by
-    advancing every log relation's delta watermark. Both questions of
+    table's row count and {!Table.ver_mut}, and by advancing every log
+    relation's delta watermark. Both questions of
     the form "what changed since the last commit" read that record: the
     accept proof ({!covers}) and the incremental mark's test. *)
 
@@ -31,11 +31,12 @@ val recorded : t -> bool
 
 (** The accept proof: acceptance proved every active policy empty over
     a superset of the recorded state. Does that still cover a policy
-    reading [deps]? It does while the catalog generation is unchanged,
-    no log dependency has seen DML ({!Table.ver_dml}: it has only gained
-    rows above its watermark or lost rows to compaction), and every
-    other dependency is untouched ({!Table.ver_mut}). Read-only, so safe
-    inside pool tasks. *)
+    reading [deps]? It does while the catalog generation is unchanged
+    and every dependency other than a log relation is untouched
+    ({!Table.ver_mut}). A log dependency needs no test: only the engine
+    writes it ({!Catalog.writable}), so it has only gained
+    rows above its watermark or lost rows to compaction. Read-only, so
+    safe inside pool tasks. *)
 val covers : t -> string list -> bool
 
 (** (relations marked from their increment, over the whole log), one

@@ -29,28 +29,9 @@ type t = {
           clock, which also counts rejected submissions' unjournaled
           ticks — so the recovered clock never depends on when
           checkpoints ran *)
-  mutable basis : (string * (int * int)) list;
-      (** per scope relation, its {!shape} at the last durable point:
-          checkpoints also happen between commits, so this is not
-          {!Commit}'s record *)
 }
 
 let store t = t.store
-
-(* A relation's row count less [growth], and {!Table.ver_dml}, which
-   only DML and reloads move: compaction and rolling back or releasing
-   an increment leave it alone. *)
-let shape t ?(growth = 0) rel =
-  let tb = Database.table t.db rel in
-  (Table.row_count tb - growth, Table.ver_dml tb)
-
-let mark t = t.basis <- List.map (fun rel -> (rel, shape t rel)) t.scope
-
-(* Has a scope relation changed outside a commit since the last durable
-   point? [growth rel] is what the commit being made durable added to
-   [rel], net of what it expired. *)
-let moved t ~growth =
-  List.exists (fun (rel, b) -> shape t ~growth:(growth rel) rel <> b) t.basis
 
 let columns table =
   List.map (fun (c : Schema.column) -> (c.Schema.name, c.Schema.ty)) (Schema.columns (Table.schema table))
@@ -72,9 +53,7 @@ let state t : Snapshot.state =
     relations = List.map rel_state (List.sort_uniq String.compare t.scope);
   }
 
-let checkpoint t =
-  Store.checkpoint t.store (state t);
-  mark t
+let checkpoint t = Store.checkpoint t.store (state t)
 
 (* Install the recovered state: log relation contents, the clock, and
    the registered-policy set. The same generators must be registered as
@@ -115,9 +94,7 @@ let open_dir ~fsync ~policies db dir =
       let st = r.Persistence.Recovery.state in
       (List.map fst st.Snapshot.relations, install db st)
   in
-  let t = { db; store; policies; scope; clock = Usage_log.current_time db; basis = [] } in
-  mark t;
-  (t, ps)
+  ({ db; store; policies; scope; clock = Usage_log.current_time db }, ps)
 
 let add_policy t (p : Policy.t) =
   t.clock <- p.Policy.active_from;
@@ -131,30 +108,20 @@ let set_scope t scope =
     checkpoint t
   end
 
-(* Rows a commit record lists, by relation. *)
-let count rel l = match List.assoc_opt rel l with Some rows -> List.length rows | None -> 0
-
+(* Only the engine writes a scope relation ({!Catalog.writable}), and
+   only by commits, so one record describes each change. *)
 let commit t ~now (c : Commit.outcome) =
   t.clock <- now;
-  let growth rel = count rel c.Commit.retained - count rel c.Commit.expired in
-  if moved t ~growth then checkpoint t
-  else begin
-    Store.log_commit t.store ~clock:now ~expired:c.Commit.expired ~increments:c.Commit.retained;
-    if
-      Store.wal_records t.store >= wal_checkpoint_limit
-      || c.Commit.expired <> []
-         && Store.reclaimable_bytes t.store * reclaim_ratio > Store.live_bytes t.store
-    then checkpoint t
-    else mark t
-  end
+  Store.log_commit t.store ~clock:now ~expired:c.Commit.expired ~increments:c.Commit.retained;
+  if
+    Store.wal_records t.store >= wal_checkpoint_limit
+    || c.Commit.expired <> []
+       && Store.reclaimable_bytes t.store * reclaim_ratio > Store.live_bytes t.store
+  then checkpoint t
 
 let close t =
   let now = Usage_log.current_time t.db in
-  if moved t ~growth:(fun _ -> 0) then begin
-    t.clock <- now;
-    checkpoint t
-  end
-  else if now > t.clock then begin
+  if now > t.clock then begin
     t.clock <- now;
     Store.log_commit t.store ~clock:now ~expired:[] ~increments:[]
   end;

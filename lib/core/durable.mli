@@ -2,15 +2,15 @@
     to the persisted state reaches disk.
 
     [Durable] owns the {!Persistence.Store.t}, the persistence scope
-    (the stored relations the snapshot holds), the journaled clock and
-    every scope relation's basis at the last durable point. An accepted
-    submission's commit ({!Commit.run}) is journaled as one atomic WAL
-    record of its clock, expired positions and retained increments; a
-    checkpoint replaces the record when a scope relation changed outside
-    any commit (log DML, which no record describes), and follows it once
-    the WAL reaches its record limit or an expiring commit leaves more
-    than 1/32 of the live log to reclaim. A scope change, an explicit
-    {!checkpoint} and a {!close} after log DML checkpoint too. *)
+    (the stored relations the snapshot holds) and the journaled clock.
+    Only the engine writes a log relation ({!Relational.Catalog.writable}),
+    and it changes a stored one only by commits, so every change is a
+    commit record. An accepted submission's commit ({!Commit.run}) is
+    journaled as one atomic WAL record of its clock, expired positions
+    and retained increments, and a checkpoint follows once the WAL
+    reaches its record limit or an expiring commit leaves more than 1/32
+    of the live log to reclaim. A scope change and an explicit
+    {!checkpoint} checkpoint too. *)
 
 open Relational
 
@@ -45,14 +45,14 @@ val remove_policy : t -> string -> unit
 val set_scope : t -> string list -> unit
 
 (** Make an accepted submission's commit at tick [now] durable: one WAL
-    record, or a checkpoint after log DML, then a checkpoint if the WAL
-    limit or the reclaim test calls for one. *)
+    record, then a checkpoint if the WAL limit or the reclaim test calls
+    for one. *)
 val commit : t -> now:int -> Commit.outcome -> unit
 
 (** Checkpoint the current scope. *)
 val checkpoint : t -> unit
 
-(** Leave the live state durable — a checkpoint after log DML on a scope
-    relation, else a clock-only record if rejected submissions moved the
-    clock past the journaled one — then close the store. *)
+(** Leave the live state durable — a clock-only record if rejected
+    submissions moved the clock past the journaled one — then close the
+    store. *)
 val close : t -> unit

@@ -145,44 +145,43 @@ let lc = Analysis.lc
    and both paths maintain declared indexes. *)
 let auto_index_log_relation db (g : Usage_log.generator) =
   let cat = Database.catalog db in
-  match Catalog.find_opt cat g.Usage_log.relation with
-  | None -> ()
-  | Some table ->
-    let declare col kind =
-      match Schema.find_index (Table.schema table) col with
-      | None -> ()
-      | Some _ ->
-        let name =
-          Printf.sprintf "dl_ix_%s_%s" (lc g.Usage_log.relation) (lc col)
-        in
-        if not (Catalog.mem_index cat name) then
-          ignore
-            (Catalog.create_index cat ~name ~table:g.Usage_log.relation
-               ~column:col ~kind)
-    in
-    declare "ts" Index.Sorted;
-    declare "uid" Index.Hash;
-    (* The vectorized executor scans log relations zero-copy through a
-       columnar mirror; building it here (and keeping it maintained by
-       the table's mutation hooks) means batch scans never transpose the
-       heap. Cheap to maintain — one vector push per column per append —
-       and harmless when the row path is pinned. *)
-    ignore (Table.enable_columnar table)
+  let rel = g.Usage_log.relation in
+  let table = Catalog.find cat rel in
+  let declare col kind =
+    let name = Printf.sprintf "dl_ix_%s_%s" (lc rel) (lc col) in
+    if Schema.find_index (Table.schema table) col <> None && not (Catalog.mem_index cat name)
+    then ignore (Catalog.create_index cat ~name ~table:rel ~column:col ~kind)
+  in
+  declare "ts" Index.Sorted;
+  declare "uid" Index.Hash;
+  (* The vectorized executor scans log relations zero-copy through a
+     columnar mirror; building it here (and keeping it maintained by
+     the table's mutation hooks) means batch scans never transpose the
+     heap. Cheap to maintain — one vector push per column per append —
+     and harmless when the row path is pinned. *)
+  ignore (Table.enable_columnar table)
 
 let policies t = List.rev t.registered_rev
 
 let create ?(config = default_config) ?(generators = Usage_log.standard)
     ?persist_dir ?(persist_fsync = Persistence.Store.Interval 32)
     (db : Database.t) : t =
-  if not (Catalog.mem (Database.catalog db) Usage_log.clock_relation) then
-    Usage_log.install_clock db;
+  (* A relation already present is adopted only as the kind the engine
+     installs: a base table named like the clock or a log relation would
+     be read by policies while the engine never writes it. *)
+  let install name kind fresh =
+    match Catalog.kind_of (Database.catalog db) name with
+    | None -> fresh ()
+    | Some k when k = kind -> ()
+    | Some _ -> Errors.catalog_error "table %s exists and is not the engine's own relation" name
+  in
+  install Usage_log.clock_relation Catalog.System (fun () -> Usage_log.install_clock db);
   let generators =
     List.sort (fun a b -> compare a.Usage_log.rank b.Usage_log.rank) generators
   in
   List.iter
     (fun g ->
-      if not (Catalog.mem (Database.catalog db) g.Usage_log.relation) then
-        Usage_log.install_relation db g;
+      install g.Usage_log.relation Catalog.Log (fun () -> Usage_log.install_relation db g);
       auto_index_log_relation db g)
     generators;
   let gen_index = Hashtbl.create 8 in
@@ -869,12 +868,30 @@ let run_query (stats : Stats.t) (compiled : Executor.compiled) : Executor.result
     (fun d -> stats.Stats.query_exec <- stats.Stats.query_exec +. d)
     (fun () -> Executor.run_compiled compiled)
 
+(* The tick premise: every committed log row carries a tick below [now],
+   the first one a submission stamps (§3.1; the TI waiver, the §4.3
+   probes and the incremental mark rest on it, and only the engine
+   writes the log). Rows are appended in tick order, so each relation's
+   last row decides. Checked under [Table.debug_checks]. *)
+let check_ticks_below t now =
+  if !Table.debug_checks then
+    List.iter
+      (fun (g : Usage_log.generator) ->
+        (* [ts] leads every generator's schema ({!Usage_log.full_schema}). *)
+        match Table.last (Database.table t.db g.Usage_log.relation) with
+        | Some row when Value.compare (Row.cell row 0) (Value.Int now) >= 0 ->
+          Errors.runtime_error "tick premise: %s holds a row at tick %s, not below %d"
+            g.Usage_log.relation (Value.to_string (Row.cell row 0)) now
+        | Some _ | None -> ())
+      t.generators
+
 let submit_ast t ~(uid : int) ?(extra = []) (query : Ast.query) : outcome =
   let pl = plan t in
   (* Bound before anything is generated: a query that fails to bind
      raises here, leaving the log and the clock as they were. *)
   let compiled = Prepared.prepare t.prepared query in
   let now = Usage_log.current_time t.db + 1 in
+  check_ticks_below t now;
   Usage_log.set_clock t.db now;
   let sub = new_submission { Usage_log.uid; time = now; query; db = t.db; extra } in
   (* Any failure during checking (e.g. the user query itself is invalid
@@ -1091,6 +1108,7 @@ let submit_batch t (subs : batch_submission list) :
         in
         let pool = pool_of t in
         match
+          check_ticks_below t (now0 + 1);
           Usage_log.set_clock t.db now;
           List.iteri
             (fun i s ->

@@ -38,8 +38,8 @@ type config = {
           (see {!Relational.Optimizer.derive_delta}) by scanning only
           the rows above the log relations' watermarks. Policies whose
           plans are not eligible — or that the proof no longer covers,
-          after DDL, configuration or policy changes, or DML on a table
-          they read — transparently fall back to
+          after DDL, configuration or policy changes, or DML on a base
+          table they read — transparently fall back to
           full re-evaluation, so decisions, messages and log contents are
           identical either way. A policy joining the clock or
           aggregating (GROUP BY/HAVING) is never delta-eligible: with or
@@ -113,21 +113,24 @@ type outcome =
 val stats_of : outcome -> Stats.t
 
 (** Wrap a database. Installs the clock and the given log relations
-    (default: {!Usage_log.standard}) if absent.
+    (default: {!Usage_log.standard}) if absent, and adopts them if a
+    previous engine installed them. Only the engine writes them: SQL
+    writes to a log or system relation raise ({!Catalog.writable}).
 
     When [persist_dir] is given, the engine opens (or creates) a durable
     usage-log store there: every accepted submission's log increments,
     the rows its witness compaction expired (by position) and its clock
     advance are journaled as one atomic WAL commit record (a rejected
     submission leaves the WAL untouched); a checkpoint follows once an
-    expiring commit leaves more than 1/32 of the live log to reclaim,
-    or after log DML; and on open the latest valid snapshot plus the
-    WAL tail are recovered — restoring the [store_rels] relations, the
+    expiring commit leaves more than 1/32 of the live log to reclaim;
+    and on open the latest valid snapshot plus the WAL tail are recovered — restoring the [store_rels] relations, the
     clock and the registered-policy set. The same [generators] must be
     registered as when the state was written.
     [persist_fsync] picks the WAL durability/latency trade-off (default
     [Interval 32]).
-    @raise Persistence.Recovery.Recovery_error on corrupted state. *)
+    @raise Persistence.Recovery.Recovery_error on corrupted state.
+    @raise Errors.Sql_error if a table of another kind has the name of
+      the clock or of a generator's relation. *)
 val create :
   ?config:config ->
   ?generators:Usage_log.generator list ->
@@ -304,8 +307,7 @@ val persist_store : t -> Persistence.Store.t option
     persistence. *)
 val persist_checkpoint : t -> unit
 
-(** Make the live state durable — a checkpoint if a log relation changed
-    outside a commit (log DML), else a clock-only commit record if
+(** Make the live state durable — a clock-only commit record if
     rejected submissions moved the clock past the last record — then
     flush and close the persistence store, if any, and shut down the
     process-wide shared evaluation pools ({!Parallel.Pool.shutdown_shared})

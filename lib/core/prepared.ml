@@ -117,33 +117,18 @@ let sync t (s : shard) =
    ({!Optimizer.eliminate_clock}): the clock's tick is read at execution
    time, so a [ts] pinned to it probes the log's [ts] index, and one
    compiled plan serves every tick. The rewrite assumes the clock holds
-   exactly one row; this guard is the one place that checks, running
-   the as-written plan — compiled on first need — otherwise. Lineage
-   runs as written: the eliminated plan would drop the clock's lineage. *)
-let compile t ~opts ~shared (q : Ast.query) : Executor.compiled =
-  let compile plan =
-    Executor.compile ~opts ~vectorized:t.vectorized ?shared t.cat
-      (Optimizer.optimize t.cat plan)
-  in
+   exactly one row, which holds by construction: only
+   {!Usage_log.set_clock} writes it ({!Catalog.writable}). Lineage runs
+   as written: the eliminated plan would drop the clock's lineage. *)
+let compile t ~(opts : Executor.opts) ~shared (q : Ast.query) : Executor.compiled =
   let written = Plan.of_query t.cat q in
-  match
-    if opts.Executor.lineage then None
+  let plan =
+    if opts.Executor.lineage then written
     else
-      Optimizer.eliminate_clock t.cat ~clock_rel:Usage_log.clock_relation
-        written
-  with
-  | None -> compile written
-  | Some eliminated ->
-    let clock = Catalog.find t.cat Usage_log.clock_relation in
-    let fast = compile eliminated in
-    let slow = lazy (compile written) in
-    {
-      fast with
-      Compile.exec =
-        (fun () ->
-          if Table.row_count clock = 1 then fast.Compile.exec ()
-          else (Lazy.force slow).Compile.exec ());
-    }
+      Option.value ~default:written
+        (Optimizer.eliminate_clock t.cat ~clock_rel:Usage_log.clock_relation written)
+  in
+  Executor.compile ~opts ~vectorized:t.vectorized ?shared t.cat (Optimizer.optimize t.cat plan)
 
 let prepare t ?(opts = Executor.default_opts) ?(share = false)
     (q : Ast.query) : Executor.compiled =

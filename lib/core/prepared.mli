@@ -28,10 +28,10 @@ val set_vectorized : t -> bool -> unit
 (** Fetch or compile the plan for [q] under [opts]. A query joining the
     clock relation compiles from its clock-eliminated plan
     ({!Relational.Optimizer.eliminate_clock}) unless [opts] asks for
-    lineage; each execution checks that the clock holds exactly one row
-    and runs the as-written plan (compiled on first need) otherwise, so
-    results are the as-written plan's either way (under [track_src],
-    numbered over the eliminated layout while the clock holds one row).
+    lineage. Its results are the as-written plan's (under [track_src],
+    numbered over the eliminated layout) because the clock holds exactly
+    one row: only {!Usage_log.set_clock} writes it, SQL may not
+    ({!Relational.Catalog.writable}).
     With [share] on the vectorized route, the plan's base-table scan
     prefixes, and the hash tables joins build over them, materialize
     through a single cross-domain {!Relational.Shared_cache}, so

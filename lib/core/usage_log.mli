@@ -50,7 +50,8 @@ val install_relation : Database.t -> generator -> unit
 (** Create the clock relation, initialized to time 0. *)
 val install_clock : Database.t -> unit
 
-(** Set the clock's single row. *)
+(** Set the clock's single row: the clock's only writer (SQL may not
+    write it, {!Relational.Catalog.writable}). *)
 val set_clock : Database.t -> int -> unit
 
 (** Read the clock.

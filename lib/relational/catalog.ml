@@ -71,6 +71,17 @@ let kind_of t name =
 
 let is_log t name = kind_of t name = Some Log
 
+(* The one check of every SQL write path: DML, DROP TABLE and the CSV
+   import write base relations only. The engine alone writes the usage
+   log and the clock, through {!Table}. *)
+let writable t name =
+  match Hashtbl.find_opt t.tables (key name) with
+  | None -> None
+  | Some { table; kind = Base } -> Some table
+  | Some { table; kind } ->
+    Errors.catalog_error "%s is a %s relation: only the DataLawyer engine writes it"
+      (Table.name table) (if kind = Log then "usage-log" else "system")
+
 let table_names t =
   Hashtbl.fold (fun _ e acc -> Table.name e.table :: acc) t.tables []
   |> List.sort String.compare

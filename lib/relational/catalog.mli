@@ -47,6 +47,11 @@ val kind_of : t -> string -> table_kind option
 (** Is the named relation a usage-log relation? *)
 val is_log : t -> string -> bool
 
+(** The table SQL may write under this name: [None] if absent.
+    @raise Errors.Sql_error naming the relation if it is a [Log] or
+      [System] relation, which only the engine writes. *)
+val writable : t -> string -> Table.t option
+
 (** All table names, sorted. *)
 val table_names : t -> string list
 

@@ -142,7 +142,7 @@ let import (db : Database.t) ~(table : string) (text : string) : int =
             (List.length r) ncols)
       rows;
     let t =
-      match Catalog.find_opt (Database.catalog db) table with
+      match Catalog.writable (Database.catalog db) table with
       | Some t -> t
       | None ->
         let types =

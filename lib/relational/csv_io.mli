@@ -16,7 +16,8 @@ val parse_csv : string -> string list list
 
 (** Import CSV text into [table]; returns the number of rows inserted.
     @raise Errors.Sql_error on malformed CSV, ragged records, arity
-    mismatch against an existing table, or uncoercible values. *)
+    mismatch against an existing table, uncoercible values, or a log or
+    system [table] ({!Catalog.writable}). *)
 val import : Database.t -> table:string -> string -> int
 
 val import_from_file : Database.t -> table:string -> path:string -> int

@@ -47,6 +47,12 @@ let row_pred table = function
     let c = compile_in (row_scope table) w in
     fun row -> Value.to_bool (c (Row.cells row) [||])
 
+(* A base table an INSERT, DELETE or UPDATE may write ({!Catalog.writable}). *)
+let target cat table =
+  match Catalog.writable cat table with
+  | Some t -> t
+  | None -> Errors.catalog_error "no such table: %s" table
+
 let exec (cat : Catalog.t) (stmt : Ast.stmt) : outcome =
   match stmt with
   | Ast.Query q -> Rows (Executor.run cat q)
@@ -55,12 +61,10 @@ let exec (cat : Catalog.t) (stmt : Ast.stmt) : outcome =
     ignore (Catalog.create_table cat ~name:table ~schema);
     Created table
   | Ast.Drop_table { table; if_exists } ->
-    if Catalog.mem cat table then begin
-      Catalog.drop cat table;
-      Dropped table
-    end
-    else if if_exists then Dropped table
-    else Errors.catalog_error "no such table: %s" table
+    (match Catalog.writable cat table with
+    | Some _ -> Catalog.drop cat table
+    | None -> if not if_exists then Errors.catalog_error "no such table: %s" table);
+    Dropped table
   | Ast.Create_index { index; table; column; sorted } ->
     let kind = if sorted then Index.Sorted else Index.Hash in
     ignore (Catalog.create_index cat ~name:index ~table ~column ~kind);
@@ -69,14 +73,14 @@ let exec (cat : Catalog.t) (stmt : Ast.stmt) : outcome =
     Catalog.drop_index ~if_exists cat index;
     Dropped index
   | Ast.Insert { table; columns; rows } ->
-    let t = Catalog.find cat table in
+    let t = target cat table in
     List.iter (fun exprs -> ignore (Table.insert t (arrange_cells t columns exprs))) rows;
     Affected (List.length rows)
   | Ast.Delete { table; where } ->
-    let t = Catalog.find cat table in
+    let t = target cat table in
     Affected (Table.delete_where t (row_pred t where))
   | Ast.Update { table; sets; where } ->
-    let t = Catalog.find cat table in
+    let t = target cat table in
     let schema = Table.schema t in
     let pred = row_pred t where in
     let sets =

@@ -6,6 +6,8 @@ type outcome =
   | Created of string
   | Dropped of string
 
-(** Execute one statement against the catalog.
-    @raise Errors.Sql_error on any failure. *)
+(** Execute one statement against the catalog. INSERT, DELETE, UPDATE
+    and DROP TABLE write base relations only ({!Catalog.writable}).
+    @raise Errors.Sql_error on any failure, a write to a log or system
+      relation included. *)
 val exec : Catalog.t -> Ast.stmt -> outcome

@@ -470,8 +470,8 @@ let rec subst_clock ~co ~cw ~read (p : Plan.pexpr) : Plan.pexpr =
       (List.map (fun (c, v) -> (s c, s v)) branches, Option.map s default)
 
 (* Dropping the clock slot is sound only while the clock holds exactly
-   one row — the cross join is then a no-op; the prepared-plan cache
-   guards each execution and runs the as-written plan otherwise.
+   one row — the cross join is then a no-op. The engine's clock always
+   does: only the engine writes it ({!Catalog.writable}).
    Dynamic pins are propagated across [Field = Field] equivalence
    classes so a window predicate written against one side of a join
    reaches every indexed column. A one-row cross join neither adds,

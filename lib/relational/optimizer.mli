@@ -61,7 +61,8 @@ val derive_delta :
     when no select was rewritten.
 
     The result equals the input plan's, rows and order, while the clock
-    holds exactly one row; callers guard each execution. Source tids
+    holds exactly one row, as the engine's clock always does (SQL may
+    not write it, {!Catalog.writable}). Source tids
     are numbered over the eliminated layout: slots after the clock's
     shift down by one and the clock contributes none. *)
 val eliminate_clock :

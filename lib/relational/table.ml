@@ -30,10 +30,6 @@ type t = {
          tid >= delta_base form the delta (Δ) against the state the
          last commit recorded *)
   mutable ver_mut : int;  (* bumped by every mutation *)
-  mutable ver_dml : int;
-      (* bumped only by the mutations outside the engine's append,
-         rollback and compaction protocol: delete_where, update_where,
-         clear, bulk_load (recovery reload) *)
   mutable columnar : Column.t option;
       (* opt-in columnar mirror for batch scans, kept consistent with
          the heap by the same mutation hooks that maintain indexes *)
@@ -56,7 +52,6 @@ let create ~name ~schema =
     indexes = [];
     delta_base = 0;
     ver_mut = 0;
-    ver_dml = 0;
     columnar = None;
   }
 
@@ -164,6 +159,10 @@ let fold f init t = Vec.fold_left f init t.rows
 
 let rows t = Vec.to_list t.rows
 
+let last t =
+  let n = Vec.length t.rows in
+  if n = 0 then None else Some (Vec.get t.rows (n - 1))
+
 let to_seq t =
   let rec aux i () =
     if i >= Vec.length t.rows then Seq.Nil else Seq.Cons (Vec.get t.rows i, aux (i + 1))
@@ -256,7 +255,6 @@ let guard_no_txn t op =
 
 let bulk_load t rows =
   guard_no_txn t "bulk_load";
-  t.ver_dml <- t.ver_dml + 1;
   List.iter (fun cells -> ignore (insert t cells)) rows
 
 (* Keep rows satisfying [keep_row], unhooking the dropped ones from every
@@ -306,13 +304,11 @@ let drop_tids t dead =
 
 let delete_where t pred =
   guard_no_txn t "delete_where";
-  t.ver_dml <- t.ver_dml + 1;
   List.length (filter_rows t (fun r -> not (pred r)))
 
 let clear t =
   guard_no_txn t "clear";
   t.ver_mut <- t.ver_mut + 1;
-  t.ver_dml <- t.ver_dml + 1;
   List.iter Index.clear t.indexes;
   Vec.clear t.rows;
   match t.columnar with None -> () | Some store -> Column.clear store
@@ -322,7 +318,6 @@ let clear t =
 let update_where t pred f =
   guard_no_txn t "update_where";
   t.ver_mut <- t.ver_mut + 1;
-  t.ver_dml <- t.ver_dml + 1;
   let n = ref 0 in
   Vec.iteri
     (fun i r ->
@@ -384,8 +379,6 @@ let delta_base t = t.delta_base
 let mark_delta_base t = t.delta_base <- t.next_tid
 
 let ver_mut t = t.ver_mut
-
-let ver_dml t = t.ver_dml
 
 (* Fold over the delta: rows with tid >= delta_base. Rows are tid-sorted
    (module invariant), so a binary lower bound finds the start. *)

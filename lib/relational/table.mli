@@ -55,6 +55,9 @@ val iter : (Row.t -> unit) -> t -> unit
 val fold : ('acc -> Row.t -> 'acc) -> 'acc -> t -> 'acc
 val rows : t -> Row.t list
 
+(** The last row (the highest tid), if any. *)
+val last : t -> Row.t option
+
 (** Rows in insertion order, produced lazily (snapshot serialization
     iterates large log relations without materializing a list). *)
 val to_seq : t -> Row.t Seq.t
@@ -174,8 +177,10 @@ val fold_since : ('acc -> Row.t -> 'acc) -> 'acc -> t -> savepoint -> 'acc
     state, over which acceptance proved every policy empty; rows
     appended later (which always carry larger tids — see the module
     invariant) form the delta the next evaluation joins against the
-    indexed state. The two version counters tell what changed since
-    that record. *)
+    indexed state. {!ver_mut} tells whether a base relation changed
+    since that record. A log relation changes only through the engine
+    (SQL may not write it, {!Catalog.writable}): by appends above its
+    watermark, rollback to a savepoint and compaction. *)
 
 (** Current watermark tid (0 until {!mark_delta_base} is first called). *)
 val delta_base : t -> int
@@ -187,13 +192,6 @@ val mark_delta_base : t -> unit
 (** Bumped by every mutation ([insert], [bulk_load], [delete_where],
     [retain_tids], [drop_tids], [update_where], [rollback_to], [clear]). *)
 val ver_mut : t -> int
-
-(** Bumped only by the mutations outside the engine's append, rollback
-    and compaction protocol: [delete_where], [update_where], [clear] and
-    [bulk_load]. Appends (watermarked by tid), [rollback_to] (the
-    discarded tentative rows were never committed) and compaction's
-    [retain_tids] and [drop_tids] leave it alone. *)
-val ver_dml : t -> int
 
 (** Fold over the delta — the rows with tid >= {!delta_base}, in tid
     order — without touching the rest of the heap (binary lower bound,

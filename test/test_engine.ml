@@ -341,6 +341,115 @@ let test_column_case_cannot_evade () =
     (accepted (Engine.submit e ~uid:1 "SELECT name FROM emp"));
   Engine.close e
 
+(* Only the engine writes its log relations and clock. Each write below
+   once went through as SQL and changed verdicts, differently per
+   configuration (the strings below: default, relevance off, TI off,
+   NoOpt); now it raises, and five submissions as uid 1 read the same
+   verdicts under every configuration. *)
+let refused_write_keeps_verdicts ~policy ?(prelude = []) ~write ~query () =
+  List.iter
+    (fun (name, config) ->
+      let db = sample_db () in
+      let e = Engine.create ~config db in
+      ignore (Engine.add_policy e ~name:"p" policy);
+      List.iter (fun (uid, q) -> ignore (Engine.submit e ~uid q)) prelude;
+      (match Database.exec db write with
+      | exception Errors.Sql_error _ -> ()
+      | _ -> Alcotest.failf "%s: %s must be refused" name write);
+      let verdict () = if accepted (Engine.submit e ~uid:1 query) then "A" else "R" in
+      Alcotest.(check string) (name ^ ": verdicts") "AAAAA"
+        (String.concat "" (List.init 5 (fun _ -> verdict ()))))
+    [
+      ("default", Engine.default_config);
+      ("relevance off", { Engine.default_config with Engine.relevance = false });
+      ("TI off", { Engine.default_config with Engine.time_independent = false });
+      ("noopt", Engine.noopt_config);
+    ]
+
+(* A committed uid 2 row at a future tick: AAAAA, AAARA, AAAAA, RRRRR. *)
+let test_refused_future_tick_insert =
+  refused_write_keeps_verdicts
+    ~policy:"SELECT DISTINCT 'uid 2 blocked' FROM users u WHERE u.uid = 2"
+    ~write:"INSERT INTO users VALUES (4, 2)" ~query:"SELECT name FROM emp WHERE id = 1"
+
+(* Deleting a committed row breaks Eq. 1's precondition for a
+   non-monotone policy, leaving the admitted query's output row one
+   input: AAAAA, AAAAA, RRRRR, RRRRR. *)
+let test_refused_provenance_delete =
+  refused_write_keeps_verdicts
+    ~policy:
+      "SELECT DISTINCT 'thin aggregate' FROM provenance p GROUP BY p.ts, p.otid \
+       HAVING COUNT(DISTINCT p.itid) <= 1"
+    ~prelude:[ (1, "SELECT COUNT(*) FROM emp WHERE id <= 2") ]
+    ~write:"DELETE FROM provenance WHERE itid = 1" ~query:"SELECT COUNT(*) FROM emp"
+
+(* Rewinding the clock stamps uid 1 rows at the ticks of committed uid 2
+   rows: AAAAA, AAAAA, AAAAA, RRAAA. *)
+let test_refused_clock_rewind =
+  refused_write_keeps_verdicts
+    ~policy:
+      "SELECT DISTINCT 'two uids at one tick' FROM users u, users v WHERE u.ts = v.ts \
+       AND u.uid < v.uid"
+    ~prelude:[ (2, "SELECT name FROM emp WHERE id = 1"); (2, "SELECT name FROM emp WHERE id = 2") ]
+    ~write:"UPDATE clock SET ts = 0" ~query:"SELECT name FROM emp WHERE id = 3"
+
+(* A pre-existing base table named like the clock or a log relation is
+   refused, not adopted; an engine's own relations are adopted by the
+   next engine over the same database. *)
+let test_create_refuses_look_alikes () =
+  List.iter
+    (fun (rel, script) ->
+      match Engine.create (db_of_script script) with
+      | exception Errors.Sql_error (_, msg) ->
+        Alcotest.(check bool) (rel ^ " named") true
+          (String.starts_with ~prefix:("table " ^ rel ^ " ") msg)
+      | _ -> Alcotest.failf "a base table %s must not be adopted" rel)
+    [
+      ("users", "CREATE TABLE users (ts INT, uid INT)");
+      ("clock", "CREATE TABLE clock (ts INT); INSERT INTO clock VALUES (0)");
+    ];
+  let db = sample_db () in
+  let e = Engine.create ~config:Engine.noopt_config db in
+  ignore (Engine.add_policy e ~name:"never" "SELECT DISTINCT 'never' FROM users u WHERE u.uid < 0");
+  ignore (Engine.submit e ~uid:2 "SELECT name FROM emp WHERE id = 1");
+  Alcotest.(check int) "the next engine adopts the log" 1
+    (Engine.log_size (Engine.create db) "users")
+
+(* The tick premise, checked under [Table.debug_checks] (on in this
+   suite): a committed log row at or above the next tick, which only a
+   write past the engine can leave, stops the next admission. *)
+let test_tick_premise_checked () =
+  let db = sample_db () in
+  (* Without TI rewriting the policy is clock-free SPJ: batches are
+     eligible for the fast path. *)
+  let e = Engine.create ~config:{ Engine.default_config with Engine.time_independent = false } db in
+  ignore (Engine.add_policy e ~name:"blocked" "SELECT DISTINCT 'uid 2 blocked' FROM users u WHERE u.uid = 2");
+  ignore (Engine.submit e ~uid:1 "SELECT name FROM emp WHERE id = 1");
+  ignore (Table.insert (Database.table db "users") [| i 2; i 1 |]);
+  let raises f =
+    match f () with
+    | exception Errors.Sql_error (Errors.Runtime_error, _) -> true
+    | _ -> false
+  in
+  Alcotest.(check bool) "submit raises" true
+    (raises (fun () -> Engine.submit e ~uid:1 "SELECT name FROM emp WHERE id = 2"));
+  let members =
+    List.map
+      (fun id ->
+        {
+          Engine.batch_uid = 1;
+          batch_extra = [];
+          batch_query = Parser.query (Printf.sprintf "SELECT name FROM emp WHERE id = %d" id);
+        })
+      [ 2; 3 ]
+  in
+  Alcotest.(check bool) "every batch member fails" true
+    (List.for_all
+       (function Error (Errors.Sql_error (Errors.Runtime_error, _)) -> true | _ -> false)
+       (Engine.submit_batch e members));
+  Alcotest.(check int) "the batch took the fast path" 0 (counter e "batch-serial");
+  Alcotest.(check int) "the clock did not move" 1 (Usage_log.current_time db)
+
 let suite =
   [
     tc "accept and reject" test_accept_and_reject;
@@ -358,5 +467,10 @@ let suite =
     tc "NULL join keys never match" test_null_join_keys_never_match;
     tc "unbound query is not logged" test_unbound_query_not_logged;
     tc "column case cannot evade a restriction" test_column_case_cannot_evade;
+    tc "refused: a future-tick INSERT INTO users" test_refused_future_tick_insert;
+    tc "refused: a DELETE FROM provenance" test_refused_provenance_delete;
+    tc "refused: UPDATE clock" test_refused_clock_rewind;
+    tc "create refuses look-alike tables" test_create_refuses_look_alikes;
+    tc "the tick premise is checked" test_tick_premise_checked;
     Alcotest.test_case "noopt equivalence" `Slow test_noopt_equivalence;
   ]

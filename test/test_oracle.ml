@@ -5,8 +5,10 @@
    compaction, improved partial policies, persistence, initial
    policies) and a stream of operations:
    submissions, admission batches, policy registration and removal,
-   DDL, DML on base and log relations, restarts and checkpoints of the
-   persisted store, and mid-stream flips of one optimization layer.
+   DDL, DML on base relations, attempted writes to log relations and
+   the clock (refused: only the engine writes them), restarts and
+   checkpoints of the persisted store, and mid-stream flips of one
+   optimization layer.
 
    - Layer identity (every script): with the paper-level settings
      fixed, turning the optimization layers on — §4.3's preemptive
@@ -15,14 +17,15 @@
      batch fast path — changes no outcome, message, result row, DDL/DML
      outcome or final log row. The layered run also agrees with
      itself at the other domain count, policy-call counts included.
-   - Eq. 1 (scripts without DML): the layered run decides every
-     submission exactly as the literal reference — NoOpt (Algorithm 1:
-     no TI rewriting, no compaction, one UNION) with every layer off and
-     strictly serial submissions.
+   - Eq. 1 (scripts without base-table DML): the layered run decides
+     every submission exactly as the literal reference — NoOpt
+     (Algorithm 1: no TI rewriting, no compaction, one UNION) with every
+     layer off and strictly serial submissions. The refused log writes
+     are drawn: refusing them is what keeps Eq. 1's precondition.
 
-   DML is excluded from Eq. 1 because compaction and TI rewriting
-   preserve verdicts only while the rows a logged tuple joined with do
-   not change (docs/ARCHITECTURE.md, "Correctness"). Deterministic pins
+   Base-table DML is excluded from Eq. 1 because compaction and TI
+   rewriting preserve verdicts only while the rows a logged tuple joined
+   with do not change (docs/ARCHITECTURE.md, "Correctness"). Deterministic pins
    in the per-feature suites check that each layer actually engages;
    this harness only checks that none changes a verdict. *)
 
@@ -124,7 +127,9 @@ let ddls =
 
 (* Base-table DML bumps version counters: the [banned] flips change the
    ban-list templates' verdicts, so a stale delta base or relevance
-   proof fails the diff. The [users] deletes and update are log DML. *)
+   proof fails the diff. The writes to [users] (one at a future tick)
+   and to the clock are refused, with the same error text in every
+   configuration. *)
 let dmls =
   [|
     "INSERT INTO banned VALUES (2)";
@@ -134,7 +139,13 @@ let dmls =
     "DELETE FROM users WHERE uid = 2";
     "DELETE FROM users WHERE uid = 3";
     "UPDATE users SET uid = 2 WHERE uid = 3";
+    "INSERT INTO users VALUES (1000, 2)";
+    "UPDATE clock SET ts = 0";
   |]
+
+let base_dmls = [ 0; 1; 2; 3 ]
+
+let log_dmls = [ 4; 5; 6; 7; 8 ]
 
 let log_relations = [ "users"; "schema"; "provenance"; "clock" ]
 
@@ -432,7 +443,8 @@ let agree ~expected:(en, e) ~actual:(an, a) =
 
 (* Generator ---------------------------------------------------------------- *)
 
-let script_gen ~dml : script QCheck.Gen.t =
+(* [dmls] are the indices of the DML statements a script may draw. *)
+let script_gen ~dmls : script QCheck.Gen.t =
   let open QCheck.Gen in
   let member = pair (int_range 1 3) (int_range 0 (Array.length queries - 1)) in
   let index a = int_range 0 (Array.length a - 1) in
@@ -459,7 +471,7 @@ let script_gen ~dml : script QCheck.Gen.t =
          (1, map (fun di -> Ddl di) (index ddls));
          (1, map (fun l -> Flip l) (oneofl all_layers));
        ]
-      @ (if dml then [ (2, map (fun mi -> Dml mi) (index dmls)) ] else [])
+      @ (if dmls = [] then [] else [ (2, map (fun mi -> Dml mi) (oneofl dmls)) ])
       @ if persist then [ (1, return Restart); (1, return Checkpoint) ] else [])
   in
   let+ ops = list_size (int_range 1 20) op_gen in
@@ -512,14 +524,16 @@ let print_script s =
             | Flip l -> "F:" ^ layer_name l)
           s.ops))
 
-let script_arb ~dml = QCheck.make ~print:print_script (script_gen ~dml)
+let script_arb ~dmls = QCheck.make ~print:print_script (script_gen ~dmls)
+
+let all_dmls = base_dmls @ log_dmls
 
 (* Properties --------------------------------------------------------------- *)
 
 let prop_layer_identity =
   QCheck.Test.make ~count:300
     ~name:"layers on and off: identical outcomes, messages, rows and logs"
-    (script_arb ~dml:true)
+    (script_arb ~dmls:all_dmls)
     (fun s ->
       let l0 = run ~optimized:false (layers_off (paper_config s)) s in
       let l = run ~optimized:true (layered s ~domains:s.domains) s in
@@ -543,7 +557,7 @@ let prop_layer_identity =
 let prop_eq1 =
   QCheck.Test.make ~count:200
     ~name:"layered runs decide as Eq. 1 (NoOpt, every layer off, serial)"
-    (script_arb ~dml:false)
+    (script_arb ~dmls:log_dmls)
     (fun s ->
       let reference =
         run ~optimized:false (layers_off Engine.noopt_config) s
@@ -607,13 +621,12 @@ let prop_workload_identical =
    as row multisets over the persisted relations, after every step.
    Recovery restores the journaled clock, which does not count rejected
    submissions' ticks, so the twin's clock is set to the engine's after
-   each restart; its fresh database replays the base DML so far. Log DML
-   and DDL are not drawn: neither is journaled. *)
+   each restart; its fresh database replays the base DML so far. DDL is
+   not drawn: it is not journaled. *)
 let prop_full_mark_twin =
-  let base_dmls = [ 0; 1; 2; 3 ] in
   QCheck.Test.make ~count:100
     ~name:"compaction: incremental marks keep the logs of a full-marking twin"
-    (script_arb ~dml:true)
+    (script_arb ~dmls:base_dmls)
     (fun s ->
       let config = ref { (layered s ~domains:1) with Engine.log_compaction = true } in
       let dir = Test_support.temp_dir ?parent:tmpfs "dl_twin" in
@@ -687,7 +700,7 @@ let prop_full_mark_twin =
               | [] -> ()
               | ps -> Engine.remove_policy e (List.nth ps (i mod List.length ps)).Policy.name);
               [])
-        | Dml mi when List.mem mi base_dmls ->
+        | Dml mi ->
           replayed := dmls.(mi) :: !replayed;
           exec db_a dmls.(mi);
           exec (Engine.database !b) dmls.(mi);
@@ -697,7 +710,7 @@ let prop_full_mark_twin =
           both (fun e ->
               Engine.set_config e !config;
               [])
-        | Dml _ | Ddl _ | Restart | Checkpoint -> ([], [])
+        | Ddl _ | Restart | Checkpoint -> ([], [])
       in
       (* A relation that leaves the persisted scope keeps its rows in
          memory but not on disk, so the twin loses them on restart: such
@@ -741,13 +754,13 @@ let prop_full_mark_twin =
 
 (* Recovery: at every restart of a persisted script, the recovered
    persisted relations (cells in heap order) and clock equal the live
-   ones just before the close, log DML and rejected submissions' ticks
-   included. Every other restart follows a [users] delete, so most
-   scripts restart after log DML. *)
+   ones just before the close, rejected submissions' ticks included.
+   Every other restart follows base-table DML, which no record
+   describes and recovery must not need. *)
 let prop_restart_recovers =
   QCheck.Test.make ~count:100
     ~name:"a restart recovers the live persisted logs and clock"
-    (script_arb ~dml:true)
+    (script_arb ~dmls:all_dmls)
     (fun s ->
       let k = ref 0 in
       let ops =
@@ -755,7 +768,7 @@ let prop_restart_recovers =
           (function
             | Restart ->
               incr k;
-              if !k mod 2 = 1 then [ Dml 4; Restart ] else [ Restart ]
+              if !k mod 2 = 1 then [ Dml 0; Restart ] else [ Restart ]
             | op -> [ op ])
           s.ops
       in
@@ -772,7 +785,7 @@ let prop_restart_recovers =
 let prop_probe_reference =
   QCheck.Test.make ~count:150
     ~name:"increment probes prune as the source-tid check"
-    (script_arb ~dml:true)
+    (script_arb ~dmls:all_dmls)
     (fun s ->
       let s = { s with strategy = Engine.Interleaved; improved_partial = true } in
       let decisions =

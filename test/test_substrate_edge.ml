@@ -33,10 +33,8 @@ let test_savepoint_guards () =
   Alcotest.(check int) "deletes allowed after release" 1
     (Table.delete_where t (fun _ -> true))
 
-(* The version-counter contract the commit record relies on: the
-   engine's own protocol (appends, savepoints, compaction's tid-set
-   deletions) moves only [ver_mut]; the mutations outside it move
-   [ver_dml] too. *)
+(* The version counter the commit record reads on base relations: every
+   mutation moves [ver_mut]; keeping a savepoint's increment does not. *)
 let test_version_counters () =
   let db = db_of_script "CREATE TABLE t (a INT); INSERT INTO t VALUES (1), (2), (3)" in
   let t = Database.table db "t" in
@@ -45,31 +43,27 @@ let test_version_counters () =
     List.iter (fun tid -> Hashtbl.replace h tid ()) l;
     h
   in
-  let moves what ~mut ~dml op =
-    let m0 = Table.ver_mut t and d0 = Table.ver_dml t in
+  let moves what ~mut op =
+    let m0 = Table.ver_mut t in
     op ();
-    Alcotest.(check (pair bool bool))
-      (what ^ ": ver_mut, ver_dml moved")
-      (mut, dml)
-      (Table.ver_mut t <> m0, Table.ver_dml t <> d0)
+    Alcotest.(check bool) (what ^ ": ver_mut moved") mut (Table.ver_mut t <> m0)
   in
-  moves "insert" ~mut:true ~dml:false (fun () -> ignore (Table.insert t [| i 4 |]));
+  moves "insert" ~mut:true (fun () -> ignore (Table.insert t [| i 4 |]));
   let sp = Table.savepoint t in
-  moves "tentative insert" ~mut:true ~dml:false (fun () -> ignore (Table.insert t [| i 5 |]));
-  moves "rollback_to" ~mut:true ~dml:false (fun () -> Table.rollback_to t sp);
+  moves "tentative insert" ~mut:true (fun () -> ignore (Table.insert t [| i 5 |]));
+  moves "rollback_to" ~mut:true (fun () -> Table.rollback_to t sp);
   let sp = Table.savepoint t in
   ignore (Table.insert t [| i 5 |]);
-  (* Keeping the increment is no mutation: neither counter moves. *)
-  moves "release" ~mut:false ~dml:false (fun () -> Table.release t sp);
-  moves "retain_tids" ~mut:true ~dml:false (fun () ->
-      ignore (Table.retain_tids t (tids [ 0; 1; 2; 3 ])));
-  moves "drop_tids" ~mut:true ~dml:false (fun () -> ignore (Table.drop_tids t (tids [ 0 ])));
-  moves "delete_where" ~mut:true ~dml:true (fun () ->
+  (* Keeping the increment is no mutation. *)
+  moves "release" ~mut:false (fun () -> Table.release t sp);
+  moves "retain_tids" ~mut:true (fun () -> ignore (Table.retain_tids t (tids [ 0; 1; 2; 3 ])));
+  moves "drop_tids" ~mut:true (fun () -> ignore (Table.drop_tids t (tids [ 0 ])));
+  moves "delete_where" ~mut:true (fun () ->
       ignore (Table.delete_where t (fun r -> Value.equal (Row.cell r 0) (i 2))));
-  moves "update_where" ~mut:true ~dml:true (fun () ->
+  moves "update_where" ~mut:true (fun () ->
       ignore (Table.update_where t (fun _ -> true) (fun c -> c)));
-  moves "clear" ~mut:true ~dml:true (fun () -> Table.clear t);
-  moves "bulk_load" ~mut:true ~dml:true (fun () -> Table.bulk_load t [ [| i 7 |] ]);
+  moves "clear" ~mut:true (fun () -> Table.clear t);
+  moves "bulk_load" ~mut:true (fun () -> Table.bulk_load t [ [| i 7 |] ]);
   Alcotest.(check int) "rows after the sequence" 1 (Table.row_count t)
 
 let test_find_by_tid_after_deletion () =
@@ -98,6 +92,41 @@ let test_catalog_kinds () =
   match Catalog.drop cat "nope" with
   | exception Errors.Sql_error (Errors.Catalog_error, _) -> ()
   | _ -> Alcotest.fail "dropping unknown table must fail"
+
+(* Every SQL write path refuses log and system relations, naming the
+   relation, and writes nothing; CREATE INDEX on them stays allowed. *)
+let test_sql_writes_base_tables_only () =
+  let db = Database.create () in
+  let cat = Database.catalog db in
+  let schema = Schema.make [ ("ts", Ty.Int) ] in
+  let log = Catalog.create_table ~kind:Catalog.Log cat ~name:"log_t" ~schema in
+  let clock = Catalog.create_table ~kind:Catalog.System cat ~name:"clock" ~schema in
+  List.iter (fun t -> ignore (Table.insert t [| i 1 |])) [ log; clock ];
+  let refused what write =
+    match write () with
+    | exception Errors.Sql_error (Errors.Catalog_error, msg) ->
+      Alcotest.(check bool) (what ^ ": names the relation") true
+        (List.exists (fun n -> String.starts_with ~prefix:n msg) [ "log_t is a usage-log"; "clock is a system" ])
+    | _ -> Alcotest.failf "%s must be refused" what
+  in
+  List.iter
+    (fun rel ->
+      List.iter
+        (fun sql -> refused sql (fun () -> ignore (Database.exec db sql)))
+        [
+          Printf.sprintf "INSERT INTO %s VALUES (2)" rel;
+          Printf.sprintf "UPDATE %s SET ts = 0" rel;
+          Printf.sprintf "DELETE FROM %s" (String.uppercase_ascii rel);
+          Printf.sprintf "DROP TABLE %s" rel;
+          Printf.sprintf "DROP TABLE IF EXISTS %s" rel;
+        ];
+      refused ("CSV import into " ^ rel) (fun () -> ignore (Csv_io.import db ~table:rel "ts\n2\n")))
+    [ "log_t"; "clock" ];
+  List.iter
+    (fun t -> Alcotest.(check int) (Table.name t ^ " rows") 1 (Table.row_count t))
+    [ log; clock ];
+  ignore (Database.exec db "CREATE INDEX log_t_ts ON log_t USING sorted (ts)");
+  Alcotest.(check int) "index on a log relation" 1 (List.length (Table.indexes log))
 
 let test_order_by_multi_key () =
   let db =
@@ -182,6 +211,7 @@ let suite =
     tc "savepoint guards" test_savepoint_guards;
     tc "find_by_tid after deletion" test_find_by_tid_after_deletion;
     tc "catalog kinds and errors" test_catalog_kinds;
+    tc "SQL writes base tables only" test_sql_writes_base_tables_only;
     tc "order by multiple keys" test_order_by_multi_key;
     tc "limit 0" test_limit_zero;
     tc "nested subqueries" test_nested_subqueries;
