@@ -394,8 +394,8 @@ let serve_batch =
     & info [ "serve-batch" ] ~docv:"N"
         ~doc:
           "Maximum admission batch size: up to $(docv) queued concurrent \
-           submissions are decided by one policy evaluation and committed \
-           with one fsync when the fast path applies.")
+           submissions are decided one at a time in arrival order and \
+           committed with one fsync.")
 
 let repl_cmd =
   Cmd.v

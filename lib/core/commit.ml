@@ -140,11 +140,10 @@ let track_src = { Executor.lineage = false; track_src = true }
    deadline has come (a relation skipped preemptively only expires). The
    full mark runs instead for a relation without recorded deadlines (new
    or recovered engine, new plan), after the recorded state moved (base
-   DML, DDL), for a relation with a Lemma 4.2 witness (its
-   representatives can change), and for a batch ([single_tick = false]),
-   whose increment spans several ticks. *)
+   DML, DDL), and for a relation with a Lemma 4.2 witness (its
+   representatives can change). *)
 let run t (pl : Offline.t) ~compaction ~share ~generated ~(now : int)
-    ~(single_tick : bool) ~(stats : Stats.t) ~map : outcome =
+    ~(stats : Stats.t) ~map : outcome =
   (* Per-relation rows retained and committed rows expired this commit:
      the WAL record. *)
   let persisted : (string * Value.t array list) list ref = ref [] in
@@ -170,9 +169,7 @@ let run t (pl : Offline.t) ~compaction ~share ~generated ~(now : int)
     Stats.timed
       (fun d -> stats.Stats.compact_mark <- stats.Stats.compact_mark +. d)
       (fun () ->
-        let incremental =
-          compaction && single_tick && deadlines_hold t pl ~pending
-        in
+        let incremental = compaction && deadlines_hold t pl ~pending in
         if not incremental then Hashtbl.reset t.deadlines;
         let marks =
           List.map

@@ -2,9 +2,9 @@
     Lemmas 4.1–4.3, §4.1.2) over its tentative increments, and the one
     record of the committed state. A full mark runs the witnesses over
     the whole log and records the survivors' deadlines; while the
-    committed state has moved only by increments since, a single-tick
-    commit marks only its increment and expires the committed tuples
-    whose deadline came. The expired rows are returned by position, so
+    committed state has moved only by increments since, a commit marks
+    only its increment (one tick's rows) and expires the committed
+    tuples whose deadline came. The expired rows are returned by position, so
     one WAL record describes the commit; whether it is journaled or
     checkpointed is {!Durable}'s decision.
 
@@ -76,10 +76,10 @@ type map = { map : 'a 'b. (Stats.t -> 'a -> 'b) -> 'a list -> 'b list }
     [Keep_all]); one absent from [generated] was skipped preemptively,
     so its increment is empty, but its committed tuples still expire at
     their deadlines. Every other relation in [generated] is rolled back,
-    and [generated] is emptied. A batch ([single_tick = false]) marks in
-    full. With [share], the witness queries read base relations through
-    the shared scan cache ({!Prepared.prepare}), so a witness joining an
-    unchanged base relation hashes it once per table version. *)
+    and [generated] is emptied. With [share], the witness queries read
+    base relations through the shared scan cache ({!Prepared.prepare}),
+    so a witness joining an unchanged base relation hashes it once per
+    table version. *)
 val run :
   t ->
   Offline.t ->
@@ -87,7 +87,6 @@ val run :
   share:bool ->
   generated:(string, Table.savepoint) Hashtbl.t ->
   now:int ->
-  single_tick:bool ->
   stats:Stats.t ->
   map:map ->
   outcome

@@ -105,12 +105,6 @@ type t = {
           from the process-wide registry when [config.domains > 1] *)
   mutable par_batches : int;  (** parallel batches dispatched *)
   mutable par_tasks : int;  (** tasks executed across those batches *)
-  mutable adm_fast : int;  (** admission batches decided on the fast path *)
-  mutable adm_retried : int;
-      (** fast-path batches that saw a violation and replayed serially *)
-  mutable adm_ineligible : int;
-      (** admission batches that went straight to the serial path *)
-  mutable adm_submissions : int;  (** submissions across all admission batches *)
   rel_checks : int Atomic.t;
       (** relevance-index consultations (atomic: incremented inside pool
           tasks) *)
@@ -201,10 +195,6 @@ let create ?(config = default_config) ?(generators = Usage_log.standard)
       pool = None;
       par_batches = 0;
       par_tasks = 0;
-      adm_fast = 0;
-      adm_retried = 0;
-      adm_ineligible = 0;
-      adm_submissions = 0;
       rel_checks = Atomic.make 0;
       rel_skips = Atomic.make 0;
       empty_prunes = Atomic.make 0;
@@ -401,27 +391,22 @@ let fan_out t (sub : submission) (pool : Parallel.Pool.t option)
           results)
   | (Some _ | None), _ -> List.map (f sub.stats) xs
 
-(* Run the log-generating function for [rel] under [ctx] and tentatively
-   append the increment. The savepoint is opened at the relation's first
-   touch, so a batched submission record accumulates every member's rows
-   under one savepoint per relation. *)
-let gen_rel_for t (sub : submission) (ctx : Usage_log.query_ctx) rel =
-  let g = generator_for t rel in
-  let table = Database.table t.db g.Usage_log.relation in
-  Stats.timed
-    (fun d -> sub.stats.Stats.log_track <- sub.stats.Stats.log_track +. d)
-    (fun () ->
-      (* Generators return sets (see {!Usage_log.generator}). *)
-      let rows = g.Usage_log.generate ctx in
-      if not (Hashtbl.mem sub.generated rel) then
-        Hashtbl.add sub.generated rel (Table.savepoint table);
-      let ts = Value.Int ctx.Usage_log.time in
-      List.iter (fun cells -> ignore (Table.insert table (Array.append [| ts |] cells))) rows)
-
-(* Run the log-generating function for [rel] (once per submission) under
-   the submission's own context. *)
+(* Run the log-generating function for [rel] (once per submission)
+   under the submission's context and tentatively append the increment
+   above a fresh savepoint. *)
 let gen_rel t (sub : submission) rel =
-  if not (Hashtbl.mem sub.generated rel) then gen_rel_for t sub sub.ctx rel
+  if not (Hashtbl.mem sub.generated rel) then begin
+    let g = generator_for t rel in
+    let table = Database.table t.db g.Usage_log.relation in
+    Stats.timed
+      (fun d -> sub.stats.Stats.log_track <- sub.stats.Stats.log_track +. d)
+      (fun () ->
+        (* Generators return sets (see {!Usage_log.generator}). *)
+        let rows = g.Usage_log.generate sub.ctx in
+        Hashtbl.add sub.generated rel (Table.savepoint table);
+        let ts = Value.Int sub.ctx.Usage_log.time in
+        List.iter (fun cells -> ignore (Table.insert table (Array.append [| ts |] cells))) rows)
+  end
 
 (* Evaluate a policy query; returns the violation message if non-empty.
    [stats] is the record to charge — the submission's on the serial
@@ -837,7 +822,7 @@ let run_union t (sub : submission) (pool : Parallel.Pool.t option) (pl : plan)
    committed state the accept proof covers — made durable as
    {!Durable.commit} decides. *)
 let accept t (sub : submission) (pool : Parallel.Pool.t option) (pl : plan)
-    ~(now : int) ~(single_tick : bool) =
+    ~(now : int) =
   List.iter
     (fun rel ->
       if
@@ -850,7 +835,7 @@ let accept t (sub : submission) (pool : Parallel.Pool.t option) (pl : plan)
     pl.store_rels;
   let c =
     Commit.run t.commit pl ~compaction:t.config.log_compaction
-      ~share:t.config.shared_scans ~generated:sub.generated ~now ~single_tick
+      ~share:t.config.shared_scans ~generated:sub.generated ~now
       ~stats:sub.stats
       ~map:{ Commit.map = (fun f xs -> fan_out t sub pool f xs) }
   in
@@ -916,7 +901,7 @@ let submit_ast t ~(uid : int) ?(extra = []) (query : Ast.query) : outcome =
       Rejected (List.map snd violations, sub.stats)
     end
     else begin
-      accept t sub pool pl ~now ~single_tick:true;
+      accept t sub pool pl ~now;
       Accepted (run_query sub.stats compiled, sub.stats)
     end
   with
@@ -926,14 +911,6 @@ let submit_ast t ~(uid : int) ?(extra = []) (query : Ast.query) : outcome =
     raise e
 
 let submit t ~uid ?extra sql = submit_ast t ~uid ?extra (Parser.query sql)
-
-(* Batched admission ------------------------------------------------------- *)
-
-type batch_submission = {
-  batch_uid : int;
-  batch_extra : (string * Value.t) list;
-  batch_query : Ast.query;
-}
 
 let counters t : (string * string) list =
   let i = string_of_int in
@@ -963,10 +940,6 @@ let counters t : (string * string) list =
     ("parallel-domains", i t.config.domains);
     ("parallel-batches", i t.par_batches);
     ("parallel-tasks", i t.par_tasks);
-    ("batch-fast", i t.adm_fast);
-    ("batch-retried", i t.adm_retried);
-    ("batch-serial", i t.adm_ineligible);
-    ("batch-submissions", i t.adm_submissions);
     ("delta-eligible", i d.eligible_plans);
     ("delta-fallback", i d.fallback_plans);
     ("delta-bases", i d.delta_bases);
@@ -1000,154 +973,27 @@ let counters t : (string * string) list =
     ("wal-records", i wal);
   ]
 
-(* The one-at-a-time equivalent of a batch: member exceptions are caught
-   per member (the engine rolls its tentative state back before the
-   exception escapes [submit_ast]), so one poisoned submission never
-   swallows its batch-mates' verdicts. *)
-let submit_serially t subs =
+(* Batched admission ------------------------------------------------------- *)
+
+type batch_submission = {
+  batch_uid : int;
+  batch_extra : (string * Value.t) list;
+  batch_query : Ast.query;
+}
+
+(* Admit a batch of concurrent submissions in arrival order, each
+   exactly as {!submit_ast} admits it alone, so the verdicts, the log and
+   the clock are the one-at-a-time ones. A member's exception is caught
+   for that member alone (the engine rolls its tentative state back
+   before the exception escapes [submit_ast]), so one poisoned submission
+   never swallows its batch-mates' verdicts. *)
+let submit_batch t subs =
   List.map
     (fun s ->
       match submit_ast t ~uid:s.batch_uid ~extra:s.batch_extra s.batch_query with
       | o -> Ok o
       | exception e -> Error e)
     subs
-
-(* Batch fast-path eligibility. The combined-state argument below rests
-   on every active policy being a monotone SPJ query that never reads
-   the clock — checked as every policy deriving delta plans (through the
-   prepared cache, so the analysis amortizes across batches) — and on no
-   member query reading a log relation or the clock (a member's own
-   result must not depend on whether its batch-mates' increments are
-   still tentative). An aggregate policy is non-monotone, so emptiness
-   over the combined state says nothing about the arrival-order
-   prefixes; a clock-reading policy each member would see at a different
-   tick. Neither derives delta plans. *)
-let batch_eligible t (pl : plan) subs =
-  let is_log = is_log t in
-  let is_clock rel = lc rel = Usage_log.clock_relation in
-  let refs pred q =
-    Analysis.log_relations ~is_log:pred q <> []
-    || Analysis.subquery_uses_log ~is_log:pred q
-  in
-  List.for_all
-    (fun (p : Policy.t) ->
-      Option.is_some
-        (Prepared.prepare_delta t.prepared ~is_log
-           ~clock_rel:Usage_log.clock_relation p.Policy.query))
-    pl.active
-  && List.for_all
-       (fun s -> not (refs is_log s.batch_query || refs is_clock s.batch_query))
-       subs
-
-(* Admit a batch of concurrent submissions.
-
-   Fast path (all policies monotone SPJ per {!batch_eligible}): every
-   member's log increments are appended tentatively — each member at its
-   own clock tick, in arrival order — and the policy set is evaluated
-   {e once} over the combined tentative state, fanning out over the
-   domain pool against frozen tables exactly as a single submission's
-   evaluation does. If every policy comes back empty, monotonicity gives
-   the serial-equivalence argument: each arrival-order prefix of the
-   batch is a subset of the combined state, so every policy is empty
-   over it too, which is precisely what accepting the members one at a
-   time would have checked. One commit then retains the combined
-   increment (same mark phase, same WAL record count: one), so the log
-   equals the serial replay's. If any policy fires, the verdict cannot
-   be attributed to a member from the combined evaluation alone, so the
-   tentative state is rolled back, the clock rewound, and the batch
-   replayed serially — decisions are therefore {e always} identical to
-   the arrival-order serial execution.
-
-   Caveat inherited from the eligibility gate, documented in
-   docs/SERVER.md: custom log-generating functions that read log
-   relations (none of the standard ones do) could observe batch-mates'
-   tentative rows during generation. *)
-let submit_batch t (subs : batch_submission list) :
-    (outcome, exn) result list =
-  let n = List.length subs in
-  t.adm_submissions <- t.adm_submissions + n;
-  match subs with
-  | [] -> []
-  | [ _ ] ->
-    t.adm_ineligible <- t.adm_ineligible + 1;
-    submit_serially t subs
-  | _ ->
-    let pl = plan t in
-    if not (batch_eligible t pl subs) then begin
-      t.adm_ineligible <- t.adm_ineligible + 1;
-      submit_serially t subs
-    end
-    else
-      (* Every member is bound before anything is generated; a member
-         that fails to bind fails alone, on the serial path. *)
-      match List.map (fun s -> Prepared.prepare t.prepared s.batch_query) subs with
-      | exception _ -> submit_serially t subs
-      | compiled ->
-        let now0 = Usage_log.current_time t.db in
-        let now = now0 + n in
-        let last = List.nth subs (n - 1) in
-        let sub =
-          new_submission
-            {
-              Usage_log.uid = last.batch_uid;
-              time = now;
-              query = last.batch_query;
-              db = t.db;
-              extra = last.batch_extra;
-            }
-        in
-        let rollback_batch () =
-          rollback t sub;
-          Usage_log.set_clock t.db now0
-        in
-        (* Generate every relation a policy may read or the commit may
-           store, for every member: preemptive skipping is pointless here
-           (the mark phase sees the whole combined increment anyway). *)
-        let rels =
-          List.sort_uniq String.compare (pl.required @ pl.store_rels)
-        in
-        let pool = pool_of t in
-        match
-          check_ticks_below t (now0 + 1);
-          Usage_log.set_clock t.db now;
-          List.iteri
-            (fun i s ->
-              let ctx =
-                {
-                  Usage_log.uid = s.batch_uid;
-                  time = now0 + i + 1;
-                  query = s.batch_query;
-                  db = t.db;
-                  extra = s.batch_extra;
-                }
-              in
-              List.iter (gen_rel_for t sub ctx) rels)
-            subs;
-          eval_full t sub pool pl pl.active
-        with
-        | [] ->
-          t.adm_fast <- t.adm_fast + 1;
-          (* A commit failure must resolve the savepoints before escaping,
-             exactly as [submit_ast]'s handler does, or they would poison
-             later submissions. *)
-          (try accept t sub pool pl ~now ~single_tick:false
-           with e ->
-             rollback_batch ();
-             raise e);
-          List.map
-            (fun c ->
-              let stats = Stats.create () in
-              match run_query stats c with
-              | r -> Ok (Accepted (r, stats))
-              | exception e -> Error e)
-            compiled
-        | _violations ->
-          t.adm_retried <- t.adm_retried + 1;
-          rollback_batch ();
-          submit_serially t subs
-        | exception _ ->
-          rollback_batch ();
-          submit_serially t subs
 
 (* Persistence ------------------------------------------------------------- *)
 

@@ -242,25 +242,14 @@ type batch_submission = {
 }
 
 (** Admit a batch of concurrent submissions, returning one result per
-    member in order. Decisions, log contents and clock are always
-    identical to submitting the members one at a time in list order:
-    when every active policy is a monotone SPJ query that never reads
-    the clock (exactly {!Relational.Optimizer.derive_delta}'s
-    eligibility) and no member query reads a log relation or the clock,
-    the batch is decided on a fast path — every member's log increments
-    are appended tentatively (each at its own clock tick) and the policy
-    set is evaluated {e once} over the combined state, so evaluation,
-    witness compaction, WAL record and fsync all amortize across the
-    batch; any policy firing, or any ineligibility, falls back to the
-    serial path, as does a member that fails to bind (checked before
-    anything is generated). A member whose evaluation or execution
-    raised yields [Error] (the engine state is rolled back for that
-    member exactly as {!submit} would); its batch-mates' verdicts are
-    unaffected.
-
-    Shared policy-machinery time of a fast-path batch is not split
-    across members: each member's stats carry only its own query
-    execution. *)
+    member in order. Each member is submitted through {!submit_ast} in
+    list order, so decisions, log contents (tids included) and clock are
+    those of submitting the members one at a time. A member whose
+    binding, evaluation or execution raised yields [Error] (the engine
+    state is rolled back for that member exactly as {!submit} would);
+    its batch-mates' verdicts are unaffected. What a batch shares is the
+    caller's group commit: the server's admission pipeline forces one
+    synced flush per batch. *)
 val submit_batch : t -> batch_submission list -> (outcome, exn) result list
 
 (** Every engine counter as [(key, value)] pairs, in a fixed order: the
@@ -268,10 +257,7 @@ val submit_batch : t -> batch_submission list -> (outcome, exn) result list
     share. Keys: [plan-cache-hits]/[-misses], [index-probes],
     [parallel-domains]/[-batches]/[-tasks] (configured domains, parallel
     batches of two or more tasks, tasks across them; 0 at
-    [domains = 1]), [batch-fast]/[-retried]/[-serial]/[-submissions]
-    (admission batches decided on the fast path, replayed serially
-    after a violation, sent straight to the serial path, and the
-    submissions across them), the [delta-*] and [full-evals] counters
+    [domains = 1]), the [delta-*] and [full-evals] counters
     of {!delta_stats}, [unify-registered]/[-active]/[-groups]/
     [-members] (policies as registered, after unification, unified
     groups, policies absorbed into them), [relevance-*],

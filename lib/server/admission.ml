@@ -3,12 +3,10 @@
     Connection threads hand submissions to {!submit} and block for the
     verdict; a single admission thread drains the queue in arrival
     order, chops it into batches of at most [max_batch], and decides
-    each batch with {!Datalawyer.Engine.submit_batch} — one policy
-    evaluation, one witness-compaction pass and one WAL record per
-    batch when the fast path applies, with a serial replay otherwise.
-    Accepted work is made durable by one forced WAL flush per batch
-    (group commit), so the store should be opened with the [Never]
-    fsync policy.
+    each batch with {!Datalawyer.Engine.submit_batch}, which admits the
+    members one at a time in arrival order. Accepted work is made
+    durable by one forced WAL flush per batch (group commit), so the
+    store should be opened with the [Never] fsync policy.
 
     The engine is single-threaded by design; funnelling every mutation
     through the one admission thread is what makes concurrent SUBMITs

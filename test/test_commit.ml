@@ -133,7 +133,7 @@ let commit c db (pl : Engine.plan) ~uid sql =
           (g.Usage_log.generate ctx)
       end)
     Usage_log.standard;
-  Commit.run c pl ~compaction:true ~share:true ~generated ~now ~single_tick:true
+  Commit.run c pl ~compaction:true ~share:true ~generated ~now
     ~stats:(Stats.create ())
     ~map:{ Commit.map = (fun f xs -> List.map (f (Stats.create ())) xs) }
 

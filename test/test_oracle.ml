@@ -13,10 +13,10 @@
    - Layer identity (every script): with the paper-level settings
      fixed, turning the optimization layers on — §4.3's preemptive
      compaction and the post-paper unification, delta, relevance,
-     shared scans, the vectorized executor, the domain pool and the
-     batch fast path — changes no outcome, message, result row, DDL/DML
-     outcome or final log row. The layered run also agrees with
-     itself at the other domain count, policy-call counts included.
+     shared scans, the vectorized executor and the domain pool —
+     changes no outcome, message, result row, DDL/DML outcome or final
+     log row (tids included). The layered run also agrees with itself
+     at the other domain count, policy-call counts included.
    - Eq. 1 (scripts without base-table DML): the layered run decides
      every submission exactly as the literal reference — NoOpt
      (Algorithm 1: no TI rewriting, no compaction, one UNION) with every
@@ -52,7 +52,6 @@ let per_uid uid =
    clock-eliminated plans of the window templates (they join the clock,
    so never take it), unification (the per-uid family and the two
    quotas), the relevance index (plain-table joins it must guard), the
-   batch fast path (the clock-free SPJ ones) and its fallback, the
    shapes footnote 7 must restrict below the top level (a UNION and a
    FROM subquery), and a join across ticks, which the interleaved loop prunes
    before [provenance] while its witness still keeps that increment's
@@ -265,7 +264,7 @@ let outcome_event label = function
 
 let note what = { what; messages = []; calls = 0 }
 
-let dump_logs engine =
+let dump_logs ?(rels = log_relations) engine =
   let db = Engine.database engine in
   List.map
     (fun rel ->
@@ -274,7 +273,7 @@ let dump_logs engine =
           (Table.fold
              (fun acc row -> (Row.tid row, render_row (Row.cells row)) :: acc)
              [] (Database.table db rel)) ))
-    log_relations
+    rels
 
 (* Persisted runs check recovery, not durability: the WAL never fsyncs,
    and the stores live on tmpfs where there is one, so the snapshots'
@@ -416,17 +415,13 @@ let view ~calls ~sets r =
         (if calls then Printf.sprintf " calls=%d" e.calls else ""))
     r.events
 
-(* One line per log relation; [tids] keeps the tids (a batch rolled back
-   after a violation burns tids that its serial replay does not). *)
-let render_logs ~tids logs =
+(* One line per log relation, each row as [tid:cells]. *)
+let render_logs logs =
   List.map
     (fun (rel, rows) ->
       Printf.sprintf "%s={%s}" rel
         (String.concat " "
-           (List.map
-              (fun (tid, cells) ->
-                if tids then Printf.sprintf "%d:%s" tid cells else cells)
-              rows)))
+           (List.map (fun (tid, cells) -> Printf.sprintf "%d:%s" tid cells) rows)))
     logs
 
 (* Fail with the first line on which two views differ. *)
@@ -542,13 +537,8 @@ let prop_layer_identity =
         List.mem Unification s.layers
         || List.exists (function Flip Unification -> true | _ -> false) s.ops
       in
-      let tids =
-        not (List.exists (function Batch _ -> true | _ -> false) s.ops)
-      in
-      let v r = view ~calls:false ~sets:unifies r @ render_logs ~tids r.logs in
-      let full r =
-        view ~calls:true ~sets:false r @ render_logs ~tids:true r.logs
-      in
+      let v r = view ~calls:false ~sets:unifies r @ render_logs r.logs in
+      let full r = view ~calls:true ~sets:false r @ render_logs r.logs in
       agree ~expected:("layers off", v l0) ~actual:("layered", v l)
       && agree
            ~expected:(Printf.sprintf "domains=%d" s.domains, full l)
@@ -611,7 +601,7 @@ let prop_workload_identical =
               | Engine.Rejected (ms, _) -> "R:" ^ String.concat ";" ms)
             stream
         in
-        decisions @ render_logs ~tids:true (dump_logs s.Workload.Runner.engine)
+        decisions @ render_logs (dump_logs s.Workload.Runner.engine)
       in
       run 1 = run 4)
 

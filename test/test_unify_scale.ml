@@ -324,7 +324,7 @@ let test_ban_list_scale_counted () =
     (r_large - r_small, h_large - h_small)
 
 let test_batch_everything_on () =
-  (* the server's fast path (submit_batch), the domain pool, delta,
+  (* batched admission (submit_batch), the domain pool, delta,
      unification, relevance and shared scans composed: verdicts must
      match the one-at-a-time semantics *)
   let _, engine =
@@ -372,6 +372,6 @@ let suite =
       test_shared_scans_hit;
     tc "a ban list 10x larger adds no misses and no rows read per admission"
       test_ban_list_scale_counted;
-    tc "batch fast path composes with the full scale stack"
+    tc "batched admission composes with the full scale stack"
       test_batch_everything_on;
   ]
