@@ -518,6 +518,49 @@ let typed_columns_case () =
     boxed typed;
   not !failed
 
+(* Lineage tracking: minor-heap words of a query run with lineage
+   against the plain row run of the same plan shape, for W2 and W3 on the
+   500-patient instance (the e2e bench's). The lineage run is the
+   provenance generator's: once its answer doubles as the user query's,
+   what it allocates beyond the plain run is provenance's whole cost.
+   Allocation is a count, not a time: [Gc.minor_words] is exact (unlike
+   [Gc.quick_stat]'s, which moves only at minor collections), so the
+   1.4x ceiling reads the same on any host. Unions that rebuild
+   balanced sets read 1.6-1.8x here. *)
+let lineage_case () =
+  Common.header "Lineage run: minor words over the plain row run";
+  let open Relational in
+  let n_patients = 500 in
+  let db =
+    Mimic.Generate.database
+      ~config:{ Mimic.Generate.default_config with n_patients; n_orders = 1000 }
+      ()
+  in
+  let cat = Database.catalog db in
+  let ceiling = 1.4 in
+  List.for_all Fun.id
+    (List.map
+       (fun name ->
+         let q = Parser.query (Workload.Queries.find ~n_patients name).Workload.Queries.sql in
+         let words opts =
+           let c = Executor.prepare ~opts cat q in
+           ignore (Executor.run_compiled c);
+           let w0 = Gc.minor_words () in
+           ignore (Executor.run_compiled c);
+           Gc.minor_words () -. w0
+         in
+         let plain = words Executor.default_opts in
+         let lineage = words { Executor.lineage = true; track_src = false } in
+         let ratio = lineage /. plain in
+         Printf.printf "%s: plain %s, lineage %s per run (%.2fx)\n" name
+           (Common.words plain) (Common.words lineage) ratio;
+         let ok = ratio <= ceiling in
+         if not ok then
+           Printf.printf "FAIL: %s lineage run allocates %.2fx the plain run, above the %.1fx ceiling\n"
+             name ratio ceiling;
+         ok)
+       [ "W2"; "W3" ])
+
 let bechamel_case () =
   Common.header "Micro-benchmarks (Bechamel)";
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
@@ -548,7 +591,14 @@ let bechamel_case () =
    miss cannot hide the others; the exit status is 1 when any failed. *)
 let run () =
   let gates =
-    [ index_case; parallel_case; delta_case; vectorized_case; typed_columns_case ]
+    [
+      index_case;
+      parallel_case;
+      delta_case;
+      vectorized_case;
+      typed_columns_case;
+      lineage_case;
+    ]
   in
   let passed = List.map (fun gate -> gate ()) gates in
   (* Smoke mode stops at the regression gates: the Bechamel sweep and

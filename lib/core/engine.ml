@@ -846,12 +846,43 @@ let accept t (sub : submission) (pool : Parallel.Pool.t option) (pl : plan)
         (fun () -> Durable.commit d ~now c))
     t.durable
 
-(* Execute an admitted user query's compiled plan, charging
-   [stats.query_exec]. *)
-let run_query (stats : Stats.t) (compiled : Executor.compiled) : Executor.result =
+(* Does [q] read a log relation or the clock, which change inside an
+   admission? *)
+let reads_log t (q : Ast.query) =
+  Analysis.log_relations
+    ~is_log:(fun rel -> rel = Usage_log.clock_relation || is_log t rel)
+    q
+  <> []
+
+(* Under [Table.debug_checks]: the answer handed back from the lineage
+   run is the compiled plan's, row for row. *)
+let check_answer (answer : Executor.result) (compiled : Executor.compiled) =
+  let plan = Executor.run_compiled compiled in
+  let same_row (a : Executor.row_out) (b : Executor.row_out) =
+    Array.length a.Executor.values = Array.length b.Executor.values
+    && Array.for_all2 (fun x y -> Value.compare x y = 0) a.Executor.values b.Executor.values
+  in
+  if
+    answer.Executor.columns <> plan.Executor.columns
+    || List.compare_lengths answer.Executor.out_rows plan.Executor.out_rows <> 0
+    || not (List.for_all2 same_row answer.Executor.out_rows plan.Executor.out_rows)
+  then Errors.runtime_error "lineage-run answer differs from the compiled plan's"
+
+(* The admitted query's answer, charging [stats.query_exec]. When
+   provenance was generated and the query reads neither the log nor the
+   clock, the lineage run is the answer: only log relations change
+   inside an admission, and the row path that run took returns the
+   compiled plan's rows in the same order. Any other query runs its
+   compiled plan over the committed state. *)
+let answer t (sub : submission) (compiled : Executor.compiled) : Executor.result =
   Stats.timed
-    (fun d -> stats.Stats.query_exec <- stats.Stats.query_exec +. d)
-    (fun () -> Executor.run_compiled compiled)
+    (fun d -> sub.stats.Stats.query_exec <- sub.stats.Stats.query_exec +. d)
+    (fun () ->
+      match sub.ctx.Usage_log.lineage_run with
+      | Some run when not (reads_log t sub.ctx.Usage_log.query) ->
+        if !Table.debug_checks then check_answer run compiled;
+        run
+      | Some _ | None -> Executor.run_compiled compiled)
 
 (* The tick premise: every committed log row carries a tick below [now],
    the first one a submission stamps (§3.1; the TI waiver, the §4.3
@@ -878,7 +909,10 @@ let submit_ast t ~(uid : int) ?(extra = []) (query : Ast.query) : outcome =
   let now = Usage_log.current_time t.db + 1 in
   check_ticks_below t now;
   Usage_log.set_clock t.db now;
-  let sub = new_submission { Usage_log.uid; time = now; query; db = t.db; extra } in
+  let sub =
+    new_submission
+      { Usage_log.uid; time = now; query; db = t.db; extra; lineage_run = None }
+  in
   (* Any failure during checking (e.g. the user query itself is invalid
      and breaks the provenance function) must revert the tentative log,
      or the leaked savepoints would poison later submissions. *)
@@ -902,7 +936,7 @@ let submit_ast t ~(uid : int) ?(extra = []) (query : Ast.query) : outcome =
     end
     else begin
       accept t sub pool pl ~now;
-      Accepted (run_query sub.stats compiled, sub.stats)
+      Accepted (answer t sub compiled, sub.stats)
     end
   with
   | outcome -> outcome

@@ -108,6 +108,13 @@ type t
 
 type outcome =
   | Accepted of Executor.result * Stats.t
+      (** the query's answer, every row's [lineage] and [src_tids]
+          empty. When the [provenance] generator ran and the query reads
+          no log relation and no clock, the answer is that generator's
+          lineage run ({!Usage_log.query_ctx}[.lineage_run]), so the
+          query runs once per admission; otherwise the compiled plan
+          runs over the committed state. The rows, and their order, are
+          the same either way. *)
   | Rejected of string list * Stats.t  (** violation messages *)
 
 val stats_of : outcome -> Stats.t

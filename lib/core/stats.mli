@@ -26,7 +26,9 @@ val zero : t
 (** Sum of the three compaction phases. *)
 val compaction_total : t -> float
 
-(** Everything except the user query. *)
+(** Everything except [query_exec]. When the engine answers from the
+    [provenance] generator's lineage run, the query's one execution is
+    inside [log_track] and [query_exec] is near zero. *)
 val overhead : t -> float
 
 val total : t -> float

@@ -16,13 +16,15 @@ open Relational
 
 (** Everything a log-generating function may look at. [extra] carries
     application-specific context (connection string, device, load, ...)
-    for custom generators. *)
+    for custom generators; [lineage_run] keeps {!provenance}'s run for
+    the engine, which answers the admitted query from it. *)
 type query_ctx = {
   uid : int;
   time : int;
   query : Ast.query;
   db : Database.t;
   extra : (string * Value.t) list;
+  mutable lineage_run : Executor.result option;
 }
 
 type generator = {
@@ -188,10 +190,12 @@ let schema_gen : generator =
 
 (* provenance(ts, otid, irid, itid) ---------------------------------------- *)
 
-let provenance_rows (db : Database.t) (q : Ast.query) : Value.t array list =
-  let result =
-    Database.query_ast ~opts:{ Executor.lineage = true; track_src = false } db q
-  in
+let lineage_run (db : Database.t) (q : Ast.query) : Executor.result =
+  Database.query_ast ~opts:{ Executor.lineage = true; track_src = false } db q
+
+(* One [(otid, irid, itid)] row per element of each output row's
+   lineage, [otid] numbering the rows in output order. *)
+let rows_of_lineage (result : Executor.result) : Value.t array list =
   let rows = ref [] in
   List.iteri
     (fun otid (row : Executor.row_out) ->
@@ -202,12 +206,30 @@ let provenance_rows (db : Database.t) (q : Ast.query) : Value.t array list =
     result.Executor.out_rows;
   List.rev !rows
 
+let provenance_rows db q = rows_of_lineage (lineage_run db q)
+
+(* The run's rows are recorded in the context, lineage stripped so it
+   is garbage before policy evaluation: the engine answers an admitted
+   query that reads no log relation and no clock from them instead of
+   running the query a second time. *)
 let provenance : generator =
   {
     relation = "provenance";
     columns = [ ("otid", Ty.Int); ("irid", Ty.Text); ("itid", Ty.Int) ];
     rank = 2;
-    generate = (fun ctx -> provenance_rows ctx.db ctx.query);
+    generate =
+      (fun ctx ->
+        let run = lineage_run ctx.db ctx.query in
+        ctx.lineage_run <-
+          Some
+            {
+              run with
+              Executor.out_rows =
+                List.map
+                  (fun (o : Executor.row_out) -> { o with Executor.lineage = [] })
+                  run.Executor.out_rows;
+            };
+        rows_of_lineage run);
   }
 
 let standard = [ users; schema_gen; provenance ]

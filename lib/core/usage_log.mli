@@ -15,13 +15,22 @@ open Relational
 
 (** Everything a log-generating function may inspect. [extra] carries
     application-specific context (device, system load, ...) for custom
-    generators. *)
+    generators. A context lives for one submission. *)
 type query_ctx = {
   uid : int;
   time : int;
   query : Ast.query;
   db : Database.t;
   extra : (string * Value.t) list;
+  mutable lineage_run : Executor.result option;
+      (** the submission's memo of {!provenance}'s run: [None] until the
+          generator runs, then the rows of its lineage-tracking run of
+          [query] over the database as it stood, lineage stripped. The
+          engine answers an admitted query that reads no log relation
+          and no clock from it instead of running the query again (base
+          tables do not change inside an admission, and the row and
+          vectorized executors agree row for row). Create contexts with
+          [None]. *)
 }
 
 type generator = {
@@ -75,7 +84,11 @@ val schema_gen : generator
 
 (** [provenance(ts, otid, irid, itid)] — full lineage of the query's
     output, computed by executing the query with lineage tracking (the
-    Perm-style [f_Provenance]). Rank 2 (most expensive). *)
+    Perm-style [f_Provenance]); [otid] numbers the output rows in order,
+    and each row's lineage lists its input tuples in (relation, tid)
+    order, once each. Rank 2 (most expensive). The run is recorded in
+    the context's [lineage_run], so when this generator runs the
+    admitted query costs one execution, not two. *)
 val provenance : generator
 
 (** The raw analysis behind {!schema_gen}.

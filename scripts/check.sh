@@ -43,7 +43,7 @@ gate() {
 gate persist "on-disk log within 33/32 of a fresh checkpoint" \
   sh -c './_build/default/bench/main.exe persist >/dev/null'
 # micro runs the typed-column gate too, so it is not run again on its own.
-gate micro "access-path, domain-pool, delta SPJ, vectorized and typed-column (>=1.5x time / >=5x minor-words over boxed mirrors) gates" \
+gate micro "access-path, domain-pool, delta SPJ, vectorized, typed-column (>=1.5x time / >=5x minor-words over boxed mirrors) and lineage-allocation (<=1.4x the plain run) gates" \
   ./_build/default/bench/main.exe micro --smoke
 gate load "batched-admission throughput gate" \
   ./_build/default/bench/main.exe load --smoke

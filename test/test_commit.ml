@@ -120,7 +120,9 @@ let replay before ~positions ~retained =
 let commit c db (pl : Engine.plan) ~uid sql =
   let now = Usage_log.current_time db + 1 in
   Usage_log.set_clock db now;
-  let ctx = { Usage_log.uid; time = now; query = Parser.query sql; db; extra = [] } in
+  let ctx =
+    { Usage_log.uid; time = now; query = Parser.query sql; db; extra = []; lineage_run = None }
+  in
   let generated = Hashtbl.create 4 in
   List.iter
     (fun (g : Usage_log.generator) ->

@@ -447,6 +447,96 @@ let test_tick_premise_checked () =
        (Engine.submit_batch e members));
   Alcotest.(check int) "the clock did not move" 1 (Usage_log.current_time db)
 
+(* One run per admission: when [provenance] is generated, the answer of
+   an admitted query that reads no log relation and no clock is that
+   generator's lineage run. Pinned by join rows examined, not times: the
+   user query is a W2-shaped join, while every policy, partial-policy
+   and witness query here scans a single relation, so the rows a
+   submission examines are those of its user-query runs. *)
+let w2_db () =
+  db_of_script
+    {|
+    CREATE TABLE d_patients (subject_id INT, sex TEXT);
+    CREATE TABLE chartevents (subject_id INT, itemid INT, value INT);
+    INSERT INTO d_patients VALUES (1, 'F'), (2, 'M'), (3, 'F');
+    INSERT INTO chartevents VALUES (1, 211, 70), (1, 211, 72), (1, 100, 5),
+      (2, 211, 80), (2, 211, 81), (2, 211, 83), (3, 100, 1)
+    |}
+
+let w2_sql =
+  "SELECT c.subject_id, p.sex, COUNT(c.subject_id) FROM chartevents c, \
+   d_patients p WHERE c.subject_id = 2 AND p.subject_id = c.subject_id AND \
+   c.itemid = 211 GROUP BY c.subject_id, p.sex HAVING COUNT(c.subject_id) > 1"
+
+(* A policy reading [provenance] (so it is generated) and one reading
+   [users] that rejects uid 9; neither joins. *)
+let single_run_engine config =
+  let db = w2_db () in
+  let e = Engine.create ~config db in
+  ignore
+    (Engine.add_policy e ~name:"prov"
+       "SELECT DISTINCT 'nowhere read' FROM provenance p WHERE p.irid = 'nowhere'");
+  ignore
+    (Engine.add_policy e ~name:"ban"
+       "SELECT DISTINCT 'uid 9 banned' FROM users u WHERE u.uid = 9");
+  (db, e)
+
+(* [f ()] and the join rows it examined. The debug cross-check of a
+   handed-back answer runs the compiled plan as well, so it is off
+   meanwhile. *)
+let examined f =
+  let debug = !Table.debug_checks in
+  Table.debug_checks := false;
+  Fun.protect
+    ~finally:(fun () -> Table.debug_checks := debug)
+    (fun () ->
+      let before = Atomic.get Executor.rows_examined in
+      let r = f () in
+      (r, Atomic.get Executor.rows_examined - before))
+
+let result_rows (r : Executor.result) =
+  List.map (fun (o : Executor.row_out) -> Array.to_list o.Executor.values) r.Executor.out_rows
+
+let log_sizes e = List.map (Engine.log_size e) [ "users"; "schema"; "provenance" ]
+
+let test_single_run config () =
+  let db, e = single_run_engine config in
+  let plain, once = examined (fun () -> Database.rows db w2_sql) in
+  Alcotest.(check bool) "the user query joins" true (once > 0);
+  match examined (fun () -> Engine.submit e ~uid:1 w2_sql) with
+  | Engine.Accepted (r, _), n ->
+    Alcotest.(check int) "the user query ran once" once n;
+    check_rows_ordered "the plain answer" plain (result_rows r);
+    Alcotest.(check bool) "no lineage handed back" true
+      (List.for_all (fun (o : Executor.row_out) -> o.Executor.lineage = []) r.Executor.out_rows)
+  | Engine.Rejected _, _ -> Alcotest.fail "should be accepted"
+
+(* A query reading the log or the clock is answered over the committed
+   state: the lineage run saw the tentative log, before compaction and,
+   for [provenance], before its own increment. *)
+let test_log_reads_post_commit config () =
+  let db, e = single_run_engine config in
+  ignore (Engine.submit e ~uid:1 w2_sql);
+  List.iter
+    (fun sql ->
+      match Engine.submit e ~uid:1 sql with
+      | Engine.Accepted (r, _) ->
+        check_rows_ordered sql (Database.rows db sql) (result_rows r)
+      | Engine.Rejected _ -> Alcotest.fail (sql ^ " should be accepted"))
+    [ "SELECT COUNT(*) FROM provenance"; "SELECT COUNT(*) FROM users"; "SELECT ts FROM clock" ]
+
+let test_rejected_and_raising config () =
+  let _, e = single_run_engine config in
+  ignore (Engine.submit e ~uid:1 w2_sql);
+  let before = log_sizes e in
+  Alcotest.(check (list string)) "uid 9 rejected" [ "uid 9 banned" ]
+    (messages (Engine.submit e ~uid:9 w2_sql));
+  Alcotest.(check (list int)) "a rejection leaves the log" before (log_sizes e);
+  (match Engine.submit e ~uid:1 "SELECT subject_id / 0 FROM d_patients" with
+  | exception Errors.Sql_error (Errors.Runtime_error, _) -> ()
+  | _ -> Alcotest.fail "division by zero must raise");
+  Alcotest.(check (list int)) "a raising query leaves the log" before (log_sizes e)
+
 let suite =
   [
     tc "accept and reject" test_accept_and_reject;
@@ -469,5 +559,14 @@ let suite =
     tc "refused: UPDATE clock" test_refused_clock_rewind;
     tc "create refuses look-alike tables" test_create_refuses_look_alikes;
     tc "the tick premise is checked" test_tick_premise_checked;
+    tc "one user-query run per admission" (test_single_run Engine.default_config);
+    tc "one user-query run per admission (noopt)" (test_single_run Engine.noopt_config);
+    tc "log and clock reads answer post-commit"
+      (test_log_reads_post_commit Engine.default_config);
+    tc "log and clock reads answer post-commit (noopt)"
+      (test_log_reads_post_commit Engine.noopt_config);
+    tc "rejected and raising submissions" (test_rejected_and_raising Engine.default_config);
+    tc "rejected and raising submissions (noopt)"
+      (test_rejected_and_raising Engine.noopt_config);
     Alcotest.test_case "noopt equivalence" `Slow test_noopt_equivalence;
   ]

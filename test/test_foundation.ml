@@ -111,6 +111,129 @@ let test_lineage () =
   Alcotest.(check (list (pair string int))) "to_list sorted"
     [ ("r", 1); ("r", 2) ] (Lineage.to_list u)
 
+(* The balanced-set lineage the current representation replaced, kept
+   as the reference: every operation is a set operation. *)
+module Ref_lineage = struct
+  module S = Set.Make (struct
+    type t = string * int
+
+    let compare (r1, t1) (r2, t2) =
+      match String.compare r1 r2 with 0 -> Int.compare t1 t2 | c -> c
+  end)
+
+  type t = Off | On of S.t
+
+  let off = Off
+  let empty = On S.empty
+  let singleton rel tid = On (S.singleton (rel, tid))
+
+  let union a b =
+    match a, b with Off, _ | _, Off -> Off | On x, On y -> On (S.union x y)
+
+  let union_all = function [] -> empty | x :: xs -> List.fold_left union x xs
+  let to_list = function Off -> [] | On s -> S.elements s
+  let cardinal = function Off -> 0 | On s -> S.cardinal s
+  let is_tracking = function Off -> false | On _ -> true
+end
+
+type lineage_tree =
+  | L_off
+  | L_empty
+  | L_single of string * int
+  | L_union of lineage_tree * lineage_tree
+  | L_all of lineage_tree list
+
+(* Few relations and tids, so trees repeat elements; a name is sometimes
+   a fresh copy, so equal names are not always the same string. *)
+let lineage_tree_gen : lineage_tree QCheck.Gen.t =
+  let open QCheck.Gen in
+  let name =
+    let* n = oneofl [ "r"; "s"; "rs" ] in
+    let+ copy = bool in
+    if copy then Bytes.to_string (Bytes.of_string n) else n
+  in
+  sized_size (int_bound 12)
+  @@ fix (fun self n ->
+         let leaf =
+           frequency
+             [
+               (1, return L_off);
+               (2, return L_empty);
+               (12, map2 (fun r t -> L_single (r, t)) name (int_bound 4));
+             ]
+         in
+         if n = 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (3, map2 (fun a b -> L_union (a, b)) (self (n / 2)) (self (n / 2)));
+               (2, map (fun xs -> L_all xs) (list_size (int_bound 4) (self (n / 3))));
+             ])
+
+let rec lineage_of = function
+  | L_off -> Lineage.off
+  | L_empty -> Lineage.empty
+  | L_single (r, t) -> Lineage.singleton r t
+  | L_union (a, b) -> Lineage.union (lineage_of a) (lineage_of b)
+  | L_all xs -> Lineage.union_all (List.map lineage_of xs)
+
+let rec ref_lineage_of = function
+  | L_off -> Ref_lineage.off
+  | L_empty -> Ref_lineage.empty
+  | L_single (r, t) -> Ref_lineage.singleton r t
+  | L_union (a, b) -> Ref_lineage.union (ref_lineage_of a) (ref_lineage_of b)
+  | L_all xs -> Ref_lineage.union_all (List.map ref_lineage_of xs)
+
+let rec print_tree = function
+  | L_off -> "off"
+  | L_empty -> "empty"
+  | L_single (r, t) -> Printf.sprintf "%s%d" r t
+  | L_union (a, b) -> Printf.sprintf "(%s | %s)" (print_tree a) (print_tree b)
+  | L_all xs -> Printf.sprintf "all[%s]" (String.concat "; " (List.map print_tree xs))
+
+let prop_lineage_reference =
+  QCheck.Test.make ~count:1000 ~name:"lineage agrees with the balanced-set reference"
+    (QCheck.make ~print:print_tree lineage_tree_gen)
+    (fun tree ->
+      let l = lineage_of tree and r = ref_lineage_of tree in
+      Lineage.to_list l = Ref_lineage.to_list r
+      && Lineage.cardinal l = Ref_lineage.cardinal r
+      && Lineage.is_tracking l = Ref_lineage.is_tracking r)
+
+(* High fan-out: COUNT over a self cross join merges n² two-element
+   lineages into one row, which must hold each of the n tuples once. *)
+let test_lineage_fan_out () =
+  let n = 40 in
+  let db = Database.create () in
+  ignore (Database.exec_script db "CREATE TABLE t (k INT)");
+  ignore
+    (Database.exec_script db
+       (Printf.sprintf "INSERT INTO t VALUES %s"
+          (String.concat ", " (List.init n (fun k -> Printf.sprintf "(%d)" k)))));
+  let tids =
+    List.rev (Table.fold (fun acc row -> Row.tid row :: acc) [] (Database.table db "t"))
+  in
+  let expected =
+    Ref_lineage.union_all
+      (List.concat_map
+         (fun a ->
+           List.map
+             (fun b -> Ref_lineage.union (Ref_lineage.singleton "t" a) (Ref_lineage.singleton "t" b))
+             tids)
+         tids)
+  in
+  match
+    (Database.query ~opts:{ Executor.lineage = true; track_src = false } db
+       "SELECT COUNT(*) FROM t a, t b")
+      .Executor.out_rows
+  with
+  | [ row ] ->
+    Alcotest.check value "count" (i (n * n)) row.Executor.values.(0);
+    Alcotest.(check (list (pair string int))) "each tuple once"
+      (Ref_lineage.to_list expected) row.Executor.lineage
+  | rows -> Alcotest.failf "expected one row, got %d" (List.length rows)
+
 let test_stats_arithmetic () =
   let open Datalawyer in
   let a = Stats.create () in
@@ -215,6 +338,8 @@ let suite =
     tc "value to_sql round-trip" test_value_to_sql_roundtrip;
     tc "ty parsing" test_ty_of_string;
     tc "lineage sets" test_lineage;
+    QCheck_alcotest.to_alcotest prop_lineage_reference;
+    tc "lineage of a high fan-out aggregate" test_lineage_fan_out;
     tc "stats arithmetic" test_stats_arithmetic;
     tc "workload definitions" test_workload_definitions;
     tc "workload runtimes ordered" test_workload_runtimes_ordered;

@@ -22,6 +22,14 @@
      (Algorithm 1: no TI rewriting, no compaction, one UNION) with every
      layer off and strictly serial submissions. The refused log writes
      are drawn: refusing them is what keeps Eq. 1's precondition.
+   - Answers (the runs of both properties): each accepted submission's
+     rows equal a plain [Database.query] of its SQL on the state right
+     after the verdict, in order. User queries that read a log relation
+     or the clock are drawn, so both the answer handed back from the
+     provenance run and the rerun over the committed state are checked.
+     Batch members reading the log or the clock are exempt: the members
+     after them moved it. Eq. 1 hides those queries' rows, since a run
+     that keeps a different log answers them differently.
 
    Base-table DML is excluded from Eq. 1 because compaction and TI
    rewriting preserve verdicts only while the rows a logged tuple joined
@@ -34,13 +42,23 @@ open Datalawyer
 
 (* Vocabulary ------------------------------------------------------------------ *)
 
+(* The first [data_queries] read base relations only: the engine answers
+   them from the provenance run when it made one. The rest read a log
+   relation or the clock, and are answered over the committed state. *)
 let queries =
   [|
     "SELECT v FROM data WHERE k = 1";
     "SELECT k, v FROM data";
     "SELECT COUNT(*) FROM data";
     "SELECT d.v FROM data d, data e WHERE d.k = e.k AND e.v = 'b'";
+    "SELECT u.uid FROM users u WHERE u.uid = 2";
+    "SELECT ts FROM clock";
+    "SELECT COUNT(*) FROM provenance p WHERE p.irid = 'data'";
   |]
+
+let data_queries = 4
+
+let reads_log qi = qi >= data_queries
 
 let per_uid uid =
   Templates.no_access ~relation:"data" ~subject:(Templates.User uid)
@@ -230,9 +248,18 @@ let layered s ~domains =
 
 (* The run ---------------------------------------------------------------- *)
 
-(* One step's observable result: its rendering, the violation messages
-   (compared in order or as sets) and the policy calls it issued. *)
-type event = { what : string; messages : string list; calls : int }
+(* One step's observable result: its rendering, an accepted
+   submission's rows, the violation messages (compared in order or as
+   sets) and the policy calls it issued. [log_read]: the rows come from
+   a query over the log or the clock, so they follow the log a
+   configuration keeps. *)
+type event = {
+  what : string;
+  rows : string option;
+  log_read : bool;
+  messages : string list;
+  calls : int;
+}
 
 type run = {
   events : event list;
@@ -240,6 +267,10 @@ type run = {
   recovery : string list;
       (** each [Restart] whose recovered state differs from the live one
           before the close *)
+  answers : string list;
+      (** each accepted submission whose rows differ from a plain
+          {!Database.query} of its SQL on the state right after the
+          verdict *)
 }
 
 let render_row cells =
@@ -250,19 +281,36 @@ let render_rows (r : Executor.result) =
     (List.map (fun (o : Executor.row_out) -> render_row o.Executor.values)
        r.Executor.out_rows)
 
-let outcome_event label = function
+let outcome_event (uid, qi) outcome =
+  let label = Printf.sprintf "uid %d q%d" uid qi in
+  let log_read = reads_log qi in
+  match outcome with
   | Ok (Engine.Accepted (r, stats)) ->
     {
-      what = Printf.sprintf "%s accepted [%s]" label (render_rows r);
+      what = label ^ " accepted";
+      rows = Some (render_rows r);
+      log_read;
       messages = [];
       calls = stats.Stats.policy_calls;
     }
   | Ok (Engine.Rejected (messages, stats)) ->
-    { what = label ^ " REJECTED"; messages; calls = stats.Stats.policy_calls }
+    {
+      what = label ^ " REJECTED";
+      rows = None;
+      log_read;
+      messages;
+      calls = stats.Stats.policy_calls;
+    }
   | Error e ->
-    { what = label ^ " raised " ^ Printexc.to_string e; messages = []; calls = 0 }
+    {
+      what = label ^ " raised " ^ Printexc.to_string e;
+      rows = None;
+      log_read;
+      messages = [];
+      calls = 0;
+    }
 
-let note what = { what; messages = []; calls = 0 }
+let note what = { what; rows = None; log_read = false; messages = []; calls = 0 }
 
 let dump_logs ?(rels = log_relations) engine =
   let db = Engine.database engine in
@@ -316,12 +364,26 @@ let run ~optimized config s =
     Printf.sprintf "register %s := %s" name (fst templates.(ti))
   in
   List.iter (fun ti -> ignore (register ti)) s.initial;
+  (* The independent answer: a plain query of the same SQL on the
+     engine's database as it stands after the verdict. *)
+  let answers = ref [] in
+  let check_answer (uid, qi) = function
+    | Ok (Engine.Accepted (r, _)) ->
+      let plain = render_rows (Database.query (Engine.database !engine) queries.(qi)) in
+      if plain <> render_rows r then
+        answers :=
+          Printf.sprintf "uid %d q%d: engine [%s], plain [%s]" uid qi (render_rows r) plain
+          :: !answers
+    | Ok (Engine.Rejected _) | Error _ -> ()
+  in
   let submit (uid, qi) =
-    outcome_event
-      (Printf.sprintf "uid %d q%d" uid qi)
-      (match Engine.submit !engine ~uid queries.(qi) with
+    let outcome =
+      match Engine.submit !engine ~uid queries.(qi) with
       | o -> Ok o
-      | exception e -> Error e)
+      | exception e -> Error e
+    in
+    check_answer (uid, qi) outcome;
+    outcome_event (uid, qi) outcome
   in
   let exec_sql label sql =
     note
@@ -346,7 +408,11 @@ let run ~optimized config s =
                })
              members)
         |> List.map2
-             (fun (uid, qi) -> outcome_event (Printf.sprintf "uid %d q%d" uid qi))
+             (fun member outcome ->
+               (* Later members moved the log and the clock since this
+                  verdict; the base relations stand. *)
+               if not (reads_log (snd member)) then check_answer member outcome;
+               outcome_event member outcome)
              members
       | Batch members -> List.map submit members
       | Register ti -> [ note (register ti) ]
@@ -397,23 +463,37 @@ let run ~optimized config s =
      whole property rather than once per run. *)
   if s.persist then Engine.close !engine;
   Option.iter Test_support.remove_dir dir;
-  { events; logs; recovery = List.rev !recovery }
+  { events; logs; recovery = List.rev !recovery; answers = List.rev !answers }
 
 (* Views for comparison ----------------------------------------------------- *)
 
-(* What two runs must agree on: [calls] keeps policy-call counts and
+(* What two runs must agree on: [calls] keeps policy-call counts,
    [sets] compares messages as sets (a unified policy reports its firing
    members in constants-table order and collapses exact duplicates; one
-   UNION of every policy reports in its own order). *)
-let view ~calls ~sets r =
+   UNION of every policy reports in its own order) and [log_rows] keeps
+   the rows of log and clock reads (runs that keep different logs
+   answer them differently). *)
+let view ~calls ~sets ~log_rows r =
   List.map
     (fun e ->
       let messages =
         if sets then List.sort_uniq String.compare e.messages else e.messages
       in
-      Printf.sprintf "%s [%s]%s" e.what (String.concat "; " messages)
+      let rows =
+        match e.rows with
+        | Some rows when log_rows || not e.log_read -> Printf.sprintf " [%s]" rows
+        | Some _ -> " [log read]"
+        | None -> ""
+      in
+      Printf.sprintf "%s%s [%s]%s" e.what rows (String.concat "; " messages)
         (if calls then Printf.sprintf " calls=%d" e.calls else ""))
     r.events
+
+(* Every accepted submission of [r] answered as the plain query. *)
+let answered name r =
+  match r.answers with
+  | [] -> true
+  | m :: _ -> QCheck.Test.fail_reportf "%s: %s" name m
 
 (* One line per log relation, each row as [tid:cells]. *)
 let render_logs logs =
@@ -441,7 +521,14 @@ let agree ~expected:(en, e) ~actual:(an, a) =
 (* [dmls] are the indices of the DML statements a script may draw. *)
 let script_gen ~dmls : script QCheck.Gen.t =
   let open QCheck.Gen in
-  let member = pair (int_range 1 3) (int_range 0 (Array.length queries - 1)) in
+  let member =
+    pair (int_range 1 3)
+      (frequency
+         [
+           (5, int_range 0 (data_queries - 1));
+           (2, int_range data_queries (Array.length queries - 1));
+         ])
+  in
   let index a = int_range 0 (Array.length a - 1) in
   let* strategy = oneofl [ Engine.Union_all; Engine.Serial; Engine.Interleaved ] in
   let* ti = bool in
@@ -537,9 +624,10 @@ let prop_layer_identity =
         List.mem Unification s.layers
         || List.exists (function Flip Unification -> true | _ -> false) s.ops
       in
-      let v r = view ~calls:false ~sets:unifies r @ render_logs r.logs in
-      let full r = view ~calls:true ~sets:false r @ render_logs r.logs in
-      agree ~expected:("layers off", v l0) ~actual:("layered", v l)
+      let v r = view ~calls:false ~sets:unifies ~log_rows:true r @ render_logs r.logs in
+      let full r = view ~calls:true ~sets:false ~log_rows:true r @ render_logs r.logs in
+      answered "layers off" l0 && answered "layered" l && answered "other domains" l'
+      && agree ~expected:("layers off", v l0) ~actual:("layered", v l)
       && agree
            ~expected:(Printf.sprintf "domains=%d" s.domains, full l)
            ~actual:(Printf.sprintf "domains=%d" (5 - s.domains), full l'))
@@ -553,8 +641,9 @@ let prop_eq1 =
         run ~optimized:false (layers_off Engine.noopt_config) s
       in
       let l = run ~optimized:true (layered s ~domains:s.domains) s in
-      let v = view ~calls:false ~sets:true in
-      agree ~expected:("Eq. 1", v reference) ~actual:("layered", v l))
+      let v = view ~calls:false ~sets:true ~log_rows:false in
+      answered "Eq. 1" reference && answered "layered" l
+      && agree ~expected:("Eq. 1", v reference) ~actual:("layered", v l))
 
 (* The domain-count check through the full workload stack (Table 2
    policies over the synthetic MIMIC instance), fewer cases since each

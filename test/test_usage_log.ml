@@ -3,7 +3,7 @@ open Datalawyer
 open Test_support
 
 let ctx db ?(uid = 1) ?(time = 1) sql =
-  { Usage_log.uid; time; query = Parser.query sql; db; extra = [] }
+  { Usage_log.uid; time; query = Parser.query sql; db; extra = []; lineage_run = None }
 
 let has_row rows pred = List.exists pred rows
 
