@@ -79,8 +79,11 @@ let f3 x = Printf.sprintf "%.3f" x
    generation only: OCaml allocates arrays above the young size limit
    straight on the major heap, so this isolates exactly the per-row
    boxing the typed kernels are meant to eliminate (big result buffers
-   don't drown the signal). [promoted_words] counts what survived into
-   the major heap. *)
+   don't drown the signal). It is read from [Gc.minor_words], which is
+   exact; [Gc.quick_stat]'s count moves only at minor collections, so a
+   window shorter than one young generation read as zero allocation.
+   [promoted_words] counts what survived into the major heap, which only
+   minor collections change. *)
 type meas = { us : float; minor_words : float; promoted_words : float }
 
 let measure ~iters f =
@@ -88,16 +91,18 @@ let measure ~iters f =
      smears collection work (and its stat accounting) into this window. *)
   Gc.full_major ();
   let g0 = Gc.quick_stat () in
+  let w0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
   for _ = 1 to iters do
     f ()
   done;
   let dt = Unix.gettimeofday () -. t0 in
+  let w1 = Gc.minor_words () in
   let g1 = Gc.quick_stat () in
   let n = float_of_int iters in
   {
     us = dt /. n *. 1e6;
-    minor_words = (g1.Gc.minor_words -. g0.Gc.minor_words) /. n;
+    minor_words = (w1 -. w0) /. n;
     promoted_words = (g1.Gc.promoted_words -. g0.Gc.promoted_words) /. n;
   }
 

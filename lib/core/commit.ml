@@ -12,13 +12,32 @@ type shape = {
   mut : int;  (** {!Table.ver_mut} *)
 }
 
+(* A committed tuple that represents a key of a distinct-value witness
+   ({!Witness.scan}). *)
+type held = {
+  base : int;  (** its deadline from every other witness query *)
+  mutable reps : (int * Value.t array * int) list;
+      (** each (query position, key) it represents, with the deadline of
+          that binding *)
+}
+
+(* The recorded marks of one relation whose committed tuples all carry a
+   deadline. *)
+type tracked = {
+  mutable due : int list Ticks.t;  (** committed tuples by deadline, finite ones only *)
+  reps : (int * int) Value.Key.Tbl.t array;
+      (** per witness query of the relation, by position: each key's
+          representative (deadline, tid), for a distinct-value witness *)
+  held : (int, held) Hashtbl.t;  (** the representatives, by tid *)
+}
+
 type t = {
   db : Database.t;
   prepared : Prepared.t;
-  deadlines : (string, int list Ticks.t) Hashtbl.t;
+  deadlines : (string, tracked) Hashtbl.t;
       (** per compacted relation whose committed tuples all carry a
-          deadline: those tuples by deadline, finite ones only (see
-          {!run}); a relation without an entry is marked in full *)
+          deadline (see {!run}); a relation without an entry is marked in
+          full *)
   mutable committed : (int * (string, shape) Hashtbl.t) option;
       (** the committed state as of the end of the last commit: the
           catalog generation and every table's shape, by lowercased
@@ -117,7 +136,58 @@ type map = { map : 'a 'b. (Stats.t -> 'a -> 'b) -> 'a list -> 'b list }
 type mark = Keep | Mark of { full : bool; queries : Witness.query list }
 
 let add_due d tid due =
-  Ticks.update d (fun tids -> Some (tid :: Option.value tids ~default:[])) due
+  if d = max_int then due
+  else Ticks.update d (fun tids -> Some (tid :: Option.value tids ~default:[])) due
+
+let remove_due d tid due =
+  Ticks.update d
+    (function
+      | None -> None
+      | Some tids -> (
+        match List.filter (fun t -> t <> tid) tids with [] -> None | tids -> Some tids))
+    due
+
+let held_deadline h = List.fold_left (fun d (_, _, dr) -> max d dr) h.base h.reps
+
+(* A committed representative loses its hold on [(qi, key)]: it expires
+   at the latest of its remaining holds, which may be this commit. *)
+let release tr tid qi key =
+  let h = Hashtbl.find tr.held tid in
+  let before = held_deadline h in
+  h.reps <- List.filter (fun (q, k, _) -> not (q = qi && Value.Key.equal k key)) h.reps;
+  if h.reps = [] then Hashtbl.remove tr.held tid;
+  let after = held_deadline h in
+  if after <> before then tr.due <- add_due after tid (remove_due before tid tr.due)
+
+(* Record [tid] as the representative of [(qi, key)] until [d]. *)
+let hold tr ~base tid (qi, key, d) =
+  Value.Key.Tbl.replace tr.reps.(qi) key (d, tid);
+  match Hashtbl.find_opt tr.held tid with
+  | Some h -> h.reps <- (qi, key, d) :: h.reps
+  | None -> Hashtbl.replace tr.held tid { base; reps = [ (qi, key, d) ] }
+
+(* An expired tuple represents no key any more. *)
+let forget tr tid =
+  Option.iter
+    (fun (h : held) ->
+      List.iter (fun (qi, key, _) -> Value.Key.Tbl.remove tr.reps.(qi) key) h.reps;
+      Hashtbl.remove tr.held tid)
+    (Hashtbl.find_opt tr.held tid)
+
+(* What the mark phase found for one relation: each witnessed tuple's
+   deadline over its Lemma 4.1/4.2 rows, and the distinct-value
+   representatives it won this commit. *)
+type witnessed = {
+  rows : (int, int) Hashtbl.t;
+  won : (int, (int * Value.t array * int) list) Hashtbl.t;
+}
+
+let base_of w tid = Option.value (Hashtbl.find_opt w.rows tid) ~default:min_int
+
+let wins_of w tid = Option.value (Hashtbl.find_opt w.won tid) ~default:[]
+
+let deadline_of w tid =
+  List.fold_left (fun d (_, _, dr) -> max d dr) (base_of w tid) (wins_of w tid)
 
 (* Do the recorded deadlines still hold? Since the last commit, each
    stored relation has changed only by its tentative increment
@@ -134,14 +204,21 @@ let track_src = { Executor.lineage = false; track_src = true }
    witness that tick is fixed when the tuple is committed: its joined
    rows are its ts-equijoin neighbours, stamped at its own tick and so
    never joined by later increments, and base rows, which do not move
-   while {!deadlines_hold} holds. So the deadlines seeded by a full mark
-   stay exact, and a later commit only marks its increment
-   ({!Witness.at_clock_tick}) and deletes the committed tuples whose
-   deadline has come (a relation skipped preemptively only expires). The
-   full mark runs instead for a relation without recorded deadlines (new
-   or recovered engine, new plan), after the recorded state moved (base
-   DML, DDL), and for a relation with a Lemma 4.2 witness (its
-   representatives can change). *)
+   while {!deadlines_hold} holds. A distinct-value witness keeps one
+   representative per key, the binding with the latest deadline; only a
+   later increment can beat it, by a binding of the same key whose
+   deadline is not earlier, and the replaced tuple then expires at the
+   latest of its remaining holds. So the deadlines and representatives
+   seeded by a full mark stay exact, and a later commit only marks its
+   increment ({!Witness.at_clock_tick}), moves the representatives it
+   replaces, and deletes the committed tuples whose deadline has come (a
+   relation skipped preemptively only expires). The full mark runs
+   instead for a relation without recorded deadlines (new or recovered
+   engine, new plan), after the recorded state moved (base DML, DDL),
+   and for a relation with a Lemma 4.2 witness (its representatives can
+   change). It rebuilds the representatives from the retained log: ties
+   prefer larger source tids, and an increment's tids are above every
+   committed one, so it picks what the increments picked. *)
 let run t (pl : Offline.t) ~compaction ~share ~generated ~(now : int)
     ~(stats : Stats.t) ~map : outcome =
   (* Per-relation rows retained and committed rows expired this commit:
@@ -163,8 +240,8 @@ let run t (pl : Offline.t) ~compaction ~share ~generated ~(now : int)
   in
   (* Mark phase: choose each relation's route, run its witness queries
      and fold every witnessed tuple's deadline (the max over its joined
-     rows). *)
-  let witnessed : (string, (int, int) Hashtbl.t) Hashtbl.t = Hashtbl.create 4 in
+     rows and the representatives it wins). *)
+  let witnessed : (string, witnessed) Hashtbl.t = Hashtbl.create 4 in
   let marks =
     Stats.timed
       (fun d -> stats.Stats.compact_mark <- stats.Stats.compact_mark +. d)
@@ -196,24 +273,43 @@ let run t (pl : Offline.t) ~compaction ~share ~generated ~(now : int)
               | Keep -> []
               | Mark { full; queries } ->
                 if (not full) && pending rel = 0 then []
-                else List.map (fun q -> (rel, q, full)) queries)
+                else List.mapi (fun qi q -> (rel, qi, q, full)) queries)
             marks
         in
         let results =
           map.map
-            (fun _ (rel, (q : Witness.query), full) ->
+            (fun _ (rel, qi, (q : Witness.query), full) ->
               let s = if full then q.Witness.select else Witness.at_clock_tick q in
-              (rel, q, Prepared.run t.prepared ~opts:track_src ~share (Ast.Select s)))
+              (rel, qi, q, Prepared.run t.prepared ~opts:track_src ~share (Ast.Select s)))
             tasks
         in
-        List.iter (fun (rel, _) -> Hashtbl.replace witnessed rel (Hashtbl.create 64)) marks;
         List.iter
-          (fun (rel, q, r) ->
-            let dl = Hashtbl.find witnessed rel in
-            Witness.scan q ~now r (fun tid d ->
-                match Hashtbl.find_opt dl tid with
-                | Some d0 when d0 >= d -> ()
-                | Some _ | None -> Hashtbl.replace dl tid d))
+          (fun (rel, _) ->
+            Hashtbl.replace witnessed rel
+              { rows = Hashtbl.create 64; won = Hashtbl.create 16 })
+          marks;
+        List.iter
+          (fun (rel, qi, (q : Witness.query), r) ->
+            let w = Hashtbl.find witnessed rel in
+            let tracked = Hashtbl.find_opt t.deadlines rel in
+            Witness.scan q ~now r (fun key tid d ->
+                if q.Witness.latest = None then begin
+                  match Hashtbl.find_opt w.rows tid with
+                  | Some d0 when d0 >= d -> ()
+                  | Some _ | None -> Hashtbl.replace w.rows tid d
+                end
+                else
+                  (* An increment's binding replaces the committed
+                     representative unless its deadline is earlier. *)
+                  let beaten =
+                    match tracked with
+                    | None -> false
+                    | Some tr -> (
+                      match Value.Key.Tbl.find_opt tr.reps.(qi) key with
+                      | Some (d0, _) -> d < d0
+                      | None -> false)
+                  in
+                  if not beaten then Hashtbl.replace w.won tid ((qi, key, d) :: wins_of w tid)))
           results;
         marks)
   in
@@ -223,7 +319,8 @@ let run t (pl : Offline.t) ~compaction ~share ~generated ~(now : int)
       let table = Database.table t.db rel in
       let sp = Hashtbl.find_opt generated rel in
       (* The retained part of the increment as WAL rows (the marks are
-         final at this point), folded straight to cells. *)
+         final at this point), folded straight to cells, each with its
+         tentative tid and deadline. *)
       let retained keep =
         match sp with
         | None -> []
@@ -231,7 +328,9 @@ let run t (pl : Offline.t) ~compaction ~share ~generated ~(now : int)
           List.rev
             (Table.fold_since
                (fun acc row ->
-                 match keep row with Some d -> (Row.cells row, d) :: acc | None -> acc)
+                 match keep (Row.tid row) with
+                 | Some d -> (Row.cells row, Row.tid row, d) :: acc
+                 | None -> acc)
                [] table sp)
       in
       match m with
@@ -241,17 +340,16 @@ let run t (pl : Offline.t) ~compaction ~share ~generated ~(now : int)
         Stats.timed
           (fun d -> stats.Stats.compact_insert <- stats.Stats.compact_insert +. d)
           (fun () ->
-            let kept = List.map fst (retained (fun _ -> Some 0)) in
+            let kept = List.map (fun (cells, _, _) -> cells) (retained (fun _ -> Some 0)) in
             Option.iter (Table.release table) sp;
             stats.Stats.rows_logged <- stats.Stats.rows_logged + List.length kept;
             note_increment rel kept)
       | Mark { full; queries } ->
-        let dl = Hashtbl.find witnessed rel in
+        let w = Hashtbl.find witnessed rel in
         let kept =
-          retained (fun row ->
-              match Hashtbl.find_opt dl (Row.tid row) with
-              | Some d when d > now -> Some d
-              | Some _ | None -> None)
+          retained (fun tid ->
+              let d = deadline_of w tid in
+              if d > now then Some d else None)
         in
         charge_rollback (fun () -> Option.iter (Table.rollback_to table) sp);
         Stats.timed
@@ -259,46 +357,78 @@ let run t (pl : Offline.t) ~compaction ~share ~generated ~(now : int)
           (fun () ->
             if full then begin
               let keep = Hashtbl.create 64 in
-              Hashtbl.iter (fun tid d -> if d > now then Hashtbl.replace keep tid ()) dl;
+              let survive tid = if deadline_of w tid > now then Hashtbl.replace keep tid () in
+              Hashtbl.iter (fun tid _ -> survive tid) w.rows;
+              Hashtbl.iter (fun tid _ -> survive tid) w.won;
               note_expired rel (Table.retain_tids table keep);
-              (* Seed the committed survivors' deadlines, unless a Lemma
-                 4.2 witness keeps this relation on the full mark. *)
-              if List.for_all (fun (q : Witness.query) -> q.Witness.keys = None) queries
+              (* Seed the committed survivors' deadlines and
+                 representatives, unless a Lemma 4.2 witness keeps this
+                 relation on the full mark. *)
+              if
+                List.for_all
+                  (fun (q : Witness.query) -> q.Witness.keys = None || q.Witness.latest <> None)
+                  queries
               then begin
                 let floor = Option.fold ~none:max_int ~some:Table.savepoint_tid sp in
-                Hashtbl.replace t.deadlines rel
-                  (Hashtbl.fold
-                     (fun tid d due ->
-                       if tid < floor && d > now && d < max_int then add_due d tid due
-                       else due)
-                     dl Ticks.empty)
+                let tr =
+                  {
+                    due = Ticks.empty;
+                    reps = Array.of_list (List.map (fun _ -> Value.Key.Tbl.create 16) queries);
+                    held = Hashtbl.create 16;
+                  }
+                in
+                Hashtbl.iter
+                  (fun tid () ->
+                    if tid < floor then begin
+                      tr.due <- add_due (deadline_of w tid) tid tr.due;
+                      List.iter (hold tr ~base:(base_of w tid) tid) (wins_of w tid)
+                    end)
+                  keep;
+                Hashtbl.replace t.deadlines rel tr
               end
             end
             else begin
-              let expired, at_now, later = Ticks.split now (Hashtbl.find t.deadlines rel) in
+              let tr = Hashtbl.find t.deadlines rel in
+              (* The representatives this increment replaces lose their
+                 hold. *)
+              Hashtbl.iter
+                (fun _ wins ->
+                  List.iter
+                    (fun (qi, key, _) ->
+                      match Value.Key.Tbl.find_opt tr.reps.(qi) key with
+                      | Some (_, old) -> release tr old qi key
+                      | None -> ())
+                    wins)
+                w.won;
+              let expired, at_now, later = Ticks.split now tr.due in
               let dead = Hashtbl.create 64 in
-              let kill = List.iter (fun tid -> Hashtbl.replace dead tid ()) in
+              let kill =
+                List.iter (fun tid ->
+                    forget tr tid;
+                    Hashtbl.replace dead tid ())
+              in
               Ticks.iter (fun _ tids -> kill tids) expired;
               Option.iter kill at_now;
               if Hashtbl.length dead > 0 then note_expired rel (Table.drop_tids table dead);
-              Hashtbl.replace t.deadlines rel later
+              tr.due <- later
             end);
         (* Insert the retained part of the increment, carrying each row's
-           deadline over to its new tid. *)
+           deadline and representatives over to its new tid. *)
         Stats.timed
           (fun d -> stats.Stats.compact_insert <- stats.Stats.compact_insert +. d)
           (fun () ->
-            let due = Hashtbl.find_opt t.deadlines rel in
-            let due =
-              List.fold_left
-                (fun due (cells, d) ->
-                  let tid = Table.insert table cells in
-                  stats.Stats.rows_logged <- stats.Stats.rows_logged + 1;
-                  if d < max_int then Option.map (add_due d tid) due else due)
-                due kept
-            in
-            Option.iter (Hashtbl.replace t.deadlines rel) due;
-            note_increment rel (List.map fst kept)))
+            let tr = Hashtbl.find_opt t.deadlines rel in
+            List.iter
+              (fun (cells, tentative, d) ->
+                let tid = Table.insert table cells in
+                stats.Stats.rows_logged <- stats.Stats.rows_logged + 1;
+                Option.iter
+                  (fun tr ->
+                    tr.due <- add_due d tid tr.due;
+                    List.iter (hold tr ~base:(base_of w tentative) tid) (wins_of w tentative))
+                  tr)
+              kept;
+            note_increment rel (List.map (fun (cells, _, _) -> cells) kept)))
     marks;
   (* Roll back increments of relations generated for evaluation only. *)
   charge_rollback (fun () ->

@@ -1,10 +1,12 @@
 (** The commit of an accepted submission: log compaction (Algorithm 2,
     Lemmas 4.1–4.3, §4.1.2) over its tentative increments, and the one
     record of the committed state. A full mark runs the witnesses over
-    the whole log and records the survivors' deadlines; while the
-    committed state has moved only by increments since, a commit marks
-    only its increment (one tick's rows) and expires the committed
-    tuples whose deadline came. The expired rows are returned by position, so
+    the whole log and records the survivors' deadlines and each
+    distinct-value witness's representatives; while the committed state
+    has moved only by increments since, a commit marks only its
+    increment (one tick's rows), moves the representatives it replaces
+    and expires the committed tuples whose deadline came. The expired
+    rows are returned by position, so
     one WAL record describes the commit; whether it is journaled or
     checkpointed is {!Durable}'s decision.
 

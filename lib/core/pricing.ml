@@ -22,13 +22,16 @@ type line = { relation : string; uses : int; amount : float }
 type bill = { uid : int; since : int; until : int; lines : line list; total : float }
 
 (* A never-firing policy whose witness retains the last [window] ticks of
-   provenance and users tuples. Register it under any name with
+   provenance and users tuples. It counts rows, not distinct values: a
+   [COUNT(DISTINCT e)] policy's witness keeps only one binding per value
+   of [e] (Witness, distinct-value witnesses), while a [COUNT( * )]
+   keeps Lemma 4.1's, every joined row. Register it under any name with
    [Engine.add_policy]. *)
 let retention_policy ~(window : int) : string =
   Printf.sprintf
     "SELECT DISTINCT 'retention window' AS errorMessage FROM provenance p, \
      users u, clock c WHERE p.ts = u.ts AND p.ts > c.ts - %d HAVING \
-     COUNT(DISTINCT p.itid) > 1000000000"
+     COUNT(*) > 1000000000"
     window
 
 (* Tuple-use counts per input relation for [uid] in (since, until]. *)

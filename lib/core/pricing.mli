@@ -18,7 +18,9 @@ type bill = {
 (** A never-firing policy whose absolute witness retains the last
     [window] ticks of provenance and users tuples — register it with
     {!Engine.add_policy} so log compaction keeps the billing window
-    alive. *)
+    alive. Its HAVING counts rows ([COUNT( * )]), so its witness keeps
+    every joined row (Lemma 4.1); a [COUNT(DISTINCT ...)] one would keep
+    one row per counted value. *)
 val retention_policy : window:int -> string
 
 (** Tuple-use counts per input relation for [uid] in [(since, until]]. *)

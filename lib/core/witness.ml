@@ -11,6 +11,12 @@
     - Lemma 4.2 (Boolean policies): additionally keep only one tuple per
       combination of [Ri]'s join attributes (the paper's [DISTINCT ON],
       applied by {!scan}).
+    - Distinct-value witnesses (an extension of Lemma 4.1): when every
+      aggregate of the SELECT is a [COUNT(DISTINCT e)], keep one binding
+      per value of the group expressions, the counted expressions and
+      the kept columns that dropped predicates read — the one whose
+      deadline is latest ({!scan}). docs/ARCHITECTURE.md
+      ("Correctness") has the proof and the shapes it leaves out.
     - Lemma 4.3 (clock): normalize clock predicates to [c.ts op expr],
       drop lower bounds on the clock, and freeze upper bounds at
       [currenttime + 1]. Policies with an unsupported clock predicate
@@ -39,6 +45,7 @@ type bound = { expr : Ast.expr; strict : bool }
 type query = {
   select : Ast.select;
   keys : int option;
+  latest : int list option;
   bounds : bound list;
   clock : string;
 }
@@ -117,6 +124,47 @@ let deadline (b : bound) (v : Value.t) : int =
     else int_of_float (Float.floor f)
   | Value.Str _ -> forever
   | Value.Null | Value.Bool _ -> never
+
+(* Distinct-value witnesses ---------------------------------------------- *)
+
+(* The counted expressions of a grouped SELECT whose every aggregate is a
+   [COUNT(DISTINCT e)] and whose items and HAVING read nothing else but
+   literals and GROUP BY expressions: its output is a function of the
+   set of (group, counted values) its bindings reach. [None] for any
+   other shape, and for one with a FROM subquery, DISTINCT ON, ORDER BY
+   or LIMIT. *)
+let counted_exprs (s : Ast.select) : Ast.expr list option =
+  let counted = ref [] in
+  let rec determined e =
+    List.mem e s.group_by
+    ||
+    match e with
+    | Ast.Lit _ -> true
+    | Ast.Col _ -> false
+    | Ast.Agg_call (Ast.Count, true, Some arg) ->
+      if not (List.mem arg !counted) then counted := arg :: !counted;
+      true
+    | Ast.Agg_call _ -> false
+    | Ast.Binop (_, a, b) -> determined a && determined b
+    | Ast.Unop (_, a) -> determined a
+    | Ast.Fn_call (_, args) -> List.for_all determined args
+    | Ast.Case (branches, default) ->
+      List.for_all (fun (c, v) -> determined c && determined v) branches
+      && Option.fold ~none:true ~some:determined default
+  in
+  let plain_shape =
+    (match s.distinct with Ast.All | Ast.Distinct -> true | Ast.Distinct_on _ -> false)
+    && s.order_by = [] && s.limit = None
+    && List.for_all (function Ast.From_table _ -> true | Ast.From_subquery _ -> false) s.from
+  in
+  if
+    plain_shape
+    && List.for_all
+         (function Ast.Sel_expr (e, _) -> determined e | Ast.Star | Ast.Table_star _ -> false)
+         s.items
+    && List.for_all determined (Ast.conjuncts_opt s.having)
+  then Some (List.rev !counted)
+  else None
 
 (* Witnesses for one SELECT ------------------------------------------------ *)
 
@@ -206,6 +254,18 @@ let for_select ~(is_log : string -> bool) (s : Ast.select) : (string * t) list =
           s.from
       in
       let boolean = s.having = None && s.group_by = [] in
+      (* A distinct-value witness needs every clock predicate to be an
+         upper bound: a dropped lower bound may hold for the binding it
+         replaces and fail for the later representative. *)
+      let counted =
+        if
+          boolean
+          || List.exists
+               (function `Clock ((Ast.Gt | Ast.Ge | Ast.Eq), _) -> true | _ -> false)
+               normalized
+        then None
+        else counted_exprs s
+      in
       let clock = Partial.fresh_clock_alias s in
       let witness_for (target_alias, _rel) : query =
         let kept_aliases =
@@ -213,17 +273,15 @@ let for_select ~(is_log : string -> bool) (s : Ast.select) : (string * t) list =
           :: List.map fst (neighborhood target_alias)
           @ List.map (fun fi -> lc (Ast.from_item_alias fi)) db_items
         in
-        let applicable =
-          List.filter
-            (fun (_, e) ->
-              List.for_all
-                (fun q ->
-                  match q with
-                  | Some q -> List.mem (lc q) kept_aliases
-                  | None -> true)
-                (Ast.expr_qualifiers e))
-            tagged
+        let reads_kept e =
+          List.for_all
+            (fun q ->
+              match q with
+              | Some q -> List.mem (lc q) kept_aliases
+              | None -> true)
+            (Ast.expr_qualifiers e)
         in
+        let applicable, dropped = List.partition (fun (_, e) -> reads_kept e) tagged in
         let where =
           Ast.conjoin
             (List.filter_map
@@ -241,8 +299,27 @@ let for_select ~(is_log : string -> bool) (s : Ast.select) : (string * t) list =
           @ db_items
         in
         let keys =
-          if not boolean then None
-          else begin
+          match counted with
+          | Some counted ->
+            (* One binding per value of the group and counted
+               expressions, and of every kept column a dropped predicate
+               reads; an expression over a dropped alias contributes the
+               kept columns it reads. *)
+            let x = ref [] in
+            let add e = if not (List.mem e !x) then x := e :: !x in
+            let add_cols =
+              Ast.iter_expr (function
+                | Ast.Col (Some q, col) when List.mem (lc q) kept_aliases ->
+                  add (Ast.Col (Some (lc q), col))
+                | _ -> ())
+            in
+            List.iter
+              (fun e -> if reads_kept e then add e else add_cols e)
+              (s.group_by @ counted);
+            List.iter (fun (_, e) -> add_cols e) dropped;
+            Some (List.rev !x)
+          | None when not boolean -> None
+          | None -> begin
             (* Lemma 4.2's X: attributes of the target occurring in join
                predicates; clock bounds count as joins. *)
             let x = ref [] in
@@ -277,9 +354,22 @@ let for_select ~(is_log : string -> bool) (s : Ast.select) : (string * t) list =
           | [] -> [ Ast.Sel_expr (Ast.Lit (Value.Int 1), None) ]
           | es -> List.map (fun e -> Ast.Sel_expr (e, None)) es
         in
+        (* The binding's log slots (the target and its neighbourhood)
+           in alias order, the same in every witness query of the ts
+           class: ties between representatives break alike in each. *)
+        let latest =
+          Option.map
+            (fun _ ->
+              List.map snd
+                (List.sort compare
+                   (List.mapi (fun i a -> (a, i))
+                      (target_alias :: List.map fst (neighborhood target_alias)))))
+            counted
+        in
         {
           select = { Ast.empty_select with items; from; where };
           keys = Option.map List.length keys;
+          latest;
           bounds;
           clock;
         }
@@ -368,14 +458,37 @@ let row_deadline q (values : Value.t array) =
 let target_tid (row : Executor.row_out) =
   List.assoc 0 row.Executor.src_tids
 
-let scan q ~now (r : Executor.result) (f : int -> int -> unit) =
-  match q.keys with
-  | None ->
+let no_key = [||]
+
+(* Compare two rows' source tids at [slots], in order. *)
+let rec compare_tids slots (a : Executor.row_out) (b : Executor.row_out) =
+  match slots with
+  | [] -> 0
+  | i :: rest ->
+    let c = Int.compare (List.assoc i a.Executor.src_tids) (List.assoc i b.Executor.src_tids) in
+    if c <> 0 then c else compare_tids rest a b
+
+let scan q ~now (r : Executor.result) (f : Value.t array -> int -> int -> unit) =
+  match q.keys, q.latest with
+  | None, _ ->
     List.iter
       (fun (row : Executor.row_out) ->
-        f (target_tid row) (row_deadline q row.Executor.values))
+        f no_key (target_tid row) (row_deadline q row.Executor.values))
       r.Executor.out_rows
-  | Some k ->
+  | Some k, Some slots ->
+    let best = Value.Key.Tbl.create 16 in
+    List.iter
+      (fun (row : Executor.row_out) ->
+        let d = row_deadline q row.Executor.values in
+        if d > now then begin
+          let key = Array.sub row.Executor.values 0 k in
+          match Value.Key.Tbl.find_opt best key with
+          | Some (d0, row0) when d0 > d || (d0 = d && compare_tids slots row0 row >= 0) -> ()
+          | Some _ | None -> Value.Key.Tbl.replace best key (d, row)
+        end)
+      r.Executor.out_rows;
+    Value.Key.Tbl.iter (fun key (d, row) -> f key (target_tid row) d) best
+  | Some k, None ->
     let seen = Value.Key.Tbl.create 16 in
     List.iter
       (fun (row : Executor.row_out) ->
@@ -384,7 +497,7 @@ let scan q ~now (r : Executor.result) (f : int -> int -> unit) =
           let key = Array.sub row.Executor.values 0 k in
           if not (Value.Key.Tbl.mem seen key) then begin
             Value.Key.Tbl.add seen key ();
-            f (target_tid row) d
+            f key (target_tid row) d
           end
         end)
       r.Executor.out_rows

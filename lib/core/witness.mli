@@ -29,10 +29,21 @@ type query = {
           attributes followed by one column per bound ([1] when there are
           neither). *)
   keys : int option;
-      (** [Some k]: a Boolean policy's witness (Lemma 4.2), which keeps
-          one tuple per value of its first [k] items — the first joined
-          row, in output order, whose bounds hold; [None]: every joined
-          row counts *)
+      (** [Some k]: one tuple per value of the first [k] items (see
+          [latest]); [None]: every joined row counts (Lemma 4.1) *)
+  latest : int list option;
+      (** with [keys = Some _]: [None] for a Boolean policy's witness
+          (Lemma 4.2), whose key is the target's join attributes and
+          whose representative is the first joined row, in output order,
+          whose bounds hold; [Some slots] for a distinct-value witness,
+          of a SELECT whose every aggregate is a [COUNT(DISTINCT e)] and
+          whose clock predicates are upper bounds. Its key is the GROUP
+          BY expressions, then the counted ones, then every kept-alias
+          column that a predicate dropped from the query reads. Its
+          representative is the joined row with the latest deadline, ties
+          broken by the larger source tids at [slots] (the binding's log
+          slots in alias order, so every witness query of one ts class
+          picks the same binding). *)
   bounds : bound list;  (** one per trailing item *)
   clock : string;  (** a FROM alias free in [select], for the clock *)
 }
@@ -76,9 +87,14 @@ val probe :
   is_log:(string -> bool) -> available:string list -> query -> Ast.select option
 
 (** [scan q ~now r f] reads the result [r] of [q] (or of
-    {!at_clock_tick} [q]) run with source-tid tracking, calling [f tid d]
-    for the slot-0 tuples it witnesses: with [keys = None], once per
-    joined row with the row's deadline (the min over its bounds); with
-    [keys = Some _], once per key value, for the representative at tick
-    [now]. A tuple is retained at [now] when some [d > now]. *)
-val scan : query -> now:int -> Executor.result -> (int -> int -> unit) -> unit
+    {!at_clock_tick} [q]) run with source-tid tracking, calling
+    [f key tid d] for the slot-0 tuples it witnesses: with
+    [keys = None], once per joined row with the row's deadline (the min
+    over its bounds) and an empty [key]; with [keys = Some _], once per
+    key value whose representative at tick [now] has [d > now] (see
+    [latest]), with that value. A tuple is retained at [now] when some
+    [d > now]. Over {!at_clock_tick} [q], a distinct-value witness's
+    calls name the increment's best binding per key; whether it replaces
+    the committed representative is the caller's decision. *)
+val scan :
+  query -> now:int -> Executor.result -> (Value.t array -> int -> int -> unit) -> unit

@@ -51,53 +51,53 @@ let expected =
     "1 W1 users -[]@[] +[1,1] schema -[]@[] +[] provenance -[]@[] \
      +[1,0,d_patients,5]";
     "1 W3 users -[]@[] +[2,1] schema -[]@[] +[] provenance -[]@[] +[]";
-    "1 W1 users -[]@[] +[3,1] schema -[]@[] +[] provenance -[]@[] \
+    "1 W1 users -[1]@[1] +[3,1] schema -[]@[] +[] provenance -[]@[] \
      +[3,0,d_patients,5]";
     "2 W1 users -[]@[] +[4,2] schema -[]@[] +[] provenance -[]@[] +[]";
     "1 W1 users -[]@[] +[5,1] schema -[]@[] +[] provenance -[]@[] \
      +[5,0,d_patients,5]";
     "1 W3 users -[]@[] +[6,1] schema -[]@[] +[] provenance -[]@[] +[]";
-    "1 W1 users -[]@[] +[7,1] schema -[]@[] +[] provenance -[]@[] \
+    "1 W1 users -[5]@[4] +[7,1] schema -[]@[] +[] provenance -[]@[] \
      +[7,0,d_patients,5]";
     "1 W1 users -[]@[] +[8,1] schema -[]@[] +[] provenance -[]@[] \
      +[8,0,d_patients,5]";
-    "2 W1 users -[1]@[1] +[9,2] schema -[]@[] +[] provenance -[]@[] +[]";
-    "1 W1 users -[]@[] +[10,1] schema -[]@[] +[] provenance -[]@[] \
+    "2 W1 users -[3]@[2] +[9,2] schema -[]@[] +[] provenance -[]@[] +[]";
+    "1 W1 users -[0]@[0] +[10,1] schema -[]@[] +[] provenance -[0]@[0] \
      +[10,0,d_patients,5]";
     "dml";
-    "2 W1 users -[3]@[2] +[11,2] schema -[]@[] +[] provenance -[]@[] +[]";
-    "1 W1 users -[0]@[0] +[12,1] schema -[]@[] +[] provenance -[0]@[0] \
+    "2 W1 users -[8]@[4] +[11,2] schema -[]@[] +[] provenance -[]@[] +[]";
+    "1 W1 users -[2]@[0] +[12,1] schema -[]@[] +[] provenance -[1]@[0] \
      +[12,0,d_patients,5]";
-    "2 W2 users -[5]@[2] +[13,2] schema -[]@[] +[] provenance -[]@[] +[]";
+    "2 W2 users -[10]@[4] +[13,2] schema -[]@[] +[] provenance -[]@[] +[]";
     "add lte";
     "add bool";
-    "1 W1 users -[2]@[0] +[14,1] schema -[]@[] +[] provenance -[1]@[0] \
+    "1 W1 users -[4]@[0] +[14,1] schema -[]@[] +[] provenance -[2]@[0] \
      +[14,0,d_patients,5]";
-    "2 W1 users -[]@[] +[15,2] schema -[]@[] \
+    "2 W1 users -[12]@[4] +[15,2] schema -[]@[] \
      +[15,subject_id,d_patients,subject_id,false] provenance -[]@[] +[]";
-    "1 W3 users -[4,8]@[0,3] +[16,1] schema -[]@[] +[] provenance -[2]@[0] \
-     +[]";
-    "2 W2 users -[]@[] +[17,2] schema -[]@[] +[17,sex,d_patients,sex,false] \
-     provenance -[]@[] +[]";
-    "1 W1 users -[6,10]@[0,3] +[18,1] schema -[]@[] +[] provenance -[3]@[0] \
+    "1 W3 users -[6]@[0] +[16,1] schema -[]@[] +[] provenance -[3]@[0] +[]";
+    "2 W2 users -[7]@[0] +[17,2] schema -[]@[] \
+     +[17,sex,d_patients,sex,false] provenance -[4]@[0] +[]";
+    "1 W1 users -[15]@[4] +[18,1] schema -[]@[] +[] provenance -[]@[] \
      +[18,0,d_patients,5]";
-    "2 W1 users -[7]@[0] +[19,2] schema -[]@[] \
-     +[19,subject_id,d_patients,subject_id,false] provenance -[4]@[0] +[]";
-    "1 W1 users -[12]@[2] +[20,1] schema -[]@[] +[] provenance -[]@[] \
+    "2 W1 users -[9]@[0] +[19,2] schema -[]@[] \
+     +[19,subject_id,d_patients,subject_id,false] provenance -[5]@[0] \
+     +[]";
+    "1 W1 users -[]@[] +[20,1] schema -[]@[] +[] provenance -[]@[] \
      +[20,0,d_patients,5]";
-    "1 W1 users -[9]@[0] +[21,1] schema -[]@[] +[] provenance -[5]@[0] \
+    "1 W1 users -[11]@[0] +[21,1] schema -[]@[] +[] provenance -[6]@[0] \
      +[21,0,d_patients,5]";
-    "2 W1 users -[14]@[2] +[22,2] schema -[0]@[0] \
+    "2 W1 users -[14]@[1] +[22,2] schema -[0]@[0] \
      +[22,subject_id,d_patients,subject_id,false] provenance -[]@[] +[]";
-    "1 W1 users -[11,15]@[0,2] +[23,1] schema -[]@[] +[] provenance -[6]@[0] \
+    "1 W1 users -[13]@[0] +[23,1] schema -[]@[] +[] provenance -[7]@[0] \
      +[23,0,d_patients,5]";
   ]
 
 let expected_final =
   [
-    ("users", [ 13; 16; 17; 18; 19; 20; 21; 22 ]);
+    ("users", [ 16; 17; 18; 19; 20; 21; 22 ]);
     ("schema", [ 1; 2; 3 ]);
-    ("provenance", [ 7; 8; 9; 10; 11 ]);
+    ("provenance", [ 8; 9; 10; 11 ]);
   ]
 
 let rels = [ "users"; "schema"; "provenance" ]

@@ -108,7 +108,11 @@ let test_example_4_3_shape () =
       [ "schema"; "memberships" ];
     Alcotest.(check bool) "clock dropped" false
       (Test_policy.contains_substring sql "clock");
-    Alcotest.(check (option int)) "full-query witness (Lemma 4.1)" None w.Witness.keys;
+    (* A distinct-value witness: one binding per counted u.uid, whose
+       log slots are users (0) and schema (1). *)
+    Alcotest.(check (option int)) "keyed by the counted u.uid" (Some 1) w.Witness.keys;
+    Alcotest.(check (option (list int))) "tie order over the log slots" (Some [ 1; 0 ])
+      w.Witness.latest;
     (* c.ts < u.ts + 14, frozen at now = 100 as 101 < u.ts + 14: a row
        with u.ts + 14 = 102 is kept through tick 100 and no further. *)
     match w.Witness.bounds with
@@ -258,53 +262,53 @@ let tab2_trace () =
     ops
 
 (* [tab2_trace]'s output under a full mark at every commit: each witness
-   run over the whole log, with Lemma 4.3's frontier as a literal. *)
+   run over the whole log (the engine re-planned before every step). *)
 let full_mark_trace =
   [
     "1 W1 A users=1:cfcd2084 schema=0:d41d8cd9 provenance=1:cfcd2084";
     "1 W2 R users=1:cfcd2084 schema=0:d41d8cd9 provenance=1:cfcd2084";
     "1 W1 A users=2:d192e0c4 schema=0:d41d8cd9 provenance=2:d192e0c4";
     "1 W3 A users=3:432bbe43 schema=0:d41d8cd9 provenance=2:d192e0c4";
-    "1 W1 A users=4:37770ad1 schema=0:d41d8cd9 provenance=3:432bbe43";
-    "1 W2 R users=4:37770ad1 schema=0:d41d8cd9 provenance=3:432bbe43";
-    "1 W1 A users=5:b1959cea schema=0:d41d8cd9 provenance=4:37770ad1";
-    "1 W1 A users=6:8333cdba schema=0:d41d8cd9 provenance=5:b1959cea";
-    "2 W1 A users=7:94281be5 schema=0:d41d8cd9 provenance=5:b1959cea";
-    "1 W2 R users=7:94281be5 schema=0:d41d8cd9 provenance=5:b1959cea";
-    "1 W1 A users=7:9f5a9eee schema=0:d41d8cd9 provenance=6:8333cdba";
-    "1 W3 A users=7:62df3443 schema=0:d41d8cd9 provenance=5:afe805e5";
-    "0 W1 A users=7:62df3443 schema=0:d41d8cd9 provenance=5:afe805e5";
-    "1 W1 A users=7:fc5f0996 schema=0:d41d8cd9 provenance=5:c436b71e";
-    "dml users=7:fc5f0996 schema=0:d41d8cd9 provenance=5:c436b71e";
-    "2 W1 A users=8:d4ff302b schema=0:d41d8cd9 provenance=5:c436b71e";
-    "1 W1 A users=7:532c4969 schema=0:d41d8cd9 provenance=5:07fcadf5";
-    "2 W2 A users=8:3357a8ae schema=0:d41d8cd9 provenance=5:07fcadf5";
-    "1 W1 A users=8:b406690b schema=0:d41d8cd9 provenance=5:6dd21ded";
-    "1 W2 R users=8:b406690b schema=0:d41d8cd9 provenance=5:6dd21ded";
-    "add lte users=8:b406690b schema=0:d41d8cd9 provenance=5:6dd21ded";
-    "add flt users=8:b406690b schema=0:d41d8cd9 provenance=5:6dd21ded";
-    "add eq users=8:b406690b schema=0:d41d8cd9 provenance=5:6dd21ded";
-    "add bool users=8:b406690b schema=0:d41d8cd9 provenance=5:6dd21ded";
-    "1 W1 A users=7:439dc792 schema=0:d41d8cd9 provenance=5:713b8af7";
-    "2 W1 A users=8:170c1dc4 schema=1:cfcd2084 provenance=6:9e6d1bf8";
-    "1 W2 R users=8:170c1dc4 schema=1:cfcd2084 provenance=6:9e6d1bf8";
-    "2 W2 A users=7:76d73caa schema=2:d192e0c4 provenance=5:90fb879a";
-    "1 W1 A users=7:9cb93755 schema=2:d192e0c4 provenance=6:fcd84d46";
-    "1 W3 A users=7:a1be3815 schema=2:d192e0c4 provenance=4:27cf237f";
-    "2 W1 A users=8:a79674b4 schema=3:432bbe43 provenance=5:fdb6834e";
-    "1 W1 A users=8:e34e228d schema=3:432bbe43 provenance=5:a28503b3";
-    "remove P1 users=8:e34e228d schema=3:432bbe43 provenance=5:a28503b3";
-    "1 W1 A users=7:920b3eac schema=2:05cf281c provenance=5:a05522ed";
-    "2 W1 A users=7:954647bd schema=3:55b84a9d provenance=5:5a8ae1bb";
-    "1 W2 R users=7:954647bd schema=3:55b84a9d provenance=5:5a8ae1bb";
+    "1 W1 A users=3:08eb5465 schema=0:d41d8cd9 provenance=3:432bbe43";
+    "1 W2 R users=3:08eb5465 schema=0:d41d8cd9 provenance=3:432bbe43";
+    "1 W1 A users=4:aab211df schema=0:d41d8cd9 provenance=4:37770ad1";
+    "1 W1 A users=5:073bd42a schema=0:d41d8cd9 provenance=5:b1959cea";
+    "2 W1 A users=6:3efb13de schema=0:d41d8cd9 provenance=5:b1959cea";
+    "1 W2 R users=6:3efb13de schema=0:d41d8cd9 provenance=5:b1959cea";
+    "1 W1 A users=6:e8d242ad schema=0:d41d8cd9 provenance=5:afe805e5";
+    "1 W3 A users=6:785b4b91 schema=0:d41d8cd9 provenance=4:a4618027";
+    "0 W1 A users=6:785b4b91 schema=0:d41d8cd9 provenance=4:a4618027";
+    "1 W1 A users=5:b9b5f5de schema=0:d41d8cd9 provenance=4:a209698a";
+    "dml users=5:b9b5f5de schema=0:d41d8cd9 provenance=4:a209698a";
+    "2 W1 A users=5:da9feb97 schema=0:d41d8cd9 provenance=4:a209698a";
+    "1 W1 A users=5:82322fd5 schema=0:d41d8cd9 provenance=4:8dada30b";
+    "2 W2 A users=4:68404529 schema=0:d41d8cd9 provenance=3:ca021074";
+    "1 W1 A users=5:bb898afd schema=0:d41d8cd9 provenance=4:cfb090fa";
+    "1 W2 R users=5:bb898afd schema=0:d41d8cd9 provenance=4:cfb090fa";
+    "add lte users=5:bb898afd schema=0:d41d8cd9 provenance=4:cfb090fa";
+    "add flt users=5:bb898afd schema=0:d41d8cd9 provenance=4:cfb090fa";
+    "add eq users=5:bb898afd schema=0:d41d8cd9 provenance=4:cfb090fa";
+    "add bool users=5:bb898afd schema=0:d41d8cd9 provenance=4:cfb090fa";
+    "1 W1 A users=5:4cfd59de schema=0:d41d8cd9 provenance=4:58b450aa";
+    "2 W1 A users=5:59b1a807 schema=1:cfcd2084 provenance=5:a3cb039f";
+    "1 W2 R users=5:59b1a807 schema=1:cfcd2084 provenance=5:a3cb039f";
+    "2 W2 A users=5:ac38a6b5 schema=2:d192e0c4 provenance=4:933506ab";
+    "1 W1 A users=6:342da6f2 schema=2:d192e0c4 provenance=5:8d704777";
+    "1 W3 A users=6:a23ebc39 schema=2:d192e0c4 provenance=3:287ccd1b";
+    "2 W1 A users=7:9260a457 schema=3:432bbe43 provenance=4:37a790f6";
+    "1 W1 A users=6:89e8fc5b schema=3:432bbe43 provenance=4:76e1e306";
+    "remove P1 users=6:89e8fc5b schema=3:432bbe43 provenance=4:76e1e306";
+    "1 W1 A users=6:1da81174 schema=2:05cf281c provenance=4:9efe615d";
+    "2 W1 A users=6:3eb0d3c8 schema=3:55b84a9d provenance=4:ce069b2b";
+    "1 W2 R users=6:3eb0d3c8 schema=3:55b84a9d provenance=4:ce069b2b";
     "1 W1 A users=6:e97a8123 schema=2:624d8292 provenance=4:f9210080";
     "2 W1 A users=7:3c7e7dd3 schema=3:9113fc71 provenance=5:527f456a";
     "dml users=7:3c7e7dd3 schema=3:9113fc71 provenance=5:527f456a";
     "remove bool users=7:3c7e7dd3 schema=3:9113fc71 provenance=5:527f456a";
-    "2 W1 A users=6:3546115a schema=3:9113fc71 provenance=6:c91f9f28";
-    "1 W1 A users=7:3f0faee9 schema=3:9113fc71 provenance=6:1722c28a";
+    "2 W1 A users=5:b41adf34 schema=3:9113fc71 provenance=5:a2ea6666";
+    "1 W1 A users=6:b1a9557a schema=3:9113fc71 provenance=5:e43af63a";
     "2 W2 A users=6:39d2494e schema=3:9113fc71 provenance=5:ced81cd8";
-    "1 W1 A users=6:214f85d4 schema=3:9113fc71 provenance=6:25d3c36e";
+    "1 W1 A users=5:083947c5 schema=3:9113fc71 provenance=5:141338cd";
   ]
 
 let test_trace_pinned () =
@@ -543,6 +547,103 @@ let test_plans_cached_across_commits () =
   Alcotest.(check bool) "marked from increments" true
     (counter e "witness-delta-marks" >= 100)
 
+(* Distinct-value witnesses ---------------------------------------------- *)
+
+(* P5's shape over six items: uid 1 reads one item per submission, each
+   item many times, under a never-firing COUNT(DISTINCT p.itid) over a
+   window. Each counted value keeps one (provenance, users) binding, the
+   latest; an uncompacted twin on the same stream says how many distinct
+   values the window holds. After the first commit's full mark, every
+   commit marks only its increment. *)
+let test_distinct_value_counts () =
+  let window = 8 in
+  let make compaction =
+    let db =
+      db_of_script
+        "CREATE TABLE items (id INT, kind TEXT); INSERT INTO items VALUES (1, \
+         'a'), (2, 'b'), (3, 'c'), (4, 'd'), (5, 'e'), (6, 'f')"
+    in
+    let e =
+      Engine.create ~config:{ Engine.default_config with Engine.log_compaction = compaction } db
+    in
+    ignore
+      (Engine.add_policy e ~name:"p5"
+         (Printf.sprintf
+            "SELECT DISTINCT 'p5' FROM provenance p, users u, clock c WHERE p.ts \
+             = u.ts AND u.uid = 1 AND p.irid = 'items' AND p.ts > c.ts - %d \
+             HAVING COUNT(DISTINCT p.itid) > 100"
+            window));
+    (db, e)
+  in
+  let _, e = make true and twin_db, twin = make false in
+  let n = 40 in
+  for k = 0 to n - 1 do
+    (* ids 1-3 in the first half, 4-6 in the second: the window sees
+       values enter and leave *)
+    let id = if k < n / 2 then 1 + (k * 7 mod 3) else 4 + (k * 5 mod 3) in
+    let sql = Printf.sprintf "SELECT kind FROM items WHERE id = %d" id in
+    List.iter (fun e -> ignore (Engine.submit e ~uid:1 sql)) [ e; twin ];
+    (* At the commit of tick [now], a row stamped [ts] is kept iff its
+       deadline [ts + window - 1] is above [now]. *)
+    let distinct =
+      match
+        Database.query twin_db
+          (Printf.sprintf
+             "SELECT COUNT(DISTINCT p.itid) FROM provenance p, clock c WHERE \
+              p.ts > c.ts - %d"
+             (window - 1))
+      with
+      | { Executor.out_rows = [ { Executor.values = [| Value.Int d |]; _ } ]; _ } -> d
+      | _ -> Alcotest.fail "expected one count"
+    in
+    Alcotest.(check int)
+      (Printf.sprintf "provenance rows after submission %d" k)
+      distinct (Engine.log_size e "provenance");
+    Alcotest.(check bool) "one users row per kept binding at most" true
+      (Engine.log_size e "users" <= distinct)
+  done;
+  Alcotest.(check int) "the twin keeps every row" n (Engine.log_size twin "provenance");
+  Alcotest.(check int) "three values in the last window" 3 (Engine.log_size e "provenance");
+  (* provenance and users each: one full mark, then increments *)
+  Alcotest.(check int) "full marks: the first commit" 2 (counter e "witness-full-marks");
+  Alcotest.(check int) "increment marks after it" (2 * (n - 1))
+    (counter e "witness-delta-marks")
+
+(* Every shape the distinct-value proof leaves out keeps Lemma 4.1's
+   witness, every joined row: a lower clock bound, an equality on the
+   clock, a FROM subquery, and any aggregate other than COUNT(DISTINCT). *)
+let test_distinct_value_fallbacks () =
+  let db = mk_db () in
+  let e = Engine.create db in
+  let is_log rel = Catalog.is_log (Database.catalog db) rel in
+  let window = "u.ts > c.ts - 9" in
+  List.iter
+    (fun (what, from, where, having) ->
+      let p =
+        Engine.add_policy e ~name:what
+          (Printf.sprintf "SELECT DISTINCT 'x' FROM %s WHERE %s HAVING %s" from where having)
+      in
+      match List.assoc_opt "users" (Witness.for_policy ~is_log p) with
+      | Some (Witness.Queries qs) ->
+        List.iter
+          (fun (q : Witness.query) ->
+            Alcotest.(check (option int)) (what ^ ": every joined row") None q.Witness.keys;
+            Alcotest.(check (option (list int))) (what ^ ": no pick") None q.Witness.latest)
+          qs
+      | _ -> Alcotest.failf "%s: expected witness queries" what)
+    [
+      ("lower bound", "users u, clock c", window ^ " AND c.ts > u.ts + 2", "COUNT(DISTINCT u.uid) > 3");
+      ("equality", "users u, clock c", "c.ts = u.ts + 4", "COUNT(DISTINCT u.uid) > 3");
+      ( "subquery",
+        "users u, (SELECT uid FROM memberships) m, clock c",
+        window ^ " AND u.uid = m.uid",
+        "COUNT(DISTINCT u.uid) > 3" );
+      ("count star", "users u, clock c", window, "COUNT(*) > 3");
+      ("count", "users u, clock c", window, "COUNT(u.uid) > 3");
+      ("sum distinct", "users u, clock c", window, "SUM(DISTINCT u.uid) > 3");
+      ("mixed", "users u, clock c", window, "COUNT(DISTINCT u.uid) > 3 AND MAX(u.ts) > 2");
+    ]
+
 let suite =
   [
     tc "union of witnesses across policies" test_union_of_witnesses;
@@ -559,4 +660,6 @@ let suite =
     tc "keyed witness probed without its target" test_keyed_probe_without_target;
     tc "increment marks probe the ts index" test_increment_mark_probes_ts;
     tc "plans stay cached across commits" test_plans_cached_across_commits;
+    tc "distinct-value witness keeps one row per counted value" test_distinct_value_counts;
+    tc "distinct-value fallbacks keep every joined row" test_distinct_value_fallbacks;
   ]

@@ -77,7 +77,14 @@ let per_uid uid =
    HAVING, so Lemma 4.1 keeps every witnessed row: its Boolean form
    keeps one row per Lemma 4.2 key, and unification lifts the
    registration-tick bound into that key, so the kept rows differ with
-   unification on and off (ROADMAP, keyed witnesses). *)
+   unification on and off (ROADMAP, keyed witnesses). The windowed
+   [COUNT(DISTINCT ...)] templates keep one binding per counted value
+   (distinct-value witnesses): the [itid] ones repeat values, with and
+   without GROUP BY, and [cross-tick-window] joins two ts classes by a
+   predicate each class's witness drops, so the columns it reads key
+   the representatives. Their [provenance] reads stay at [p.irid =
+   'data']: the [itid]s of a log relation's rows are renumbered by
+   recovery. *)
 let templates =
   [|
     ("blocked", "SELECT DISTINCT 'uid 2 blocked' FROM users u WHERE u.uid = 2");
@@ -128,6 +135,17 @@ let templates =
       "SELECT DISTINCT 'uid 2 after tid 2 twice' FROM users u, provenance p \
        WHERE u.uid = 2 AND p.irid = 'data' AND p.itid = 2 HAVING COUNT(DISTINCT \
        p.ts) > 1" );
+    ( "itid-window",
+      "SELECT DISTINCT 'data tids in window' FROM provenance p, clock c WHERE \
+       p.irid = 'data' AND p.ts > c.ts - 5 HAVING COUNT(DISTINCT p.itid) > 2" );
+    ( "itid-per-uid",
+      "SELECT DISTINCT 'data tids per uid' FROM provenance p, users u, clock c \
+       WHERE p.ts = u.ts AND p.irid = 'data' AND c.ts < p.ts + 4 GROUP BY \
+       u.uid HAVING COUNT(DISTINCT p.itid) > 1" );
+    ( "cross-tick-window",
+      "SELECT DISTINCT 'uids before data reads' FROM users u, schema s, clock \
+       c WHERE s.irid = 'data' AND u.ts < s.ts AND s.ts < u.ts + 3 AND u.ts > \
+       c.ts - 6 HAVING COUNT(DISTINCT u.uid) > 1" );
   |]
 
 let template name = List.assoc name (Array.to_list templates)

@@ -1397,7 +1397,7 @@ let test_clock_elimination_differential () =
         | Ast.Select _ | Ast.Union _ -> None)
       (Array.to_list Test_oracle.templates)
   in
-  Alcotest.(check int) "oracle templates reading the clock" 5
+  Alcotest.(check int) "oracle templates reading the clock" 8
     (List.length clock_templates);
   let core = function
     | Ast.Select s ->

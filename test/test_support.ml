@@ -80,7 +80,7 @@ let witness_retained db ~now (w : Datalawyer.Witness.t) : (int, unit) Hashtbl.t 
             ~opts:{ Executor.lineage = false; track_src = true }
             (Database.catalog db) (Ast.Select q.Datalawyer.Witness.select)
         in
-        Datalawyer.Witness.scan q ~now r (fun tid d ->
+        Datalawyer.Witness.scan q ~now r (fun _ tid d ->
             if d > now then Hashtbl.replace retained tid ()))
       qs);
   retained

@@ -30,8 +30,10 @@ let test_window_policy_witness () =
   | Witness.Keep_all -> Alcotest.fail "expected a witness query"
   | Witness.Queries [ q ] -> (
     let sql = Sql_print.select q.Witness.select in
-    (* HAVING present -> Eq. 2 full-query witness, no DISTINCT ON *)
-    Alcotest.(check (option int)) "no DISTINCT ON keys" None q.Witness.keys;
+    (* Every aggregate a COUNT(DISTINCT): one u row per counted u.ts,
+       the one with the latest deadline. *)
+    Alcotest.(check (option int)) "keyed by the counted u.ts" (Some 1) q.Witness.keys;
+    Alcotest.(check (option (list int))) "latest deadline per key" (Some [ 0 ]) q.Witness.latest;
     Alcotest.(check bool) "clock relation dropped" false
       (Test_policy.contains_substring sql "clock");
     Alcotest.(check bool) "no frontier literal" false
